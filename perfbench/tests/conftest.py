@@ -1,0 +1,10 @@
+"""Make the package sources and the harness modules importable for the
+harness's own tests (run with `python -m pytest perfbench/tests`)."""
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+ROOT = BENCH.parent
+for path in (ROOT / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
