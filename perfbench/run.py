@@ -54,6 +54,7 @@ THREAD_ENV = {
     "VECLIB_MAXIMUM_THREADS": "1",
 }
 SETUP_RUNS = 5
+SETUP_PROBES = 10  # host-probe samples each process takes right after set-up
 TIME_LIMIT = 170.0  # seconds for the whole run, children included
 
 END_TO_END = {
@@ -168,12 +169,13 @@ class Ledger:
         return [c[3] for c in self.calls]
 
 
-def closed_loop(wl, cli, seconds, min_calls):
+def closed_loop(wl, cli, seconds, min_calls, probe):
     ledger = Ledger()
     stop = time.perf_counter() + seconds
     i = 0
     while i < min_calls or time.perf_counter() < stop:
         ledger.run(wl, cli, wl.call(i))
+        probe.maybe_sample()
         i += 1
     return ledger
 
@@ -192,14 +194,18 @@ def child(args) -> int:
 
     import phaselab
     from phaselab import cli
+    from probe import HostProbe
     from workloads import WORKLOADS
 
     wl = WORKLOADS[args.workload](args.seed, args.size, OUT / "inputs" / f"{args.workload}-s{args.seed}")
     warm = Ledger()
     for call in wl.warmup():
         warm.run(wl, cli, call, "warm-up: ")
-    report = {"ready": time.monotonic(), "warmup": warm.digests, "warmup_ops": warm.ops,
-              "warmup_failed": warm.failed, "errors": warm.errors}
+    ready = time.monotonic()
+    probe = HostProbe()
+    probe.sample(SETUP_PROBES)
+    report = {"ready": ready, "host_factor": probe.factor(), "warmup": warm.digests,
+              "warmup_ops": warm.ops, "warmup_failed": warm.failed, "errors": warm.errors}
     if args.role == "setup":
         print(json.dumps(report))
         return 0
@@ -208,13 +214,13 @@ def child(args) -> int:
     if args.trace:
         report.update(traced_run(args, wl, cli, phaselab))
     else:
-        report.update(measured_run(args, wl, cli))
+        report.update(measured_run(args, wl, cli, HostProbe()))
     print(json.dumps(report))
     return 0
 
 
-def measured_run(args, wl, cli) -> dict:
-    loop = closed_loop(wl, cli, args.seconds, wl.min_calls)
+def measured_run(args, wl, cli, probe) -> dict:
+    loop = closed_loop(wl, cli, args.seconds, wl.min_calls, probe)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
     panel = Ledger()
     for call in wl.panel():
@@ -222,16 +228,23 @@ def measured_run(args, wl, cli) -> dict:
     accuracy = loop.outcomes[: wl.panel_calls] + panel.outcomes
     latencies = [c[2] for c in loop.calls]
     p90 = statistics.quantiles(latencies, n=10, method="inclusive")[8] if len(latencies) > 1 else latencies[0]
-    metrics = {
+    raw = {
         "ops_per_s": loop.ops / loop.seconds,
         "call_p50_ms": 1e3 * statistics.median(latencies),
         "call_p90_ms": 1e3 * p90,
+    }
+    host = probe.factor()
+    metrics = {
+        "ops_per_s": raw["ops_per_s"] * host,
+        "call_p50_ms": raw["call_p50_ms"] / host,
+        "call_p90_ms": raw["call_p90_ms"] / host,
         "peak_rss_mb": peak_rss_mb,
         "trace_error_max": max(o.trace_error for o in accuracy),
         "phase_error_max_rad": max(o.phase_error for o in accuracy),
     }
     return {
         "metrics": metrics,
+        "raw": dict(raw, host_factor=host, probes=len(probe.samples)),
         "attempted": loop.ops + panel.ops,
         "failed": loop.failed + panel.failed,
         "errors": loop.errors + panel.errors,
@@ -365,7 +378,7 @@ def orchestrate(args) -> int:
     try:
         for _ in range(SETUP_RUNS - 1 if args.trace == 0 else 0):
             report, seconds = spawn("setup", args, deadline)
-            setups.append(seconds)
+            setups.append((seconds, report["host_factor"]))
             warmups.append(report["warmup"])
             attempted += report["warmup_ops"]
             failed += report["warmup_failed"]
@@ -374,7 +387,7 @@ def orchestrate(args) -> int:
     except ChildFailed as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 1
-    setups.append(seconds)
+    setups.append((seconds, report["host_factor"]))
     warmups.append(report["warmup"])
     attempted += report["attempted"] + report["warmup_ops"]
     failed += report["failed"] + report["warmup_failed"]
@@ -388,7 +401,7 @@ def orchestrate(args) -> int:
 
     metrics = dict(report["metrics"])
     if args.trace == 0:
-        metrics["setup_s"] = statistics.median(setups)
+        metrics["setup_s"] = statistics.median(seconds / host for seconds, host in setups)
     units = PER_LAYER if args.trace else END_TO_END
     result = {
         "correct": failed == 0,
@@ -404,8 +417,10 @@ def orchestrate(args) -> int:
         "blas_threads": report["threads"], "git_commit": git_commit(), "code_sha256": key,
         "client": "closed loop, 1 client, in-process phaselab.cli.main",
     }
-    samples = dict(report["samples"], setup_runs=len(setups), setup_s=setups)
-    detail = {"provenance": provenance, "samples": samples, "errors": errors[:20]}
+    samples = dict(report["samples"], setup_runs=len(setups), setup_s_raw=[s for s, _ in setups],
+                   setup_host_factors=[h for _, h in setups])
+    detail = {"provenance": provenance, "samples": samples, "raw": report.get("raw", {}),
+              "errors": errors[:20]}
     (OUT / "results").mkdir(parents=True, exist_ok=True)
     name = f"{args.workload}-s{args.seed}-trace{args.trace}-{args.size}.json"
     record = dict(detail, result=result, latencies_s=report.get("latencies_s", []))
