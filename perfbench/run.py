@@ -11,10 +11,12 @@ output captured, from a single client with BLAS/OpenMP pinned to one thread.
 `--trace 0` prints the end-to-end metrics: set-up time is the median over
 SETUP_RUNS fresh processes (process start through importing phaselab,
 generating the inputs and one warm-up call); the last of them then measures
-the closed loop for `--seconds` and the accuracy panel.  `--trace 1` prints
-the per-layer metrics: every call of the loop runs twice, untraced and then
-under the outside-in tracer (tracer.py), and both outputs must be
-byte-identical.
+the closed loop and the accuracy panel.  `--trace 1` prints the per-layer
+metrics: every call runs twice, untraced and then under the outside-in tracer
+(tracer.py), and both outputs must be byte-identical.  Either loop makes a
+fixed number of calls, sized so that it takes about `--seconds` at the
+workload's nominal call time (`workloads.loop_calls`), so every count of a
+run repeats exactly for a given seed.
 
 The last line of standard output is one JSON object with the keys `correct`,
 `attempted`, `failed` and `metrics`; the line before it carries the run's
@@ -169,14 +171,12 @@ class Ledger:
         return [c[3] for c in self.calls]
 
 
-def closed_loop(wl, cli, seconds, min_calls, probe):
+def closed_loop(wl, cli, calls, probe):
     ledger = Ledger()
-    stop = time.perf_counter() + seconds
-    i = 0
-    while i < min_calls or time.perf_counter() < stop:
+    for i in range(calls):
         ledger.run(wl, cli, wl.call(i))
-        probe.maybe_sample()
-        i += 1
+        if wl.probe_loop:
+            probe.maybe_sample()
     return ledger
 
 
@@ -195,7 +195,7 @@ def child(args) -> int:
     import phaselab
     from phaselab import cli
     from probe import HostProbe
-    from workloads import WORKLOADS
+    from workloads import WORKLOADS, loop_calls
 
     wl = WORKLOADS[args.workload](args.seed, args.size, OUT / "inputs" / f"{args.workload}-s{args.seed}")
     warm = Ledger()
@@ -211,16 +211,16 @@ def child(args) -> int:
         return 0
     report.update(numpy=np.__version__, blas=blas_info(np),
                   threads={k: os.environ.get(k) for k in THREAD_ENV})
-    if args.trace:
-        report.update(traced_run(args, wl, cli, phaselab))
+    if args.trace:  # each call runs twice, so half the calls fill the time
+        report.update(traced_run(args, wl, cli, phaselab, loop_calls(wl, args.seconds / 2)))
     else:
-        report.update(measured_run(args, wl, cli, HostProbe()))
+        report.update(measured_run(args, wl, cli, HostProbe(), loop_calls(wl, args.seconds)))
     print(json.dumps(report))
     return 0
 
 
-def measured_run(args, wl, cli, probe) -> dict:
-    loop = closed_loop(wl, cli, args.seconds, wl.min_calls, probe)
+def measured_run(args, wl, cli, probe, calls) -> dict:
+    loop = closed_loop(wl, cli, calls, probe)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
     panel = Ledger()
     for call in wl.panel():
@@ -233,7 +233,7 @@ def measured_run(args, wl, cli, probe) -> dict:
         "call_p50_ms": 1e3 * statistics.median(latencies),
         "call_p90_ms": 1e3 * p90,
     }
-    host = probe.factor()
+    host = probe.factor() if wl.probe_loop else 1.0
     metrics = {
         "ops_per_s": raw["ops_per_s"] * host,
         "call_p50_ms": raw["call_p50_ms"] / host,
@@ -256,22 +256,19 @@ def measured_run(args, wl, cli, probe) -> dict:
     }
 
 
-def traced_run(args, wl, cli, phaselab) -> dict:
+def traced_run(args, wl, cli, phaselab, calls) -> dict:
     """Each call runs untraced, then traced; pairing them keeps the overhead
     ratio free of the host's drift.  The tracer is installed around the call
     only, so the gates' own use of spin_model is not traced."""
     tracer = Tracer(phaselab)
     plain, traced = Ledger(), Ledger()
-    stop = time.perf_counter() + args.seconds
-    i = 0
-    while i < 1 or time.perf_counter() < stop:
+    for i in range(calls):
         call = wl.call(i)
         plain.run(wl, cli, call)
         tracer.call = i
         with tracer:
             result = execute(cli, call)
         traced.add(wl, call, *result, tag="traced: ")
-        i += 1
     differ = [i for i, (a, b) in enumerate(zip(plain.digests, traced.digests)) if a != b]
     errors = plain.errors + traced.errors
     if differ:

@@ -60,3 +60,16 @@ def test_refuses_to_run_without_the_package(tmp_path):
     done = run(tmp_path, "sweep", 0)
     assert done.returncode != 0
     assert '"correct"' not in done.stdout
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_counts_and_accuracy_repeat_for_a_seed(workload):
+    """The loops make a fixed number of calls, so a second run of the same seed
+    repeats every count, the failures and the accuracy metrics exactly."""
+    counts = [m["name"] for m in SPEC["per_layer"] if m["unit"] == "count"]
+    for trace, names in ((0, ["trace_error_max", "phase_error_max_rad"]), (1, counts)):
+        first, second = (json.loads(run(ROOT, workload, trace, seed=9).stdout.splitlines()[-1])
+                         for _ in range(2))
+        assert (first["attempted"], first["failed"]) == (second["attempted"], second["failed"])
+        for name in names:
+            assert first["metrics"][name] == second["metrics"][name], name

@@ -23,7 +23,15 @@ per eighth).  The corners keep the known estimator defects in view, and the
 stratification keeps the maximum from hinging on one lucky or unlucky theta,
 so it is steady from seed to seed.  `sweep` runs the panel as its first eight
 calls; `gauge` and `cli-small` run it after the timed loop with their own
-command.  An operation is a sweep row, a gauge trial or a cli-small call.
+command, at the same 20000 steps.  An operation is a sweep row, a gauge trial
+or a cli-small call.
+
+A run makes a fixed number of calls, `loop_calls(wl, seconds)`: the seconds
+over the workload's nominal call time `call_s`.  It does not stop on the
+clock, so the calls, operations, failures and per-layer counts of a run
+repeat exactly for a given seed, whatever the host's speed.  `probe_loop`
+says whether the host-speed probe (probe.py) runs between the loop's calls
+and scales the loop's timings.
 """
 from __future__ import annotations
 
@@ -54,7 +62,6 @@ SIZES = {
     "full": {"steps": None, "trials": None},
     "tiny": {"steps": 400, "trials": 2},
 }
-PANEL_STEPS = 300  # cli-small runs the accuracy panel at its own small size
 DEFAULT_TRIALS = cli.ScenarioConfig().trials
 BIG_THETA = cli.ScenarioConfig().big_theta
 SMALL_STEPS = (200, 400)  # cli-small simulate steps, inclusive
@@ -74,6 +81,11 @@ GAUGE_INVARIANTS = (
 )
 GAUGE_NAIVE = ("max_naive_total_phase_shift", "max_naive_dynamical_phase_shift")
 GAUGE_RECORDS = ("gamma_total", "visibility", "singh_phase") + GAUGE_INVARIANTS + GAUGE_NAIVE
+
+
+def loop_calls(wl, seconds: float) -> int:
+    """Calls in a timed loop of about `seconds` at the nominal call time."""
+    return max(wl.min_calls, round(seconds / wl.call_s))
 
 
 @dataclass
@@ -230,6 +242,8 @@ class Sweep:
     name = "sweep"
     panel_calls = 2 * len(CORNERS)  # the first calls of the loop are the accuracy panel
     min_calls = panel_calls
+    call_s = 1.2  # nominal seconds per four-point call at 20000 steps
+    probe_loop = True
 
     def __init__(self, seed: int, size: str, workdir: Path):
         self.seed, self.size = seed, SIZES[size]
@@ -320,6 +334,8 @@ class Gauge:
     name = "gauge"
     panel_calls = 0
     min_calls = 1
+    call_s = 4.2  # nominal seconds per 50-trial call at 20000 steps
+    probe_loop = False  # scaling did not narrow these calls' spread; see probe.py
 
     def __init__(self, seed: int, size: str, workdir: Path):
         self.seed, self.size = seed, SIZES[size]
@@ -441,6 +457,8 @@ class CliSmall:
     name = "cli-small"
     panel_calls = 0
     min_calls = len(KINDS)
+    call_s = 0.0045  # nominal mean seconds per call of the mix
+    probe_loop = True
 
     def __init__(self, seed: int, size: str, workdir: Path):
         self.seed, self.size = seed, SIZES[size]
@@ -469,7 +487,9 @@ class CliSmall:
 
     def _simulate(self, mu, om, th, steps, fmt) -> Call:
         argv = ["simulate", "--mu-b", _fmt(mu), "--omega", _fmt(om), "--theta", _fmt(th),
-                "--steps", str(steps), "--format", fmt]
+                "--format", fmt]
+        if steps is not None:
+            argv += ["--steps", str(steps)]
         return Call(argv, 1, "simulate", {"mu": mu, "om": om, "theta": th, "format": fmt,
                                           "labels": SPIN_LABELS})
 
@@ -497,7 +517,7 @@ class CliSmall:
         return [self.call(KINDS.index(kind)) for kind in dict.fromkeys(KINDS)]
 
     def panel(self) -> list:
-        return [self._simulate(mu, om, th, PANEL_STEPS, "csv")
+        return [self._simulate(mu, om, th, self.size["steps"], "csv")
                 for mu, om, thetas in panel_points(self.seed) for th in thetas]
 
     def check(self, call: Call, rc, out: str) -> Outcome:
