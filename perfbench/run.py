@@ -4,7 +4,9 @@ Run one workload from the root of a phaselab checkout:
 
     python3 perfbench/run.py --workload sweep --seed 7 --seconds 20 --trace 0
 
-Workloads are `sweep`, `gauge` and `cli-small` (see workloads.py).  The run
+Workloads are `sweep`, `gauge` and `cli-small` (see workloads.py);
+BENCHMARK.json lists `sweep` and `cli-small`, because `gauge` fails its
+gates on the current estimators (README.md, "Known failures").  The run
 drives phaselab only through `phaselab.cli.main(argv)`, in process, with its
 output captured, from a single client with BLAS/OpenMP pinned to one thread.
 
@@ -68,7 +70,7 @@ END_TO_END = {
     "trace_error_max": "1",
     "phase_error_max_rad": "rad",
 }
-PER_LAYER = {
+LAYER_METRICS = {
     **{f"{layer}.self_s": "s" for layer in LAYERS},
     **{f"{layer}.calls": "count" for layer in LAYERS},
     "evolution.propagate.self_s": "s",
@@ -96,6 +98,18 @@ PER_LAYER = {
     "trace.overhead_ratio": "1",
     "trace.unattributed_ratio": "1",
 }
+# Only `verify-gauge` reaches the gauge campaign, so these read zero on the
+# workloads BENCHMARK.json lists; the result file keeps them under `layers`.
+GAUGE_CAMPAIGN = (
+    "gauge.self_s",
+    "gauge.calls",
+    "gauge.gauge_function.self_s",
+    "gauge.gauge_function.calls",
+    "gauge.apply_gauge.self_s",
+    "gauge.frame_trace.self_s",
+    "mixed.transform_evolution.self_s",
+)
+PER_LAYER = {name: unit for name, unit in LAYER_METRICS.items() if name not in GAUGE_CAMPAIGN}
 WORKLOAD_NAMES = ("sweep", "gauge", "cli-small")
 
 
@@ -279,6 +293,7 @@ def traced_run(args, wl, cli, phaselab, calls) -> dict:
     layers = tracer.layer_metrics(traced.seconds, plain.seconds)
     return {
         "metrics": {name: layers[name] for name in PER_LAYER},
+        "layers": {name: layers[name] for name in LAYER_METRICS},
         "attempted": plain.ops + traced.ops,
         "failed": min(plain.ops + traced.ops,
                       plain.failed + traced.failed + sum(plain.calls[i][0] for i in differ)),
@@ -420,7 +435,8 @@ def orchestrate(args) -> int:
               "errors": errors[:20]}
     (OUT / "results").mkdir(parents=True, exist_ok=True)
     name = f"{args.workload}-s{args.seed}-trace{args.trace}-{args.size}.json"
-    record = dict(detail, result=result, latencies_s=report.get("latencies_s", []))
+    record = dict(detail, result=result, layers=report.get("layers", {}),
+                  latencies_s=report.get("latencies_s", []))
     (OUT / "results" / name).write_text(json.dumps(record, indent=1) + "\n")
     for line in errors[:5]:
         print(f"perfbench: {line}", file=sys.stderr)

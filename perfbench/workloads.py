@@ -18,11 +18,11 @@ of the work:
 Spin parameters are uniform over the documented box: mu_B and omega in
 [0.1, 10], theta in (0, pi).  The accuracy metrics are maxima over a seeded
 accuracy panel shared by all workloads: the four (mu_B, omega) corners of the
-box, each with eight theta values stratified over (0, pi) (one uniform draw
-per eighth).  The corners keep the known estimator defects in view, and the
-stratification keeps the maximum from hinging on one lucky or unlucky theta,
-so it is steady from seed to seed.  `sweep` runs the panel as its first eight
-calls; `gauge` and `cli-small` run it after the timed loop with their own
+box, each with sixteen theta values stratified over (0, pi) (one uniform
+draw per sixteenth).  The corners keep the known estimator defects in view,
+and the stratification keeps the maximum from hinging on one lucky or unlucky
+theta, so it is steady from seed to seed.  `sweep` runs the panel as its first
+sixteen calls; `gauge` and `cli-small` run it after the timed loop with their own
 command, at the same 20000 steps.  An operation is a sweep row, a gauge trial
 or a cli-small call.
 
@@ -50,7 +50,7 @@ from phaselab.numerics import wrap_angle
 BOX = (0.1, 10.0)  # mu_B and omega
 CORNERS = tuple((mu, om) for mu in BOX for om in BOX)
 STRATA = 4  # theta values per sweep call
-PANEL_STRATA = 2 * STRATA  # theta values per corner in the accuracy panel
+PANEL_STRATA = 4 * STRATA  # theta values per corner in the accuracy panel
 
 GAUGE_TOL = 1e-7  # acceptance criterion 4
 PURIFY_TOL = 1e-10  # acceptance criterion 6
@@ -240,7 +240,7 @@ def _check_header(header, command: str, out: Outcome) -> None:
 
 class Sweep:
     name = "sweep"
-    panel_calls = 2 * len(CORNERS)  # the first calls of the loop are the accuracy panel
+    panel_calls = PANEL_STRATA // STRATA * len(CORNERS)  # the loop's first calls
     min_calls = panel_calls
     call_s = 1.2  # nominal seconds per four-point call at 20000 steps
     probe_loop = True
@@ -256,9 +256,10 @@ class Sweep:
         return Call(argv, len(thetas), "sweep", {"mu": mu, "om": om, "thetas": thetas})
 
     def call(self, i: int) -> Call:
-        if i < self.panel_calls:  # each corner's panel thetas, split over two calls
-            mu, om, thetas = panel_points(self.seed)[i // 2]
-            return self._call(mu, om, thetas[i % 2::2])
+        if i < self.panel_calls:  # each corner's panel thetas, interleaved over calls
+            per = PANEL_STRATA // STRATA
+            mu, om, thetas = panel_points(self.seed)[i // per]
+            return self._call(mu, om, thetas[i % per::per])
         rng = _rng(self.seed, self.name, i)
         return self._call(_box(rng), _box(rng), _strata(rng))
 
