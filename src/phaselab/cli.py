@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -197,12 +198,18 @@ def parse_config_file(path: str) -> ScenarioConfig:
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     if cfg.model not in ("spin", "custom-sampled"):
         raise ConfigError(f"field 'model': unknown model {cfg.model!r}")
+    for field in fields(cfg):
+        value = getattr(cfg, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"field {field.name!r}: must be finite, got {value}")
     if cfg.steps < MIN_STEPS:
         raise ConfigError(f"field 'steps': need at least {MIN_STEPS}, got {cfg.steps}")
     if cfg.horizon not in ("one-period", "explicit"):
         raise ConfigError(f"field 'horizon': unknown mode {cfg.horizon!r}")
     if cfg.horizon == "explicit" and cfg.t_end is None:
         raise ConfigError("field 't_end': required for an explicit horizon")
+    if cfg.t_end is not None and cfg.t_end <= 0.0:
+        raise ConfigError(f"field 't_end': must be positive, got {cfg.t_end}")
     if cfg.model == "custom-sampled":
         if cfg.hamiltonian_file is None:
             raise ConfigError("field 'hamiltonian_file': required for custom-sampled model")
@@ -215,7 +222,7 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(
             f"field 'weights': {len(weights)} weights for {len(cfg.states)} states"
         )
-    if np.min(weights) < 0.0 or abs(float(weights.sum()) - 1.0) > 1e-9:
+    if not (np.min(weights) >= 0.0 and abs(float(weights.sum()) - 1.0) <= 1e-9):
         raise ConfigError(
             f"field 'weights': must be nonnegative and sum to 1, got sum {weights.sum():.12g}"
         )
@@ -280,10 +287,7 @@ def load_sampled_hamiltonian(path: str, t_end: float) -> HamiltonianTrajectory:
         frac = (pos - lo)[..., None, None]
         return (1.0 - frac) * samples[lo] + frac * samples[lo + 1]
 
-    def single(t: float) -> np.ndarray:
-        return batch(np.array([t]))[0]
-
-    return HamiltonianTrajectory(dim=dim, evaluate=single, evaluate_batch=batch)
+    return HamiltonianTrajectory(dim=dim, evaluate=batch)
 
 
 @dataclass
@@ -367,11 +371,7 @@ def write_records(records, header: dict, cfg: ScenarioConfig) -> str:
             ],
         }
         return json.dumps(payload, indent=2) + "\n"
-    lines = [f"# {key} = {_fmt(val)}" for key, val in header.items()]
-    lines.append("observable,label,value")
-    for name, label, value in records:
-        lines.append(f"{name},{label},{_fmt(value)}")
-    return "\n".join(lines) + "\n"
+    return write_table(("observable", "label", "value"), records, header, cfg)
 
 
 def write_table(columns, rows, header: dict, cfg: ScenarioConfig) -> str:
@@ -414,67 +414,70 @@ def scenario_header(cfg: ScenarioConfig, command: str) -> dict:
     return header
 
 
-def run_scenario(cfg: ScenarioConfig):
-    """simulate: propagate, per-constituent phases, mixed observables."""
-    sc = build_scenario(cfg)
+@dataclass(frozen=True)
+class Observables:
+    """Everything `simulate` reports and a `sweep` row carries, for one scenario."""
+
+    gamma_total: float
+    visibility: float
+    reports: dict  # label -> PhaseReport
+    phi_g: dict  # label -> geometric_phase_pure
+    singh_phase: float
+    mixed_dynamical: float
+    transport_weak: float
+    transport_strong: np.ndarray  # one residual per label
+
+
+def observables(sc: Scenario) -> Observables:
+    """Propagate the scenario once and evaluate every phase observable on it."""
     U = propagate(sc.H, sc.grid)
-    paths = [amplitude_path(U, state) for state in sc.ensemble.states]
+    paths = dict(zip(sc.labels, (amplitude_path(U, state) for state in sc.ensemble.states)))
     rho0 = density_from_ensemble(sc.ensemble)
     gamma_total, visibility = mixed_total_phase(rho0, U.final)
     weak, strong = transport_conditions(sc.ensemble, U)
-    records = [
-        ("gamma_total", "", gamma_total),
-        ("visibility", "", visibility),
-    ]
-    for label, path in zip(sc.labels, paths):
-        report = phase_report(path, sc.H)
-        records.append(("phi_g", label, geometric_phase_pure(path)))
+    reports = {label: phase_report(path, sc.H) for label, path in paths.items()}
+    phi_g = {label: geometric_phase_pure(path) for label, path in paths.items()}
+    singh = singh_phase(sc.ensemble.weights, paths.values())
+    return Observables(gamma_total, visibility, reports, phi_g, singh,
+                       mixed_dynamical_phase(rho0, U), weak, strong)
+
+
+def run_scenario(cfg: ScenarioConfig):
+    """simulate: propagate, per-constituent phases, mixed observables."""
+    sc = build_scenario(cfg)
+    obs = observables(sc)
+    strong = obs.transport_strong
+    records = [("gamma_total", "", obs.gamma_total), ("visibility", "", obs.visibility)]
+    for label, report in obs.reports.items():
+        records.append(("phi_g", label, obs.phi_g[label]))
         records.append(("phi_t", label, report.total))
         records.append(("phi_d", label, report.dynamical))
-    records.append(("singh_phase", "", singh_phase(sc.ensemble.weights, paths)))
-    records.append(("mixed_dynamical", "", mixed_dynamical_phase(rho0, U)))
-    records.append(("transport_weak", "", weak))
+    records.append(("singh_phase", "", obs.singh_phase))
+    records.append(("mixed_dynamical", "", obs.mixed_dynamical))
+    records.append(("transport_weak", "", obs.transport_weak))
     for label, value in zip(sc.labels, strong):
         records.append(("transport_strong", label, float(value)))
     records.append(("strong_transport_satisfied", "", bool(np.max(strong) <= 1e-6)))
     return records, scenario_header(cfg, "simulate")
 
 
-def _sweep_point(payload: dict) -> list:
-    """One sweep row; module-level so process pools can import it."""
-    cfg = ScenarioConfig(**payload["cfg"])
+def _sweep_point(point: tuple) -> list:
+    """One sweep row from (index, axis value, config); module-level for process pools."""
+    index, value, cfg = point
     sc = build_scenario(cfg)
     p = sc.params
-    U = propagate(sc.H, sc.grid)
-    paths = [amplitude_path(U, state) for state in sc.ensemble.states]
-    rho0 = density_from_ensemble(sc.ensemble)
-    gamma_total, visibility = mixed_total_phase(rho0, U.final)
-    weak, _ = transport_conditions(sc.ensemble, U)
-    reports = {
-        label: phase_report(path, sc.H) for label, path in zip(sc.labels, paths)
-    }
-    geom = {
-        label: geometric_phase_pure(path) for label, path in zip(sc.labels, paths)
-    }
-    row = [
-        payload["index"],
-        payload["value"],
-        p.mu_b,
-        p.omega,
-        p.theta,
-        p.big_theta,
-        p.alpha,
-        p.period,
-    ]
-    for label in ("+", "-"):
-        r = reports[label]
-        row += [r.total, r.dynamical, geom[label], r.overlap_magnitude, r.transport_residual]
+    obs = observables(sc)
+    row = [index, value, p.mu_b, p.omega, p.theta, p.big_theta, p.alpha, p.period]
+    for label in spin_model.BRANCHES:
+        r = obs.reports[label]
+        row += [r.total, r.dynamical, obs.phi_g[label], r.overlap_magnitude,
+                r.transport_residual]
     row += [
-        gamma_total,
-        visibility,
-        singh_phase(sc.ensemble.weights, paths),
-        mixed_dynamical_phase(rho0, U),
-        weak,
+        obs.gamma_total,
+        obs.visibility,
+        obs.singh_phase,
+        obs.mixed_dynamical,
+        obs.transport_weak,
         spin_model.geometric_phase(p, "+"),
         spin_model.geometric_phase(p, "-"),
         spin_model.solid_angle(p),
@@ -489,31 +492,19 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values):
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     cfg = validate_config(cfg)
-    base = dict(
-        model="spin",
-        mu_b=cfg.mu_b,
-        omega=cfg.omega,
-        theta=cfg.theta,
-        big_theta=cfg.big_theta,
-        steps=cfg.steps,
-        horizon=cfg.horizon,
-        t_end=cfg.t_end,
-        weights=cfg.weights,
-        states=("+", "-"),
-    )
-    payloads = []
-    for index, value in enumerate(values):
-        point = dict(base)
-        point[axis] = float(value)
-        payloads.append({"index": index, "value": float(value), "cfg": point})
-    if cfg.workers > 1 and len(payloads) > 1:
+    # every row carries both branches, whichever states the config names
+    points = [
+        (index, float(value), replace(cfg, states=spin_model.BRANCHES, **{axis: float(value)}))
+        for index, value in enumerate(values)
+    ]
+    if cfg.workers > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
+            rows = list(pool.map(_sweep_point, points))
     else:
-        rows = [_sweep_point(p) for p in payloads]
+        rows = [_sweep_point(p) for p in points]
     header = scenario_header(cfg, "sweep")
     header["axis"] = axis
-    header["points"] = len(payloads)
+    header["points"] = len(points)
     return rows, header
 
 
@@ -629,6 +620,8 @@ def run_spin_report(cfg: ScenarioConfig):
 def run_purify_demo(cfg: ScenarioConfig, dim: int):
     """Seeded random density matrix -> purify -> reduce round trip, with the
     constant-phase hidden-gauge invariance check."""
+    if dim < 1:
+        raise ConfigError(f"flag '--dim': need at least 1, got {dim}")
     rng = np.random.default_rng(cfg.seed)
     A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = DensityMatrix((A @ np.conj(A.T)) / np.trace(A @ np.conj(A.T)).real)
@@ -677,23 +670,12 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _merge_flags(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    for name in (
-        "steps",
-        "mu_b",
-        "omega",
-        "theta",
-        "big_theta",
-        "seed",
-        "trials",
-        "gauge_scale",
-        "format",
-        "out",
-        "workers",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            cfg = replace(cfg, **{name: value})
-    return cfg
+    given = {
+        field.name: value
+        for field in fields(ScenarioConfig)
+        if (value := getattr(args, field.name, None)) is not None
+    }
+    return replace(cfg, **given)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -740,35 +722,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _sweep_values(args: argparse.Namespace) -> list:
+    flag = "--values" if args.values is not None else "--linspace"
+    try:
+        if args.values is not None:
+            return [float(v) for v in args.values.split(",") if v.strip()]
+        start, stop, count = args.linspace
+        return np.linspace(float(start), float(stop), int(count)).tolist()
+    except ValueError as exc:
+        raise ConfigError(f"flag '{flag}': {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = parse_config_file(args.config) if getattr(args, "config", None) else ScenarioConfig()
         cfg = _merge_flags(cfg, args)
-        if args.command == "simulate":
-            cfg = validate_config(cfg)
-            records, header = run_scenario(cfg)
-            _emit(write_records(records, header, cfg), cfg)
-        elif args.command == "sweep":
-            if args.values is not None:
-                values = [float(v) for v in args.values.split(",") if v.strip()]
-            else:
-                start, stop, count = args.linspace
-                values = np.linspace(float(start), float(stop), int(count)).tolist()
-            rows, header = run_sweep(cfg, args.axis, values)
+        if args.command == "sweep":
+            rows, header = run_sweep(cfg, args.axis, _sweep_values(args))
             _emit(write_table(SWEEP_COLUMNS, rows, header, cfg), cfg)
-        elif args.command == "verify-gauge":
+        else:
             cfg = validate_config(cfg)
-            records, header = run_verify_gauge(cfg)
-            _emit(write_records(records, header, cfg), cfg)
-        elif args.command == "spin-report":
-            cfg = validate_config(cfg)
-            records, header = run_spin_report(cfg)
-            _emit(write_records(records, header, cfg), cfg)
-        elif args.command == "purify-demo":
-            cfg = validate_config(cfg)
-            records, header = run_purify_demo(cfg, args.dim)
+            if args.command == "purify-demo":
+                records, header = run_purify_demo(cfg, args.dim)
+            else:
+                run = {"simulate": run_scenario, "verify-gauge": run_verify_gauge,
+                       "spin-report": run_spin_report}[args.command]
+                records, header = run(cfg)
             _emit(write_records(records, header, cfg), cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .exceptions import ContractError, DimensionError, NumericError
-from .linalg import frobenius_norm, hermitian_step_exp
+from .linalg import hermitian_step_exp, require_hermitian, unitarity_defect
 
 UNITARITY_TOL = 1e-9
 NORM_TOL = 1e-9
@@ -67,36 +67,25 @@ class TimeGrid:
 class HamiltonianTrajectory:
     """Deterministic map t -> Hermitian matrix (natural units, hbar = 1).
 
-    `evaluate` produces a single (dim, dim) matrix.  `evaluate_batch`, when
-    given, maps an array of times to a (len(times), dim, dim) stack and lets
-    the propagator avoid per-node Python calls.
+    `evaluate` is batched: it maps an array of n times to an (n, dim, dim)
+    stack, so the propagator samples a whole grid in one call.  Models built
+    from broadcasting expressions also map a scalar time to one matrix.
     """
 
     dim: int
-    evaluate: Callable[[float], np.ndarray]
-    evaluate_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    evaluate: Callable[[np.ndarray], np.ndarray]
 
-    def sample(self, times: np.ndarray, validate: bool = True) -> np.ndarray:
+    def sample(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=float)
-        if self.evaluate_batch is not None:
-            out = np.asarray(self.evaluate_batch(times), dtype=complex)
-        else:
-            out = np.stack([np.asarray(self.evaluate(t), dtype=complex) for t in times])
+        out = np.asarray(self.evaluate(times), dtype=complex)
         if out.shape != (len(times), self.dim, self.dim):
             raise DimensionError(
                 f"Hamiltonian samples have shape {out.shape}, "
                 f"expected {(len(times), self.dim, self.dim)}"
             )
-        if validate:
-            if not (np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))):
-                raise NumericError("Hamiltonian evaluation produced non-finite entries")
-            defect = frobenius_norm(out - np.conj(np.swapaxes(out, -2, -1)))
-            scale = max(frobenius_norm(out), 1.0)
-            if defect > HERMITICITY_TOL * scale:
-                raise ContractError(
-                    f"Hamiltonian evaluation not Hermitian: defect {defect:.3e}"
-                )
-        return out
+        if not np.all(np.isfinite(out)):
+            raise NumericError("Hamiltonian evaluation produced non-finite entries")
+        return require_hermitian(out, HERMITICITY_TOL, "Hamiltonian evaluation")
 
 
 @dataclass(frozen=True)
@@ -117,8 +106,7 @@ class PropagatorPath:
             raise DimensionError(f"propagator stack has shape {U.shape}")
         if self.identity_start and not np.array_equal(U[0], np.eye(U.shape[1], dtype=complex)):
             raise ContractError("U(t_0) must be the identity exactly")
-        eye = np.eye(U.shape[1])
-        defect = frobenius_norm(np.conj(np.swapaxes(U, -2, -1)) @ U - eye)
+        defect = unitarity_defect(U)
         if defect > UNITARITY_TOL:
             raise ContractError(f"propagator not unitary: defect {defect:.3e}")
 

@@ -21,6 +21,7 @@ from .exceptions import (
     OrthogonalityCrossingError,
 )
 from .numerics import central_diff, cum_trapezoid, trapezoid
+from .phases import state_connection, state_energies
 
 FRAME_ORTHO_TOL = 1e-8
 OVERLAP_FLOOR = 1e-10
@@ -228,9 +229,7 @@ def apply_gauge(frame: BasisFrame, g: GaugeFunction) -> BasisFrame:
 
 def connection(frame: BasisFrame, label) -> np.ndarray:
     """<v_k(t_j), i d/dt v_k(t_j)>, real by normalization."""
-    v = frame.component(label)
-    dv = central_diff(v, frame.grid.dt)
-    return np.einsum("ja,ja->j", np.conj(v), 1j * dv).real
+    return state_connection(frame.component(label), frame.grid.dt)
 
 
 def parallel_transport_frame(frame: BasisFrame) -> BasisFrame:
@@ -251,11 +250,13 @@ def holonomy(frame: BasisFrame, label) -> complex:
     return complex(np.vdot(v[0], v[-1]) * np.exp(1j * total))
 
 
-def frame_energies(frame: BasisFrame, H: HamiltonianTrajectory, label) -> np.ndarray:
-    """<v_k(t_j)| H(t_j) |v_k(t_j)> along the grid."""
+def _effective_energies(frame: BasisFrame, H: HamiltonianTrajectory) -> list:
+    """Diagonal <v_k|H|v_k> - <v_k|i d/dt v_k> of the effective Hamiltonian, per label."""
     samples = H.sample(frame.grid.nodes)
-    v = frame.component(label)
-    return np.einsum("ja,jab,jb->j", np.conj(v), samples, v).real
+    return [
+        state_energies(frame.component(label), samples) - connection(frame, label)
+        for label in frame.labels
+    ]
 
 
 def frame_trace(frame: BasisFrame, H: HamiltonianTrajectory, weights) -> complex:
@@ -266,15 +267,10 @@ def frame_trace(frame: BasisFrame, H: HamiltonianTrajectory, weights) -> complex
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(frame.labels),):
         raise DimensionError("one weight per frame label required")
-    dt = frame.grid.dt
-    samples = H.sample(frame.grid.nodes)
     total = 0.0 + 0.0j
-    for w, label in zip(weights, frame.labels):
+    for w, label, energy in zip(weights, frame.labels, _effective_energies(frame, H)):
         v = frame.component(label)
-        energies = np.einsum("ja,jab,jb->j", np.conj(v), samples, v).real
-        conn = connection(frame, label)
-        phase = trapezoid(conn - energies, dt)
-        total += w * np.vdot(v[0], v[-1]) * np.exp(1j * phase)
+        total += w * np.vdot(v[0], v[-1]) * np.exp(1j * trapezoid(-energy, frame.grid.dt))
     return complex(total)
 
 
@@ -285,15 +281,10 @@ def amplitudes_from_frame(frame: BasisFrame, H: HamiltonianTrajectory) -> list[A
     Under a frame gauge transform the output changes only by the constant
     phase e^{i alpha_k(0)} per member.
     """
-    dt = frame.grid.dt
-    samples = H.sample(frame.grid.nodes)
     out = []
-    for label in frame.labels:
-        v = frame.component(label)
-        energies = np.einsum("ja,jab,jb->j", np.conj(v), samples, v).real
-        conn = connection(frame, label)
-        accumulated = cum_trapezoid(energies - conn, dt)
-        out.append(AmplitudePath(frame.grid, v * np.exp(-1j * accumulated)[:, None]))
+    for label, energy in zip(frame.labels, _effective_energies(frame, H)):
+        phase = np.exp(-1j * cum_trapezoid(energy, frame.grid.dt))
+        out.append(AmplitudePath(frame.grid, frame.component(label) * phase[:, None]))
     return out
 
 

@@ -51,18 +51,27 @@ def total_phase(psi: AmplitudePath):
     return float(np.angle(overlap)), float(magnitude)
 
 
+def state_connection(states: np.ndarray, dt: float) -> np.ndarray:
+    """<v(t_j), i d/dt v(t_j)>, real part, for a state stack v of shape (nodes, dim)."""
+    dv = central_diff(states, dt)
+    return np.einsum("ja,ja->j", np.conj(states), 1j * dv).real
+
+
+def state_energies(states: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """<v(t_j)| H(t_j) |v(t_j)>, real part, for states (nodes, dim) and H samples."""
+    return np.einsum("ja,jab,jb->j", np.conj(states), samples, states).real
+
+
 def path_connection(psi: AmplitudePath) -> np.ndarray:
     """<psi(t_j), i d/dt psi(t_j)> (= energy expectation on solutions), real part."""
-    dpsi = central_diff(psi.states, psi.grid.dt)
-    return np.einsum("ja,ja->j", np.conj(psi.states), 1j * dpsi).real
+    return state_connection(psi.states, psi.grid.dt)
 
 
 def dynamical_phase(psi: AmplitudePath, H: HamiltonianTrajectory) -> float:
     """phi_D = -int <psi|H|psi> dt by the trapezoidal rule (unwrapped)."""
     if H.dim != psi.dim:
         raise DimensionError(f"Hamiltonian dim {H.dim} != path dim {psi.dim}")
-    samples = H.sample(psi.grid.nodes)
-    energies = np.einsum("ja,jab,jb->j", np.conj(psi.states), samples, psi.states).real
+    energies = state_energies(psi.states, H.sample(psi.grid.nodes))
     return float(-trapezoid(energies, psi.grid.dt))
 
 
@@ -129,8 +138,6 @@ def adiabatic_phase(H: HamiltonianTrajectory, grid: TimeGrid, level: int):
     v = v * np.exp(-1j * delta * j_frac)[:, None]
     v[-1] = v[0]
 
-    dv = central_diff(v, grid.dt)
-    conn = np.einsum("ja,ja->j", np.conj(v), 1j * dv).real
-    geometric = float(trapezoid(conn, grid.dt))
+    geometric = float(trapezoid(state_connection(v, grid.dt), grid.dt))
     dyn = float(-trapezoid(vals[:, level], grid.dt))
     return geometric, dyn

@@ -76,10 +76,7 @@ def hamiltonian(p: SpinParams) -> HamiltonianTrajectory:
         )
         return -p.mu_b * out
 
-    def single(t: float) -> np.ndarray:
-        return batch(np.array([t]))[0]
-
-    return HamiltonianTrajectory(dim=2, evaluate=single, evaluate_batch=batch)
+    return HamiltonianTrajectory(dim=2, evaluate=batch)
 
 
 def w_basis(p: SpinParams, t):

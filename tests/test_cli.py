@@ -106,6 +106,31 @@ def test_steps_floor_exit_2():
     assert run(["simulate", "--steps", "5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, config, name",
+    [
+        (["sweep", "--axis", "theta", "--values", "a,b"], None, "--values"),
+        (["sweep", "--axis", "theta", "--linspace", "0", "1", "x"], None, "--linspace"),
+        (["sweep", "--axis", "theta", "--linspace", "0", "1", "-2"], None, "--linspace"),
+        (["sweep", "--axis", "theta", "--values", "0.5,nan"], None, "theta"),
+        (["simulate", "--mu-b", "nan"], None, "mu_b"),
+        (["simulate", "--theta", "inf"], None, "theta"),
+        (["simulate"], "horizon = explicit\nt_end = -1\n", "t_end"),
+        (["simulate"], "horizon = explicit\nt_end = nan\n", "t_end"),
+        (["simulate"], "weights = nan,0.5\n", "weights"),
+        (["spin-report", "--omega", "nan"], None, "omega"),
+        (["purify-demo", "--dim", "0"], None, "--dim"),
+    ],
+)
+def test_out_of_range_input_exit_2(tmp_path, capsys, argv, config, name):
+    if config is not None:
+        path = tmp_path / "range.cfg"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    assert run([*argv, "--steps", "100"]) == 2
+    assert f"'{name}'" in capsys.readouterr().err
+
+
 def sampled_file(tmp_path, dim, steps, matrix_fn):
     lines = [f"dim {dim} steps {steps}"]
     for j in range(steps + 1):

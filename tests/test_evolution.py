@@ -24,7 +24,7 @@ def constant_trajectory(H: np.ndarray) -> HamiltonianTrajectory:
     def batch(times):
         return np.broadcast_to(H, (len(times),) + H.shape).copy()
 
-    return HamiltonianTrajectory(dim=H.shape[0], evaluate=lambda t: H, evaluate_batch=batch)
+    return HamiltonianTrajectory(dim=H.shape[0], evaluate=batch)
 
 
 def spin_state_error(p: SpinParams, steps: int) -> float:
@@ -104,7 +104,7 @@ def test_piecewise_constant_is_exact_per_segment():
         out = np.where((times < T / 2)[:, None, None], H1[None], H2[None])
         return out
 
-    H = HamiltonianTrajectory(3, evaluate=lambda t: H1 if t < T / 2 else H2, evaluate_batch=batch)
+    H = HamiltonianTrajectory(3, evaluate=batch)
     U = propagate(H, TimeGrid(0.0, T, 64))
     expected = mat_exp(-1j * (T / 2) * H2) @ mat_exp(-1j * (T / 2) * H1)
     assert np.max(np.abs(U.final - expected)) < 1e-12
@@ -120,7 +120,7 @@ def test_blocked_product_matches_sequential_loop(steps):
         times = np.asarray(times)[:, None, None]
         return np.cos(times) * A + np.sin(3.0 * times) * B + C
 
-    H = HamiltonianTrajectory(3, evaluate=lambda t: batch([t])[0], evaluate_batch=batch)
+    H = HamiltonianTrajectory(3, evaluate=batch)
     grid = TimeGrid(0.0, 2.0, steps)
     U = propagate(H, grid).matrices
     factors = hermitian_step_exp(H.sample(grid.midpoints), grid.dt)
@@ -135,7 +135,7 @@ def test_blocked_product_matches_sequential_loop(steps):
 
 def test_rejects_non_hermitian_evaluation():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    H = HamiltonianTrajectory(2, evaluate=lambda t: bad)
+    H = HamiltonianTrajectory(2, evaluate=lambda times: np.broadcast_to(bad, (len(times), 2, 2)))
     with pytest.raises(ContractError):
         propagate(H, TimeGrid(0.0, 1.0, 16))
 

@@ -26,7 +26,7 @@ def constant_trajectory(H: np.ndarray) -> HamiltonianTrajectory:
     def batch(times):
         return np.broadcast_to(H, (len(times),) + H.shape).copy()
 
-    return HamiltonianTrajectory(dim=H.shape[0], evaluate=lambda t: H, evaluate_batch=batch)
+    return HamiltonianTrajectory(dim=H.shape[0], evaluate=batch)
 
 
 def eigenstate_path(E: float, T: float, steps: int = 400) -> AmplitudePath:
@@ -256,6 +256,6 @@ def test_adiabatic_phase_rejects_degeneracy():
         times = np.asarray(times)
         return (1.0 - times)[:, None, None] * np.diag([1.0, -1.0])[None].astype(complex)
 
-    H = HamiltonianTrajectory(2, evaluate=lambda t: batch(np.array([t]))[0], evaluate_batch=batch)
+    H = HamiltonianTrajectory(2, evaluate=batch)
     with pytest.raises(DegeneracyError):
         adiabatic_phase(H, TimeGrid(0.0, 2.0, 200), level=0)
