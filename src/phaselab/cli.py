@@ -41,13 +41,14 @@ import numpy as np
 
 from . import spin_model
 from .evolution import (
+    HERMITICITY_TOL,
     AmplitudePath,
     HamiltonianTrajectory,
     TimeGrid,
     amplitude_path,
     propagate,
 )
-from .exceptions import PhaseLabError, UndefinedPhaseError
+from .exceptions import ContractError, PhaseLabError, UndefinedPhaseError
 from .gauge import (
     GaugeFunction,
     apply_gauge,
@@ -55,6 +56,7 @@ from .gauge import (
     frame_trace,
     holonomy,
 )
+from .linalg import require_hermitian
 from .mixed import (
     DensityMatrix,
     Ensemble,
@@ -275,10 +277,11 @@ def load_sampled_hamiltonian(path: str, t_end: float) -> HamiltonianTrajectory:
         samples[j - 2] = (values[0::2] + 1j * values[1::2]).reshape(dim, dim)
     if not (np.all(np.isfinite(samples.real)) and np.all(np.isfinite(samples.imag))):
         raise ConfigError(f"{path}: non-finite entries")
-    defect = np.max(np.abs(samples - np.conj(np.swapaxes(samples, -2, -1))))
-    scale = max(float(np.max(np.abs(samples))), 1.0)
-    if defect > 1e-10 * scale:
-        raise ConfigError(f"{path}: samples not Hermitian (defect {defect:.3e})")
+    # the propagator's own criterion (HamiltonianTrajectory.sample)
+    try:
+        require_hermitian(samples, HERMITICITY_TOL, "Hamiltonian samples")
+    except ContractError as exc:
+        raise ConfigError(f"field 'hamiltonian_file': {path}: {exc}") from exc
 
     def batch(times: np.ndarray) -> np.ndarray:
         t = np.clip(np.asarray(times, dtype=float), 0.0, t_end)
@@ -435,7 +438,8 @@ def observables(sc: Scenario) -> Observables:
     rho0 = density_from_ensemble(sc.ensemble)
     gamma_total, visibility = mixed_total_phase(rho0, U.final)
     weak, strong = transport_conditions(sc.ensemble, U)
-    reports = {label: phase_report(path, sc.H) for label, path in paths.items()}
+    samples = sc.H.sample(sc.grid.nodes)
+    reports = {label: phase_report(path, sc.H, samples) for label, path in paths.items()}
     phi_g = {label: geometric_phase_pure(path) for label, path in paths.items()}
     singh = singh_phase(sc.ensemble.weights, paths.values())
     return Observables(gamma_total, visibility, reports, phi_g, singh,

@@ -5,12 +5,13 @@ U(t_j): the midpoint-exponential product (lowest-order Magnus).  Every factor
 is the exponential of a skew-Hermitian matrix, so unitarity is preserved by
 construction and the global error is second order in dt.
 
-Each step exponential comes from a batched eigendecomposition of the Hermitian
-midpoint samples (`linalg.hermitian_step_exp`).  The ordered product is a
-blocked prefix product: the steps are cut into blocks of floor(sqrt(N)) steps,
-the running product inside every block is formed for all blocks at once, and
-one carry pass over the blocks gives every U(t_j).  The block size depends on
-N alone, so the output is byte-deterministic.
+Each step exponential of the Hermitian midpoint samples comes from
+`linalg.hermitian_step_exp`: a closed form for two-level systems, a batched
+eigendecomposition for larger ones.  The ordered product is a blocked prefix
+product: the steps are cut into blocks of floor(sqrt(N)) steps, the running
+product inside every block is formed for all blocks at once, and one carry
+pass over the blocks gives every U(t_j).  The block size depends on N alone,
+so the output is byte-deterministic.
 """
 from __future__ import annotations
 

@@ -3,11 +3,11 @@ eigendecomposition with a deterministic phase convention, and structure
 diagnostics.
 
 Two exponentials are provided.  `hermitian_step_exp` computes exp(-i dt H)
-for a batch of Hermitian generators from one batched eigendecomposition; the
-propagator uses it for every step.  `mat_exp` is a general fixed-order Taylor
-kernel under scaling and squaring that accepts any square matrix.  Both batch
-over leading axes and reproduce bit-identical results run to run, which the
-golden tests rely on.
+for a batch of Hermitian generators, in closed form for 2x2 generators and
+from one batched eigendecomposition otherwise; the propagator uses it for
+every step.  `mat_exp` is a general fixed-order Taylor kernel under scaling
+and squaring that accepts any square matrix.  Both batch over leading axes and
+reproduce bit-identical results run to run, which the golden tests rely on.
 """
 from __future__ import annotations
 
@@ -88,17 +88,42 @@ def mat_exp(M) -> np.ndarray:
 def hermitian_step_exp(H, dt: float) -> np.ndarray:
     """exp(-i dt H) for a Hermitian matrix or a batch (..., d, d) of them.
 
-    One batched `eigh` gives H = V diag(lam) V^dagger, and the result is
-    V diag(exp(-i dt lam)) V^dagger.  This is exact for degenerate eigenvalues
-    too: any orthonormal basis of an eigenspace yields the same projector.
-    H must be Hermitian; that is not checked here, because the propagator's
-    samples are already validated (finite, Hermitian to 1e-12) by
-    `HamiltonianTrajectory.sample`.
+    For d = 2, write H = h0 I + h.sigma with r = |h|; then
+    exp(-i dt H) = exp(-i dt h0) [cos(dt r) I - i sin(dt r)/r h.sigma],
+    evaluated elementwise with sin(dt r)/r = dt sinc(dt r / pi), which is exact
+    at r = 0.  For d >= 3, one batched `eigh` gives H = V diag(lam) V^dagger,
+    and the result is V diag(exp(-i dt lam)) V^dagger; this is exact for
+    degenerate eigenvalues too, since any orthonormal basis of an eigenspace
+    yields the same projector.  Both read the lower triangle and the real
+    diagonal only, as `eigh` does.  H must be Hermitian; that is not checked
+    here, because the propagator's samples are already validated (finite,
+    Hermitian to 1e-12) by `HamiltonianTrajectory.sample`.
     """
     H = _as_square(H)
+    if H.shape[-1] == 2:
+        return _two_level_step_exp(H, dt)
     vals, vecs = np.linalg.eigh(H)
     phases = np.exp(-1j * dt * vals)
     return (vecs * phases[..., None, :]) @ np.conj(np.swapaxes(vecs, -2, -1))
+
+
+def _two_level_step_exp(H: np.ndarray, dt: float) -> np.ndarray:
+    """Closed-form exp(-i dt H) for a stack (..., 2, 2) of Hermitian H."""
+    h00, h11 = H[..., 0, 0].real, H[..., 1, 1].real
+    h0 = 0.5 * (h00 + h11)
+    hz = 0.5 * (h00 - h11)
+    b = np.conj(H[..., 1, 0])  # the upper off-diagonal entry hx - i hy
+    r = np.sqrt(hz * hz + b.real * b.real + b.imag * b.imag)
+    cos = np.cos(dt * r)
+    sin_over_r = dt * np.sinc(dt * r / np.pi)
+    phase = np.exp(-1j * dt * h0)
+    minus_i_s = -1j * sin_over_r * phase
+    out = np.empty(H.shape, dtype=complex)
+    out[..., 0, 0] = phase * cos + minus_i_s * hz
+    out[..., 1, 1] = phase * cos - minus_i_s * hz
+    out[..., 0, 1] = minus_i_s * b
+    out[..., 1, 0] = minus_i_s * np.conj(b)
+    return out
 
 
 def hermitian_eigen(H, tol: float = 1e-12):

@@ -164,10 +164,11 @@ def mixed_dynamical_phase(
     """
     if rho0.dim != U.dim:
         raise DimensionError("density matrix and propagator dims differ")
+    d = U.dim
     dU = central_diff(U.matrices, U.grid.dt)
-    integrand = -1j * np.einsum(
-        "ab,jbc,jca->j", rho0.matrix, np.conj(np.swapaxes(U.matrices, -2, -1)), dU
-    )
+    # Tr[rho0 U^dagger dU] = sum_ca (conj(U) rho0^T)_ca dU_ca; one GEMM over the stack
+    weighted = np.conj(U.matrices).reshape(-1, d) @ rho0.matrix.T
+    integrand = -1j * np.einsum("jca,jca->j", weighted.reshape(U.matrices.shape), dU)
     value = float(trapezoid(integrand.real, U.grid.dt))
     residual = float(np.max(np.abs(integrand.imag)))
     if with_diagnostic:
@@ -230,9 +231,11 @@ def transport_conditions(rho0: DensityMatrix | Ensemble, U: PropagatorPath):
     ensemble = rho0 if isinstance(rho0, Ensemble) else ensemble_from_density(rho0)
     if ensemble.dim != U.dim:
         raise DimensionError("state dimension does not match the propagator")
-    dU = central_diff(U.matrices, U.grid.dt)
-    D = np.conj(np.swapaxes(U.matrices, -2, -1)) @ dU  # (steps+1, d, d)
-    per_state = np.einsum("ka,jab,kb->jk", np.conj(ensemble.states), D, ensemble.states)
+    # <k|U^dagger dU|k> = <psi_k|d psi_k> for psi_k = U|k>, by linearity of
+    # central_diff; the psi_k columns come from one GEMM over the stack
+    d = U.dim
+    psi = (U.matrices.reshape(-1, d) @ ensemble.states.T).reshape(-1, d, ensemble.size)
+    per_state = np.einsum("jak,jak->jk", np.conj(psi), central_diff(psi, U.grid.dt))
     strong = np.max(np.abs(per_state), axis=0)
     weak = float(np.max(np.abs(per_state @ ensemble.weights)))
     return weak, strong

@@ -67,11 +67,19 @@ def path_connection(psi: AmplitudePath) -> np.ndarray:
     return state_connection(psi.states, psi.grid.dt)
 
 
-def dynamical_phase(psi: AmplitudePath, H: HamiltonianTrajectory) -> float:
-    """phi_D = -int <psi|H|psi> dt by the trapezoidal rule (unwrapped)."""
+def dynamical_phase(
+    psi: AmplitudePath, H: HamiltonianTrajectory, samples: np.ndarray | None = None
+) -> float:
+    """phi_D = -int <psi|H|psi> dt by the trapezoidal rule (unwrapped).
+
+    `samples` are H sampled on psi's grid nodes; paths that share a grid pass
+    one `H.sample(grid.nodes)` instead of sampling H again for each path.
+    """
     if H.dim != psi.dim:
         raise DimensionError(f"Hamiltonian dim {H.dim} != path dim {psi.dim}")
-    energies = state_energies(psi.states, H.sample(psi.grid.nodes))
+    if samples is None:
+        samples = H.sample(psi.grid.nodes)
+    energies = state_energies(psi.states, samples)
     return float(-trapezoid(energies, psi.grid.dt))
 
 
@@ -94,9 +102,13 @@ def transport_residual(psi: AmplitudePath) -> float:
     return float(np.max(np.abs(inner[1:-1])))
 
 
-def phase_report(psi: AmplitudePath, H: HamiltonianTrajectory) -> PhaseReport:
+def phase_report(
+    psi: AmplitudePath, H: HamiltonianTrajectory, samples: np.ndarray | None = None
+) -> PhaseReport:
+    """Total, dynamical and geometric phase of one path; `samples` as in
+    `dynamical_phase`."""
     angle, magnitude = total_phase(psi)
-    dyn = dynamical_phase(psi, H)
+    dyn = dynamical_phase(psi, H, samples)
     return PhaseReport(
         total=angle,
         dynamical=dyn,

@@ -5,10 +5,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from phaselab import SpinParams, TimeGrid, amplitude_path, propagate, spin_model
 from phaselab.gauge import BasisFrame
 from phaselab.mixed import DensityMatrix, Ensemble
+
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic.
+settings.register_profile("phaselab", derandomize=True, database=None, deadline=None)
+settings.load_profile("phaselab")
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:

@@ -120,12 +120,18 @@ def test_steps_floor_exit_2():
         (["simulate"], "weights = nan,0.5\n", "weights"),
         (["spin-report", "--omega", "nan"], None, "omega"),
         (["purify-demo", "--dim", "0"], None, "--dim"),
+        # Hermitian to 1e-10 elementwise, but not to the propagator's 1e-12
+        (["simulate"], "model = custom-sampled\nhorizon = explicit\nt_end = 1\n"
+         "weights = 1.0\nstates = 0\nhamiltonian_file = {tmp}/asym.txt\n", "hamiltonian_file"),
     ],
 )
 def test_out_of_range_input_exit_2(tmp_path, capsys, argv, config, name):
     if config is not None:
+        (tmp_path / "asym.txt").write_text(
+            "dim 2 steps 1\n" + "1 0 0.5 0 0.50000000001 0 -1 0\n" * 2
+        )
         path = tmp_path / "range.cfg"
-        path.write_text(config)
+        path.write_text(config.replace("{tmp}", str(tmp_path)))
         argv = [*argv, "--config", str(path)]
     assert run([*argv, "--steps", "100"]) == 2
     assert f"'{name}'" in capsys.readouterr().err

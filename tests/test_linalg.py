@@ -1,6 +1,7 @@
 """linalg contracts: exponentials, eigendecomposition gauge, diagnostics."""
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from phaselab.exceptions import ContractError, DimensionError, NumericError
 from phaselab.linalg import (
@@ -100,6 +101,11 @@ def test_hermitian_step_exp_matches_taylor_kernel():
     batch.append(1.3 * np.eye(3, dtype=complex))  # H = c I
     Q = random_unitary(rng, 3)
     batch.append(Q @ np.diag([0.5, 0.5, -1.2]) @ np.conj(Q.T))  # repeated eigenvalue
+    # edge cases of the d = 2 closed form
+    batch.append(-0.8 * np.eye(2, dtype=complex))  # H = c I exactly: r = 0
+    batch.append(np.array([[3.0, 9.0], [9.0, -3.0]], dtype=complex))  # dt r > pi
+    batch.append(np.array([[0.0, 0.4 - 1.1j], [0.4 + 1.1j, 0.0]]))  # complex off-diagonal
+    batch.append(np.array([[2.5, 0.3 + 0.2j], [0.3 - 0.2j, 1.9]]))  # non-zero trace
     for H in batch:
         step = hermitian_step_exp(H, dt)
         assert np.max(np.abs(step - mat_exp(-1j * dt * H))) < 1e-13
@@ -108,6 +114,22 @@ def test_hermitian_step_exp_matches_taylor_kernel():
     batched = hermitian_step_exp(stack, dt)
     for j, H in enumerate(stack):
         assert np.max(np.abs(batched[j] - mat_exp(-1j * dt * H))) < 1e-13
+
+
+def field_component():
+    """A Pauli-vector component, with exact zeros and near-degenerate sizes."""
+    return st.one_of(st.just(0.0), st.floats(-1e-8, 1e-8), st.floats(-10.0, 10.0))
+
+
+@given(h0=st.floats(-10.0, 10.0), hx=field_component(), hy=field_component(),
+       hz=field_component(), dt=st.floats(1e-4, 1.0))
+def test_two_level_step_exp_matches_eigh_formula(h0, hx, hy, hz, dt):
+    H = np.array([[h0 + hz, hx - 1j * hy], [hx + 1j * hy, h0 - hz]])
+    vals, vecs = np.linalg.eigh(H)
+    expected = (vecs * np.exp(-1j * dt * vals)) @ np.conj(vecs.T)
+    step = hermitian_step_exp(H, dt)
+    assert np.max(np.abs(step - expected)) < 1e-13
+    assert unitarity_defect(step) < 1e-13
 
 
 def test_eigen_sigma_z():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from phaselab import SpinParams, TimeGrid, spin_model
-from phaselab.evolution import AmplitudePath
+from phaselab.evolution import AmplitudePath, HamiltonianTrajectory, propagate
 from phaselab.exceptions import (
     CapacityError,
     ContractError,
@@ -32,7 +32,7 @@ from phaselab.mixed import (
 from phaselab.numerics import central_diff, wrap_angle
 from phaselab.phases import dynamical_phase, geometric_phase_pure
 
-from conftest import random_density, random_unitary
+from conftest import random_density, random_hermitian, random_unitary
 
 
 def test_density_from_single_state():
@@ -261,6 +261,44 @@ def test_transport_conditions_accepts_density_matrix(generic_case):
     weak_d, strong_d = transport_conditions(rho0, generic_case.U)
     assert weak_d == pytest.approx(weak_e, abs=1e-10)
     assert np.allclose(sorted(strong_d), sorted(strong_e), atol=1e-8)
+
+
+def test_transport_and_mixed_dynamical_phase_dim3():
+    # non-commuting dim-3 generators and a 2-state ensemble (k < d), against
+    # the direct <k|U^dagger dU|k> and Tr[rho0 U^dagger dU] formulas
+    rng = np.random.default_rng(41)
+    A, B, C = (random_hermitian(rng, 3) for _ in range(3))
+
+    def batch(times):
+        t = np.asarray(times, dtype=float)[..., None, None]
+        return A + np.cos(t) * B + np.sin(2.0 * t) * C
+
+    U = propagate(HamiltonianTrajectory(3, evaluate=batch), TimeGrid(0.0, 2.0, 400))
+    Q = random_unitary(rng, 3)
+    ensemble = Ensemble(np.array([0.7, 0.3]), Q[:, :2].T.copy())
+    rho0 = density_from_ensemble(ensemble)
+    D = np.conj(np.swapaxes(U.matrices, -2, -1)) @ central_diff(U.matrices, U.grid.dt)
+
+    def strong_reference(states):
+        per_state = np.einsum("ka,jab,kb->jk", np.conj(states), D, states)
+        return np.max(np.abs(per_state), axis=0)
+
+    weak_reference = np.max(np.abs(np.einsum("ab,jba->j", rho0.matrix, D)))
+    weak, strong = transport_conditions(ensemble, U)
+    assert strong.shape == (2,)
+    assert np.max(np.abs(strong - strong_reference(ensemble.states))) < 1e-12
+    assert abs(weak - weak_reference) < 1e-12
+    weak_d, strong_d = transport_conditions(rho0, U)
+    eigen = ensemble_from_density(rho0)
+    assert np.max(np.abs(strong_d - strong_reference(eigen.states))) < 1e-12
+    assert abs(weak_d - weak_reference) < 1e-12
+
+    for rho in (rho0, random_density(rng, 3)):
+        integrand = -1j * np.einsum("ab,jba->j", rho.matrix, D)
+        expected = (integrand[1:-1].sum() + 0.5 * (integrand[0] + integrand[-1])).real
+        value, residual = mixed_dynamical_phase(rho, U, with_diagnostic=True)
+        assert abs(value - expected * U.grid.dt) < 1e-12
+        assert abs(residual - np.max(np.abs(integrand.imag))) < 1e-12
 
 
 def test_ensemble_from_density_round_trip():
