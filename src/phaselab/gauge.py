@@ -5,7 +5,10 @@ member by an arbitrary time-dependent phase e^{i alpha_k(t)} is an exact
 symmetry of the physics: amplitudes rebuilt from a transformed frame change
 only by the constant e^{i alpha_k(0)}, and the trace formula (prefactor times
 exponential of connection-minus-energy integral) is invariant.  The geometric
-phase is the holonomy left over after parallel transporting the frame.
+phase is the holonomy left over after parallel transporting the frame; the
+holonomy and parallel-transport kernels are `phases.holonomy_factor` and
+`phases.parallel_transport`, applied here to each frame member.  A
+`GaugeFunction` evaluates the phases of every label at once.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from .exceptions import (
     OrthogonalityCrossingError,
 )
 from .numerics import central_diff, cum_trapezoid, trapezoid
-from .phases import state_connection, state_energies
+from .phases import holonomy_factor, parallel_transport, state_connection, state_energies
 
 FRAME_ORTHO_TOL = 1e-8
 OVERLAP_FLOOR = 1e-10
@@ -37,6 +40,9 @@ class GaugeFunction:
     Slope zero keeps the gauge periodic, which preserves frame closure
     v(T) = v(0); nonzero slopes produce the endpoint offsets that the
     equivalence-class (non-)invariance laws predict.
+
+    `value(t)` and `derivative(t)` evaluate every label from one cos/sin table
+    of the times and return shape (L, *t.shape), rows in label order.
     """
 
     labels: tuple
@@ -57,30 +63,23 @@ class GaugeFunction:
     def degree(self) -> int:
         return self.cos_coeffs.shape[1]
 
-    def _index(self, label) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise DimensionError(f"unknown gauge label {label!r}") from None
-
-    def value(self, label, t):
-        k = self._index(label)
+    def _table(self, t):
+        """t as an array, the harmonic frequencies and cos, sin of (*t.shape, degree)."""
         t = np.asarray(t, dtype=float)
-        m = np.arange(1, self.degree + 1)
-        arg = 2.0 * np.pi * np.multiply.outer(t, m) / self.period
-        out = self.const[k] + self.slope[k] * t
-        out = out + np.cos(arg) @ self.cos_coeffs[k] + np.sin(arg) @ self.sin_coeffs[k]
-        return out
-
-    def derivative(self, label, t):
-        k = self._index(label)
-        t = np.asarray(t, dtype=float)
-        m = np.arange(1, self.degree + 1)
-        w = 2.0 * np.pi * m / self.period
+        w = 2.0 * np.pi * np.arange(1, self.degree + 1) / self.period
         arg = np.multiply.outer(t, w)
-        out = self.slope[k] * np.ones_like(t)
-        out = out - np.sin(arg) @ (w * self.cos_coeffs[k]) + np.cos(arg) @ (w * self.sin_coeffs[k])
-        return out
+        return t, w, np.cos(arg), np.sin(arg)
+
+    def value(self, t):
+        t, _, cos, sin = self._table(t)
+        out = self.const + np.multiply.outer(t, self.slope)
+        out = out + cos @ self.cos_coeffs.T + sin @ self.sin_coeffs.T
+        return np.moveaxis(out, -1, 0)
+
+    def derivative(self, t):
+        t, w, cos, sin = self._table(t)
+        out = self.slope - sin @ (w * self.cos_coeffs).T + cos @ (w * self.sin_coeffs).T
+        return np.moveaxis(out, -1, 0)
 
     def negated(self) -> "GaugeFunction":
         return GaugeFunction(
@@ -222,8 +221,7 @@ def apply_gauge(frame: BasisFrame, g: GaugeFunction) -> BasisFrame:
         raise DimensionError(
             f"gauge labels {g.labels} do not match frame labels {frame.labels}"
         )
-    nodes = frame.grid.nodes
-    phases = np.stack([np.exp(1j * g.value(label, nodes)) for label in frame.labels])
+    phases = np.exp(1j * g.value(frame.grid.nodes))
     return BasisFrame(frame.grid, frame.labels, frame.vectors * phases[:, :, None])
 
 
@@ -235,43 +233,30 @@ def connection(frame: BasisFrame, label) -> np.ndarray:
 def parallel_transport_frame(frame: BasisFrame) -> BasisFrame:
     """Rephase every member so its connection vanishes at interior nodes."""
     dt = frame.grid.dt
-    rows = []
-    for label in frame.labels:
-        v = frame.component(label)
-        accumulated = cum_trapezoid(connection(frame, label), dt)
-        rows.append(v * np.exp(1j * accumulated)[:, None])
-    return BasisFrame(frame.grid, frame.labels, np.stack(rows))
+    rows = np.stack([parallel_transport(v, dt) for v in frame.vectors])
+    return BasisFrame(frame.grid, frame.labels, rows)
 
 
 def holonomy(frame: BasisFrame, label) -> complex:
     """<v_bar_k(0), v_bar_k(T)> of the parallel-transported member."""
-    v = frame.component(label)
-    total = trapezoid(connection(frame, label), frame.grid.dt)
-    return complex(np.vdot(v[0], v[-1]) * np.exp(1j * total))
-
-
-def _effective_energies(frame: BasisFrame, H: HamiltonianTrajectory) -> list:
-    """Diagonal <v_k|H|v_k> - <v_k|i d/dt v_k> of the effective Hamiltonian, per label."""
-    samples = H.sample(frame.grid.nodes)
-    return [
-        state_energies(frame.component(label), samples) - connection(frame, label)
-        for label in frame.labels
-    ]
+    return holonomy_factor(frame.component(label), frame.grid.dt)
 
 
 def frame_trace(frame: BasisFrame, H: HamiltonianTrajectory, weights) -> complex:
     """Gauge-invariant form of Tr U(T) rho(0) built purely from frame data.
 
-    sum_k w_k <v_k(0), v_k(T)> exp{ i int (<v_k|i d/dt v_k> - <v_k|H|v_k>) dt }.
+    sum_k w_k <v_k(0), v_k(T)> exp{ i int (<v_k|i d/dt v_k> - <v_k|H|v_k>) dt },
+    i.e. each member's holonomy factor times its dynamical phase factor.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(frame.labels),):
         raise DimensionError("one weight per frame label required")
-    total = 0.0 + 0.0j
-    for w, label, energy in zip(weights, frame.labels, _effective_energies(frame, H)):
-        v = frame.component(label)
-        total += w * np.vdot(v[0], v[-1]) * np.exp(1j * trapezoid(-energy, frame.grid.dt))
-    return complex(total)
+    samples = H.sample(frame.grid.nodes)
+    dt = frame.grid.dt
+    return complex(sum(
+        w * holonomy_factor(v, dt) * np.exp(-1j * trapezoid(state_energies(v, samples), dt))
+        for w, v in zip(weights, frame.vectors)
+    ))
 
 
 def amplitudes_from_frame(frame: BasisFrame, H: HamiltonianTrajectory) -> list[AmplitudePath]:
@@ -281,10 +266,12 @@ def amplitudes_from_frame(frame: BasisFrame, H: HamiltonianTrajectory) -> list[A
     Under a frame gauge transform the output changes only by the constant
     phase e^{i alpha_k(0)} per member.
     """
+    samples = H.sample(frame.grid.nodes)
+    dt = frame.grid.dt
     out = []
-    for label, energy in zip(frame.labels, _effective_energies(frame, H)):
-        phase = np.exp(-1j * cum_trapezoid(energy, frame.grid.dt))
-        out.append(AmplitudePath(frame.grid, frame.component(label) * phase[:, None]))
+    for v in frame.vectors:
+        energy = state_energies(v, samples) - state_connection(v, dt)
+        out.append(AmplitudePath(frame.grid, v * np.exp(-1j * cum_trapezoid(energy, dt))[:, None]))
     return out
 
 
@@ -313,6 +300,6 @@ def check_universal_hamiltonian_constraint(
         times = grid.nodes
     else:
         times = np.linspace(0.0, g.period, 1025)
-    derivs = np.stack([g.derivative(label, times) for label in g.labels])
+    derivs = g.derivative(times)
     spread = np.max(np.abs(derivs - derivs[0:1]), initial=0.0)
     return bool(spread <= tol)

@@ -6,6 +6,7 @@ and the visibility |Tr[U(T) rho(0)]|.  Per-path phase transforms
 U -> U sum_k e^{i theta_k} |k><k| leave the density-matrix orbit fixed but
 shift both observables in a way computed here exactly; the Singh combination
 of endpoint overlaps and connection integrals is the invariant alternative.
+`gauge_campaign` tests both laws on one evolution under random gauges.
 """
 from __future__ import annotations
 
@@ -14,17 +15,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .evolution import AmplitudePath, PropagatorPath
+from .evolution import AmplitudePath, HamiltonianTrajectory, PropagatorPath, amplitude_path
 from .exceptions import (
     CapacityError,
     ContractError,
     DimensionError,
     UndefinedPhaseError,
 )
-from .gauge import GaugeFunction
+from .gauge import GaugeFunction, apply_gauge, frame_from_amplitudes, frame_trace, holonomy
 from .linalg import hermitian_eigen, hermiticity_defect, unitarity_defect
-from .numerics import central_diff, trapezoid
-from .phases import path_connection
+from .numerics import central_diff, trapezoid, wrap_angle
+from .phases import holonomy_factor
 
 TRACE_FLOOR = 1e-12
 
@@ -186,12 +187,9 @@ def transform_evolution(
         )
     if len(theta.labels) != basis.size:
         raise DimensionError("one gauge label per basis state required")
-    nodes = U.grid.nodes
-    phases = np.stack(
-        [np.exp(1j * theta.value(label, nodes)) for label in theta.labels], axis=1
-    )  # (steps+1, k)
+    phases = np.exp(1j * theta.value(U.grid.nodes))  # (k, steps+1)
     B = basis.states.T  # columns are |k>
-    kernel = np.einsum("ak,jk,bk->jab", B, phases, np.conj(B))
+    kernel = np.einsum("ak,kj,bk->jab", B, phases, np.conj(B))
     return PropagatorPath(U.grid, U.matrices @ kernel, identity_start=False)
 
 
@@ -211,14 +209,83 @@ def singh_phase(weights, paths: Sequence[AmplitudePath]) -> float:
         raise ContractError("paths must be orthonormal at t = 0")
     if any(path.grid != paths[0].grid for path in paths):
         raise DimensionError("paths live on different grids")
-    total = 0.0 + 0.0j
-    for w, path in zip(weights, paths):
-        overlap = np.vdot(path.initial, path.final)
-        phase = trapezoid(path_connection(path), path.grid.dt)
-        total += w * overlap * np.exp(1j * phase)
+    total = sum(w * holonomy_factor(path.states, path.grid.dt) for w, path in zip(weights, paths))
     if abs(total) < TRACE_FLOOR:
         raise UndefinedPhaseError("Singh-phase sum has vanishing magnitude")
     return float(np.angle(total))
+
+
+def gauge_campaign(
+    H: HamiltonianTrajectory, U: PropagatorPath, ensemble: Ensemble, labels: tuple,
+    rng: np.random.Generator, trials: int, gauge_scale: float,
+) -> dict:
+    """Base observables and worst deviations over `trials` random gauges, by name.
+
+    Per trial: a periodic frame gauge must leave the frame trace and the
+    holonomies fixed; a ramped gauge theta_k(t) must leave the Singh phase
+    fixed and shift gamma_T, gamma_D of U sum_k e^{i theta_k}|k><k| as
+    predicted (observed on the transformed U).  Scale 0: zero gauges, no draws.
+    """
+    grid = U.grid
+    weights = ensemble.weights
+    paths = [amplitude_path(U, state) for state in ensemble.states]
+    rho0 = density_from_ensemble(ensemble)
+    frame = frame_from_amplitudes(paths, labels=labels)
+    base_trace = frame_trace(frame, H, weights)
+    base_hols = [holonomy(frame, label) for label in labels]
+    base_singh = singh_phase(weights, paths)
+    base_gamma, base_vis = mixed_total_phase(rho0, U.final)
+    base_dyn = mixed_dynamical_phase(rho0, U)
+    diag_UT = np.array([np.vdot(state, U.final @ state) for state in ensemble.states])
+
+    def draw(slope_scale):
+        if gauge_scale == 0.0:
+            return GaugeFunction.zero(labels, grid.span)
+        return GaugeFunction.random(
+            labels, grid.span, rng, scale=gauge_scale, slope_scale=slope_scale
+        )
+
+    dev_gamma = dev_vis = dev_hol = dev_singh = 0.0
+    mismatch_gamma = mismatch_dyn = naive_gamma = naive_dyn = 0.0
+    for _ in range(trials):
+        gauged = apply_gauge(frame, draw(0.0))
+        tr = frame_trace(gauged, H, weights)
+        dev_gamma = max(dev_gamma, abs(wrap_angle(np.angle(tr) - np.angle(base_trace))))
+        dev_vis = max(dev_vis, abs(abs(tr) - abs(base_trace)))
+        dev_hol = max(dev_hol, *(abs(holonomy(gauged, label) - base)
+                                 for label, base in zip(labels, base_hols)))
+
+        ramped = draw(2.0 * gauge_scale)
+        phases = np.exp(1j * ramped.value(grid.nodes))
+        shifted = [AmplitudePath(grid, path.states * phase[:, None])
+                   for path, phase in zip(paths, phases)]
+        dev_singh = max(dev_singh, abs(wrap_angle(singh_phase(weights, shifted) - base_singh)))
+
+        U_prime = transform_evolution(U, ramped, ensemble)
+        theta_0, theta_T = ramped.value([0.0, grid.t_end]).T
+        predicted_gamma = float(np.angle(np.sum(weights * diag_UT * np.exp(1j * theta_T))))
+        observed_gamma, _ = mixed_total_phase(rho0, U_prime.matrices[-1])
+        mismatch_gamma = max(mismatch_gamma, abs(wrap_angle(observed_gamma - predicted_gamma)))
+        naive_gamma = max(naive_gamma, abs(wrap_angle(observed_gamma - base_gamma)))
+
+        observed_dyn = mixed_dynamical_phase(rho0, U_prime)
+        predicted_dyn = base_dyn + float(np.sum(weights * (theta_T - theta_0)))
+        mismatch_dyn = max(mismatch_dyn, abs(observed_dyn - predicted_dyn))
+        naive_dyn = max(naive_dyn, abs(observed_dyn - base_dyn))
+
+    return {
+        "gamma_total": base_gamma,
+        "visibility": base_vis,
+        "singh_phase": base_singh,
+        "max_gamma_total_deviation": dev_gamma,
+        "max_visibility_deviation": dev_vis,
+        "max_holonomy_deviation": dev_hol,
+        "max_singh_deviation": dev_singh,
+        "max_total_phase_prediction_mismatch": mismatch_gamma,
+        "max_dynamical_phase_prediction_mismatch": mismatch_dyn,
+        "max_naive_total_phase_shift": naive_gamma,
+        "max_naive_dynamical_phase_shift": naive_dyn,
+    }
 
 
 def transport_conditions(rho0: DensityMatrix | Ensemble, U: PropagatorPath):

@@ -2,9 +2,14 @@
 
 Conventions (shared package-wide): the total phase is arg<psi(0), psi(T)>,
 the dynamical phase is phi_D = -int <psi|H|psi> dt, and the geometric phase
-is their difference, equivalently the argument of
+is their difference, equivalently the argument of the holonomy
 <psi(0), psi(T)> exp[i int <psi| i d/dt psi> dt].  Reported angles are
 wrapped to (-pi, pi]; accumulated integrals (the dynamical phase) are not.
+
+The kernels on raw state stacks (connection, energy expectation, holonomy
+factor, parallel transport) serve the pure-state functionals here, the frame
+holonomies of `gauge` and the Singh phase of `mixed`, so another estimator of
+the connection or the holonomy changes these kernels only.
 """
 from __future__ import annotations
 
@@ -62,6 +67,23 @@ def state_energies(states: np.ndarray, samples: np.ndarray) -> np.ndarray:
     return np.einsum("ja,jab,jb->j", np.conj(states), samples, states).real
 
 
+def holonomy_factor(states: np.ndarray, dt: float) -> complex:
+    """<v(0), v(T)> exp[i int <v| i d/dt v> dt] for a state stack (nodes, dim).
+
+    Its argument is the geometric phase of the path; it is unchanged by any
+    time-dependent rephasing v -> e^{i alpha(t)} v.
+    """
+    phase = trapezoid(state_connection(states, dt), dt)
+    return complex(np.vdot(states[0], states[-1]) * np.exp(1j * phase))
+
+
+def parallel_transport(states: np.ndarray, dt: float) -> np.ndarray:
+    """Rephase a state stack so its connection vanishes; the endpoints then
+    carry the holonomy."""
+    accumulated = cum_trapezoid(state_connection(states, dt), dt)
+    return states * np.exp(1j * accumulated)[:, None]
+
+
 def path_connection(psi: AmplitudePath) -> np.ndarray:
     """<psi(t_j), i d/dt psi(t_j)> (= energy expectation on solutions), real part."""
     return state_connection(psi.states, psi.grid.dt)
@@ -85,14 +107,13 @@ def dynamical_phase(
 
 def geometric_phase_pure(psi: AmplitudePath) -> float:
     """arg{ <psi(0), psi(T)> exp[i int <psi| i d/dt psi> dt] }, gauge invariant."""
-    angle, _ = total_phase(psi)
-    return float(wrap_angle(angle + trapezoid(path_connection(psi), psi.grid.dt)))
+    total_phase(psi)  # an undefined endpoint overlap raises
+    return float(np.angle(holonomy_factor(psi.states, psi.grid.dt)))
 
 
 def parallel_transport_amplitude(psi: AmplitudePath) -> AmplitudePath:
     """Rephase the path so its connection vanishes; endpoints carry the holonomy."""
-    accumulated = cum_trapezoid(path_connection(psi), psi.grid.dt)
-    return AmplitudePath(psi.grid, psi.states * np.exp(1j * accumulated)[:, None])
+    return AmplitudePath(psi.grid, parallel_transport(psi.states, psi.grid.dt))
 
 
 def transport_residual(psi: AmplitudePath) -> float:

@@ -198,16 +198,16 @@ def test_criterion_4_hidden_gauge_invariance():
         )
         ramped = GaugeFunction.random(labels, case.grid.span, rng, scale=0.1, slope_scale=0.2)
         shifted = [
-            AmplitudePath(path.grid, path.states * np.exp(1j * ramped.value(l, nodes))[:, None])
-            for l, path in zip(labels, paths)
+            AmplitudePath(path.grid, path.states * np.exp(1j * a)[:, None])
+            for a, path in zip(ramped.value(nodes), paths)
         ]
         worst_invariant = max(
             worst_invariant, abs(wrap_angle(singh_phase(weights, shifted) - base_singh))
         )
 
         U_prime = transform_evolution(case.U, ramped, case.ensemble)
-        theta_T = np.array([ramped.value(l, case.grid.t_end) for l in labels])
-        theta_0 = np.array([ramped.value(l, 0.0) for l in labels])
+        theta_T = ramped.value(case.grid.t_end)
+        theta_0 = ramped.value(0.0)
         predicted = float(np.angle(np.sum(weights * diag_UT * np.exp(1j * theta_T))))
         observed, _ = mixed_total_phase(rho0, U_prime.matrices[-1])
         worst_gamma_mismatch = max(
@@ -309,11 +309,11 @@ def test_criterion_7_universal_hamiltonian_constraint():
     for _ in range(20):
         theta = GaugeFunction.random(labels, grid.span, rng, scale=0.5, slope_scale=1.0)
         shifted = [
-            AmplitudePath(path.grid, path.states * np.exp(1j * theta.value(l, nodes))[:, None])
-            for l, path in zip(labels, paths)
+            AmplitudePath(path.grid, path.states * np.exp(1j * a)[:, None])
+            for a, path in zip(theta.value(nodes), paths)
         ]
-        shift = theta.derivative("+", nodes)
-        spread = float(np.max(np.abs(theta.derivative("-", nodes) - theta.derivative("+", nodes))))
+        shift = theta.derivative(nodes)[0]
+        spread = float(np.max(np.abs(theta.derivative(nodes)[1] - theta.derivative(nodes)[0])))
         broken = max(residual(shifted[0], shift), residual(shifted[1], shift))
         equal = GaugeFunction(
             labels,
@@ -324,12 +324,12 @@ def test_criterion_7_universal_hamiltonian_constraint():
             slope=np.array([theta.slope[0], theta.slope[0]]),
         )
         shifted_eq = [
-            AmplitudePath(path.grid, path.states * np.exp(1j * equal.value(l, nodes))[:, None])
-            for l, path in zip(labels, paths)
+            AmplitudePath(path.grid, path.states * np.exp(1j * a)[:, None])
+            for a, path in zip(equal.value(nodes), paths)
         ]
         kept = max(
-            residual(shifted_eq[0], equal.derivative("+", nodes)),
-            residual(shifted_eq[1], equal.derivative("+", nodes)),
+            residual(shifted_eq[0], equal.derivative(nodes)[0]),
+            residual(shifted_eq[1], equal.derivative(nodes)[0]),
         )
         passed = passed and broken >= spread * (1.0 - 1e-3) and kept < 1e-2 * max(spread, 1.0)
     report(

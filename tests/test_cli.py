@@ -123,6 +123,12 @@ def test_steps_floor_exit_2():
         # Hermitian to 1e-10 elementwise, but not to the propagator's 1e-12
         (["simulate"], "model = custom-sampled\nhorizon = explicit\nt_end = 1\n"
          "weights = 1.0\nstates = 0\nhamiltonian_file = {tmp}/asym.txt\n", "hamiltonian_file"),
+        (["simulate", "--seed", "-1"], None, "seed"),
+        (["verify-gauge", "--seed", "-1"], None, "seed"),
+        (["purify-demo", "--seed", "-1"], None, "seed"),
+        (["simulate"], "states = +,+\n", "states"),
+        (["simulate"], "model = custom-sampled\nhorizon = explicit\nt_end = 1\n"
+         "states = 0,0\nhamiltonian_file = {tmp}/herm.txt\n", "states"),
     ],
 )
 def test_out_of_range_input_exit_2(tmp_path, capsys, argv, config, name):
@@ -130,6 +136,7 @@ def test_out_of_range_input_exit_2(tmp_path, capsys, argv, config, name):
         (tmp_path / "asym.txt").write_text(
             "dim 2 steps 1\n" + "1 0 0.5 0 0.50000000001 0 -1 0\n" * 2
         )
+        (tmp_path / "herm.txt").write_text("dim 2 steps 1\n" + "1 0 0.5 0 0.5 0 -1 0\n" * 2)
         path = tmp_path / "range.cfg"
         path.write_text(config.replace("{tmp}", str(tmp_path)))
         argv = [*argv, "--config", str(path)]
@@ -200,6 +207,24 @@ def test_sampled_file_validation(tmp_path, capsys):
     )
     assert run(["simulate", "--config", str(config)]) == 2
     assert "sample rows" in capsys.readouterr().err
+
+
+def test_sampled_file_that_loads_runs(tmp_path):
+    # every row is Hermitian only to 1e-11, which passes the loader's test
+    # because of the spike's norm at node 3; the 10-step grid never samples
+    # the spike, so its interpolants must be Hermitian on their own scale
+    rows = ["1 0 0.5 0 0.50000000001 0 -1 0"] * 1001
+    rows[3] = "100 0 0 0 0 0 -100 0"
+    hfile = tmp_path / "spike.txt"
+    hfile.write_text("dim 2 steps 1000\n" + "\n".join(rows) + "\n")
+    config = tmp_path / "spike.cfg"
+    config.write_text(
+        f"model = custom-sampled\nhamiltonian_file = {hfile}\nhorizon = explicit\n"
+        "t_end = 1.0\nsteps = 10\nweights = 0.5,0.5\nstates = 0,1\n"
+    )
+    out = tmp_path / "spike.csv"
+    assert run(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert ("gamma_total", "") in read_records(out)
 
 
 def test_sweep_csv_schema_and_monotone_solid_angle(tmp_path):

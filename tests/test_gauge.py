@@ -1,6 +1,9 @@
 """Basis frames, gauge transforms, holonomy, effective Hamiltonians."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from phaselab import SpinParams, TimeGrid, spin_model
 from phaselab.evolution import AmplitudePath
@@ -43,10 +46,8 @@ def v_frame(p: SpinParams, grid: TimeGrid) -> BasisFrame:
 
 def test_gauge_function_evaluations():
     g = GaugeFunction.constants(("a", "b"), 2.0, [0.5, -1.0])
-    assert g.value("a", 0.3) == pytest.approx(0.5)
-    assert g.derivative("b", 0.7) == 0.0
-    with pytest.raises(DimensionError):
-        g.value("c", 0.0)
+    assert g.value(0.3)[0] == pytest.approx(0.5)
+    assert g.derivative(0.7)[1] == 0.0
 
 
 def test_gauge_function_derivative_matches_finite_difference():
@@ -54,8 +55,48 @@ def test_gauge_function_derivative_matches_finite_difference():
     g = GaugeFunction.random(("k",), 3.0, rng, scale=0.5, slope_scale=0.4)
     ts = np.linspace(0.1, 2.9, 7)
     eps = 1e-6
-    numeric = (g.value("k", ts + eps) - g.value("k", ts - eps)) / (2 * eps)
-    assert np.max(np.abs(numeric - g.derivative("k", ts))) < 1e-6
+    numeric = (g.value(ts + eps)[0] - g.value(ts - eps)[0]) / (2 * eps)
+    assert np.max(np.abs(numeric - g.derivative(ts)[0])) < 1e-6
+
+
+@st.composite
+def gauges_and_times(draw):
+    """A GaugeFunction with 1-4 labels and times: a scalar or a 1-D or 2-D array."""
+    L = draw(st.integers(1, 4))
+    degree = draw(st.integers(1, 6))
+    period = draw(st.floats(0.5, 10.0))
+    coeff = st.floats(-1.0, 1.0)
+    table = lambda shape: np.array(draw(st.lists(coeff, min_size=math.prod(shape),
+                                                 max_size=math.prod(shape)))).reshape(shape)
+    g = GaugeFunction(tuple(f"k{k}" for k in range(L)), period, table((L,)),
+                      table((L, degree)), table((L, degree)), table((L,)))
+    shape = draw(st.sampled_from([(), (1,), (5,), (2, 3)]))
+    times = np.array(draw(st.lists(st.floats(-2 * period, 2 * period),
+                                   min_size=math.prod(shape), max_size=math.prod(shape))))
+    return g, times.reshape(shape)
+
+
+@given(gauges_and_times())
+def test_gauge_function_evaluates_all_labels(case):
+    g, t = case
+    L = len(g.labels)
+    value, derivative = g.value(t), g.derivative(t)
+    assert value.shape == derivative.shape == (L, *t.shape)
+    w = [2.0 * np.pi * m / g.period for m in range(1, g.degree + 1)]
+    for k in range(L):
+        for idx in np.ndindex(t.shape):
+            s = float(t[idx])
+            want = g.const[k] + g.slope[k] * s + sum(
+                a * math.cos(wm * s) + b * math.sin(wm * s)
+                for a, b, wm in zip(g.cos_coeffs[k], g.sin_coeffs[k], w)
+            )
+            assert abs(value[k][idx] - want) <= 1e-13
+    # central difference; its O(h^2) term is bounded by the third derivative
+    h = 1e-6
+    numeric = (g.value(t + h) - g.value(t - h)) / (2 * h)
+    third = np.sum((np.abs(g.cos_coeffs) + np.abs(g.sin_coeffs)) * np.array(w) ** 3, axis=1)
+    bound = 1e-6 * (1.0 + third)
+    assert np.all(np.abs(numeric - derivative) <= bound.reshape(L, *[1] * t.ndim))
 
 
 def test_universal_constraint_checker():
@@ -332,12 +373,12 @@ def test_amplitudes_from_frame_hidden_gauge_invariance():
     base = amplitudes_from_frame(frame, H)
     g = GaugeFunction.random(("+", "-"), grid.span, rng, scale=0.1, slope_scale=0.2)
     shifted = amplitudes_from_frame(apply_gauge(frame, g), H)
-    for label, before, after in zip(("+", "-"), base, shifted):
+    for alpha0, before, after in zip(g.value(0.0), base, shifted):
         overlaps = np.einsum("ja,ja->j", np.conj(after.states), before.states)
         assert np.max(np.abs(np.abs(overlaps) - 1.0)) < 1e-8
         # the relative phase is constant in time and equals -alpha_k(0)
         phases = np.angle(overlaps)
-        expected = -g.value(label, 0.0)
+        expected = -alpha0
         assert np.max(np.abs(wrap_angle(phases - expected))) < 1e-8
 
 

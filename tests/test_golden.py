@@ -20,9 +20,10 @@ from phaselab import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# The byte-determinism scenarios of the acceptance suite, plus a dim-3
-# custom-sampled run whose config names its Hamiltonian file relative to
-# GOLDEN (runs start there, so the header path is the same everywhere).
+# The byte-determinism scenarios of the acceptance suite, a longer
+# verify-gauge campaign, and a dim-3 custom-sampled run whose config names its
+# Hamiltonian file relative to GOLDEN (runs start there, so the header path is
+# the same everywhere).
 CASES = {
     "simulate.csv": ["simulate", "--mu-b", "1", "--omega", "4", "--theta",
                      str(2 * np.pi / 3), "--steps", "2000", "--seed", "5"],
@@ -32,6 +33,9 @@ CASES = {
     "sweep.json": ["sweep", "--axis", "theta", "--values", "0.4,0.9,1.4", "--steps", "500",
                    "--format", "json"],
     "verify.csv": ["verify-gauge", "--steps", "1500", "--trials", "3", "--seed", "21"],
+    # more trials pin the campaign's RNG draw order and all eleven maxima
+    "verify_campaign.csv": ["verify-gauge", "--steps", "3000", "--trials", "7", "--seed", "4",
+                            "--gauge-scale", "0.3", "--big-theta", "1.1"],
     "custom.csv": ["simulate", "--config", "custom.cfg"],
     "custom.json": ["simulate", "--config", "custom.cfg", "--format", "json"],
 }

@@ -198,8 +198,10 @@ def test_transform_evolution_shifts_dynamical_phase(generic_case):
         transformed = transform_evolution(generic_case.U, theta, generic_case.ensemble)
         shifted = mixed_dynamical_phase(rho0, transformed)
         jump = sum(
-            w * (theta.value(label, generic_case.grid.t_end) - theta.value(label, 0.0))
-            for w, label in zip(generic_case.weights, ("+", "-"))
+            w * (end - start)
+            for w, end, start in zip(
+                generic_case.weights, theta.value(generic_case.grid.t_end), theta.value(0.0)
+            )
         )
         assert shifted - base == pytest.approx(jump, abs=1e-7)
 
@@ -228,8 +230,8 @@ def test_singh_phase_invariant_under_path_phases(generic_case):
             ("+", "-"), generic_case.grid.span, rng, scale=0.1, slope_scale=0.2
         )
         shifted = [
-            AmplitudePath(p.grid, p.states * np.exp(1j * theta.value(l, nodes))[:, None])
-            for l, p in zip(("+", "-"), paths)
+            AmplitudePath(p.grid, p.states * np.exp(1j * a)[:, None])
+            for a, p in zip(theta.value(nodes), paths)
         ]
         assert abs(wrap_angle(singh_phase(generic_case.weights, shifted) - base)) < 1e-7
 
@@ -401,12 +403,12 @@ def test_unequal_gauge_derivatives_break_schroedinger():
     for _ in range(5):
         theta = GaugeFunction.random(("+", "-"), grid.span, rng, scale=0.5, slope_scale=1.0)
         shifted = [
-            AmplitudePath(path.grid, path.states * np.exp(1j * theta.value(l, nodes))[:, None])
-            for l, path in zip(("+", "-"), paths)
+            AmplitudePath(path.grid, path.states * np.exp(1j * a)[:, None])
+            for a, path in zip(theta.value(nodes), paths)
         ]
-        shift = theta.derivative("+", nodes)  # absorb branch '+' into H'
+        shift = theta.derivative(nodes)[0]  # absorb branch '+' into H'
         spread = np.max(
-            np.abs(theta.derivative("-", nodes) - theta.derivative("+", nodes))
+            np.abs(theta.derivative(nodes)[1] - theta.derivative(nodes)[0])
         )
         residual = max(
             schroedinger_residual(shifted[0], H_samples, shift),
@@ -423,10 +425,10 @@ def test_unequal_gauge_derivatives_break_schroedinger():
             slope=np.array([theta.slope[0], theta.slope[0]]),
         )
         shifted_eq = [
-            AmplitudePath(path.grid, path.states * np.exp(1j * equal.value(l, nodes))[:, None])
-            for l, path in zip(("+", "-"), paths)
+            AmplitudePath(path.grid, path.states * np.exp(1j * a)[:, None])
+            for a, path in zip(equal.value(nodes), paths)
         ]
-        shift_eq = equal.derivative("+", nodes)
+        shift_eq = equal.derivative(nodes)[0]
         residual_eq = max(
             schroedinger_residual(shifted_eq[0], H_samples, shift_eq),
             schroedinger_residual(shifted_eq[1], H_samples, shift_eq),
