@@ -50,7 +50,6 @@ from .mixed import (
     density_from_ensemble,
     gauge_campaign,
     hidden_gauge_transform,
-    mixed_dynamical_phase,
     mixed_total_phase,
     purify,
     reduce as reduce_purified,
@@ -135,8 +134,8 @@ _CONFIG_TYPES = {
     "steps": int,
     "horizon": str,
     "t_end": float,
-    "weights": "floats",
-    "states": "strings",
+    "weights": lambda value: tuple(float(v) for v in value.split(",")),
+    "states": lambda value: tuple(v.strip() for v in value.split(",")),
     "hamiltonian_file": str,
     "seed": int,
     "gauge_seed": int,
@@ -163,20 +162,11 @@ def parse_config_file(path: str) -> ScenarioConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
-        kind = _CONFIG_TYPES[key]
+        convert = _CONFIG_TYPES[key]
         if key == "gauge_seed":  # accepted alias for the RNG seed
             key = "seed"
         try:
-            if kind == "floats":
-                parsed = tuple(float(v) for v in value.split(","))
-            elif kind == "strings":
-                parsed = tuple(v.strip() for v in value.split(","))
-            elif kind is int:
-                parsed = int(value)
-            elif kind is float:
-                parsed = float(value)
-            else:
-                parsed = value
+            parsed = convert(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: field {key!r}: {exc}") from exc
         setattr(cfg, key, parsed)
@@ -426,13 +416,13 @@ def observables(sc: Scenario) -> Observables:
     paths = dict(zip(sc.labels, (amplitude_path(U, state) for state in sc.ensemble.states)))
     rho0 = density_from_ensemble(sc.ensemble)
     gamma_total, visibility = mixed_total_phase(rho0, U.final)
-    weak, strong = transport_conditions(sc.ensemble, U)
+    weak, strong, (gamma_d, _) = transport_conditions(sc.ensemble, U, with_dynamical_phase=True)
     samples = sc.H.sample(sc.grid.nodes)
     reports = {label: phase_report(path, sc.H, samples) for label, path in paths.items()}
     phi_g = {label: geometric_phase_pure(path) for label, path in paths.items()}
     singh = singh_phase(sc.ensemble.weights, paths.values())
     return Observables(gamma_total, visibility, reports, phi_g, singh,
-                       mixed_dynamical_phase(rho0, U), weak, strong)
+                       gamma_d, weak, strong)
 
 
 def run_scenario(cfg: ScenarioConfig):

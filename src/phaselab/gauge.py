@@ -242,8 +242,9 @@ def holonomy(frame: BasisFrame, label) -> complex:
     return holonomy_factor(frame.component(label), frame.grid.dt)
 
 
-def frame_trace(frame: BasisFrame, H: HamiltonianTrajectory, weights) -> complex:
-    """Gauge-invariant form of Tr U(T) rho(0) built purely from frame data.
+def frame_trace(frame: BasisFrame, samples: np.ndarray, weights) -> complex:
+    """Gauge-invariant form of Tr U(T) rho(0) built purely from frame data and
+    `samples`, the Hamiltonian on the frame's grid nodes.
 
     sum_k w_k <v_k(0), v_k(T)> exp{ i int (<v_k|i d/dt v_k> - <v_k|H|v_k>) dt },
     i.e. each member's holonomy factor times its dynamical phase factor.
@@ -251,7 +252,6 @@ def frame_trace(frame: BasisFrame, H: HamiltonianTrajectory, weights) -> complex
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(frame.labels),):
         raise DimensionError("one weight per frame label required")
-    samples = H.sample(frame.grid.nodes)
     dt = frame.grid.dt
     return complex(sum(
         w * holonomy_factor(v, dt) * np.exp(-1j * trapezoid(state_energies(v, samples), dt))

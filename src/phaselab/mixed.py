@@ -6,7 +6,8 @@ and the visibility |Tr[U(T) rho(0)]|.  Per-path phase transforms
 U -> U sum_k e^{i theta_k} |k><k| leave the density-matrix orbit fixed but
 shift both observables in a way computed here exactly; the Singh combination
 of endpoint overlaps and connection integrals is the invariant alternative.
-`gauge_campaign` tests both laws on one evolution under random gauges.
+Transport conditions, mixed dynamical phase and `gauge_campaign` read the
+member paths psi_k = U|k>, which a per-path transform maps to e^{i theta_k} psi_k.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evolution import AmplitudePath, HamiltonianTrajectory, PropagatorPath, amplitude_path
+from .evolution import AmplitudePath, HamiltonianTrajectory, PropagatorPath
 from .exceptions import (
     CapacityError,
     ContractError,
@@ -24,8 +25,8 @@ from .exceptions import (
 )
 from .gauge import GaugeFunction, apply_gauge, frame_from_amplitudes, frame_trace, holonomy
 from .linalg import hermitian_eigen, hermiticity_defect, unitarity_defect
-from .numerics import central_diff, trapezoid, wrap_angle
-from .phases import holonomy_factor
+from .numerics import trapezoid, wrap_angle
+from .phases import derivative_overlaps, holonomy_factor
 
 TRACE_FLOOR = 1e-12
 
@@ -155,42 +156,36 @@ def interference_curve(rho0: DensityMatrix, U_T: np.ndarray, chi_nodes) -> np.nd
     return 1.0 + abs(tr) * np.cos(chi - np.angle(tr))
 
 
-def mixed_dynamical_phase(
-    rho0: DensityMatrix, U: PropagatorPath, with_diagnostic: bool = False
-):
-    """gamma_D = -i int Tr[rho0 U^dagger dU/dt] dt, real part.
-
-    The imaginary residual of the integrand is a pure discretization artifact;
-    request it with with_diagnostic=True.
-    """
-    if rho0.dim != U.dim:
-        raise DimensionError("density matrix and propagator dims differ")
+def _member_paths(ensemble: Ensemble, U: PropagatorPath) -> np.ndarray:
+    """psi_k(t_j) = U(t_j)|k> as one (nodes, dim, k) stack, from one GEMM."""
+    if ensemble.dim != U.dim:
+        raise DimensionError("state dimension does not match the propagator")
     d = U.dim
-    dU = central_diff(U.matrices, U.grid.dt)
-    # Tr[rho0 U^dagger dU] = sum_ca (conj(U) rho0^T)_ca dU_ca; one GEMM over the stack
-    weighted = np.conj(U.matrices).reshape(-1, d) @ rho0.matrix.T
-    integrand = -1j * np.einsum("jca,jca->j", weighted.reshape(U.matrices.shape), dU)
-    value = float(trapezoid(integrand.real, U.grid.dt))
-    residual = float(np.max(np.abs(integrand.imag)))
-    if with_diagnostic:
-        return value, residual
-    return value
+    return (U.matrices.reshape(-1, d) @ ensemble.states.T).reshape(-1, d, ensemble.size)
+
+
+def _dynamical(weighted: np.ndarray, dt: float):
+    """(gamma_D, largest |imaginary part| of its integrand) from i times that integrand,
+    the weighted overlaps sum_k w_k <psi_k|d psi_k/dt> per node."""
+    return float(trapezoid(weighted.imag, dt)), float(np.max(np.abs(weighted.real)))
 
 
 def transform_evolution(
     U: PropagatorPath, theta: GaugeFunction, basis: Ensemble
 ) -> PropagatorPath:
-    """U(t) -> U(t) sum_k e^{i theta_k(t)} |k><k| over a complete basis."""
+    """U(t) -> U(t) sum_k e^{i theta_k(t)} |k><k| over a complete basis, which
+    maps each member path psi_k = U|k> to e^{i theta_k} psi_k."""
     if basis.size != U.dim:
         raise DimensionError(
             f"basis with {basis.size} states cannot span dimension {U.dim}"
         )
     if len(theta.labels) != basis.size:
         raise DimensionError("one gauge label per basis state required")
-    phases = np.exp(1j * theta.value(U.grid.nodes))  # (k, steps+1)
-    B = basis.states.T  # columns are |k>
-    kernel = np.einsum("ak,kj,bk->jab", B, phases, np.conj(B))
-    return PropagatorPath(U.grid, U.matrices @ kernel, identity_start=False)
+    # U' = U + sum_k (e^{i theta_k} - 1) psi_k <k| over the member paths psi_k = U|k>,
+    # so U' is exactly U wherever theta vanishes
+    psi = _member_paths(basis, U) * np.expm1(1j * theta.value(U.grid.nodes)).T[:, None, :]
+    delta = psi.reshape(-1, basis.size) @ np.conj(basis.states)
+    return PropagatorPath(U.grid, U.matrices + delta.reshape(U.matrices.shape), identity_start=False)
 
 
 def singh_phase(weights, paths: Sequence[AmplitudePath]) -> float:
@@ -223,20 +218,24 @@ def gauge_campaign(
 
     Per trial: a periodic frame gauge must leave the frame trace and the
     holonomies fixed; a ramped gauge theta_k(t) must leave the Singh phase
-    fixed and shift gamma_T, gamma_D of U sum_k e^{i theta_k}|k><k| as
-    predicted (observed on the transformed U).  Scale 0: zero gauges, no draws.
+    fixed and shift gamma_T, gamma_D of U' = `transform_evolution` as predicted
+    from theta(0), theta(T); the Singh phase and the observed shifts are read off
+    U'(T) and the rephased member paths U'|k>.  H is sampled once.  Scale 0: zero
+    gauges, no draws.
     """
     grid = U.grid
     weights = ensemble.weights
-    paths = [amplitude_path(U, state) for state in ensemble.states]
+    psi = _member_paths(ensemble, U)  # (nodes, dim, k)
+    paths = [AmplitudePath(grid, v) for v in np.moveaxis(psi, -1, 0)]
     rho0 = density_from_ensemble(ensemble)
+    samples = H.sample(grid.nodes)
     frame = frame_from_amplitudes(paths, labels=labels)
-    base_trace = frame_trace(frame, H, weights)
+    base_trace = frame_trace(frame, samples, weights)
     base_hols = [holonomy(frame, label) for label in labels]
     base_singh = singh_phase(weights, paths)
     base_gamma, base_vis = mixed_total_phase(rho0, U.final)
-    base_dyn = mixed_dynamical_phase(rho0, U)
-    diag_UT = np.array([np.vdot(state, U.final @ state) for state in ensemble.states])
+    base_dyn, _ = _dynamical(derivative_overlaps(psi, grid.dt) @ weights, grid.dt)
+    diag_UT = np.einsum("ka,ak->k", np.conj(ensemble.states), psi[-1])  # <k|U(T)|k>
 
     def draw(slope_scale):
         if gauge_scale == 0.0:
@@ -249,26 +248,25 @@ def gauge_campaign(
     mismatch_gamma = mismatch_dyn = naive_gamma = naive_dyn = 0.0
     for _ in range(trials):
         gauged = apply_gauge(frame, draw(0.0))
-        tr = frame_trace(gauged, H, weights)
+        tr = frame_trace(gauged, samples, weights)
         dev_gamma = max(dev_gamma, abs(wrap_angle(np.angle(tr) - np.angle(base_trace))))
         dev_vis = max(dev_vis, abs(abs(tr) - abs(base_trace)))
         dev_hol = max(dev_hol, *(abs(holonomy(gauged, label) - base)
                                  for label, base in zip(labels, base_hols)))
 
         ramped = draw(2.0 * gauge_scale)
-        phases = np.exp(1j * ramped.value(grid.nodes))
-        shifted = [AmplitudePath(grid, path.states * phase[:, None])
-                   for path, phase in zip(paths, phases)]
-        dev_singh = max(dev_singh, abs(wrap_angle(singh_phase(weights, shifted) - base_singh)))
-
         U_prime = transform_evolution(U, ramped, ensemble)
+        shifted = _member_paths(ensemble, U_prime)  # e^{i theta_k} psi_k
+        singh = singh_phase(weights, [AmplitudePath(grid, v) for v in np.moveaxis(shifted, -1, 0)])
+        dev_singh = max(dev_singh, abs(wrap_angle(singh - base_singh)))
+
         theta_0, theta_T = ramped.value([0.0, grid.t_end]).T
         predicted_gamma = float(np.angle(np.sum(weights * diag_UT * np.exp(1j * theta_T))))
-        observed_gamma, _ = mixed_total_phase(rho0, U_prime.matrices[-1])
+        observed_gamma, _ = mixed_total_phase(rho0, U_prime.final)
         mismatch_gamma = max(mismatch_gamma, abs(wrap_angle(observed_gamma - predicted_gamma)))
         naive_gamma = max(naive_gamma, abs(wrap_angle(observed_gamma - base_gamma)))
 
-        observed_dyn = mixed_dynamical_phase(rho0, U_prime)
+        observed_dyn, _ = _dynamical(derivative_overlaps(shifted, grid.dt) @ weights, grid.dt)
         predicted_dyn = base_dyn + float(np.sum(weights * (theta_T - theta_0)))
         mismatch_dyn = max(mismatch_dyn, abs(observed_dyn - predicted_dyn))
         naive_dyn = max(naive_dyn, abs(observed_dyn - base_dyn))
@@ -288,24 +286,34 @@ def gauge_campaign(
     }
 
 
-def transport_conditions(rho0: DensityMatrix | Ensemble, U: PropagatorPath):
+def transport_conditions(
+    rho0: DensityMatrix | Ensemble, U: PropagatorPath, with_dynamical_phase: bool = False
+):
     """(weak residual, per-state strong residuals) of the transport conditions.
 
     weak: max_j |Tr rho0 U^dagger dU/dt|; strong: per k, max_j of
     |<k| U^dagger dU/dt |k>| (equal to the energy expectation along psi_k).
-    A DensityMatrix input is diagonalized deterministically first.
+    A DensityMatrix input is diagonalized deterministically first.  The weak
+    integrand is i times that of gamma_D; with_dynamical_phase=True appends
+    `mixed_dynamical_phase(..., with_diagnostic=True)` from the same overlaps.
     """
     ensemble = rho0 if isinstance(rho0, Ensemble) else ensemble_from_density(rho0)
-    if ensemble.dim != U.dim:
-        raise DimensionError("state dimension does not match the propagator")
-    # <k|U^dagger dU|k> = <psi_k|d psi_k> for psi_k = U|k>, by linearity of
-    # central_diff; the psi_k columns come from one GEMM over the stack
-    d = U.dim
-    psi = (U.matrices.reshape(-1, d) @ ensemble.states.T).reshape(-1, d, ensemble.size)
-    per_state = np.einsum("jak,jak->jk", np.conj(psi), central_diff(psi, U.grid.dt))
-    strong = np.max(np.abs(per_state), axis=0)
-    weak = float(np.max(np.abs(per_state @ ensemble.weights)))
-    return weak, strong
+    # <k|U^dagger dU|k> = <psi_k|d psi_k> for psi_k = U|k>, by linearity
+    per_state = derivative_overlaps(_member_paths(ensemble, U), U.grid.dt)
+    trace = per_state @ ensemble.weights  # Tr rho0 U^dagger dU/dt per node
+    weak, strong = float(np.max(np.abs(trace))), np.max(np.abs(per_state), axis=0)
+    return (weak, strong, _dynamical(trace, U.grid.dt)) if with_dynamical_phase else (weak, strong)
+
+
+def mixed_dynamical_phase(
+    rho0: DensityMatrix | Ensemble, U: PropagatorPath, with_diagnostic: bool = False
+):
+    """gamma_D = -i int sum_k w_k <psi_k|d psi_k/dt> dt (= -i int Tr[rho0 U^dagger dU/dt] dt),
+    real part, psi_k = U|k>; a DensityMatrix is diagonalized first.  The imaginary
+    residual of the integrand, a discretization artifact, comes with with_diagnostic=True.
+    """
+    value, residual = transport_conditions(rho0, U, with_dynamical_phase=True)[2]
+    return (value, residual) if with_diagnostic else value
 
 
 def reduce(pure: PurifiedState) -> DensityMatrix:

@@ -6,10 +6,11 @@ is their difference, equivalently the argument of the holonomy
 <psi(0), psi(T)> exp[i int <psi| i d/dt psi> dt].  Reported angles are
 wrapped to (-pi, pi]; accumulated integrals (the dynamical phase) are not.
 
-The kernels on raw state stacks (connection, energy expectation, holonomy
-factor, parallel transport) serve the pure-state functionals here, the frame
-holonomies of `gauge` and the Singh phase of `mixed`, so another estimator of
-the connection or the holonomy changes these kernels only.
+The kernels on raw state stacks (derivative overlaps <v|dv/dt>, connection,
+energy expectation, holonomy factor, parallel transport) serve the pure-state
+functionals here, the frame holonomies of `gauge` and every time-dependent
+mixed-state functional of `mixed`; `derivative_overlaps` is the one
+central-difference estimator, so another estimator changes it only.
 """
 from __future__ import annotations
 
@@ -41,13 +42,9 @@ class PhaseReport:
     transport_residual: float
 
 
-def endpoint_overlap(psi: AmplitudePath) -> complex:
-    return complex(np.vdot(psi.initial, psi.final))
-
-
 def total_phase(psi: AmplitudePath):
     """arg and magnitude of <psi(0), psi(T)>; valid for non-cyclic paths too."""
-    overlap = endpoint_overlap(psi)
+    overlap = complex(np.vdot(psi.initial, psi.final))
     magnitude = abs(overlap)
     if magnitude < OVERLAP_FLOOR:
         raise UndefinedPhaseError(
@@ -56,10 +53,16 @@ def total_phase(psi: AmplitudePath):
     return float(np.angle(overlap)), float(magnitude)
 
 
+def derivative_overlaps(states: np.ndarray, dt: float) -> np.ndarray:
+    """<v_j, d/dt v_j> by central differences on a (nodes, dim, ...) stack: the
+    vector is axis 1, so k paths stacked as (nodes, dim, k) give (nodes, k)."""
+    dv = central_diff(states, dt)  # first, so its temporaries are freed before the conj copy
+    return np.einsum("ja...,ja...->j...", np.conj(states), dv)
+
+
 def state_connection(states: np.ndarray, dt: float) -> np.ndarray:
     """<v(t_j), i d/dt v(t_j)>, real part, for a state stack v of shape (nodes, dim)."""
-    dv = central_diff(states, dt)
-    return np.einsum("ja,ja->j", np.conj(states), 1j * dv).real
+    return -derivative_overlaps(states, dt).imag
 
 
 def state_energies(states: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -118,9 +121,7 @@ def parallel_transport_amplitude(psi: AmplitudePath) -> AmplitudePath:
 
 def transport_residual(psi: AmplitudePath) -> float:
     """max over interior nodes of |<psi, d psi/dt>| (zero iff parallel transported)."""
-    dpsi = central_diff(psi.states, psi.grid.dt)
-    inner = np.einsum("ja,ja->j", np.conj(psi.states), dpsi)
-    return float(np.max(np.abs(inner[1:-1])))
+    return float(np.max(np.abs(derivative_overlaps(psi.states, psi.grid.dt)[1:-1])))
 
 
 def phase_report(

@@ -337,12 +337,13 @@ def test_frame_trace_matches_direct_trace(generic_case):
         [generic_case.paths["+"], generic_case.paths["-"]], labels=("+", "-")
     )
     direct_basis = np.stack([generic_case.paths[b].initial for b in "+-"])
+    samples = generic_case.H.sample(generic_case.grid.nodes)
     for _ in range(5):
         raw = rng.uniform(0.1, 1.0, size=2)
         weights = raw / raw.sum()
         rho0 = np.einsum("k,ka,kb->ab", weights, direct_basis, np.conj(direct_basis))
         direct = np.trace(generic_case.U.final @ rho0)
-        via_frame = frame_trace(frame, generic_case.H, weights)
+        via_frame = frame_trace(frame, samples, weights)
         assert abs(via_frame - direct) < 1e-6
 
 
@@ -352,11 +353,12 @@ def test_frame_trace_gauge_invariant(generic_case):
         [generic_case.paths["+"], generic_case.paths["-"]], labels=("+", "-")
     )
     weights = generic_case.weights
-    base = frame_trace(frame, generic_case.H, weights)
+    samples = generic_case.H.sample(generic_case.grid.nodes)
+    base = frame_trace(frame, samples, weights)
     worst = 0.0
     for _ in range(50):
         g = GaugeFunction.random(("+", "-"), generic_case.grid.span, rng, scale=0.1)
-        value = frame_trace(apply_gauge(frame, g), generic_case.H, weights)
+        value = frame_trace(apply_gauge(frame, g), samples, weights)
         worst = max(worst, abs(value - base))
     assert worst < 1e-8
 

@@ -19,6 +19,7 @@ from phaselab.mixed import (
     density_from_ensemble,
     ensemble_from_density,
     evolve_density,
+    gauge_campaign,
     hidden_gauge_transform,
     interference_curve,
     mixed_dynamical_phase,
@@ -295,12 +296,66 @@ def test_transport_and_mixed_dynamical_phase_dim3():
     assert np.max(np.abs(strong_d - strong_reference(eigen.states))) < 1e-12
     assert abs(weak_d - weak_reference) < 1e-12
 
-    for rho in (rho0, random_density(rng, 3)):
+    other = random_density(rng, 3)
+    for rho, given in ((rho0, rho0), (rho0, ensemble), (other, other)):
         integrand = -1j * np.einsum("ab,jba->j", rho.matrix, D)
         expected = (integrand[1:-1].sum() + 0.5 * (integrand[0] + integrand[-1])).real
-        value, residual = mixed_dynamical_phase(rho, U, with_diagnostic=True)
+        value, residual = mixed_dynamical_phase(given, U, with_diagnostic=True)
         assert abs(value - expected * U.grid.dt) < 1e-12
         assert abs(residual - np.max(np.abs(integrand.imag))) < 1e-12
+
+
+def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
+    # the campaign reads the equivalence-class shifts off the rephased member
+    # paths of U' = U sum_k e^{i theta_k}|k><k| with H sampled once; here they
+    # come from the public functions on U' and the density matrix, drawing the
+    # gauges in the campaign's order (periodic, then ramped)
+    rng = np.random.default_rng(43)
+    A, B, C = (random_hermitian(rng, 3) for _ in range(3))
+
+    def batch(times):
+        t = np.asarray(times, dtype=float)[..., None, None]
+        return A + np.cos(t) * B + np.sin(2.0 * t) * C
+
+    H = HamiltonianTrajectory(3, evaluate=batch)
+    U = propagate(H, TimeGrid(0.0, 2.0, 400))
+    ensemble = Ensemble(np.array([0.5, 0.3, 0.2]), random_unitary(rng, 3).T.copy())
+    labels, trials, scale = ("a", "b", "c"), 6, 0.3
+    rho0 = density_from_ensemble(ensemble)
+    base_gamma, _ = mixed_total_phase(rho0, U.final)
+    base_dyn = mixed_dynamical_phase(rho0, U)
+    diag_UT = np.array([np.vdot(s, U.final @ s) for s in ensemble.states])
+    draws = np.random.default_rng(5)
+    mismatch_gamma = mismatch_dyn = naive_gamma = naive_dyn = 0.0
+    for _ in range(trials):
+        GaugeFunction.random(labels, U.grid.span, draws, scale=scale)
+        ramped = GaugeFunction.random(labels, U.grid.span, draws, scale=scale,
+                                      slope_scale=2.0 * scale)
+        U_prime = transform_evolution(U, ramped, ensemble)
+        theta_0, theta_T = ramped.value(0.0), ramped.value(U.grid.t_end)
+        gamma, _ = mixed_total_phase(rho0, U_prime.final)
+        predicted = np.angle(np.sum(ensemble.weights * diag_UT * np.exp(1j * theta_T)))
+        mismatch_gamma = max(mismatch_gamma, abs(wrap_angle(gamma - predicted)))
+        naive_gamma = max(naive_gamma, abs(wrap_angle(gamma - base_gamma)))
+        dyn = mixed_dynamical_phase(rho0, U_prime)
+        predicted = base_dyn + np.sum(ensemble.weights * (theta_T - theta_0))
+        mismatch_dyn = max(mismatch_dyn, abs(dyn - predicted))
+        naive_dyn = max(naive_dyn, abs(dyn - base_dyn))
+
+    samplings = []
+    sample = HamiltonianTrajectory.sample
+    monkeypatch.setattr(HamiltonianTrajectory, "sample",
+                        lambda self, times: samplings.append(1) or sample(self, times))
+    values = gauge_campaign(H, U, ensemble, labels, np.random.default_rng(5), trials, scale)
+    assert len(samplings) == 1
+    assert naive_gamma > 1e-3 and naive_dyn > 1e-3
+    for name, reference in (
+        ("max_total_phase_prediction_mismatch", mismatch_gamma),
+        ("max_dynamical_phase_prediction_mismatch", mismatch_dyn),
+        ("max_naive_total_phase_shift", naive_gamma),
+        ("max_naive_dynamical_phase_shift", naive_dyn),
+    ):
+        assert abs(values[name] - reference) < 1e-12, name
 
 
 def test_ensemble_from_density_round_trip():
