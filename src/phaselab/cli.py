@@ -31,8 +31,10 @@ linearly in between.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -416,9 +418,9 @@ def observables(sc: Scenario) -> Observables:
     paths = dict(zip(sc.labels, (amplitude_path(U, state) for state in sc.ensemble.states)))
     rho0 = density_from_ensemble(sc.ensemble)
     gamma_total, visibility = mixed_total_phase(rho0, U.final)
-    weak, strong, (gamma_d, _) = transport_conditions(sc.ensemble, U, with_dynamical_phase=True)
+    weak, strong, (gamma_d, _) = transport_conditions(sc.ensemble, U)
     samples = sc.H.sample(sc.grid.nodes)
-    reports = {label: phase_report(path, sc.H, samples) for label, path in paths.items()}
+    reports = {label: phase_report(path, samples) for label, path in paths.items()}
     phi_g = {label: geometric_phase_pure(path) for label, path in paths.items()}
     singh = singh_phase(sc.ensemble.weights, paths.values())
     return Observables(gamma_total, visibility, reports, phi_g, singh,
@@ -480,8 +482,10 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values):
         (index, float(value), replace(cfg, states=spin_model.BRANCHES, **{axis: float(value)}))
         for index, value in enumerate(values)
     ]
-    if cfg.workers > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # fork starts every worker at the first submit, so never more than rows or cores
+    workers = min(cfg.workers, len(points), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, points))
     else:
         rows = [_sweep_point(p) for p in points]
@@ -592,7 +596,9 @@ def _merge_flags(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfi
     return replace(cfg, **given)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `phaselab` parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="phaselab",
         description="Geometric phases of pure and mixed states: scenario runs, "

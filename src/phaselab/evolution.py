@@ -183,8 +183,19 @@ def _ordered_products(steps: np.ndarray) -> np.ndarray:
     return U
 
 
+def member_paths(U: PropagatorPath, states: np.ndarray) -> np.ndarray:
+    """psi_k(t_j) = U(t_j)|k> for the rows |k> of a (k, dim) array, as one
+    (nodes, dim, k) stack from one GEMM: the package's one U|k> kernel."""
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 2 or states.shape[1] != U.dim:
+        raise DimensionError(f"states have shape {states.shape}, expected (k, {U.dim})")
+    d = U.dim
+    return (U.matrices.reshape(-1, d) @ states.T).reshape(-1, d, states.shape[0])
+
+
 def amplitude_path(U: PropagatorPath, initial: np.ndarray) -> AmplitudePath:
-    """Schroedinger amplitude psi(t_j) = U(t_j) psi(0) for a normalized start."""
+    """Schroedinger amplitude psi(t_j) = U(t_j) psi(0) for a normalized start:
+    the one-column case of `member_paths`."""
     initial = np.asarray(initial, dtype=complex)
     if initial.shape != (U.dim,):
         raise DimensionError(
@@ -192,5 +203,4 @@ def amplitude_path(U: PropagatorPath, initial: np.ndarray) -> AmplitudePath:
         )
     if abs(np.linalg.norm(initial) - 1.0) > 1e-12:
         raise ContractError("initial state must be normalized to 1e-12")
-    states = np.einsum("jab,b->ja", U.matrices, initial)
-    return AmplitudePath(U.grid, states)
+    return AmplitudePath(U.grid, member_paths(U, initial[None, :])[..., 0])

@@ -8,7 +8,8 @@ exponential of connection-minus-energy integral) is invariant.  The geometric
 phase is the holonomy left over after parallel transporting the frame; the
 holonomy and parallel-transport kernels are `phases.holonomy_factor` and
 `phases.parallel_transport`, applied here to each frame member.  A
-`GaugeFunction` evaluates the phases of every label at once.
+`GaugeFunction` evaluates the phases of every label at once.  H comes in as
+its samples on the frame's grid nodes.
 """
 from __future__ import annotations
 
@@ -17,14 +18,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .evolution import AmplitudePath, HamiltonianTrajectory, TimeGrid
+from .evolution import AmplitudePath, TimeGrid
 from .exceptions import (
     ContractError,
     DimensionError,
     OrthogonalityCrossingError,
 )
 from .numerics import central_diff, cum_trapezoid, trapezoid
-from .phases import holonomy_factor, parallel_transport, state_connection, state_energies
+from .phases import (check_node_samples, holonomy_factor, parallel_transport, state_connection,
+                     state_energies)
 
 FRAME_ORTHO_TOL = 1e-8
 OVERLAP_FLOOR = 1e-10
@@ -252,6 +254,7 @@ def frame_trace(frame: BasisFrame, samples: np.ndarray, weights) -> complex:
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(frame.labels),):
         raise DimensionError("one weight per frame label required")
+    check_node_samples(samples, frame.grid, frame.dim)
     dt = frame.grid.dt
     return complex(sum(
         w * holonomy_factor(v, dt) * np.exp(-1j * trapezoid(state_energies(v, samples), dt))
@@ -259,14 +262,15 @@ def frame_trace(frame: BasisFrame, samples: np.ndarray, weights) -> complex:
     ))
 
 
-def amplitudes_from_frame(frame: BasisFrame, H: HamiltonianTrajectory) -> list[AmplitudePath]:
+def amplitudes_from_frame(frame: BasisFrame, samples: np.ndarray) -> list[AmplitudePath]:
     """Rebuild Schroedinger amplitudes from a frame whose effective Hamiltonian
-    is diagonal: psi_k(t) = v_k(t) exp{-i int (<v_k|H|v_k> - <v_k|i d/dt v_k>) dt}.
+    is diagonal: psi_k(t) = v_k(t) exp{-i int (<v_k|H|v_k> - <v_k|i d/dt v_k>) dt},
+    with `samples` the Hamiltonian on the frame's grid nodes.
 
     Under a frame gauge transform the output changes only by the constant
     phase e^{i alpha_k(0)} per member.
     """
-    samples = H.sample(frame.grid.nodes)
+    check_node_samples(samples, frame.grid, frame.dim)
     dt = frame.grid.dt
     out = []
     for v in frame.vectors:
@@ -275,11 +279,10 @@ def amplitudes_from_frame(frame: BasisFrame, H: HamiltonianTrajectory) -> list[A
     return out
 
 
-def effective_hamiltonian(frame: BasisFrame, H: HamiltonianTrajectory) -> EffectiveHamiltonianPath:
-    """Matrix elements <v_n|H|v_m> - <v_n| i d/dt v_m> at every node."""
-    if H.dim != frame.dim:
-        raise DimensionError(f"Hamiltonian dim {H.dim} != frame dim {frame.dim}")
-    samples = H.sample(frame.grid.nodes)
+def effective_hamiltonian(frame: BasisFrame, samples: np.ndarray) -> EffectiveHamiltonianPath:
+    """Matrix elements <v_n|H|v_m> - <v_n| i d/dt v_m> at every node, with
+    `samples` the Hamiltonian on the frame's grid nodes."""
+    check_node_samples(samples, frame.grid, frame.dim)
     v = frame.vectors
     dv = central_diff(np.swapaxes(v, 0, 1), frame.grid.dt)  # (steps+1, L, dim)
     vt = np.swapaxes(v, 0, 1)
@@ -288,18 +291,12 @@ def effective_hamiltonian(frame: BasisFrame, H: HamiltonianTrajectory) -> Effect
     return EffectiveHamiltonianPath(frame.grid, frame.labels, ham_part - conn_part)
 
 
-def check_universal_hamiltonian_constraint(
-    g: GaugeFunction, grid: TimeGrid | None = None, tol: float = 1e-10
-) -> bool:
-    """True iff all labels share one derivative function at every grid node.
+def check_universal_hamiltonian_constraint(g: GaugeFunction) -> bool:
+    """True iff all labels share one derivative function, to 1e-10 at 1025
+    uniform times over one period.
 
     Equal derivatives are exactly the gauges under which the per-path phase
     transforms can be absorbed into a single modified Hamiltonian.
     """
-    if grid is not None:
-        times = grid.nodes
-    else:
-        times = np.linspace(0.0, g.period, 1025)
-    derivs = g.derivative(times)
-    spread = np.max(np.abs(derivs - derivs[0:1]), initial=0.0)
-    return bool(spread <= tol)
+    derivs = g.derivative(np.linspace(0.0, g.period, 1025))
+    return bool(np.max(np.abs(derivs - derivs[0:1]), initial=0.0) <= 1e-10)

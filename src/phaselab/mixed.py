@@ -6,8 +6,9 @@ and the visibility |Tr[U(T) rho(0)]|.  Per-path phase transforms
 U -> U sum_k e^{i theta_k} |k><k| leave the density-matrix orbit fixed but
 shift both observables in a way computed here exactly; the Singh combination
 of endpoint overlaps and connection integrals is the invariant alternative.
-Transport conditions, mixed dynamical phase and `gauge_campaign` read the
-member paths psi_k = U|k>, which a per-path transform maps to e^{i theta_k} psi_k.
+Transport conditions, mixed dynamical phase and `gauge_campaign` read the member
+paths psi_k = U|k> (`evolution.member_paths`), which a per-path transform maps to
+e^{i theta_k} psi_k; one `transport_conditions` call gives both residuals and gamma_D.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evolution import AmplitudePath, HamiltonianTrajectory, PropagatorPath
+from .evolution import AmplitudePath, HamiltonianTrajectory, PropagatorPath, member_paths
 from .exceptions import (
     CapacityError,
     ContractError,
@@ -156,14 +157,6 @@ def interference_curve(rho0: DensityMatrix, U_T: np.ndarray, chi_nodes) -> np.nd
     return 1.0 + abs(tr) * np.cos(chi - np.angle(tr))
 
 
-def _member_paths(ensemble: Ensemble, U: PropagatorPath) -> np.ndarray:
-    """psi_k(t_j) = U(t_j)|k> as one (nodes, dim, k) stack, from one GEMM."""
-    if ensemble.dim != U.dim:
-        raise DimensionError("state dimension does not match the propagator")
-    d = U.dim
-    return (U.matrices.reshape(-1, d) @ ensemble.states.T).reshape(-1, d, ensemble.size)
-
-
 def _dynamical(weighted: np.ndarray, dt: float):
     """(gamma_D, largest |imaginary part| of its integrand) from i times that integrand,
     the weighted overlaps sum_k w_k <psi_k|d psi_k/dt> per node."""
@@ -183,7 +176,7 @@ def transform_evolution(
         raise DimensionError("one gauge label per basis state required")
     # U' = U + sum_k (e^{i theta_k} - 1) psi_k <k| over the member paths psi_k = U|k>,
     # so U' is exactly U wherever theta vanishes
-    psi = _member_paths(basis, U) * np.expm1(1j * theta.value(U.grid.nodes)).T[:, None, :]
+    psi = member_paths(U, basis.states) * np.expm1(1j * theta.value(U.grid.nodes)).T[:, None, :]
     delta = psi.reshape(-1, basis.size) @ np.conj(basis.states)
     return PropagatorPath(U.grid, U.matrices + delta.reshape(U.matrices.shape), identity_start=False)
 
@@ -225,7 +218,7 @@ def gauge_campaign(
     """
     grid = U.grid
     weights = ensemble.weights
-    psi = _member_paths(ensemble, U)  # (nodes, dim, k)
+    psi = member_paths(U, ensemble.states)  # (nodes, dim, k)
     paths = [AmplitudePath(grid, v) for v in np.moveaxis(psi, -1, 0)]
     rho0 = density_from_ensemble(ensemble)
     samples = H.sample(grid.nodes)
@@ -256,7 +249,7 @@ def gauge_campaign(
 
         ramped = draw(2.0 * gauge_scale)
         U_prime = transform_evolution(U, ramped, ensemble)
-        shifted = _member_paths(ensemble, U_prime)  # e^{i theta_k} psi_k
+        shifted = member_paths(U_prime, ensemble.states)  # e^{i theta_k} psi_k
         singh = singh_phase(weights, [AmplitudePath(grid, v) for v in np.moveaxis(shifted, -1, 0)])
         dev_singh = max(dev_singh, abs(wrap_angle(singh - base_singh)))
 
@@ -286,34 +279,29 @@ def gauge_campaign(
     }
 
 
-def transport_conditions(
-    rho0: DensityMatrix | Ensemble, U: PropagatorPath, with_dynamical_phase: bool = False
-):
-    """(weak residual, per-state strong residuals) of the transport conditions.
+def transport_conditions(rho0: DensityMatrix | Ensemble, U: PropagatorPath):
+    """(weak, per-state strong residuals, (gamma_D, residual)) from one set of overlaps.
 
     weak: max_j |Tr rho0 U^dagger dU/dt|; strong: per k, max_j of
     |<k| U^dagger dU/dt |k>| (equal to the energy expectation along psi_k).
-    A DensityMatrix input is diagonalized deterministically first.  The weak
-    integrand is i times that of gamma_D; with_dynamical_phase=True appends
-    `mixed_dynamical_phase(..., with_diagnostic=True)` from the same overlaps.
+    The weak integrand is i times that of gamma_D (`mixed_dynamical_phase`), whose
+    residual is the largest |imaginary part| of that integrand, a discretization
+    artifact.  A DensityMatrix input is diagonalized deterministically first.
     """
     ensemble = rho0 if isinstance(rho0, Ensemble) else ensemble_from_density(rho0)
     # <k|U^dagger dU|k> = <psi_k|d psi_k> for psi_k = U|k>, by linearity
-    per_state = derivative_overlaps(_member_paths(ensemble, U), U.grid.dt)
+    per_state = derivative_overlaps(member_paths(U, ensemble.states), U.grid.dt)
     trace = per_state @ ensemble.weights  # Tr rho0 U^dagger dU/dt per node
     weak, strong = float(np.max(np.abs(trace))), np.max(np.abs(per_state), axis=0)
-    return (weak, strong, _dynamical(trace, U.grid.dt)) if with_dynamical_phase else (weak, strong)
+    return weak, strong, _dynamical(trace, U.grid.dt)
 
 
-def mixed_dynamical_phase(
-    rho0: DensityMatrix | Ensemble, U: PropagatorPath, with_diagnostic: bool = False
-):
+def mixed_dynamical_phase(rho0: DensityMatrix | Ensemble, U: PropagatorPath) -> float:
     """gamma_D = -i int sum_k w_k <psi_k|d psi_k/dt> dt (= -i int Tr[rho0 U^dagger dU/dt] dt),
-    real part, psi_k = U|k>; a DensityMatrix is diagonalized first.  The imaginary
-    residual of the integrand, a discretization artifact, comes with with_diagnostic=True.
+    real part, psi_k = U|k>; a DensityMatrix is diagonalized first.  Its diagnostic
+    residual is the last item of `transport_conditions`.
     """
-    value, residual = transport_conditions(rho0, U, with_dynamical_phase=True)[2]
-    return (value, residual) if with_diagnostic else value
+    return transport_conditions(rho0, U)[2][0]
 
 
 def reduce(pure: PurifiedState) -> DensityMatrix:

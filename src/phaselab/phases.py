@@ -5,6 +5,8 @@ the dynamical phase is phi_D = -int <psi|H|psi> dt, and the geometric phase
 is their difference, equivalently the argument of the holonomy
 <psi(0), psi(T)> exp[i int <psi| i d/dt psi> dt].  Reported angles are
 wrapped to (-pi, pi]; accumulated integrals (the dynamical phase) are not.
+Except in `adiabatic_phase`, H comes in as its node samples `H.sample(grid.nodes)`,
+whose shape `check_node_samples` checks.
 
 The kernels on raw state stacks (derivative overlaps <v|dv/dt>, connection,
 energy expectation, holonomy factor, parallel transport) serve the pure-state
@@ -65,6 +67,13 @@ def state_connection(states: np.ndarray, dt: float) -> np.ndarray:
     return -derivative_overlaps(states, dt).imag
 
 
+def check_node_samples(samples: np.ndarray, grid: TimeGrid, dim: int) -> None:
+    """Raise DimensionError unless `samples` has the shape of H on the grid nodes."""
+    expected = (grid.steps + 1, dim, dim)
+    if np.shape(samples) != expected:
+        raise DimensionError(f"H samples have shape {np.shape(samples)}, expected {expected}")
+
+
 def state_energies(states: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """<v(t_j)| H(t_j) |v(t_j)>, real part, for states (nodes, dim) and H samples."""
     return np.einsum("ja,jab,jb->j", np.conj(states), samples, states).real
@@ -92,20 +101,11 @@ def path_connection(psi: AmplitudePath) -> np.ndarray:
     return state_connection(psi.states, psi.grid.dt)
 
 
-def dynamical_phase(
-    psi: AmplitudePath, H: HamiltonianTrajectory, samples: np.ndarray | None = None
-) -> float:
-    """phi_D = -int <psi|H|psi> dt by the trapezoidal rule (unwrapped).
-
-    `samples` are H sampled on psi's grid nodes; paths that share a grid pass
-    one `H.sample(grid.nodes)` instead of sampling H again for each path.
-    """
-    if H.dim != psi.dim:
-        raise DimensionError(f"Hamiltonian dim {H.dim} != path dim {psi.dim}")
-    if samples is None:
-        samples = H.sample(psi.grid.nodes)
-    energies = state_energies(psi.states, samples)
-    return float(-trapezoid(energies, psi.grid.dt))
+def dynamical_phase(psi: AmplitudePath, samples: np.ndarray) -> float:
+    """phi_D = -int <psi|H|psi> dt by the trapezoidal rule (unwrapped), from
+    `samples`, H on psi's grid nodes (shape (steps + 1, dim, dim))."""
+    check_node_samples(samples, psi.grid, psi.dim)
+    return float(-trapezoid(state_energies(psi.states, samples), psi.grid.dt))
 
 
 def geometric_phase_pure(psi: AmplitudePath) -> float:
@@ -124,13 +124,11 @@ def transport_residual(psi: AmplitudePath) -> float:
     return float(np.max(np.abs(derivative_overlaps(psi.states, psi.grid.dt)[1:-1])))
 
 
-def phase_report(
-    psi: AmplitudePath, H: HamiltonianTrajectory, samples: np.ndarray | None = None
-) -> PhaseReport:
+def phase_report(psi: AmplitudePath, samples: np.ndarray) -> PhaseReport:
     """Total, dynamical and geometric phase of one path; `samples` as in
     `dynamical_phase`."""
     angle, magnitude = total_phase(psi)
-    dyn = dynamical_phase(psi, H, samples)
+    dyn = dynamical_phase(psi, samples)
     return PhaseReport(
         total=angle,
         dynamical=dyn,

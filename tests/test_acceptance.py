@@ -236,7 +236,7 @@ def test_criterion_4_hidden_gauge_invariance():
 
 def test_criterion_5_special_case():
     case = build_spin_case(1.0, 4.0, 2.0 * np.pi / 3, big_theta=np.pi / 2, steps=BASE_STEPS)
-    _, strong = transport_conditions(case.ensemble, case.U)
+    _, strong, _ = transport_conditions(case.ensemble, case.U)
     rho0 = density_from_ensemble(case.ensemble)
     dyn = mixed_dynamical_phase(rho0, case.U)
     gamma, vis = mixed_total_phase(rho0, case.U.final)

@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: commands, config grammar, exit codes, determinism."""
+import functools
 import json
 
 import numpy as np
@@ -284,6 +285,46 @@ def test_sweep_workers_match_serial(tmp_path):
     assert run([*args, "--out", str(serial)]) == 0
     assert run([*args, "--workers", "3", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("values, cores, expected", [("1,2", 8, 2), ("1,2,3", 2, 2), ("1,2", 1, None)])
+def test_sweep_pool_bounded_by_rows_and_cores(values, cores, expected, monkeypatch, capsys):
+    args = ["sweep", "--axis", "theta", "--values", values, "--steps", "50"]
+    assert run(args) == 0
+    serial = capsys.readouterr().out
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(SerialPool, sizes))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    assert run([*args, "--workers", "10000"]) == 0
+    assert capsys.readouterr().out == serial
+    assert sizes == ([expected] if expected else [])
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    cli.build_parser.cache_clear()
+    assert run(["purify-demo"]) == 0
+    first = capsys.readouterr().out
+    assert run(["purify-demo", "--dim", "3"]) == 0
+    assert "schmidt_coefficient,2," in capsys.readouterr().out
+    assert run(["purify-demo"]) == 0
+    assert capsys.readouterr().out == first
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_verify_gauge_deterministic_and_invariant(tmp_path):

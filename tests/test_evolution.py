@@ -1,4 +1,6 @@
 """Propagator contracts: oracle agreement, convergence order, invariants."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from phaselab import (
     propagate,
     spin_model,
 )
+from phaselab.cli import build_scenario, parse_config_file
+from phaselab.evolution import member_paths
 from phaselab.exceptions import ContractError, DimensionError
 from phaselab.linalg import hermitian_step_exp, mat_exp, unitarity_defect
 
@@ -167,3 +171,33 @@ def test_amplitude_path_rejects_bad_initial(generic_case):
         amplitude_path(generic_case.U, np.array([1.0, 1.0]))
     with pytest.raises(DimensionError):
         amplitude_path(generic_case.U, np.array([1.0, 0.0, 0.0]))
+
+
+def test_amplitude_path_is_the_one_column_member_path(generic_case):
+    # amplitude_path is member_paths on one column, so those match bitwise; numpy
+    # runs a one-column product as a matrix-vector BLAS call, whose rounding may
+    # differ from the k-column GEMM's by about one ulp
+    states = generic_case.ensemble.states
+    stack = member_paths(generic_case.U, states)
+    for k, state in enumerate(states):
+        path = amplitude_path(generic_case.U, state).states
+        assert np.array_equal(path, member_paths(generic_case.U, state[None, :])[..., 0])
+        assert np.max(np.abs(path - stack[..., k])) <= np.finfo(float).eps
+
+
+def test_amplitude_path_matches_member_paths_dim3_custom(monkeypatch):
+    # the golden dim-3 custom-sampled scenario, whose states are basis vectors
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    sc = build_scenario(parse_config_file("custom.cfg"))
+    U = propagate(sc.H, sc.grid)
+    stack = member_paths(U, sc.ensemble.states)
+    assert stack.shape == (801, 3, 3)
+    for k, state in enumerate(sc.ensemble.states):
+        assert np.array_equal(amplitude_path(U, state).states, stack[..., k])
+
+
+def test_member_paths_rejects_wrong_width(generic_case):
+    with pytest.raises(DimensionError):
+        member_paths(generic_case.U, np.eye(3, dtype=complex))
+    with pytest.raises(DimensionError):
+        member_paths(generic_case.U, np.array([1.0, 0.0]))

@@ -26,6 +26,7 @@ from phaselab.gauge import (
     parallel_transport_frame,
 )
 from phaselab.numerics import wrap_angle
+from phaselab.phases import dynamical_phase, phase_report
 
 from conftest import w_frame
 
@@ -285,7 +286,8 @@ def test_holonomy_gauge_invariant(generic_case):
 
 def test_effective_hamiltonian_v_frame_matches_matrix(generic_case):
     p = generic_case.p
-    eff = effective_hamiltonian(v_frame(p, generic_case.grid), generic_case.H)
+    samples = generic_case.H.sample(generic_case.grid.nodes)
+    eff = effective_hamiltonian(v_frame(p, generic_case.grid), samples)
     expected = np.array(
         [
             [-p.mu_b - 0.5 * (1 + np.cos(p.theta)) * p.omega, -0.5 * np.sin(p.theta) * p.omega],
@@ -297,7 +299,8 @@ def test_effective_hamiltonian_v_frame_matches_matrix(generic_case):
 
 
 def test_effective_hamiltonian_w_frame_is_diagonal(generic_case):
-    eff = effective_hamiltonian(w_frame(generic_case.p, generic_case.grid), generic_case.H)
+    samples = generic_case.H.sample(generic_case.grid.nodes)
+    eff = effective_hamiltonian(w_frame(generic_case.p, generic_case.grid), samples)
     off = np.abs(eff.matrices[1:-1, 0, 1])
     assert np.max(off) < 1e-6
     diag = eff.matrices[1:-1, 0, 0].real
@@ -313,7 +316,7 @@ def test_effective_hamiltonian_w_frame_diagonal_across_sweep():
     for _ in range(20):
         p = SpinParams(rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0), rng.uniform(0.05, np.pi - 0.05))
         grid = TimeGrid(0.0, p.period, 12000)
-        eff = effective_hamiltonian(w_frame(p, grid), spin_model.hamiltonian(p))
+        eff = effective_hamiltonian(w_frame(p, grid), spin_model.hamiltonian(p).sample(grid.nodes))
         assert np.max(np.abs(eff.matrices[1:-1, 0, 1])) < 1e-6
 
 
@@ -324,8 +327,33 @@ def test_effective_hamiltonian_constant_eigenframe():
     vectors[1, :, 1] = 1.0
     frame = BasisFrame(grid, (0, 1), vectors)
     H = spin_model.hamiltonian(SpinParams(1.5, 1.0, 0.0))  # -1.5 sigma_z: diag(-1.5, 1.5)
-    eff = effective_hamiltonian(frame, H)
+    eff = effective_hamiltonian(frame, H.sample(grid.nodes))
     assert np.max(np.abs(eff.matrices - np.diag([-1.5, 1.5])[None])) < 1e-10
+
+
+# the functionals that take H as its node samples check their shape
+SAMPLE_CALLS = {
+    "dynamical_phase": lambda case, frame, samples: dynamical_phase(case.paths["+"], samples),
+    "phase_report": lambda case, frame, samples: phase_report(case.paths["+"], samples),
+    "amplitudes_from_frame": lambda case, frame, samples: amplitudes_from_frame(frame, samples),
+    "effective_hamiltonian": lambda case, frame, samples: effective_hamiltonian(frame, samples),
+    "frame_trace": lambda case, frame, samples: frame_trace(frame, samples, case.weights),
+}
+WRONG_SAMPLES = {
+    "one node short": lambda samples: samples[:-1],
+    "wrong dim": lambda samples: np.zeros((samples.shape[0], 3, 3), dtype=complex),
+    "one matrix": lambda samples: samples[0],
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(WRONG_SAMPLES))
+@pytest.mark.parametrize("name", sorted(SAMPLE_CALLS))
+def test_node_sample_shape_is_checked(generic_case, name, wrong):
+    frame = w_frame(generic_case.p, generic_case.grid)
+    samples = generic_case.H.sample(generic_case.grid.nodes)
+    SAMPLE_CALLS[name](generic_case, frame, samples)  # the right shape passes
+    with pytest.raises(DimensionError):
+        SAMPLE_CALLS[name](generic_case, frame, WRONG_SAMPLES[wrong](samples))
 
 
 # -------------------------------------------------------------- trace formula
@@ -369,12 +397,12 @@ def test_amplitudes_from_frame_hidden_gauge_invariance():
     rng = np.random.default_rng(29)
     p = SpinParams(1.0, 1.0, np.pi / 3)
     grid = TimeGrid(0.0, p.period, 100000)
-    H = spin_model.hamiltonian(p)
+    samples = spin_model.hamiltonian(p).sample(grid.nodes)
     paths = spin_model.amplitude_paths(p, grid)
     frame = frame_from_amplitudes(paths, labels=("+", "-"))
-    base = amplitudes_from_frame(frame, H)
+    base = amplitudes_from_frame(frame, samples)
     g = GaugeFunction.random(("+", "-"), grid.span, rng, scale=0.1, slope_scale=0.2)
-    shifted = amplitudes_from_frame(apply_gauge(frame, g), H)
+    shifted = amplitudes_from_frame(apply_gauge(frame, g), samples)
     for alpha0, before, after in zip(g.value(0.0), base, shifted):
         overlaps = np.einsum("ja,ja->j", np.conj(after.states), before.states)
         assert np.max(np.abs(np.abs(overlaps) - 1.0)) < 1e-8
@@ -388,7 +416,7 @@ def test_amplitudes_from_frame_recovers_paths(generic_case):
     frame = frame_from_amplitudes(
         [generic_case.paths["+"], generic_case.paths["-"]], labels=("+", "-")
     )
-    rebuilt = amplitudes_from_frame(frame, generic_case.H)
+    rebuilt = amplitudes_from_frame(frame, generic_case.H.sample(generic_case.grid.nodes))
     for label, path in zip(("+", "-"), rebuilt):
         diff = np.max(np.abs(path.states - generic_case.paths[label].states))
         assert diff < 1e-6

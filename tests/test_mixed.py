@@ -149,7 +149,8 @@ def test_mixed_dynamical_phase_constant_hamiltonian():
 
     path = PropagatorPath(grid, U)
     expected = -np.trace(rho.matrix @ E).real * T
-    value, residual = mixed_dynamical_phase(rho, path, with_diagnostic=True)
+    value = mixed_dynamical_phase(rho, path)
+    _, _, (_, residual) = transport_conditions(rho, path)
     assert value == pytest.approx(expected, abs=1e-7)
     assert residual < 1e-7
 
@@ -163,7 +164,8 @@ def test_mixed_dynamical_phase_linearity(generic_case):
     rho = density_from_ensemble(generic_case.ensemble)
     value = mixed_dynamical_phase(rho, generic_case.U)
     parts = [
-        dynamical_phase(generic_case.paths[b], generic_case.H) for b in "+-"
+        dynamical_phase(generic_case.paths[b], generic_case.H.sample(generic_case.grid.nodes))
+        for b in "+-"
     ]
     expected = generic_case.weights[0] * parts[0] + generic_case.weights[1] * parts[1]
     assert value == pytest.approx(expected, abs=1e-6)
@@ -245,14 +247,14 @@ def test_singh_phase_equals_total_phase_at_special_point(special_case):
 
 
 def test_transport_conditions_special_case(special_case):
-    weak, strong = transport_conditions(special_case.ensemble, special_case.U)
+    weak, strong, _ = transport_conditions(special_case.ensemble, special_case.U)
     assert np.max(strong) < 1e-6
     assert weak < 1e-6
 
 
 def test_transport_conditions_generic(generic_case):
     p = generic_case.p
-    weak, strong = transport_conditions(generic_case.ensemble, generic_case.U)
+    weak, strong, _ = transport_conditions(generic_case.ensemble, generic_case.U)
     expected = p.mu_b * abs(np.cos(p.alpha))
     assert np.max(strong) == pytest.approx(expected, rel=1e-4)
     assert weak <= float(np.dot(generic_case.weights, strong)) + 1e-10
@@ -260,8 +262,8 @@ def test_transport_conditions_generic(generic_case):
 
 def test_transport_conditions_accepts_density_matrix(generic_case):
     rho0 = density_from_ensemble(generic_case.ensemble)
-    weak_e, strong_e = transport_conditions(generic_case.ensemble, generic_case.U)
-    weak_d, strong_d = transport_conditions(rho0, generic_case.U)
+    weak_e, strong_e, _ = transport_conditions(generic_case.ensemble, generic_case.U)
+    weak_d, strong_d, _ = transport_conditions(rho0, generic_case.U)
     assert weak_d == pytest.approx(weak_e, abs=1e-10)
     assert np.allclose(sorted(strong_d), sorted(strong_e), atol=1e-8)
 
@@ -287,11 +289,11 @@ def test_transport_and_mixed_dynamical_phase_dim3():
         return np.max(np.abs(per_state), axis=0)
 
     weak_reference = np.max(np.abs(np.einsum("ab,jba->j", rho0.matrix, D)))
-    weak, strong = transport_conditions(ensemble, U)
+    weak, strong, _ = transport_conditions(ensemble, U)
     assert strong.shape == (2,)
     assert np.max(np.abs(strong - strong_reference(ensemble.states))) < 1e-12
     assert abs(weak - weak_reference) < 1e-12
-    weak_d, strong_d = transport_conditions(rho0, U)
+    weak_d, strong_d, _ = transport_conditions(rho0, U)
     eigen = ensemble_from_density(rho0)
     assert np.max(np.abs(strong_d - strong_reference(eigen.states))) < 1e-12
     assert abs(weak_d - weak_reference) < 1e-12
@@ -300,7 +302,8 @@ def test_transport_and_mixed_dynamical_phase_dim3():
     for rho, given in ((rho0, rho0), (rho0, ensemble), (other, other)):
         integrand = -1j * np.einsum("ab,jba->j", rho.matrix, D)
         expected = (integrand[1:-1].sum() + 0.5 * (integrand[0] + integrand[-1])).real
-        value, residual = mixed_dynamical_phase(given, U, with_diagnostic=True)
+        value = mixed_dynamical_phase(given, U)
+        _, _, (_, residual) = transport_conditions(given, U)
         assert abs(value - expected * U.grid.dt) < 1e-12
         assert abs(residual - np.max(np.abs(integrand.imag))) < 1e-12
 

@@ -80,17 +80,20 @@ def test_total_phase_undefined_for_orthogonal_endpoints():
 def test_dynamical_phase_eigenstate():
     E, T = 1.3, 4.0
     H = constant_trajectory(np.diag([E, -E]).astype(complex))
-    assert dynamical_phase(eigenstate_path(E, T), H) == pytest.approx(-E * T, abs=1e-10)
+    path = eigenstate_path(E, T)
+    assert dynamical_phase(path, H.sample(path.grid.nodes)) == pytest.approx(-E * T, abs=1e-10)
 
 
 def test_dynamical_phase_vanishes_at_special_point(special_case):
-    assert abs(dynamical_phase(special_case.paths["+"], special_case.H)) < 1e-8
+    samples = special_case.H.sample(special_case.grid.nodes)
+    assert abs(dynamical_phase(special_case.paths["+"], samples)) < 1e-8
 
 
 def test_dynamical_phase_generic_golden(generic_case):
     p = generic_case.p
     expected = p.mu_b * np.cos(p.alpha) * p.period
-    assert dynamical_phase(generic_case.paths["+"], generic_case.H) == pytest.approx(
+    samples = generic_case.H.sample(generic_case.grid.nodes)
+    assert dynamical_phase(generic_case.paths["+"], samples) == pytest.approx(
         expected, abs=1e-7
     )
     # second form: -i int <psi, d/dt psi> equals the energy integral up to the
@@ -146,7 +149,7 @@ def test_identity_geometric_equals_total_minus_dynamical():
         H = spin_model.hamiltonian(p)
         for path in spin_model.amplitude_paths(p, grid):
             angle, _ = total_phase(path)
-            dyn = dynamical_phase(path, H)
+            dyn = dynamical_phase(path, H.sample(grid.nodes))
             identity = wrap_angle(angle - dyn)
             assert abs(wrap_angle(geometric_phase_pure(path) - identity)) < 1e-8
 
@@ -157,7 +160,7 @@ def test_identity_on_propagated_paths(generic_case, special_case):
         for branch in "+-":
             path = case.paths[branch]
             angle, _ = total_phase(path)
-            dyn = dynamical_phase(path, case.H)
+            dyn = dynamical_phase(path, case.H.sample(case.grid.nodes))
             identity = wrap_angle(angle - dyn)
             assert abs(wrap_angle(geometric_phase_pure(path) - identity)) < 2e-6
 
@@ -209,7 +212,7 @@ def test_raw_path_transport_residual_matches_energy(generic_case):
 
 
 def test_phase_report_identity(generic_case):
-    report = phase_report(generic_case.paths["+"], generic_case.H)
+    report = phase_report(generic_case.paths["+"], generic_case.H.sample(generic_case.grid.nodes))
     assert report.geometric == pytest.approx(
         float(wrap_angle(report.total - report.dynamical)), abs=1e-12
     )
