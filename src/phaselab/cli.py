@@ -95,6 +95,8 @@ SWEEP_COLUMNS = (
     "interference",
 )
 
+RECORD_COLUMNS = ("observable", "label", "value")
+
 
 class ConfigError(PhaseLabError, ValueError):
     """Scenario configuration is malformed; carries a location hint."""
@@ -244,7 +246,7 @@ def load_sampled_hamiltonian(path: str, t_end: float) -> HamiltonianTrajectory:
         raise ConfigError(
             f"{path}: expected {steps + 1} sample rows, found {len(lines) - 1}"
         )
-    samples = np.empty((steps + 1, dim, dim), dtype=complex)
+    rows = []
     for j, line in enumerate(lines[1:], start=2):
         try:
             values = np.array([float(v) for v in line.split()])
@@ -254,7 +256,10 @@ def load_sampled_hamiltonian(path: str, t_end: float) -> HamiltonianTrajectory:
             raise ConfigError(
                 f"{path}:{j}: expected {2 * dim * dim} numbers, found {values.size}"
             )
-        samples[j - 2] = (values[0::2] + 1j * values[1::2]).reshape(dim, dim)
+        rows.append(values)
+    # stacked once every row has the header's width, so a bad dim allocates nothing
+    rows = np.array(rows)
+    samples = (rows[:, 0::2] + 1j * rows[:, 1::2]).reshape(steps + 1, dim, dim)
     if not (np.all(np.isfinite(samples.real)) and np.all(np.isfinite(samples.imag))):
         raise ConfigError(f"{path}: non-finite entries")
     # the propagator's own criterion (HamiltonianTrajectory.sample)
@@ -289,7 +294,9 @@ class Scenario:
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
-    cfg = validate_config(cfg)
+    """The scenario of a config that `validate_config` has accepted; callers
+    validate where a config enters (`main`, and `run_sweep` for every point).
+    State selectors are checked here, against the model's dimension."""
     if cfg.model == "spin":
         params = spin_model.SpinParams(cfg.mu_b, cfg.omega, cfg.theta, cfg.big_theta)
         t_end = params.period if cfg.horizon == "one-period" else float(cfg.t_end)
@@ -324,16 +331,6 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
                     params=params)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
-    return str(value)
-
-
 def _json_value(value):
     if isinstance(value, bool):
         return value
@@ -344,29 +341,26 @@ def _json_value(value):
     return value
 
 
-def write_records(records, header: dict, cfg: ScenarioConfig) -> str:
-    """Serialize (observable, label, value) records as CSV or JSON text."""
-    if cfg.format == "json":
-        payload = {
-            "header": {key: _json_value(val) for key, val in header.items()},
-            "records": [
-                {"observable": name, "label": label, "value": _json_value(value)}
-                for name, label, value in records
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    return write_table(("observable", "label", "value"), records, header, cfg)
+def _fmt(value) -> str:
+    value = _json_value(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
 
 
 def write_table(columns, rows, header: dict, cfg: ScenarioConfig) -> str:
+    """Serialize rows under `columns` as CSV or JSON text.  In JSON, records
+    (the RECORD_COLUMNS table) go under "records"; any other table goes under
+    "columns" and "rows"."""
     if cfg.format == "json":
-        payload = {
-            "header": {key: _json_value(val) for key, val in header.items()},
-            "columns": list(columns),
-            "rows": [
-                {col: _json_value(val) for col, val in zip(columns, row)} for row in rows
-            ],
-        }
+        table = [{col: _json_value(val) for col, val in zip(columns, row)} for row in rows]
+        payload = {"header": {key: _json_value(val) for key, val in header.items()}}
+        if tuple(columns) == RECORD_COLUMNS:
+            payload["records"] = table
+        else:
+            payload.update(columns=list(columns), rows=table)
         return json.dumps(payload, indent=2) + "\n"
     lines = [f"# {key} = {_fmt(val)}" for key, val in header.items()]
     lines.append(",".join(columns))
@@ -477,9 +471,11 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values):
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     cfg = validate_config(cfg)
-    # every row carries both branches, whichever states the config names
+    # every row carries both branches, whichever states the config names; each
+    # point is validated here, so a bad value fails before any point runs
     points = [
-        (index, float(value), replace(cfg, states=spin_model.BRANCHES, **{axis: float(value)}))
+        (index, float(value),
+         validate_config(replace(cfg, states=spin_model.BRANCHES, **{axis: float(value)})))
         for index, value in enumerate(values)
     ]
     # fork starts every worker at the first submit, so never more than rows or cores
@@ -660,17 +656,18 @@ def main(argv=None) -> int:
         cfg = parse_config_file(args.config) if getattr(args, "config", None) else ScenarioConfig()
         cfg = _merge_flags(cfg, args)
         if args.command == "sweep":
+            columns = SWEEP_COLUMNS
             rows, header = run_sweep(cfg, args.axis, _sweep_values(args))
-            _emit(write_table(SWEEP_COLUMNS, rows, header, cfg), cfg)
         else:
             cfg = validate_config(cfg)
+            columns = RECORD_COLUMNS
             if args.command == "purify-demo":
-                records, header = run_purify_demo(cfg, args.dim)
+                rows, header = run_purify_demo(cfg, args.dim)
             else:
                 run = {"simulate": run_scenario, "verify-gauge": run_verify_gauge,
                        "spin-report": run_spin_report}[args.command]
-                records, header = run(cfg)
-            _emit(write_records(records, header, cfg), cfg)
+                rows, header = run(cfg)
+        _emit(write_table(columns, rows, header, cfg), cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

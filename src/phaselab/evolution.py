@@ -91,22 +91,19 @@ class HamiltonianTrajectory:
 
 @dataclass(frozen=True)
 class PropagatorPath:
-    """Unitaries U(t_j) on a grid, with U(t_0) = I exactly.
+    """Unitaries U(t_j) on a grid, checked for shape and unitarity.
 
-    Gauge-transformed evolutions (which legitimately start at a non-identity
-    diagonal phase matrix) set identity_start=False to skip the anchor check.
+    `propagate` builds every path from U(t_0) = I exactly; a gauge-transformed
+    evolution (`mixed.transform_evolution`) starts at a diagonal phase matrix.
     """
 
     grid: TimeGrid
     matrices: np.ndarray  # (steps + 1, dim, dim)
-    identity_start: bool = True
 
     def __post_init__(self):
         U = np.asarray(self.matrices)
         if U.ndim != 3 or U.shape[0] != self.grid.steps + 1 or U.shape[1] != U.shape[2]:
             raise DimensionError(f"propagator stack has shape {U.shape}")
-        if self.identity_start and not np.array_equal(U[0], np.eye(U.shape[1], dtype=complex)):
-            raise ContractError("U(t_0) must be the identity exactly")
         defect = unitarity_defect(U)
         if defect > UNITARITY_TOL:
             raise ContractError(f"propagator not unitary: defect {defect:.3e}")

@@ -1,22 +1,18 @@
-"""Small dense complex linear algebra: matrix exponentials, Hermitian
+"""Small dense complex linear algebra: the step exponential, Hermitian
 eigendecomposition with a deterministic phase convention, and structure
 diagnostics.
 
-Two exponentials are provided.  `hermitian_step_exp` computes exp(-i dt H)
-for a batch of Hermitian generators, in closed form for 2x2 generators and
-from one batched eigendecomposition otherwise; the propagator uses it for
-every step.  `mat_exp` is a general fixed-order Taylor kernel under scaling
-and squaring that accepts any square matrix.  Both batch over leading axes and
-reproduce bit-identical results run to run, which the golden tests rely on.
+`hermitian_step_exp` computes exp(-i dt H) for a batch of Hermitian
+generators, in closed form for 2x2 generators and from one batched
+eigendecomposition otherwise; the propagator uses it for every step.  It
+batches over leading axes and reproduces bit-identical results run to run,
+which the golden tests rely on.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import ContractError, DimensionError, NumericError
-
-_TAYLOR_ORDER = 20
-_SCALING_THRESHOLD = 0.5
+from .exceptions import ContractError, DimensionError
 
 
 def _as_square(M, name: str = "matrix") -> np.ndarray:
@@ -57,32 +53,6 @@ def require_hermitian(M, tol: float = 1e-12, name: str = "matrix") -> np.ndarray
             f"exceeds {tol:.1e} * max(||M||_F, 1)"
         )
     return M
-
-
-def mat_exp(M) -> np.ndarray:
-    """exp(M) by scaling-and-squaring around a fixed-order Taylor kernel.
-
-    Accepts a single (d, d) matrix or a batch (..., d, d); the scaling power
-    is chosen from the largest Frobenius norm in the batch so the whole batch
-    follows one deterministic code path.
-    """
-    M = _as_square(M)
-    if not (np.all(np.isfinite(M.real)) and np.all(np.isfinite(M.imag))):
-        raise NumericError("matrix exponential of non-finite entries")
-    norm = frobenius_norm(M)
-    squarings = 0
-    if norm > _SCALING_THRESHOLD:
-        squarings = int(np.ceil(np.log2(norm / _SCALING_THRESHOLD)))
-    A = M / (2.0**squarings)
-    eye = np.broadcast_to(np.eye(A.shape[-1], dtype=complex), A.shape)
-    out = eye.copy()
-    term = eye.copy()
-    for k in range(1, _TAYLOR_ORDER + 1):
-        term = term @ A / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
 
 
 def hermitian_step_exp(H, dt: float) -> np.ndarray:

@@ -149,12 +149,14 @@ def mixed_total_phase(rho0: DensityMatrix, U_T: np.ndarray):
 
 
 def interference_curve(rho0: DensityMatrix, U_T: np.ndarray, chi_nodes) -> np.ndarray:
-    """1 + v cos(chi - gamma_T) per node; zero visibility gives the flat curve."""
+    """1 + v cos(chi - gamma_T) per node, with (gamma_T, v) from `mixed_total_phase`;
+    zero visibility gives the flat curve."""
     chi = np.asarray(chi_nodes, dtype=float)
-    tr = complex(np.trace(np.asarray(U_T, dtype=complex) @ rho0.matrix))
-    if abs(tr) < TRACE_FLOOR:
+    try:
+        gamma_total, visibility = mixed_total_phase(rho0, U_T)
+    except UndefinedPhaseError:
         return np.ones_like(chi)
-    return 1.0 + abs(tr) * np.cos(chi - np.angle(tr))
+    return 1.0 + visibility * np.cos(chi - gamma_total)
 
 
 def _dynamical(weighted: np.ndarray, dt: float):
@@ -178,7 +180,7 @@ def transform_evolution(
     # so U' is exactly U wherever theta vanishes
     psi = member_paths(U, basis.states) * np.expm1(1j * theta.value(U.grid.nodes)).T[:, None, :]
     delta = psi.reshape(-1, basis.size) @ np.conj(basis.states)
-    return PropagatorPath(U.grid, U.matrices + delta.reshape(U.matrices.shape), identity_start=False)
+    return PropagatorPath(U.grid, U.matrices + delta.reshape(U.matrices.shape))
 
 
 def singh_phase(weights, paths: Sequence[AmplitudePath]) -> float:

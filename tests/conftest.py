@@ -1,4 +1,6 @@
-"""Shared builders for the test suite: spin scenarios, random matrices."""
+"""Shared builders for the test suite: spin scenarios, random matrices, and
+`mat_exp`, the Taylor exponential that serves as the independent oracle for
+the library's step exponentials and propagators."""
 from __future__ import annotations
 
 from types import SimpleNamespace
@@ -8,13 +10,47 @@ import pytest
 from hypothesis import settings
 
 from phaselab import SpinParams, TimeGrid, amplitude_path, propagate, spin_model
+from phaselab.exceptions import DimensionError, NumericError
 from phaselab.gauge import BasisFrame
+from phaselab.linalg import frobenius_norm
 from phaselab.mixed import DensityMatrix, Ensemble
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic.
 settings.register_profile("phaselab", derandomize=True, database=None, deadline=None)
 settings.load_profile("phaselab")
+
+_TAYLOR_ORDER = 20
+_SCALING_THRESHOLD = 0.5
+
+
+def mat_exp(M) -> np.ndarray:
+    """exp(M) by scaling-and-squaring around a fixed-order Taylor kernel.
+
+    Accepts a single (d, d) matrix or a batch (..., d, d); the scaling power
+    is chosen from the largest Frobenius norm in the batch so the whole batch
+    follows one deterministic code path.  It shares no code with
+    `linalg.hermitian_step_exp`, which the tests compare against it.
+    """
+    M = np.asarray(M, dtype=complex)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise DimensionError(f"matrix must be square, got shape {M.shape}")
+    if not (np.all(np.isfinite(M.real)) and np.all(np.isfinite(M.imag))):
+        raise NumericError("matrix exponential of non-finite entries")
+    norm = frobenius_norm(M)
+    squarings = 0
+    if norm > _SCALING_THRESHOLD:
+        squarings = int(np.ceil(np.log2(norm / _SCALING_THRESHOLD)))
+    A = M / (2.0**squarings)
+    eye = np.broadcast_to(np.eye(A.shape[-1], dtype=complex), A.shape)
+    out = eye.copy()
+    term = eye.copy()
+    for k in range(1, _TAYLOR_ORDER + 1):
+        term = term @ A / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:

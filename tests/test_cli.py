@@ -210,6 +210,21 @@ def test_sampled_file_validation(tmp_path, capsys):
     assert "sample rows" in capsys.readouterr().err
 
 
+def test_sampled_file_row_width_checked_before_allocation(tmp_path, capsys):
+    # a stack of the header's dim would take about 300 GiB; the rows' width
+    # must be rejected before any such array is built
+    huge = tmp_path / "huge.txt"
+    huge.write_text("dim 100000 steps 1\n" + "1 0 0 0 0 0 1 0\n" * 2)
+    config = tmp_path / "c.cfg"
+    config.write_text(
+        f"model = custom-sampled\nhamiltonian_file = {huge}\nhorizon = explicit\n"
+        "t_end = 1.0\nsteps = 100\nweights = 1.0\nstates = 0\n"
+    )
+    assert run(["simulate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"{huge}:2" in err and "expected" in err
+
+
 def test_sampled_file_that_loads_runs(tmp_path):
     # every row is Hermitian only to 1e-11, which passes the loader's test
     # because of the spike's norm at node 3; the 10-step grid never samples
@@ -314,6 +329,21 @@ def test_sweep_pool_bounded_by_rows_and_cores(values, cores, expected, monkeypat
     assert run([*args, "--workers", "10000"]) == 0
     assert capsys.readouterr().out == serial
     assert sizes == ([expected] if expected else [])
+
+
+@pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
+def test_sweep_validates_every_point_before_any_runs(workers, monkeypatch, capsys):
+    # omega = 0 leaves the one-period horizon undefined; the point list is
+    # validated as it is built, so no point runs and no pool is started
+    calls, sizes = [], []
+    observables = cli.observables
+    monkeypatch.setattr(cli, "observables", lambda sc: calls.append(sc) or observables(sc))
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(SerialPool, sizes))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    args = ["sweep", "--axis", "omega", "--values", "1,0", "--steps", "100", *workers]
+    assert run(args) == 2
+    assert "'omega'" in capsys.readouterr().err
+    assert calls == [] and sizes == []
 
 
 def test_reused_parser_keeps_no_state(capsys):

@@ -15,9 +15,9 @@ from phaselab import (
 from phaselab.cli import build_scenario, parse_config_file
 from phaselab.evolution import member_paths
 from phaselab.exceptions import ContractError, DimensionError
-from phaselab.linalg import hermitian_step_exp, mat_exp, unitarity_defect
+from phaselab.linalg import hermitian_step_exp, unitarity_defect
 
-from conftest import random_hermitian
+from conftest import mat_exp, random_hermitian
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 

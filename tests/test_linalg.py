@@ -8,11 +8,10 @@ from phaselab.linalg import (
     hermitian_eigen,
     hermitian_step_exp,
     hermiticity_defect,
-    mat_exp,
     unitarity_defect,
 )
 
-from conftest import random_hermitian, random_unitary
+from conftest import mat_exp, random_hermitian, random_unitary
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 

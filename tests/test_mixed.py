@@ -11,7 +11,6 @@ from phaselab.exceptions import (
     UndefinedPhaseError,
 )
 from phaselab.gauge import GaugeFunction
-from phaselab.linalg import mat_exp
 from phaselab.mixed import (
     DensityMatrix,
     Ensemble,
@@ -33,7 +32,7 @@ from phaselab.mixed import (
 from phaselab.numerics import central_diff, wrap_angle
 from phaselab.phases import dynamical_phase, geometric_phase_pure
 
-from conftest import random_density, random_hermitian, random_unitary
+from conftest import mat_exp, random_density, random_hermitian, random_unitary
 
 
 def test_density_from_single_state():
@@ -128,6 +127,15 @@ def test_interference_curve_shapes():
     rho_mixed = DensityMatrix(np.eye(4, dtype=complex) / 4)
     U = np.diag([1.0, 1j, -1.0, -1j])
     assert np.allclose(interference_curve(rho_mixed, U, chi), 1.0)
+
+
+def test_interference_curve_rejects_wrong_shape():
+    # the curve takes Tr[U_T rho0] from mixed_total_phase, so it shares its checks
+    rho = DensityMatrix(np.eye(3, dtype=complex) / 3)
+    chi = np.linspace(-np.pi, np.pi, 5)
+    for U_T in (np.eye(2, dtype=complex), np.eye(3, dtype=complex)[None]):
+        with pytest.raises(DimensionError):
+            interference_curve(rho, U_T, chi)
 
 
 def test_interference_curve_reproduces_spin_formula(generic_case):

@@ -1,0 +1,11 @@
+"""The README's library example runs as written, so the documented API stays honest."""
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], f"{README}:python", "exec"), {"__name__": "readme_example"})
