@@ -5,17 +5,16 @@ U(t_j): the midpoint-exponential product (lowest-order Magnus).  Every factor
 is the exponential of a skew-Hermitian matrix, so unitarity is preserved by
 construction and the global error is second order in dt.
 
-Each step exponential of the Hermitian midpoint samples comes from
-`linalg.hermitian_step_exp`: a closed form for two-level systems, a batched
-eigendecomposition for larger ones.  The ordered product is a blocked prefix
-product: the steps are cut into blocks of floor(sqrt(N)) steps, the running
-product inside every block is formed for all blocks at once, and one carry
-pass over the blocks gives every U(t_j).  The block size depends on N alone,
-so the output is byte-deterministic.
+`propagate` reads: sample H at the midpoints (validated finite and
+Hermitian), the step exponentials (`linalg.hermitian_step_exp`: a closed form
+for two-level systems, a batched eigendecomposition for larger ones), their
+running products (`linalg.ordered_products`: a blocked prefix product whose
+2x2 products are written elementwise), and the `PropagatorPath` check that
+every U(t_j) is unitary to `UNITARITY_TOL`.  U(t_0) = I exactly, and the
+output is byte-deterministic.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -23,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ContractError, DimensionError, NumericError
-from .linalg import hermitian_step_exp, require_hermitian, unitarity_defect
+from .linalg import hermitian_step_exp, ordered_products, require_hermitian, unitarity_defect
 
 UNITARITY_TOL = 1e-9
 NORM_TOL = 1e-9
@@ -105,7 +104,7 @@ class PropagatorPath:
         if U.ndim != 3 or U.shape[0] != self.grid.steps + 1 or U.shape[1] != U.shape[2]:
             raise DimensionError(f"propagator stack has shape {U.shape}")
         defect = unitarity_defect(U)
-        if defect > UNITARITY_TOL:
+        if not defect <= UNITARITY_TOL:  # a NaN defect fails too
             raise ContractError(f"propagator not unitary: defect {defect:.3e}")
 
     @property
@@ -130,7 +129,7 @@ class AmplitudePath:
             raise DimensionError(f"state stack has shape {psi.shape}")
         norms = np.linalg.norm(psi, axis=1)
         worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > NORM_TOL:
+        if not worst <= NORM_TOL:
             raise ContractError(f"amplitude path not normalized: |norm-1| up to {worst:.3e}")
 
     @property
@@ -150,34 +149,7 @@ def propagate(H: HamiltonianTrajectory, grid: TimeGrid) -> PropagatorPath:
     """Integrate the time-ordered exponential of -i H(t) over the grid."""
     samples = H.sample(grid.midpoints)
     steps = hermitian_step_exp(samples, grid.dt)
-    return PropagatorPath(grid, _ordered_products(steps))
-
-
-def _ordered_products(steps: np.ndarray) -> np.ndarray:
-    """Running products I, S_0, S_1 S_0, ..., S_{N-1} ... S_0 of N steps.
-
-    Blocked prefix product: blocks of floor(sqrt(N)) steps, the last padded
-    with identities, are scanned together (one matmul per position in a
-    block), then one pass carries each block's total into the next.
-    """
-    n, dim = steps.shape[0], steps.shape[-1]
-    eye = np.eye(dim, dtype=complex)
-    block = math.isqrt(n)
-    blocks = -(-n // block)
-    scan = np.empty((blocks * block, dim, dim), dtype=complex)
-    scan[:n] = steps
-    scan[n:] = eye
-    scan = scan.reshape(blocks, block, dim, dim)
-    for k in range(1, block):
-        scan[:, k] = scan[:, k] @ scan[:, k - 1]
-    carry = np.empty((blocks, dim, dim), dtype=complex)
-    carry[0] = eye
-    for m in range(1, blocks):
-        carry[m] = scan[m - 1, -1] @ carry[m - 1]
-    U = np.empty((n + 1, dim, dim), dtype=complex)
-    U[0] = eye
-    U[1:] = (scan @ carry[:, None]).reshape(-1, dim, dim)[:n]
-    return U
+    return PropagatorPath(grid, ordered_products(steps))
 
 
 def member_paths(U: PropagatorPath, states: np.ndarray) -> np.ndarray:

@@ -42,12 +42,12 @@ class DensityMatrix:
         rho = np.asarray(self.matrix, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise DimensionError(f"density matrix must be square, got {rho.shape}")
-        if hermiticity_defect(rho) > 1e-10:
+        if not hermiticity_defect(rho) <= 1e-10:
             raise ContractError("density matrix not Hermitian to 1e-10")
-        if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
+        if not (abs(np.trace(rho).real - 1.0) <= 1e-10 and abs(np.trace(rho).imag) <= 1e-10):
             raise ContractError(f"density matrix trace {np.trace(rho):.12g} != 1")
         eigenvalues = np.linalg.eigvalsh(rho)
-        if np.min(eigenvalues) < -1e-10:
+        if not np.min(eigenvalues) >= -1e-10:
             raise ContractError(
                 f"density matrix has negative eigenvalue {np.min(eigenvalues):.3e}"
             )
@@ -69,12 +69,12 @@ class Ensemble:
         s = np.asarray(self.states, dtype=complex)
         if w.ndim != 1 or s.ndim != 2 or s.shape[0] != w.shape[0]:
             raise DimensionError("ensemble weights and states are inconsistent")
-        if np.min(w) < 0.0:
-            raise ContractError("ensemble weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not np.min(w) >= 0.0:
+            raise ContractError("ensemble weights must be finite and nonnegative")
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise ContractError(f"ensemble weights sum to {w.sum():.15g}, not 1")
         gram = np.conj(s) @ s.T
-        if np.max(np.abs(gram - np.eye(s.shape[0]))) > 1e-10:
+        if not np.max(np.abs(gram - np.eye(s.shape[0]))) <= 1e-10:
             raise ContractError("ensemble states must be orthonormal to 1e-10")
 
     @property

@@ -1,11 +1,16 @@
 """End-to-end CLI behavior: commands, config grammar, exit codes, determinism."""
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from phaselab import cli
+from phaselab.exceptions import ContractError
 
 
 def run(argv):
@@ -157,6 +162,14 @@ def sampled_file(tmp_path, dim, steps, matrix_fn):
     path = tmp_path / "hamiltonian.txt"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+@pytest.mark.parametrize("flag, value", [("--omega", "1e-300"), ("--mu-b", "1e200")])
+def test_overflowing_scenario_raises_instead_of_printing_nan(flag, value):
+    # the overflowed step exponentials give a NaN unitarity defect, which
+    # must fail the propagator's check rather than reach the output
+    with np.errstate(all="ignore"), pytest.raises(ContractError):
+        run(["simulate", flag, value, "--steps", "20"])
 
 
 def test_custom_sampled_model(tmp_path):
@@ -428,3 +441,15 @@ def test_purify_demo(tmp_path):
     values = {r["observable"]: r["value"] for r in payload["records"] if r["label"] == ""}
     assert float(values["round_trip_error"]) < 1e-10
     assert float(values["hidden_gauge_shift"]) < 1e-12
+
+
+def test_python_dash_m_phaselab_runs_cleanly(capsys):
+    # `python -m phaselab` is the module entry point; with warnings as
+    # errors it must print exactly what the in-process call prints
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "phaselab", "spin-report"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert run(["spin-report"]) == 0
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == capsys.readouterr().out

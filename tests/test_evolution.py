@@ -13,7 +13,7 @@ from phaselab import (
     spin_model,
 )
 from phaselab.cli import build_scenario, parse_config_file
-from phaselab.evolution import member_paths
+from phaselab.evolution import AmplitudePath, PropagatorPath, member_paths
 from phaselab.exceptions import ContractError, DimensionError
 from phaselab.linalg import hermitian_step_exp, unitarity_defect
 
@@ -114,25 +114,30 @@ def test_piecewise_constant_is_exact_per_segment():
     assert np.max(np.abs(U.final - expected)) < 1e-12
 
 
-@pytest.mark.parametrize("steps", [1, 2, 3, 37, 20000])
-def test_blocked_product_matches_sequential_loop(steps):
+@pytest.mark.parametrize(
+    "steps, dim",
+    # dim 3 runs the np.matmul path of the product kernel, dim 2 its elementwise path
+    [pytest.param(steps, 3, id=f"{steps}") for steps in (1, 2, 3, 37, 20000)]
+    + [pytest.param(steps, 2, id=f"dim2-{steps}") for steps in (1, 2, 3, 37, 20000)],
+)
+def test_blocked_product_matches_sequential_loop(steps, dim):
     # non-commuting generators, so a wrong factor order would show
     rng = np.random.default_rng(43)
-    A, B, C = (random_hermitian(rng, 3) for _ in range(3))
+    A, B, C = (random_hermitian(rng, dim) for _ in range(3))
 
     def batch(times):
         times = np.asarray(times)[:, None, None]
         return np.cos(times) * A + np.sin(3.0 * times) * B + C
 
-    H = HamiltonianTrajectory(3, evaluate=batch)
+    H = HamiltonianTrajectory(dim, evaluate=batch)
     grid = TimeGrid(0.0, 2.0, steps)
     U = propagate(H, grid).matrices
     factors = hermitian_step_exp(H.sample(grid.midpoints), grid.dt)
     expected = np.empty_like(U)
-    expected[0] = np.eye(3)
+    expected[0] = np.eye(dim)
     for j in range(steps):
         expected[j + 1] = factors[j] @ expected[j]
-    assert np.array_equal(U[0], np.eye(3, dtype=complex))
+    assert np.array_equal(U[0], np.eye(dim, dtype=complex))
     assert np.max(np.abs(U - expected)) < 1e-10
     assert propagate(H, grid).matrices.tobytes() == U.tobytes()
 
@@ -142,6 +147,15 @@ def test_rejects_non_hermitian_evaluation():
     H = HamiltonianTrajectory(2, evaluate=lambda times: np.broadcast_to(bad, (len(times), 2, 2)))
     with pytest.raises(ContractError):
         propagate(H, TimeGrid(0.0, 1.0, 16))
+
+
+def test_paths_reject_nan():
+    # NaN compares false with every tolerance, so `defect > tol` would pass it
+    grid = TimeGrid(0.0, 1.0, 2)
+    with pytest.raises(ContractError):
+        PropagatorPath(grid, np.full((3, 2, 2), np.nan, dtype=complex))
+    with pytest.raises(ContractError):
+        AmplitudePath(grid, np.full((3, 2), np.nan, dtype=complex))
 
 
 def test_amplitude_path_eigenstate():

@@ -5,9 +5,12 @@ from hypothesis import given, strategies as st
 
 from phaselab.exceptions import ContractError, DimensionError, NumericError
 from phaselab.linalg import (
+    _matmul,
+    frobenius_norm,
     hermitian_eigen,
     hermitian_step_exp,
     hermiticity_defect,
+    require_hermitian,
     unitarity_defect,
 )
 
@@ -194,6 +197,49 @@ def test_eigen_rejects_non_hermitian():
 def test_unitarity_defect_values():
     assert unitarity_defect(np.eye(4)) == 0.0
     assert abs(unitarity_defect(2.0 * np.eye(2)) - 3.0 * np.sqrt(2)) < 1e-14
+
+
+def random_stack(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_stacked_product_kernel_matches_matmul(dim):
+    # the shapes of the blocked prefix product: the scan and the carry, then
+    # the final (blocks, block) x (blocks, 1) broadcast
+    rng = np.random.default_rng(53)
+    blocks, block = 7, 5
+    pairs = [
+        (random_stack(rng, (blocks, dim, dim)), random_stack(rng, (blocks, dim, dim))),
+        (random_stack(rng, (dim, dim)), random_stack(rng, (dim, dim))),
+        (random_stack(rng, (blocks, block, dim, dim)), random_stack(rng, (blocks, 1, dim, dim))),
+    ]
+    scan = random_stack(rng, (blocks, block, dim, dim))
+    pairs.append((scan[:, 3], scan[:, 2]))  # strided views, as the scan reads them
+    for a, b in pairs:
+        expected = np.matmul(a, b)
+        got = _matmul(a, b)
+        assert got.shape == expected.shape
+        if dim == 2:
+            assert np.max(np.abs(got - expected)) < 1e-14
+        else:
+            assert np.array_equal(got, expected)
+
+
+def test_unitarity_defect_of_two_level_stacks_matches_matmul():
+    rng = np.random.default_rng(59)
+    unitary = np.stack([random_unitary(rng, 2) for _ in range(40)])
+    for scale in (0.0, 1e-12, 1e-6, 1.0):
+        U = unitary + scale * random_stack(rng, unitary.shape)
+        expected = frobenius_norm(np.matmul(np.conj(np.swapaxes(U, -2, -1)), U) - np.eye(2))
+        assert abs(unitarity_defect(U) - expected) <= 1e-15 + 1e-13 * expected
+
+
+def test_nan_fails_the_hermiticity_check():
+    nan = np.full((3, 2, 2), np.nan, dtype=complex)
+    with pytest.raises(ContractError):
+        require_hermitian(nan)
+    assert np.isnan(unitarity_defect(nan))  # so callers compare it as `not defect <= tol`
 
 
 def test_hermiticity_defect():

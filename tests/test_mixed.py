@@ -129,6 +129,13 @@ def test_interference_curve_shapes():
     assert np.allclose(interference_curve(rho_mixed, U, chi), 1.0)
 
 
+def test_ensemble_and_density_reject_nan():
+    with pytest.raises(ContractError):
+        Ensemble(weights=[np.nan, np.nan], states=np.eye(2))
+    with pytest.raises(ContractError):
+        DensityMatrix(np.full((2, 2), np.nan, dtype=complex))
+
+
 def test_interference_curve_rejects_wrong_shape():
     # the curve takes Tr[U_T rho0] from mixed_total_phase, so it shares its checks
     rho = DensityMatrix(np.eye(3, dtype=complex) / 3)
