@@ -31,6 +31,8 @@ linearly in between.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import ctypes.util
 import functools
 import json
 import math
@@ -43,22 +45,30 @@ from pathlib import Path
 import numpy as np
 
 from . import spin_model
-from .evolution import HERMITICITY_TOL, HamiltonianTrajectory, TimeGrid, amplitude_path, propagate
+from .evolution import (
+    HERMITICITY_TOL,
+    AmplitudePath,
+    HamiltonianTrajectory,
+    PropagatorPath,
+    TimeGrid,
+    member_paths,
+    propagate,
+)
 from .exceptions import ContractError, PhaseLabError, UndefinedPhaseError
 from .linalg import require_hermitian
 from .mixed import (
     DensityMatrix,
     Ensemble,
+    conditions_from_overlaps,
     density_from_ensemble,
     gauge_campaign,
     hidden_gauge_transform,
     mixed_total_phase,
     purify,
     reduce as reduce_purified,
-    singh_phase,
-    transport_conditions,
+    singh_from_holonomies,
 )
-from .phases import geometric_phase_pure, phase_report
+from .phases import derivative_overlaps, holonomy_from_overlaps, report_from_overlaps
 
 DEFAULT_STEPS = 20000
 MIN_STEPS = 10
@@ -96,6 +106,11 @@ SWEEP_COLUMNS = (
 )
 
 RECORD_COLUMNS = ("observable", "label", "value")
+
+# glibc's mallopt parameters (malloc.h) and the value `_retain_heap` gives both
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_RETAIN_BYTES = 32 << 20
 
 
 class ConfigError(PhaseLabError, ValueError):
@@ -406,17 +421,42 @@ class Observables:
     transport_strong: np.ndarray  # one residual per label
 
 
+def _propagate(sc: Scenario) -> PropagatorPath:
+    """`propagate`, with a failed check on H or on U reported as bad input:
+    a grid too coarse for the field, or parameters that overflow it."""
+    try:
+        return propagate(sc.H, sc.grid)
+    except ContractError as exc:
+        raise ConfigError(
+            f"field 'steps': the scenario cannot be propagated at {sc.cfg.steps} steps "
+            f"({exc}); use more steps or stay in the documented box "
+            "mu_b, omega in [0.1, 10], theta in (0, pi)"
+        ) from exc
+
+
 def observables(sc: Scenario) -> Observables:
-    """Propagate the scenario once and evaluate every phase observable on it."""
-    U = propagate(sc.H, sc.grid)
-    paths = dict(zip(sc.labels, (amplitude_path(U, state) for state in sc.ensemble.states)))
+    """Propagate the scenario once and evaluate every phase observable on it.
+
+    The member paths psi_k = U|k> are formed once, as one stack, and so are
+    their derivative overlaps <psi_k|d psi_k/dt>; every phase is read off
+    those two arrays by the kernels behind the per-path library functions.
+    """
+    U = _propagate(sc)
+    dt = sc.grid.dt
+    psi = member_paths(U, sc.ensemble.states)  # (nodes, dim, k)
+    overlaps = derivative_overlaps(psi, dt)  # (nodes, k)
     rho0 = density_from_ensemble(sc.ensemble)
     gamma_total, visibility = mixed_total_phase(rho0, U.final)
-    weak, strong, (gamma_d, _) = transport_conditions(sc.ensemble, U)
+    weak, strong, (gamma_d, _) = conditions_from_overlaps(overlaps, sc.ensemble.weights, dt)
     samples = sc.H.sample(sc.grid.nodes)
-    reports = {label: phase_report(path, samples) for label, path in paths.items()}
-    phi_g = {label: geometric_phase_pure(path) for label, path in paths.items()}
-    singh = singh_phase(sc.ensemble.weights, paths.values())
+    reports, holonomies = {}, {}
+    # one contiguous row of overlaps per path, so its sums run pairwise as in
+    # the per-path functions
+    for label, states, per_path in zip(sc.labels, np.moveaxis(psi, -1, 0), overlaps.T.copy()):
+        reports[label] = report_from_overlaps(AmplitudePath(sc.grid, states), per_path, samples)
+        holonomies[label] = holonomy_from_overlaps(states, per_path, dt)
+    phi_g = {label: float(np.angle(h)) for label, h in holonomies.items()}
+    singh = singh_from_holonomies(sc.ensemble.weights, holonomies.values())
     return Observables(gamma_total, visibility, reports, phi_g, singh,
                        gamma_d, weak, strong)
 
@@ -499,7 +539,7 @@ def run_verify_gauge(cfg: ScenarioConfig):
     sc = build_scenario(cfg)
     if len(sc.labels) != sc.H.dim:
         raise ConfigError("verify-gauge needs a complete state basis (both branches)")
-    values = gauge_campaign(sc.H, propagate(sc.H, sc.grid), sc.ensemble, sc.labels,
+    values = gauge_campaign(sc.H, _propagate(sc), sc.ensemble, sc.labels,
                             np.random.default_rng(cfg.seed), cfg.trials, cfg.gauge_scale)
     records = [(name, "", value) for name, value in values.items()]
     header = scenario_header(cfg, "verify-gauge")
@@ -649,7 +689,34 @@ def _sweep_values(args: argparse.Namespace) -> list:
         raise ConfigError(f"flag '{flag}': {exc}") from exc
 
 
+@functools.cache
+def _retain_heap() -> None:
+    """Keep freed heap memory mapped between scenarios (glibc; a no-op elsewhere).
+
+    By default glibc serves arrays above its mmap threshold from fresh
+    mappings and trims the heap top once a few hundred kB are free, so every
+    20000-step scenario page-faulted about 1800 pages (7 MB) back in.  Both
+    thresholds are set to 32 MB: well above one scenario's working set (a few
+    MB at 20000-40000 steps), so its arrays reuse the same pages, and the
+    upper limit that mallopt(3) documents for the mmap threshold on 64-bit
+    systems.  Larger arrays are still mapped and returned as before.  Run
+    once per process, from `main`.
+    """
+    name = ctypes.util.find_library("c")
+    if name is None:
+        return
+    try:
+        mallopt = ctypes.CDLL(name).mallopt
+    except (OSError, AttributeError):  # not loadable, or a C library without mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_RETAIN_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_RETAIN_BYTES)
+
+
 def main(argv=None) -> int:
+    _retain_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

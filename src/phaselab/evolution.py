@@ -170,6 +170,6 @@ def amplitude_path(U: PropagatorPath, initial: np.ndarray) -> AmplitudePath:
         raise DimensionError(
             f"initial state has shape {initial.shape}, expected ({U.dim},)"
         )
-    if abs(np.linalg.norm(initial) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(initial) - 1.0) <= 1e-12:
         raise ContractError("initial state must be normalized to 1e-12")
     return AmplitudePath(U.grid, member_paths(U, initial[None, :])[..., 0])

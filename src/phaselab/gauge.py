@@ -152,7 +152,7 @@ class BasisFrame:
         gram = np.einsum("kja,lja->jkl", np.conj(v), v)
         eye = np.eye(len(self.labels))
         worst = float(np.max(np.abs(gram - eye)))
-        if worst > FRAME_ORTHO_TOL:
+        if not worst <= FRAME_ORTHO_TOL:
             raise ContractError(f"frame not orthonormal: deviation {worst:.3e}")
 
     @property
@@ -199,7 +199,7 @@ def frame_from_amplitudes(paths: Sequence[AmplitudePath], labels=None) -> BasisF
     if len(labels) != len(paths):
         raise DimensionError("one label per path required")
     gram0 = np.array([[np.vdot(a.initial, b.initial) for b in paths] for a in paths])
-    if np.max(np.abs(gram0 - np.eye(len(paths)))) > 1e-10:
+    if not np.max(np.abs(gram0 - np.eye(len(paths)))) <= 1e-10:
         raise ContractError("amplitude paths must be orthonormal at t = 0")
     stacked = []
     for path in paths:

@@ -9,6 +9,9 @@ of endpoint overlaps and connection integrals is the invariant alternative.
 Transport conditions, mixed dynamical phase and `gauge_campaign` read the member
 paths psi_k = U|k> (`evolution.member_paths`), which a per-path transform maps to
 e^{i theta_k} psi_k; one `transport_conditions` call gives both residuals and gamma_D.
+`conditions_from_overlaps` and `singh_from_holonomies` are the kernels behind
+`transport_conditions` and `singh_phase`, for callers that hold the member
+paths' derivative overlaps or holonomy factors already.
 """
 from __future__ import annotations
 
@@ -97,7 +100,7 @@ class PurifiedState:
         if a.ndim != 2:
             raise DimensionError("purified state coefficients must be a 2-D array")
         total = float(np.sum(np.abs(a) ** 2))
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ContractError(f"purified state norm^2 = {total:.15g}, not 1")
 
     @property
@@ -129,7 +132,7 @@ def evolve_density(rho0: DensityMatrix, U: np.ndarray) -> DensityMatrix:
     U = np.asarray(U, dtype=complex)
     if U.shape != (rho0.dim, rho0.dim):
         raise DimensionError(f"unitary shape {U.shape} != density dim {rho0.dim}")
-    if unitarity_defect(U) > 1e-10:
+    if not unitarity_defect(U) <= 1e-10:
         raise ContractError("evolution matrix not unitary to 1e-10")
     return DensityMatrix(U @ rho0.matrix @ np.conj(U.T))
 
@@ -192,14 +195,22 @@ def singh_phase(weights, paths: Sequence[AmplitudePath]) -> float:
     paths = list(paths)
     if weights.shape != (len(paths),):
         raise DimensionError("one weight per path required")
-    if abs(weights.sum() - 1.0) > 1e-12:
+    if not abs(weights.sum() - 1.0) <= 1e-12:
         raise ContractError("weights must be normalized")
     gram0 = np.array([[np.vdot(a.initial, b.initial) for b in paths] for a in paths])
-    if np.max(np.abs(gram0 - np.eye(len(paths)))) > 1e-10:
+    if not np.max(np.abs(gram0 - np.eye(len(paths)))) <= 1e-10:
         raise ContractError("paths must be orthonormal at t = 0")
     if any(path.grid != paths[0].grid for path in paths):
         raise DimensionError("paths live on different grids")
-    total = sum(w * holonomy_factor(path.states, path.grid.dt) for w, path in zip(weights, paths))
+    return singh_from_holonomies(
+        weights, [holonomy_factor(path.states, path.grid.dt) for path in paths]
+    )
+
+
+def singh_from_holonomies(weights, holonomies) -> float:
+    """`singh_phase` from the paths' `holonomy_factor`s, for weights and paths
+    that meet its checks (an `Ensemble`'s member paths U|k> do)."""
+    total = sum(w * h for w, h in zip(weights, holonomies))
     if abs(total) < TRACE_FLOOR:
         raise UndefinedPhaseError("Singh-phase sum has vanishing magnitude")
     return float(np.angle(total))
@@ -293,9 +304,15 @@ def transport_conditions(rho0: DensityMatrix | Ensemble, U: PropagatorPath):
     ensemble = rho0 if isinstance(rho0, Ensemble) else ensemble_from_density(rho0)
     # <k|U^dagger dU|k> = <psi_k|d psi_k> for psi_k = U|k>, by linearity
     per_state = derivative_overlaps(member_paths(U, ensemble.states), U.grid.dt)
-    trace = per_state @ ensemble.weights  # Tr rho0 U^dagger dU/dt per node
+    return conditions_from_overlaps(per_state, ensemble.weights, U.grid.dt)
+
+
+def conditions_from_overlaps(per_state: np.ndarray, weights: np.ndarray, dt: float):
+    """`transport_conditions` from the member paths' derivative overlaps
+    (nodes, k), as `derivative_overlaps` gives them, and the ensemble weights."""
+    trace = per_state @ weights  # Tr rho0 U^dagger dU/dt per node
     weak, strong = float(np.max(np.abs(trace))), np.max(np.abs(per_state), axis=0)
-    return weak, strong, _dynamical(trace, U.grid.dt)
+    return weak, strong, _dynamical(trace, dt)
 
 
 def mixed_dynamical_phase(rho0: DensityMatrix | Ensemble, U: PropagatorPath) -> float:
@@ -338,7 +355,7 @@ def purify(
         W = np.asarray(ancilla_unitary, dtype=complex)
         if W.shape != (ancilla_dim, ancilla_dim):
             raise DimensionError("ancilla unitary has the wrong shape")
-        if unitarity_defect(W) > 1e-10:
+        if not unitarity_defect(W) <= 1e-10:
             raise ContractError("ancilla transform must be unitary")
         a = a @ W
     return PurifiedState(a)

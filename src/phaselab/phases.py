@@ -13,6 +13,9 @@ energy expectation, holonomy factor, parallel transport) serve the pure-state
 functionals here, the frame holonomies of `gauge` and every time-dependent
 mixed-state functional of `mixed`; `derivative_overlaps` is the one
 central-difference estimator, so another estimator changes it only.
+`holonomy_from_overlaps` and `report_from_overlaps` are the kernels behind
+`holonomy_factor` and `phase_report`, taking the overlaps as computed, so one
+`derivative_overlaps` call on a (nodes, dim, k) stack serves k paths.
 """
 from __future__ import annotations
 
@@ -85,7 +88,13 @@ def holonomy_factor(states: np.ndarray, dt: float) -> complex:
     Its argument is the geometric phase of the path; it is unchanged by any
     time-dependent rephasing v -> e^{i alpha(t)} v.
     """
-    phase = trapezoid(state_connection(states, dt), dt)
+    return holonomy_from_overlaps(states, derivative_overlaps(states, dt), dt)
+
+
+def holonomy_from_overlaps(states: np.ndarray, overlaps: np.ndarray, dt: float) -> complex:
+    """`holonomy_factor` of a state stack (nodes, dim) from its derivative
+    overlaps (nodes,), as `derivative_overlaps` gives them."""
+    phase = trapezoid(-overlaps.imag, dt)  # the integrated connection
     return complex(np.vdot(states[0], states[-1]) * np.exp(1j * phase))
 
 
@@ -121,12 +130,22 @@ def parallel_transport_amplitude(psi: AmplitudePath) -> AmplitudePath:
 
 def transport_residual(psi: AmplitudePath) -> float:
     """max over interior nodes of |<psi, d psi/dt>| (zero iff parallel transported)."""
-    return float(np.max(np.abs(derivative_overlaps(psi.states, psi.grid.dt)[1:-1])))
+    return _interior_max(derivative_overlaps(psi.states, psi.grid.dt))
+
+
+def _interior_max(overlaps: np.ndarray) -> float:
+    return float(np.max(np.abs(overlaps[1:-1])))
 
 
 def phase_report(psi: AmplitudePath, samples: np.ndarray) -> PhaseReport:
     """Total, dynamical and geometric phase of one path; `samples` as in
     `dynamical_phase`."""
+    return report_from_overlaps(psi, derivative_overlaps(psi.states, psi.grid.dt), samples)
+
+
+def report_from_overlaps(psi: AmplitudePath, overlaps: np.ndarray, samples: np.ndarray) -> PhaseReport:
+    """`phase_report` of psi from its derivative overlaps (nodes,), as
+    `derivative_overlaps` gives them."""
     angle, magnitude = total_phase(psi)
     dyn = dynamical_phase(psi, samples)
     return PhaseReport(
@@ -134,7 +153,7 @@ def phase_report(psi: AmplitudePath, samples: np.ndarray) -> PhaseReport:
         dynamical=dyn,
         geometric=float(wrap_angle(angle - dyn)),
         overlap_magnitude=magnitude,
-        transport_residual=transport_residual(psi),
+        transport_residual=_interior_max(overlaps),
     )
 
 

@@ -1,4 +1,7 @@
 """End-to-end CLI behavior: commands, config grammar, exit codes, determinism."""
+import ctypes
+import ctypes.util
+import dataclasses
 import functools
 import json
 import os
@@ -9,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phaselab import cli
-from phaselab.exceptions import ContractError
+from phaselab import cli, mixed, phases
+from phaselab.evolution import AmplitudePath, member_paths, propagate
 
 
 def run(argv):
@@ -165,11 +168,86 @@ def sampled_file(tmp_path, dim, steps, matrix_fn):
 
 
 @pytest.mark.parametrize("flag, value", [("--omega", "1e-300"), ("--mu-b", "1e200")])
-def test_overflowing_scenario_raises_instead_of_printing_nan(flag, value):
-    # the overflowed step exponentials give a NaN unitarity defect, which
-    # must fail the propagator's check rather than reach the output
-    with np.errstate(all="ignore"), pytest.raises(ContractError):
-        run(["simulate", flag, value, "--steps", "20"])
+def test_overflowing_scenario_raises_instead_of_printing_nan(flag, value, capsys):
+    # --omega 1e-300 fails the unitarity gate on a 0.249 defect (np.sinc and cos
+    # round their huge arguments differently); --mu-b 1e200 overflows the
+    # samples' Frobenius norm, which fails the Hermiticity check.  Either is bad
+    # input: exit 2 naming 'steps' and the documented box, and no output
+    with np.errstate(all="ignore"):
+        assert run(["simulate", flag, value, "--steps", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'steps'" in captured.err and "mu_b, omega in [0.1, 10]" in captured.err
+
+
+@pytest.mark.parametrize("case", [(0.1, 0.1), (0.1, 10.0), (10.0, 0.1), (10.0, 10.0), "custom"])
+def test_observables_match_the_per_path_functions(case, monkeypatch):
+    # the one member pass against the public per-path functions on the same
+    # member paths psi_k = U|k>: the four box corners at the default steps and
+    # the golden dim-3 custom-sampled scenario
+    if case == "custom":
+        monkeypatch.chdir(Path(__file__).parent / "golden")
+        cfg = cli.parse_config_file("custom.cfg")
+    else:
+        cfg = cli.ScenarioConfig(mu_b=case[0], omega=case[1])
+    sc = cli.build_scenario(cfg)
+    calls, estimator = [], phases.derivative_overlaps
+
+    def counted(states, dt):
+        calls.append(states.shape)
+        return estimator(states, dt)
+
+    for module in (cli, phases, mixed):
+        monkeypatch.setattr(module, "derivative_overlaps", counted, raising=False)
+    obs = cli.observables(sc)
+    assert calls == [(sc.grid.steps + 1, sc.H.dim, sc.ensemble.size)]  # one call, on the stack
+    monkeypatch.undo()
+
+    U = propagate(sc.H, sc.grid)
+    psi = member_paths(U, sc.ensemble.states)
+    paths = [AmplitudePath(sc.grid, psi[..., k]) for k in range(sc.ensemble.size)]
+    samples = sc.H.sample(sc.grid.nodes)
+    for label, path in zip(sc.labels, paths):
+        expected = phases.phase_report(path, samples)
+        for field in dataclasses.fields(expected):
+            got, want = getattr(obs.reports[label], field.name), getattr(expected, field.name)
+            assert abs(got - want) <= 1e-13, (label, field.name)
+        assert abs(obs.phi_g[label] - phases.geometric_phase_pure(path)) <= 1e-13
+        assert abs(obs.reports[label].transport_residual - phases.transport_residual(path)) <= 1e-13
+    assert abs(obs.singh_phase - mixed.singh_phase(sc.ensemble.weights, paths)) <= 1e-13
+    weak, strong, (gamma_d, _) = mixed.transport_conditions(sc.ensemble, U)
+    assert abs(obs.transport_weak - weak) <= 1e-13
+    assert np.max(np.abs(obs.transport_strong - strong)) <= 1e-13
+    assert abs(obs.mixed_dynamical - gamma_d) <= 1e-13
+    gamma_total, visibility = mixed.mixed_total_phase(mixed.density_from_ensemble(sc.ensemble),
+                                                      U.final)
+    assert abs(obs.gamma_total - gamma_total) <= 1e-13
+    assert abs(obs.visibility - visibility) <= 1e-13
+
+
+@pytest.mark.parametrize("libc", ["not-found", "no-mallopt"])
+def test_heap_retention_is_a_silent_no_op_without_mallopt(libc, monkeypatch, capsys):
+    argv = ["simulate", "--steps", "300", "--format", "json"]
+    cli._retain_heap.cache_clear()
+    assert run(argv) == 0
+    retained = capsys.readouterr()
+    loaded = []
+
+    def cdll(name):
+        loaded.append(name)
+        return object()  # a C library without mallopt
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    if libc == "not-found":
+        monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+    cli._retain_heap.cache_clear()
+    try:
+        assert run(argv) == 0
+        assert run(argv) == 0  # cached: the library is looked up once per process
+    finally:
+        cli._retain_heap.cache_clear()
+    assert len(loaded) == (0 if libc == "not-found" else 1)
+    assert capsys.readouterr() == (retained.out * 2, "")
 
 
 def test_custom_sampled_model(tmp_path):

@@ -242,6 +242,39 @@ def test_nan_fails_the_hermiticity_check():
     assert np.isnan(unitarity_defect(nan))  # so callers compare it as `not defect <= tol`
 
 
+@pytest.mark.parametrize("M", [
+    [[0.0, 1e200], [0.0, 0.0]],  # its defect and bound both overflow to inf
+    [[1e200, 0.0], [0.0, -1e200]],  # Hermitian, but the norm overflows all the same
+    [[1.0, np.nan], [np.nan, 1.0]],
+], ids=["overflowing-non-hermitian", "overflowing-hermitian", "nan-entry"])
+def test_non_finite_norm_fails_the_hermiticity_check(M):
+    with pytest.raises(ContractError, match="non-finite"):
+        require_hermitian(np.array(M))
+
+
+def _old_frobenius_norm(M):
+    return float(np.max(np.sqrt((np.abs(M) ** 2).sum(axis=(-2, -1)))))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_norms_match_the_elementwise_forms(dim):
+    # the real-view einsum against the |M|^2 sums it replaced, on contiguous,
+    # transposed (non-contiguous) and real input; unitarity_defect on near-
+    # unitary and far-from-unitary stacks, contiguous and transposed
+    rng = np.random.default_rng(70 + dim)
+    M = random_stack(rng, (6, dim, dim))
+    for A in (M, np.swapaxes(M, -2, -1), M[0], M[0].T, M.real, np.swapaxes(M.imag, -2, -1)):
+        expected = _old_frobenius_norm(A)
+        assert abs(frobenius_norm(A) - expected) <= 1e-14 * expected
+    unitary = np.stack([random_unitary(rng, dim) for _ in range(6)])
+    for scale in (0.0, 1e-9, 1.0):
+        U = unitary + scale * random_stack(rng, unitary.shape)
+        for V in (U, np.swapaxes(U, -2, -1), U[0]):
+            gram = np.matmul(np.conj(np.swapaxes(V, -2, -1)), V)
+            expected = _old_frobenius_norm(gram - np.eye(dim))
+            assert abs(unitarity_defect(V) - expected) <= 1e-15 + 1e-13 * expected
+
+
 def test_hermiticity_defect():
     assert hermiticity_defect(SZ) == 0.0
     assert hermiticity_defect(np.array([[0, 1j], [1j, 0]])) > 1.0

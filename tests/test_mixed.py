@@ -3,14 +3,14 @@ import numpy as np
 import pytest
 
 from phaselab import SpinParams, TimeGrid, spin_model
-from phaselab.evolution import AmplitudePath, HamiltonianTrajectory, propagate
+from phaselab.evolution import AmplitudePath, HamiltonianTrajectory, amplitude_path, propagate
 from phaselab.exceptions import (
     CapacityError,
     ContractError,
     DimensionError,
     UndefinedPhaseError,
 )
-from phaselab.gauge import GaugeFunction
+from phaselab.gauge import BasisFrame, GaugeFunction, frame_from_amplitudes
 from phaselab.mixed import (
     DensityMatrix,
     Ensemble,
@@ -134,6 +134,50 @@ def test_ensemble_and_density_reject_nan():
         Ensemble(weights=[np.nan, np.nan], states=np.eye(2))
     with pytest.raises(ContractError):
         DensityMatrix(np.full((2, 2), np.nan, dtype=complex))
+
+
+def _nan_at_start(path):
+    """A copy of the path whose first state turns NaN after its own norm check."""
+    fresh = AmplitudePath(path.grid, path.states.copy())
+    fresh.states[0, 0] = np.nan
+    return fresh
+
+
+# every tolerance check compares as `not x <= tol`, which a NaN fails; the
+# message names the check, not a later one that catches the NaN downstream
+NAN_INPUTS = {
+    "amplitude_path-initial-norm": (
+        "initial state must be normalized",
+        lambda c: amplitude_path(c.U, np.array([np.nan, 0.0]))),
+    "BasisFrame-orthonormality": (
+        "frame not orthonormal",
+        lambda c: BasisFrame(c.grid, ("a",), np.full((1, c.grid.steps + 1, 2), np.nan))),
+    "frame_from_amplitudes-t0": (
+        "orthonormal at t = 0",
+        lambda c: frame_from_amplitudes([_nan_at_start(c.paths["+"]), c.paths["-"]])),
+    "PurifiedState-norm": (
+        "purified state norm",
+        lambda c: PurifiedState(np.full((2, 2), np.nan, dtype=complex))),
+    "evolve_density-unitarity": (
+        "evolution matrix not unitary",
+        lambda c: evolve_density(DensityMatrix(np.eye(2) / 2), np.full((2, 2), np.nan))),
+    "singh_phase-weights": (
+        "weights must be normalized",
+        lambda c: singh_phase([np.nan, np.nan], [c.paths["+"], c.paths["-"]])),
+    "singh_phase-t0": (
+        "orthonormal at t = 0",
+        lambda c: singh_phase(c.weights, [_nan_at_start(c.paths["+"]), c.paths["-"]])),
+    "purify-ancilla-unitarity": (
+        "ancilla transform must be unitary",
+        lambda c: purify(DensityMatrix(np.eye(2) / 2), 2, np.full((2, 2), np.nan))),
+}
+
+
+@pytest.mark.parametrize("site", NAN_INPUTS)
+def test_tolerance_checks_reject_nan(site, generic_case):
+    message, call = NAN_INPUTS[site]
+    with pytest.raises(ContractError, match=message):
+        call(generic_case)
 
 
 def test_interference_curve_rejects_wrong_shape():
