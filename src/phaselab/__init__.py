@@ -28,7 +28,7 @@ from .exceptions import (
 )
 from .gauge import BasisFrame, GaugeFunction
 from .mixed import DensityMatrix, Ensemble, PurifiedState
-from .phases import PhaseReport
+from .phases import PathStack, PhaseReport
 from .spin_model import SpinParams
 
 __version__ = "0.1.0"
@@ -46,6 +46,7 @@ __all__ = [
     "HamiltonianTrajectory",
     "NumericError",
     "OrthogonalityCrossingError",
+    "PathStack",
     "PhaseLabError",
     "PhaseReport",
     "PropagatorPath",

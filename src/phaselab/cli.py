@@ -47,7 +47,6 @@ import numpy as np
 from . import spin_model
 from .evolution import (
     HERMITICITY_TOL,
-    AmplitudePath,
     HamiltonianTrajectory,
     PropagatorPath,
     TimeGrid,
@@ -59,16 +58,16 @@ from .linalg import require_hermitian
 from .mixed import (
     DensityMatrix,
     Ensemble,
-    conditions_from_overlaps,
     density_from_ensemble,
     gauge_campaign,
     hidden_gauge_transform,
     mixed_total_phase,
     purify,
     reduce as reduce_purified,
-    singh_from_holonomies,
+    singh_phase,
+    transport_conditions,
 )
-from .phases import derivative_overlaps, holonomy_from_overlaps, report_from_overlaps
+from .phases import PathStack
 
 DEFAULT_STEPS = 20000
 MIN_STEPS = 10
@@ -76,33 +75,12 @@ MIN_STEPS = 10
 SWEEP_AXES = ("mu_b", "omega", "theta", "big_theta")
 
 SWEEP_COLUMNS = (
-    "index",
-    "axis_value",
-    "mu_b",
-    "omega",
-    "theta",
-    "big_theta",
-    "alpha",
-    "period",
-    "total_plus",
-    "dynamical_plus",
-    "geometric_plus",
-    "overlap_plus",
-    "residual_plus",
-    "total_minus",
-    "dynamical_minus",
-    "geometric_minus",
-    "overlap_minus",
-    "residual_minus",
-    "gamma_total",
-    "visibility",
-    "singh_phase",
-    "mixed_dynamical",
-    "weak_residual",
-    "geometric_exact_plus",
-    "geometric_exact_minus",
-    "solid_angle",
-    "interference",
+    "index", "axis_value", "mu_b", "omega", "theta", "big_theta", "alpha", "period",
+    # per branch, in the order of `_sweep_point`'s row
+    *(f"{name}_{branch}" for branch in ("plus", "minus")
+      for name in ("total", "dynamical", "geometric", "overlap", "residual")),
+    "gamma_total", "visibility", "singh_phase", "mixed_dynamical", "weak_residual",
+    "geometric_exact_plus", "geometric_exact_minus", "solid_angle", "interference",
 )
 
 RECORD_COLUMNS = ("observable", "label", "value")
@@ -437,26 +415,16 @@ def _propagate(sc: Scenario) -> PropagatorPath:
 def observables(sc: Scenario) -> Observables:
     """Propagate the scenario once and evaluate every phase observable on it.
 
-    The member paths psi_k = U|k> are formed once, as one stack, and so are
-    their derivative overlaps <psi_k|d psi_k/dt>; every phase is read off
-    those two arrays by the kernels behind the per-path library functions.
+    The member paths psi_k = U|k> are formed once, as one `PathStack`, so their
+    derivative overlaps <psi_k|d psi_k/dt> are too; every phase is read off it.
     """
     U = _propagate(sc)
-    dt = sc.grid.dt
-    psi = member_paths(U, sc.ensemble.states)  # (nodes, dim, k)
-    overlaps = derivative_overlaps(psi, dt)  # (nodes, k)
-    rho0 = density_from_ensemble(sc.ensemble)
-    gamma_total, visibility = mixed_total_phase(rho0, U.final)
-    weak, strong, (gamma_d, _) = conditions_from_overlaps(overlaps, sc.ensemble.weights, dt)
-    samples = sc.H.sample(sc.grid.nodes)
-    reports, holonomies = {}, {}
-    # one contiguous row of overlaps per path, so its sums run pairwise as in
-    # the per-path functions
-    for label, states, per_path in zip(sc.labels, np.moveaxis(psi, -1, 0), overlaps.T.copy()):
-        reports[label] = report_from_overlaps(AmplitudePath(sc.grid, states), per_path, samples)
-        holonomies[label] = holonomy_from_overlaps(states, per_path, dt)
-    phi_g = {label: float(np.angle(h)) for label, h in holonomies.items()}
-    singh = singh_from_holonomies(sc.ensemble.weights, holonomies.values())
+    members = PathStack(sc.grid, member_paths(U, sc.ensemble.states))
+    gamma_total, visibility = mixed_total_phase(density_from_ensemble(sc.ensemble), U.final)
+    weak, strong, (gamma_d, _) = transport_conditions(sc.ensemble, members)
+    reports = dict(zip(sc.labels, members.reports(sc.H.sample(sc.grid.nodes))))
+    phi_g = dict(zip(sc.labels, np.angle(members.holonomies).tolist()))
+    singh = singh_phase(sc.ensemble.weights, members)
     return Observables(gamma_total, visibility, reports, phi_g, singh,
                        gamma_d, weak, strong)
 

@@ -106,6 +106,7 @@ class PropagatorPath:
         defect = unitarity_defect(U)
         if not defect <= UNITARITY_TOL:  # a NaN defect fails too
             raise ContractError(f"propagator not unitary: defect {defect:.3e}")
+        object.__setattr__(self, "matrices", U)
 
     @property
     def dim(self) -> int:
@@ -131,6 +132,7 @@ class AmplitudePath:
         worst = float(np.max(np.abs(norms - 1.0)))
         if not worst <= NORM_TOL:
             raise ContractError(f"amplitude path not normalized: |norm-1| up to {worst:.3e}")
+        object.__setattr__(self, "states", psi)
 
     @property
     def dim(self) -> int:

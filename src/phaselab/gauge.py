@@ -5,15 +5,17 @@ member by an arbitrary time-dependent phase e^{i alpha_k(t)} is an exact
 symmetry of the physics: amplitudes rebuilt from a transformed frame change
 only by the constant e^{i alpha_k(0)}, and the trace formula (prefactor times
 exponential of connection-minus-energy integral) is invariant.  The geometric
-phase is the holonomy left over after parallel transporting the frame; the
-holonomy and parallel-transport kernels are `phases.holonomy_factor` and
-`phases.parallel_transport`, applied here to each frame member.  A
+phase is the holonomy left over after parallel transporting the frame.  A
+frame's members, stacked as one `phases.PathStack` (`BasisFrame.members`),
+give the holonomies and the trace formula from one set of derivative
+overlaps; parallel transport is `phases.parallel_transport` on each member.  A
 `GaugeFunction` evaluates the phases of every label at once.  H comes in as
 its samples on the frame's grid nodes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -24,8 +26,8 @@ from .exceptions import (
     DimensionError,
     OrthogonalityCrossingError,
 )
-from .numerics import central_diff, cum_trapezoid, trapezoid
-from .phases import (check_node_samples, holonomy_factor, parallel_transport, state_connection,
+from .numerics import central_diff, cum_trapezoid
+from .phases import (PathStack, check_node_samples, parallel_transport, state_connection,
                      state_energies)
 
 FRAME_ORTHO_TOL = 1e-8
@@ -154,6 +156,7 @@ class BasisFrame:
         worst = float(np.max(np.abs(gram - eye)))
         if not worst <= FRAME_ORTHO_TOL:
             raise ContractError(f"frame not orthonormal: deviation {worst:.3e}")
+        object.__setattr__(self, "vectors", v)
 
     @property
     def dim(self) -> int:
@@ -167,6 +170,11 @@ class BasisFrame:
 
     def component(self, label) -> np.ndarray:
         return self.vectors[self._index(label)]
+
+    @cached_property
+    def members(self) -> PathStack:
+        """The members v_k as one path stack (steps + 1, dim, L), in label order."""
+        return PathStack(self.grid, np.moveaxis(self.vectors, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -182,39 +190,30 @@ class EffectiveHamiltonianPath:
         return float(np.max(np.abs(M - np.conj(np.swapaxes(M, -2, -1)))))
 
 
-def frame_from_amplitudes(paths: Sequence[AmplitudePath], labels=None) -> BasisFrame:
+def frame_from_amplitudes(paths: Sequence[AmplitudePath] | PathStack, labels=None) -> BasisFrame:
     """Strip each amplitude's accumulated total phase: v_k = e^{-i phi_k(t)} psi_k(t).
 
     phi_k(t_j) = arg<psi_k(0), psi_k(t_j)>, so <v_k(0), v_k(t_j)> is real and
     positive at every node.  Raises OrthogonalityCrossingError when an overlap
     magnitude falls below 1e-10, where that phase stops being meaningful.
+    `paths` is a sequence of paths on one grid or their `PathStack`.
     """
-    paths = list(paths)
-    if not paths:
-        raise DimensionError("need at least one amplitude path")
-    grid = paths[0].grid
-    if labels is None:
-        labels = tuple(range(len(paths)))
-    labels = tuple(labels)
-    if len(labels) != len(paths):
+    stack = paths if isinstance(paths, PathStack) else PathStack.of(paths)
+    labels = tuple(range(stack.size)) if labels is None else tuple(labels)
+    if len(labels) != stack.size:
         raise DimensionError("one label per path required")
-    gram0 = np.array([[np.vdot(a.initial, b.initial) for b in paths] for a in paths])
-    if not np.max(np.abs(gram0 - np.eye(len(paths)))) <= 1e-10:
-        raise ContractError("amplitude paths must be orthonormal at t = 0")
-    stacked = []
-    for path in paths:
-        if path.grid != grid:
-            raise DimensionError("amplitude paths live on different grids")
-        overlaps = np.einsum("a,ja->j", np.conj(path.initial), path.states)
-        mags = np.abs(overlaps)
-        if np.min(mags) < OVERLAP_FLOOR:
-            j = int(np.argmin(mags))
-            raise OrthogonalityCrossingError(
-                f"|<psi(0), psi(t_j)>| = {mags[j]:.2e} at node {j}: "
-                "phase-stripping is undefined across an orthogonality crossing"
-            )
-        stacked.append(path.states * np.conj(overlaps / mags)[:, None])
-    return BasisFrame(grid, labels, np.stack(stacked))
+    stack.require_orthonormal_start()
+    psi = stack.states
+    overlaps = np.einsum("ak,jak->jk", np.conj(psi[0]), psi)  # <psi_k(0), psi_k(t_j)>
+    mags = np.abs(overlaps)
+    j, k = np.unravel_index(np.argmin(mags), mags.shape)
+    if mags[j, k] < OVERLAP_FLOOR:
+        raise OrthogonalityCrossingError(
+            f"|<psi(0), psi(t_j)>| = {mags[j, k]:.2e} at node {j}: "
+            "phase-stripping is undefined across an orthogonality crossing"
+        )
+    stripped = psi * np.conj(overlaps / mags)[:, None]  # (nodes, dim, L)
+    return BasisFrame(stack.grid, labels, np.ascontiguousarray(np.moveaxis(stripped, -1, 0)))
 
 
 def apply_gauge(frame: BasisFrame, g: GaugeFunction) -> BasisFrame:
@@ -241,7 +240,7 @@ def parallel_transport_frame(frame: BasisFrame) -> BasisFrame:
 
 def holonomy(frame: BasisFrame, label) -> complex:
     """<v_bar_k(0), v_bar_k(T)> of the parallel-transported member."""
-    return holonomy_factor(frame.component(label), frame.grid.dt)
+    return complex(frame.members.holonomies[frame._index(label)])
 
 
 def frame_trace(frame: BasisFrame, samples: np.ndarray, weights) -> complex:
@@ -254,12 +253,8 @@ def frame_trace(frame: BasisFrame, samples: np.ndarray, weights) -> complex:
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(frame.labels),):
         raise DimensionError("one weight per frame label required")
-    check_node_samples(samples, frame.grid, frame.dim)
-    dt = frame.grid.dt
-    return complex(sum(
-        w * holonomy_factor(v, dt) * np.exp(-1j * trapezoid(state_energies(v, samples), dt))
-        for w, v in zip(weights, frame.vectors)
-    ))
+    members = frame.members
+    return complex(np.sum(weights * members.holonomies * np.exp(1j * members.dynamical(samples))))
 
 
 def amplitudes_from_frame(frame: BasisFrame, samples: np.ndarray) -> list[AmplitudePath]:

@@ -6,12 +6,12 @@ and the visibility |Tr[U(T) rho(0)]|.  Per-path phase transforms
 U -> U sum_k e^{i theta_k} |k><k| leave the density-matrix orbit fixed but
 shift both observables in a way computed here exactly; the Singh combination
 of endpoint overlaps and connection integrals is the invariant alternative.
-Transport conditions, mixed dynamical phase and `gauge_campaign` read the member
-paths psi_k = U|k> (`evolution.member_paths`), which a per-path transform maps to
-e^{i theta_k} psi_k; one `transport_conditions` call gives both residuals and gamma_D.
-`conditions_from_overlaps` and `singh_from_holonomies` are the kernels behind
-`transport_conditions` and `singh_phase`, for callers that hold the member
-paths' derivative overlaps or holonomy factors already.
+Transport conditions, mixed dynamical phase, the Singh phase and `gauge_campaign`
+read the member paths psi_k = U|k> (`evolution.member_paths`) as one
+`phases.PathStack`, which a per-path transform maps to e^{i theta_k} psi_k; one
+`transport_conditions` call gives both residuals and gamma_D.  `transport_conditions`
+and `singh_phase` also take that stack itself, so a caller that holds it pays for
+its derivative overlaps once.
 """
 from __future__ import annotations
 
@@ -27,10 +27,10 @@ from .exceptions import (
     DimensionError,
     UndefinedPhaseError,
 )
-from .gauge import GaugeFunction, apply_gauge, frame_from_amplitudes, frame_trace, holonomy
+from .gauge import GaugeFunction, apply_gauge, frame_from_amplitudes, frame_trace
 from .linalg import hermitian_eigen, hermiticity_defect, unitarity_defect
 from .numerics import trapezoid, wrap_angle
-from .phases import derivative_overlaps, holonomy_factor
+from .phases import PathStack
 
 TRACE_FLOOR = 1e-12
 
@@ -54,6 +54,7 @@ class DensityMatrix:
             raise ContractError(
                 f"density matrix has negative eigenvalue {np.min(eigenvalues):.3e}"
             )
+        object.__setattr__(self, "matrix", rho)
 
     @property
     def dim(self) -> int:
@@ -79,6 +80,8 @@ class Ensemble:
         gram = np.conj(s) @ s.T
         if not np.max(np.abs(gram - np.eye(s.shape[0]))) <= 1e-10:
             raise ContractError("ensemble states must be orthonormal to 1e-10")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "states", s)
 
     @property
     def size(self) -> int:
@@ -102,6 +105,7 @@ class PurifiedState:
         total = float(np.sum(np.abs(a) ** 2))
         if not abs(total - 1.0) <= 1e-12:
             raise ContractError(f"purified state norm^2 = {total:.15g}, not 1")
+        object.__setattr__(self, "coefficients", a)
 
     @property
     def system_dim(self) -> int:
@@ -162,12 +166,6 @@ def interference_curve(rho0: DensityMatrix, U_T: np.ndarray, chi_nodes) -> np.nd
     return 1.0 + visibility * np.cos(chi - gamma_total)
 
 
-def _dynamical(weighted: np.ndarray, dt: float):
-    """(gamma_D, largest |imaginary part| of its integrand) from i times that integrand,
-    the weighted overlaps sum_k w_k <psi_k|d psi_k/dt> per node."""
-    return float(trapezoid(weighted.imag, dt)), float(np.max(np.abs(weighted.real)))
-
-
 def transform_evolution(
     U: PropagatorPath, theta: GaugeFunction, basis: Ensemble
 ) -> PropagatorPath:
@@ -186,31 +184,20 @@ def transform_evolution(
     return PropagatorPath(U.grid, U.matrices + delta.reshape(U.matrices.shape))
 
 
-def singh_phase(weights, paths: Sequence[AmplitudePath]) -> float:
+def singh_phase(weights, paths: Sequence[AmplitudePath] | PathStack) -> float:
     """arg sum_k w_k <psi_k(0), psi_k(T)> exp[i int <psi_k| i d/dt psi_k> dt].
 
     Invariant under independent time-dependent phase transforms of each path.
+    `paths` is a sequence of paths on one grid or their `PathStack`.
     """
     weights = np.asarray(weights, dtype=float)
-    paths = list(paths)
-    if weights.shape != (len(paths),):
+    paths = paths if isinstance(paths, PathStack) else PathStack.of(paths)
+    if weights.shape != (paths.size,):
         raise DimensionError("one weight per path required")
     if not abs(weights.sum() - 1.0) <= 1e-12:
         raise ContractError("weights must be normalized")
-    gram0 = np.array([[np.vdot(a.initial, b.initial) for b in paths] for a in paths])
-    if not np.max(np.abs(gram0 - np.eye(len(paths)))) <= 1e-10:
-        raise ContractError("paths must be orthonormal at t = 0")
-    if any(path.grid != paths[0].grid for path in paths):
-        raise DimensionError("paths live on different grids")
-    return singh_from_holonomies(
-        weights, [holonomy_factor(path.states, path.grid.dt) for path in paths]
-    )
-
-
-def singh_from_holonomies(weights, holonomies) -> float:
-    """`singh_phase` from the paths' `holonomy_factor`s, for weights and paths
-    that meet its checks (an `Ensemble`'s member paths U|k> do)."""
-    total = sum(w * h for w, h in zip(weights, holonomies))
+    paths.require_orthonormal_start()
+    total = np.sum(weights * paths.holonomies)
     if abs(total) < TRACE_FLOOR:
         raise UndefinedPhaseError("Singh-phase sum has vanishing magnitude")
     return float(np.angle(total))
@@ -231,17 +218,15 @@ def gauge_campaign(
     """
     grid = U.grid
     weights = ensemble.weights
-    psi = member_paths(U, ensemble.states)  # (nodes, dim, k)
-    paths = [AmplitudePath(grid, v) for v in np.moveaxis(psi, -1, 0)]
+    members = PathStack(grid, member_paths(U, ensemble.states))  # psi_k = U|k>
     rho0 = density_from_ensemble(ensemble)
     samples = H.sample(grid.nodes)
-    frame = frame_from_amplitudes(paths, labels=labels)
+    frame = frame_from_amplitudes(members, labels=labels)
     base_trace = frame_trace(frame, samples, weights)
-    base_hols = [holonomy(frame, label) for label in labels]
-    base_singh = singh_phase(weights, paths)
+    base_singh = singh_phase(weights, members)
     base_gamma, base_vis = mixed_total_phase(rho0, U.final)
-    base_dyn, _ = _dynamical(derivative_overlaps(psi, grid.dt) @ weights, grid.dt)
-    diag_UT = np.einsum("ka,ak->k", np.conj(ensemble.states), psi[-1])  # <k|U(T)|k>
+    base_dyn = transport_conditions(ensemble, members)[2][0]
+    diag_UT = np.einsum("ka,ak->k", np.conj(ensemble.states), members.states[-1])  # <k|U(T)|k>
 
     def draw(slope_scale):
         if gauge_scale == 0.0:
@@ -257,13 +242,13 @@ def gauge_campaign(
         tr = frame_trace(gauged, samples, weights)
         dev_gamma = max(dev_gamma, abs(wrap_angle(np.angle(tr) - np.angle(base_trace))))
         dev_vis = max(dev_vis, abs(abs(tr) - abs(base_trace)))
-        dev_hol = max(dev_hol, *(abs(holonomy(gauged, label) - base)
-                                 for label, base in zip(labels, base_hols)))
+        hol_shift = gauged.members.holonomies - frame.members.holonomies
+        dev_hol = max(dev_hol, float(np.max(np.abs(hol_shift))))
 
         ramped = draw(2.0 * gauge_scale)
         U_prime = transform_evolution(U, ramped, ensemble)
-        shifted = member_paths(U_prime, ensemble.states)  # e^{i theta_k} psi_k
-        singh = singh_phase(weights, [AmplitudePath(grid, v) for v in np.moveaxis(shifted, -1, 0)])
+        shifted = PathStack(grid, member_paths(U_prime, ensemble.states))  # e^{i theta_k} psi_k
+        singh = singh_phase(weights, shifted)
         dev_singh = max(dev_singh, abs(wrap_angle(singh - base_singh)))
 
         theta_0, theta_T = ramped.value([0.0, grid.t_end]).T
@@ -272,7 +257,7 @@ def gauge_campaign(
         mismatch_gamma = max(mismatch_gamma, abs(wrap_angle(observed_gamma - predicted_gamma)))
         naive_gamma = max(naive_gamma, abs(wrap_angle(observed_gamma - base_gamma)))
 
-        observed_dyn, _ = _dynamical(derivative_overlaps(shifted, grid.dt) @ weights, grid.dt)
+        observed_dyn = transport_conditions(ensemble, shifted)[2][0]
         predicted_dyn = base_dyn + float(np.sum(weights * (theta_T - theta_0)))
         mismatch_dyn = max(mismatch_dyn, abs(observed_dyn - predicted_dyn))
         naive_dyn = max(naive_dyn, abs(observed_dyn - base_dyn))
@@ -292,7 +277,7 @@ def gauge_campaign(
     }
 
 
-def transport_conditions(rho0: DensityMatrix | Ensemble, U: PropagatorPath):
+def transport_conditions(rho0: DensityMatrix | Ensemble, U: PropagatorPath | PathStack):
     """(weak, per-state strong residuals, (gamma_D, residual)) from one set of overlaps.
 
     weak: max_j |Tr rho0 U^dagger dU/dt|; strong: per k, max_j of
@@ -300,19 +285,21 @@ def transport_conditions(rho0: DensityMatrix | Ensemble, U: PropagatorPath):
     The weak integrand is i times that of gamma_D (`mixed_dynamical_phase`), whose
     residual is the largest |imaginary part| of that integrand, a discretization
     artifact.  A DensityMatrix input is diagonalized deterministically first.
+    U may also be the `PathStack` of the member paths U|k> of the Ensemble rho0.
     """
-    ensemble = rho0 if isinstance(rho0, Ensemble) else ensemble_from_density(rho0)
-    # <k|U^dagger dU|k> = <psi_k|d psi_k> for psi_k = U|k>, by linearity
-    per_state = derivative_overlaps(member_paths(U, ensemble.states), U.grid.dt)
-    return conditions_from_overlaps(per_state, ensemble.weights, U.grid.dt)
-
-
-def conditions_from_overlaps(per_state: np.ndarray, weights: np.ndarray, dt: float):
-    """`transport_conditions` from the member paths' derivative overlaps
-    (nodes, k), as `derivative_overlaps` gives them, and the ensemble weights."""
-    trace = per_state @ weights  # Tr rho0 U^dagger dU/dt per node
-    weak, strong = float(np.max(np.abs(trace))), np.max(np.abs(per_state), axis=0)
-    return weak, strong, _dynamical(trace, dt)
+    if isinstance(U, PathStack):
+        if not isinstance(rho0, Ensemble) or rho0.size != U.size:
+            raise DimensionError("a path stack needs the Ensemble of its member paths")
+        members, weights = U, rho0.weights
+    else:
+        ensemble = rho0 if isinstance(rho0, Ensemble) else ensemble_from_density(rho0)
+        # <k|U^dagger dU|k> = <psi_k|d psi_k> for psi_k = U|k>, by linearity
+        members = PathStack(U.grid, member_paths(U, ensemble.states))
+        weights = ensemble.weights
+    trace = weights @ members.overlaps  # Tr rho0 U^dagger dU/dt per node
+    weak, strong = float(np.max(np.abs(trace))), np.max(np.abs(members.overlaps), axis=1)
+    return weak, strong, (float(trapezoid(trace.imag, members.grid.dt)),
+                          float(np.max(np.abs(trace.real))))
 
 
 def mixed_dynamical_phase(rho0: DensityMatrix | Ensemble, U: PropagatorPath) -> float:

@@ -8,23 +8,25 @@ wrapped to (-pi, pi]; accumulated integrals (the dynamical phase) are not.
 Except in `adiabatic_phase`, H comes in as its node samples `H.sample(grid.nodes)`,
 whose shape `check_node_samples` checks.
 
-The kernels on raw state stacks (derivative overlaps <v|dv/dt>, connection,
-energy expectation, holonomy factor, parallel transport) serve the pure-state
-functionals here, the frame holonomies of `gauge` and every time-dependent
-mixed-state functional of `mixed`; `derivative_overlaps` is the one
-central-difference estimator, so another estimator changes it only.
-`holonomy_from_overlaps` and `report_from_overlaps` are the kernels behind
-`holonomy_factor` and `phase_report`, taking the overlaps as computed, so one
-`derivative_overlaps` call on a (nodes, dim, k) stack serves k paths.
+`PathStack` holds k paths on one grid as one (nodes, dim, k) stack, the layout
+of `evolution.member_paths`, and gives every functional above as an array over
+k from one set of derivative overlaps <psi_k|d psi_k/dt>; `derivative_overlaps`
+is the one central-difference estimator, so another estimator changes it only.
+The per-path functions on an `AmplitudePath` are its k = 1 case; the frame
+holonomies of `gauge` and every time-dependent mixed-state functional of
+`mixed` read the record too.  The kernels on raw state stacks (connection,
+energy expectation, parallel transport) serve all three modules.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .evolution import AmplitudePath, HamiltonianTrajectory, TimeGrid
-from .exceptions import DegeneracyError, DimensionError, UndefinedPhaseError
+from .exceptions import ContractError, DegeneracyError, DimensionError, UndefinedPhaseError
 from .linalg import fix_eigenvector_phases
 from .numerics import central_diff, cum_trapezoid, trapezoid, wrap_angle
 
@@ -45,17 +47,6 @@ class PhaseReport:
     geometric: float
     overlap_magnitude: float
     transport_residual: float
-
-
-def total_phase(psi: AmplitudePath):
-    """arg and magnitude of <psi(0), psi(T)>; valid for non-cyclic paths too."""
-    overlap = complex(np.vdot(psi.initial, psi.final))
-    magnitude = abs(overlap)
-    if magnitude < OVERLAP_FLOOR:
-        raise UndefinedPhaseError(
-            f"endpoint overlap magnitude {magnitude:.2e} leaves the total phase undefined"
-        )
-    return float(np.angle(overlap)), float(magnitude)
 
 
 def derivative_overlaps(states: np.ndarray, dt: float) -> np.ndarray:
@@ -82,22 +73,6 @@ def state_energies(states: np.ndarray, samples: np.ndarray) -> np.ndarray:
     return np.einsum("ja,jab,jb->j", np.conj(states), samples, states).real
 
 
-def holonomy_factor(states: np.ndarray, dt: float) -> complex:
-    """<v(0), v(T)> exp[i int <v| i d/dt v> dt] for a state stack (nodes, dim).
-
-    Its argument is the geometric phase of the path; it is unchanged by any
-    time-dependent rephasing v -> e^{i alpha(t)} v.
-    """
-    return holonomy_from_overlaps(states, derivative_overlaps(states, dt), dt)
-
-
-def holonomy_from_overlaps(states: np.ndarray, overlaps: np.ndarray, dt: float) -> complex:
-    """`holonomy_factor` of a state stack (nodes, dim) from its derivative
-    overlaps (nodes,), as `derivative_overlaps` gives them."""
-    phase = trapezoid(-overlaps.imag, dt)  # the integrated connection
-    return complex(np.vdot(states[0], states[-1]) * np.exp(1j * phase))
-
-
 def parallel_transport(states: np.ndarray, dt: float) -> np.ndarray:
     """Rephase a state stack so its connection vanishes; the endpoints then
     carry the holonomy."""
@@ -105,22 +80,110 @@ def parallel_transport(states: np.ndarray, dt: float) -> np.ndarray:
     return states * np.exp(1j * accumulated)[:, None]
 
 
-def path_connection(psi: AmplitudePath) -> np.ndarray:
-    """<psi(t_j), i d/dt psi(t_j)> (= energy expectation on solutions), real part."""
-    return state_connection(psi.states, psi.grid.dt)
+@dataclass(frozen=True)
+class PathStack:
+    """k paths psi_k(t_j) on one grid as one (steps + 1, dim, k) stack, with
+    every phase functional as an array over k.
+
+    The derivative overlaps come from one `derivative_overlaps` call and are
+    kept as one contiguous row per path, so each path's sums run pairwise over
+    its own row and a row's values equal those of the path stacked alone.
+    """
+
+    grid: TimeGrid
+    states: np.ndarray  # (steps + 1, dim, k)
+
+    def __post_init__(self):
+        object.__setattr__(self, "states", np.asarray(self.states))
+        if self.states.ndim != 3 or len(self.states) != self.grid.steps + 1:
+            raise DimensionError(f"path stack has shape {self.states.shape}")
+
+    @classmethod
+    def of(cls, paths: Sequence[AmplitudePath]) -> PathStack:
+        """Paths on one grid as one stack, in their order."""
+        paths = list(paths)
+        if not paths or any(path.grid != paths[0].grid for path in paths):
+            raise DimensionError("need one or more paths, all on one grid")
+        return cls(paths[0].grid, np.stack([path.states for path in paths], axis=-1))
+
+    @property
+    def size(self) -> int:
+        return self.states.shape[-1]
+
+    def require_orthonormal_start(self) -> None:
+        """Raise ContractError unless the paths are orthonormal at t = 0 to 1e-10."""
+        first = self.states[0]  # (dim, k)
+        if not np.max(np.abs(np.conj(first.T) @ first - np.eye(self.size))) <= 1e-10:
+            raise ContractError("paths must be orthonormal at t = 0")
+
+    @cached_property
+    def overlaps(self) -> np.ndarray:
+        """<psi_k, d psi_k/dt> at every node, shape (k, nodes)."""
+        return np.ascontiguousarray(derivative_overlaps(self.states, self.grid.dt).T)
+
+    @cached_property
+    def endpoint_overlaps(self) -> np.ndarray:
+        """<psi_k(0), psi_k(T)> per path."""
+        return np.array([np.vdot(a, b) for a, b in zip(self.states[0].T, self.states[-1].T)])
+
+    def totals(self):
+        """(arg, magnitude) of every endpoint overlap: the total phases, valid
+        for non-cyclic paths too; raises where a magnitude leaves one undefined."""
+        magnitudes = np.abs(self.endpoint_overlaps)
+        if not np.min(magnitudes) >= OVERLAP_FLOOR:
+            raise UndefinedPhaseError(f"endpoint overlap magnitude {np.min(magnitudes):.2e} "
+                                      "leaves the total phase undefined")
+        return np.angle(self.endpoint_overlaps), magnitudes
+
+    @cached_property
+    def holonomies(self) -> np.ndarray:
+        """<psi_k(0), psi_k(T)> exp[i int <psi_k| i d/dt psi_k> dt] per path: its argument
+        is the geometric phase, unchanged by any rephasing psi_k -> e^{i alpha_k(t)} psi_k."""
+        connection = [trapezoid(-row.imag, self.grid.dt) for row in self.overlaps]
+        return self.endpoint_overlaps * np.exp(1j * np.array(connection))
+
+    @property
+    def residuals(self) -> np.ndarray:
+        """max over interior nodes of |<psi_k, d psi_k/dt>| (zero iff parallel transported)."""
+        return np.max(np.abs(self.overlaps[:, 1:-1]), axis=1)
+
+    def dynamical(self, samples: np.ndarray) -> np.ndarray:
+        """phi_D = -int <psi_k|H|psi_k> dt per path by the trapezoidal rule
+        (unwrapped), from `samples`, H on the grid nodes (shape (steps + 1, dim, dim))."""
+        check_node_samples(samples, self.grid, self.states.shape[1])
+        return np.array([-trapezoid(state_energies(self.states[..., k], samples), self.grid.dt)
+                         for k in range(self.size)])
+
+    def reports(self, samples: np.ndarray) -> list[PhaseReport]:
+        """Total, dynamical and geometric phase of every path; `samples` as in
+        `dynamical`."""
+        angles, magnitudes = self.totals()
+        dyn = self.dynamical(samples)
+        return [PhaseReport(*map(float, row)) for row in zip(
+            angles, dyn, wrap_angle(angles - dyn), magnitudes, self.residuals)]
+
+
+def _alone(psi: AmplitudePath) -> PathStack:
+    return PathStack(psi.grid, psi.states[..., None])
+
+
+def total_phase(psi: AmplitudePath):
+    """arg and magnitude of <psi(0), psi(T)>; valid for non-cyclic paths too."""
+    angles, magnitudes = _alone(psi).totals()
+    return float(angles[0]), float(magnitudes[0])
 
 
 def dynamical_phase(psi: AmplitudePath, samples: np.ndarray) -> float:
     """phi_D = -int <psi|H|psi> dt by the trapezoidal rule (unwrapped), from
     `samples`, H on psi's grid nodes (shape (steps + 1, dim, dim))."""
-    check_node_samples(samples, psi.grid, psi.dim)
-    return float(-trapezoid(state_energies(psi.states, samples), psi.grid.dt))
+    return float(_alone(psi).dynamical(samples)[0])
 
 
 def geometric_phase_pure(psi: AmplitudePath) -> float:
     """arg{ <psi(0), psi(T)> exp[i int <psi| i d/dt psi> dt] }, gauge invariant."""
-    total_phase(psi)  # an undefined endpoint overlap raises
-    return float(np.angle(holonomy_factor(psi.states, psi.grid.dt)))
+    stack = _alone(psi)
+    stack.totals()  # an undefined endpoint overlap raises
+    return float(np.angle(stack.holonomies[0]))
 
 
 def parallel_transport_amplitude(psi: AmplitudePath) -> AmplitudePath:
@@ -130,31 +193,13 @@ def parallel_transport_amplitude(psi: AmplitudePath) -> AmplitudePath:
 
 def transport_residual(psi: AmplitudePath) -> float:
     """max over interior nodes of |<psi, d psi/dt>| (zero iff parallel transported)."""
-    return _interior_max(derivative_overlaps(psi.states, psi.grid.dt))
-
-
-def _interior_max(overlaps: np.ndarray) -> float:
-    return float(np.max(np.abs(overlaps[1:-1])))
+    return float(_alone(psi).residuals[0])
 
 
 def phase_report(psi: AmplitudePath, samples: np.ndarray) -> PhaseReport:
     """Total, dynamical and geometric phase of one path; `samples` as in
     `dynamical_phase`."""
-    return report_from_overlaps(psi, derivative_overlaps(psi.states, psi.grid.dt), samples)
-
-
-def report_from_overlaps(psi: AmplitudePath, overlaps: np.ndarray, samples: np.ndarray) -> PhaseReport:
-    """`phase_report` of psi from its derivative overlaps (nodes,), as
-    `derivative_overlaps` gives them."""
-    angle, magnitude = total_phase(psi)
-    dyn = dynamical_phase(psi, samples)
-    return PhaseReport(
-        total=angle,
-        dynamical=dyn,
-        geometric=float(wrap_angle(angle - dyn)),
-        overlap_magnitude=magnitude,
-        transport_residual=_interior_max(overlaps),
-    )
+    return _alone(psi).reports(samples)[0]
 
 
 def adiabatic_phase(H: HamiltonianTrajectory, grid: TimeGrid, level: int):

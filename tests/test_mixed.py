@@ -2,8 +2,14 @@
 import numpy as np
 import pytest
 
-from phaselab import SpinParams, TimeGrid, spin_model
-from phaselab.evolution import AmplitudePath, HamiltonianTrajectory, amplitude_path, propagate
+from phaselab import SpinParams, TimeGrid, cli, gauge, mixed, phases, spin_model
+from phaselab.evolution import (
+    AmplitudePath,
+    HamiltonianTrajectory,
+    PropagatorPath,
+    amplitude_path,
+    propagate,
+)
 from phaselab.exceptions import (
     CapacityError,
     ContractError,
@@ -127,6 +133,32 @@ def test_interference_curve_shapes():
     rho_mixed = DensityMatrix(np.eye(4, dtype=complex) / 4)
     U = np.diag([1.0, 1j, -1.0, -1j])
     assert np.allclose(interference_curve(rho_mixed, U, chi), 1.0)
+
+
+# each record stores the array it validated, so nested lists work like arrays
+GRID = TimeGrid(0.0, 1.0, 4)
+LIST_RECORDS = {
+    "DensityMatrix": (lambda: DensityMatrix([[0.5, 0], [0, 0.5]]), "matrix",
+                      lambda r: r.dim == 2 and reduce(purify(r, 2)).dim == 2),
+    "Ensemble": (lambda: Ensemble([0.5, 0.5], [[1, 0], [0, 1]]), "states",
+                 lambda r: (r.size, r.dim) == (2, 2)),
+    "PurifiedState": (lambda: PurifiedState([[0.6, 0], [0, 0.8]]), "coefficients",
+                      lambda r: (r.system_dim, r.ancilla_dim) == (2, 2)),
+    "AmplitudePath": (lambda: AmplitudePath(GRID, [[1, 0]] * 5), "states",
+                      lambda r: r.dim == 2 and list(r.final) == [1, 0]),
+    "PropagatorPath": (lambda: PropagatorPath(GRID, [[[1, 0], [0, 1]]] * 5), "matrices",
+                       lambda r: r.dim == 2 and r.final.shape == (2, 2)),
+    "BasisFrame": (lambda: BasisFrame(GRID, ("a",), [[[1, 0]] * 5]), "vectors",
+                   lambda r: r.dim == 2 and r.component("a").shape == (5, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIST_RECORDS))
+def test_records_keep_the_array_they_validated(name):
+    build, field, works = LIST_RECORDS[name]
+    record = build()
+    assert isinstance(getattr(record, field), np.ndarray)
+    assert works(record)
 
 
 def test_ensemble_and_density_reject_nan():
@@ -418,6 +450,28 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
         ("max_naive_dynamical_phase_shift", naive_dyn),
     ):
         assert abs(values[name] - reference) < 1e-12, name
+
+
+@pytest.mark.parametrize("argv, passes", [
+    (["simulate"], 1),  # one per scenario
+    (["sweep", "--axis", "theta", "--values", "0.5,1.5"], 2),  # one per point
+    # the member paths and the frame, then per trial the gauged frame and the
+    # rephased member paths
+    (["verify-gauge", "--trials", "1"], 2 + 2 * 1),
+    (["verify-gauge", "--trials", "3"], 2 + 2 * 3),
+])
+def test_overlap_passes_per_command(argv, passes, monkeypatch, capsys):
+    calls, estimator = [], phases.derivative_overlaps
+
+    def counted(states, dt):
+        calls.append(states.shape)
+        return estimator(states, dt)
+
+    for module in (phases, mixed, gauge, cli):
+        monkeypatch.setattr(module, "derivative_overlaps", counted, raising=False)
+    assert cli.main([*argv, "--steps", "2000"]) == 0
+    capsys.readouterr()
+    assert len(calls) == passes
 
 
 def test_ensemble_from_density_round_trip():

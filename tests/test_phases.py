@@ -1,18 +1,21 @@
 """Phase functionals: goldens, gauge behavior, transport, adiabatic limit."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from phaselab import SpinParams, TimeGrid, amplitude_path, propagate, spin_model
-from phaselab.evolution import AmplitudePath, HamiltonianTrajectory
+from phaselab import SpinParams, TimeGrid, amplitude_path, cli, propagate, spin_model
+from phaselab.evolution import AmplitudePath, HamiltonianTrajectory, member_paths
 from phaselab.exceptions import DegeneracyError, UndefinedPhaseError
 from phaselab.numerics import trapezoid, wrap_angle
 from phaselab.phases import (
+    PathStack,
     adiabatic_phase,
     dynamical_phase,
     geometric_phase_pure,
     parallel_transport_amplitude,
-    path_connection,
     phase_report,
+    state_connection,
     total_phase,
     transport_residual,
 )
@@ -98,9 +101,8 @@ def test_dynamical_phase_generic_golden(generic_case):
     )
     # second form: -i int <psi, d/dt psi> equals the energy integral up to the
     # O((rate*dt)^2) central-difference bias, ~2e-6 at N=20000 here
-    conn_integral = float(
-        trapezoid(path_connection(generic_case.paths["+"]), generic_case.grid.dt)
-    )
+    path = generic_case.paths["+"]
+    conn_integral = float(trapezoid(state_connection(path.states, path.grid.dt), path.grid.dt))
     assert -conn_integral == pytest.approx(expected, abs=5e-6)
 
 
@@ -262,3 +264,27 @@ def test_adiabatic_phase_rejects_degeneracy():
     H = HamiltonianTrajectory(2, evaluate=batch)
     with pytest.raises(DegeneracyError):
         adiabatic_phase(H, TimeGrid(0.0, 2.0, 200), level=0)
+
+
+@pytest.mark.parametrize("case", ["spin", "custom"])
+def test_path_stack_rows_equal_the_paths_stacked_alone(case, generic_case, monkeypatch):
+    # each path's sums run over its own contiguous row, so stacking k paths
+    # changes no bit of any path's phases: the generic spin case's two member
+    # paths and the three of the golden dim-3 custom-sampled scenario
+    if case == "custom":
+        monkeypatch.chdir(Path(__file__).parent / "golden")
+        sc = cli.build_scenario(cli.parse_config_file("custom.cfg"))
+        grid, H, U, ensemble = sc.grid, sc.H, propagate(sc.H, sc.grid), sc.ensemble
+    else:
+        grid, H, U, ensemble = (generic_case.grid, generic_case.H, generic_case.U,
+                                generic_case.ensemble)
+    stack = PathStack(grid, member_paths(U, ensemble.states))
+    samples = H.sample(grid.nodes)
+    assert stack.size == {"spin": 2, "custom": 3}[case]
+    totals, dynamical = stack.totals()[0], stack.dynamical(samples)
+    for k in range(stack.size):
+        alone = PathStack(grid, stack.states[..., k:k + 1])
+        assert alone.holonomies[0] == stack.holonomies[k]
+        assert alone.dynamical(samples)[0] == dynamical[k]
+        assert alone.totals()[0][0] == totals[k]
+        assert alone.residuals[0] == stack.residuals[k]
