@@ -190,8 +190,10 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError("field 'hamiltonian_file': required for custom-sampled model")
         if cfg.horizon != "explicit":
             raise ConfigError("field 'horizon': custom-sampled model needs an explicit t_end")
-    if cfg.model == "spin" and cfg.horizon == "one-period" and cfg.omega == 0.0:
-        raise ConfigError("field 'omega': one-period horizon undefined at omega = 0")
+    if cfg.model == "spin" and cfg.horizon == "one-period" and cfg.omega <= 0.0:
+        raise ConfigError(
+            f"field 'omega': a one-period horizon needs omega > 0, got {cfg.omega}"
+        )
     weights = cfg.resolved_weights()
     if len(weights) != len(cfg.states):
         raise ConfigError(

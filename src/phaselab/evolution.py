@@ -8,10 +8,10 @@ construction and the global error is second order in dt.
 `propagate` reads: sample H at the midpoints (validated finite and
 Hermitian), the step exponentials (`linalg.hermitian_step_exp`: a closed form
 for two-level systems, a batched eigendecomposition for larger ones), their
-running products (`linalg.ordered_products`: a blocked prefix product whose
-2x2 products are written elementwise), and the `PropagatorPath` check that
-every U(t_j) is unitary to `UNITARITY_TOL`.  U(t_0) = I exactly, and the
-output is byte-deterministic.
+running products (`linalg.ordered_products`: a recursively blocked prefix
+product whose in-block 2x2 products are written elementwise), and the
+`PropagatorPath` check that every U(t_j) is unitary to `UNITARITY_TOL`.
+U(t_0) = I exactly, and the output is byte-deterministic.
 """
 from __future__ import annotations
 

@@ -5,12 +5,15 @@ deterministic phase convention, and structure diagnostics.
 `hermitian_step_exp` computes exp(-i dt H) for a batch of Hermitian
 generators, in closed form for 2x2 generators and from one batched
 eigendecomposition otherwise.  `ordered_products` turns the N step
-exponentials into the running products U(t_j) with a blocked prefix product.
-Its products, and the U^dagger U of `unitarity_defect`, go through one private
+exponentials into the running products U(t_j) with a recursively blocked
+prefix product: a scan inside blocks of 16 steps, the same scan over the block
+totals for the carries, and one GEMM per block that applies them.  The scan's
+products, and the U^dagger U of `unitarity_defect`, go through one private
 stacked-product kernel, which writes the four entries of 2x2 products
-elementwise and keeps `np.matmul` for other dimensions.  Everything batches
-over leading axes and reproduces bit-identical results run to run, which the
-golden tests rely on.
+elementwise and keeps `np.matmul` for other dimensions.  At N = 20000 the
+product makes 48 kernel calls and 3 `np.matmul` calls for the carries.
+Everything batches over leading axes and reproduces bit-identical results run
+to run, which the golden tests rely on.
 """
 from __future__ import annotations
 
@@ -128,32 +131,67 @@ def _two_level_step_exp(H: np.ndarray, dt: float) -> np.ndarray:
 def ordered_products(steps: np.ndarray) -> np.ndarray:
     """Running products I, S_0, S_1 S_0, ..., S_{N-1} ... S_0 of N steps.
 
-    Blocked prefix product: the steps are cut into blocks of floor(sqrt(N))
-    steps, the last padded with identities.  The running product inside every
-    block is formed for all blocks at once (one stacked product per position
-    in a block), one pass carries each block's total into the next, and one
-    stacked product applies the carries.  The block size depends on N alone,
-    so the output is byte-deterministic.
+    A recursively blocked prefix product (Blelloch's blocked scan): the steps
+    are cut into blocks of `_SCAN_BLOCK`, the last padded with identities.  The
+    running product inside every block is formed for all blocks at once, one
+    stacked product per position in a block.  The carries, the running
+    products of the block totals, come from the same scan applied to the
+    totals, and one GEMM per block applies them, writing straight into U.
+    At most `_SCAN_LOOP` matrices are multiplied one by one.  The blocking
+    depends on N alone, so the output is byte-deterministic.
     """
     n, dim = steps.shape[0], steps.shape[-1]
-    eye = np.eye(dim, dtype=complex)
-    block = math.isqrt(n)
-    blocks = -(-n // block)
-    scan = np.empty((blocks * block, dim, dim), dtype=complex)
-    scan[:n] = steps
-    scan[n:] = eye
-    scan = scan.reshape(blocks, block, dim, dim)
+    U = np.empty((1 + _scan_length(n), dim, dim), dtype=complex)
+    U[0] = np.eye(dim)
+    _scan(steps, U[1:])
+    return U[: n + 1]  # the padded tail is cut off
+
+
+_SCAN_BLOCK = 16  # steps per block of the scan
+_SCAN_LOOP = 64  # the longest scan done as a plain loop
+
+
+def _scan_length(n: int) -> int:
+    """Rows `_scan` writes for n matrices: n, or n padded to whole blocks."""
+    return n if n <= _SCAN_LOOP else -(-n // _SCAN_BLOCK) * _SCAN_BLOCK
+
+
+def _scan(steps: np.ndarray, out: np.ndarray) -> None:
+    """out[j] = steps[j] ... steps[0], into a contiguous `out` of
+    `_scan_length(len(steps))` rows.
+
+    The in-block scan runs position-major, scan[k, m] over position k of
+    block m, so that each of its stacked products reads and writes contiguous
+    stacks (block-major, it reads one matrix per 4 KiB page at d = 4).  The
+    carries are then applied block-major, where the 16 products of a block are
+    the rows of one (16 d, d) matrix and one GEMM per block multiplies them by
+    the block's carry.
+    """
+    n, dim = steps.shape[0], steps.shape[-1]
+    if n <= _SCAN_LOOP:
+        out[:1] = steps[:1]
+        for j in range(1, n):
+            _matmul(steps[j], out[j - 1], out=out[j])
+        return
+    block = _SCAN_BLOCK
+    blocks = len(out) // block
+    full, tail = divmod(n, block)
+    src = np.empty((block, blocks, dim, dim), dtype=complex)  # src[k, m] = steps[block m + k]
+    src[:, -1] = np.eye(dim)  # a partial last block is padded with identities
+    np.swapaxes(src[:, :full], 0, 1)[...] = steps[: n - tail].reshape(full, block, dim, dim)
+    src[:tail, -1] = steps[n - tail :]
+    scan = out.reshape(block, blocks, dim, dim)
+    scan[0] = src[0]
     for k in range(1, block):
-        scan[:, k] = _matmul(scan[:, k], scan[:, k - 1])
-    carry = np.empty((blocks, dim, dim), dtype=complex)
-    carry[0] = eye
-    for m in range(1, blocks):
-        carry[m] = _matmul(scan[m - 1, -1], carry[m - 1])
-    # the block x carry products go straight into U; its padded tail is cut off
-    U = np.empty((blocks * block + 1, dim, dim), dtype=complex)
-    U[0] = eye
-    _matmul(scan, carry[:, None], out=U[1:].reshape(blocks, block, dim, dim))
-    return U[: n + 1]
+        _matmul(src[k], scan[k - 1], out=scan[k])
+    # carry[m] = T_m ... T_0 over the block totals T; block m + 1 takes carry[m]
+    carry = np.empty((_scan_length(blocks - 1), dim, dim), dtype=complex)
+    _scan(scan[-1, :-1], carry)
+    rows = src.reshape(blocks, block * dim, dim)  # src's memory, now block-major
+    rows.reshape(blocks, block, dim, dim)[...] = np.swapaxes(scan, 0, 1)
+    by_block = out.reshape(blocks, block * dim, dim)
+    by_block[0] = rows[0]
+    np.matmul(rows[1:], carry[: blocks - 1], out=by_block[1:])
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -62,19 +62,24 @@ def alpha_of(p: SpinParams) -> float:
 
 
 def hamiltonian(p: SpinParams) -> HamiltonianTrajectory:
-    """H(t) = -mu_B B_hat(t) . sigma with B_hat on the theta-cone."""
+    """H(t) = -mu_B B_hat(t) . sigma with B_hat on the theta-cone.
+
+    The four entries are written directly: -/+ mu_B cos(theta) on the
+    diagonal, -mu_B sin(theta) e^{i omega t} below it and its conjugate above,
+    so every sample is exactly Hermitian.  A scalar t gives one 2x2 matrix.
+    """
     sin_t, cos_t = np.sin(p.theta), np.cos(p.theta)
 
     def batch(times: np.ndarray) -> np.ndarray:
         phi = p.omega * np.asarray(times, dtype=float)
-        bx = sin_t * np.cos(phi)
-        by = sin_t * np.sin(phi)
-        out = (
-            bx[..., None, None] * SIGMA_X
-            + by[..., None, None] * SIGMA_Y
-            + cos_t * np.ones_like(phi)[..., None, None] * SIGMA_Z
-        )
-        return -p.mu_b * out
+        out = np.empty(phi.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = -p.mu_b * cos_t
+        out[..., 1, 1] = p.mu_b * cos_t
+        lower, upper = out[..., 1, 0], out[..., 0, 1]
+        lower.real = upper.real = -p.mu_b * (sin_t * np.cos(phi))
+        lower.imag = -p.mu_b * (sin_t * np.sin(phi))
+        upper.imag = -lower.imag
+        return out
 
     return HamiltonianTrajectory(dim=2, evaluate=batch)
 

@@ -138,6 +138,10 @@ def test_steps_floor_exit_2():
         (["simulate"], "states = +,+\n", "states"),
         (["simulate"], "model = custom-sampled\nhorizon = explicit\nt_end = 1\n"
          "states = 0,0\nhamiltonian_file = {tmp}/herm.txt\n", "states"),
+        # a one-period horizon of 2 pi / omega < 0 would end before it starts
+        (["simulate", "--omega", "-1"], None, "omega"),
+        (["sweep", "--axis", "omega", "--values", "1,-1"], None, "omega"),
+        (["verify-gauge", "--omega", "-2"], None, "omega"),
     ],
 )
 def test_out_of_range_input_exit_2(tmp_path, capsys, argv, config, name):

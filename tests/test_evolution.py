@@ -114,11 +114,18 @@ def test_piecewise_constant_is_exact_per_segment():
     assert np.max(np.abs(U.final - expected)) < 1e-12
 
 
+SCAN_SIZES = (1, 2, 3, 37, 64, 65, 1040, 1041, 20000, 40000)
+
+
 @pytest.mark.parametrize(
     "steps, dim",
-    # dim 3 runs the np.matmul path of the product kernel, dim 2 its elementwise path
-    [pytest.param(steps, 3, id=f"{steps}") for steps in (1, 2, 3, 37, 20000)]
-    + [pytest.param(steps, 2, id=f"dim2-{steps}") for steps in (1, 2, 3, 37, 20000)],
+    # dim 3 runs the np.matmul path of the product kernel, dim 2 its elementwise
+    # path.  Up to 64 steps are one plain loop; 65 are 5 blocks of 16, the last
+    # padded; 1040 and 1041 leave 64 and 65 block totals for the next level
+    # (a loop, then one more level); 20000 (the default) and 40000 (criterion
+    # 1's finer grid) take three levels
+    [pytest.param(steps, 3, id=f"{steps}") for steps in SCAN_SIZES]
+    + [pytest.param(steps, 2, id=f"dim2-{steps}") for steps in SCAN_SIZES],
 )
 def test_blocked_product_matches_sequential_loop(steps, dim):
     # non-commuting generators, so a wrong factor order would show

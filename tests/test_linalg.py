@@ -205,8 +205,8 @@ def random_stack(rng, shape):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_stacked_product_kernel_matches_matmul(dim):
-    # the shapes of the blocked prefix product: the scan and the carry, then
-    # the final (blocks, block) x (blocks, 1) broadcast
+    # stacks, as the blocked prefix product's scan multiplies them; single
+    # pairs, as its plain loop does; a broadcast and strided views
     rng = np.random.default_rng(53)
     blocks, block = 7, 5
     pairs = [
@@ -215,7 +215,7 @@ def test_stacked_product_kernel_matches_matmul(dim):
         (random_stack(rng, (blocks, block, dim, dim)), random_stack(rng, (blocks, 1, dim, dim))),
     ]
     scan = random_stack(rng, (blocks, block, dim, dim))
-    pairs.append((scan[:, 3], scan[:, 2]))  # strided views, as the scan reads them
+    pairs.append((scan[:, 3], scan[:, 2]))
     for a, b in pairs:
         expected = np.matmul(a, b)
         got = _matmul(a, b)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from phaselab import SpinParams, TimeGrid, spin_model
+from phaselab.linalg import hermiticity_defect
 from phaselab.numerics import central_diff, wrap_angle
 
 GENERIC = SpinParams(1.0, 1.0, np.pi / 3, big_theta=np.pi / 4)
@@ -29,6 +30,20 @@ def test_hamiltonian_structure():
         assert abs(np.trace(M)) < 1e-15
         vals = np.linalg.eigvalsh(M)
         assert np.allclose(vals, [-GENERIC.mu_b, GENERIC.mu_b])
+    # a batch of times: the entries written directly against -mu_B (B_hat . sigma)
+    times = np.linspace(-3.0, 11.0, 57)
+    samples = H.evaluate(times)
+    phi = GENERIC.omega * times
+    b_hat = (np.sin(GENERIC.theta) * np.cos(phi), np.sin(GENERIC.theta) * np.sin(phi),
+             np.full_like(phi, np.cos(GENERIC.theta)))
+    expected = -GENERIC.mu_b * sum(
+        b[:, None, None] * sigma
+        for b, sigma in zip(b_hat, (spin_model.SIGMA_X, spin_model.SIGMA_Y, spin_model.SIGMA_Z))
+    )
+    assert samples.shape == (57, 2, 2) and H.evaluate(0.37).shape == (2, 2)
+    assert np.max(np.abs(samples - expected)) < 1e-15
+    assert hermiticity_defect(samples) == 0.0
+    assert np.all(np.diagonal(samples, axis1=1, axis2=2).imag == 0.0)
 
 
 def test_hamiltonian_limits():
