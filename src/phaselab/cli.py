@@ -1,27 +1,11 @@
 """Command-line surface: scenario runs, parameter sweeps, gauge-invariance
 verification campaigns, analytic spin reports and a purification demo.
 
-Scenarios are described by a flat key = value config file (grammar below) or
-entirely by flags; flags override file values.  All randomness comes from a
-single seeded generator named in the output header, and identical config plus
-seed produces byte-identical output files.
-
-Config grammar (one `key = value` per line, '#' starts a comment):
-
-    model       spin | custom-sampled        (default spin)
-    mu_b, omega, theta, big_theta            floats (spin parameters)
-    steps       integer >= 10                (grid resolution, default 20000)
-    horizon     one-period | explicit        (default one-period)
-    t_end       float                        (required for explicit horizon)
-    weights     comma list, must sum to 1    (default cos^2, sin^2 of big_theta/2)
-    states      comma list of distinct selectors (spin: +,-  custom: basis indices)
-    hamiltonian_file  path                   (required for custom-sampled)
-    seed        integer >= 0                 (default 0; gauge_seed is an alias)
-    trials      integer                      (verify-gauge, default 50)
-    gauge_scale float                        (verify-gauge harmonic amplitude, default 0.1)
-    format      csv | json                   (default csv)
-    out         path                         (default stdout)
-    workers     integer                      (sweep concurrency, default 1)
+Scenarios are described by a flat key = value config file or entirely by
+flags; flags override file values.  Each field is declared once, in
+`ScenarioConfig`; the README's "Config file grammar" table lists them.  All
+randomness comes from a single seeded generator named in the output header,
+and identical config plus seed produces byte-identical output files.
 
 Sampled-Hamiltonian file: a header line `dim <d> steps <n>`, then n+1 rows of
 2*d*d floats (real/imag pairs, row-major); samples are uniform over the
@@ -39,7 +23,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,25 +79,36 @@ class ConfigError(PhaseLabError, ValueError):
     """Scenario configuration is malformed; carries a location hint."""
 
 
+def _option(default, convert, allows=None, flag=None):
+    """A config field: its file converter, what it allows (a tuple of choices
+    or a least value) and its flag help (None: settable in a config file only)."""
+    return field(default=default, metadata={"convert": convert, "allows": allows, "flag": flag})
+
+
 @dataclass
 class ScenarioConfig:
-    model: str = "spin"
-    mu_b: float = 1.0
-    omega: float = 1.0
-    theta: float = np.pi / 3
-    big_theta: float = np.pi / 4
-    steps: int = DEFAULT_STEPS
-    horizon: str = "one-period"
-    t_end: float | None = None
-    weights: tuple | None = None
-    states: tuple = ("+", "-")
-    hamiltonian_file: str | None = None
-    seed: int = 0
-    trials: int = 50
-    gauge_scale: float = 0.1
-    format: str = "csv"
-    out: str | None = None
-    workers: int = 1
+    """Every config field, declared once: file parsing, validation, flag
+    registration and the flag merge all iterate `fields(ScenarioConfig)`."""
+
+    model: str = _option("spin", str, ("spin", "custom-sampled"))
+    steps: int = _option(DEFAULT_STEPS, int, MIN_STEPS, f"grid steps (default {DEFAULT_STEPS})")
+    mu_b: float = _option(1.0, float, flag="field coupling mu_B")
+    omega: float = _option(1.0, float, flag="rotation frequency")
+    theta: float = _option(np.pi / 3, float, flag="cone opening angle (rad)")
+    big_theta: float = _option(np.pi / 4, float, flag="ensemble mixing angle (rad)")
+    horizon: str = _option("one-period", str, ("one-period", "explicit"))
+    t_end: float | None = _option(None, float)
+    weights: tuple | None = _option(None, lambda value: tuple(map(float, value.split(","))))
+    states: tuple = _option(("+", "-"), lambda value: tuple(v.strip() for v in value.split(",")))
+    hamiltonian_file: str | None = _option(None, str)
+    seed: int = _option(0, int, 0, "RNG seed (default 0)")
+    trials: int = _option(50, int, 1, "verification trials (default 50)")
+    gauge_scale: float = _option(
+        0.1, float, 0.0, "harmonic amplitude of random gauges (0 disables them)"
+    )
+    format: str = _option("csv", str, ("csv", "json"), "output format")
+    out: str | None = _option(None, str, flag="output path (default stdout)")
+    workers: int = _option(1, int, 1, "bounded worker count for sweeps")
 
     def resolved_weights(self) -> np.ndarray:
         if self.weights is not None:
@@ -122,26 +117,8 @@ class ScenarioConfig:
         return np.array([c, 1.0 - c])
 
 
-_CONFIG_TYPES = {
-    "model": str,
-    "mu_b": float,
-    "omega": float,
-    "theta": float,
-    "big_theta": float,
-    "steps": int,
-    "horizon": str,
-    "t_end": float,
-    "weights": lambda value: tuple(float(v) for v in value.split(",")),
-    "states": lambda value: tuple(v.strip() for v in value.split(",")),
-    "hamiltonian_file": str,
-    "seed": int,
-    "gauge_seed": int,
-    "trials": int,
-    "gauge_scale": float,
-    "format": str,
-    "out": str,
-    "workers": int,
-}
+_FIELDS = {f.name: f for f in fields(ScenarioConfig)}
+_FLAG_FIELDS = [f for f in _FIELDS.values() if f.metadata["flag"] is not None]
 
 
 def parse_config_file(path: str) -> ScenarioConfig:
@@ -150,6 +127,7 @@ def parse_config_file(path: str) -> ScenarioConfig:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    set_on = {}  # field name -> line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -157,13 +135,14 @@ def parse_config_file(path: str) -> ScenarioConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_TYPES:
+        key = {"gauge_seed": "seed"}.get(key, key)  # accepted alias for the RNG seed
+        if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
-        convert = _CONFIG_TYPES[key]
-        if key == "gauge_seed":  # accepted alias for the RNG seed
-            key = "seed"
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: field {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
-            parsed = convert(value)
+            parsed = _FIELDS[key].metadata["convert"](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: field {key!r}: {exc}") from exc
         setattr(cfg, key, parsed)
@@ -171,16 +150,16 @@ def parse_config_file(path: str) -> ScenarioConfig:
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    if cfg.model not in ("spin", "custom-sampled"):
-        raise ConfigError(f"field 'model': unknown model {cfg.model!r}")
-    for field in fields(cfg):
-        value = getattr(cfg, field.name)
+    for name, f in _FIELDS.items():
+        value, allows = getattr(cfg, name), f.metadata["allows"]
         if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"field {field.name!r}: must be finite, got {value}")
-    if cfg.steps < MIN_STEPS:
-        raise ConfigError(f"field 'steps': need at least {MIN_STEPS}, got {cfg.steps}")
-    if cfg.horizon not in ("one-period", "explicit"):
-        raise ConfigError(f"field 'horizon': unknown mode {cfg.horizon!r}")
+            raise ConfigError(f"field {name!r}: must be finite, got {value}")
+        if isinstance(allows, tuple):
+            if value not in allows:
+                raise ConfigError(f"field {name!r}: unknown {name} {value!r}")
+        elif allows is not None and value < allows:
+            need = "must be nonnegative" if allows == 0 else f"need at least {allows}"
+            raise ConfigError(f"field {name!r}: {need}, got {value}")
     if cfg.horizon == "explicit" and cfg.t_end is None:
         raise ConfigError("field 't_end': required for an explicit horizon")
     if cfg.t_end is not None and cfg.t_end <= 0.0:
@@ -203,16 +182,6 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(
             f"field 'weights': must be nonnegative and sum to 1, got sum {weights.sum():.12g}"
         )
-    if cfg.format not in ("csv", "json"):
-        raise ConfigError(f"field 'format': unknown format {cfg.format!r}")
-    if cfg.seed < 0:
-        raise ConfigError(f"field 'seed': must be nonnegative, got {cfg.seed}")
-    if cfg.trials < 1:
-        raise ConfigError("field 'trials': need at least 1")
-    if cfg.gauge_scale < 0.0:
-        raise ConfigError("field 'gauge_scale': must be nonnegative")
-    if cfg.workers < 1:
-        raise ConfigError("field 'workers': need at least 1")
     return cfg
 
 
@@ -368,7 +337,10 @@ def _emit(text: str, cfg: ScenarioConfig) -> None:
     if cfg.out is None:
         sys.stdout.write(text)
     else:
-        Path(cfg.out).write_text(text)
+        try:
+            Path(cfg.out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"field 'out': cannot write: {exc}") from exc
 
 
 def scenario_header(cfg: ScenarioConfig, command: str) -> dict:
@@ -480,6 +452,9 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values):
         raise ConfigError("sweep supports the spin model only")
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+    if axis == "big_theta" and cfg.weights is not None:
+        # the default weights follow big_theta; explicit ones would pin every row
+        raise ConfigError("field 'weights': a big_theta sweep needs the default weights")
     cfg = validate_config(cfg)
     # every row carries both branches, whichever states the config names; each
     # point is validated here, so a bad value fails before any point runs
@@ -573,33 +548,11 @@ def run_purify_demo(cfg: ScenarioConfig, dim: int):
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value scenario file")
-    sub.add_argument("--steps", type=int, help=f"grid steps (default {DEFAULT_STEPS})")
-    sub.add_argument("--mu-b", type=float, dest="mu_b", help="field coupling mu_B")
-    sub.add_argument("--omega", type=float, help="rotation frequency")
-    sub.add_argument("--theta", type=float, help="cone opening angle (rad)")
-    sub.add_argument(
-        "--big-theta", type=float, dest="big_theta", help="ensemble mixing angle (rad)"
-    )
-    sub.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    sub.add_argument("--trials", type=int, help="verification trials (default 50)")
-    sub.add_argument(
-        "--gauge-scale",
-        type=float,
-        dest="gauge_scale",
-        help="harmonic amplitude of random gauges (0 disables them)",
-    )
-    sub.add_argument("--format", choices=("csv", "json"), help="output format")
-    sub.add_argument("--out", help="output path (default stdout)")
-    sub.add_argument("--workers", type=int, help="bounded worker count for sweeps")
-
-
-def _merge_flags(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    given = {
-        field.name: value
-        for field in fields(ScenarioConfig)
-        if (value := getattr(args, field.name, None)) is not None
-    }
-    return replace(cfg, **given)
+    for f in _FLAG_FIELDS:
+        allows = f.metadata["allows"]
+        sub.add_argument("--" + f.name.replace("_", "-"), type=f.metadata["convert"],
+                         choices=allows if isinstance(allows, tuple) else None,
+                         help=f.metadata["flag"])
 
 
 @functools.cache
@@ -691,7 +644,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config_file(args.config) if getattr(args, "config", None) else ScenarioConfig()
-        cfg = _merge_flags(cfg, args)
+        cfg = replace(cfg, **{f.name: value for f in _FLAG_FIELDS
+                              if (value := getattr(args, f.name)) is not None})
         if args.command == "sweep":
             columns = SWEEP_COLUMNS
             rows, header = run_sweep(cfg, args.axis, _sweep_values(args))

@@ -186,11 +186,6 @@ def geometric_phase_pure(psi: AmplitudePath) -> float:
     return float(np.angle(stack.holonomies[0]))
 
 
-def parallel_transport_amplitude(psi: AmplitudePath) -> AmplitudePath:
-    """Rephase the path so its connection vanishes; endpoints carry the holonomy."""
-    return AmplitudePath(psi.grid, parallel_transport(psi.states, psi.grid.dt))
-
-
 def transport_residual(psi: AmplitudePath) -> float:
     """max over interior nodes of |<psi, d psi/dt>| (zero iff parallel transported)."""
     return float(_alone(psi).residuals[0])

@@ -111,6 +111,19 @@ def test_unknown_config_key_has_line_diagnostic(tmp_path, capsys):
     assert "bad.cfg:2" in err and "nonsense" in err
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [("mu_b = 1\nmu_b = 2\n", "twice.cfg:2: field 'mu_b'"),
+     ("seed = 3\n\ngauge_seed = 4\n", "twice.cfg:3: field 'seed'")],
+    ids=["mu_b", "gauge_seed"],
+)
+def test_repeated_config_key_has_line_diagnostic(tmp_path, capsys, text, where):
+    config = tmp_path / "twice.cfg"
+    config.write_text(text)
+    assert run(["simulate", "--config", str(config)]) == 2
+    assert f"{where} already set on line 1" in capsys.readouterr().err
+
+
 def test_steps_floor_exit_2():
     assert run(["simulate", "--steps", "5"]) == 2
 
@@ -142,6 +155,10 @@ def test_steps_floor_exit_2():
         (["simulate", "--omega", "-1"], None, "omega"),
         (["sweep", "--axis", "omega", "--values", "1,-1"], None, "omega"),
         (["verify-gauge", "--omega", "-2"], None, "omega"),
+        (["simulate"], "out = {tmp}/missing/report.csv\n", "out"),
+        # explicit weights would hold still while big_theta moves
+        (["sweep", "--axis", "big_theta", "--values", "0.1,1.5"], "weights = 0.5,0.5\n",
+         "weights"),
     ],
 )
 def test_out_of_range_input_exit_2(tmp_path, capsys, argv, config, name):
@@ -373,6 +390,13 @@ def test_sweep_dynamical_phase_crosses_zero(tmp_path):
     idx = list(cli.SWEEP_COLUMNS).index("dynamical_plus")
     dyn = [float(l.split(",")[idx]) for l in lines[1:]]
     assert dyn[0] > 0 and abs(dyn[1]) < 1e-5 and dyn[2] < 0
+
+
+def test_sweep_other_axis_keeps_explicit_weights(tmp_path):
+    config = tmp_path / "weights.cfg"
+    config.write_text("weights = 0.5,0.5\n")
+    argv = ["sweep", "--axis", "theta", "--values", "0.5", "--steps", "100"]
+    assert run([*argv, "--config", str(config)]) == 0
 
 
 def test_sweep_empty_values_header_only(tmp_path):

@@ -13,7 +13,7 @@ from phaselab.phases import (
     adiabatic_phase,
     dynamical_phase,
     geometric_phase_pure,
-    parallel_transport_amplitude,
+    parallel_transport,
     phase_report,
     state_connection,
     total_phase,
@@ -167,6 +167,11 @@ def test_identity_on_propagated_paths(generic_case, special_case):
             assert abs(wrap_angle(geometric_phase_pure(path) - identity)) < 2e-6
 
 
+def transported_path(path: AmplitudePath) -> AmplitudePath:
+    """The path rephased so its connection vanishes; endpoints carry the holonomy."""
+    return AmplitudePath(path.grid, parallel_transport(path.states, path.grid.dt))
+
+
 def test_parallel_transport_fixed_point_exact():
     # a path with purely real states is already parallel transported: the
     # discrete connection vanishes identically, so transport returns it intact
@@ -174,7 +179,7 @@ def test_parallel_transport_fixed_point_exact():
     angles = 0.4 * np.pi * grid.nodes
     states = np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(complex)
     path = AmplitudePath(grid, states)
-    transported = parallel_transport_amplitude(path)
+    transported = transported_path(path)
     assert np.max(np.abs(transported.states - path.states)) == 0.0
 
 
@@ -182,26 +187,26 @@ def test_parallel_transport_idempotent():
     p = SpinParams(1.0, 1.0, np.pi / 3)
     grid = TimeGrid(0.0, p.period, 200000)
     path, _ = spin_model.amplitude_paths(p, grid)
-    transported = parallel_transport_amplitude(path)
-    again = parallel_transport_amplitude(transported)
+    transported = transported_path(path)
+    again = transported_path(transported)
     assert np.max(np.abs(again.states - transported.states)) < 1e-8
 
 
 def test_parallel_transport_undoes_eigenstate_phase():
     E, T = 1.1, 6.0
-    transported = parallel_transport_amplitude(eigenstate_path(E, T, steps=100000))
+    transported = transported_path(eigenstate_path(E, T, steps=100000))
     assert np.max(np.abs(transported.states - transported.states[0][None, :])) < 1e-8
 
 
 def test_parallel_transport_holonomy_is_geometric_phase(generic_case):
     path = generic_case.paths["+"]
-    transported = parallel_transport_amplitude(path)
+    transported = transported_path(path)
     holonomy_angle = np.angle(np.vdot(transported.initial, transported.final))
     assert abs(wrap_angle(holonomy_angle - geometric_phase_pure(path))) < 1e-8
 
 
 def test_parallel_transport_residual_small(generic_case):
-    transported = parallel_transport_amplitude(generic_case.paths["+"])
+    transported = transported_path(generic_case.paths["+"])
     h_norm = generic_case.p.mu_b * np.sqrt(2.0)  # Frobenius norm of the spin H
     assert transport_residual(transported) <= 1e-6 * h_norm
 
