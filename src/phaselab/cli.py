@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import ctypes.util
+import errno
 import functools
 import json
 import math
@@ -333,6 +334,33 @@ def write_table(columns, rows, header: dict, cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cannot_write(exc: OSError) -> ConfigError:
+    return ConfigError(f"field 'out': cannot write: {exc}")
+
+
+def _require_writable(out: str | None) -> None:
+    """Raise ConfigError unless `out` (None: stdout) can be written, before any
+    work is done: its directory must exist and be writable, and `out` must not
+    be a directory.  The message carries the error the write itself would
+    raise; nothing is created.  `_emit` still reports a write that fails later.
+    """
+    if out is None:
+        return
+    path = Path(out)
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.exists():
+        code = errno.ENOENT
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR
+    elif not os.access(path.parent, os.W_OK | os.X_OK) or (
+            path.exists() and not os.access(path, os.W_OK)):
+        code = errno.EACCES
+    else:
+        return
+    raise _cannot_write(OSError(code, os.strerror(code), out))
+
+
 def _emit(text: str, cfg: ScenarioConfig) -> None:
     if cfg.out is None:
         sys.stdout.write(text)
@@ -340,7 +368,7 @@ def _emit(text: str, cfg: ScenarioConfig) -> None:
         try:
             Path(cfg.out).write_text(text)
         except OSError as exc:
-            raise ConfigError(f"field 'out': cannot write: {exc}") from exc
+            raise _cannot_write(exc) from exc
 
 
 def scenario_header(cfg: ScenarioConfig, command: str) -> dict:
@@ -644,13 +672,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config_file(args.config) if getattr(args, "config", None) else ScenarioConfig()
-        cfg = replace(cfg, **{f.name: value for f in _FLAG_FIELDS
-                              if (value := getattr(args, f.name)) is not None})
+        cfg = validate_config(replace(cfg, **{f.name: value for f in _FLAG_FIELDS
+                                              if (value := getattr(args, f.name)) is not None}))
+        _require_writable(cfg.out)
         if args.command == "sweep":
             columns = SWEEP_COLUMNS
             rows, header = run_sweep(cfg, args.axis, _sweep_values(args))
         else:
-            cfg = validate_config(cfg)
             columns = RECORD_COLUMNS
             if args.command == "purify-demo":
                 rows, header = run_purify_demo(cfg, args.dim)

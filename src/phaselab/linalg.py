@@ -8,12 +8,16 @@ eigendecomposition otherwise.  `ordered_products` turns the N step
 exponentials into the running products U(t_j) with a recursively blocked
 prefix product: a scan inside blocks of 16 steps, the same scan over the block
 totals for the carries, and one GEMM per block that applies them.  The scan's
-products, and the U^dagger U of `unitarity_defect`, go through one private
-stacked-product kernel, which writes the four entries of 2x2 products
-elementwise and keeps `np.matmul` for other dimensions.  At N = 20000 the
-product makes 48 kernel calls and 3 `np.matmul` calls for the carries.
-Everything batches over leading axes and reproduces bit-identical results run
-to run, which the golden tests rely on.
+products go through one private stacked-product kernel, which writes the four
+entries of 2x2 products elementwise and keeps `np.matmul` for other
+dimensions.  At N = 20000 the product makes 48 kernel calls and 3
+`np.matmul` calls for the carries.  The checks (`hermiticity_defect`,
+`unitarity_defect`) are entrywise for stacks of 2x2 matrices too: they read
+the squared Frobenius norm off the real and imaginary parts of the entries,
+with no conjugate-transposed copy and no Gram stack; a single matrix and
+other dimensions keep the general forms.  Everything batches over leading
+axes and reproduces bit-identical results run to run, which the golden tests
+rely on.
 """
 from __future__ import annotations
 
@@ -45,15 +49,43 @@ def frobenius_norm(M: np.ndarray) -> float:
 
 
 def hermiticity_defect(M) -> float:
-    """||M - M^dagger||_F, maximized over batch axes."""
+    """||M - M^dagger||_F, maximized over batch axes.
+
+    For a stack of 2x2 matrices the squared norm is
+    4 (Im m00)^2 + 4 (Im m11)^2 + 2 |m01 - conj(m10)|^2, summed entry by entry
+    on the real and imaginary parts, with no conjugate-transposed copy.  A
+    single matrix and other dimensions take the difference itself.
+    """
     M = _as_square(M)
-    return frobenius_norm(M - np.conj(np.swapaxes(M, -2, -1)))
+    if M.shape[-1] != 2 or M.ndim == 2:
+        return frobenius_norm(M - np.conj(np.swapaxes(M, -2, -1)))
+    i00, i11 = M[..., 0, 0].imag, M[..., 1, 1].imag
+    re = M[..., 0, 1].real - M[..., 1, 0].real
+    im = M[..., 0, 1].imag + M[..., 1, 0].imag
+    squared = 4.0 * (i00 * i00 + i11 * i11) + 2.0 * (re * re + im * im)
+    return float(np.sqrt(np.max(squared)))
 
 
 def unitarity_defect(U) -> float:
-    """||U^dagger U - I||_F, maximized over batch axes."""
+    """||U^dagger U - I||_F, maximized over batch axes.
+
+    For a stack of 2x2 matrices the Gram entries are read column by column:
+    g00 = |u00|^2 + |u10|^2 - 1, g11 = |u01|^2 + |u11|^2 - 1 and
+    g01 = conj(u00) u01 + conj(u10) u11, so the squared norm is
+    g00^2 + g11^2 + 2 |g01|^2, with no Gram stack.  A single matrix and other
+    dimensions form U^dagger U.
+    """
     U = _as_square(U)
     d = U.shape[-1]
+    if d == 2 and U.ndim > 2:
+        u00, u01, u10, u11 = U[..., 0, 0], U[..., 0, 1], U[..., 1, 0], U[..., 1, 1]
+        g00 = u00.real * u00.real + u00.imag * u00.imag + u10.real * u10.real + u10.imag * u10.imag
+        g11 = u01.real * u01.real + u01.imag * u01.imag + u11.real * u11.real + u11.imag * u11.imag
+        g01 = np.conj(u00) * u01 + np.conj(u10) * u11
+        g00 -= 1.0
+        g11 -= 1.0
+        squared = g00 * g00 + g11 * g11 + 2.0 * (g01.real * g01.real + g01.imag * g01.imag)
+        return float(np.sqrt(np.max(squared)))
     gram = _matmul(np.conj(np.swapaxes(U, -2, -1)), U)  # a fresh contiguous stack
     gram.reshape(-1, d * d)[:, :: d + 1] -= 1.0  # its diagonal, in place
     return frobenius_norm(gram)

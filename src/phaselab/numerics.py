@@ -4,7 +4,10 @@ All trajectory-valued quantities in this package live on a uniform time grid.
 Derivatives are central differences at interior nodes with one-sided
 second-order stencils at the endpoints; integrals use the trapezoidal rule on
 the same grid, so every phase functional carries the same O(dt^2) error model
-as the propagator.
+as the propagator.  `central_diff` itself now serves
+`gauge.effective_hamiltonian` and the tests: `phases.derivative_overlaps`
+applies the same stencils to the step overlaps instead of differencing the
+states.
 """
 from __future__ import annotations
 

@@ -12,10 +12,13 @@ whose shape `check_node_samples` checks.
 of `evolution.member_paths`, and gives every functional above as an array over
 k from one set of derivative overlaps <psi_k|d psi_k/dt>; `derivative_overlaps`
 is the one central-difference estimator, so another estimator changes it only.
-The per-path functions on an `AmplitudePath` are its k = 1 case; the frame
-holonomies of `gauge` and every time-dependent mixed-state functional of
-`mixed` read the record too.  The kernels on raw state stacks (connection,
-energy expectation, parallel transport) serve all three modules.
+It is built from the step overlaps <psi_j, psi_{j+1}> of `step_overlaps`, by
+linearity, so no stack of differences is formed.  The per-path functions on
+an `AmplitudePath` are its k = 1 case; the frame holonomies of `gauge` and
+every time-dependent mixed-state functional of `mixed` read the record too.
+The kernels on raw state stacks (step overlaps, connection, energy
+expectation, parallel transport) serve all three modules; for two-level
+states the step overlaps and energies are written entry by entry.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ import numpy as np
 from .evolution import AmplitudePath, HamiltonianTrajectory, TimeGrid
 from .exceptions import ContractError, DegeneracyError, DimensionError, UndefinedPhaseError
 from .linalg import fix_eigenvector_phases
-from .numerics import central_diff, cum_trapezoid, trapezoid, wrap_angle
+from .numerics import cum_trapezoid, trapezoid, wrap_angle
 
 OVERLAP_FLOOR = 1e-12
 
@@ -49,11 +52,50 @@ class PhaseReport:
     transport_residual: float
 
 
+def step_overlaps(states: np.ndarray) -> np.ndarray:
+    """<v_j, v_{j+1}> on a (nodes, dim, ...) stack: the vector is axis 1, so k
+    paths stacked as (nodes, dim, k) give (nodes - 1, k).
+
+    For dim 2 each path's overlaps are two products of its components, written
+    into its column of the output, with no conjugated copy of the stack; other
+    dimensions take one einsum.
+    """
+    states = np.asarray(states)
+    if states.shape[1] != 2:
+        return np.einsum("ja...,ja...->j...", np.conj(states[:-1]), states[1:])
+    out = np.empty((len(states) - 1,) + states.shape[2:], dtype=complex)
+    for k in np.ndindex(states.shape[2:]):
+        row = out[(slice(None), *k)]
+        a, b = states[(slice(None), 0, *k)], states[(slice(None), 1, *k)]
+        np.multiply(np.conj(a[:-1]), a[1:], out=row)
+        row += np.conj(b[:-1]) * b[1:]
+    return out
+
+
 def derivative_overlaps(states: np.ndarray, dt: float) -> np.ndarray:
     """<v_j, d/dt v_j> by central differences on a (nodes, dim, ...) stack: the
-    vector is axis 1, so k paths stacked as (nodes, dim, k) give (nodes, k)."""
-    dv = central_diff(states, dt)  # first, so its temporaries are freed before the conj copy
-    return np.einsum("ja...,ja...->j...", np.conj(states), dv)
+    vector is axis 1, so k paths stacked as (nodes, dim, k) give (nodes, k).
+
+    The differences are expanded by linearity over the step overlaps
+    s_j = <v_j, v_{j+1}>: an interior node gives (s_j - conj(s_{j-1})) / (2 dt),
+    and the endpoints the one-sided three-point stencils of
+    `numerics.central_diff`, (4 s_0 - 3 <v_0, v_0> - <v_0, v_2>) / (2 dt) and
+    (3 <v_N, v_N> - 4 conj(s_{N-1}) + <v_N, v_{N-2}>) / (2 dt).
+    """
+    states = np.asarray(states)
+    if states.shape[0] < 3:
+        raise ValueError("need at least 3 samples for second-order differences")
+    s = step_overlaps(states)
+    out = np.empty((len(states),) + s.shape[1:], dtype=complex)
+    np.subtract(s.real[1:], s.real[:-1], out=out.real[1:-1])
+    np.add(s.imag[1:], s.imag[:-1], out=out.imag[1:-1])
+    # <v_0, v_0>, <v_0, v_2>, <v_N, v_N> and <v_N, v_{N-2}>
+    ends = np.einsum("ia...,ia...->i...", np.conj(states[[0, 0, -1, -1]]), states[[0, 2, -1, -3]])
+    out[0] = 4.0 * s[0] - 3.0 * ends[0] - ends[1]
+    out[-1] = 3.0 * ends[2] - 4.0 * np.conj(s[-1]) + ends[3]
+    flat = out.view(out.real.dtype)  # the real view, so the division stays real
+    flat /= 2.0 * dt
+    return out
 
 
 def state_connection(states: np.ndarray, dt: float) -> np.ndarray:
@@ -69,8 +111,40 @@ def check_node_samples(samples: np.ndarray, grid: TimeGrid, dim: int) -> None:
 
 
 def state_energies(states: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """<v(t_j)| H(t_j) |v(t_j)>, real part, for states (nodes, dim) and H samples."""
-    return np.einsum("ja,jab,jb->j", np.conj(states), samples, states).real
+    """<v(t_j)| H(t_j) |v(t_j)>, real part, on a (nodes, dim, ...) state stack
+    and the H samples (nodes, dim, dim): k paths stacked as (nodes, dim, k)
+    give (nodes, k).
+
+    For dim 2, with v = (a, b) and z = conj(a) b, it is written entry by entry
+    as |a|^2 Re h00 + |b|^2 Re h11
+    + Re z (Re h01 + Re h10) + Im z (Im h10 - Im h01): the exact real part of
+    the full form, so H need not be exactly Hermitian.  The four real rows of
+    H are formed once for all paths.  Other dimensions take one einsum per
+    path (one over the whole stack is about 3 times slower at dim 3).  Each
+    path's energies fill one contiguous row of the result, which is returned
+    as a transposed view.
+    """
+    states = np.asarray(states)
+    out = np.empty(states.shape[2:] + states.shape[:1])
+    paths = np.ndindex(states.shape[2:])
+    if states.shape[1] != 2:
+        for k in paths:
+            v = states[(slice(None), slice(None), *k)]
+            out[k] = np.einsum("ja,jab,jb->j", np.conj(v), samples, v).real
+        return np.moveaxis(out, -1, 0)
+    h01, h10 = samples[:, 0, 1], samples[:, 1, 0]
+    h00, h11 = np.ascontiguousarray(samples[:, 0, 0].real), np.ascontiguousarray(samples[:, 1, 1].real)
+    re_sum, im_diff = h01.real + h10.real, h10.imag - h01.imag
+    for k in paths:
+        a, b = states[(slice(None), 0, *k)], states[(slice(None), 1, *k)]
+        conj_a = np.conj(a)
+        z = conj_a * b
+        row = out[k]
+        np.multiply((conj_a * a).real, h00, out=row)
+        row += (b.real * b.real + b.imag * b.imag) * h11
+        row += z.real * re_sum
+        row += z.imag * im_diff
+    return np.moveaxis(out, -1, 0)
 
 
 def parallel_transport(states: np.ndarray, dt: float) -> np.ndarray:
@@ -151,8 +225,8 @@ class PathStack:
         """phi_D = -int <psi_k|H|psi_k> dt per path by the trapezoidal rule
         (unwrapped), from `samples`, H on the grid nodes (shape (steps + 1, dim, dim))."""
         check_node_samples(samples, self.grid, self.states.shape[1])
-        return np.array([-trapezoid(state_energies(self.states[..., k], samples), self.grid.dt)
-                         for k in range(self.size)])
+        energies = np.ascontiguousarray(state_energies(self.states, samples).T)  # (k, nodes)
+        return np.array([-trapezoid(row, self.grid.dt) for row in energies])
 
     def reports(self, samples: np.ndarray) -> list[PhaseReport]:
         """Total, dynamical and geometric phase of every path; `samples` as in

@@ -174,6 +174,24 @@ def test_out_of_range_input_exit_2(tmp_path, capsys, argv, config, name):
     assert f"'{name}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "theta", "--values", "0.2,0.9,1.6"],
+    ["verify-gauge", "--trials", "2"],
+])
+@pytest.mark.parametrize("target", ["missing/x.csv", "a-directory"])
+def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys, argv, target):
+    def never(*args, **kwargs):
+        raise AssertionError("the scenario ran before `out` was checked")
+
+    monkeypatch.setattr(cli, "observables", never)
+    monkeypatch.setattr(cli, "gauge_campaign", never)
+    (tmp_path / "a-directory").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert run([*argv, "--steps", "100", "--out", str(tmp_path / target)]) == 2
+    assert capsys.readouterr().err.startswith("config error: field 'out': cannot write:")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def sampled_file(tmp_path, dim, steps, matrix_fn):
     lines = [f"dim {dim} steps {steps}"]
     for j in range(steps + 1):

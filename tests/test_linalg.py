@@ -278,3 +278,28 @@ def test_norms_match_the_elementwise_forms(dim):
 def test_hermiticity_defect():
     assert hermiticity_defect(SZ) == 0.0
     assert hermiticity_defect(np.array([[0, 1j], [1j, 0]])) > 1.0
+
+
+def test_hermiticity_defect_of_two_level_stacks_matches_the_difference():
+    # the entrywise 2x2 form against ||M - M^H||_F formed in full, on exactly
+    # Hermitian, nearly Hermitian and far from Hermitian stacks, contiguous
+    # and transposed (non-contiguous)
+    rng = np.random.default_rng(61)
+    A = random_stack(rng, (40, 2, 2))
+    hermitian = A + np.conj(np.swapaxes(A, -2, -1))
+    for scale in (0.0, 1e-13, 1e-6, 1.0):
+        M = hermitian + scale * random_stack(rng, A.shape)
+        for V in (M, np.swapaxes(M, -2, -1), M[::3]):
+            expected = frobenius_norm(V - np.conj(np.swapaxes(V, -2, -1)))
+            assert abs(hermiticity_defect(V) - expected) <= 1e-15 * expected
+
+
+@pytest.mark.parametrize("entry", [np.nan, 1e200], ids=["nan", "overflowing"])
+def test_two_level_stacks_with_a_bad_entry_fail_the_hermiticity_check(entry):
+    stack = np.stack([SZ] * 5)
+    stack[3, 0, 1] = entry
+    with pytest.raises(ContractError):
+        require_hermitian(stack)
+    stack[3, 1, 0] = entry  # Hermitian, but not finite
+    with pytest.raises(ContractError, match="non-finite"):
+        require_hermitian(stack)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from phaselab import SpinParams, TimeGrid, cli, gauge, mixed, phases, spin_model
+from phaselab import SpinParams, TimeGrid, cli, gauge, mixed, numerics, phases, spin_model
 from phaselab.evolution import (
     AmplitudePath,
     HamiltonianTrajectory,
@@ -38,7 +38,7 @@ from phaselab.mixed import (
 from phaselab.numerics import central_diff, wrap_angle
 from phaselab.phases import dynamical_phase, geometric_phase_pure
 
-from conftest import mat_exp, random_density, random_hermitian, random_unitary
+from conftest import mat_exp, random_density, random_hermitian, random_unitary, w_frame
 
 
 def test_density_from_single_state():
@@ -472,6 +472,26 @@ def test_overlap_passes_per_command(argv, passes, monkeypatch, capsys):
     assert cli.main([*argv, "--steps", "2000"]) == 0
     capsys.readouterr()
     assert len(calls) == passes
+
+
+def test_a_sweep_point_takes_no_central_difference(generic_case, monkeypatch, capsys):
+    # the derivative overlaps come from the step overlaps, so no stack of
+    # differences is formed; effective_hamiltonian still takes one, which
+    # shows the counter is live
+    calls, difference = [], numerics.central_diff
+
+    def counted(y, dt):
+        calls.append(np.shape(y))
+        return difference(y, dt)
+
+    for module in (numerics, phases, mixed, gauge, cli):
+        monkeypatch.setattr(module, "central_diff", counted, raising=False)
+    assert cli.main(["sweep", "--axis", "theta", "--values", "0.5", "--steps", "2000"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    frame = w_frame(generic_case.p, generic_case.grid)
+    gauge.effective_hamiltonian(frame, generic_case.H.sample(generic_case.grid.nodes))
+    assert len(calls) == 1
 
 
 def test_ensemble_from_density_round_trip():

@@ -7,20 +7,23 @@ import pytest
 from phaselab import SpinParams, TimeGrid, amplitude_path, cli, propagate, spin_model
 from phaselab.evolution import AmplitudePath, HamiltonianTrajectory, member_paths
 from phaselab.exceptions import DegeneracyError, UndefinedPhaseError
-from phaselab.numerics import trapezoid, wrap_angle
+from phaselab.numerics import central_diff, trapezoid, wrap_angle
 from phaselab.phases import (
     PathStack,
     adiabatic_phase,
+    derivative_overlaps,
     dynamical_phase,
     geometric_phase_pure,
     parallel_transport,
     phase_report,
     state_connection,
+    state_energies,
+    step_overlaps,
     total_phase,
     transport_residual,
 )
 
-from conftest import build_spin_case
+from conftest import build_spin_case, random_hermitian
 
 
 def constant_trajectory(H: np.ndarray) -> HamiltonianTrajectory:
@@ -293,3 +296,66 @@ def test_path_stack_rows_equal_the_paths_stacked_alone(case, generic_case, monke
         assert alone.dynamical(samples)[0] == dynamical[k]
         assert alone.totals()[0][0] == totals[k]
         assert alone.residuals[0] == stack.residuals[k]
+
+
+def random_stack(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def turning_paths(rng, grid, dim, paths):
+    """Unit vectors exp(-i t A) v_k of one random Hermitian A, (nodes, dim, paths)."""
+    vals, vecs = np.linalg.eigh(random_hermitian(rng, dim, scale=5.0))
+    start = random_stack(rng, (dim, paths))
+    start /= np.linalg.norm(start, axis=0)
+    rotation = np.exp(-1j * grid.nodes[:, None] * vals[None, :])  # (nodes, dim)
+    return np.einsum("ab,jb,bk->jak", vecs, rotation, np.conj(vecs.T) @ start)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("paths", [None, 1, 3])
+@pytest.mark.parametrize("steps", [8, 4000])
+def test_overlap_kernels_match_the_difference_stack(dim, paths, steps):
+    # the step overlaps against one einsum over the pairs, and the derivative
+    # overlaps built from them against <v, central_diff(v)>, endpoints
+    # included, on turning unit vectors and on random vectors; (nodes, dim)
+    # stacks and (nodes, dim, k) stacks of k paths
+    rng = np.random.default_rng(100 * dim + steps + (paths or 0))
+    grid = TimeGrid(0.0, 1.3, steps)
+    turning = turning_paths(rng, grid, dim, paths or 1)
+    stacks = [turning, random_stack(rng, turning.shape)]
+    if paths is None:
+        stacks = [v[..., 0] for v in stacks]
+    for v in stacks:
+        pairs = np.einsum("ja...,ja...->j...", np.conj(v[:-1]), v[1:])
+        got = step_overlaps(v)
+        assert got.shape == pairs.shape
+        assert np.max(np.abs(got - pairs)) <= 1e-15 * np.max(np.abs(pairs))
+        expected = np.einsum("ja...,ja...->j...", np.conj(v), central_diff(v, grid.dt))
+        got = derivative_overlaps(v, grid.dt)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, 1.0 / grid.dt)
+
+
+def test_derivative_overlaps_need_three_nodes():
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        derivative_overlaps(np.ones((2, 2), dtype=complex), 0.1)
+
+
+def test_two_level_energies_match_the_full_form():
+    # entrywise 2x2 energies against the einsum of <v|H|v>, on samples that
+    # are Hermitian only to 1e-13, so the formula's exact real part is tested
+    rng = np.random.default_rng(88)
+    grid = TimeGrid(0.0, 1.0, 400)
+    nodes = grid.steps + 1
+    A = random_stack(rng, (nodes, 2, 2))
+    samples = A + np.conj(np.swapaxes(A, -2, -1)) + 1e-13 * random_stack(rng, A.shape)
+    assert 1e-14 < np.max(np.abs(samples - np.conj(np.swapaxes(samples, -2, -1))))
+    stack = PathStack(grid, turning_paths(rng, grid, 2, 3))
+    per_path = [np.einsum("ja,jab,jb->j", np.conj(v), samples, v).real
+                for v in np.moveaxis(stack.states, -1, 0)]
+    energies = state_energies(stack.states, samples)
+    assert energies.shape == (nodes, 3)
+    assert np.max(np.abs(energies - np.stack(per_path, axis=-1))) <= 1e-13
+    assert np.max(np.abs(state_energies(stack.states[..., 1], samples) - per_path[1])) <= 1e-13
+    expected = [-trapezoid(e, grid.dt) for e in per_path]
+    assert np.max(np.abs(stack.dynamical(samples) - expected)) <= 1e-13
