@@ -6,12 +6,12 @@ is the exponential of a skew-Hermitian matrix, so unitarity is preserved by
 construction and the global error is second order in dt.
 
 `propagate` reads: sample H at the midpoints (validated finite and
-Hermitian), the step exponentials (`linalg.hermitian_step_exp`: a closed form
-for two-level systems, a batched eigendecomposition for larger ones), their
-running products (`linalg.ordered_products`: a recursively blocked prefix
-product whose in-block 2x2 products are written elementwise), and the
-`PropagatorPath` check that every U(t_j) is unitary to `UNITARITY_TOL`.
-U(t_0) = I exactly, and the output is byte-deterministic.
+Hermitian), the running products of the step exponentials
+(`linalg.ordered_exponentials`: a recursively blocked prefix product, which
+keeps two-level steps and products in Cayley-Klein form, pairs (a, b) and a
+real phase, and forms U once), and the `PropagatorPath` check that every
+U(t_j) is unitary to `UNITARITY_TOL`.  U(t_0) = I exactly, and the output is
+byte-deterministic.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ContractError, DimensionError, NumericError
-from .linalg import hermitian_step_exp, ordered_products, require_hermitian, unitarity_defect
+from .linalg import ordered_exponentials, require_hermitian, unitarity_defect
 
 UNITARITY_TOL = 1e-9
 NORM_TOL = 1e-9
@@ -149,9 +149,7 @@ class AmplitudePath:
 
 def propagate(H: HamiltonianTrajectory, grid: TimeGrid) -> PropagatorPath:
     """Integrate the time-ordered exponential of -i H(t) over the grid."""
-    samples = H.sample(grid.midpoints)
-    steps = hermitian_step_exp(samples, grid.dt)
-    return PropagatorPath(grid, ordered_products(steps))
+    return PropagatorPath(grid, ordered_exponentials(H.sample(grid.midpoints), grid.dt))
 
 
 def member_paths(U: PropagatorPath, states: np.ndarray) -> np.ndarray:

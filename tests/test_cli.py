@@ -310,6 +310,28 @@ def test_custom_sampled_model(tmp_path):
     assert abs(float(records[("phi_d", "1")]) - (-3.5)) < 1e-8
 
 
+def test_trace_carrying_two_level_file_runs_the_phase_channel(tmp_path):
+    # H(t) = c(t) I + h.sigma with c linear in t and h constant: the loader's
+    # linear interpolant and the midpoint rule are exact, and c I commutes
+    # with h.sigma, so U(T) = exp(-i int c dt) exp(-i T h.sigma)
+    c0, c1, t_end = 0.3, 1.7, 2.0
+    h_sigma = np.array([[0.5, 0.4 + 0.2j], [0.4 - 0.2j, -0.5]])
+    hfile = sampled_file(tmp_path, 2, 8, lambda s: (c0 + c1 * t_end * s) * np.eye(2) + h_sigma)
+    config = tmp_path / "trace.cfg"
+    config.write_text(
+        f"model = custom-sampled\nhamiltonian_file = {hfile}\nhorizon = explicit\n"
+        f"t_end = {t_end}\nsteps = 500\nweights = 0.7,0.3\nstates = 0,1\n"
+    )
+    out = tmp_path / "trace.csv"
+    assert run(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    vals, vecs = np.linalg.eigh(h_sigma)
+    U = np.exp(-1j * (c0 * t_end + 0.5 * c1 * t_end**2)) * (
+        (vecs * np.exp(-1j * t_end * vals)) @ np.conj(vecs.T))
+    expected = np.angle(np.trace(U @ np.diag([0.7, 0.3])))
+    got = float(read_records(out)[("gamma_total", "")])
+    assert abs(np.angle(np.exp(1j * (got - expected)))) < 1e-10
+
+
 def test_zero_visibility_exit_3(tmp_path, capsys):
     # (E1 - E0) * T = pi with equal weights: Tr[U(T) rho] = 0 exactly
     H = np.diag([0.0, np.pi]).astype(complex)

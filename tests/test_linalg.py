@@ -5,11 +5,14 @@ from hypothesis import given, strategies as st
 
 from phaselab.exceptions import ContractError, DimensionError, NumericError
 from phaselab.linalg import (
-    _matmul,
+    _matrix_product,
+    _pair_product,
+    _two_level_matrices,
     frobenius_norm,
     hermitian_eigen,
     hermitian_step_exp,
     hermiticity_defect,
+    ordered_exponentials,
     require_hermitian,
     unitarity_defect,
 )
@@ -203,27 +206,70 @@ def random_stack(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def as_matrices(pairs):
+    """[[a, -conj(b)], [b, conj(a)]] for Cayley-Klein pairs (..., 2)."""
+    return _two_level_matrices(pairs, np.zeros(pairs.shape[:-1]))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_stacked_product_kernel_matches_matmul(dim):
     # stacks, as the blocked prefix product's scan multiplies them; single
-    # pairs, as its plain loop does; a broadcast and strided views
+    # elements, as its plain loop does; a broadcast and strided views.  At
+    # dim 2 the elements are Cayley-Klein pairs, whose product is checked
+    # against np.matmul of the materialized matrices
     rng = np.random.default_rng(53)
     blocks, block = 7, 5
-    pairs = [
-        (random_stack(rng, (blocks, dim, dim)), random_stack(rng, (blocks, dim, dim))),
-        (random_stack(rng, (dim, dim)), random_stack(rng, (dim, dim))),
-        (random_stack(rng, (blocks, block, dim, dim)), random_stack(rng, (blocks, 1, dim, dim))),
+    element = (2,) if dim == 2 else (dim, dim)
+    operands = [
+        (random_stack(rng, (blocks, *element)), random_stack(rng, (blocks, *element))),
+        (random_stack(rng, element), random_stack(rng, element)),
+        (random_stack(rng, (blocks, block, *element)), random_stack(rng, (blocks, 1, *element))),
     ]
-    scan = random_stack(rng, (blocks, block, dim, dim))
-    pairs.append((scan[:, 3], scan[:, 2]))
-    for a, b in pairs:
-        expected = np.matmul(a, b)
-        got = _matmul(a, b)
-        assert got.shape == expected.shape
+    scan = random_stack(rng, (blocks, block, *element))
+    operands.append((scan[:, 3], scan[:, 2]))
+    if dim == 2:  # component-major, the layout of the propagator's pairs
+        operands.append(tuple(np.moveaxis(random_stack(rng, (2, blocks)), 0, -1) for _ in "xy"))
+    for x, y in operands:
+        got = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
         if dim == 2:
-            assert np.max(np.abs(got - expected)) < 1e-14
+            _pair_product(x, y, got)
+            expected = np.matmul(as_matrices(x), as_matrices(y))
+            assert np.max(np.abs(as_matrices(got) - expected)) < 1e-14
         else:
-            assert np.array_equal(got, expected)
+            _matrix_product(x, y, got)
+            assert np.array_equal(got, np.matmul(x, y))
+
+
+def test_two_level_matrices_are_the_phased_pair_matrices():
+    # e^{i phi} [[a, -conj(b)], [b, conj(a)]] entry for entry, with e^{i phi}
+    # as cos phi + i sin phi; a single pair gives its row of the stack
+    rng = np.random.default_rng(67)
+    pairs = random_stack(rng, (9, 2))
+    phases = rng.normal(size=9) * 4.0
+    e = np.cos(phases) + 1j * np.sin(phases)
+    a, b = pairs[:, 0], pairs[:, 1]
+    U = _two_level_matrices(pairs, phases)
+    assert U.shape == (9, 2, 2)
+    assert np.array_equal(U[:, 0, 0], e * a)
+    assert np.array_equal(U[:, 1, 0], e * b)
+    assert np.array_equal(U[:, 0, 1], -e * np.conj(b))
+    assert np.array_equal(U[:, 1, 1], e * np.conj(a))
+    assert np.array_equal(_two_level_matrices(pairs[4], phases[4]), U[4])
+
+
+@pytest.mark.parametrize("steps", [1, 64, 65, 1041])
+def test_two_level_products_start_at_the_identity_and_carry_the_phase(steps):
+    # a trace-carrying H = c_j I + h_j.sigma: U(0) = I exactly, and the U(1)
+    # channel makes det U(t_j) = exp(-2 i dt sum_{i<j} c_i)
+    rng = np.random.default_rng(71)
+    H = np.stack([random_hermitian(rng, 2, scale=2.0) for _ in range(steps)])
+    dt = 0.05
+    U = ordered_exponentials(H, dt)
+    assert U.shape == (steps + 1, 2, 2)
+    assert np.array_equal(U[0], np.eye(2))
+    phases = np.concatenate([[0.0], np.cumsum(-dt * 0.5 * np.trace(H, axis1=1, axis2=2).real)])
+    assert np.max(np.abs(np.linalg.det(U) - np.exp(2j * phases))) < 1e-12
+    assert unitarity_defect(U) < 1e-12
 
 
 def test_unitarity_defect_of_two_level_stacks_matches_matmul():
