@@ -186,6 +186,18 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     return cfg
 
 
+def _sample_row(path: str, j: int, line: str, width: int) -> list:
+    """The numbers of line j of a sampled-matrix file, or the exit-2 error
+    that names the line."""
+    try:
+        values = [float(v) for v in line.split()]
+    except ValueError as exc:
+        raise ConfigError(f"{path}:{j}: {exc}") from exc
+    if len(values) != width:
+        raise ConfigError(f"{path}:{j}: expected {width} numbers, found {len(values)}")
+    return values
+
+
 def load_sampled_hamiltonian(path: str, t_end: float) -> HamiltonianTrajectory:
     """Parse the sampled-matrix text format and wrap it as a linear interpolant."""
     try:
@@ -211,19 +223,17 @@ def load_sampled_hamiltonian(path: str, t_end: float) -> HamiltonianTrajectory:
         raise ConfigError(
             f"{path}: expected {steps + 1} sample rows, found {len(lines) - 1}"
         )
-    rows = []
-    for j, line in enumerate(lines[1:], start=2):
-        try:
-            values = np.array([float(v) for v in line.split()])
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{j}: {exc}") from exc
-        if values.size != 2 * dim * dim:
-            raise ConfigError(
-                f"{path}:{j}: expected {2 * dim * dim} numbers, found {values.size}"
-            )
-        rows.append(values)
-    # stacked once every row has the header's width, so a bad dim allocates nothing
-    rows = np.array(rows)
+    width = 2 * dim * dim
+    try:
+        # one call converts every token, and its tokenizer rejects rows of
+        # unequal width; the header's width is compared only afterwards, so
+        # that a bad dim allocates nothing
+        rows = np.loadtxt(lines[1:], dtype=float, ndmin=2)
+        parsed = rows.shape[1] == width
+    except ValueError:
+        parsed = False
+    if not parsed:  # row by row, to name the first bad line
+        rows = np.array([_sample_row(path, j, line, width) for j, line in enumerate(lines[1:], start=2)])
     samples = (rows[:, 0::2] + 1j * rows[:, 1::2]).reshape(steps + 1, dim, dim)
     if not (np.all(np.isfinite(samples.real)) and np.all(np.isfinite(samples.imag))):
         raise ConfigError(f"{path}: non-finite entries")

@@ -3,17 +3,21 @@ exponential and the ordered product), Hermitian eigendecomposition with a
 deterministic phase convention, and structure diagnostics.
 
 `hermitian_step_exp` computes exp(-i dt H) for a batch of Hermitian
-generators, in closed form for 2x2 generators and from one batched
-eigendecomposition otherwise.  `ordered_exponentials` turns N generators into
-the running products U(t_j) of their step exponentials with a recursively
-blocked prefix product: a scan inside blocks of 16 steps, the same scan over
-the block totals for the carries, and one broadcast product that applies
-them.  Two-level systems stay in Cayley-Klein form end to end: every step and
-every running product is e^{i phi} [[a, -conj(b)], [b, conj(a)]], the scan
-multiplies the pairs (a, b) (4 complex products where a 2x2 matrix product
-takes 8, on half the memory), the real phases phi add by one cumulative sum,
-and U is formed once.  Other dimensions multiply matrices with `np.matmul`,
-the carries with one GEMM per block.  The checks (`require_hermitian`,
+generators of any dimension, by scaling and squaring around one truncated
+Taylor series evaluated on a component-major (d, d, n) copy of the stack, so
+that each matrix product runs over contiguous rows of length n; one norm for
+the whole stack sets the squarings and the degree.  `ordered_exponentials`
+turns N generators into the running products U(t_j) of their step
+exponentials with a recursively blocked prefix product: a scan inside blocks
+of 16 steps, the same scan over the block totals for the carries, and one
+broadcast product that applies them.  Two-level systems stay in Cayley-Klein
+form end to end: every step and every running product is
+e^{i phi} [[a, -conj(b)], [b, conj(a)]], the steps come from their closed
+form, the scan multiplies the pairs (a, b) (4 complex products where a 2x2
+matrix product takes 8, on half the memory), the real phases phi add by one
+cumulative sum, and U is formed once.  Other dimensions take their steps
+from `hermitian_step_exp` and multiply matrices with `np.matmul`, the
+carries with one GEMM per block.  The checks (`require_hermitian`,
 `hermiticity_defect`, `unitarity_defect`) are entrywise for stacks of 2x2
 matrices too: they read the squared Frobenius norms off the real and
 imaginary parts of the entries, with no conjugate-transposed copy and no Gram
@@ -141,24 +145,90 @@ def require_hermitian(M, tol: float = 1e-12, name: str = "matrix") -> np.ndarray
     return M
 
 
+_TAYLOR_TOL = 1e-17  # bound on the truncated Taylor tail, against ||exp(-i dt H)|| = 1
+_MAX_SQUARINGS = 16  # dt ||H||_1 above 2^16 is rejected, not squared
+_CHUNK = 2**14  # matrix entries per component-major chunk of the step exponential
+
+
 def hermitian_step_exp(H, dt: float) -> np.ndarray:
     """exp(-i dt H) for a Hermitian matrix or a batch (..., d, d) of them.
 
-    For d = 2 the closed form of `_two_level_steps`, materialized as matrices.
-    For d >= 3, one batched `eigh` gives H = V diag(lam) V^dagger, and the
-    result is V diag(exp(-i dt lam)) V^dagger; this is exact for degenerate
-    eigenvalues too, since any orthonormal basis of an eigenspace yields the
-    same projector.  Both read the lower triangle and the real diagonal only,
-    as `eigh` does.  H must be Hermitian; that is not checked here, because
-    the propagator's samples are already validated (finite, Hermitian to
-    1e-12) by `HamiltonianTrajectory.sample`.
+    Scaling and squaring around a truncated Taylor series (Moler & Van Loan,
+    SIAM Rev. 45, 3 (2003)), for every d.  One norm for the whole stack,
+    theta = dt max_j ||H_j||_1, sets both the number s of squarings, the
+    least with theta / 2^s <= 1, and the degree: the least (rounded up to a
+    Paterson-Stockmeyer degree) whose Taylor tail at theta / 2^s is below
+    1e-17.  The kernel runs on component-major (d, d, n) copies of
+    -i dt H / 2^s, so each matrix product is a few elementwise operations
+    over contiguous rows of length n where `np.matmul` would pay its
+    per-matrix cost n times; the copies are cut into chunks of `_CHUNK`
+    entries, whose powers stay in cache, and the result is handed back
+    C-contiguous, in the input's shape.  Every matrix is computed by the
+    same operations in the same order, so the output is byte-deterministic.
+    A stack with theta > 2^16 (or not finite) raises ContractError: the
+    squarings would amplify rounding toward the propagator's unitarity
+    check, and such a grid resolves nothing of H anyway (at 2^16 a step's
+    unitarity defect is about 2e-11).  H must be Hermitian; that is not
+    checked here, because the propagator's samples are already validated
+    (finite, Hermitian to 1e-12) by `HamiltonianTrajectory.sample`.
     """
     H = _as_square(H)
-    if H.shape[-1] == 2:
-        return _two_level_matrices(*_two_level_steps(H, dt))
-    vals, vecs = np.linalg.eigh(H)
-    phases = np.exp(-1j * dt * vals)
-    return (vecs * phases[..., None, :]) @ np.conj(np.swapaxes(vecs, -2, -1))
+    d = H.shape[-1]
+    stack = H.reshape(-1, d, d)
+    theta = abs(dt) * float(np.max(np.abs(stack).sum(axis=-2), initial=0.0))  # largest column sum
+    if not theta <= 2.0**_MAX_SQUARINGS:  # a NaN or inf theta fails too
+        raise ContractError(
+            f"step exponent dt * ||H||_1 = {theta:.3e} exceeds 2^{_MAX_SQUARINGS}"
+        )
+    squarings = max(math.frexp(theta)[1], 0)
+    scale, theta = math.ldexp(-dt, -squarings) * 1j, math.ldexp(theta, -squarings)
+    out = np.empty(stack.shape, dtype=complex)
+    columns = max(_CHUNK // (d * d), 1)
+    for start in range(0, len(stack), columns):
+        part = stack[start : start + columns]
+        A = np.empty((d, d, len(part)), dtype=complex)
+        np.multiply(part.transpose(1, 2, 0), scale, out=A)
+        X = _taylor_polynomial(A, theta)
+        for _ in range(squarings):
+            X = _component_product(X, X)
+        out[start : start + columns] = X.transpose(2, 0, 1)
+    return out.reshape(H.shape)
+
+
+def _taylor_polynomial(A: np.ndarray, theta: float) -> np.ndarray:
+    """sum_{k <= m} A^k / k! for a component-major stack A (d, d, n) with
+    ||A|| <= theta <= 1, by Paterson-Stockmeyer.  The least degree m0 whose
+    tail is below `_TAYLOR_TOL` sets p = ceil(sqrt(m0)), q = ceil(m0 / p)
+    and m = p q.  With the powers A^2 .. A^p and the blocks
+    B_j = sum_{i < p} A^i / (j p + i)!, Horner's rule in A^p,
+    X = A^p / m! + B_{q-1}, then X = X A^p + B_j, takes p + q - 2 products
+    where Horner's rule in A takes m - 1."""
+    m, tail = 1, 0.5 * theta * theta  # tail = theta^(m+1) / (m+1)!
+    while 2.0 * tail > _TAYLOR_TOL:  # the whole tail is below twice its first term
+        m += 1
+        tail *= theta / (m + 1)
+    p = math.isqrt(m - 1) + 1  # ceil(sqrt(m))
+    q = -(-m // p)
+    powers = [A]
+    for _ in range(1, p):
+        powers.append(_component_product(powers[-1], A))
+    X = powers[-1] * (1.0 / math.factorial(p * q))
+    for j in range(q - 1, -1, -1):
+        if j < q - 1:
+            X = _component_product(X, powers[-1])
+        for i in range(1, p):
+            X += powers[i - 1] * (1.0 / math.factorial(j * p + i))
+        X.reshape(len(A) ** 2, -1)[:: len(A) + 1] += 1.0 / math.factorial(j * p)
+    return X
+
+
+def _component_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x y for component-major stacks (d, d, n) of d x d matrices: one
+    broadcast multiply-add per inner index, over rows of length n."""
+    out = x[:, :1] * y[0]
+    for j in range(1, len(x)):
+        out += x[:, j, None] * y[j]
+    return out
 
 
 def ordered_exponentials(H, dt: float) -> np.ndarray:
@@ -220,12 +290,22 @@ def _two_level_steps(H: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _two_level_matrices(pairs: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """e^{i phi} [[a, -conj(b)], [b, conj(a)]] for pairs (..., 2) and real
-    phases phi (...), as a stack (..., 2, 2)."""
+    phases phi (...), as a stack (..., 2, 2).
+
+    When every phi is zero, as for a traceless H, the entries are copied
+    instead of multiplied by e^{i phi} = 1; only the sign of a zero differs.
+    """
+    a, b = pairs[..., 0], pairs[..., 1]
+    out = np.empty((*phases.shape, 2, 2), dtype=complex)
+    if not np.any(phases):
+        out[..., 0, 0] = a
+        out[..., 1, 0] = b
+        np.conj(a, out=out[..., 1, 1])
+        np.negative(np.conj(b), out=out[..., 0, 1])
+        return out
     e = np.empty(phases.shape, dtype=complex)
     np.cos(phases, out=e.real)
     np.sin(phases, out=e.imag)
-    a, b = pairs[..., 0], pairs[..., 1]
-    out = np.empty((*phases.shape, 2, 2), dtype=complex)
     np.multiply(e, a, out=out[..., 0, 0])
     np.multiply(e, b, out=out[..., 1, 0])
     np.multiply(e, np.conj(a), out=out[..., 1, 1])
@@ -255,7 +335,11 @@ def _scan(steps: np.ndarray, out: np.ndarray, product) -> None:
     carries, the running products of the block totals, come from the same
     scan applied to the totals; they are then applied block-major, each to
     the 16 products of its block.  At most `_SCAN_LOOP` elements are
-    multiplied one by one.  Scratch arrays keep the layout of `steps`.
+    multiplied one by one.  Scratch arrays take the layout of `out`, not of
+    `steps`, because the scan reshapes them as it reshapes `out` and needs
+    views: `out` is C-contiguous for matrices (`_matrix_product` merges a
+    block's rows) and component-major for pairs, while `steps` may be any
+    stack.
     """
     n, element = steps.shape[0], steps.shape[1:]
     if n <= _SCAN_LOOP:
@@ -266,7 +350,7 @@ def _scan(steps: np.ndarray, out: np.ndarray, product) -> None:
     block = _SCAN_BLOCK
     blocks = len(out) // block
     full, tail = divmod(n, block)
-    src = np.empty_like(steps, shape=(block * blocks, *element)).reshape(block, blocks, *element)
+    src = np.empty_like(out, shape=(block * blocks, *element)).reshape(block, blocks, *element)
     src[tail:, -1] = 0.0  # a partial last block is padded with zeros
     np.swapaxes(src[:, :full], 0, 1)[...] = steps[: n - tail].reshape(full, block, *element)
     src[:tail, -1] = steps[n - tail :]
@@ -275,7 +359,7 @@ def _scan(steps: np.ndarray, out: np.ndarray, product) -> None:
     for k in range(1, block):
         product(src[k], scan[k - 1], scan[k])
     # carry[m] = T_m ... T_0 over the block totals T; block m + 1 takes carry[m]
-    carry = np.empty_like(steps, shape=(_scan_length(blocks - 1), *element))
+    carry = np.empty_like(out, shape=(_scan_length(blocks - 1), *element))
     _scan(scan[-1, :-1], carry, product)
     rows = src.reshape(blocks, block, *element)  # src's memory, now block-major
     rows[...] = np.swapaxes(scan, 0, 1)

@@ -219,6 +219,22 @@ def test_overflowing_scenario_raises_instead_of_printing_nan(flag, value, capsys
     assert "'steps'" in captured.err and "mu_b, omega in [0.1, 10]" in captured.err
 
 
+@pytest.mark.parametrize("t_end, code", [("1e3", 0), ("1e8", 2), ("1e200", 2)])
+def test_sampled_grid_beyond_the_squaring_cap_exits_2(tmp_path, capsys, t_end, code):
+    # 10 steps over the golden dim-3 file, whose ||H||_1 is about 4.5: dt ||H||_1
+    # is about 450 at t_end = 1e3, inside the step exponential's cap of 2^16,
+    # and 4.5e7 or 4.5e199 beyond it, where the kernel refuses to square
+    hfile = Path(__file__).parent / "golden" / "hamiltonian_dim3.txt"
+    config = tmp_path / "coarse.cfg"
+    config.write_text(
+        f"model = custom-sampled\nhamiltonian_file = {hfile}\nhorizon = explicit\n"
+        f"t_end = {t_end}\nsteps = 10\nweights = 0.5,0.3,0.2\nstates = 0,1,2\n"
+    )
+    assert run(["simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == code
+    err = capsys.readouterr().err
+    assert ("'steps'" in err and "exceeds 2^16" in err) == bool(code)
+
+
 @pytest.mark.parametrize("case", [(0.1, 0.1), (0.1, 10.0), (10.0, 0.1), (10.0, 10.0), "custom"])
 def test_observables_match_the_per_path_functions(case, monkeypatch):
     # the one member pass against the public per-path functions on the same
@@ -375,6 +391,38 @@ def test_sampled_file_row_width_checked_before_allocation(tmp_path, capsys):
     assert run(["simulate", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert f"{huge}:2" in err and "expected" in err
+
+
+GOOD_ROW = "1 0 0.5 0 0.5 0 -1 0"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([GOOD_ROW, "1 0 0.5 0 x 0 -1 0", GOOD_ROW], "3: could not convert string to float: 'x'"),
+    ([GOOD_ROW, "1 0 0.5 0 0.5 0 -1", "1 0 0.5 0 x 0 -1 0"], "3: expected 8 numbers, found 7"),
+    (["1 0 0.5 0 x 0 -1", GOOD_ROW, GOOD_ROW], "2: could not convert string to float: 'x'"),
+    (["1 0 0.5 0 0.5 0 -1 0 9", GOOD_ROW, "0x1p3 0 0 0 0 0 0 0"],
+     "2: expected 8 numbers, found 9"),
+    ([GOOD_ROW, GOOD_ROW, "0x1p3 0 0 0 0 0 0 0"], "4: could not convert string to float: '0x1p3'"),
+    ([GOOD_ROW + " 0"] * 3, "2: expected 8 numbers, found 9"),  # one width, not the header's
+    ([GOOD_ROW, GOOD_ROW, GOOD_ROW.replace("-1", "-1_0")], None),  # float() reads 1_0
+], ids=["token", "width-first", "token-before-width", "width-before-token", "hex", "consistent",
+        "underscore"])
+def test_sampled_file_rows_are_read_as_float_reads_them(tmp_path, capsys, rows, message):
+    # the one-call conversion and the per-row loop that names a bad line
+    # agree with float() token by token, and the first bad line is named
+    hfile = tmp_path / "rows.txt"
+    hfile.write_text("dim 2 steps 2\n" + "\n".join(rows) + "\n")
+    config = tmp_path / "c.cfg"
+    config.write_text(
+        f"model = custom-sampled\nhamiltonian_file = {hfile}\nhorizon = explicit\n"
+        "t_end = 1.0\nsteps = 10\nweights = 0.5,0.5\nstates = 0,1\n"
+    )
+    code = run(["simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    if message is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and err == f"config error: {hfile}:{message}\n"
 
 
 def test_sampled_file_that_loads_runs(tmp_path):

@@ -7,7 +7,10 @@ from phaselab.exceptions import ContractError, DimensionError, NumericError
 from phaselab.linalg import (
     _matrix_product,
     _pair_product,
+    _scan,
+    _scan_length,
     _two_level_matrices,
+    _two_level_steps,
     frobenius_norm,
     hermitian_eigen,
     hermitian_step_exp,
@@ -102,23 +105,68 @@ def test_exp_deterministic():
 def test_hermitian_step_exp_matches_taylor_kernel():
     rng = np.random.default_rng(19)
     dt = 0.37
-    batch = [random_hermitian(rng, dim, scale=2.0) for dim in (2, 3, 4) for _ in range(4)]
+    batch = [random_hermitian(rng, dim, scale=2.0) for dim in (1, 2, 3, 4, 5, 6) for _ in range(4)]
     batch.append(1.3 * np.eye(3, dtype=complex))  # H = c I
+    batch.append(-0.8 * np.eye(2, dtype=complex))
     Q = random_unitary(rng, 3)
     batch.append(Q @ np.diag([0.5, 0.5, -1.2]) @ np.conj(Q.T))  # repeated eigenvalue
-    # edge cases of the d = 2 closed form
-    batch.append(-0.8 * np.eye(2, dtype=complex))  # H = c I exactly: r = 0
-    batch.append(np.array([[3.0, 9.0], [9.0, -3.0]], dtype=complex))  # dt r > pi
+    Q = random_unitary(rng, 5)
+    batch.append(Q @ np.diag([2.0, -1.0, 2.0, -1.0, 2.0]) @ np.conj(Q.T))  # two, repeated
+    batch.append(np.array([[3.0, 9.0], [9.0, -3.0]], dtype=complex))  # dt ||H||_1 > 4: squarings
+    batch.append(random_hermitian(rng, 4, scale=40.0))  # dt ||H||_1 of order 100
     batch.append(np.array([[0.0, 0.4 - 1.1j], [0.4 + 1.1j, 0.0]]))  # complex off-diagonal
     batch.append(np.array([[2.5, 0.3 + 0.2j], [0.3 - 0.2j, 1.9]]))  # non-zero trace
     for H in batch:
         step = hermitian_step_exp(H, dt)
+        assert step.shape == H.shape
         assert np.max(np.abs(step - mat_exp(-1j * dt * H))) < 1e-13
         assert unitarity_defect(step) < 1e-12
-    stack = np.stack([H for H in batch if H.shape == (2, 2)])
-    batched = hermitian_step_exp(stack, dt)
-    for j, H in enumerate(stack):
-        assert np.max(np.abs(batched[j] - mat_exp(-1j * dt * H))) < 1e-13
+    # stacks share one scaling: a small H next to a large one is squared too
+    for dim in (2, 3, 5):
+        stack = np.stack([H for H in batch if H.shape == (dim, dim)])
+        batched = hermitian_step_exp(stack, dt)
+        assert batched.flags.c_contiguous
+        for j, H in enumerate(stack):
+            assert np.max(np.abs(batched[j] - mat_exp(-1j * dt * H))) < 1e-13
+        assert hermitian_step_exp(stack, dt).tobytes() == batched.tobytes()
+
+
+def eigh_step_exp(H, dt):
+    """exp(-i dt H) from one batched eigendecomposition, the form the
+    library used before its Taylor kernel."""
+    vals, vecs = np.linalg.eigh(H)
+    return (vecs * np.exp(-1j * dt * vals)[..., None, :]) @ np.conj(np.swapaxes(vecs, -2, -1))
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("steps", [200, 400, 20000])
+def test_hermitian_step_exp_matches_eigh_on_sampled_models(dim, steps):
+    # the custom-sampled files of the benchmark's cli-small mix: H(t) = A +
+    # B cos(2 pi t) + C sin(2 pi t) with unit-scale Hermitian A, B, C, at the
+    # midpoints of [0, 1]; dt = 0.5 needs one or two squarings
+    rng = np.random.default_rng(83 + dim)
+    A, B, C = (random_hermitian(rng, dim, scale=np.sqrt(2.0 / dim)) for _ in range(3))
+    t = (np.arange(steps) + 0.5) / steps
+    H = (A + np.cos(2 * np.pi * t)[:, None, None] * B + np.sin(2 * np.pi * t)[:, None, None] * C)
+    for dt in (1.0 / steps, 0.5):
+        step = hermitian_step_exp(H, dt)
+        assert np.max(np.abs(step - eigh_step_exp(H, dt))) < 1e-14
+        assert unitarity_defect(step) < 1e-12
+
+
+def test_step_exponent_beyond_the_squaring_cap_is_rejected():
+    # dt ||H||_1 up to 2^16 is squared and stays unitary well inside the
+    # propagator's 1e-9; beyond it, and for an overflowing or NaN exponent,
+    # the kernel refuses instead of returning rounding noise
+    rng = np.random.default_rng(89)
+    H = np.stack([random_hermitian(rng, 3) for _ in range(8)])
+    scale = float(np.max(np.abs(H).sum(axis=-2)))
+    assert unitarity_defect(hermitian_step_exp(H, 2.0**16 * 0.999 / scale)) < 1e-10
+    for dt in (2.0**16 * 1.001 / scale, 1e300, np.nan):
+        with pytest.raises(ContractError, match="exceeds 2\\^16"):
+            hermitian_step_exp(H, dt)
+    with pytest.raises(ContractError):
+        hermitian_step_exp(1e200 * H, 1e200)
 
 
 def field_component():
@@ -129,11 +177,11 @@ def field_component():
 @given(h0=st.floats(-10.0, 10.0), hx=field_component(), hy=field_component(),
        hz=field_component(), dt=st.floats(1e-4, 1.0))
 def test_two_level_step_exp_matches_eigh_formula(h0, hx, hy, hz, dt):
+    # the closed form of the two-level propagation, e^{i phi} [[a, -conj(b)],
+    # [b, conj(a)]] from `_two_level_steps`, materialized as matrices
     H = np.array([[h0 + hz, hx - 1j * hy], [hx + 1j * hy, h0 - hz]])
-    vals, vecs = np.linalg.eigh(H)
-    expected = (vecs * np.exp(-1j * dt * vals)) @ np.conj(vecs.T)
-    step = hermitian_step_exp(H, dt)
-    assert np.max(np.abs(step - expected)) < 1e-13
+    step = _two_level_matrices(*_two_level_steps(H, dt))
+    assert np.max(np.abs(step - eigh_step_exp(H, dt))) < 1e-13
     assert unitarity_defect(step) < 1e-13
 
 
@@ -255,6 +303,10 @@ def test_two_level_matrices_are_the_phased_pair_matrices():
     assert np.array_equal(U[:, 0, 1], -e * np.conj(b))
     assert np.array_equal(U[:, 1, 1], e * np.conj(a))
     assert np.array_equal(_two_level_matrices(pairs[4], phases[4]), U[4])
+    # all phases zero, as for a traceless H: the entries are the pair's own
+    U = _two_level_matrices(pairs, np.zeros(9))
+    assert np.array_equal(U[:, 0, 0], a) and np.array_equal(U[:, 1, 0], b)
+    assert np.array_equal(U[:, 0, 1], -np.conj(b)) and np.array_equal(U[:, 1, 1], np.conj(a))
 
 
 @pytest.mark.parametrize("steps", [1, 64, 65, 1041])
@@ -270,6 +322,26 @@ def test_two_level_products_start_at_the_identity_and_carry_the_phase(steps):
     phases = np.concatenate([[0.0], np.cumsum(-dt * 0.5 * np.trace(H, axis1=1, axis2=2).real)])
     assert np.max(np.abs(np.linalg.det(U) - np.exp(2j * phases))) < 1e-12
     assert unitarity_defect(U) < 1e-12
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "component-major"])
+def test_matrix_scan_is_independent_of_the_step_layout(layout):
+    # 1041 steps leave 65 block totals, so the carries take one more level
+    # of the scan; its scratch once followed the steps' layout, and a
+    # non-C-contiguous stack put the carries into a discarded copy
+    rng = np.random.default_rng(73)
+    steps = np.stack([random_unitary(rng, 3) for _ in range(1041)])
+    expected = np.empty_like(steps)
+    expected[0] = steps[0]
+    for j in range(1, len(steps)):
+        expected[j] = steps[j] @ expected[j - 1]
+    if layout == "F":
+        steps = np.asfortranarray(steps)
+    elif layout == "component-major":
+        steps = np.ascontiguousarray(np.moveaxis(steps, 0, -1)).transpose(2, 0, 1)
+    out = np.empty((_scan_length(len(steps)), 3, 3), dtype=complex)
+    _scan(steps, out, _matrix_product)
+    assert np.max(np.abs(out[: len(steps)] - expected)) < 1e-12
 
 
 def test_unitarity_defect_of_two_level_stacks_matches_matmul():
