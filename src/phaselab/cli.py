@@ -428,12 +428,12 @@ def observables(sc: Scenario) -> Observables:
     """Propagate the scenario once and evaluate every phase observable on it.
 
     The member paths psi_k = U|k> are formed once, as one `PathStack`, so their
-    derivative overlaps <psi_k|d psi_k/dt> are too; every phase is read off it.
+    step phases arg<psi_k(t_j), psi_k(t_{j+1})> are too; every phase is read off it.
     """
     U = _propagate(sc)
     members = PathStack(sc.grid, member_paths(U, sc.ensemble.states))
     gamma_total, visibility = mixed_total_phase(density_from_ensemble(sc.ensemble), U.final)
-    weak, strong, (gamma_d, _) = transport_conditions(sc.ensemble, members)
+    weak, strong, gamma_d = transport_conditions(sc.ensemble, members)
     reports = dict(zip(sc.labels, members.reports(sc.H.sample(sc.grid.nodes))))
     phi_g = dict(zip(sc.labels, np.angle(members.holonomies).tolist()))
     singh = singh_phase(sc.ensemble.weights, members)

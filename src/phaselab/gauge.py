@@ -7,8 +7,10 @@ only by the constant e^{i alpha_k(0)}, and the trace formula (prefactor times
 exponential of connection-minus-energy integral) is invariant.  The geometric
 phase is the holonomy left over after parallel transporting the frame.  A
 frame's members, stacked as one `phases.PathStack` (`BasisFrame.members`),
-give the holonomies and the trace formula from one set of derivative
-overlaps; parallel transport is `phases.parallel_transport` on each member.  A
+give the connection, holonomies, trace formula and rebuilt amplitudes from one
+set of step phases arg<v_j, v_{j+1}>; parallel transport is
+`phases.parallel_transport` on each member.  Only `effective_hamiltonian`, whose
+off-diagonal <v_n| i d/dt v_m> is no step phase, takes central differences.  A
 `GaugeFunction` evaluates the phases of every label at once.  H comes in as
 its samples on the frame's grid nodes.
 """
@@ -27,8 +29,7 @@ from .exceptions import (
     OrthogonalityCrossingError,
 )
 from .numerics import central_diff, cum_trapezoid
-from .phases import (PathStack, check_node_samples, parallel_transport, state_connection,
-                     state_energies)
+from .phases import PathStack, check_node_samples, parallel_transport, state_energies
 
 FRAME_ORTHO_TOL = 1e-8
 OVERLAP_FLOOR = 1e-10
@@ -227,14 +228,13 @@ def apply_gauge(frame: BasisFrame, g: GaugeFunction) -> BasisFrame:
 
 
 def connection(frame: BasisFrame, label) -> np.ndarray:
-    """<v_k(t_j), i d/dt v_k(t_j)>, real by normalization."""
-    return state_connection(frame.component(label), frame.grid.dt)
+    """<v_k| i d/dt v_k> at the step midpoints, -arg<v_k(t_j), v_k(t_{j+1})> / dt."""
+    return -frame.members.step_phases[frame._index(label)] / frame.grid.dt
 
 
 def parallel_transport_frame(frame: BasisFrame) -> BasisFrame:
-    """Rephase every member so its connection vanishes at interior nodes."""
-    dt = frame.grid.dt
-    rows = np.stack([parallel_transport(v, dt) for v in frame.vectors])
+    """Rephase every member so its step overlaps are real and positive."""
+    rows = np.stack([parallel_transport(v) for v in frame.vectors])
     return BasisFrame(frame.grid, frame.labels, rows)
 
 
@@ -260,17 +260,19 @@ def frame_trace(frame: BasisFrame, samples: np.ndarray, weights) -> complex:
 def amplitudes_from_frame(frame: BasisFrame, samples: np.ndarray) -> list[AmplitudePath]:
     """Rebuild Schroedinger amplitudes from a frame whose effective Hamiltonian
     is diagonal: psi_k(t) = v_k(t) exp{-i int (<v_k|H|v_k> - <v_k|i d/dt v_k>) dt},
-    with `samples` the Hamiltonian on the frame's grid nodes.
+    with `samples` the Hamiltonian on the frame's grid nodes: the energies by
+    the cumulative trapezoid, the connection integral as minus the cumulative
+    step phases.
 
     Under a frame gauge transform the output changes only by the constant
     phase e^{i alpha_k(0)} per member.
     """
     check_node_samples(samples, frame.grid, frame.dim)
-    dt = frame.grid.dt
     out = []
-    for v in frame.vectors:
-        energy = state_energies(v, samples) - state_connection(v, dt)
-        out.append(AmplitudePath(frame.grid, v * np.exp(-1j * cum_trapezoid(energy, dt))[:, None]))
+    for v, phases in zip(frame.vectors, frame.members.step_phases):
+        accumulated = cum_trapezoid(state_energies(v, samples), frame.grid.dt)
+        accumulated[1:] += np.cumsum(phases)
+        out.append(AmplitudePath(frame.grid, v * np.exp(-1j * accumulated)[:, None]))
     return out
 
 

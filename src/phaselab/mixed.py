@@ -5,13 +5,14 @@ The directly observable quantities are the total phase arg Tr[U(T) rho(0)]
 and the visibility |Tr[U(T) rho(0)]|.  Per-path phase transforms
 U -> U sum_k e^{i theta_k} |k><k| leave the density-matrix orbit fixed but
 shift both observables in a way computed here exactly; the Singh combination
-of endpoint overlaps and connection integrals is the invariant alternative.
+of endpoint overlaps and step-phase sums is the invariant alternative.
 Transport conditions, mixed dynamical phase, the Singh phase and `gauge_campaign`
 read the member paths psi_k = U|k> (`evolution.member_paths`) as one
 `phases.PathStack`, which a per-path transform maps to e^{i theta_k} psi_k; one
-`transport_conditions` call gives both residuals and gamma_D.  `transport_conditions`
+`transport_conditions` call gives both residuals and gamma_D from its step phases,
+which that transform shifts by theta_k(t_{j+1}) - theta_k(t_j).  `transport_conditions`
 and `singh_phase` also take that stack itself, so a caller that holds it pays for
-its derivative overlaps once.
+its step overlaps once.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .exceptions import (
 )
 from .gauge import GaugeFunction, apply_gauge, frame_from_amplitudes, frame_trace
 from .linalg import hermitian_eigen, hermiticity_defect, unitarity_defect
-from .numerics import trapezoid, wrap_angle
+from .numerics import wrap_angle
 from .phases import PathStack
 
 TRACE_FLOOR = 1e-12
@@ -185,7 +186,7 @@ def transform_evolution(
 
 
 def singh_phase(weights, paths: Sequence[AmplitudePath] | PathStack) -> float:
-    """arg sum_k w_k <psi_k(0), psi_k(T)> exp[i int <psi_k| i d/dt psi_k> dt].
+    """arg sum_k w_k <psi_k(0), psi_k(T)> exp(-i sum_j arg<psi_k(t_j), psi_k(t_{j+1})>).
 
     Invariant under independent time-dependent phase transforms of each path.
     `paths` is a sequence of paths on one grid or their `PathStack`.
@@ -225,7 +226,7 @@ def gauge_campaign(
     base_trace = frame_trace(frame, samples, weights)
     base_singh = singh_phase(weights, members)
     base_gamma, base_vis = mixed_total_phase(rho0, U.final)
-    base_dyn = transport_conditions(ensemble, members)[2][0]
+    base_dyn = transport_conditions(ensemble, members)[2]
     diag_UT = np.einsum("ka,ak->k", np.conj(ensemble.states), members.states[-1])  # <k|U(T)|k>
 
     def draw(slope_scale):
@@ -257,7 +258,7 @@ def gauge_campaign(
         mismatch_gamma = max(mismatch_gamma, abs(wrap_angle(observed_gamma - predicted_gamma)))
         naive_gamma = max(naive_gamma, abs(wrap_angle(observed_gamma - base_gamma)))
 
-        observed_dyn = transport_conditions(ensemble, shifted)[2][0]
+        observed_dyn = transport_conditions(ensemble, shifted)[2]
         predicted_dyn = base_dyn + float(np.sum(weights * (theta_T - theta_0)))
         mismatch_dyn = max(mismatch_dyn, abs(observed_dyn - predicted_dyn))
         naive_dyn = max(naive_dyn, abs(observed_dyn - base_dyn))
@@ -278,14 +279,15 @@ def gauge_campaign(
 
 
 def transport_conditions(rho0: DensityMatrix | Ensemble, U: PropagatorPath | PathStack):
-    """(weak, per-state strong residuals, (gamma_D, residual)) from one set of overlaps.
+    """(weak, per-state strong residuals, gamma_D) from one set of step phases
+    phi_kj = arg<psi_k(t_j), psi_k(t_{j+1})> of the member paths psi_k = U|k>.
 
-    weak: max_j |Tr rho0 U^dagger dU/dt|; strong: per k, max_j of
-    |<k| U^dagger dU/dt |k>| (equal to the energy expectation along psi_k).
-    The weak integrand is i times that of gamma_D (`mixed_dynamical_phase`), whose
-    residual is the largest |imaginary part| of that integrand, a discretization
-    artifact.  A DensityMatrix input is diagonalized deterministically first.
-    U may also be the `PathStack` of the member paths U|k> of the Ensemble rho0.
+    weak: max_j |sum_k w_k phi_kj| / dt, the step form of max |Tr rho0 U^dagger dU/dt|;
+    strong: per k, max_j |phi_kj| / dt, that of max |<k| U^dagger dU/dt |k>| (equal
+    to the energy expectation along psi_k); gamma_D = sum_k w_k sum_j phi_kj
+    (`mixed_dynamical_phase`).  A DensityMatrix input is diagonalized
+    deterministically first.  U may also be the `PathStack` of the member paths
+    U|k> of the Ensemble rho0.
     """
     if isinstance(U, PathStack):
         if not isinstance(rho0, Ensemble) or rho0.size != U.size:
@@ -293,21 +295,19 @@ def transport_conditions(rho0: DensityMatrix | Ensemble, U: PropagatorPath | Pat
         members, weights = U, rho0.weights
     else:
         ensemble = rho0 if isinstance(rho0, Ensemble) else ensemble_from_density(rho0)
-        # <k|U^dagger dU|k> = <psi_k|d psi_k> for psi_k = U|k>, by linearity
         members = PathStack(U.grid, member_paths(U, ensemble.states))
         weights = ensemble.weights
-    trace = weights @ members.overlaps  # Tr rho0 U^dagger dU/dt per node
-    weak, strong = float(np.max(np.abs(trace))), np.max(np.abs(members.overlaps), axis=1)
-    return weak, strong, (float(trapezoid(trace.imag, members.grid.dt)),
-                          float(np.max(np.abs(trace.real))))
+    phases = members.step_phases
+    weak = float(np.max(np.abs(weights @ phases))) / members.grid.dt
+    return weak, members.residuals, float(weights @ phases.sum(axis=1))
 
 
 def mixed_dynamical_phase(rho0: DensityMatrix | Ensemble, U: PropagatorPath) -> float:
-    """gamma_D = -i int sum_k w_k <psi_k|d psi_k/dt> dt (= -i int Tr[rho0 U^dagger dU/dt] dt),
-    real part, psi_k = U|k>; a DensityMatrix is diagonalized first.  Its diagnostic
-    residual is the last item of `transport_conditions`.
+    """gamma_D = sum_k w_k sum_j arg<psi_k(t_j), psi_k(t_{j+1})>, psi_k = U|k>: the
+    step form of -i int Tr[rho0 U^dagger dU/dt] dt; a DensityMatrix is
+    diagonalized first.
     """
-    return transport_conditions(rho0, U)[2][0]
+    return transport_conditions(rho0, U)[2]
 
 
 def reduce(pure: PurifiedState) -> DensityMatrix:

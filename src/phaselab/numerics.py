@@ -1,13 +1,11 @@
 """Shared discretization helpers: angle wrapping, finite differences, quadrature.
 
 All trajectory-valued quantities in this package live on a uniform time grid.
-Derivatives are central differences at interior nodes with one-sided
-second-order stencils at the endpoints; integrals use the trapezoidal rule on
-the same grid, so every phase functional carries the same O(dt^2) error model
-as the propagator.  `central_diff` itself now serves
-`gauge.effective_hamiltonian` and the tests: `phases.derivative_overlaps`
-applies the same stencils to the step overlaps instead of differencing the
-states.
+Energy integrals (dynamical phases) use the trapezoidal rule on that grid.
+No phase functional differentiates states: connections are step phases
+(`phases.PathStack.step_phases`), exact functionals of the grid states.
+`central_diff` (central differences at interior nodes, one-sided second-order
+stencils at the endpoints) serves `gauge.effective_hamiltonian` and the tests.
 """
 from __future__ import annotations
 

@@ -8,17 +8,20 @@ wrapped to (-pi, pi]; accumulated integrals (the dynamical phase) are not.
 Except in `adiabatic_phase`, H comes in as its node samples `H.sample(grid.nodes)`,
 whose shape `check_node_samples` checks.
 
+The one connection estimator is the step phases phi_j = arg<psi_j, psi_{j+1}>
+(`step_overlaps`): the connection integral is -sum_j phi_j and the holonomy the
+Bargmann invariant <psi_0, psi_N> exp(-i sum_j phi_j), which any rephasing
+psi_j -> e^{i alpha_j} psi_j leaves exactly fixed on the grid, since each phi_j
+shifts by alpha_{j+1} - alpha_j modulo 2 pi and the sum telescopes.
+
 `PathStack` holds k paths on one grid as one (nodes, dim, k) stack, the layout
 of `evolution.member_paths`, and gives every functional above as an array over
-k from one set of derivative overlaps <psi_k|d psi_k/dt>; `derivative_overlaps`
-is the one central-difference estimator, so another estimator changes it only.
-It is built from the step overlaps <psi_j, psi_{j+1}> of `step_overlaps`, by
-linearity, so no stack of differences is formed.  The per-path functions on
-an `AmplitudePath` are its k = 1 case; the frame holonomies of `gauge` and
-every time-dependent mixed-state functional of `mixed` read the record too.
-The kernels on raw state stacks (step overlaps, connection, energy
-expectation, parallel transport) serve all three modules; for two-level
-states the step overlaps and energies are written entry by entry.
+k from one set of step phases.  The per-path functions on an `AmplitudePath`
+are its k = 1 case; the frame holonomies of `gauge` and every time-dependent
+mixed-state functional of `mixed` read the record too.  The kernels on raw
+state stacks (step overlaps, energy expectation, parallel transport) serve all
+three modules; for two-level states the step overlaps and energies are written
+entry by entry.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ import numpy as np
 from .evolution import AmplitudePath, HamiltonianTrajectory, TimeGrid
 from .exceptions import ContractError, DegeneracyError, DimensionError, UndefinedPhaseError
 from .linalg import fix_eigenvector_phases
-from .numerics import cum_trapezoid, trapezoid, wrap_angle
+from .numerics import trapezoid, wrap_angle
 
 OVERLAP_FLOOR = 1e-12
 
@@ -41,8 +44,8 @@ class PhaseReport:
     """Phase summary for one scenario constituent.
 
     `geometric` is wrap(total - dynamical) by construction; the transport
-    residual is the largest interior |<psi, d psi/dt>|, i.e. how far the raw
-    evolution is from satisfying the parallel transport condition.
+    residual is the largest step phase |arg<psi_j, psi_{j+1}>| / dt, i.e. how
+    far the raw evolution is from satisfying the parallel transport condition.
     """
 
     total: float
@@ -70,37 +73,6 @@ def step_overlaps(states: np.ndarray) -> np.ndarray:
         np.multiply(np.conj(a[:-1]), a[1:], out=row)
         row += np.conj(b[:-1]) * b[1:]
     return out
-
-
-def derivative_overlaps(states: np.ndarray, dt: float) -> np.ndarray:
-    """<v_j, d/dt v_j> by central differences on a (nodes, dim, ...) stack: the
-    vector is axis 1, so k paths stacked as (nodes, dim, k) give (nodes, k).
-
-    The differences are expanded by linearity over the step overlaps
-    s_j = <v_j, v_{j+1}>: an interior node gives (s_j - conj(s_{j-1})) / (2 dt),
-    and the endpoints the one-sided three-point stencils of
-    `numerics.central_diff`, (4 s_0 - 3 <v_0, v_0> - <v_0, v_2>) / (2 dt) and
-    (3 <v_N, v_N> - 4 conj(s_{N-1}) + <v_N, v_{N-2}>) / (2 dt).
-    """
-    states = np.asarray(states)
-    if states.shape[0] < 3:
-        raise ValueError("need at least 3 samples for second-order differences")
-    s = step_overlaps(states)
-    out = np.empty((len(states),) + s.shape[1:], dtype=complex)
-    np.subtract(s.real[1:], s.real[:-1], out=out.real[1:-1])
-    np.add(s.imag[1:], s.imag[:-1], out=out.imag[1:-1])
-    # <v_0, v_0>, <v_0, v_2>, <v_N, v_N> and <v_N, v_{N-2}>
-    ends = np.einsum("ia...,ia...->i...", np.conj(states[[0, 0, -1, -1]]), states[[0, 2, -1, -3]])
-    out[0] = 4.0 * s[0] - 3.0 * ends[0] - ends[1]
-    out[-1] = 3.0 * ends[2] - 4.0 * np.conj(s[-1]) + ends[3]
-    flat = out.view(out.real.dtype)  # the real view, so the division stays real
-    flat /= 2.0 * dt
-    return out
-
-
-def state_connection(states: np.ndarray, dt: float) -> np.ndarray:
-    """<v(t_j), i d/dt v(t_j)>, real part, for a state stack v of shape (nodes, dim)."""
-    return -derivative_overlaps(states, dt).imag
 
 
 def check_node_samples(samples: np.ndarray, grid: TimeGrid, dim: int) -> None:
@@ -147,11 +119,14 @@ def state_energies(states: np.ndarray, samples: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, -1, 0)
 
 
-def parallel_transport(states: np.ndarray, dt: float) -> np.ndarray:
-    """Rephase a state stack so its connection vanishes; the endpoints then
+def parallel_transport(states: np.ndarray) -> np.ndarray:
+    """Rephase a (nodes, dim, ...) state stack by the cumulative sum of its step
+    phases, so every step overlap is real and positive; the endpoints then
     carry the holonomy."""
-    accumulated = cum_trapezoid(state_connection(states, dt), dt)
-    return states * np.exp(1j * accumulated)[:, None]
+    phases = np.angle(step_overlaps(states))
+    accumulated = np.zeros((len(states),) + phases.shape[1:])
+    np.cumsum(phases, axis=0, out=accumulated[1:])
+    return states * np.exp(-1j * accumulated)[:, None]
 
 
 @dataclass(frozen=True)
@@ -159,9 +134,9 @@ class PathStack:
     """k paths psi_k(t_j) on one grid as one (steps + 1, dim, k) stack, with
     every phase functional as an array over k.
 
-    The derivative overlaps come from one `derivative_overlaps` call and are
-    kept as one contiguous row per path, so each path's sums run pairwise over
-    its own row and a row's values equal those of the path stacked alone.
+    The step phases come from one `step_overlaps` call and are kept as one
+    contiguous row per path, so each path's sums run pairwise over its own row
+    and a row's values equal those of the path stacked alone.
     """
 
     grid: TimeGrid
@@ -191,9 +166,9 @@ class PathStack:
             raise ContractError("paths must be orthonormal at t = 0")
 
     @cached_property
-    def overlaps(self) -> np.ndarray:
-        """<psi_k, d psi_k/dt> at every node, shape (k, nodes)."""
-        return np.ascontiguousarray(derivative_overlaps(self.states, self.grid.dt).T)
+    def step_phases(self) -> np.ndarray:
+        """arg<psi_k(t_j), psi_k(t_{j+1})> at every step, shape (k, steps)."""
+        return np.ascontiguousarray(np.angle(step_overlaps(self.states)).T)
 
     @cached_property
     def endpoint_overlaps(self) -> np.ndarray:
@@ -211,15 +186,16 @@ class PathStack:
 
     @cached_property
     def holonomies(self) -> np.ndarray:
-        """<psi_k(0), psi_k(T)> exp[i int <psi_k| i d/dt psi_k> dt] per path: its argument
-        is the geometric phase, unchanged by any rephasing psi_k -> e^{i alpha_k(t)} psi_k."""
-        connection = [trapezoid(-row.imag, self.grid.dt) for row in self.overlaps]
-        return self.endpoint_overlaps * np.exp(1j * np.array(connection))
+        """<psi_k(0), psi_k(T)> exp(-i sum_j arg<psi_k(t_j), psi_k(t_{j+1})>) per path:
+        its argument is the geometric phase, unchanged by any rephasing
+        psi_k -> e^{i alpha_k(t)} psi_k."""
+        return self.endpoint_overlaps * np.exp(-1j * self.step_phases.sum(axis=1))
 
     @property
     def residuals(self) -> np.ndarray:
-        """max over interior nodes of |<psi_k, d psi_k/dt>| (zero iff parallel transported)."""
-        return np.max(np.abs(self.overlaps[:, 1:-1]), axis=1)
+        """max over steps of |arg<psi_k(t_j), psi_k(t_{j+1})>| / dt (zero iff parallel
+        transported)."""
+        return np.max(np.abs(self.step_phases), axis=1) / self.grid.dt
 
     def dynamical(self, samples: np.ndarray) -> np.ndarray:
         """phi_D = -int <psi_k|H|psi_k> dt per path by the trapezoidal rule
@@ -254,14 +230,14 @@ def dynamical_phase(psi: AmplitudePath, samples: np.ndarray) -> float:
 
 
 def geometric_phase_pure(psi: AmplitudePath) -> float:
-    """arg{ <psi(0), psi(T)> exp[i int <psi| i d/dt psi> dt] }, gauge invariant."""
+    """arg{ <psi(0), psi(T)> exp(-i sum_j arg<psi_j, psi_{j+1}>) }, gauge invariant."""
     stack = _alone(psi)
     stack.totals()  # an undefined endpoint overlap raises
     return float(np.angle(stack.holonomies[0]))
 
 
 def transport_residual(psi: AmplitudePath) -> float:
-    """max over interior nodes of |<psi, d psi/dt>| (zero iff parallel transported)."""
+    """max over steps of |arg<psi_j, psi_{j+1}>| / dt (zero iff parallel transported)."""
     return float(_alone(psi).residuals[0])
 
 
@@ -274,11 +250,11 @@ def phase_report(psi: AmplitudePath, samples: np.ndarray) -> PhaseReport:
 def adiabatic_phase(H: HamiltonianTrajectory, grid: TimeGrid, level: int):
     """Adiabatic geometric and dynamical phases of one instantaneous level.
 
-    The instantaneous eigenbasis is made continuous along the grid (nearest
-    overlap real positive), closed by spreading the residual endpoint phase
-    uniformly, and integrated: geometric = int <v| i d/dt v> dt and
-    dynamical = -int E(t) dt.  Requires the level to stay separated from its
-    neighbors by at least 1e-6 at every node.
+    The instantaneous eigenvectors are phase-aligned along the grid (each step
+    overlap real positive), so their step phases vanish and the geometric
+    phase is the discrete holonomy arg<v_0, v_N>; dynamical = -int E(t) dt.
+    Requires the level to stay separated from its neighbors by at least 1e-6
+    at every node.
     """
     samples = H.sample(grid.nodes)
     vals, vecs = np.linalg.eigh(samples)  # batched, ascending eigenvalues
@@ -296,13 +272,6 @@ def adiabatic_phase(H: HamiltonianTrajectory, grid: TimeGrid, level: int):
         if abs(overlap) < 1e-8:
             raise DegeneracyError("eigenvector continuity lost between grid nodes")
         v[j] *= np.conj(overlap) / abs(overlap)
-    # Close the frame: the leftover phase is the discrete holonomy.
-    mismatch = np.vdot(v[0], v[-1])
-    delta = float(np.angle(mismatch))
-    j_frac = np.arange(v.shape[0]) / (v.shape[0] - 1)
-    v = v * np.exp(-1j * delta * j_frac)[:, None]
-    v[-1] = v[0]
-
-    geometric = float(trapezoid(state_connection(v, grid.dt), grid.dt))
+    geometric = float(np.angle(np.vdot(v[0], v[-1])))
     dyn = float(-trapezoid(vals[:, level], grid.dt))
     return geometric, dyn

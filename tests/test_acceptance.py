@@ -50,17 +50,7 @@ class SweepPoint:
     state_error: float
     state_error_half_dt: float
     geometric_numeric: dict
-    phase_steps: int
     runtime: float
-
-
-def phase_resolution(p: SpinParams) -> int:
-    """Steps needed to hold the connection-integral bias T^3 E^3 / (6 N^2)
-    below 2.5e-6; the phase content grows with mu_B T, so extreme
-    mu_B/omega ratios need finer grids than the state-error baseline."""
-    energy_scale = p.mu_b + p.omega
-    needed = np.sqrt(p.period**3 * energy_scale**3 / (6.0 * 2.5e-6))
-    return max(BASE_STEPS, int(needed) + 1)
 
 
 def draw_params(rng: np.random.Generator) -> SpinParams:
@@ -95,18 +85,11 @@ def sweep():
             float(np.linalg.norm(fine.final @ w_minus - exact_minus)),
         )
         criterion1_runtime = time.perf_counter() - start
-        steps_for_phase = phase_resolution(p)
-        if steps_for_phase > BASE_STEPS:
-            U_fine_phase = propagate(H, TimeGrid(0.0, p.period, steps_for_phase))
-            path_plus = amplitude_path(U_fine_phase, w_plus)
-            path_minus = amplitude_path(U_fine_phase, w_minus)
         geometric = {
             "+": geometric_phase_pure(path_plus),
             "-": geometric_phase_pure(path_minus),
         }
-        points.append(
-            SweepPoint(p, err, err_half, geometric, steps_for_phase, criterion1_runtime)
-        )
+        points.append(SweepPoint(p, err, err_half, geometric, criterion1_runtime))
     return points
 
 

@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phaselab import cli, mixed, phases
+from phaselab import cli, mixed, phases, spin_model
 from phaselab.evolution import AmplitudePath, member_paths, propagate
+from phaselab.numerics import wrap_angle
 
 
 def run(argv):
@@ -246,14 +247,14 @@ def test_observables_match_the_per_path_functions(case, monkeypatch):
     else:
         cfg = cli.ScenarioConfig(mu_b=case[0], omega=case[1])
     sc = cli.build_scenario(cfg)
-    calls, estimator = [], phases.derivative_overlaps
+    calls, estimator = [], phases.step_overlaps
 
-    def counted(states, dt):
+    def counted(states):
         calls.append(states.shape)
-        return estimator(states, dt)
+        return estimator(states)
 
     for module in (cli, phases, mixed):
-        monkeypatch.setattr(module, "derivative_overlaps", counted, raising=False)
+        monkeypatch.setattr(module, "step_overlaps", counted, raising=False)
     obs = cli.observables(sc)
     assert calls == [(sc.grid.steps + 1, sc.H.dim, sc.ensemble.size)]  # one call, on the stack
     monkeypatch.undo()
@@ -270,7 +271,7 @@ def test_observables_match_the_per_path_functions(case, monkeypatch):
         assert abs(obs.phi_g[label] - phases.geometric_phase_pure(path)) <= 1e-13
         assert abs(obs.reports[label].transport_residual - phases.transport_residual(path)) <= 1e-13
     assert abs(obs.singh_phase - mixed.singh_phase(sc.ensemble.weights, paths)) <= 1e-13
-    weak, strong, (gamma_d, _) = mixed.transport_conditions(sc.ensemble, U)
+    weak, strong, gamma_d = mixed.transport_conditions(sc.ensemble, U)
     assert abs(obs.transport_weak - weak) <= 1e-13
     assert np.max(np.abs(obs.transport_strong - strong)) <= 1e-13
     assert abs(obs.mixed_dynamical - gamma_d) <= 1e-13
@@ -278,6 +279,36 @@ def test_observables_match_the_per_path_functions(case, monkeypatch):
                                                       U.final)
     assert abs(obs.gamma_total - gamma_total) <= 1e-13
     assert abs(obs.visibility - visibility) <= 1e-13
+
+
+BOX_CORNERS = [(0.1, 0.1), (0.1, 10.0), (10.0, 0.1), (10.0, 10.0)]
+
+
+@pytest.mark.parametrize("theta", [0.3, np.pi / 2, 2.8])
+@pytest.mark.parametrize("mu_b, omega", BOX_CORNERS)
+def test_box_corner_phases_match_the_closed_forms(mu_b, omega, theta):
+    # at the default steps, where mu_B T is largest (10, 0.1) the step phases
+    # carry a fast dynamical phase of E dt ~ 0.03 rad, which a derivative
+    # estimator would turn into an O((E dt)^2) bias of the geometric phase
+    sc = cli.build_scenario(cli.ScenarioConfig(mu_b=mu_b, omega=omega, theta=theta))
+    obs = cli.observables(sc)
+    exact = {label: spin_model.geometric_phase(sc.params, label) for label in sc.labels}
+    for label in sc.labels:
+        assert abs(wrap_angle(obs.phi_g[label] - exact[label])) <= 1e-5, label
+    singh = np.angle(sum(w * np.exp(1j * exact[label])
+                         for w, label in zip(sc.ensemble.weights, sc.labels)))
+    assert abs(wrap_angle(obs.singh_phase - singh)) <= 1e-5
+
+
+@pytest.mark.parametrize("mu_b, omega", [(10.0, 0.1), (0.1, 0.1)])
+def test_box_corner_gauge_invariants_hold(mu_b, omega, tmp_path):
+    out = tmp_path / "verify.csv"
+    assert run(["verify-gauge", "--mu-b", str(mu_b), "--omega", str(omega), "--trials", "3",
+                "--out", str(out)]) == 0
+    records = read_records(out)
+    for name in ("max_gamma_total_deviation", "max_visibility_deviation",
+                 "max_holonomy_deviation", "max_singh_deviation"):
+        assert float(records[(name, "")]) <= 1e-7, name
 
 
 @pytest.mark.parametrize("libc", ["not-found", "no-mallopt"])

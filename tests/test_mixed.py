@@ -241,9 +241,7 @@ def test_mixed_dynamical_phase_constant_hamiltonian():
     path = PropagatorPath(grid, U)
     expected = -np.trace(rho.matrix @ E).real * T
     value = mixed_dynamical_phase(rho, path)
-    _, _, (_, residual) = transport_conditions(rho, path)
     assert value == pytest.approx(expected, abs=1e-7)
-    assert residual < 1e-7
 
 
 def test_mixed_dynamical_phase_special_case(special_case):
@@ -361,7 +359,9 @@ def test_transport_conditions_accepts_density_matrix(generic_case):
 
 def test_transport_and_mixed_dynamical_phase_dim3():
     # non-commuting dim-3 generators and a 2-state ensemble (k < d), against
-    # the direct <k|U^dagger dU|k> and Tr[rho0 U^dagger dU] formulas
+    # per-state sums of arg<psi_k(t_j), psi_k(t_{j+1})> written out with np.vdot,
+    # and gamma_D against the central-difference -i int Tr[rho0 U^dagger dU] dt,
+    # which it approaches as the grid is refined
     rng = np.random.default_rng(41)
     A, B, C = (random_hermitian(rng, 3) for _ in range(3))
 
@@ -369,34 +369,49 @@ def test_transport_and_mixed_dynamical_phase_dim3():
         t = np.asarray(times, dtype=float)[..., None, None]
         return A + np.cos(t) * B + np.sin(2.0 * t) * C
 
-    U = propagate(HamiltonianTrajectory(3, evaluate=batch), TimeGrid(0.0, 2.0, 400))
+    H = HamiltonianTrajectory(3, evaluate=batch)
+    U = propagate(H, TimeGrid(0.0, 2.0, 400))
     Q = random_unitary(rng, 3)
     ensemble = Ensemble(np.array([0.7, 0.3]), Q[:, :2].T.copy())
     rho0 = density_from_ensemble(ensemble)
-    D = np.conj(np.swapaxes(U.matrices, -2, -1)) @ central_diff(U.matrices, U.grid.dt)
 
-    def strong_reference(states):
-        per_state = np.einsum("ka,jab,kb->jk", np.conj(states), D, states)
-        return np.max(np.abs(per_state), axis=0)
+    def step_phases(U, states):
+        """arg<psi_k(t_j), psi_k(t_{j+1})> per state k (rows) and step j."""
+        return np.array([[np.angle(np.vdot(U.matrices[j] @ s, U.matrices[j + 1] @ s))
+                          for j in range(U.grid.steps)] for s in states])
 
-    weak_reference = np.max(np.abs(np.einsum("ab,jba->j", rho0.matrix, D)))
+    def references(ensemble):
+        phases = step_phases(U, ensemble.states)
+        weak = np.max(np.abs(ensemble.weights @ phases)) / U.grid.dt
+        strong = np.max(np.abs(phases), axis=1) / U.grid.dt
+        return weak, strong, ensemble.weights @ phases.sum(axis=1)
+
+    weak_reference, strong_reference, _ = references(ensemble)
     weak, strong, _ = transport_conditions(ensemble, U)
     assert strong.shape == (2,)
-    assert np.max(np.abs(strong - strong_reference(ensemble.states))) < 1e-12
+    assert np.max(np.abs(strong - strong_reference)) < 1e-12
     assert abs(weak - weak_reference) < 1e-12
     weak_d, strong_d, _ = transport_conditions(rho0, U)
-    eigen = ensemble_from_density(rho0)
-    assert np.max(np.abs(strong_d - strong_reference(eigen.states))) < 1e-12
+    weak_reference, strong_reference, _ = references(ensemble_from_density(rho0))
+    assert np.max(np.abs(strong_d - strong_reference)) < 1e-12
     assert abs(weak_d - weak_reference) < 1e-12
 
     other = random_density(rng, 3)
     for rho, given in ((rho0, rho0), (rho0, ensemble), (other, other)):
+        _, _, expected = references(ensemble_from_density(rho))
+        assert abs(mixed_dynamical_phase(given, U) - expected) < 1e-12
+
+    def central_difference_gamma_d(U, rho):
+        D = np.conj(np.swapaxes(U.matrices, -2, -1)) @ central_diff(U.matrices, U.grid.dt)
         integrand = -1j * np.einsum("ab,jba->j", rho.matrix, D)
-        expected = (integrand[1:-1].sum() + 0.5 * (integrand[0] + integrand[-1])).real
-        value = mixed_dynamical_phase(given, U)
-        _, _, (_, residual) = transport_conditions(given, U)
-        assert abs(value - expected * U.grid.dt) < 1e-12
-        assert abs(residual - np.max(np.abs(integrand.imag))) < 1e-12
+        return (integrand[1:-1].sum() + 0.5 * (integrand[0] + integrand[-1])).real * U.grid.dt
+
+    gaps = []
+    for steps in (400, 800, 1600, 3200):
+        refined = propagate(H, TimeGrid(0.0, 2.0, steps))
+        gaps.append(abs(mixed_dynamical_phase(other, refined)
+                        - central_difference_gamma_d(refined, other)))
+    assert all(3.5 < coarse / fine < 4.5 for coarse, fine in zip(gaps, gaps[1:])), gaps
 
 
 def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
@@ -461,23 +476,23 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
     (["verify-gauge", "--trials", "3"], 2 + 2 * 3),
 ])
 def test_overlap_passes_per_command(argv, passes, monkeypatch, capsys):
-    calls, estimator = [], phases.derivative_overlaps
+    calls, estimator = [], phases.step_overlaps
 
-    def counted(states, dt):
+    def counted(states):
         calls.append(states.shape)
-        return estimator(states, dt)
+        return estimator(states)
 
     for module in (phases, mixed, gauge, cli):
-        monkeypatch.setattr(module, "derivative_overlaps", counted, raising=False)
+        monkeypatch.setattr(module, "step_overlaps", counted, raising=False)
     assert cli.main([*argv, "--steps", "2000"]) == 0
     capsys.readouterr()
     assert len(calls) == passes
 
 
 def test_a_sweep_point_takes_no_central_difference(generic_case, monkeypatch, capsys):
-    # the derivative overlaps come from the step overlaps, so no stack of
-    # differences is formed; effective_hamiltonian still takes one, which
-    # shows the counter is live
+    # every phase is read off the step phases, so no stack of differences is
+    # formed; effective_hamiltonian still takes one, which shows the counter
+    # is live
     calls, difference = [], numerics.central_diff
 
     def counted(y, dt):

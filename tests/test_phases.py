@@ -3,20 +3,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from phaselab import SpinParams, TimeGrid, amplitude_path, cli, propagate, spin_model
 from phaselab.evolution import AmplitudePath, HamiltonianTrajectory, member_paths
 from phaselab.exceptions import DegeneracyError, UndefinedPhaseError
-from phaselab.numerics import central_diff, trapezoid, wrap_angle
+from phaselab.numerics import trapezoid, wrap_angle
 from phaselab.phases import (
     PathStack,
     adiabatic_phase,
-    derivative_overlaps,
     dynamical_phase,
     geometric_phase_pure,
     parallel_transport,
     phase_report,
-    state_connection,
     state_energies,
     step_overlaps,
     total_phase,
@@ -102,11 +101,12 @@ def test_dynamical_phase_generic_golden(generic_case):
     assert dynamical_phase(generic_case.paths["+"], samples) == pytest.approx(
         expected, abs=1e-7
     )
-    # second form: -i int <psi, d/dt psi> equals the energy integral up to the
-    # O((rate*dt)^2) central-difference bias, ~2e-6 at N=20000 here
+    # second form: -i int <psi, d/dt psi> as the step-phase sum
+    # sum_j arg<psi_j, psi_{j+1}>, which equals the energy integral up to the
+    # O(dt^2) per-step phase of the energy spread
     path = generic_case.paths["+"]
-    conn_integral = float(trapezoid(state_connection(path.states, path.grid.dt), path.grid.dt))
-    assert -conn_integral == pytest.approx(expected, abs=5e-6)
+    step_sum = float(PathStack(path.grid, path.states[..., None]).step_phases.sum())
+    assert step_sum == pytest.approx(expected, abs=5e-6)
 
 
 def test_geometric_phase_eigenstate_is_zero():
@@ -171,13 +171,13 @@ def test_identity_on_propagated_paths(generic_case, special_case):
 
 
 def transported_path(path: AmplitudePath) -> AmplitudePath:
-    """The path rephased so its connection vanishes; endpoints carry the holonomy."""
-    return AmplitudePath(path.grid, parallel_transport(path.states, path.grid.dt))
+    """The path rephased so its step phases vanish; endpoints carry the holonomy."""
+    return AmplitudePath(path.grid, parallel_transport(path.states))
 
 
 def test_parallel_transport_fixed_point_exact():
-    # a path with purely real states is already parallel transported: the
-    # discrete connection vanishes identically, so transport returns it intact
+    # a path with purely real states is already parallel transported: every
+    # step phase vanishes identically, so transport returns it intact
     grid = TimeGrid(0.0, 1.0, 512)
     angles = 0.4 * np.pi * grid.nodes
     states = np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(complex)
@@ -315,10 +315,10 @@ def turning_paths(rng, grid, dim, paths):
 @pytest.mark.parametrize("paths", [None, 1, 3])
 @pytest.mark.parametrize("steps", [8, 4000])
 def test_overlap_kernels_match_the_difference_stack(dim, paths, steps):
-    # the step overlaps against one einsum over the pairs, and the derivative
-    # overlaps built from them against <v, central_diff(v)>, endpoints
-    # included, on turning unit vectors and on random vectors; (nodes, dim)
-    # stacks and (nodes, dim, k) stacks of k paths
+    # the step overlaps against one einsum over the pairs, and a stack's step
+    # phases against a per-path loop of np.vdot over the steps, on turning unit
+    # vectors and on random vectors; (nodes, dim) stacks and (nodes, dim, k)
+    # stacks of k paths
     rng = np.random.default_rng(100 * dim + steps + (paths or 0))
     grid = TimeGrid(0.0, 1.3, steps)
     turning = turning_paths(rng, grid, dim, paths or 1)
@@ -330,15 +330,35 @@ def test_overlap_kernels_match_the_difference_stack(dim, paths, steps):
         got = step_overlaps(v)
         assert got.shape == pairs.shape
         assert np.max(np.abs(got - pairs)) <= 1e-15 * np.max(np.abs(pairs))
-        expected = np.einsum("ja...,ja...->j...", np.conj(v), central_diff(v, grid.dt))
-        got = derivative_overlaps(v, grid.dt)
-        assert got.shape == expected.shape
-        assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, 1.0 / grid.dt)
+        per_path = v[..., None] if paths is None else v
+        expected = np.array([[np.angle(np.vdot(path[j], path[j + 1])) for j in range(steps)]
+                             for path in np.moveaxis(per_path, -1, 0)])
+        phases = PathStack(grid, per_path).step_phases
+        assert phases.shape == (per_path.shape[-1], steps) and phases.flags.c_contiguous
+        assert np.max(np.abs(phases - expected)) <= 1e-13
 
 
-def test_derivative_overlaps_need_three_nodes():
-    with pytest.raises(ValueError, match="at least 3 samples"):
-        derivative_overlaps(np.ones((2, 2), dtype=complex), 0.1)
+PROPERTY_STEPS = 24
+
+
+@given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**16),
+       alpha=st.lists(st.floats(-50.0, 50.0), min_size=2 * (PROPERTY_STEPS + 1),
+                      max_size=2 * (PROPERTY_STEPS + 1)))
+def test_holonomy_is_invariant_under_any_rephasing(dim, seed, alpha):
+    # v_j -> e^{i alpha_j} v_j shifts each step phase by alpha_{j+1} - alpha_j
+    # modulo 2 pi, and the 2 pi wraps vanish inside exp(-i sum arg), so the
+    # Bargmann holonomy is invariant on the grid itself, for any real alpha_j;
+    # parallel transport is idempotent and maps the rephased path to the
+    # transported one times the constant e^{i alpha_0}
+    grid = TimeGrid(0.0, 1.3, PROPERTY_STEPS)
+    v = turning_paths(np.random.default_rng(seed), grid, dim, 2)
+    alpha = np.reshape(alpha, (PROPERTY_STEPS + 1, 2))
+    rephased = v * np.exp(1j * alpha)[:, None]
+    holonomies = PathStack(grid, v).holonomies
+    assert np.max(np.abs(PathStack(grid, rephased).holonomies - holonomies)) <= 1e-12
+    once = parallel_transport(rephased)
+    assert np.max(np.abs(parallel_transport(once) - once)) <= 1e-12
+    assert np.max(np.abs(once - parallel_transport(v) * np.exp(1j * alpha[0]))) <= 1e-12
 
 
 def test_two_level_energies_match_the_full_form():
