@@ -517,11 +517,10 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values):
 def run_verify_gauge(cfg: ScenarioConfig):
     """Invariance campaign: hidden-gauge invariants stay fixed, equivalence-class
     transforms shift gamma_T / gamma_D by exactly the predicted amounts."""
-    if cfg.model != "spin":
-        raise ConfigError("verify-gauge supports the spin model only")
     sc = build_scenario(cfg)
     if len(sc.labels) != sc.H.dim:
-        raise ConfigError("verify-gauge needs a complete state basis (both branches)")
+        raise ConfigError(f"field 'states': verify-gauge needs a complete state basis, one "
+                          f"state per dimension: got {len(sc.labels)} for dimension {sc.H.dim}")
     values = gauge_campaign(sc.H, _propagate(sc), sc.ensemble, sc.labels,
                             np.random.default_rng(cfg.seed), cfg.trials, cfg.gauge_scale)
     records = [(name, "", value) for name, value in values.items()]

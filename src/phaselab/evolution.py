@@ -93,7 +93,8 @@ class PropagatorPath:
     """Unitaries U(t_j) on a grid, checked for shape and unitarity.
 
     `propagate` builds every path from U(t_0) = I exactly; a gauge-transformed
-    evolution (`mixed.transform_evolution`) starts at a diagonal phase matrix.
+    evolution (`mixed.transform_evolution`) starts at sum_k e^{i theta_k(0)} |k><k|,
+    diagonal in the basis it transforms over, whatever the model.
     """
 
     grid: TimeGrid

@@ -6,18 +6,17 @@ symmetry of the physics: amplitudes rebuilt from a transformed frame change
 only by the constant e^{i alpha_k(0)}, and the trace formula (prefactor times
 exponential of connection-minus-energy integral) is invariant.  The geometric
 phase is the holonomy left over after parallel transporting the frame.  A
-frame's members, stacked as one `phases.PathStack` (`BasisFrame.members`),
-give the connection, holonomies, trace formula and rebuilt amplitudes from one
-set of step phases arg<v_j, v_{j+1}>; parallel transport is
-`phases.parallel_transport` on each member.  Only `effective_hamiltonian`, whose
-off-diagonal <v_n| i d/dt v_m> is no step phase, takes central differences.  A
-`GaugeFunction` evaluates the phases of every label at once.  H comes in as
-its samples on the frame's grid nodes.
+BasisFrame is a `phases.PathStack` whose members carry labels, in the
+package's one (steps + 1, dim, L) layout, so the connection, holonomies, trace
+formula and rebuilt amplitudes read its own step phases arg<v_j, v_{j+1}>, and
+parallel transport is one `phases.parallel_transport` call on its states.
+Only `effective_hamiltonian`, whose off-diagonal <v_n| i d/dt v_m> is no step
+phase, takes central differences.  A `GaugeFunction` evaluates the phases of
+every label at once.  H comes in as its samples on the frame's grid nodes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -69,11 +68,19 @@ class GaugeFunction:
         return self.cos_coeffs.shape[1]
 
     def _table(self, t):
-        """t as an array, the harmonic frequencies and cos, sin of (*t.shape, degree)."""
+        """t as an array, the harmonic frequencies and cos, sin of (*t.shape, degree):
+        harmonic m is e^{i w_1 t} times harmonic m - 1, one complex product per
+        harmonic in place of a cos and a sin (about an ulp of rounding each)."""
         t = np.asarray(t, dtype=float)
         w = 2.0 * np.pi * np.arange(1, self.degree + 1) / self.period
-        arg = np.multiply.outer(t, w)
-        return t, w, np.cos(arg), np.sin(arg)
+        table = np.empty((*t.shape, self.degree), dtype=complex)
+        if self.degree:
+            first = table[..., 0]
+            np.cos(w[0] * t, out=first.real)
+            np.sin(w[0] * t, out=first.imag)
+            for m in range(1, self.degree):
+                np.multiply(table[..., m - 1], first, out=table[..., m])
+        return t, w, table.real, table.imag
 
     def value(self, t):
         t, _, cos, sin = self._table(t)
@@ -141,27 +148,28 @@ class GaugeFunction:
 
 
 @dataclass(frozen=True)
-class BasisFrame:
-    """Orthonormal vectors v_k(t_j) indexed by label k and grid node j."""
+class BasisFrame(PathStack):
+    """Orthonormal vectors v_k(t_j) as a path stack (steps + 1, dim, L), member
+    k carrying labels[k]."""
 
-    grid: TimeGrid
     labels: tuple
-    vectors: np.ndarray  # (L, steps + 1, dim)
 
     def __post_init__(self):
-        v = np.asarray(self.vectors)
-        if v.ndim != 3 or v.shape[0] != len(self.labels) or v.shape[1] != self.grid.steps + 1:
-            raise DimensionError(f"frame stack has shape {v.shape}")
-        gram = np.einsum("kja,lja->jkl", np.conj(v), v)
-        eye = np.eye(len(self.labels))
-        worst = float(np.max(np.abs(gram - eye)))
+        super().__post_init__()
+        v = self.states
+        L = len(self.labels)
+        if v.shape[-1] != L:
+            raise DimensionError(f"frame stack has shape {v.shape} for {L} labels")
+        conj = np.conj(v)  # one einsum per Gram entry k <= l: twice as fast as the whole stack
+        deviations = [np.max(np.abs(np.einsum("ja,ja->j", conj[:, :, k], v[:, :, l]) - (k == l)))
+                      for k in range(L) for l in range(k, L)]
+        worst = float(np.max(deviations))
         if not worst <= FRAME_ORTHO_TOL:
             raise ContractError(f"frame not orthonormal: deviation {worst:.3e}")
-        object.__setattr__(self, "vectors", v)
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[-1]
+        return self.states.shape[1]
 
     def _index(self, label) -> int:
         try:
@@ -170,12 +178,7 @@ class BasisFrame:
             raise DimensionError(f"unknown frame label {label!r}") from None
 
     def component(self, label) -> np.ndarray:
-        return self.vectors[self._index(label)]
-
-    @cached_property
-    def members(self) -> PathStack:
-        """The members v_k as one path stack (steps + 1, dim, L), in label order."""
-        return PathStack(self.grid, np.moveaxis(self.vectors, 0, -1))
+        return self.states[:, :, self._index(label)]
 
 
 @dataclass(frozen=True)
@@ -214,7 +217,7 @@ def frame_from_amplitudes(paths: Sequence[AmplitudePath] | PathStack, labels=Non
             "phase-stripping is undefined across an orthogonality crossing"
         )
     stripped = psi * np.conj(overlaps / mags)[:, None]  # (nodes, dim, L)
-    return BasisFrame(stack.grid, labels, np.ascontiguousarray(np.moveaxis(stripped, -1, 0)))
+    return BasisFrame(stack.grid, stripped, labels)
 
 
 def apply_gauge(frame: BasisFrame, g: GaugeFunction) -> BasisFrame:
@@ -223,24 +226,23 @@ def apply_gauge(frame: BasisFrame, g: GaugeFunction) -> BasisFrame:
         raise DimensionError(
             f"gauge labels {g.labels} do not match frame labels {frame.labels}"
         )
-    phases = np.exp(1j * g.value(frame.grid.nodes))
-    return BasisFrame(frame.grid, frame.labels, frame.vectors * phases[:, :, None])
+    phases = np.exp(1j * g.value(frame.grid.nodes))  # (L, nodes)
+    return BasisFrame(frame.grid, frame.states * phases.T[:, None, :], frame.labels)
 
 
 def connection(frame: BasisFrame, label) -> np.ndarray:
     """<v_k| i d/dt v_k> at the step midpoints, -arg<v_k(t_j), v_k(t_{j+1})> / dt."""
-    return -frame.members.step_phases[frame._index(label)] / frame.grid.dt
+    return -frame.step_phases[frame._index(label)] / frame.grid.dt
 
 
 def parallel_transport_frame(frame: BasisFrame) -> BasisFrame:
     """Rephase every member so its step overlaps are real and positive."""
-    rows = np.stack([parallel_transport(v) for v in frame.vectors])
-    return BasisFrame(frame.grid, frame.labels, rows)
+    return BasisFrame(frame.grid, parallel_transport(frame.states), frame.labels)
 
 
 def holonomy(frame: BasisFrame, label) -> complex:
     """<v_bar_k(0), v_bar_k(T)> of the parallel-transported member."""
-    return complex(frame.members.holonomies[frame._index(label)])
+    return complex(frame.holonomies[frame._index(label)])
 
 
 def frame_trace(frame: BasisFrame, samples: np.ndarray, weights) -> complex:
@@ -253,8 +255,7 @@ def frame_trace(frame: BasisFrame, samples: np.ndarray, weights) -> complex:
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(frame.labels),):
         raise DimensionError("one weight per frame label required")
-    members = frame.members
-    return complex(np.sum(weights * members.holonomies * np.exp(1j * members.dynamical(samples))))
+    return complex(np.sum(weights * frame.holonomies * np.exp(1j * frame.dynamical(samples))))
 
 
 def amplitudes_from_frame(frame: BasisFrame, samples: np.ndarray) -> list[AmplitudePath]:
@@ -268,23 +269,20 @@ def amplitudes_from_frame(frame: BasisFrame, samples: np.ndarray) -> list[Amplit
     phase e^{i alpha_k(0)} per member.
     """
     check_node_samples(samples, frame.grid, frame.dim)
-    out = []
-    for v, phases in zip(frame.vectors, frame.members.step_phases):
-        accumulated = cum_trapezoid(state_energies(v, samples), frame.grid.dt)
-        accumulated[1:] += np.cumsum(phases)
-        out.append(AmplitudePath(frame.grid, v * np.exp(-1j * accumulated)[:, None]))
-    return out
+    accumulated = cum_trapezoid(state_energies(frame.states, samples), frame.grid.dt)
+    accumulated[1:] += np.cumsum(frame.step_phases.T, axis=0)  # (nodes, L)
+    psi = frame.states * np.exp(-1j * accumulated)[:, None]
+    return [AmplitudePath(frame.grid, psi[:, :, k]) for k in range(frame.size)]
 
 
 def effective_hamiltonian(frame: BasisFrame, samples: np.ndarray) -> EffectiveHamiltonianPath:
     """Matrix elements <v_n|H|v_m> - <v_n| i d/dt v_m> at every node, with
     `samples` the Hamiltonian on the frame's grid nodes."""
     check_node_samples(samples, frame.grid, frame.dim)
-    v = frame.vectors
-    dv = central_diff(np.swapaxes(v, 0, 1), frame.grid.dt)  # (steps+1, L, dim)
-    vt = np.swapaxes(v, 0, 1)
-    ham_part = np.einsum("jna,jab,jmb->jnm", np.conj(vt), samples, vt)
-    conn_part = np.einsum("jna,jma->jnm", np.conj(vt), 1j * dv)
+    v = frame.states
+    dv = central_diff(v, frame.grid.dt)
+    ham_part = np.einsum("jan,jab,jbm->jnm", np.conj(v), samples, v)
+    conn_part = np.einsum("jan,jam->jnm", np.conj(v), 1j * dv)
     return EffectiveHamiltonianPath(frame.grid, frame.labels, ham_part - conn_part)
 
 

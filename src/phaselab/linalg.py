@@ -17,11 +17,12 @@ form, the scan multiplies the pairs (a, b) (4 complex products where a 2x2
 matrix product takes 8, on half the memory), the real phases phi add by one
 cumulative sum, and U is formed once.  Other dimensions take their steps
 from `hermitian_step_exp` and multiply matrices with `np.matmul`, the
-carries with one GEMM per block.  The checks (`require_hermitian`,
-`hermiticity_defect`, `unitarity_defect`) are entrywise for stacks of 2x2
-matrices too: they read the squared Frobenius norms off the real and
-imaginary parts of the entries, with no conjugate-transposed copy and no Gram
-stack; a single matrix and other dimensions keep the general forms.
+carries with one GEMM per block.  The propagator's checks
+(`require_hermitian`, `unitarity_defect`) are entrywise for stacks of 2x2
+matrices: they read the squared Frobenius norms off the real and imaginary
+parts of the entries, with no conjugate-transposed copy and no Gram stack; a
+single matrix and other dimensions keep the general forms, as does
+`hermiticity_defect` always.
 Everything batches over leading axes and reproduces bit-identical results
 run to run, which the golden tests rely on.
 """
@@ -55,16 +56,9 @@ def frobenius_norm(M: np.ndarray) -> float:
 
 
 def hermiticity_defect(M) -> float:
-    """||M - M^dagger||_F, maximized over batch axes.
-
-    For a stack of 2x2 matrices the squared norm is read entry by entry
-    (`_two_level_squares`), with no conjugate-transposed copy.  A single
-    matrix and other dimensions take the difference itself.
-    """
+    """||M - M^dagger||_F, maximized over batch axes."""
     M = _as_square(M)
-    if M.shape[-1] != 2 or M.ndim == 2:
-        return frobenius_norm(M - np.conj(np.swapaxes(M, -2, -1)))
-    return float(np.sqrt(np.max(_two_level_squares(M)[0])))
+    return frobenius_norm(M - np.conj(np.swapaxes(M, -2, -1)))
 
 
 def _two_level_squares(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -415,14 +409,5 @@ def hermitian_eigen(H, tol: float = 1e-12):
     if H.ndim != 2:
         raise DimensionError("hermitian_eigen expects a single matrix, not a batch")
     vals, vecs = np.linalg.eigh(H)
-    vecs = fix_eigenvector_phases(vecs)
-    return vals, vecs
-
-
-def fix_eigenvector_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    vecs = np.array(vecs, dtype=complex)
-    idx = np.argmax(np.abs(vecs), axis=0)
-    pivots = vecs[idx, np.arange(vecs.shape[1])]
-    phases = pivots / np.abs(pivots)
-    return vecs * np.conj(phases)[None, :]
+    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vecs))]
+    return vals, vecs * np.conj(pivots / np.abs(pivots))

@@ -243,7 +243,7 @@ def gauge_campaign(
         tr = frame_trace(gauged, samples, weights)
         dev_gamma = max(dev_gamma, abs(wrap_angle(np.angle(tr) - np.angle(base_trace))))
         dev_vis = max(dev_vis, abs(abs(tr) - abs(base_trace)))
-        hol_shift = gauged.members.holonomies - frame.members.holonomies
+        hol_shift = gauged.holonomies - frame.holonomies
         dev_hol = max(dev_hol, float(np.max(np.abs(hol_shift))))
 
         ramped = draw(2.0 * gauge_scale)

@@ -17,11 +17,12 @@ shifts by alpha_{j+1} - alpha_j modulo 2 pi and the sum telescopes.
 `PathStack` holds k paths on one grid as one (nodes, dim, k) stack, the layout
 of `evolution.member_paths`, and gives every functional above as an array over
 k from one set of step phases.  The per-path functions on an `AmplitudePath`
-are its k = 1 case; the frame holonomies of `gauge` and every time-dependent
-mixed-state functional of `mixed` read the record too.  The kernels on raw
-state stacks (step overlaps, energy expectation, parallel transport) serve all
-three modules; for two-level states the step overlaps and energies are written
-entry by entry.
+are its k = 1 case; `gauge.BasisFrame` is a labelled PathStack, and every
+time-dependent mixed-state functional of `mixed` reads the record too.  The
+kernels on raw state stacks (step overlaps, energy expectation, parallel
+transport) serve all three modules; for two-level states the energies are
+written entry by entry.  `adiabatic_phase` reads the holonomy of an
+instantaneous level's eigenvectors as `eigh` returns them.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ import numpy as np
 
 from .evolution import AmplitudePath, HamiltonianTrajectory, TimeGrid
 from .exceptions import ContractError, DegeneracyError, DimensionError, UndefinedPhaseError
-from .linalg import fix_eigenvector_phases
 from .numerics import trapezoid, wrap_angle
 
 OVERLAP_FLOOR = 1e-12
@@ -57,22 +57,9 @@ class PhaseReport:
 
 def step_overlaps(states: np.ndarray) -> np.ndarray:
     """<v_j, v_{j+1}> on a (nodes, dim, ...) stack: the vector is axis 1, so k
-    paths stacked as (nodes, dim, k) give (nodes - 1, k).
-
-    For dim 2 each path's overlaps are two products of its components, written
-    into its column of the output, with no conjugated copy of the stack; other
-    dimensions take one einsum.
-    """
+    paths stacked as (nodes, dim, k) give (nodes - 1, k)."""
     states = np.asarray(states)
-    if states.shape[1] != 2:
-        return np.einsum("ja...,ja...->j...", np.conj(states[:-1]), states[1:])
-    out = np.empty((len(states) - 1,) + states.shape[2:], dtype=complex)
-    for k in np.ndindex(states.shape[2:]):
-        row = out[(slice(None), *k)]
-        a, b = states[(slice(None), 0, *k)], states[(slice(None), 1, *k)]
-        np.multiply(np.conj(a[:-1]), a[1:], out=row)
-        row += np.conj(b[:-1]) * b[1:]
-    return out
+    return np.einsum("ja...,ja...->j...", np.conj(states[:-1]), states[1:])
 
 
 def check_node_samples(samples: np.ndarray, grid: TimeGrid, dim: int) -> None:
@@ -250,11 +237,12 @@ def phase_report(psi: AmplitudePath, samples: np.ndarray) -> PhaseReport:
 def adiabatic_phase(H: HamiltonianTrajectory, grid: TimeGrid, level: int):
     """Adiabatic geometric and dynamical phases of one instantaneous level.
 
-    The instantaneous eigenvectors are phase-aligned along the grid (each step
-    overlap real positive), so their step phases vanish and the geometric
-    phase is the discrete holonomy arg<v_0, v_N>; dynamical = -int E(t) dt.
-    Requires the level to stay separated from its neighbors by at least 1e-6
-    at every node.
+    The geometric phase is the argument of the holonomy (the Bargmann
+    invariant) of the level's eigenvectors as `eigh` returns them: it is
+    fixed under any rephasing, so no phase convention is imposed node by
+    node; dynamical = -int E(t) dt.  Requires the level to stay separated
+    from its neighbors by at least 1e-6 at every node, and every step
+    overlap of its eigenvectors to keep a magnitude of at least 1e-8.
     """
     samples = H.sample(grid.nodes)
     vals, vecs = np.linalg.eigh(samples)  # batched, ascending eigenvalues
@@ -266,12 +254,8 @@ def adiabatic_phase(H: HamiltonianTrajectory, grid: TimeGrid, level: int):
     if level < H.dim - 1 and np.min(gaps[:, level]) < 1e-6:
         raise DegeneracyError(f"level {level} closes on level {level + 1}")
 
-    v = np.stack([fix_eigenvector_phases(vecs[j])[:, level] for j in range(len(vals))])
-    for j in range(1, v.shape[0]):
-        overlap = np.vdot(v[j - 1], v[j])
-        if abs(overlap) < 1e-8:
-            raise DegeneracyError("eigenvector continuity lost between grid nodes")
-        v[j] *= np.conj(overlap) / abs(overlap)
-    geometric = float(np.angle(np.vdot(v[0], v[-1])))
+    level_path = PathStack(grid, vecs[:, :, level:level + 1])
+    if not np.min(np.abs(step_overlaps(level_path.states))) >= 1e-8:
+        raise DegeneracyError("eigenvector continuity lost between grid nodes")
     dyn = float(-trapezoid(vals[:, level], grid.dt))
-    return geometric, dyn
+    return float(np.angle(level_path.holonomies[0])), dyn

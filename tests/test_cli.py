@@ -628,6 +628,51 @@ def test_verify_gauge_zero_scale_all_deltas_zero(tmp_path):
         assert float(records[(name, "")]) == 0.0
 
 
+INVARIANTS = ("max_gamma_total_deviation", "max_visibility_deviation", "max_holonomy_deviation",
+              "max_singh_deviation", "max_total_phase_prediction_mismatch",
+              "max_dynamical_phase_prediction_mismatch")
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_verify_gauge_on_random_sampled_models(dim, tmp_path):
+    # H(t) = A + cos(2 pi s) B + sin(2 pi s) C over a seeded random Hermitian
+    # A, B, C: the campaign is model-agnostic, so the hidden-gauge invariants
+    # hold to rounding at every dimension while the naive shifts move
+    rng = np.random.default_rng(dim)
+    A, B, C = (m + np.conj(m.T) for m in rng.normal(size=(3, dim, dim))
+               + 1j * rng.normal(size=(3, dim, dim)))
+    hfile = sampled_file(tmp_path, dim, 32, lambda s: A + np.cos(2 * np.pi * s) * B
+                         + np.sin(2 * np.pi * s) * C)
+    weights = [str(w / (dim * (dim + 1) / 2)) for w in range(dim, 0, -1)]
+    config = tmp_path / "random.cfg"
+    config.write_text(
+        f"model = custom-sampled\nhamiltonian_file = {hfile}\nhorizon = explicit\n"
+        f"t_end = 3\nsteps = 400\nweights = {','.join(weights)}\n"
+        f"states = {','.join(map(str, range(dim)))}\n"
+    )
+    out = tmp_path / "verify.csv"
+    assert run(["verify-gauge", "--config", str(config), "--trials", "5", "--out", str(out)]) == 0
+    records = read_records(out)
+    for name in INVARIANTS:
+        assert float(records[(name, "")]) <= 1e-12, name
+    for name in ("max_naive_total_phase_shift", "max_naive_dynamical_phase_shift"):
+        assert float(records[(name, "")]) > 0.0, name
+
+
+@pytest.mark.parametrize("config_text, dim", [
+    ("states = +\nweights = 1\n", 2),
+    ("model = custom-sampled\nhamiltonian_file = {golden}/hamiltonian_dim3.txt\n"
+     "horizon = explicit\nt_end = 2.5\nweights = 0.5,0.5\nstates = 0,1\n", 3),
+], ids=["spin", "custom"])
+def test_verify_gauge_incomplete_basis_exits_2(config_text, dim, tmp_path, capsys):
+    config = tmp_path / "incomplete.cfg"
+    config.write_text(config_text.format(golden=Path(__file__).parent / "golden"))
+    assert run(["verify-gauge", "--config", str(config), "--trials", "1"]) == 2
+    assert capsys.readouterr() == ("", "config error: field 'states': verify-gauge needs a "
+                                   "complete state basis, one state per dimension: got "
+                                   f"{dim - 1} for dimension {dim}\n")
+
+
 def test_simulate_byte_determinism(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["simulate", *SPECIAL_ARGS, "--steps", "1200", "--seed", "3"]

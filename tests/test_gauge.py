@@ -1,5 +1,6 @@
 """Basis frames, gauge transforms, holonomy, effective Hamiltonians."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def v_frame(p: SpinParams, grid: TimeGrid) -> BasisFrame:
     ones = np.ones_like(rot)
     v_plus = np.stack([np.cos(half) * rot, np.sin(half) * ones], axis=-1)
     v_minus = np.stack([np.sin(half) * rot, -np.cos(half) * ones], axis=-1)
-    return BasisFrame(grid, ("+", "-"), np.stack([v_plus, v_minus]))
+    return BasisFrame(grid, np.stack([v_plus, v_minus], axis=-1), ("+", "-"))
 
 
 # ---------------------------------------------------------------- GaugeFunction
@@ -165,13 +166,31 @@ def test_frame_requires_orthonormal_inputs(generic_case):
         frame_from_amplitudes([generic_case.paths["+"], generic_case.paths["+"]])
 
 
+@pytest.mark.parametrize("member, row, deviation", [
+    (0, [1.0, 0.0, 0.0], 0.0),  # exact
+    (1, [1.0, 0.0, 0.0], 1.0),  # parallel to member 0: off-diagonal Gram entry
+    (2, [0.0, 0.0, 1.2], 0.44),  # stretched: diagonal Gram entry
+], ids=["exact", "overlap", "norm"])
+def test_basis_frame_checks_every_gram_entry(member, row, deviation):
+    # one node of a three-member frame is altered; the check reads the Gram
+    # matrix of every node, diagonal and off-diagonal entries alike
+    grid = TimeGrid(0.0, 1.0, 8)
+    states = np.tile(np.eye(3, dtype=complex), (9, 1, 1))
+    states[5, :, member] = row
+    if deviation == 0.0:
+        assert BasisFrame(grid, states, ("a", "b", "c")).size == 3
+        return
+    with pytest.raises(ContractError, match=re.escape(f"not orthonormal: deviation {deviation:.3e}")):
+        BasisFrame(grid, states, ("a", "b", "c"))
+
+
 # ------------------------------------------------------------------ apply_gauge
 
 
 def test_apply_gauge_identity_and_constants(generic_case):
     frame = w_frame(generic_case.p, generic_case.grid)
     zero = GaugeFunction.zero(("+", "-"), generic_case.grid.span)
-    assert np.array_equal(apply_gauge(frame, zero).vectors, frame.vectors)
+    assert np.array_equal(apply_gauge(frame, zero).states, frame.states)
     const = GaugeFunction.constants(("+", "-"), generic_case.grid.span, [0.3, -0.9])
     gauged = apply_gauge(frame, const)
     assert np.allclose(
@@ -184,7 +203,7 @@ def test_apply_gauge_round_trip(generic_case):
     frame = w_frame(generic_case.p, generic_case.grid)
     g = GaugeFunction.random(("+", "-"), generic_case.grid.span, rng, scale=0.4, slope_scale=0.3)
     restored = apply_gauge(apply_gauge(frame, g), g.negated())
-    assert np.max(np.abs(restored.vectors - frame.vectors)) < 1e-12
+    assert np.max(np.abs(restored.states - frame.states)) < 1e-12
 
 
 def test_apply_gauge_label_mismatch(generic_case):
@@ -200,7 +219,7 @@ def test_apply_gauge_label_mismatch(generic_case):
 def test_connection_constant_frame():
     grid = TimeGrid(0.0, 1.0, 64)
     vec = np.array([1.0, 1.0j]) / np.sqrt(2)
-    frame = BasisFrame(grid, (0,), np.tile(vec, (1, 65, 1)))
+    frame = BasisFrame(grid, np.tile(vec[:, None], (65, 1, 1)), (0,))
     assert np.max(np.abs(connection(frame, 0))) == 0.0
 
 
@@ -229,9 +248,9 @@ def test_parallel_transport_frame_flat_is_fixed():
     angles = 0.4 * np.pi * grid.nodes
     real_path = np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(complex)
     other = np.stack([-np.sin(angles), np.cos(angles)], axis=1).astype(complex)
-    frame = BasisFrame(grid, (0, 1), np.stack([real_path, other]))
+    frame = BasisFrame(grid, np.stack([real_path, other], axis=-1), (0, 1))
     transported = parallel_transport_frame(frame)
-    assert np.max(np.abs(transported.vectors - frame.vectors)) == 0.0
+    assert np.max(np.abs(transported.states - frame.states)) == 0.0
 
 
 def test_parallel_transport_frame_idempotent():
@@ -240,7 +259,7 @@ def test_parallel_transport_frame_idempotent():
     frame = w_frame(p, grid)
     once = parallel_transport_frame(frame)
     twice = parallel_transport_frame(once)
-    assert np.max(np.abs(twice.vectors - once.vectors)) < 1e-8
+    assert np.max(np.abs(twice.states - once.states)) < 1e-8
     for label in "+-":
         assert np.max(np.abs(connection(once, label)[1:-1])) < 1e-6
 
@@ -261,7 +280,7 @@ def test_w_frame_holonomy_matches_geometric_phase(generic_case):
 def test_holonomy_trivial_and_quarter_turn():
     grid = TimeGrid(0.0, 1.0, 32)
     vec = np.array([1.0, 0.0], dtype=complex)
-    frame = BasisFrame(grid, (0,), np.tile(vec, (1, 33, 1)))
+    frame = BasisFrame(grid, np.tile(vec[:, None], (33, 1, 1)), (0,))
     assert holonomy(frame, 0) == pytest.approx(1.0 + 0.0j, abs=1e-14)
     # theta - alpha = pi/2: holonomy of the w_+ loop is exp(-i pi) = -1
     p = SpinParams(1.0, 1.0, 2.0 * np.pi / 3)
@@ -322,10 +341,7 @@ def test_effective_hamiltonian_w_frame_diagonal_across_sweep():
 
 def test_effective_hamiltonian_constant_eigenframe():
     grid = TimeGrid(0.0, 1.0, 64)
-    vectors = np.zeros((2, 65, 2), dtype=complex)
-    vectors[0, :, 0] = 1.0
-    vectors[1, :, 1] = 1.0
-    frame = BasisFrame(grid, (0, 1), vectors)
+    frame = BasisFrame(grid, np.tile(np.eye(2, dtype=complex), (65, 1, 1)), (0, 1))
     H = spin_model.hamiltonian(SpinParams(1.5, 1.0, 0.0))  # -1.5 sigma_z: diag(-1.5, 1.5)
     eff = effective_hamiltonian(frame, H.sample(grid.nodes))
     assert np.max(np.abs(eff.matrices - np.diag([-1.5, 1.5])[None])) < 1e-10

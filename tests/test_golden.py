@@ -21,9 +21,9 @@ from phaselab import cli
 GOLDEN = Path(__file__).parent / "golden"
 
 # The byte-determinism scenarios of the acceptance suite, a longer
-# verify-gauge campaign, and a dim-3 custom-sampled run whose config names its
-# Hamiltonian file relative to GOLDEN (runs start there, so the header path is
-# the same everywhere).
+# verify-gauge campaign, and a dim-3 custom-sampled run and campaign whose
+# config names its Hamiltonian file relative to GOLDEN (runs start there, so
+# the header path is the same everywhere).
 CASES = {
     "simulate.csv": ["simulate", "--mu-b", "1", "--omega", "4", "--theta",
                      str(2 * np.pi / 3), "--steps", "2000", "--seed", "5"],
@@ -38,6 +38,8 @@ CASES = {
                             "--gauge-scale", "0.3", "--big-theta", "1.1"],
     "custom.csv": ["simulate", "--config", "custom.cfg"],
     "custom.json": ["simulate", "--config", "custom.cfg", "--format", "json"],
+    "verify_custom.csv": ["verify-gauge", "--config", "custom.cfg", "--trials", "5",
+                          "--seed", "3"],
 }
 
 

@@ -148,7 +148,7 @@ LIST_RECORDS = {
                       lambda r: r.dim == 2 and list(r.final) == [1, 0]),
     "PropagatorPath": (lambda: PropagatorPath(GRID, [[[1, 0], [0, 1]]] * 5), "matrices",
                        lambda r: r.dim == 2 and r.final.shape == (2, 2)),
-    "BasisFrame": (lambda: BasisFrame(GRID, ("a",), [[[1, 0]] * 5]), "vectors",
+    "BasisFrame": (lambda: BasisFrame(GRID, [[[1], [0]]] * 5, ("a",)), "states",
                    lambda r: r.dim == 2 and r.component("a").shape == (5, 2)),
 }
 
@@ -183,7 +183,7 @@ NAN_INPUTS = {
         lambda c: amplitude_path(c.U, np.array([np.nan, 0.0]))),
     "BasisFrame-orthonormality": (
         "frame not orthonormal",
-        lambda c: BasisFrame(c.grid, ("a",), np.full((1, c.grid.steps + 1, 2), np.nan))),
+        lambda c: BasisFrame(c.grid, np.full((c.grid.steps + 1, 2, 1), np.nan), ("a",))),
     "frame_from_amplitudes-t0": (
         "orthonormal at t = 0",
         lambda c: frame_from_amplitudes([_nan_at_start(c.paths["+"]), c.paths["-"]])),
