@@ -41,6 +41,7 @@ from .evolution import (
 from .exceptions import ContractError, PhaseLabError, UndefinedPhaseError
 from .linalg import require_hermitian
 from .mixed import (
+    WEIGHT_SUM_TOL,
     DensityMatrix,
     Ensemble,
     density_from_ensemble,
@@ -179,7 +180,7 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(
             f"field 'weights': {len(weights)} weights for {len(cfg.states)} states"
         )
-    if not (np.min(weights) >= 0.0 and abs(float(weights.sum()) - 1.0) <= 1e-9):
+    if not (np.min(weights) >= 0.0 and abs(float(weights.sum()) - 1.0) <= WEIGHT_SUM_TOL):
         raise ConfigError(
             f"field 'weights': must be nonnegative and sum to 1, got sum {weights.sum():.12g}"
         )
@@ -404,7 +405,7 @@ class Observables:
     gamma_total: float
     visibility: float
     reports: dict  # label -> PhaseReport
-    phi_g: dict  # label -> geometric_phase_pure
+    phi_g: dict  # label -> arg of the member path's holonomy
     singh_phase: float
     mixed_dynamical: float
     transport_weak: float
@@ -433,7 +434,7 @@ def observables(sc: Scenario) -> Observables:
     U = _propagate(sc)
     members = PathStack(sc.grid, member_paths(U, sc.ensemble.states))
     gamma_total, visibility = mixed_total_phase(density_from_ensemble(sc.ensemble), U.final)
-    weak, strong, gamma_d = transport_conditions(sc.ensemble, members)
+    weak, strong, gamma_d = transport_conditions(sc.ensemble.weights, members)
     reports = dict(zip(sc.labels, members.reports(sc.H.sample(sc.grid.nodes))))
     phi_g = dict(zip(sc.labels, np.angle(members.holonomies).tolist()))
     singh = singh_phase(sc.ensemble.weights, members)

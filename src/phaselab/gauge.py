@@ -10,8 +10,9 @@ BasisFrame is a `phases.PathStack` whose members carry labels, in the
 package's one (steps + 1, dim, L) layout, so the connection, holonomies, trace
 formula and rebuilt amplitudes read its own step phases arg<v_j, v_{j+1}>, and
 parallel transport is one `phases.parallel_transport` call on its states.
-Only `effective_hamiltonian`, whose off-diagonal <v_n| i d/dt v_m> is no step
-phase, takes central differences.  A `GaugeFunction` evaluates the phases of
+`effective_hamiltonian`, whose off-diagonal <v_n| i d/dt v_m> is no step phase,
+reads the step-overlap matrices V_j^dagger V_{j+1} instead; nothing here
+differentiates states.  A `GaugeFunction` evaluates the phases of
 every label at once.  H comes in as its samples on the frame's grid nodes.
 """
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .exceptions import (
     DimensionError,
     OrthogonalityCrossingError,
 )
-from .numerics import central_diff, cum_trapezoid
-from .phases import PathStack, check_node_samples, parallel_transport, state_energies
+from .numerics import cum_trapezoid
+from .phases import PathStack, check_node_samples, state_energies
 
 FRAME_ORTHO_TOL = 1e-8
 OVERLAP_FLOOR = 1e-10
@@ -183,26 +184,24 @@ class BasisFrame(PathStack):
 
 @dataclass(frozen=True)
 class EffectiveHamiltonianPath:
-    """Matrices <v_n|H|v_m> - <v_n| i d/dt |v_m> along the grid."""
+    """Matrices <v_n|H|v_m> - <v_n| i d/dt |v_m> at the step midpoints."""
 
     grid: TimeGrid
     labels: tuple
-    matrices: np.ndarray  # (steps + 1, L, L)
+    matrices: np.ndarray  # (steps, L, L)
 
     def hermiticity_defect(self) -> float:
         M = self.matrices
         return float(np.max(np.abs(M - np.conj(np.swapaxes(M, -2, -1)))))
 
 
-def frame_from_amplitudes(paths: Sequence[AmplitudePath] | PathStack, labels=None) -> BasisFrame:
+def frame_from_amplitudes(stack: PathStack, labels=None) -> BasisFrame:
     """Strip each amplitude's accumulated total phase: v_k = e^{-i phi_k(t)} psi_k(t).
 
     phi_k(t_j) = arg<psi_k(0), psi_k(t_j)>, so <v_k(0), v_k(t_j)> is real and
     positive at every node.  Raises OrthogonalityCrossingError when an overlap
     magnitude falls below 1e-10, where that phase stops being meaningful.
-    `paths` is a sequence of paths on one grid or their `PathStack`.
     """
-    stack = paths if isinstance(paths, PathStack) else PathStack.of(paths)
     labels = tuple(range(stack.size)) if labels is None else tuple(labels)
     if len(labels) != stack.size:
         raise DimensionError("one label per path required")
@@ -228,21 +227,6 @@ def apply_gauge(frame: BasisFrame, g: GaugeFunction) -> BasisFrame:
         )
     phases = np.exp(1j * g.value(frame.grid.nodes))  # (L, nodes)
     return BasisFrame(frame.grid, frame.states * phases.T[:, None, :], frame.labels)
-
-
-def connection(frame: BasisFrame, label) -> np.ndarray:
-    """<v_k| i d/dt v_k> at the step midpoints, -arg<v_k(t_j), v_k(t_{j+1})> / dt."""
-    return -frame.step_phases[frame._index(label)] / frame.grid.dt
-
-
-def parallel_transport_frame(frame: BasisFrame) -> BasisFrame:
-    """Rephase every member so its step overlaps are real and positive."""
-    return BasisFrame(frame.grid, parallel_transport(frame.states), frame.labels)
-
-
-def holonomy(frame: BasisFrame, label) -> complex:
-    """<v_bar_k(0), v_bar_k(T)> of the parallel-transported member."""
-    return complex(frame.holonomies[frame._index(label)])
 
 
 def frame_trace(frame: BasisFrame, samples: np.ndarray, weights) -> complex:
@@ -276,13 +260,19 @@ def amplitudes_from_frame(frame: BasisFrame, samples: np.ndarray) -> list[Amplit
 
 
 def effective_hamiltonian(frame: BasisFrame, samples: np.ndarray) -> EffectiveHamiltonianPath:
-    """Matrix elements <v_n|H|v_m> - <v_n| i d/dt v_m> at every node, with
-    `samples` the Hamiltonian on the frame's grid nodes."""
+    """Matrix elements <v_n|H|v_m> - <v_n| i d/dt v_m> at every step midpoint, with
+    `samples` the Hamiltonian on the frame's grid nodes.
+
+    With M_j = V_j^dagger V_{j+1} the step-overlap matrix of the frame, the
+    connection block is (i / 2 dt)(M_j - M_j^dagger), Hermitian by construction,
+    and <H> the mean of V^dagger H V at the two ends of the step.
+    """
     check_node_samples(samples, frame.grid, frame.dim)
     v = frame.states
-    dv = central_diff(v, frame.grid.dt)
-    ham_part = np.einsum("jan,jab,jbm->jnm", np.conj(v), samples, v)
-    conn_part = np.einsum("jan,jam->jnm", np.conj(v), 1j * dv)
+    ham_nodes = np.einsum("jan,jab,jbm->jnm", np.conj(v), samples, v)
+    M = np.einsum("jan,jam->jnm", np.conj(v[:-1]), v[1:])
+    conn_part = (0.5j / frame.grid.dt) * (M - np.conj(np.swapaxes(M, -2, -1)))
+    ham_part = 0.5 * (ham_nodes[:-1] + ham_nodes[1:])
     return EffectiveHamiltonianPath(frame.grid, frame.labels, ham_part - conn_part)
 
 

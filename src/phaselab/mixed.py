@@ -6,22 +6,21 @@ and the visibility |Tr[U(T) rho(0)]|.  Per-path phase transforms
 U -> U sum_k e^{i theta_k} |k><k| leave the density-matrix orbit fixed but
 shift both observables in a way computed here exactly; the Singh combination
 of endpoint overlaps and step-phase sums is the invariant alternative.
-Transport conditions, mixed dynamical phase, the Singh phase and `gauge_campaign`
-read the member paths psi_k = U|k> (`evolution.member_paths`) as one
-`phases.PathStack`, which a per-path transform maps to e^{i theta_k} psi_k; one
-`transport_conditions` call gives both residuals and gamma_D from its step phases,
-which that transform shifts by theta_k(t_{j+1}) - theta_k(t_j).  `transport_conditions`
-and `singh_phase` also take that stack itself, so a caller that holds it pays for
-its step overlaps once.
+Transport conditions, the mixed dynamical phase, the Singh phase and
+`gauge_campaign` read the member paths psi_k = U|k> (`evolution.member_paths`)
+as one `phases.PathStack`, which a per-path transform maps to e^{i theta_k} psi_k.
+`transport_conditions` and `singh_phase` take that stack and the ensemble
+weights, so a caller that holds it pays for its step overlaps once; one
+`transport_conditions` call gives both residuals and gamma_D from its step
+phases, which that transform shifts by theta_k(t_{j+1}) - theta_k(t_j).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .evolution import AmplitudePath, HamiltonianTrajectory, PropagatorPath, member_paths
+from .evolution import HamiltonianTrajectory, PropagatorPath, member_paths
 from .exceptions import (
     CapacityError,
     ContractError,
@@ -34,6 +33,7 @@ from .numerics import wrap_angle
 from .phases import PathStack
 
 TRACE_FLOOR = 1e-12
+WEIGHT_SUM_TOL = 1e-12  # |sum w_k - 1| allowed for the weights of an ensemble
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class Ensemble:
             raise DimensionError("ensemble weights and states are inconsistent")
         if not np.min(w) >= 0.0:
             raise ContractError("ensemble weights must be finite and nonnegative")
-        if not abs(w.sum() - 1.0) <= 1e-12:
+        if not abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL:
             raise ContractError(f"ensemble weights sum to {w.sum():.15g}, not 1")
         gram = np.conj(s) @ s.T
         if not np.max(np.abs(gram - np.eye(s.shape[0]))) <= 1e-10:
@@ -123,25 +123,6 @@ def density_from_ensemble(e: Ensemble) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-def ensemble_from_density(rho: DensityMatrix) -> Ensemble:
-    """Diagonal form via the deterministic eigendecomposition, weights descending."""
-    vals, vecs = hermitian_eigen(rho.matrix, tol=1e-8)
-    order = np.argsort(vals)[::-1]
-    weights = np.clip(vals[order], 0.0, None)
-    weights = weights / weights.sum()
-    return Ensemble(weights=weights, states=vecs[:, order].T.copy())
-
-
-def evolve_density(rho0: DensityMatrix, U: np.ndarray) -> DensityMatrix:
-    """rho -> U rho U^dagger for a unitary U."""
-    U = np.asarray(U, dtype=complex)
-    if U.shape != (rho0.dim, rho0.dim):
-        raise DimensionError(f"unitary shape {U.shape} != density dim {rho0.dim}")
-    if not unitarity_defect(U) <= 1e-10:
-        raise ContractError("evolution matrix not unitary to 1e-10")
-    return DensityMatrix(U @ rho0.matrix @ np.conj(U.T))
-
-
 def mixed_total_phase(rho0: DensityMatrix, U_T: np.ndarray):
     """(arg Tr[U_T rho0], |Tr[U_T rho0]|): fringe shift and visibility."""
     U_T = np.asarray(U_T, dtype=complex)
@@ -154,17 +135,6 @@ def mixed_total_phase(rho0: DensityMatrix, U_T: np.ndarray):
             f"visibility {visibility:.2e} is zero: the mixed total phase is undefined"
         )
     return float(np.angle(tr)), float(visibility)
-
-
-def interference_curve(rho0: DensityMatrix, U_T: np.ndarray, chi_nodes) -> np.ndarray:
-    """1 + v cos(chi - gamma_T) per node, with (gamma_T, v) from `mixed_total_phase`;
-    zero visibility gives the flat curve."""
-    chi = np.asarray(chi_nodes, dtype=float)
-    try:
-        gamma_total, visibility = mixed_total_phase(rho0, U_T)
-    except UndefinedPhaseError:
-        return np.ones_like(chi)
-    return 1.0 + visibility * np.cos(chi - gamma_total)
 
 
 def transform_evolution(
@@ -185,17 +155,15 @@ def transform_evolution(
     return PropagatorPath(U.grid, U.matrices + delta.reshape(U.matrices.shape))
 
 
-def singh_phase(weights, paths: Sequence[AmplitudePath] | PathStack) -> float:
+def singh_phase(weights, paths: PathStack) -> float:
     """arg sum_k w_k <psi_k(0), psi_k(T)> exp(-i sum_j arg<psi_k(t_j), psi_k(t_{j+1})>).
 
     Invariant under independent time-dependent phase transforms of each path.
-    `paths` is a sequence of paths on one grid or their `PathStack`.
     """
     weights = np.asarray(weights, dtype=float)
-    paths = paths if isinstance(paths, PathStack) else PathStack.of(paths)
     if weights.shape != (paths.size,):
         raise DimensionError("one weight per path required")
-    if not abs(weights.sum() - 1.0) <= 1e-12:
+    if not abs(weights.sum() - 1.0) <= WEIGHT_SUM_TOL:
         raise ContractError("weights must be normalized")
     paths.require_orthonormal_start()
     total = np.sum(weights * paths.holonomies)
@@ -226,7 +194,7 @@ def gauge_campaign(
     base_trace = frame_trace(frame, samples, weights)
     base_singh = singh_phase(weights, members)
     base_gamma, base_vis = mixed_total_phase(rho0, U.final)
-    base_dyn = transport_conditions(ensemble, members)[2]
+    base_dyn = transport_conditions(weights, members)[2]
     diag_UT = np.einsum("ka,ak->k", np.conj(ensemble.states), members.states[-1])  # <k|U(T)|k>
 
     def draw(slope_scale):
@@ -258,7 +226,7 @@ def gauge_campaign(
         mismatch_gamma = max(mismatch_gamma, abs(wrap_angle(observed_gamma - predicted_gamma)))
         naive_gamma = max(naive_gamma, abs(wrap_angle(observed_gamma - base_gamma)))
 
-        observed_dyn = transport_conditions(ensemble, shifted)[2]
+        observed_dyn = transport_conditions(weights, shifted)[2]
         predicted_dyn = base_dyn + float(np.sum(weights * (theta_T - theta_0)))
         mismatch_dyn = max(mismatch_dyn, abs(observed_dyn - predicted_dyn))
         naive_dyn = max(naive_dyn, abs(observed_dyn - base_dyn))
@@ -278,36 +246,22 @@ def gauge_campaign(
     }
 
 
-def transport_conditions(rho0: DensityMatrix | Ensemble, U: PropagatorPath | PathStack):
+def transport_conditions(weights, members: PathStack):
     """(weak, per-state strong residuals, gamma_D) from one set of step phases
-    phi_kj = arg<psi_k(t_j), psi_k(t_{j+1})> of the member paths psi_k = U|k>.
+    phi_kj = arg<psi_k(t_j), psi_k(t_{j+1})> of the member paths psi_k = U|k>,
+    with weight w_k each.
 
     weak: max_j |sum_k w_k phi_kj| / dt, the step form of max |Tr rho0 U^dagger dU/dt|;
     strong: per k, max_j |phi_kj| / dt, that of max |<k| U^dagger dU/dt |k>| (equal
-    to the energy expectation along psi_k); gamma_D = sum_k w_k sum_j phi_kj
-    (`mixed_dynamical_phase`).  A DensityMatrix input is diagonalized
-    deterministically first.  U may also be the `PathStack` of the member paths
-    U|k> of the Ensemble rho0.
+    to the energy expectation along psi_k); gamma_D = sum_k w_k sum_j phi_kj, the
+    step form of -i int Tr[rho0 U^dagger dU/dt] dt.
     """
-    if isinstance(U, PathStack):
-        if not isinstance(rho0, Ensemble) or rho0.size != U.size:
-            raise DimensionError("a path stack needs the Ensemble of its member paths")
-        members, weights = U, rho0.weights
-    else:
-        ensemble = rho0 if isinstance(rho0, Ensemble) else ensemble_from_density(rho0)
-        members = PathStack(U.grid, member_paths(U, ensemble.states))
-        weights = ensemble.weights
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (members.size,):
+        raise DimensionError("one weight per member path required")
     phases = members.step_phases
     weak = float(np.max(np.abs(weights @ phases))) / members.grid.dt
     return weak, members.residuals, float(weights @ phases.sum(axis=1))
-
-
-def mixed_dynamical_phase(rho0: DensityMatrix | Ensemble, U: PropagatorPath) -> float:
-    """gamma_D = sum_k w_k sum_j arg<psi_k(t_j), psi_k(t_{j+1})>, psi_k = U|k>: the
-    step form of -i int Tr[rho0 U^dagger dU/dt] dt; a DensityMatrix is
-    diagonalized first.
-    """
-    return transport_conditions(rho0, U)[2]
 
 
 def reduce(pure: PurifiedState) -> DensityMatrix:

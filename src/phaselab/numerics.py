@@ -1,11 +1,10 @@
-"""Shared discretization helpers: angle wrapping, finite differences, quadrature.
+"""Shared discretization helpers: angle wrapping and quadrature.
 
 All trajectory-valued quantities in this package live on a uniform time grid.
 Energy integrals (dynamical phases) use the trapezoidal rule on that grid.
-No phase functional differentiates states: connections are step phases
-(`phases.PathStack.step_phases`), exact functionals of the grid states.
-`central_diff` (central differences at interior nodes, one-sided second-order
-stencils at the endpoints) serves `gauge.effective_hamiltonian` and the tests.
+Nothing in the package differentiates states: connections are step phases
+(`phases.PathStack.step_phases`) or step-overlap matrices, exact functionals
+of the grid states.
 """
 from __future__ import annotations
 
@@ -15,22 +14,6 @@ import numpy as np
 def wrap_angle(x):
     """Wrap an angle (or array of angles) to (-pi, pi]."""
     return np.angle(np.exp(1j * np.asarray(x, dtype=float)))
-
-
-def central_diff(y: np.ndarray, dt: float) -> np.ndarray:
-    """Differentiate samples y[j] = y(t_j) along axis 0.
-
-    Interior nodes use (y[j+1] - y[j-1]) / (2 dt); the endpoints use the
-    one-sided three-point second-order stencils.
-    """
-    y = np.asarray(y)
-    if y.shape[0] < 3:
-        raise ValueError("need at least 3 samples for second-order differences")
-    out = np.empty_like(y, dtype=np.result_type(y.dtype, float))
-    out[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
-    out[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * dt)
-    out[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * dt)
-    return out
 
 
 def trapezoid(y: np.ndarray, dt: float) -> float | complex:

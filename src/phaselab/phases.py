@@ -16,23 +16,22 @@ shifts by alpha_{j+1} - alpha_j modulo 2 pi and the sum telescopes.
 
 `PathStack` holds k paths on one grid as one (nodes, dim, k) stack, the layout
 of `evolution.member_paths`, and gives every functional above as an array over
-k from one set of step phases.  The per-path functions on an `AmplitudePath`
-are its k = 1 case; `gauge.BasisFrame` is a labelled PathStack, and every
-time-dependent mixed-state functional of `mixed` reads the record too.  The
-kernels on raw state stacks (step overlaps, energy expectation, parallel
-transport) serve all three modules; for two-level states the energies are
-written entry by entry.  `adiabatic_phase` reads the holonomy of an
-instantaneous level's eigenvectors as `eigh` returns them.
+k from one set of step phases.  It is the one path argument of every phase
+functional; a single path is the stack with k = 1.  `gauge.BasisFrame` is a
+labelled PathStack, and every time-dependent mixed-state functional of `mixed`
+reads the record too.  The kernels on raw state stacks (step overlaps, energy
+expectation, parallel transport) serve all three modules; for two-level states
+the energies are written entry by entry.  `adiabatic_phase` reads the holonomy
+of an instantaneous level's eigenvectors as `eigh` returns them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from .evolution import AmplitudePath, HamiltonianTrajectory, TimeGrid
+from .evolution import HamiltonianTrajectory, TimeGrid
 from .exceptions import ContractError, DegeneracyError, DimensionError, UndefinedPhaseError
 from .numerics import trapezoid, wrap_angle
 
@@ -134,14 +133,6 @@ class PathStack:
         if self.states.ndim != 3 or len(self.states) != self.grid.steps + 1:
             raise DimensionError(f"path stack has shape {self.states.shape}")
 
-    @classmethod
-    def of(cls, paths: Sequence[AmplitudePath]) -> PathStack:
-        """Paths on one grid as one stack, in their order."""
-        paths = list(paths)
-        if not paths or any(path.grid != paths[0].grid for path in paths):
-            raise DimensionError("need one or more paths, all on one grid")
-        return cls(paths[0].grid, np.stack([path.states for path in paths], axis=-1))
-
     @property
     def size(self) -> int:
         return self.states.shape[-1]
@@ -198,40 +189,6 @@ class PathStack:
         dyn = self.dynamical(samples)
         return [PhaseReport(*map(float, row)) for row in zip(
             angles, dyn, wrap_angle(angles - dyn), magnitudes, self.residuals)]
-
-
-def _alone(psi: AmplitudePath) -> PathStack:
-    return PathStack(psi.grid, psi.states[..., None])
-
-
-def total_phase(psi: AmplitudePath):
-    """arg and magnitude of <psi(0), psi(T)>; valid for non-cyclic paths too."""
-    angles, magnitudes = _alone(psi).totals()
-    return float(angles[0]), float(magnitudes[0])
-
-
-def dynamical_phase(psi: AmplitudePath, samples: np.ndarray) -> float:
-    """phi_D = -int <psi|H|psi> dt by the trapezoidal rule (unwrapped), from
-    `samples`, H on psi's grid nodes (shape (steps + 1, dim, dim))."""
-    return float(_alone(psi).dynamical(samples)[0])
-
-
-def geometric_phase_pure(psi: AmplitudePath) -> float:
-    """arg{ <psi(0), psi(T)> exp(-i sum_j arg<psi_j, psi_{j+1}>) }, gauge invariant."""
-    stack = _alone(psi)
-    stack.totals()  # an undefined endpoint overlap raises
-    return float(np.angle(stack.holonomies[0]))
-
-
-def transport_residual(psi: AmplitudePath) -> float:
-    """max over steps of |arg<psi_j, psi_{j+1}>| / dt (zero iff parallel transported)."""
-    return float(_alone(psi).residuals[0])
-
-
-def phase_report(psi: AmplitudePath, samples: np.ndarray) -> PhaseReport:
-    """Total, dynamical and geometric phase of one path; `samples` as in
-    `dynamical_phase`."""
-    return _alone(psi).reports(samples)[0]
 
 
 def adiabatic_phase(H: HamiltonianTrajectory, grid: TimeGrid, level: int):

@@ -1,6 +1,8 @@
-"""Shared builders for the test suite: spin scenarios, random matrices, and
+"""Shared builders for the test suite: spin scenarios, random matrices,
 `mat_exp`, the Taylor exponential that serves as the independent oracle for
-the library's step exponentials and propagators."""
+the library's step exponentials and propagators, and `central_diff`, the
+finite-difference derivative that the tests hold connections and Schroedinger
+residuals against (the library itself differentiates no states)."""
 from __future__ import annotations
 
 from types import SimpleNamespace
@@ -10,10 +12,12 @@ import pytest
 from hypothesis import settings
 
 from phaselab import SpinParams, TimeGrid, amplitude_path, propagate, spin_model
+from phaselab.evolution import member_paths
 from phaselab.exceptions import DimensionError, NumericError
 from phaselab.gauge import BasisFrame
 from phaselab.linalg import frobenius_norm
 from phaselab.mixed import DensityMatrix, Ensemble
+from phaselab.phases import PathStack
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic.
@@ -51,6 +55,27 @@ def mat_exp(M) -> np.ndarray:
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def central_diff(y: np.ndarray, dt: float) -> np.ndarray:
+    """Differentiate samples y[j] = y(t_j) along axis 0.
+
+    Interior nodes use (y[j+1] - y[j-1]) / (2 dt); the endpoints use the
+    one-sided three-point second-order stencils.
+    """
+    y = np.asarray(y)
+    if y.shape[0] < 3:
+        raise ValueError("need at least 3 samples for second-order differences")
+    out = np.empty_like(y, dtype=np.result_type(y.dtype, float))
+    out[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
+    out[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * dt)
+    out[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * dt)
+    return out
+
+
+def stacked(*paths) -> PathStack:
+    """`AmplitudePath`s on one grid as one stack, in their order; one path gives k = 1."""
+    return PathStack(paths[0].grid, np.stack([path.states for path in paths], axis=-1))
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -95,6 +120,7 @@ def build_spin_case(
         paths={"+": path_plus, "-": path_minus},
         weights=weights,
         ensemble=ensemble,
+        members=PathStack(grid, member_paths(U, ensemble.states)),  # psi_k = U|k>, "+" then "-"
     )
 
 

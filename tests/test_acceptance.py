@@ -10,18 +10,16 @@ import numpy as np
 import pytest
 
 from phaselab import SpinParams, TimeGrid, amplitude_path, propagate, spin_model
-from phaselab.evolution import AmplitudePath
+from phaselab.evolution import AmplitudePath, member_paths
 from phaselab.gauge import (
     GaugeFunction,
     apply_gauge,
     frame_from_amplitudes,
     frame_trace,
-    holonomy,
 )
 from phaselab.mixed import (
     density_from_ensemble,
     hidden_gauge_transform,
-    mixed_dynamical_phase,
     mixed_total_phase,
     purify,
     reduce,
@@ -29,10 +27,10 @@ from phaselab.mixed import (
     transform_evolution,
     transport_conditions,
 )
-from phaselab.numerics import central_diff, wrap_angle
-from phaselab.phases import adiabatic_phase, geometric_phase_pure
+from phaselab.numerics import wrap_angle
+from phaselab.phases import PathStack, adiabatic_phase
 
-from conftest import build_spin_case, random_density
+from conftest import build_spin_case, central_diff, random_density, stacked
 
 SWEEP_SEED = 0
 SWEEP_SIZE = 100
@@ -85,10 +83,7 @@ def sweep():
             float(np.linalg.norm(fine.final @ w_minus - exact_minus)),
         )
         criterion1_runtime = time.perf_counter() - start
-        geometric = {
-            "+": geometric_phase_pure(path_plus),
-            "-": geometric_phase_pure(path_minus),
-        }
+        geometric = dict(zip("+-", np.angle(stacked(path_plus, path_minus).holonomies)))
         points.append(SweepPoint(p, err, err_half, geometric, criterion1_runtime))
     return points
 
@@ -152,7 +147,7 @@ def test_criterion_4_hidden_gauge_invariance():
     case = build_spin_case(1.0, 1.0, np.pi / 3, big_theta=np.pi / 4, steps=BASE_STEPS)
     labels = ("+", "-")
     rng = np.random.default_rng(SWEEP_SEED)
-    frame = frame_from_amplitudes([case.paths["+"], case.paths["-"]], labels=labels)
+    frame = frame_from_amplitudes(case.members, labels=labels)
     paths = [case.paths["+"], case.paths["-"]]
     weights = case.weights
     rho0 = density_from_ensemble(case.ensemble)
@@ -160,10 +155,9 @@ def test_criterion_4_hidden_gauge_invariance():
     samples = case.H.sample(nodes)
 
     base_trace = frame_trace(frame, samples, weights)
-    base_hols = {label: holonomy(frame, label) for label in labels}
-    base_singh = singh_phase(weights, paths)
+    base_singh = singh_phase(weights, stacked(*paths))
     base_gamma, _ = mixed_total_phase(rho0, case.U.final)
-    base_dyn = mixed_dynamical_phase(rho0, case.U)
+    base_dyn = transport_conditions(weights, case.members)[2]
     diag_UT = np.array([np.vdot(s, case.U.final @ s) for s in case.ensemble.states])
 
     worst_invariant = 0.0
@@ -178,13 +172,13 @@ def test_criterion_4_hidden_gauge_invariance():
             worst_invariant,
             abs(wrap_angle(np.angle(tr) - np.angle(base_trace))),
             abs(abs(tr) - abs(base_trace)),
-            max(abs(holonomy(gauged, l) - base_hols[l]) for l in labels),
+            float(np.max(np.abs(gauged.holonomies - frame.holonomies))),
         )
         ramped = GaugeFunction.random(labels, case.grid.span, rng, scale=0.1, slope_scale=0.2)
-        shifted = [
+        shifted = stacked(*(
             AmplitudePath(path.grid, path.states * np.exp(1j * a)[:, None])
             for a, path in zip(ramped.value(nodes), paths)
-        ]
+        ))
         worst_invariant = max(
             worst_invariant, abs(wrap_angle(singh_phase(weights, shifted) - base_singh))
         )
@@ -198,7 +192,8 @@ def test_criterion_4_hidden_gauge_invariance():
             worst_gamma_mismatch, abs(wrap_angle(observed - predicted))
         )
         naive_moved = max(naive_moved, abs(wrap_angle(observed - base_gamma)))
-        observed_dyn = mixed_dynamical_phase(rho0, U_prime)
+        shifted_members = PathStack(case.grid, member_paths(U_prime, case.ensemble.states))
+        observed_dyn = transport_conditions(weights, shifted_members)[2]
         predicted_dyn = base_dyn + float(np.sum(weights * (theta_T - theta_0)))
         worst_dyn_mismatch = max(worst_dyn_mismatch, abs(observed_dyn - predicted_dyn))
 
@@ -219,11 +214,10 @@ def test_criterion_4_hidden_gauge_invariance():
 
 def test_criterion_5_special_case():
     case = build_spin_case(1.0, 4.0, 2.0 * np.pi / 3, big_theta=np.pi / 2, steps=BASE_STEPS)
-    _, strong, _ = transport_conditions(case.ensemble, case.U)
+    _, strong, dyn = transport_conditions(case.weights, case.members)
     rho0 = density_from_ensemble(case.ensemble)
-    dyn = mixed_dynamical_phase(rho0, case.U)
     gamma, vis = mixed_total_phase(rho0, case.U.final)
-    singh = singh_phase(case.weights, [case.paths["+"], case.paths["-"]])
+    singh = singh_phase(case.weights, case.members)
     c = np.cos(case.p.theta - case.p.alpha)
     expected_trace = np.cos(case.p.big_theta / 2) ** 2 * np.exp(
         -1j * np.pi * (1 + c)

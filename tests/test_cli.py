@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from phaselab import cli, mixed, phases, spin_model
-from phaselab.evolution import AmplitudePath, member_paths, propagate
+from phaselab.evolution import member_paths, propagate
 from phaselab.numerics import wrap_angle
 
 
@@ -160,6 +160,8 @@ def test_steps_floor_exit_2():
         # explicit weights would hold still while big_theta moves
         (["sweep", "--axis", "big_theta", "--values", "0.1,1.5"], "weights = 0.5,0.5\n",
          "weights"),
+        # a sum 1e-10 off 1: the config check and the ensemble share one tolerance
+        (["simulate"], "weights = 0.5,0.4999999999\n", "weights"),
     ],
 )
 def test_out_of_range_input_exit_2(tmp_path, capsys, argv, config, name):
@@ -238,9 +240,9 @@ def test_sampled_grid_beyond_the_squaring_cap_exits_2(tmp_path, capsys, t_end, c
 
 @pytest.mark.parametrize("case", [(0.1, 0.1), (0.1, 10.0), (10.0, 0.1), (10.0, 10.0), "custom"])
 def test_observables_match_the_per_path_functions(case, monkeypatch):
-    # the one member pass against the public per-path functions on the same
-    # member paths psi_k = U|k>: the four box corners at the default steps and
-    # the golden dim-3 custom-sampled scenario
+    # the one member pass against each member path psi_k = U|k> stacked alone
+    # (k = 1) and a fresh stack of them all: the four box corners at the default
+    # steps and the golden dim-3 custom-sampled scenario
     if case == "custom":
         monkeypatch.chdir(Path(__file__).parent / "golden")
         cfg = cli.parse_config_file("custom.cfg")
@@ -260,18 +262,18 @@ def test_observables_match_the_per_path_functions(case, monkeypatch):
     monkeypatch.undo()
 
     U = propagate(sc.H, sc.grid)
-    psi = member_paths(U, sc.ensemble.states)
-    paths = [AmplitudePath(sc.grid, psi[..., k]) for k in range(sc.ensemble.size)]
+    stack = phases.PathStack(sc.grid, member_paths(U, sc.ensemble.states))
     samples = sc.H.sample(sc.grid.nodes)
-    for label, path in zip(sc.labels, paths):
-        expected = phases.phase_report(path, samples)
+    for k, label in enumerate(sc.labels):
+        alone = phases.PathStack(sc.grid, stack.states[..., k:k + 1])
+        (expected,) = alone.reports(samples)
         for field in dataclasses.fields(expected):
             got, want = getattr(obs.reports[label], field.name), getattr(expected, field.name)
             assert abs(got - want) <= 1e-13, (label, field.name)
-        assert abs(obs.phi_g[label] - phases.geometric_phase_pure(path)) <= 1e-13
-        assert abs(obs.reports[label].transport_residual - phases.transport_residual(path)) <= 1e-13
-    assert abs(obs.singh_phase - mixed.singh_phase(sc.ensemble.weights, paths)) <= 1e-13
-    weak, strong, gamma_d = mixed.transport_conditions(sc.ensemble, U)
+        assert abs(obs.phi_g[label] - np.angle(alone.holonomies[0])) <= 1e-13
+        assert abs(obs.reports[label].transport_residual - alone.residuals[0]) <= 1e-13
+    assert abs(obs.singh_phase - mixed.singh_phase(sc.ensemble.weights, stack)) <= 1e-13
+    weak, strong, gamma_d = mixed.transport_conditions(sc.ensemble.weights, stack)
     assert abs(obs.transport_weak - weak) <= 1e-13
     assert np.max(np.abs(obs.transport_strong - strong)) <= 1e-13
     assert abs(obs.mixed_dynamical - gamma_d) <= 1e-13

@@ -19,17 +19,14 @@ from phaselab.gauge import (
     amplitudes_from_frame,
     apply_gauge,
     check_universal_hamiltonian_constraint,
-    connection,
     effective_hamiltonian,
     frame_from_amplitudes,
     frame_trace,
-    holonomy,
-    parallel_transport_frame,
 )
 from phaselab.numerics import wrap_angle
-from phaselab.phases import dynamical_phase, phase_report
+from phaselab.phases import PathStack, parallel_transport
 
-from conftest import w_frame
+from conftest import stacked, w_frame
 
 
 def v_frame(p: SpinParams, grid: TimeGrid) -> BasisFrame:
@@ -123,7 +120,7 @@ def test_frame_from_constant_path():
     grid = TimeGrid(0.0, 1.0, 32)
     state = np.array([0.6, 0.8j])
     path = AmplitudePath(grid, np.tile(state, (33, 1)))
-    frame = frame_from_amplitudes([path])
+    frame = frame_from_amplitudes(stacked(path))
     assert np.max(np.abs(frame.component(0) - state[None, :])) < 1e-14
 
 
@@ -131,14 +128,12 @@ def test_frame_from_eigenstate_strips_phase():
     grid = TimeGrid(0.0, 2.0, 64)
     state = np.array([1.0, 0.0], dtype=complex)
     states = np.exp(-1j * 1.7 * grid.nodes)[:, None] * state[None, :]
-    frame = frame_from_amplitudes([AmplitudePath(grid, states)])
+    frame = frame_from_amplitudes(stacked(AmplitudePath(grid, states)))
     assert np.max(np.abs(frame.component(0) - state[None, :])) < 1e-14
 
 
 def test_frame_from_spin_amplitudes_matches_w_basis(generic_case):
-    frame = frame_from_amplitudes(
-        [generic_case.paths["+"], generic_case.paths["-"]], labels=("+", "-")
-    )
+    frame = frame_from_amplitudes(generic_case.members, labels=("+", "-"))
     w_plus, w_minus = spin_model.w_basis(generic_case.p, generic_case.grid.nodes)
     for label, w in (("+", w_plus), ("-", w_minus)):
         overlap = np.abs(np.einsum("ja,ja->j", np.conj(frame.component(label)), w))
@@ -158,12 +153,12 @@ def test_frame_orthogonality_crossing_raises():
     grid = TimeGrid(0.0, p.period, 2048)
     plus, minus = spin_model.amplitude_paths(p, grid)
     with pytest.raises(OrthogonalityCrossingError):
-        frame_from_amplitudes([plus, minus])
+        frame_from_amplitudes(stacked(plus, minus))
 
 
 def test_frame_requires_orthonormal_inputs(generic_case):
     with pytest.raises(ContractError):
-        frame_from_amplitudes([generic_case.paths["+"], generic_case.paths["+"]])
+        frame_from_amplitudes(stacked(generic_case.paths["+"], generic_case.paths["+"]))
 
 
 @pytest.mark.parametrize("member, row, deviation", [
@@ -216,26 +211,30 @@ def test_apply_gauge_label_mismatch(generic_case):
 # ------------------------------------------------------------------- connection
 
 
+def connection(frame: PathStack) -> np.ndarray:
+    """<v_k| i d/dt v_k> at the step midpoints, -arg<v_k(t_j), v_k(t_{j+1})> / dt, (L, steps)."""
+    return -frame.step_phases / frame.grid.dt
+
+
 def test_connection_constant_frame():
     grid = TimeGrid(0.0, 1.0, 64)
     vec = np.array([1.0, 1.0j]) / np.sqrt(2)
     frame = BasisFrame(grid, np.tile(vec[:, None], (65, 1, 1)), (0,))
-    assert np.max(np.abs(connection(frame, 0))) == 0.0
+    assert np.max(np.abs(connection(frame))) == 0.0
 
 
 def test_connection_w_frame_golden(generic_case):
     p = generic_case.p
     frame = w_frame(p, generic_case.grid)
-    for branch in "+-":
+    for branch, values in zip("+-", connection(frame)):
         expected = spin_model.connection_value(p, branch)
-        values = connection(frame, branch)
         assert np.max(np.abs(values - expected)) < 1e-6
 
 
 def test_connection_v_frame_golden(generic_case):
     p = generic_case.p
     frame = v_frame(p, generic_case.grid)
-    values = connection(frame, "+")
+    values = connection(frame)[0]
     expected = 0.5 * p.omega * (1.0 + np.cos(p.theta))
     assert np.max(np.abs(values - expected)) < 1e-6
 
@@ -249,55 +248,51 @@ def test_parallel_transport_frame_flat_is_fixed():
     real_path = np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(complex)
     other = np.stack([-np.sin(angles), np.cos(angles)], axis=1).astype(complex)
     frame = BasisFrame(grid, np.stack([real_path, other], axis=-1), (0, 1))
-    transported = parallel_transport_frame(frame)
-    assert np.max(np.abs(transported.states - frame.states)) == 0.0
+    transported = parallel_transport(frame.states)
+    assert np.max(np.abs(transported - frame.states)) == 0.0
 
 
 def test_parallel_transport_frame_idempotent():
     p = SpinParams(1.0, 1.0, np.pi / 3)
     grid = TimeGrid(0.0, p.period, 100000)
     frame = w_frame(p, grid)
-    once = parallel_transport_frame(frame)
-    twice = parallel_transport_frame(once)
-    assert np.max(np.abs(twice.states - once.states)) < 1e-8
-    for label in "+-":
-        assert np.max(np.abs(connection(once, label)[1:-1])) < 1e-6
+    once = parallel_transport(frame.states)
+    twice = parallel_transport(once)
+    assert np.max(np.abs(twice - once)) < 1e-8
+    for values in connection(PathStack(grid, once)):
+        assert np.max(np.abs(values[1:-1])) < 1e-6
 
 
 def test_w_frame_holonomy_matches_geometric_phase(generic_case):
     p = generic_case.p
     frame = w_frame(p, generic_case.grid)
-    transported = parallel_transport_frame(frame)
-    for branch in "+-":
-        angle = np.angle(
-            np.vdot(transported.component(branch)[0], transported.component(branch)[-1])
-        )
+    transported = parallel_transport(frame.states)
+    for k, branch in enumerate("+-"):
+        angle = np.angle(np.vdot(transported[0, :, k], transported[-1, :, k]))
         assert abs(wrap_angle(angle - spin_model.geometric_phase(p, branch))) < 1e-6
         # direct holonomy agrees with the transported-endpoint overlap
-        assert abs(holonomy(frame, branch) - np.exp(1j * angle)) < 1e-6
+        assert abs(frame.holonomies[k] - np.exp(1j * angle)) < 1e-6
 
 
 def test_holonomy_trivial_and_quarter_turn():
     grid = TimeGrid(0.0, 1.0, 32)
     vec = np.array([1.0, 0.0], dtype=complex)
     frame = BasisFrame(grid, np.tile(vec[:, None], (33, 1, 1)), (0,))
-    assert holonomy(frame, 0) == pytest.approx(1.0 + 0.0j, abs=1e-14)
+    assert frame.holonomies[0] == pytest.approx(1.0 + 0.0j, abs=1e-14)
     # theta - alpha = pi/2: holonomy of the w_+ loop is exp(-i pi) = -1
     p = SpinParams(1.0, 1.0, 2.0 * np.pi / 3)
     fine = TimeGrid(0.0, p.period, 20000)
-    value = holonomy(w_frame(p, fine), "+")
+    value = w_frame(p, fine).holonomies[0]  # the "+" member
     assert abs(value - (-1.0)) < 1e-6
 
 
 def test_holonomy_gauge_invariant(generic_case):
     rng = np.random.default_rng(11)
     frame = w_frame(generic_case.p, generic_case.grid)
-    base = {b: holonomy(frame, b) for b in "+-"}
     for _ in range(20):
         g = GaugeFunction.random(("+", "-"), generic_case.grid.span, rng, scale=0.1)
         gauged = apply_gauge(frame, g)
-        for b in "+-":
-            assert abs(holonomy(gauged, b) - base[b]) < 1e-8
+        assert np.max(np.abs(gauged.holonomies - frame.holonomies)) < 1e-8
 
 
 # ------------------------------------------------------- effective Hamiltonian
@@ -313,16 +308,16 @@ def test_effective_hamiltonian_v_frame_matches_matrix(generic_case):
             [-0.5 * np.sin(p.theta) * p.omega, p.mu_b - 0.5 * (1 - np.cos(p.theta)) * p.omega],
         ]
     )
-    assert np.max(np.abs(eff.matrices[1:-1] - expected[None])) < 1e-6
+    assert np.max(np.abs(eff.matrices - expected[None])) < 1e-6
     assert eff.hermiticity_defect() < 1e-7
 
 
 def test_effective_hamiltonian_w_frame_is_diagonal(generic_case):
     samples = generic_case.H.sample(generic_case.grid.nodes)
     eff = effective_hamiltonian(w_frame(generic_case.p, generic_case.grid), samples)
-    off = np.abs(eff.matrices[1:-1, 0, 1])
+    off = np.abs(eff.matrices[:, 0, 1])
     assert np.max(off) < 1e-6
-    diag = eff.matrices[1:-1, 0, 0].real
+    diag = eff.matrices[:, 0, 0].real
     p = generic_case.p
     expected = spin_model.energy_expectation(p, "+") - spin_model.connection_value(p, "+")
     assert np.max(np.abs(diag - expected)) < 1e-6
@@ -336,7 +331,7 @@ def test_effective_hamiltonian_w_frame_diagonal_across_sweep():
         p = SpinParams(rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0), rng.uniform(0.05, np.pi - 0.05))
         grid = TimeGrid(0.0, p.period, 12000)
         eff = effective_hamiltonian(w_frame(p, grid), spin_model.hamiltonian(p).sample(grid.nodes))
-        assert np.max(np.abs(eff.matrices[1:-1, 0, 1])) < 1e-6
+        assert np.max(np.abs(eff.matrices[:, 0, 1])) < 1e-6
 
 
 def test_effective_hamiltonian_constant_eigenframe():
@@ -344,13 +339,14 @@ def test_effective_hamiltonian_constant_eigenframe():
     frame = BasisFrame(grid, np.tile(np.eye(2, dtype=complex), (65, 1, 1)), (0, 1))
     H = spin_model.hamiltonian(SpinParams(1.5, 1.0, 0.0))  # -1.5 sigma_z: diag(-1.5, 1.5)
     eff = effective_hamiltonian(frame, H.sample(grid.nodes))
+    assert eff.matrices.shape == (64, 2, 2)  # one matrix per step midpoint
     assert np.max(np.abs(eff.matrices - np.diag([-1.5, 1.5])[None])) < 1e-10
 
 
 # the functionals that take H as its node samples check their shape
 SAMPLE_CALLS = {
-    "dynamical_phase": lambda case, frame, samples: dynamical_phase(case.paths["+"], samples),
-    "phase_report": lambda case, frame, samples: phase_report(case.paths["+"], samples),
+    "dynamical_phase": lambda case, frame, samples: case.members.dynamical(samples),
+    "phase_report": lambda case, frame, samples: case.members.reports(samples),
     "amplitudes_from_frame": lambda case, frame, samples: amplitudes_from_frame(frame, samples),
     "effective_hamiltonian": lambda case, frame, samples: effective_hamiltonian(frame, samples),
     "frame_trace": lambda case, frame, samples: frame_trace(frame, samples, case.weights),
@@ -377,9 +373,7 @@ def test_node_sample_shape_is_checked(generic_case, name, wrong):
 
 def test_frame_trace_matches_direct_trace(generic_case):
     rng = np.random.default_rng(19)
-    frame = frame_from_amplitudes(
-        [generic_case.paths["+"], generic_case.paths["-"]], labels=("+", "-")
-    )
+    frame = frame_from_amplitudes(generic_case.members, labels=("+", "-"))
     direct_basis = np.stack([generic_case.paths[b].initial for b in "+-"])
     samples = generic_case.H.sample(generic_case.grid.nodes)
     for _ in range(5):
@@ -393,9 +387,7 @@ def test_frame_trace_matches_direct_trace(generic_case):
 
 def test_frame_trace_gauge_invariant(generic_case):
     rng = np.random.default_rng(23)
-    frame = frame_from_amplitudes(
-        [generic_case.paths["+"], generic_case.paths["-"]], labels=("+", "-")
-    )
+    frame = frame_from_amplitudes(generic_case.members, labels=("+", "-"))
     weights = generic_case.weights
     samples = generic_case.H.sample(generic_case.grid.nodes)
     base = frame_trace(frame, samples, weights)
@@ -415,7 +407,7 @@ def test_amplitudes_from_frame_hidden_gauge_invariance():
     grid = TimeGrid(0.0, p.period, 100000)
     samples = spin_model.hamiltonian(p).sample(grid.nodes)
     paths = spin_model.amplitude_paths(p, grid)
-    frame = frame_from_amplitudes(paths, labels=("+", "-"))
+    frame = frame_from_amplitudes(stacked(*paths), labels=("+", "-"))
     base = amplitudes_from_frame(frame, samples)
     g = GaugeFunction.random(("+", "-"), grid.span, rng, scale=0.1, slope_scale=0.2)
     shifted = amplitudes_from_frame(apply_gauge(frame, g), samples)
@@ -429,9 +421,7 @@ def test_amplitudes_from_frame_hidden_gauge_invariance():
 
 
 def test_amplitudes_from_frame_recovers_paths(generic_case):
-    frame = frame_from_amplitudes(
-        [generic_case.paths["+"], generic_case.paths["-"]], labels=("+", "-")
-    )
+    frame = frame_from_amplitudes(generic_case.members, labels=("+", "-"))
     rebuilt = amplitudes_from_frame(frame, generic_case.H.sample(generic_case.grid.nodes))
     for label, path in zip(("+", "-"), rebuilt):
         diff = np.max(np.abs(path.states - generic_case.paths[label].states))

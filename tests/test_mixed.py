@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
-from phaselab import SpinParams, TimeGrid, cli, gauge, mixed, numerics, phases, spin_model
+from phaselab import SpinParams, TimeGrid, cli, gauge, mixed, phases, spin_model
 from phaselab.evolution import (
     AmplitudePath,
     HamiltonianTrajectory,
     PropagatorPath,
     amplitude_path,
+    member_paths,
     propagate,
 )
 from phaselab.exceptions import (
@@ -22,12 +23,8 @@ from phaselab.mixed import (
     Ensemble,
     PurifiedState,
     density_from_ensemble,
-    ensemble_from_density,
-    evolve_density,
     gauge_campaign,
     hidden_gauge_transform,
-    interference_curve,
-    mixed_dynamical_phase,
     mixed_total_phase,
     purify,
     reduce,
@@ -35,10 +32,27 @@ from phaselab.mixed import (
     transform_evolution,
     transport_conditions,
 )
-from phaselab.numerics import central_diff, wrap_angle
-from phaselab.phases import dynamical_phase, geometric_phase_pure
+from phaselab.numerics import wrap_angle
+from phaselab.phases import PathStack
 
-from conftest import mat_exp, random_density, random_hermitian, random_unitary, w_frame
+from conftest import central_diff, mat_exp, random_density, random_hermitian, random_unitary, stacked
+
+
+def members(U: PropagatorPath, ensemble: Ensemble) -> PathStack:
+    """The member paths psi_k = U|k> of the ensemble's states."""
+    return PathStack(U.grid, member_paths(U, ensemble.states))
+
+
+def gamma_d(ensemble: Ensemble, U: PropagatorPath) -> float:
+    """The mixed dynamical phase of U's member paths with the ensemble's weights."""
+    return transport_conditions(ensemble.weights, members(U, ensemble))[2]
+
+
+def eigen_ensemble(rho: DensityMatrix) -> Ensemble:
+    """rho's eigenvalues over its eigenvectors, from np.linalg.eigh; a rank
+    deficit's eigenvalues, zero to rounding, are clipped to zero."""
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    return Ensemble(np.clip(vals, 0.0, None), vecs.T.copy())
 
 
 def test_density_from_single_state():
@@ -79,22 +93,6 @@ def test_ensemble_weight_validation():
         Ensemble(np.array([0.5, 0.4]), np.eye(2, dtype=complex))
 
 
-def test_evolve_density():
-    rng = np.random.default_rng(3)
-    rho = random_density(rng, 3)
-    assert np.array_equal(evolve_density(rho, np.eye(3)).matrix, rho.matrix)
-    state = np.array([1.0, 0.0, 0.0], dtype=complex)
-    pure = DensityMatrix(np.outer(state, state))
-    V = random_unitary(rng, 3)
-    rotated = evolve_density(pure, V)
-    assert np.max(np.abs(rotated.matrix - np.outer(V[:, 0], np.conj(V[:, 0])))) < 1e-12
-    before = np.linalg.eigvalsh(rho.matrix)
-    after = np.linalg.eigvalsh(evolve_density(rho, V).matrix)
-    assert np.max(np.abs(before - after)) < 1e-10
-    with pytest.raises(ContractError):
-        evolve_density(rho, 2.0 * np.eye(3))
-
-
 def test_mixed_total_phase_global_phase():
     rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
     gamma, vis = mixed_total_phase(rho, np.exp(1.2j) * np.eye(2))
@@ -124,15 +122,11 @@ def test_mixed_total_phase_undefined():
         mixed_total_phase(rho, U)
 
 
-def test_interference_curve_shapes():
-    rho_pure = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-    chi = np.linspace(-np.pi, np.pi, 9)
-    curve = interference_curve(rho_pure, np.eye(2, dtype=complex), chi)
-    assert np.allclose(curve, 1.0 + np.cos(chi))
-    assert curve.max() == pytest.approx(2.0)
-    rho_mixed = DensityMatrix(np.eye(4, dtype=complex) / 4)
-    U = np.diag([1.0, 1j, -1.0, -1j])
-    assert np.allclose(interference_curve(rho_mixed, U, chi), 1.0)
+def test_mixed_total_phase_rejects_wrong_shape():
+    rho = DensityMatrix(np.eye(3, dtype=complex) / 3)
+    for U_T in (np.eye(2, dtype=complex), np.eye(3, dtype=complex)[None]):
+        with pytest.raises(DimensionError):
+            mixed_total_phase(rho, U_T)
 
 
 # each record stores the array it validated, so nested lists work like arrays
@@ -186,19 +180,16 @@ NAN_INPUTS = {
         lambda c: BasisFrame(c.grid, np.full((c.grid.steps + 1, 2, 1), np.nan), ("a",))),
     "frame_from_amplitudes-t0": (
         "orthonormal at t = 0",
-        lambda c: frame_from_amplitudes([_nan_at_start(c.paths["+"]), c.paths["-"]])),
+        lambda c: frame_from_amplitudes(stacked(_nan_at_start(c.paths["+"]), c.paths["-"]))),
     "PurifiedState-norm": (
         "purified state norm",
         lambda c: PurifiedState(np.full((2, 2), np.nan, dtype=complex))),
-    "evolve_density-unitarity": (
-        "evolution matrix not unitary",
-        lambda c: evolve_density(DensityMatrix(np.eye(2) / 2), np.full((2, 2), np.nan))),
     "singh_phase-weights": (
         "weights must be normalized",
-        lambda c: singh_phase([np.nan, np.nan], [c.paths["+"], c.paths["-"]])),
+        lambda c: singh_phase([np.nan, np.nan], c.members)),
     "singh_phase-t0": (
         "orthonormal at t = 0",
-        lambda c: singh_phase(c.weights, [_nan_at_start(c.paths["+"]), c.paths["-"]])),
+        lambda c: singh_phase(c.weights, stacked(_nan_at_start(c.paths["+"]), c.paths["-"]))),
     "purify-ancilla-unitarity": (
         "ancilla transform must be unitary",
         lambda c: purify(DensityMatrix(np.eye(2) / 2), 2, np.full((2, 2), np.nan))),
@@ -212,20 +203,12 @@ def test_tolerance_checks_reject_nan(site, generic_case):
         call(generic_case)
 
 
-def test_interference_curve_rejects_wrong_shape():
-    # the curve takes Tr[U_T rho0] from mixed_total_phase, so it shares its checks
-    rho = DensityMatrix(np.eye(3, dtype=complex) / 3)
-    chi = np.linspace(-np.pi, np.pi, 5)
-    for U_T in (np.eye(2, dtype=complex), np.eye(3, dtype=complex)[None]):
-        with pytest.raises(DimensionError):
-            interference_curve(rho, U_T, chi)
-
-
 def test_interference_curve_reproduces_spin_formula(generic_case):
     p = generic_case.p
     path = generic_case.paths["+"]
     rho = DensityMatrix(np.outer(path.initial, np.conj(path.initial)))
-    value = interference_curve(rho, generic_case.U.final, np.array([0.0]))[0]
+    gamma_total, visibility = mixed_total_phase(rho, generic_case.U.final)
+    value = 1.0 + visibility * np.cos(-gamma_total)  # the fringe 1 + v cos(chi - gamma_T) at chi = 0
     assert value == pytest.approx(spin_model.interference_value(p), abs=1e-6)
 
 
@@ -236,26 +219,20 @@ def test_mixed_dynamical_phase_constant_hamiltonian():
     T, steps = 3.0, 6000
     grid = TimeGrid(0.0, T, steps)
     U = np.stack([mat_exp(-1j * E * t) for t in grid.nodes])
-    from phaselab.evolution import PropagatorPath
-
     path = PropagatorPath(grid, U)
     expected = -np.trace(rho.matrix @ E).real * T
-    value = mixed_dynamical_phase(rho, path)
+    value = gamma_d(eigen_ensemble(rho), path)
     assert value == pytest.approx(expected, abs=1e-7)
 
 
 def test_mixed_dynamical_phase_special_case(special_case):
-    rho = density_from_ensemble(special_case.ensemble)
-    assert abs(mixed_dynamical_phase(rho, special_case.U)) < 1e-6
+    assert abs(gamma_d(special_case.ensemble, special_case.U)) < 1e-6
 
 
 def test_mixed_dynamical_phase_linearity(generic_case):
-    rho = density_from_ensemble(generic_case.ensemble)
-    value = mixed_dynamical_phase(rho, generic_case.U)
-    parts = [
-        dynamical_phase(generic_case.paths[b], generic_case.H.sample(generic_case.grid.nodes))
-        for b in "+-"
-    ]
+    value = gamma_d(generic_case.ensemble, generic_case.U)
+    samples = generic_case.H.sample(generic_case.grid.nodes)
+    parts = [stacked(generic_case.paths[b]).dynamical(samples)[0] for b in "+-"]
     expected = generic_case.weights[0] * parts[0] + generic_case.weights[1] * parts[1]
     assert value == pytest.approx(expected, abs=1e-6)
 
@@ -281,14 +258,13 @@ def test_transform_evolution_preserves_orbit(generic_case):
 
 def test_transform_evolution_shifts_dynamical_phase(generic_case):
     rng = np.random.default_rng(11)
-    rho0 = density_from_ensemble(generic_case.ensemble)
-    base = mixed_dynamical_phase(rho0, generic_case.U)
+    base = gamma_d(generic_case.ensemble, generic_case.U)
     for _ in range(3):
         theta = GaugeFunction.random(
             ("+", "-"), generic_case.grid.span, rng, scale=0.1, slope_scale=0.3
         )
         transformed = transform_evolution(generic_case.U, theta, generic_case.ensemble)
-        shifted = mixed_dynamical_phase(rho0, transformed)
+        shifted = gamma_d(generic_case.ensemble, transformed)
         jump = sum(
             w * (end - start)
             for w, end, start in zip(
@@ -306,55 +282,46 @@ def test_transform_evolution_requires_complete_basis(generic_case):
 
 
 def test_singh_phase_single_state_reduces_to_geometric(generic_case):
-    path = generic_case.paths["+"]
-    assert singh_phase(np.array([1.0]), [path]) == pytest.approx(
-        geometric_phase_pure(path), abs=1e-12
+    path = stacked(generic_case.paths["+"])
+    assert singh_phase(np.array([1.0]), path) == pytest.approx(
+        float(np.angle(path.holonomies[0])), abs=1e-12
     )
 
 
 def test_singh_phase_invariant_under_path_phases(generic_case):
     rng = np.random.default_rng(13)
     paths = [generic_case.paths["+"], generic_case.paths["-"]]
-    base = singh_phase(generic_case.weights, paths)
+    base = singh_phase(generic_case.weights, stacked(*paths))
     nodes = generic_case.grid.nodes
     for _ in range(10):
         theta = GaugeFunction.random(
             ("+", "-"), generic_case.grid.span, rng, scale=0.1, slope_scale=0.2
         )
-        shifted = [
+        shifted = stacked(*(
             AmplitudePath(p.grid, p.states * np.exp(1j * a)[:, None])
             for a, p in zip(theta.value(nodes), paths)
-        ]
+        ))
         assert abs(wrap_angle(singh_phase(generic_case.weights, shifted) - base)) < 1e-7
 
 
 def test_singh_phase_equals_total_phase_at_special_point(special_case):
     rho0 = density_from_ensemble(special_case.ensemble)
     gamma, _ = mixed_total_phase(rho0, special_case.U.final)
-    paths = [special_case.paths["+"], special_case.paths["-"]]
-    assert abs(wrap_angle(singh_phase(special_case.weights, paths) - gamma)) < 1e-6
+    assert abs(wrap_angle(singh_phase(special_case.weights, special_case.members) - gamma)) < 1e-6
 
 
 def test_transport_conditions_special_case(special_case):
-    weak, strong, _ = transport_conditions(special_case.ensemble, special_case.U)
+    weak, strong, _ = transport_conditions(special_case.weights, special_case.members)
     assert np.max(strong) < 1e-6
     assert weak < 1e-6
 
 
 def test_transport_conditions_generic(generic_case):
     p = generic_case.p
-    weak, strong, _ = transport_conditions(generic_case.ensemble, generic_case.U)
+    weak, strong, _ = transport_conditions(generic_case.weights, generic_case.members)
     expected = p.mu_b * abs(np.cos(p.alpha))
     assert np.max(strong) == pytest.approx(expected, rel=1e-4)
     assert weak <= float(np.dot(generic_case.weights, strong)) + 1e-10
-
-
-def test_transport_conditions_accepts_density_matrix(generic_case):
-    rho0 = density_from_ensemble(generic_case.ensemble)
-    weak_e, strong_e, _ = transport_conditions(generic_case.ensemble, generic_case.U)
-    weak_d, strong_d, _ = transport_conditions(rho0, generic_case.U)
-    assert weak_d == pytest.approx(weak_e, abs=1e-10)
-    assert np.allclose(sorted(strong_d), sorted(strong_e), atol=1e-8)
 
 
 def test_transport_and_mixed_dynamical_phase_dim3():
@@ -387,19 +354,15 @@ def test_transport_and_mixed_dynamical_phase_dim3():
         return weak, strong, ensemble.weights @ phases.sum(axis=1)
 
     weak_reference, strong_reference, _ = references(ensemble)
-    weak, strong, _ = transport_conditions(ensemble, U)
+    weak, strong, _ = transport_conditions(ensemble.weights, members(U, ensemble))
     assert strong.shape == (2,)
     assert np.max(np.abs(strong - strong_reference)) < 1e-12
     assert abs(weak - weak_reference) < 1e-12
-    weak_d, strong_d, _ = transport_conditions(rho0, U)
-    weak_reference, strong_reference, _ = references(ensemble_from_density(rho0))
-    assert np.max(np.abs(strong_d - strong_reference)) < 1e-12
-    assert abs(weak_d - weak_reference) < 1e-12
 
     other = random_density(rng, 3)
-    for rho, given in ((rho0, rho0), (rho0, ensemble), (other, other)):
-        _, _, expected = references(ensemble_from_density(rho))
-        assert abs(mixed_dynamical_phase(given, U) - expected) < 1e-12
+    for given in (ensemble, eigen_ensemble(rho0), eigen_ensemble(other)):
+        _, _, expected = references(given)
+        assert abs(gamma_d(given, U) - expected) < 1e-12
 
     def central_difference_gamma_d(U, rho):
         D = np.conj(np.swapaxes(U.matrices, -2, -1)) @ central_diff(U.matrices, U.grid.dt)
@@ -409,7 +372,7 @@ def test_transport_and_mixed_dynamical_phase_dim3():
     gaps = []
     for steps in (400, 800, 1600, 3200):
         refined = propagate(H, TimeGrid(0.0, 2.0, steps))
-        gaps.append(abs(mixed_dynamical_phase(other, refined)
+        gaps.append(abs(gamma_d(eigen_ensemble(other), refined)
                         - central_difference_gamma_d(refined, other)))
     assert all(3.5 < coarse / fine < 4.5 for coarse, fine in zip(gaps, gaps[1:])), gaps
 
@@ -417,7 +380,8 @@ def test_transport_and_mixed_dynamical_phase_dim3():
 def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
     # the campaign reads the equivalence-class shifts off the rephased member
     # paths of U' = U sum_k e^{i theta_k}|k><k| with H sampled once; here they
-    # come from the public functions on U' and the density matrix, drawing the
+    # come from the public functions on U' and the density matrix (gamma_D in
+    # its own eigenbasis from np.linalg.eigh), drawing the
     # gauges in the campaign's order (periodic, then ramped)
     rng = np.random.default_rng(43)
     A, B, C = (random_hermitian(rng, 3) for _ in range(3))
@@ -432,7 +396,7 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
     labels, trials, scale = ("a", "b", "c"), 6, 0.3
     rho0 = density_from_ensemble(ensemble)
     base_gamma, _ = mixed_total_phase(rho0, U.final)
-    base_dyn = mixed_dynamical_phase(rho0, U)
+    base_dyn = gamma_d(eigen_ensemble(rho0), U)
     diag_UT = np.array([np.vdot(s, U.final @ s) for s in ensemble.states])
     draws = np.random.default_rng(5)
     mismatch_gamma = mismatch_dyn = naive_gamma = naive_dyn = 0.0
@@ -446,7 +410,7 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
         predicted = np.angle(np.sum(ensemble.weights * diag_UT * np.exp(1j * theta_T)))
         mismatch_gamma = max(mismatch_gamma, abs(wrap_angle(gamma - predicted)))
         naive_gamma = max(naive_gamma, abs(wrap_angle(gamma - base_gamma)))
-        dyn = mixed_dynamical_phase(rho0, U_prime)
+        dyn = gamma_d(eigen_ensemble(rho0), U_prime)
         predicted = base_dyn + np.sum(ensemble.weights * (theta_T - theta_0))
         mismatch_dyn = max(mismatch_dyn, abs(dyn - predicted))
         naive_dyn = max(naive_dyn, abs(dyn - base_dyn))
@@ -487,33 +451,6 @@ def test_overlap_passes_per_command(argv, passes, monkeypatch, capsys):
     assert cli.main([*argv, "--steps", "2000"]) == 0
     capsys.readouterr()
     assert len(calls) == passes
-
-
-def test_a_sweep_point_takes_no_central_difference(generic_case, monkeypatch, capsys):
-    # every phase is read off the step phases, so no stack of differences is
-    # formed; effective_hamiltonian still takes one, which shows the counter
-    # is live
-    calls, difference = [], numerics.central_diff
-
-    def counted(y, dt):
-        calls.append(np.shape(y))
-        return difference(y, dt)
-
-    for module in (numerics, phases, mixed, gauge, cli):
-        monkeypatch.setattr(module, "central_diff", counted, raising=False)
-    assert cli.main(["sweep", "--axis", "theta", "--values", "0.5", "--steps", "2000"]) == 0
-    capsys.readouterr()
-    assert calls == []
-    frame = w_frame(generic_case.p, generic_case.grid)
-    gauge.effective_hamiltonian(frame, generic_case.H.sample(generic_case.grid.nodes))
-    assert len(calls) == 1
-
-
-def test_ensemble_from_density_round_trip():
-    rng = np.random.default_rng(17)
-    rho = random_density(rng, 4)
-    ensemble = ensemble_from_density(rho)
-    assert np.max(np.abs(density_from_ensemble(ensemble).matrix - rho.matrix)) < 1e-10
 
 
 def test_reduce_product_state():

@@ -12,17 +12,16 @@ from phaselab.numerics import trapezoid, wrap_angle
 from phaselab.phases import (
     PathStack,
     adiabatic_phase,
-    dynamical_phase,
-    geometric_phase_pure,
     parallel_transport,
-    phase_report,
     state_energies,
     step_overlaps,
-    total_phase,
-    transport_residual,
 )
 
-from conftest import build_spin_case, random_hermitian
+from conftest import build_spin_case, random_hermitian, stacked
+
+
+def geometric(path: AmplitudePath) -> float:
+    return float(np.angle(stacked(path).holonomies[0]))
 
 
 def constant_trajectory(H: np.ndarray) -> HamiltonianTrajectory:
@@ -51,7 +50,7 @@ def periodic_gauge_samples(rng, nodes, T, degree=6, scale=0.2):
 
 def test_total_phase_eigenstate():
     E, T = 0.7, 5.0
-    angle, magnitude = total_phase(eigenstate_path(E, T))
+    (angle,), (magnitude,) = stacked(eigenstate_path(E, T)).totals()
     assert angle == pytest.approx(float(wrap_angle(-E * T)), abs=1e-12)
     assert magnitude == pytest.approx(1.0, abs=1e-12)
 
@@ -59,14 +58,14 @@ def test_total_phase_eigenstate():
 def test_total_phase_identity_path():
     grid = TimeGrid(0.0, 1.0, 16)
     states = np.tile(np.array([0.6, 0.8j]), (17, 1))
-    angle, magnitude = total_phase(AmplitudePath(grid, states))
+    (angle,), (magnitude,) = stacked(AmplitudePath(grid, states)).totals()
     assert angle == 0.0
     assert magnitude == pytest.approx(1.0, abs=1e-12)
 
 
 def test_total_phase_spin_golden(generic_case):
     p = generic_case.p
-    angle, magnitude = total_phase(generic_case.paths["+"])
+    (angle,), (magnitude,) = stacked(generic_case.paths["+"]).totals()
     expected = wrap_angle(
         p.mu_b * np.cos(p.alpha) * p.period + np.pi * (1 + np.cos(p.theta - p.alpha))
     )
@@ -79,45 +78,45 @@ def test_total_phase_undefined_for_orthogonal_endpoints():
     angles = 0.5 * np.pi * grid.nodes
     states = np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(complex)
     with pytest.raises(UndefinedPhaseError):
-        total_phase(AmplitudePath(grid, states))
+        stacked(AmplitudePath(grid, states)).totals()
 
 
 def test_dynamical_phase_eigenstate():
     E, T = 1.3, 4.0
     H = constant_trajectory(np.diag([E, -E]).astype(complex))
     path = eigenstate_path(E, T)
-    assert dynamical_phase(path, H.sample(path.grid.nodes)) == pytest.approx(-E * T, abs=1e-10)
+    assert stacked(path).dynamical(H.sample(path.grid.nodes))[0] == pytest.approx(-E * T, abs=1e-10)
 
 
 def test_dynamical_phase_vanishes_at_special_point(special_case):
     samples = special_case.H.sample(special_case.grid.nodes)
-    assert abs(dynamical_phase(special_case.paths["+"], samples)) < 1e-8
+    assert abs(stacked(special_case.paths["+"]).dynamical(samples)[0]) < 1e-8
 
 
 def test_dynamical_phase_generic_golden(generic_case):
     p = generic_case.p
     expected = p.mu_b * np.cos(p.alpha) * p.period
     samples = generic_case.H.sample(generic_case.grid.nodes)
-    assert dynamical_phase(generic_case.paths["+"], samples) == pytest.approx(
+    assert stacked(generic_case.paths["+"]).dynamical(samples)[0] == pytest.approx(
         expected, abs=1e-7
     )
     # second form: -i int <psi, d/dt psi> as the step-phase sum
     # sum_j arg<psi_j, psi_{j+1}>, which equals the energy integral up to the
     # O(dt^2) per-step phase of the energy spread
     path = generic_case.paths["+"]
-    step_sum = float(PathStack(path.grid, path.states[..., None]).step_phases.sum())
+    step_sum = float(stacked(path).step_phases.sum())
     assert step_sum == pytest.approx(expected, abs=5e-6)
 
 
 def test_geometric_phase_eigenstate_is_zero():
     E, T = 0.9, 3.0
-    assert abs(geometric_phase_pure(eigenstate_path(E, T, steps=100000))) < 1e-8
+    assert abs(geometric(eigenstate_path(E, T, steps=100000))) < 1e-8
 
 
 def test_geometric_phase_spin_goldens(generic_case, special_case):
     for case in (generic_case, special_case):
         for branch in "+-":
-            numeric = geometric_phase_pure(case.paths[branch])
+            numeric = geometric(case.paths[branch])
             exact = spin_model.geometric_phase(case.p, branch)
             assert abs(wrap_angle(numeric - exact)) < 1e-6
 
@@ -125,22 +124,22 @@ def test_geometric_phase_spin_goldens(generic_case, special_case):
 def test_geometric_phase_gauge_invariant(generic_case):
     rng = np.random.default_rng(101)
     path = generic_case.paths["+"]
-    base = geometric_phase_pure(path)
+    base = geometric(path)
     nodes, T = generic_case.grid.nodes, generic_case.grid.span
     for _ in range(20):
         alpha = periodic_gauge_samples(rng, nodes, T)
         shifted = AmplitudePath(path.grid, path.states * np.exp(1j * alpha)[:, None])
-        assert abs(wrap_angle(geometric_phase_pure(shifted) - base)) < 1e-8
+        assert abs(wrap_angle(geometric(shifted) - base)) < 1e-8
 
 
 def test_total_phase_gauge_covariance(generic_case):
     # alpha(t) with distinct endpoints shifts the total phase by exactly the gap
     path = generic_case.paths["-"]
-    base, _ = total_phase(path)
+    (base,), _ = stacked(path).totals()
     nodes = generic_case.grid.nodes
     alpha = 0.3 * nodes + 0.2 * np.sin(2 * np.pi * nodes / generic_case.grid.span)
     shifted = AmplitudePath(path.grid, path.states * np.exp(1j * alpha)[:, None])
-    angle, _ = total_phase(shifted)
+    (angle,), _ = stacked(shifted).totals()
     expected = wrap_angle(base + alpha[-1] - alpha[0])
     assert angle == pytest.approx(float(expected), abs=1e-10)
 
@@ -153,10 +152,10 @@ def test_identity_geometric_equals_total_minus_dynamical():
         grid = TimeGrid(0.0, p.period, 200000)
         H = spin_model.hamiltonian(p)
         for path in spin_model.amplitude_paths(p, grid):
-            angle, _ = total_phase(path)
-            dyn = dynamical_phase(path, H.sample(grid.nodes))
+            (angle,), _ = stacked(path).totals()
+            (dyn,) = stacked(path).dynamical(H.sample(grid.nodes))
             identity = wrap_angle(angle - dyn)
-            assert abs(wrap_angle(geometric_phase_pure(path) - identity)) < 1e-8
+            assert abs(wrap_angle(geometric(path) - identity)) < 1e-8
 
 
 def test_identity_on_propagated_paths(generic_case, special_case):
@@ -164,10 +163,10 @@ def test_identity_on_propagated_paths(generic_case, special_case):
     for case in (generic_case, special_case):
         for branch in "+-":
             path = case.paths[branch]
-            angle, _ = total_phase(path)
-            dyn = dynamical_phase(path, case.H.sample(case.grid.nodes))
+            (angle,), _ = stacked(path).totals()
+            (dyn,) = stacked(path).dynamical(case.H.sample(case.grid.nodes))
             identity = wrap_angle(angle - dyn)
-            assert abs(wrap_angle(geometric_phase_pure(path) - identity)) < 2e-6
+            assert abs(wrap_angle(geometric(path) - identity)) < 2e-6
 
 
 def transported_path(path: AmplitudePath) -> AmplitudePath:
@@ -205,24 +204,25 @@ def test_parallel_transport_holonomy_is_geometric_phase(generic_case):
     path = generic_case.paths["+"]
     transported = transported_path(path)
     holonomy_angle = np.angle(np.vdot(transported.initial, transported.final))
-    assert abs(wrap_angle(holonomy_angle - geometric_phase_pure(path))) < 1e-8
+    assert abs(wrap_angle(holonomy_angle - geometric(path))) < 1e-8
 
 
 def test_parallel_transport_residual_small(generic_case):
     transported = transported_path(generic_case.paths["+"])
     h_norm = generic_case.p.mu_b * np.sqrt(2.0)  # Frobenius norm of the spin H
-    assert transport_residual(transported) <= 1e-6 * h_norm
+    assert stacked(transported).residuals[0] <= 1e-6 * h_norm
 
 
 def test_raw_path_transport_residual_matches_energy(generic_case):
     # |<psi, d psi/dt>| = |<H>| = mu_B |cos alpha| along the exact evolution
     p = generic_case.p
     expected = p.mu_b * abs(np.cos(p.alpha))
-    assert transport_residual(generic_case.paths["+"]) == pytest.approx(expected, rel=1e-4)
+    assert stacked(generic_case.paths["+"]).residuals[0] == pytest.approx(expected, rel=1e-4)
 
 
 def test_phase_report_identity(generic_case):
-    report = phase_report(generic_case.paths["+"], generic_case.H.sample(generic_case.grid.nodes))
+    samples = generic_case.H.sample(generic_case.grid.nodes)
+    (report,) = stacked(generic_case.paths["+"]).reports(samples)
     assert report.geometric == pytest.approx(
         float(wrap_angle(report.total - report.dynamical)), abs=1e-12
     )

@@ -4,7 +4,9 @@ import pytest
 
 from phaselab import SpinParams, TimeGrid, spin_model
 from phaselab.linalg import hermiticity_defect
-from phaselab.numerics import central_diff, wrap_angle
+from phaselab.numerics import wrap_angle
+
+from conftest import central_diff
 
 GENERIC = SpinParams(1.0, 1.0, np.pi / 3, big_theta=np.pi / 4)
 # 2 mu_B + omega cos(theta) = 0  ->  alpha = pi/2, theta - alpha = pi/6
