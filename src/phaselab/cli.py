@@ -252,7 +252,12 @@ def load_sampled_hamiltonian(path: str, t_end: float) -> HamiltonianTrajectory:
         pos = t / t_end * steps
         lo = np.minimum(pos.astype(int), steps - 1)
         frac = (pos - lo)[..., None, None]
-        return (1.0 - frac) * samples[lo] + frac * samples[lo + 1]
+        # (1 - frac) samples[lo] + frac samples[lo + 1], in the two gathers
+        interpolant, upper = samples[lo], samples[lo + 1]
+        interpolant *= 1.0 - frac
+        upper *= frac
+        interpolant += upper
+        return interpolant
 
     return HamiltonianTrajectory(dim=dim, evaluate=batch)
 

@@ -11,7 +11,8 @@ Hermitian), the running products of the step exponentials
 keeps two-level steps and products in Cayley-Klein form, pairs (a, b) and a
 real phase, and forms U once), and the `PropagatorPath` check that every
 U(t_j) is unitary to `UNITARITY_TOL`.  U(t_0) = I exactly, and the output is
-byte-deterministic.
+byte-deterministic.  At d = 2, U and the member paths are stored with each
+component one contiguous row over the nodes; their shapes are as documented.
 """
 from __future__ import annotations
 
@@ -155,12 +156,21 @@ def propagate(H: HamiltonianTrajectory, grid: TimeGrid) -> PropagatorPath:
 
 def member_paths(U: PropagatorPath, states: np.ndarray) -> np.ndarray:
     """psi_k(t_j) = U(t_j)|k> for the rows |k> of a (k, dim) array, as one
-    (nodes, dim, k) stack from one GEMM: the package's one U|k> kernel."""
+    (nodes, dim, k) stack: the package's one U|k> kernel.  At dim 2 it views a
+    path-major (k, 2, nodes) buffer, filled by row multiply-adds over U's
+    component rows; other dimensions take one GEMM."""
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2 or states.shape[1] != U.dim:
         raise DimensionError(f"states have shape {states.shape}, expected (k, {U.dim})")
-    d = U.dim
-    return (U.matrices.reshape(-1, d) @ states.T).reshape(-1, d, states.shape[0])
+    d, u = U.dim, U.matrices
+    if d != 2:
+        return (u.reshape(-1, d) @ states.T).reshape(-1, d, states.shape[0])
+    out = np.empty((len(states), 2, len(u)), dtype=complex)
+    for row, (s0, s1) in zip(out, states.tolist()):
+        for c in range(2):
+            np.multiply(u[:, c, 0], s0, out=row[c])
+            row[c] += u[:, c, 1] * s1
+    return out.transpose(2, 1, 0)
 
 
 def amplitude_path(U: PropagatorPath, initial: np.ndarray) -> AmplitudePath:

@@ -15,7 +15,8 @@ form end to end: every step and every running product is
 e^{i phi} [[a, -conj(b)], [b, conj(a)]], the steps come from their closed
 form, the scan multiplies the pairs (a, b) (4 complex products where a 2x2
 matrix product takes 8, on half the memory), the real phases phi add by one
-cumulative sum, and U is formed once.  Other dimensions take their steps
+cumulative sum, and U is formed once, component-major: its (N+1, 2, 2)
+shape is a view of four contiguous rows.  Other dimensions take their steps
 from `hermitian_step_exp` and multiply matrices with `np.matmul`, the
 carries with one GEMM per block.  The propagator's checks
 (`require_hermitian`, `unitarity_defect`) are entrywise for stacks of 2x2
@@ -260,18 +261,24 @@ def _two_level_steps(H: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     With H = h0 I + h.sigma and r = |h|, a = cos(dt r) - i s hz,
     b = -i s (hx + i hy) and phi = -dt h0, where s = sin(dt r)/r, all in real
     arithmetic.  The pairs are stored component-major, so that a and b are
-    each contiguous.  s is dt * np.sinc(dt r / pi), not sin(dt r) / r: it is
-    exact at r = 0, and it keeps an absurdly coarse grid visible.  np.sinc
-    rounds its scaled argument apart from the cos(dt r) beside it, so once
-    dt r is huge a and b no longer make a unitary and `PropagatorPath`'s gate
-    fails (`simulate --omega 1e-300 --steps 20`: defect 0.249).  With sin(x)/x
-    at the same x as cos, that run passes the gate and prints phi_d = 6.25e300.
+    each contiguous.  s is dt * np.sinc(dt r / pi), its operations done in
+    place, not sin(dt r) / r: it is exact at r = 0, and it keeps an absurdly
+    coarse grid visible.  np.sinc rounds its scaled argument apart from the
+    cos(dt r) beside it, so once dt r is huge a and b no longer make a
+    unitary and `PropagatorPath`'s gate fails (`simulate --omega 1e-300
+    --steps 20`: defect 0.249).  With sin(x)/x at the same x as cos, that run
+    passes the gate and prints phi_d = 6.25e300.
     """
     h00, h11 = H[..., 0, 0].real, H[..., 1, 1].real
     hz = 0.5 * (h00 - h11)
     hx, hy = H[..., 1, 0].real, H[..., 1, 0].imag
     x = dt * np.sqrt(hz * hz + hx * hx + hy * hy)
-    s = dt * np.sinc(x / np.pi)
+    y = np.divide(x, np.pi, out=np.empty_like(x))  # s = dt * np.sinc(x / pi), in place
+    y *= np.pi
+    np.copyto(y, np.finfo(float).eps, where=y == 0.0)
+    s = np.sin(y)
+    s /= y
+    s *= dt
     pairs = np.empty((2, *hz.shape), dtype=complex)
     a, b = pairs[0, ...], pairs[1, ...]  # views, also for a single matrix
     np.cos(x, out=a.real)
@@ -290,7 +297,7 @@ def _two_level_matrices(pairs: np.ndarray, phases: np.ndarray) -> np.ndarray:
     instead of multiplied by e^{i phi} = 1; only the sign of a zero differs.
     """
     a, b = pairs[..., 0], pairs[..., 1]
-    out = np.empty((*phases.shape, 2, 2), dtype=complex)
+    out = np.moveaxis(np.empty((2, 2, *phases.shape), dtype=complex), (0, 1), (-2, -1))
     if not np.any(phases):
         out[..., 0, 0] = a
         out[..., 1, 0] = b

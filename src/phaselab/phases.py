@@ -21,8 +21,10 @@ functional; a single path is the stack with k = 1.  `gauge.BasisFrame` is a
 labelled PathStack, and every time-dependent mixed-state functional of `mixed`
 reads the record too.  The kernels on raw state stacks (step overlaps, energy
 expectation, parallel transport) serve all three modules; for two-level states
-the energies are written entry by entry.  `adiabatic_phase` reads the holonomy
-of an instantaneous level's eigenvectors as `eigh` returns them.
+the step overlaps and energies are written entry by entry, one row per path
+and component, contiguous in the path-major stacks of `evolution.member_paths`.
+`adiabatic_phase` reads the holonomy of an instantaneous level's eigenvectors
+as `eigh` returns them.
 """
 from __future__ import annotations
 
@@ -56,9 +58,18 @@ class PhaseReport:
 
 def step_overlaps(states: np.ndarray) -> np.ndarray:
     """<v_j, v_{j+1}> on a (nodes, dim, ...) stack: the vector is axis 1, so k
-    paths stacked as (nodes, dim, k) give (nodes - 1, k)."""
+    paths stacked as (nodes, dim, k) give (nodes - 1, k).  For dim 2 each
+    path's overlaps fill one row, from its two component rows, and the result
+    is a transposed view; other dimensions take one einsum."""
     states = np.asarray(states)
-    return np.einsum("ja...,ja...->j...", np.conj(states[:-1]), states[1:])
+    if states.shape[1] != 2:
+        return np.einsum("ja...,ja...->j...", np.conj(states[:-1]), states[1:])
+    out = np.empty(states.shape[2:] + (len(states) - 1,), dtype=np.result_type(states, complex))
+    for k in np.ndindex(states.shape[2:]):
+        a, b, row = states[(slice(None), 0, *k)], states[(slice(None), 1, *k)], out[k]
+        np.multiply(np.conj(a[:-1]), a[1:], out=row)
+        row += np.conj(b[:-1]) * b[1:]
+    return np.moveaxis(out, -1, 0)
 
 
 def check_node_samples(samples: np.ndarray, grid: TimeGrid, dim: int) -> None:
@@ -146,7 +157,7 @@ class PathStack:
     @cached_property
     def step_phases(self) -> np.ndarray:
         """arg<psi_k(t_j), psi_k(t_{j+1})> at every step, shape (k, steps)."""
-        return np.ascontiguousarray(np.angle(step_overlaps(self.states)).T)
+        return np.ascontiguousarray(np.angle(step_overlaps(self.states).T))
 
     @cached_property
     def endpoint_overlaps(self) -> np.ndarray:

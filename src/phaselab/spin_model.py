@@ -5,7 +5,9 @@ the coupling strength is mu_B (angular-frequency units, hbar = 1).  The
 mixing angle alpha = atan2(omega sin(theta), 2 mu_B + omega cos(theta))
 diagonalizes the effective Hamiltonian, after which the amplitudes, phases,
 solid angles and interference values are all elementary expressions.  Every
-numerical module in the package is tested against these formulas.
+numerical module in the package is tested against these formulas.  The
+sampled H is stored component-major, each entry one contiguous row over the
+times, behind the usual (n, 2, 2) shape.
 """
 from __future__ import annotations
 
@@ -72,7 +74,7 @@ def hamiltonian(p: SpinParams) -> HamiltonianTrajectory:
 
     def batch(times: np.ndarray) -> np.ndarray:
         phi = p.omega * np.asarray(times, dtype=float)
-        out = np.empty(phi.shape + (2, 2), dtype=complex)
+        out = np.moveaxis(np.empty((2, 2) + phi.shape, dtype=complex), (0, 1), (-2, -1))
         out[..., 0, 0] = -p.mu_b * cos_t
         out[..., 1, 1] = p.mu_b * cos_t
         lower, upper = out[..., 1, 0], out[..., 0, 1]

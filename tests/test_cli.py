@@ -359,6 +359,25 @@ def test_custom_sampled_model(tmp_path):
     assert abs(float(records[("phi_d", "1")]) - (-3.5)) < 1e-8
 
 
+def test_sampled_interpolant_is_the_linear_formula_bitwise():
+    # (1 - frac) H[lo] + frac H[lo + 1] as written, bit for bit, at the nodes and
+    # midpoints of the golden dim-3 file and of the golden scenario's grid
+    path = Path(__file__).parent / "golden" / "hamiltonian_dim3.txt"
+    t_end, steps = 2.5, 40
+    rows = np.loadtxt(path, skiprows=1)
+    samples = (rows[:, 0::2] + 1j * rows[:, 1::2]).reshape(steps + 1, 3, 3)
+    samples = 0.5 * (samples + np.conj(np.swapaxes(samples, -2, -1)))
+    H = cli.load_sampled_hamiltonian(str(path), t_end)
+    for n in (steps, 800):
+        nodes = np.linspace(0.0, t_end, n + 1)
+        for times in (nodes, 0.5 * (nodes[:-1] + nodes[1:])):
+            pos = times / t_end * steps
+            lo = np.minimum(pos.astype(int), steps - 1)
+            frac = (pos - lo)[:, None, None]
+            expected = (1.0 - frac) * samples[lo] + frac * samples[lo + 1]
+            assert H.evaluate(times).tobytes() == expected.tobytes()
+
+
 def test_trace_carrying_two_level_file_runs_the_phase_channel(tmp_path):
     # H(t) = c(t) I + h.sigma with c linear in t and h constant: the loader's
     # linear interpolant and the midpoint rule are exact, and c I commutes

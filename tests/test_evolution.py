@@ -195,9 +195,9 @@ def test_amplitude_path_rejects_bad_initial(generic_case):
 
 
 def test_amplitude_path_is_the_one_column_member_path(generic_case):
-    # amplitude_path is member_paths on one column, so those match bitwise; numpy
-    # runs a one-column product as a matrix-vector BLAS call, whose rounding may
-    # differ from the k-column GEMM's by about one ulp
+    # amplitude_path is member_paths on one column, so those match bitwise; at
+    # d >= 3 numpy runs a one-column product as a matrix-vector BLAS call, whose
+    # rounding may differ from the k-column GEMM's by about one ulp
     states = generic_case.ensemble.states
     stack = member_paths(generic_case.U, states)
     for k, state in enumerate(states):
@@ -215,6 +215,38 @@ def test_amplitude_path_matches_member_paths_dim3_custom(monkeypatch):
     assert stack.shape == (801, 3, 3)
     for k, state in enumerate(sc.ensemble.states):
         assert np.array_equal(amplitude_path(U, state).states, stack[..., k])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_member_paths_are_the_products_with_each_state(dim):
+    # psi_k(t_j) = U(t_j) s_k against matmul, on U as `propagate` stores it and
+    # on its C-ordered copy, which give the same bits
+    rng = np.random.default_rng(30 + dim)
+    grid = TimeGrid(0.0, 1.0, 300)
+    A, B = random_hermitian(rng, dim), random_hermitian(rng, dim)
+    H = HamiltonianTrajectory(dim, lambda t: A + np.cos(3.0 * t)[:, None, None] * B)
+    U = propagate(H, grid)
+    states = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    stack = member_paths(U, states)
+    assert stack.shape == (grid.steps + 1, dim, 3)
+    assert np.max(np.abs(stack - U.matrices @ states.T)) <= 1e-15
+    C_order = PropagatorPath(grid, np.ascontiguousarray(U.matrices))
+    assert np.array_equal(member_paths(C_order, states), stack)
+
+
+def test_unitarity_gate_reads_any_layout():
+    # the two-level propagator is stored component-major; perturbed by 1e-8 it
+    # fails the gate with the message of the same stack in C order
+    grid = TimeGrid(0.0, 1.0, 200)
+    U = propagate(spin_model.hamiltonian(SpinParams(1.0, 2.0, 0.7)), grid).matrices
+    bad = U * (1.0 + 1e-8)  # in U's memory order
+    messages = []
+    for stack in (bad, np.ascontiguousarray(bad)):
+        with pytest.raises(ContractError, match="propagator not unitary") as info:
+            PropagatorPath(grid, stack)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_member_paths_rejects_wrong_width(generic_case):

@@ -186,6 +186,27 @@ def test_two_level_step_exp_matches_eigh_formula(h0, hx, hy, hz, dt):
     assert unitarity_defect(step) < 1e-13
 
 
+def test_two_level_steps_take_numpy_sinc_bitwise():
+    # s = dt sin(x)/x, done in place, against the form dt * np.sinc(x / pi) bit
+    # for bit at x = dt r = 0, 1e-300, 1 and 1e300: exact at 0, and rounded as
+    # far out as np.sinc, whose drift from cos(x) the unitarity gate catches
+    rng = np.random.default_rng(71)
+    field = np.array([[0.6, 0.8], [0.8, -0.6]], dtype=complex)  # r = 1
+    H = np.stack([np.zeros((2, 2)), field] + [random_hermitian(rng, 2) for _ in range(6)])
+    for dt in (1e-300, 1.0, 1e300):
+        h00, h11 = H[:, 0, 0].real, H[:, 1, 1].real
+        hz = 0.5 * (h00 - h11)
+        hx, hy = H[:, 1, 0].real, H[:, 1, 0].imag
+        x = dt * np.sqrt(hz * hz + hx * hx + hy * hy)
+        s = dt * np.sinc(x / np.pi)
+        pairs, phases = _two_level_steps(H, dt)
+        a, b = pairs[:, 0], pairs[:, 1]
+        assert x[0] == 0.0 and x[1] == pytest.approx(dt, rel=1e-15)
+        for got, expected in ((a.real, np.cos(x)), (a.imag, -s * hz), (b.real, s * hy),
+                              (b.imag, -s * hx), (phases, -dt * (0.5 * (h00 + h11)))):
+            assert got.tobytes() == expected.tobytes()
+
+
 def test_eigen_sigma_z():
     vals, vecs = hermitian_eigen(SZ)
     assert np.allclose(vals, [-1.0, 1.0])

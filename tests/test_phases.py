@@ -338,6 +338,30 @@ def test_overlap_kernels_match_the_difference_stack(dim, paths, steps):
         assert np.max(np.abs(phases - expected)) <= 1e-13
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_path_stack_functionals_are_the_same_in_any_layout(dim):
+    # every PathStack functional, bit for bit, on a C-ordered (nodes, dim, k)
+    # stack and on the same paths stored path-major, as `member_paths` stores
+    # d = 2, with the H samples in C order and component-major
+    rng = np.random.default_rng(20 + dim)
+    grid = TimeGrid(0.0, 1.3, 500)
+    states = turning_paths(rng, grid, dim, 3)
+    A = random_stack(rng, (grid.steps + 1, dim, dim))
+    samples = A + np.conj(np.swapaxes(A, -2, -1))
+    path_major = np.ascontiguousarray(states.transpose(2, 1, 0)).transpose(2, 1, 0)
+    component_major = np.ascontiguousarray(samples.transpose(1, 2, 0)).transpose(2, 0, 1)
+    ref = PathStack(grid, states)
+    for v, H in ((path_major, samples), (states, component_major), (path_major, component_major)):
+        stack = PathStack(grid, v)
+        assert stack.step_phases.flags.c_contiguous
+        for got, expected in ((stack.step_phases, ref.step_phases),
+                              (stack.holonomies, ref.holonomies),
+                              (stack.residuals, ref.residuals),
+                              (stack.dynamical(H), ref.dynamical(samples))):
+            assert got.tobytes() == expected.tobytes()
+        assert stack.reports(H) == ref.reports(samples)
+
+
 PROPERTY_STEPS = 24
 
 

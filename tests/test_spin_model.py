@@ -48,6 +48,29 @@ def test_hamiltonian_structure():
     assert np.all(np.diagonal(samples, axis1=1, axis2=2).imag == 0.0)
 
 
+def test_hamiltonian_samples_are_the_entry_formula_bitwise():
+    # the entries as the docstring writes them, bit for bit, at the nodes and
+    # midpoints of a grid, whatever storage is behind the (n, 2, 2) view; a
+    # scalar time still gives one 2x2 matrix
+    p = GENERIC
+    H = spin_model.hamiltonian(p)
+    grid = TimeGrid(0.0, p.period, 400)
+    for times in (grid.nodes, grid.midpoints):
+        phi = p.omega * times
+        re = -p.mu_b * (np.sin(p.theta) * np.cos(phi))
+        im = -p.mu_b * (np.sin(p.theta) * np.sin(phi))
+        samples = H.sample(times)
+        assert samples.shape == (len(times), 2, 2)
+        for entry, real, imag in (((0, 0), -p.mu_b * np.cos(p.theta), 0.0), ((1, 0), re, im),
+                                  ((0, 1), re, -im), ((1, 1), p.mu_b * np.cos(p.theta), 0.0)):
+            got = samples[(slice(None), *entry)]
+            assert got.real.tobytes() == np.broadcast_to(real, times.shape).tobytes()
+            assert got.imag.tobytes() == np.broadcast_to(imag, times.shape).tobytes()
+    one = H.evaluate(grid.midpoints[7])
+    assert one.shape == (2, 2)
+    assert np.max(np.abs(one - samples[7])) <= 1e-15
+
+
 def test_hamiltonian_limits():
     flat = SpinParams(0.9, 1.0, 0.0)
     H = spin_model.hamiltonian(flat)
