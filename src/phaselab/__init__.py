@@ -8,14 +8,7 @@ rotating-field model that serves as the analytic oracle throughout.
 """
 
 from . import cli, evolution, gauge, linalg, mixed, numerics, phases, spin_model
-from .evolution import (
-    AmplitudePath,
-    HamiltonianTrajectory,
-    PropagatorPath,
-    TimeGrid,
-    amplitude_path,
-    propagate,
-)
+from .evolution import HamiltonianTrajectory, PropagatorPath, TimeGrid, propagate
 from .exceptions import (
     CapacityError,
     ContractError,
@@ -34,7 +27,6 @@ from .spin_model import SpinParams
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudePath",
     "BasisFrame",
     "CapacityError",
     "ContractError",
@@ -54,7 +46,6 @@ __all__ = [
     "SpinParams",
     "TimeGrid",
     "UndefinedPhaseError",
-    "amplitude_path",
     "cli",
     "evolution",
     "gauge",

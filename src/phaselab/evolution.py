@@ -11,7 +11,9 @@ Hermitian), the running products of the step exponentials
 keeps two-level steps and products in Cayley-Klein form, pairs (a, b) and a
 real phase, and forms U once), and the `PropagatorPath` check that every
 U(t_j) is unitary to `UNITARITY_TOL`.  U(t_0) = I exactly, and the output is
-byte-deterministic.  At d = 2, U and the member paths are stored with each
+byte-deterministic.  The package's state trajectories are the member paths
+psi_k = U|k> (`member_paths`), which every phase functional reads as one
+`phases.PathStack`.  At d = 2, U and the member paths are stored with each
 component one contiguous row over the nodes; their shapes are as documented.
 """
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .exceptions import ContractError, DimensionError, NumericError
 from .linalg import ordered_exponentials, require_hermitian, unitarity_defect
 
 UNITARITY_TOL = 1e-9
-NORM_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
 
 
@@ -91,12 +92,8 @@ class HamiltonianTrajectory:
 
 @dataclass(frozen=True)
 class PropagatorPath:
-    """Unitaries U(t_j) on a grid, checked for shape and unitarity.
-
-    `propagate` builds every path from U(t_0) = I exactly; a gauge-transformed
-    evolution (`mixed.transform_evolution`) starts at sum_k e^{i theta_k(0)} |k><k|,
-    diagonal in the basis it transforms over, whatever the model.
-    """
+    """Unitaries U(t_j) on a grid, checked for shape and unitarity; in the
+    package only `propagate` builds one, from U(t_0) = I exactly."""
 
     grid: TimeGrid
     matrices: np.ndarray  # (steps + 1, dim, dim)
@@ -117,36 +114,6 @@ class PropagatorPath:
     @property
     def final(self) -> np.ndarray:
         return self.matrices[-1]
-
-
-@dataclass(frozen=True)
-class AmplitudePath:
-    """Normalized state trajectory psi(t_j) on a grid."""
-
-    grid: TimeGrid
-    states: np.ndarray  # (steps + 1, dim)
-
-    def __post_init__(self):
-        psi = np.asarray(self.states)
-        if psi.ndim != 2 or psi.shape[0] != self.grid.steps + 1:
-            raise DimensionError(f"state stack has shape {psi.shape}")
-        norms = np.linalg.norm(psi, axis=1)
-        worst = float(np.max(np.abs(norms - 1.0)))
-        if not worst <= NORM_TOL:
-            raise ContractError(f"amplitude path not normalized: |norm-1| up to {worst:.3e}")
-        object.__setattr__(self, "states", psi)
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[-1]
-
-    @property
-    def initial(self) -> np.ndarray:
-        return self.states[0]
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def propagate(H: HamiltonianTrajectory, grid: TimeGrid) -> PropagatorPath:
@@ -172,15 +139,3 @@ def member_paths(U: PropagatorPath, states: np.ndarray) -> np.ndarray:
             row[c] += u[:, c, 1] * s1
     return out.transpose(2, 1, 0)
 
-
-def amplitude_path(U: PropagatorPath, initial: np.ndarray) -> AmplitudePath:
-    """Schroedinger amplitude psi(t_j) = U(t_j) psi(0) for a normalized start:
-    the one-column case of `member_paths`."""
-    initial = np.asarray(initial, dtype=complex)
-    if initial.shape != (U.dim,):
-        raise DimensionError(
-            f"initial state has shape {initial.shape}, expected ({U.dim},)"
-        )
-    if not abs(np.linalg.norm(initial) - 1.0) <= 1e-12:
-        raise ContractError("initial state must be normalized to 1e-12")
-    return AmplitudePath(U.grid, member_paths(U, initial[None, :])[..., 0])

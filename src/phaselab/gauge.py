@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evolution import AmplitudePath, TimeGrid
+from .evolution import TimeGrid
 from .exceptions import (
     ContractError,
     DimensionError,
@@ -190,10 +190,6 @@ class EffectiveHamiltonianPath:
     labels: tuple
     matrices: np.ndarray  # (steps, L, L)
 
-    def hermiticity_defect(self) -> float:
-        M = self.matrices
-        return float(np.max(np.abs(M - np.conj(np.swapaxes(M, -2, -1)))))
-
 
 def frame_from_amplitudes(stack: PathStack, labels=None) -> BasisFrame:
     """Strip each amplitude's accumulated total phase: v_k = e^{-i phi_k(t)} psi_k(t).
@@ -242,12 +238,13 @@ def frame_trace(frame: BasisFrame, samples: np.ndarray, weights) -> complex:
     return complex(np.sum(weights * frame.holonomies * np.exp(1j * frame.dynamical(samples))))
 
 
-def amplitudes_from_frame(frame: BasisFrame, samples: np.ndarray) -> list[AmplitudePath]:
-    """Rebuild Schroedinger amplitudes from a frame whose effective Hamiltonian
-    is diagonal: psi_k(t) = v_k(t) exp{-i int (<v_k|H|v_k> - <v_k|i d/dt v_k>) dt},
-    with `samples` the Hamiltonian on the frame's grid nodes: the energies by
-    the cumulative trapezoid, the connection integral as minus the cumulative
-    step phases.
+def amplitudes_from_frame(frame: BasisFrame, samples: np.ndarray) -> PathStack:
+    """Rebuild Schroedinger amplitudes, one stack in label order, from a frame
+    whose effective Hamiltonian is diagonal:
+    psi_k(t) = v_k(t) exp{-i int (<v_k|H|v_k> - <v_k|i d/dt v_k>) dt}, with
+    `samples` the Hamiltonian on the frame's grid nodes: the energies by the
+    cumulative trapezoid, the connection integral as minus the cumulative step
+    phases.
 
     Under a frame gauge transform the output changes only by the constant
     phase e^{i alpha_k(0)} per member.
@@ -255,8 +252,7 @@ def amplitudes_from_frame(frame: BasisFrame, samples: np.ndarray) -> list[Amplit
     check_node_samples(samples, frame.grid, frame.dim)
     accumulated = cum_trapezoid(state_energies(frame.states, samples), frame.grid.dt)
     accumulated[1:] += np.cumsum(frame.step_phases.T, axis=0)  # (nodes, L)
-    psi = frame.states * np.exp(-1j * accumulated)[:, None]
-    return [AmplitudePath(frame.grid, psi[:, :, k]) for k in range(frame.size)]
+    return PathStack(frame.grid, frame.states * np.exp(-1j * accumulated)[:, None])
 
 
 def effective_hamiltonian(frame: BasisFrame, samples: np.ndarray) -> EffectiveHamiltonianPath:

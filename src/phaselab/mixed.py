@@ -8,11 +8,13 @@ shift both observables in a way computed here exactly; the Singh combination
 of endpoint overlaps and step-phase sums is the invariant alternative.
 Transport conditions, the mixed dynamical phase, the Singh phase and
 `gauge_campaign` read the member paths psi_k = U|k> (`evolution.member_paths`)
-as one `phases.PathStack`, which a per-path transform maps to e^{i theta_k} psi_k.
-`transport_conditions` and `singh_phase` take that stack and the ensemble
-weights, so a caller that holds it pays for its step overlaps once; one
-`transport_conditions` call gives both residuals and gamma_D from its step
-phases, which that transform shifts by theta_k(t_{j+1}) - theta_k(t_j).
+as one `phases.PathStack`, which a per-path transform maps to e^{i theta_k} psi_k
+(`transform_evolution`): over a complete basis U = sum_k psi_k <k|, so the
+rephased stack is the whole transformed evolution.  `transport_conditions`
+and `singh_phase` take that stack and the ensemble weights, so a caller that
+holds it pays for its step overlaps once; one `transport_conditions` call
+gives both residuals and gamma_D from its step phases, which that transform
+shifts by theta_k(t_{j+1}) - theta_k(t_j).
 """
 from __future__ import annotations
 
@@ -137,22 +139,13 @@ def mixed_total_phase(rho0: DensityMatrix, U_T: np.ndarray):
     return float(np.angle(tr)), float(visibility)
 
 
-def transform_evolution(
-    U: PropagatorPath, theta: GaugeFunction, basis: Ensemble
-) -> PropagatorPath:
-    """U(t) -> U(t) sum_k e^{i theta_k(t)} |k><k| over a complete basis, which
-    maps each member path psi_k = U|k> to e^{i theta_k} psi_k."""
-    if basis.size != U.dim:
-        raise DimensionError(
-            f"basis with {basis.size} states cannot span dimension {U.dim}"
-        )
-    if len(theta.labels) != basis.size:
-        raise DimensionError("one gauge label per basis state required")
-    # U' = U + sum_k (e^{i theta_k} - 1) psi_k <k| over the member paths psi_k = U|k>,
-    # so U' is exactly U wherever theta vanishes
-    psi = member_paths(U, basis.states) * np.expm1(1j * theta.value(U.grid.nodes)).T[:, None, :]
-    delta = psi.reshape(-1, basis.size) @ np.conj(basis.states)
-    return PropagatorPath(U.grid, U.matrices + delta.reshape(U.matrices.shape))
+def transform_evolution(members: PathStack, theta: GaugeFunction) -> PathStack:
+    """The per-path transform U(t) -> U(t) sum_k e^{i theta_k(t)} |k><k| on the
+    member paths psi_k = U|k> of a basis: psi_k -> e^{i theta_k} psi_k."""
+    if len(theta.labels) != members.size:
+        raise DimensionError("one gauge label per member path required")
+    phases = np.exp(1j * theta.value(members.grid.nodes))  # (k, nodes)
+    return PathStack(members.grid, members.states * phases.T[:, None, :])
 
 
 def singh_phase(weights, paths: PathStack) -> float:
@@ -180,22 +173,27 @@ def gauge_campaign(
 
     Per trial: a periodic frame gauge must leave the frame trace and the
     holonomies fixed; a ramped gauge theta_k(t) must leave the Singh phase
-    fixed and shift gamma_T, gamma_D of U' = `transform_evolution` as predicted
-    from theta(0), theta(T); the Singh phase and the observed shifts are read off
-    U'(T) and the rephased member paths U'|k>.  H is sampled once.  Scale 0: zero
-    gauges, no draws.
+    fixed and shift gamma_T, gamma_D of U' = U sum_k e^{i theta_k} |k><k| as
+    predicted from theta(0), theta(T).  Every ramped-gauge observable is read
+    off the rephased member paths psi'_k = U'|k> (`transform_evolution`), gamma_T
+    from U'(T) = sum_k psi'_k(T)<k| over the complete basis, and the base gamma_T
+    by the same form, so a zero gauge shifts nothing.  H is sampled once.
+    Scale 0: zero gauges, no draws.
     """
+    if ensemble.size != U.dim:
+        raise DimensionError(f"basis with {ensemble.size} states cannot span dimension {U.dim}")
     grid = U.grid
     weights = ensemble.weights
+    bras = np.conj(ensemble.states)  # rows <k|
     members = PathStack(grid, member_paths(U, ensemble.states))  # psi_k = U|k>
     rho0 = density_from_ensemble(ensemble)
     samples = H.sample(grid.nodes)
     frame = frame_from_amplitudes(members, labels=labels)
     base_trace = frame_trace(frame, samples, weights)
     base_singh = singh_phase(weights, members)
-    base_gamma, base_vis = mixed_total_phase(rho0, U.final)
+    base_gamma, base_vis = mixed_total_phase(rho0, members.states[-1] @ bras)
     base_dyn = transport_conditions(weights, members)[2]
-    diag_UT = np.einsum("ka,ak->k", np.conj(ensemble.states), members.states[-1])  # <k|U(T)|k>
+    diag_UT = np.einsum("ka,ak->k", bras, members.states[-1])  # <k|U(T)|k>
 
     def draw(slope_scale):
         if gauge_scale == 0.0:
@@ -215,14 +213,13 @@ def gauge_campaign(
         dev_hol = max(dev_hol, float(np.max(np.abs(hol_shift))))
 
         ramped = draw(2.0 * gauge_scale)
-        U_prime = transform_evolution(U, ramped, ensemble)
-        shifted = PathStack(grid, member_paths(U_prime, ensemble.states))  # e^{i theta_k} psi_k
+        shifted = transform_evolution(members, ramped)  # e^{i theta_k} psi_k
         singh = singh_phase(weights, shifted)
         dev_singh = max(dev_singh, abs(wrap_angle(singh - base_singh)))
 
         theta_0, theta_T = ramped.value([0.0, grid.t_end]).T
         predicted_gamma = float(np.angle(np.sum(weights * diag_UT * np.exp(1j * theta_T))))
-        observed_gamma, _ = mixed_total_phase(rho0, U_prime.final)
+        observed_gamma, _ = mixed_total_phase(rho0, shifted.states[-1] @ bras)
         mismatch_gamma = max(mismatch_gamma, abs(wrap_angle(observed_gamma - predicted_gamma)))
         naive_gamma = max(naive_gamma, abs(wrap_angle(observed_gamma - base_gamma)))
 

@@ -16,9 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .evolution import AmplitudePath, HamiltonianTrajectory, TimeGrid
+from .evolution import HamiltonianTrajectory, TimeGrid
 from .exceptions import DimensionError
 from .numerics import wrap_angle
+from .phases import PathStack
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -127,10 +128,9 @@ def exact_amplitudes(p: SpinParams, t):
     return w_plus * phase_plus[..., None], w_minus * phase_minus[..., None]
 
 
-def amplitude_paths(p: SpinParams, grid: TimeGrid):
-    """Exact amplitudes sampled on a grid, as AmplitudePath objects."""
-    psi_plus, psi_minus = exact_amplitudes(p, grid.nodes)
-    return AmplitudePath(grid, psi_plus), AmplitudePath(grid, psi_minus)
+def amplitude_paths(p: SpinParams, grid: TimeGrid) -> PathStack:
+    """Exact amplitudes sampled on a grid as one stack, "+" then "-"."""
+    return PathStack(grid, np.stack(exact_amplitudes(p, grid.nodes), axis=-1))
 
 
 def geometric_phase(p: SpinParams, branch: str) -> float:

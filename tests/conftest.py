@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from phaselab import SpinParams, TimeGrid, amplitude_path, propagate, spin_model
+from phaselab import SpinParams, TimeGrid, propagate, spin_model
 from phaselab.evolution import member_paths
 from phaselab.exceptions import DimensionError, NumericError
 from phaselab.gauge import BasisFrame
@@ -73,9 +73,9 @@ def central_diff(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def stacked(*paths) -> PathStack:
-    """`AmplitudePath`s on one grid as one stack, in their order; one path gives k = 1."""
-    return PathStack(paths[0].grid, np.stack([path.states for path in paths], axis=-1))
+def rephased(stack: PathStack, angles) -> PathStack:
+    """psi_k(t_j) -> e^{i angles[k, j]} psi_k(t_j), one row of angles per path."""
+    return PathStack(stack.grid, stack.states * np.exp(1j * np.asarray(angles)).T[:, None, :])
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -107,20 +107,19 @@ def build_spin_case(
     grid = TimeGrid(0.0, p.period, steps)
     H = spin_model.hamiltonian(p)
     U = propagate(H, grid)
-    w_plus, w_minus = spin_model.w_basis(p, 0.0)
-    path_plus = amplitude_path(U, w_plus)
-    path_minus = amplitude_path(U, w_minus)
     weights = np.array([np.cos(big_theta / 2) ** 2, np.sin(big_theta / 2) ** 2])
-    ensemble = Ensemble(weights=weights, states=np.array([w_plus, w_minus]))
+    ensemble = Ensemble(weights=weights, states=np.array(spin_model.w_basis(p, 0.0)))
+    members = PathStack(grid, member_paths(U, ensemble.states))  # psi_k = U|k>, "+" then "-"
     return SimpleNamespace(
         p=p,
         grid=grid,
         H=H,
         U=U,
-        paths={"+": path_plus, "-": path_minus},
+        # each branch alone, as the one-path stack (a view of its member column)
+        paths={b: PathStack(grid, members.states[..., k:k + 1]) for k, b in enumerate("+-")},
         weights=weights,
         ensemble=ensemble,
-        members=PathStack(grid, member_paths(U, ensemble.states)),  # psi_k = U|k>, "+" then "-"
+        members=members,
     )
 
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from phaselab import SpinParams, TimeGrid, amplitude_path, propagate, spin_model
-from phaselab.evolution import AmplitudePath, member_paths
+from phaselab import SpinParams, TimeGrid, propagate, spin_model
+from phaselab.evolution import member_paths
 from phaselab.gauge import (
     GaugeFunction,
     apply_gauge,
@@ -30,7 +30,7 @@ from phaselab.mixed import (
 from phaselab.numerics import wrap_angle
 from phaselab.phases import PathStack, adiabatic_phase
 
-from conftest import build_spin_case, central_diff, random_density, stacked
+from conftest import build_spin_case, central_diff, random_density, rephased
 
 SWEEP_SEED = 0
 SWEEP_SIZE = 100
@@ -71,11 +71,10 @@ def sweep():
         U = propagate(H, grid)
         w_plus, w_minus = spin_model.w_basis(p, 0.0)
         exact_plus, exact_minus = spin_model.exact_amplitudes(p, p.period)
-        path_plus = amplitude_path(U, w_plus)
-        path_minus = amplitude_path(U, w_minus)
+        paths = PathStack(grid, member_paths(U, np.array([w_plus, w_minus])))
         err = max(
-            float(np.linalg.norm(path_plus.final - exact_plus)),
-            float(np.linalg.norm(path_minus.final - exact_minus)),
+            float(np.linalg.norm(paths.states[-1, :, 0] - exact_plus)),
+            float(np.linalg.norm(paths.states[-1, :, 1] - exact_minus)),
         )
         fine = propagate(H, TimeGrid(0.0, p.period, 2 * BASE_STEPS))
         err_half = max(
@@ -83,7 +82,7 @@ def sweep():
             float(np.linalg.norm(fine.final @ w_minus - exact_minus)),
         )
         criterion1_runtime = time.perf_counter() - start
-        geometric = dict(zip("+-", np.angle(stacked(path_plus, path_minus).holonomies)))
+        geometric = dict(zip("+-", np.angle(paths.holonomies)))
         points.append(SweepPoint(p, err, err_half, geometric, criterion1_runtime))
     return points
 
@@ -148,14 +147,13 @@ def test_criterion_4_hidden_gauge_invariance():
     labels = ("+", "-")
     rng = np.random.default_rng(SWEEP_SEED)
     frame = frame_from_amplitudes(case.members, labels=labels)
-    paths = [case.paths["+"], case.paths["-"]]
     weights = case.weights
     rho0 = density_from_ensemble(case.ensemble)
     nodes = case.grid.nodes
     samples = case.H.sample(nodes)
 
     base_trace = frame_trace(frame, samples, weights)
-    base_singh = singh_phase(weights, stacked(*paths))
+    base_singh = singh_phase(weights, case.members)
     base_gamma, _ = mixed_total_phase(rho0, case.U.final)
     base_dyn = transport_conditions(weights, case.members)[2]
     diag_UT = np.array([np.vdot(s, case.U.final @ s) for s in case.ensemble.states])
@@ -175,25 +173,21 @@ def test_criterion_4_hidden_gauge_invariance():
             float(np.max(np.abs(gauged.holonomies - frame.holonomies))),
         )
         ramped = GaugeFunction.random(labels, case.grid.span, rng, scale=0.1, slope_scale=0.2)
-        shifted = stacked(*(
-            AmplitudePath(path.grid, path.states * np.exp(1j * a)[:, None])
-            for a, path in zip(ramped.value(nodes), paths)
-        ))
+        shifted = transform_evolution(case.members, ramped)  # psi_k -> e^{i theta_k} psi_k
         worst_invariant = max(
             worst_invariant, abs(wrap_angle(singh_phase(weights, shifted) - base_singh))
         )
 
-        U_prime = transform_evolution(case.U, ramped, case.ensemble)
         theta_T = ramped.value(case.grid.t_end)
         theta_0 = ramped.value(0.0)
         predicted = float(np.angle(np.sum(weights * diag_UT * np.exp(1j * theta_T))))
-        observed, _ = mixed_total_phase(rho0, U_prime.matrices[-1])
+        # U'(T) = sum_k psi'_k(T) <k| over the complete basis
+        observed, _ = mixed_total_phase(rho0, shifted.states[-1] @ np.conj(case.ensemble.states))
         worst_gamma_mismatch = max(
             worst_gamma_mismatch, abs(wrap_angle(observed - predicted))
         )
         naive_moved = max(naive_moved, abs(wrap_angle(observed - base_gamma)))
-        shifted_members = PathStack(case.grid, member_paths(U_prime, case.ensemble.states))
-        observed_dyn = transport_conditions(weights, shifted_members)[2]
+        observed_dyn = transport_conditions(weights, shifted)[2]
         predicted_dyn = base_dyn + float(np.sum(weights * (theta_T - theta_0)))
         worst_dyn_mismatch = max(worst_dyn_mismatch, abs(observed_dyn - predicted_dyn))
 
@@ -278,21 +272,18 @@ def test_criterion_7_universal_hamiltonian_constraint():
     labels = ("+", "-")
     rng = np.random.default_rng(SWEEP_SEED)
 
-    def residual(path, shift):
-        dpsi = central_diff(path.states, grid.dt)
-        r = 1j * dpsi - np.einsum("jab,jb->ja", H_samples, path.states) + shift[:, None] * path.states
+    def residual(paths, shift):
+        psi = paths.states
+        r = 1j * central_diff(psi, grid.dt) - np.einsum("jab,jbk->jak", H_samples, psi)
+        r += shift[:, None, None] * psi
         return float(np.max(np.linalg.norm(r[1:-1], axis=1)))
 
     passed = True
     for _ in range(20):
         theta = GaugeFunction.random(labels, grid.span, rng, scale=0.5, slope_scale=1.0)
-        shifted = [
-            AmplitudePath(path.grid, path.states * np.exp(1j * a)[:, None])
-            for a, path in zip(theta.value(nodes), paths)
-        ]
         shift = theta.derivative(nodes)[0]
         spread = float(np.max(np.abs(theta.derivative(nodes)[1] - theta.derivative(nodes)[0])))
-        broken = max(residual(shifted[0], shift), residual(shifted[1], shift))
+        broken = residual(rephased(paths, theta.value(nodes)), shift)
         equal = GaugeFunction(
             labels,
             grid.span,
@@ -301,14 +292,7 @@ def test_criterion_7_universal_hamiltonian_constraint():
             sin_coeffs=np.tile(theta.sin_coeffs[0], (2, 1)),
             slope=np.array([theta.slope[0], theta.slope[0]]),
         )
-        shifted_eq = [
-            AmplitudePath(path.grid, path.states * np.exp(1j * a)[:, None])
-            for a, path in zip(equal.value(nodes), paths)
-        ]
-        kept = max(
-            residual(shifted_eq[0], equal.derivative(nodes)[0]),
-            residual(shifted_eq[1], equal.derivative(nodes)[0]),
-        )
+        kept = residual(rephased(paths, equal.value(nodes)), equal.derivative(nodes)[0])
         passed = passed and broken >= spread * (1.0 - 1e-3) and kept < 1e-2 * max(spread, 1.0)
     report(
         7,

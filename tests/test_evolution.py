@@ -4,16 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phaselab import (
-    HamiltonianTrajectory,
-    SpinParams,
-    TimeGrid,
-    amplitude_path,
-    propagate,
-    spin_model,
-)
+from phaselab import HamiltonianTrajectory, SpinParams, TimeGrid, propagate, spin_model
 from phaselab.cli import build_scenario, parse_config_file
-from phaselab.evolution import AmplitudePath, PropagatorPath, member_paths
+from phaselab.evolution import PropagatorPath, member_paths
 from phaselab.exceptions import ContractError, DimensionError
 from phaselab.linalg import hermitian_step_exp, unitarity_defect
 
@@ -161,8 +154,6 @@ def test_paths_reject_nan():
     grid = TimeGrid(0.0, 1.0, 2)
     with pytest.raises(ContractError):
         PropagatorPath(grid, np.full((3, 2, 2), np.nan, dtype=complex))
-    with pytest.raises(ContractError):
-        AmplitudePath(grid, np.full((3, 2), np.nan, dtype=complex))
 
 
 def test_amplitude_path_eigenstate():
@@ -171,39 +162,32 @@ def test_amplitude_path_eigenstate():
     grid = TimeGrid(0.0, 2.0, 200)
     U = propagate(H, grid)
     e0 = np.array([1.0, 0.0], dtype=complex)
-    psi = amplitude_path(U, e0)
+    psi = member_paths(U, e0[None])[..., 0]
     expected = np.exp(-1j * vals[0] * grid.nodes)[:, None] * e0[None, :]
-    assert np.max(np.abs(psi.states - expected)) < 1e-12
+    assert np.max(np.abs(psi - expected)) < 1e-12
 
 
 def test_amplitude_paths_stay_orthogonal(generic_case):
-    plus, minus = generic_case.paths["+"], generic_case.paths["-"]
-    overlaps = np.einsum("ja,ja->j", np.conj(plus.states), minus.states)
+    plus, minus = generic_case.members.states.transpose(2, 0, 1)
+    overlaps = np.einsum("ja,ja->j", np.conj(plus), minus)
     assert np.max(np.abs(overlaps)) < 1e-9
 
 
 def test_spin_amplitude_matches_closed_form(generic_case):
     exact_plus, _ = spin_model.exact_amplitudes(generic_case.p, generic_case.p.period)
-    assert np.linalg.norm(generic_case.paths["+"].final - exact_plus) < 1e-6
-
-
-def test_amplitude_path_rejects_bad_initial(generic_case):
-    with pytest.raises(ContractError):
-        amplitude_path(generic_case.U, np.array([1.0, 1.0]))
-    with pytest.raises(DimensionError):
-        amplitude_path(generic_case.U, np.array([1.0, 0.0, 0.0]))
+    assert np.linalg.norm(generic_case.members.states[-1, :, 0] - exact_plus) < 1e-6
 
 
 def test_amplitude_path_is_the_one_column_member_path(generic_case):
-    # amplitude_path is member_paths on one column, so those match bitwise; at
-    # d >= 3 numpy runs a one-column product as a matrix-vector BLAS call, whose
-    # rounding may differ from the k-column GEMM's by about one ulp
+    # a single path is member_paths on one column; at d >= 3 numpy runs a
+    # one-column product as a matrix-vector BLAS call, whose rounding may
+    # differ from the k-column GEMM's by about one ulp
     states = generic_case.ensemble.states
     stack = member_paths(generic_case.U, states)
     for k, state in enumerate(states):
-        path = amplitude_path(generic_case.U, state).states
-        assert np.array_equal(path, member_paths(generic_case.U, state[None, :])[..., 0])
-        assert np.max(np.abs(path - stack[..., k])) <= np.finfo(float).eps
+        path = member_paths(generic_case.U, state[None, :])
+        assert path.shape == stack.shape[:2] + (1,)
+        assert np.max(np.abs(path[..., 0] - stack[..., k])) <= np.finfo(float).eps
 
 
 def test_amplitude_path_matches_member_paths_dim3_custom(monkeypatch):
@@ -214,7 +198,7 @@ def test_amplitude_path_matches_member_paths_dim3_custom(monkeypatch):
     stack = member_paths(U, sc.ensemble.states)
     assert stack.shape == (801, 3, 3)
     for k, state in enumerate(sc.ensemble.states):
-        assert np.array_equal(amplitude_path(U, state).states, stack[..., k])
+        assert np.array_equal(member_paths(U, state[None, :])[..., 0], stack[..., k])
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

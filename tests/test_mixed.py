@@ -3,14 +3,7 @@ import numpy as np
 import pytest
 
 from phaselab import SpinParams, TimeGrid, cli, gauge, mixed, phases, spin_model
-from phaselab.evolution import (
-    AmplitudePath,
-    HamiltonianTrajectory,
-    PropagatorPath,
-    amplitude_path,
-    member_paths,
-    propagate,
-)
+from phaselab.evolution import HamiltonianTrajectory, PropagatorPath, member_paths, propagate
 from phaselab.exceptions import (
     CapacityError,
     ContractError,
@@ -35,7 +28,7 @@ from phaselab.mixed import (
 from phaselab.numerics import wrap_angle
 from phaselab.phases import PathStack
 
-from conftest import central_diff, mat_exp, random_density, random_hermitian, random_unitary, stacked
+from conftest import central_diff, mat_exp, random_density, random_hermitian, random_unitary, rephased
 
 
 def members(U: PropagatorPath, ensemble: Ensemble) -> PathStack:
@@ -101,11 +94,11 @@ def test_mixed_total_phase_global_phase():
 
 
 def test_mixed_total_phase_pure_reduction(generic_case):
-    path = generic_case.paths["+"]
-    rho = DensityMatrix(np.outer(path.initial, np.conj(path.initial)))
+    initial, final = generic_case.paths["+"].states[[0, -1], :, 0]
+    rho = DensityMatrix(np.outer(initial, np.conj(initial)))
     gamma, vis = mixed_total_phase(rho, generic_case.U.final)
-    assert gamma == pytest.approx(np.angle(np.vdot(path.initial, path.final)), abs=1e-12)
-    assert vis == pytest.approx(abs(np.vdot(path.initial, path.final)), abs=1e-12)
+    assert gamma == pytest.approx(np.angle(np.vdot(initial, final)), abs=1e-12)
+    assert vis == pytest.approx(abs(np.vdot(initial, final)), abs=1e-12)
 
 
 def test_mixed_total_phase_special_case(special_case):
@@ -138,8 +131,8 @@ LIST_RECORDS = {
                  lambda r: (r.size, r.dim) == (2, 2)),
     "PurifiedState": (lambda: PurifiedState([[0.6, 0], [0, 0.8]]), "coefficients",
                       lambda r: (r.system_dim, r.ancilla_dim) == (2, 2)),
-    "AmplitudePath": (lambda: AmplitudePath(GRID, [[1, 0]] * 5), "states",
-                      lambda r: r.dim == 2 and list(r.final) == [1, 0]),
+    "PathStack": (lambda: PathStack(GRID, [[[1], [0]]] * 5), "states",
+                  lambda r: r.size == 1 and list(r.endpoint_overlaps) == [1]),
     "PropagatorPath": (lambda: PropagatorPath(GRID, [[[1, 0], [0, 1]]] * 5), "matrices",
                        lambda r: r.dim == 2 and r.final.shape == (2, 2)),
     "BasisFrame": (lambda: BasisFrame(GRID, [[[1], [0]]] * 5, ("a",)), "states",
@@ -162,25 +155,22 @@ def test_ensemble_and_density_reject_nan():
         DensityMatrix(np.full((2, 2), np.nan, dtype=complex))
 
 
-def _nan_at_start(path):
-    """A copy of the path whose first state turns NaN after its own norm check."""
-    fresh = AmplitudePath(path.grid, path.states.copy())
-    fresh.states[0, 0] = np.nan
-    return fresh
+def _nan_at_start(stack):
+    """A copy of the stack whose first path starts with a NaN entry."""
+    states = stack.states.copy()
+    states[0, 0, 0] = np.nan
+    return PathStack(stack.grid, states)
 
 
 # every tolerance check compares as `not x <= tol`, which a NaN fails; the
 # message names the check, not a later one that catches the NaN downstream
 NAN_INPUTS = {
-    "amplitude_path-initial-norm": (
-        "initial state must be normalized",
-        lambda c: amplitude_path(c.U, np.array([np.nan, 0.0]))),
     "BasisFrame-orthonormality": (
         "frame not orthonormal",
         lambda c: BasisFrame(c.grid, np.full((c.grid.steps + 1, 2, 1), np.nan), ("a",))),
     "frame_from_amplitudes-t0": (
         "orthonormal at t = 0",
-        lambda c: frame_from_amplitudes(stacked(_nan_at_start(c.paths["+"]), c.paths["-"]))),
+        lambda c: frame_from_amplitudes(_nan_at_start(c.members))),
     "PurifiedState-norm": (
         "purified state norm",
         lambda c: PurifiedState(np.full((2, 2), np.nan, dtype=complex))),
@@ -189,7 +179,7 @@ NAN_INPUTS = {
         lambda c: singh_phase([np.nan, np.nan], c.members)),
     "singh_phase-t0": (
         "orthonormal at t = 0",
-        lambda c: singh_phase(c.weights, stacked(_nan_at_start(c.paths["+"]), c.paths["-"]))),
+        lambda c: singh_phase(c.weights, _nan_at_start(c.members))),
     "purify-ancilla-unitarity": (
         "ancilla transform must be unitary",
         lambda c: purify(DensityMatrix(np.eye(2) / 2), 2, np.full((2, 2), np.nan))),
@@ -205,8 +195,8 @@ def test_tolerance_checks_reject_nan(site, generic_case):
 
 def test_interference_curve_reproduces_spin_formula(generic_case):
     p = generic_case.p
-    path = generic_case.paths["+"]
-    rho = DensityMatrix(np.outer(path.initial, np.conj(path.initial)))
+    initial = generic_case.paths["+"].states[0, :, 0]
+    rho = DensityMatrix(np.outer(initial, np.conj(initial)))
     gamma_total, visibility = mixed_total_phase(rho, generic_case.U.final)
     value = 1.0 + visibility * np.cos(-gamma_total)  # the fringe 1 + v cos(chi - gamma_T) at chi = 0
     assert value == pytest.approx(spin_model.interference_value(p), abs=1e-6)
@@ -232,15 +222,17 @@ def test_mixed_dynamical_phase_special_case(special_case):
 def test_mixed_dynamical_phase_linearity(generic_case):
     value = gamma_d(generic_case.ensemble, generic_case.U)
     samples = generic_case.H.sample(generic_case.grid.nodes)
-    parts = [stacked(generic_case.paths[b]).dynamical(samples)[0] for b in "+-"]
+    parts = [generic_case.paths[b].dynamical(samples)[0] for b in "+-"]
     expected = generic_case.weights[0] * parts[0] + generic_case.weights[1] * parts[1]
     assert value == pytest.approx(expected, abs=1e-6)
 
 
 def test_transform_evolution_identity(generic_case):
     theta = GaugeFunction.zero(("+", "-"), generic_case.grid.span)
-    transformed = transform_evolution(generic_case.U, theta, generic_case.ensemble)
-    assert np.max(np.abs(transformed.matrices - generic_case.U.matrices)) < 1e-12
+    transformed = transform_evolution(generic_case.members, theta)
+    assert np.array_equal(transformed.states, generic_case.members.states)
+    with pytest.raises(DimensionError, match="one gauge label per member path"):
+        transform_evolution(generic_case.members, GaugeFunction.zero(("+",), theta.period))
 
 
 def test_transform_evolution_preserves_orbit(generic_case):
@@ -249,10 +241,12 @@ def test_transform_evolution_preserves_orbit(generic_case):
         ("+", "-"), generic_case.grid.span, rng, scale=0.3, slope_scale=0.3
     )
     rho0 = density_from_ensemble(generic_case.ensemble)
-    transformed = transform_evolution(generic_case.U, theta, generic_case.ensemble)
+    transformed = transform_evolution(generic_case.members, theta)
+    bras = np.conj(generic_case.ensemble.states)
     for j in (0, 1, 777, generic_case.grid.steps):
         before = generic_case.U.matrices[j] @ rho0.matrix @ np.conj(generic_case.U.matrices[j].T)
-        after = transformed.matrices[j] @ rho0.matrix @ np.conj(transformed.matrices[j].T)
+        U_prime = transformed.states[j] @ bras  # U'(t_j) = sum_k psi'_k(t_j) <k|
+        after = U_prime @ rho0.matrix @ np.conj(U_prime.T)
         assert np.max(np.abs(after - before)) < 1e-10
 
 
@@ -263,8 +257,8 @@ def test_transform_evolution_shifts_dynamical_phase(generic_case):
         theta = GaugeFunction.random(
             ("+", "-"), generic_case.grid.span, rng, scale=0.1, slope_scale=0.3
         )
-        transformed = transform_evolution(generic_case.U, theta, generic_case.ensemble)
-        shifted = gamma_d(generic_case.ensemble, transformed)
+        transformed = transform_evolution(generic_case.members, theta)
+        shifted = transport_conditions(generic_case.weights, transformed)[2]
         jump = sum(
             w * (end - start)
             for w, end, start in zip(
@@ -274,15 +268,15 @@ def test_transform_evolution_shifts_dynamical_phase(generic_case):
         assert shifted - base == pytest.approx(jump, abs=1e-7)
 
 
-def test_transform_evolution_requires_complete_basis(generic_case):
-    theta = GaugeFunction.zero(("+",), generic_case.grid.span)
+def test_gauge_campaign_requires_complete_basis(generic_case):
     half = Ensemble(np.array([1.0]), generic_case.ensemble.states[:1])
-    with pytest.raises(DimensionError):
-        transform_evolution(generic_case.U, theta, half)
+    with pytest.raises(DimensionError, match="1 states cannot span dimension 2"):
+        gauge_campaign(generic_case.H, generic_case.U, half, ("+",),
+                       np.random.default_rng(0), 1, 0.1)
 
 
 def test_singh_phase_single_state_reduces_to_geometric(generic_case):
-    path = stacked(generic_case.paths["+"])
+    path = generic_case.paths["+"]
     assert singh_phase(np.array([1.0]), path) == pytest.approx(
         float(np.angle(path.holonomies[0])), abs=1e-12
     )
@@ -290,17 +284,13 @@ def test_singh_phase_single_state_reduces_to_geometric(generic_case):
 
 def test_singh_phase_invariant_under_path_phases(generic_case):
     rng = np.random.default_rng(13)
-    paths = [generic_case.paths["+"], generic_case.paths["-"]]
-    base = singh_phase(generic_case.weights, stacked(*paths))
+    base = singh_phase(generic_case.weights, generic_case.members)
     nodes = generic_case.grid.nodes
     for _ in range(10):
         theta = GaugeFunction.random(
             ("+", "-"), generic_case.grid.span, rng, scale=0.1, slope_scale=0.2
         )
-        shifted = stacked(*(
-            AmplitudePath(p.grid, p.states * np.exp(1j * a)[:, None])
-            for a, p in zip(theta.value(nodes), paths)
-        ))
+        shifted = rephased(generic_case.members, theta.value(nodes))
         assert abs(wrap_angle(singh_phase(generic_case.weights, shifted) - base)) < 1e-7
 
 
@@ -379,10 +369,11 @@ def test_transport_and_mixed_dynamical_phase_dim3():
 
 def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
     # the campaign reads the equivalence-class shifts off the rephased member
-    # paths of U' = U sum_k e^{i theta_k}|k><k| with H sampled once; here they
-    # come from the public functions on U' and the density matrix (gamma_D in
-    # its own eigenbasis from np.linalg.eigh), drawing the
-    # gauges in the campaign's order (periodic, then ramped)
+    # paths of U' = U sum_k e^{i theta_k}|k><k| with H sampled once and no
+    # propagator built; here U' is formed matrix by matrix and read through the
+    # public functions on U' and the density matrix (gamma_D in its own
+    # eigenbasis from np.linalg.eigh), drawing the gauges in the campaign's
+    # order (periodic, then ramped)
     rng = np.random.default_rng(43)
     A, B, C = (random_hermitian(rng, 3) for _ in range(3))
 
@@ -404,7 +395,9 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
         GaugeFunction.random(labels, U.grid.span, draws, scale=scale)
         ramped = GaugeFunction.random(labels, U.grid.span, draws, scale=scale,
                                       slope_scale=2.0 * scale)
-        U_prime = transform_evolution(U, ramped, ensemble)
+        rephasing = np.einsum("ka,kj,kb->jab", ensemble.states,
+                              np.exp(1j * ramped.value(U.grid.nodes)), np.conj(ensemble.states))
+        U_prime = PropagatorPath(U.grid, np.einsum("jab,jbc->jac", U.matrices, rephasing))
         theta_0, theta_T = ramped.value(0.0), ramped.value(U.grid.t_end)
         gamma, _ = mixed_total_phase(rho0, U_prime.final)
         predicted = np.angle(np.sum(ensemble.weights * diag_UT * np.exp(1j * theta_T)))
@@ -415,12 +408,15 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
         mismatch_dyn = max(mismatch_dyn, abs(dyn - predicted))
         naive_dyn = max(naive_dyn, abs(dyn - base_dyn))
 
-    samplings = []
-    sample = HamiltonianTrajectory.sample
+    samplings, propagators = [], []
+    sample, check = HamiltonianTrajectory.sample, PropagatorPath.__post_init__
     monkeypatch.setattr(HamiltonianTrajectory, "sample",
                         lambda self, times: samplings.append(1) or sample(self, times))
+    monkeypatch.setattr(PropagatorPath, "__post_init__",
+                        lambda self: propagators.append(1) or check(self))
     values = gauge_campaign(H, U, ensemble, labels, np.random.default_rng(5), trials, scale)
     assert len(samplings) == 1
+    assert not propagators
     assert naive_gamma > 1e-3 and naive_dyn > 1e-3
     for name, reference in (
         ("max_total_phase_prediction_mismatch", mismatch_gamma),
@@ -522,14 +518,12 @@ def test_hidden_gauge_transform_keeps_reduction():
     assert np.max(np.abs(reduce(shifted).matrix - rho.matrix)) < 1e-12
 
 
-def schroedinger_residual(path: AmplitudePath, H_samples: np.ndarray, shift: np.ndarray):
-    """max interior norm of (i d/dt - H + shift) psi, with shift a scalar field."""
-    dpsi = central_diff(path.states, path.grid.dt)
-    residual = (
-        1j * dpsi
-        - np.einsum("jab,jb->ja", H_samples, path.states)
-        + shift[:, None] * path.states
-    )
+def schroedinger_residual(paths: PathStack, H_samples: np.ndarray, shift: np.ndarray):
+    """max interior norm of (i d/dt - H + shift) psi_k over the paths, with shift
+    a scalar field."""
+    psi = paths.states
+    dpsi = central_diff(psi, paths.grid.dt)
+    residual = 1j * dpsi - np.einsum("jab,jbk->jak", H_samples, psi) + shift[:, None, None] * psi
     return float(np.max(np.linalg.norm(residual[1:-1], axis=1)))
 
 
@@ -545,18 +539,11 @@ def test_unequal_gauge_derivatives_break_schroedinger():
     rng = np.random.default_rng(37)
     for _ in range(5):
         theta = GaugeFunction.random(("+", "-"), grid.span, rng, scale=0.5, slope_scale=1.0)
-        shifted = [
-            AmplitudePath(path.grid, path.states * np.exp(1j * a)[:, None])
-            for a, path in zip(theta.value(nodes), paths)
-        ]
         shift = theta.derivative(nodes)[0]  # absorb branch '+' into H'
         spread = np.max(
             np.abs(theta.derivative(nodes)[1] - theta.derivative(nodes)[0])
         )
-        residual = max(
-            schroedinger_residual(shifted[0], H_samples, shift),
-            schroedinger_residual(shifted[1], H_samples, shift),
-        )
+        residual = schroedinger_residual(rephased(paths, theta.value(nodes)), H_samples, shift)
         assert residual >= spread * (1.0 - 1e-3)
         # equal-derivative transform: same trig part, different constants
         equal = GaugeFunction(
@@ -567,13 +554,7 @@ def test_unequal_gauge_derivatives_break_schroedinger():
             sin_coeffs=np.tile(theta.sin_coeffs[0], (2, 1)),
             slope=np.array([theta.slope[0], theta.slope[0]]),
         )
-        shifted_eq = [
-            AmplitudePath(path.grid, path.states * np.exp(1j * a)[:, None])
-            for a, path in zip(equal.value(nodes), paths)
-        ]
         shift_eq = equal.derivative(nodes)[0]
-        residual_eq = max(
-            schroedinger_residual(shifted_eq[0], H_samples, shift_eq),
-            schroedinger_residual(shifted_eq[1], H_samples, shift_eq),
-        )
+        residual_eq = schroedinger_residual(
+            rephased(paths, equal.value(nodes)), H_samples, shift_eq)
         assert residual_eq < 1e-2 * max(spread, 1.0)

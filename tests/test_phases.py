@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from phaselab import SpinParams, TimeGrid, amplitude_path, cli, propagate, spin_model
-from phaselab.evolution import AmplitudePath, HamiltonianTrajectory, member_paths
+from phaselab import SpinParams, TimeGrid, cli, propagate, spin_model
+from phaselab.evolution import HamiltonianTrajectory, member_paths
 from phaselab.exceptions import DegeneracyError, UndefinedPhaseError
 from phaselab.numerics import trapezoid, wrap_angle
 from phaselab.phases import (
@@ -17,11 +17,11 @@ from phaselab.phases import (
     step_overlaps,
 )
 
-from conftest import build_spin_case, random_hermitian, stacked
+from conftest import build_spin_case, random_hermitian, rephased
 
 
-def geometric(path: AmplitudePath) -> float:
-    return float(np.angle(stacked(path).holonomies[0]))
+def geometric(path: PathStack) -> float:
+    return float(np.angle(path.holonomies[0]))
 
 
 def constant_trajectory(H: np.ndarray) -> HamiltonianTrajectory:
@@ -33,11 +33,11 @@ def constant_trajectory(H: np.ndarray) -> HamiltonianTrajectory:
     return HamiltonianTrajectory(dim=H.shape[0], evaluate=batch)
 
 
-def eigenstate_path(E: float, T: float, steps: int = 400) -> AmplitudePath:
+def eigenstate_path(E: float, T: float, steps: int = 400) -> PathStack:
     grid = TimeGrid(0.0, T, steps)
     e0 = np.array([1.0, 0.0], dtype=complex)
     states = np.exp(-1j * E * grid.nodes)[:, None] * e0[None, :]
-    return AmplitudePath(grid, states)
+    return PathStack(grid, states[..., None])
 
 
 def periodic_gauge_samples(rng, nodes, T, degree=6, scale=0.2):
@@ -50,22 +50,22 @@ def periodic_gauge_samples(rng, nodes, T, degree=6, scale=0.2):
 
 def test_total_phase_eigenstate():
     E, T = 0.7, 5.0
-    (angle,), (magnitude,) = stacked(eigenstate_path(E, T)).totals()
+    (angle,), (magnitude,) = eigenstate_path(E, T).totals()
     assert angle == pytest.approx(float(wrap_angle(-E * T)), abs=1e-12)
     assert magnitude == pytest.approx(1.0, abs=1e-12)
 
 
 def test_total_phase_identity_path():
     grid = TimeGrid(0.0, 1.0, 16)
-    states = np.tile(np.array([0.6, 0.8j]), (17, 1))
-    (angle,), (magnitude,) = stacked(AmplitudePath(grid, states)).totals()
+    states = np.tile(np.array([0.6, 0.8j])[:, None], (17, 1, 1))
+    (angle,), (magnitude,) = PathStack(grid, states).totals()
     assert angle == 0.0
     assert magnitude == pytest.approx(1.0, abs=1e-12)
 
 
 def test_total_phase_spin_golden(generic_case):
     p = generic_case.p
-    (angle,), (magnitude,) = stacked(generic_case.paths["+"]).totals()
+    (angle,), (magnitude,) = generic_case.paths["+"].totals()
     expected = wrap_angle(
         p.mu_b * np.cos(p.alpha) * p.period + np.pi * (1 + np.cos(p.theta - p.alpha))
     )
@@ -78,33 +78,33 @@ def test_total_phase_undefined_for_orthogonal_endpoints():
     angles = 0.5 * np.pi * grid.nodes
     states = np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(complex)
     with pytest.raises(UndefinedPhaseError):
-        stacked(AmplitudePath(grid, states)).totals()
+        PathStack(grid, states[..., None]).totals()
 
 
 def test_dynamical_phase_eigenstate():
     E, T = 1.3, 4.0
     H = constant_trajectory(np.diag([E, -E]).astype(complex))
     path = eigenstate_path(E, T)
-    assert stacked(path).dynamical(H.sample(path.grid.nodes))[0] == pytest.approx(-E * T, abs=1e-10)
+    assert path.dynamical(H.sample(path.grid.nodes))[0] == pytest.approx(-E * T, abs=1e-10)
 
 
 def test_dynamical_phase_vanishes_at_special_point(special_case):
     samples = special_case.H.sample(special_case.grid.nodes)
-    assert abs(stacked(special_case.paths["+"]).dynamical(samples)[0]) < 1e-8
+    assert abs(special_case.paths["+"].dynamical(samples)[0]) < 1e-8
 
 
 def test_dynamical_phase_generic_golden(generic_case):
     p = generic_case.p
     expected = p.mu_b * np.cos(p.alpha) * p.period
     samples = generic_case.H.sample(generic_case.grid.nodes)
-    assert stacked(generic_case.paths["+"]).dynamical(samples)[0] == pytest.approx(
+    assert generic_case.paths["+"].dynamical(samples)[0] == pytest.approx(
         expected, abs=1e-7
     )
     # second form: -i int <psi, d/dt psi> as the step-phase sum
     # sum_j arg<psi_j, psi_{j+1}>, which equals the energy integral up to the
     # O(dt^2) per-step phase of the energy spread
     path = generic_case.paths["+"]
-    step_sum = float(stacked(path).step_phases.sum())
+    step_sum = float(path.step_phases.sum())
     assert step_sum == pytest.approx(expected, abs=5e-6)
 
 
@@ -128,18 +128,17 @@ def test_geometric_phase_gauge_invariant(generic_case):
     nodes, T = generic_case.grid.nodes, generic_case.grid.span
     for _ in range(20):
         alpha = periodic_gauge_samples(rng, nodes, T)
-        shifted = AmplitudePath(path.grid, path.states * np.exp(1j * alpha)[:, None])
+        shifted = rephased(path, alpha[None])
         assert abs(wrap_angle(geometric(shifted) - base)) < 1e-8
 
 
 def test_total_phase_gauge_covariance(generic_case):
     # alpha(t) with distinct endpoints shifts the total phase by exactly the gap
     path = generic_case.paths["-"]
-    (base,), _ = stacked(path).totals()
+    (base,), _ = path.totals()
     nodes = generic_case.grid.nodes
     alpha = 0.3 * nodes + 0.2 * np.sin(2 * np.pi * nodes / generic_case.grid.span)
-    shifted = AmplitudePath(path.grid, path.states * np.exp(1j * alpha)[:, None])
-    (angle,), _ = stacked(shifted).totals()
+    (angle,), _ = rephased(path, alpha[None]).totals()
     expected = wrap_angle(base + alpha[-1] - alpha[0])
     assert angle == pytest.approx(float(expected), abs=1e-10)
 
@@ -151,11 +150,10 @@ def test_identity_geometric_equals_total_minus_dynamical():
         p = SpinParams(mu_b, omega, theta)
         grid = TimeGrid(0.0, p.period, 200000)
         H = spin_model.hamiltonian(p)
-        for path in spin_model.amplitude_paths(p, grid):
-            (angle,), _ = stacked(path).totals()
-            (dyn,) = stacked(path).dynamical(H.sample(grid.nodes))
-            identity = wrap_angle(angle - dyn)
-            assert abs(wrap_angle(geometric(path) - identity)) < 1e-8
+        paths = spin_model.amplitude_paths(p, grid)
+        angles, _ = paths.totals()
+        identity = wrap_angle(angles - paths.dynamical(H.sample(grid.nodes)))
+        assert np.max(np.abs(wrap_angle(np.angle(paths.holonomies) - identity))) < 1e-8
 
 
 def test_identity_on_propagated_paths(generic_case, special_case):
@@ -163,15 +161,15 @@ def test_identity_on_propagated_paths(generic_case, special_case):
     for case in (generic_case, special_case):
         for branch in "+-":
             path = case.paths[branch]
-            (angle,), _ = stacked(path).totals()
-            (dyn,) = stacked(path).dynamical(case.H.sample(case.grid.nodes))
+            (angle,), _ = path.totals()
+            (dyn,) = path.dynamical(case.H.sample(case.grid.nodes))
             identity = wrap_angle(angle - dyn)
             assert abs(wrap_angle(geometric(path) - identity)) < 2e-6
 
 
-def transported_path(path: AmplitudePath) -> AmplitudePath:
-    """The path rephased so its step phases vanish; endpoints carry the holonomy."""
-    return AmplitudePath(path.grid, parallel_transport(path.states))
+def transported_path(path: PathStack) -> PathStack:
+    """The paths rephased so their step phases vanish; endpoints carry the holonomy."""
+    return PathStack(path.grid, parallel_transport(path.states))
 
 
 def test_parallel_transport_fixed_point_exact():
@@ -180,7 +178,7 @@ def test_parallel_transport_fixed_point_exact():
     grid = TimeGrid(0.0, 1.0, 512)
     angles = 0.4 * np.pi * grid.nodes
     states = np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(complex)
-    path = AmplitudePath(grid, states)
+    path = PathStack(grid, states[..., None])
     transported = transported_path(path)
     assert np.max(np.abs(transported.states - path.states)) == 0.0
 
@@ -188,8 +186,7 @@ def test_parallel_transport_fixed_point_exact():
 def test_parallel_transport_idempotent():
     p = SpinParams(1.0, 1.0, np.pi / 3)
     grid = TimeGrid(0.0, p.period, 200000)
-    path, _ = spin_model.amplitude_paths(p, grid)
-    transported = transported_path(path)
+    transported = transported_path(spin_model.amplitude_paths(p, grid))
     again = transported_path(transported)
     assert np.max(np.abs(again.states - transported.states)) < 1e-8
 
@@ -203,26 +200,26 @@ def test_parallel_transport_undoes_eigenstate_phase():
 def test_parallel_transport_holonomy_is_geometric_phase(generic_case):
     path = generic_case.paths["+"]
     transported = transported_path(path)
-    holonomy_angle = np.angle(np.vdot(transported.initial, transported.final))
+    holonomy_angle = np.angle(np.vdot(transported.states[0], transported.states[-1]))
     assert abs(wrap_angle(holonomy_angle - geometric(path))) < 1e-8
 
 
 def test_parallel_transport_residual_small(generic_case):
     transported = transported_path(generic_case.paths["+"])
     h_norm = generic_case.p.mu_b * np.sqrt(2.0)  # Frobenius norm of the spin H
-    assert stacked(transported).residuals[0] <= 1e-6 * h_norm
+    assert transported.residuals[0] <= 1e-6 * h_norm
 
 
 def test_raw_path_transport_residual_matches_energy(generic_case):
     # |<psi, d psi/dt>| = |<H>| = mu_B |cos alpha| along the exact evolution
     p = generic_case.p
     expected = p.mu_b * abs(np.cos(p.alpha))
-    assert stacked(generic_case.paths["+"]).residuals[0] == pytest.approx(expected, rel=1e-4)
+    assert generic_case.paths["+"].residuals[0] == pytest.approx(expected, rel=1e-4)
 
 
 def test_phase_report_identity(generic_case):
     samples = generic_case.H.sample(generic_case.grid.nodes)
-    (report,) = stacked(generic_case.paths["+"]).reports(samples)
+    (report,) = generic_case.paths["+"].reports(samples)
     assert report.geometric == pytest.approx(
         float(wrap_angle(report.total - report.dynamical)), abs=1e-12
     )
