@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -435,10 +434,13 @@ def observables(sc: Scenario) -> Observables:
 
     The member paths psi_k = U|k> are formed once, as one `PathStack`, so their
     step phases arg<psi_k(t_j), psi_k(t_{j+1})> are too; every phase is read off it.
+    U is released once U(T) and the member paths are read, before H is
+    sampled on the nodes.
     """
     U = _propagate(sc)
-    members = PathStack(sc.grid, member_paths(U, sc.ensemble.states))
     gamma_total, visibility = mixed_total_phase(density_from_ensemble(sc.ensemble), U.final)
+    members = PathStack(sc.grid, member_paths(U, sc.ensemble.states))
+    del U
     weak, strong, gamma_d = transport_conditions(sc.ensemble.weights, members)
     reports = dict(zip(sc.labels, members.reports(sc.H.sample(sc.grid.nodes))))
     phi_g = dict(zip(sc.labels, np.angle(members.holonomies).tolist()))
@@ -510,6 +512,8 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values):
     # fork starts every worker at the first submit, so never more than rows or cores
     workers = min(cfg.workers, len(points), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported only for a pool
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, points))
     else:

@@ -10,10 +10,12 @@ Hermitian), the running products of the step exponentials
 (`linalg.ordered_exponentials`: a recursively blocked prefix product, which
 keeps two-level steps and products in Cayley-Klein form, pairs (a, b) and a
 real phase, and forms U once), and the `PropagatorPath` check that every
-U(t_j) is unitary to `UNITARITY_TOL`.  U(t_0) = I exactly, and the output is
-byte-deterministic.  The package's state trajectories are the member paths
-psi_k = U|k> (`member_paths`), which every phase functional reads as one
-`phases.PathStack`.  At d = 2, U and the member paths are stored with each
+U(t_j) is unitary to `UNITARITY_TOL`.  `ordered_exponentials` lets go of the
+samples once the step factors exist, so the midpoint stack, `propagate`'s
+temporary argument, is freed before the scan (on CPython 3.11 and later).
+U(t_0) = I exactly, and the output is byte-deterministic.  The package's state
+trajectories are the member paths psi_k = U|k> (`member_paths`), which every
+phase functional reads as one `phases.PathStack`.  At d = 2, U and the member paths are stored with each
 component one contiguous row over the nodes; their shapes are as documented.
 """
 from __future__ import annotations
@@ -85,9 +87,14 @@ class HamiltonianTrajectory:
                 f"Hamiltonian samples have shape {out.shape}, "
                 f"expected {(len(times), self.dim, self.dim)}"
             )
-        if not np.all(np.isfinite(out)):
-            raise NumericError("Hamiltonian evaluation produced non-finite entries")
-        return require_hermitian(out, HERMITICITY_TOL, "Hamiltonian evaluation")
+        try:
+            return require_hermitian(out, HERMITICITY_TOL, "Hamiltonian evaluation")
+        except ContractError:
+            # a non-finite entry fails the norm check; name it, without a pass
+            # over samples that passed
+            if not np.all(np.isfinite(out)):
+                raise NumericError("Hamiltonian evaluation produced non-finite entries") from None
+            raise
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,14 @@ matrix product takes 8, on half the memory), the real phases phi add by one
 cumulative sum, and U is formed once, component-major: its (N+1, 2, 2)
 shape is a view of four contiguous rows.  Other dimensions take their steps
 from `hermitian_step_exp` and multiply matrices with `np.matmul`, the
-carries with one GEMM per block.  The propagator's checks
-(`require_hermitian`, `unitarity_defect`) are entrywise for stacks of 2x2
-matrices: they read the squared Frobenius norms off the real and imaginary
-parts of the entries, with no conjugate-transposed copy and no Gram stack; a
-single matrix and other dimensions keep the general forms, as does
-`hermiticity_defect` always.
+carries with one GEMM per block.  `ordered_exponentials` lets go of its
+samples once the step factors exist, and of the two-level steps once they are
+scanned, so a temporary sample stack is freed before the scan.  The
+propagator's checks (`require_hermitian`, `unitarity_defect`) are entrywise
+for stacks of 2x2 matrices: they read the squared Frobenius norms off the real
+and imaginary parts of the entries, with no conjugate-transposed copy and no
+Gram stack; a single matrix and other dimensions keep the general forms, as
+does `hermiticity_defect` always.
 Everything batches over leading axes and reproduces bit-identical results
 run to run, which the golden tests rely on.
 """
@@ -123,13 +125,15 @@ def require_hermitian(M, tol: float = 1e-12, name: str = "matrix") -> np.ndarray
 
     A matrix whose Frobenius norm is not finite fails, Hermitian or not: an
     overflowing norm (entries above about 1e154) would make the bound infinite
-    and admit any defect, and a NaN compares false.
+    and admit any defect, and a NaN compares false.  So does every matrix with
+    a non-finite entry, whose norm is inf or NaN.
     """
     M = _as_square(M, name)
     if M.shape[-1] == 2 and M.ndim > 2:
         defect, scale = np.sqrt([np.max(squares) for squares in _two_level_squares(M)])
     else:
-        defect, scale = hermiticity_defect(M), frobenius_norm(M)
+        with np.errstate(invalid="ignore"):  # inf - inf in M - M^H: the norm is not finite
+            defect, scale = hermiticity_defect(M), frobenius_norm(M)
     if not scale < math.inf:
         raise ContractError(f"{name} has a non-finite Frobenius norm ({scale})")
     if not defect <= tol * max(scale, 1.0):  # a NaN defect fails too
@@ -236,21 +240,29 @@ def ordered_exponentials(H, dt: float) -> np.ndarray:
     SU(2) elements and the real phases phi add by one cumulative sum, so U is
     formed once, at the end.  For d >= 3 the steps come from
     `hermitian_step_exp` and multiply as matrices.  The blocking depends on N
-    alone, so the output is byte-deterministic.
+    alone, so the output is byte-deterministic.  The samples are let go once
+    the step factors exist, and the two-level steps once scanned: a temporary
+    stack passed in, as `propagate` passes its midpoint samples, is freed
+    before the scan on CPython 3.11 and later, and U is formed without the
+    steps alive.
     """
     H = _as_square(H)
     n, dim = H.shape[0], H.shape[-1]
     if dim == 2:
         steps, step_phases = _two_level_steps(H, dt)
+        del H  # the samples are no longer read
         pairs = np.empty_like(steps, shape=(1 + _scan_length(n), 2))  # component-major, as steps
         pairs[0] = (1.0, 0.0)
         _scan(steps, pairs[1:], _pair_product)
+        del steps
         phases = np.zeros(n + 1)
         np.cumsum(step_phases, out=phases[1:])
         return _two_level_matrices(pairs[: n + 1], phases)
+    steps = hermitian_step_exp(H, dt)
+    del H  # the samples are no longer read
     U = np.empty((1 + _scan_length(n), dim, dim), dtype=complex)
     U[0] = np.eye(dim)
-    _scan(hermitian_step_exp(H, dt), U[1:], _matrix_product)
+    _scan(steps, U[1:], _matrix_product)
     return U[: n + 1]  # the padded tail is cut off
 
 

@@ -177,7 +177,8 @@ def gauge_campaign(
     predicted from theta(0), theta(T).  Every ramped-gauge observable is read
     off the rephased member paths psi'_k = U'|k> (`transform_evolution`), gamma_T
     from U'(T) = sum_k psi'_k(T)<k| over the complete basis, and the base gamma_T
-    by the same form, so a zero gauge shifts nothing.  H is sampled once.
+    by the same form, so a zero gauge shifts nothing.  H is sampled once, after
+    U is released: nothing reads U but its member paths.
     Scale 0: zero gauges, no draws.
     """
     if ensemble.size != U.dim:
@@ -186,6 +187,7 @@ def gauge_campaign(
     weights = ensemble.weights
     bras = np.conj(ensemble.states)  # rows <k|
     members = PathStack(grid, member_paths(U, ensemble.states))  # psi_k = U|k>
+    del U
     rho0 = density_from_ensemble(ensemble)
     samples = H.sample(grid.nodes)
     frame = frame_from_amplitudes(members, labels=labels)

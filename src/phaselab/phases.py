@@ -87,8 +87,10 @@ def state_energies(states: np.ndarray, samples: np.ndarray) -> np.ndarray:
     For dim 2, with v = (a, b) and z = conj(a) b, it is written entry by entry
     as |a|^2 Re h00 + |b|^2 Re h11
     + Re z (Re h01 + Re h10) + Im z (Im h10 - Im h01): the exact real part of
-    the full form, so H need not be exactly Hermitian.  The four real rows of
-    H are formed once for all paths.  Other dimensions take one einsum per
+    the full form, so H need not be exactly Hermitian.  The diagonal of H is
+    read in place and its two off-diagonal real rows are formed once for all
+    paths; every path's terms are computed in one complex and one real row
+    buffer, reused from path to path.  Other dimensions take one einsum per
     path (one over the whole stack is about 3 times slower at dim 3).  Each
     path's energies fill one contiguous row of the result, which is returned
     as a transposed view.
@@ -101,18 +103,26 @@ def state_energies(states: np.ndarray, samples: np.ndarray) -> np.ndarray:
             v = states[(slice(None), slice(None), *k)]
             out[k] = np.einsum("ja,jab,jb->j", np.conj(v), samples, v).real
         return np.moveaxis(out, -1, 0)
-    h01, h10 = samples[:, 0, 1], samples[:, 1, 0]
-    h00, h11 = np.ascontiguousarray(samples[:, 0, 0].real), np.ascontiguousarray(samples[:, 1, 1].real)
+    h00, h01, h10, h11 = samples[:, 0, 0].real, samples[:, 0, 1], samples[:, 1, 0], samples[:, 1, 1].real
     re_sum, im_diff = h01.real + h10.real, h10.imag - h01.imag
+    z, part = np.empty(len(states), dtype=complex), np.empty(len(states))  # reused by every path
     for k in paths:
         a, b = states[(slice(None), 0, *k)], states[(slice(None), 1, *k)]
-        conj_a = np.conj(a)
-        z = conj_a * b
         row = out[k]
-        np.multiply((conj_a * a).real, h00, out=row)
-        row += (b.real * b.real + b.imag * b.imag) * h11
-        row += z.real * re_sum
-        row += z.imag * im_diff
+        np.conj(a, out=z)
+        z *= a  # |a|^2 as Re conj(a) a, the complex product
+        np.multiply(z.real, h00, out=row)
+        np.multiply(b.real, b.real, out=part)
+        np.multiply(b.imag, b.imag, out=z.real)
+        part += z.real
+        part *= h11
+        row += part
+        np.conj(a, out=z)
+        z *= b
+        np.multiply(z.real, re_sum, out=part)
+        row += part
+        np.multiply(z.imag, im_diff, out=part)
+        row += part
     return np.moveaxis(out, -1, 0)
 
 

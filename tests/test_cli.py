@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: commands, config grammar, exit codes, determinism."""
+import concurrent.futures
 import ctypes
 import ctypes.util
 import dataclasses
@@ -7,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -583,7 +585,7 @@ def test_sweep_pool_bounded_by_rows_and_cores(values, cores, expected, monkeypat
     assert run(args) == 0
     serial = capsys.readouterr().out
     sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(SerialPool, sizes))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(SerialPool, sizes))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
     assert run([*args, "--workers", "10000"]) == 0
     assert capsys.readouterr().out == serial
@@ -597,12 +599,37 @@ def test_sweep_validates_every_point_before_any_runs(workers, monkeypatch, capsy
     calls, sizes = [], []
     observables = cli.observables
     monkeypatch.setattr(cli, "observables", lambda sc: calls.append(sc) or observables(sc))
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(SerialPool, sizes))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(SerialPool, sizes))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     args = ["sweep", "--axis", "omega", "--values", "1,0", "--steps", "100", *workers]
     assert run(args) == 2
     assert "'omega'" in capsys.readouterr().err
     assert calls == [] and sizes == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool's module is imported inside `run_sweep`, and only for --workers > 1
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, phaselab.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_observables_working_set_at_the_default_steps():
+    # U is released once U(T) and the member paths are read, and the midpoint
+    # samples once the step factors exist: at 20000 steps and d = 2 the peak
+    # is about 200 bytes per step (4.0 MB), where holding both read 6.25 MB
+    sc = cli.build_scenario(cli.validate_config(cli.ScenarioConfig()))
+    sc.grid.nodes, sc.grid.midpoints  # cached on the grid, so they outlive the call
+    tracemalloc.start()
+    try:
+        cli.observables(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.0e6
 
 
 def test_reused_parser_keeps_no_state(capsys):

@@ -7,7 +7,7 @@ import pytest
 from phaselab import HamiltonianTrajectory, SpinParams, TimeGrid, propagate, spin_model
 from phaselab.cli import build_scenario, parse_config_file
 from phaselab.evolution import PropagatorPath, member_paths
-from phaselab.exceptions import ContractError, DimensionError
+from phaselab.exceptions import ContractError, DimensionError, NumericError
 from phaselab.linalg import hermitian_step_exp, unitarity_defect
 
 from conftest import mat_exp, random_hermitian
@@ -147,6 +147,26 @@ def test_rejects_non_hermitian_evaluation():
     H = HamiltonianTrajectory(2, evaluate=lambda times: np.broadcast_to(bad, (len(times), 2, 2)))
     with pytest.raises(ContractError):
         propagate(H, TimeGrid(0.0, 1.0, 16))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_sample_rejects_non_finite_entries(dim, value):
+    samples = np.zeros((4, dim, dim), dtype=complex)
+    samples[2, 0, dim - 1] = samples[2, dim - 1, 0] = value
+    H = HamiltonianTrajectory(dim, evaluate=lambda times: samples[: len(times)].copy())
+    with pytest.raises(NumericError, match="non-finite entries"):
+        H.sample(np.zeros(4))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sample_rejects_an_overflowing_norm_of_finite_entries(dim):
+    # finite entries whose squared norm overflows are a contract failure, not a NaN
+    samples = np.zeros((4, dim, dim), dtype=complex)
+    samples[2] = 1e200 * np.eye(dim)
+    H = HamiltonianTrajectory(dim, evaluate=lambda times: samples[: len(times)].copy())
+    with pytest.raises(ContractError, match="non-finite Frobenius norm"):
+        H.sample(np.zeros(4))
 
 
 def test_paths_reject_nan():
