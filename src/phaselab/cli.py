@@ -273,14 +273,22 @@ class Scenario:
     params: spin_model.SpinParams | None
 
 
-def build_scenario(cfg: ScenarioConfig) -> Scenario:
+def _horizon(cfg: ScenarioConfig) -> float:
+    """t_end: one field period, or the config's explicit t_end."""
+    if cfg.horizon == "one-period":
+        return spin_model.SpinParams(cfg.mu_b, cfg.omega, cfg.theta).period
+    return float(cfg.t_end)
+
+
+def build_scenario(cfg: ScenarioConfig,
+                   field: spin_model.RotatingField | None = None) -> Scenario:
     """The scenario of a config that `validate_config` has accepted; callers
     validate where a config enters (`main`, and `run_sweep` for every point).
-    State selectors are checked here, against the model's dimension."""
+    State selectors are checked here, against the model's dimension.  A spin
+    scenario given `field` runs on its grid, and samples its table."""
     if cfg.model == "spin":
         params = spin_model.SpinParams(cfg.mu_b, cfg.omega, cfg.theta, cfg.big_theta)
-        t_end = params.period if cfg.horizon == "one-period" else float(cfg.t_end)
-        H = spin_model.hamiltonian(params)
+        H = spin_model.hamiltonian(params, field)
         basis = np.array(spin_model.w_basis(params, 0.0))  # rows: branches '+', '-'
         index = []
         for sel in cfg.states:
@@ -289,8 +297,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             index.append(spin_model.BRANCHES.index(sel))
     else:
         params = None
-        t_end = float(cfg.t_end)
-        H = load_sampled_hamiltonian(cfg.hamiltonian_file, t_end)
+        H = load_sampled_hamiltonian(cfg.hamiltonian_file, float(cfg.t_end))
         basis = np.eye(H.dim, dtype=complex)
         index = []
         for sel in cfg.states:
@@ -306,7 +313,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     if len(set(index)) != len(index):
         raise ConfigError(f"field 'states': selectors must differ, got {','.join(cfg.states)}")
     ensemble = Ensemble(weights=cfg.resolved_weights(), states=basis[index])
-    grid = TimeGrid(0.0, t_end, cfg.steps)
+    grid = field.grid if field is not None else TimeGrid(0.0, _horizon(cfg), cfg.steps)
     return Scenario(cfg=cfg, H=H, grid=grid, ensemble=ensemble, labels=tuple(cfg.states),
                     params=params)
 
@@ -468,10 +475,11 @@ def run_scenario(cfg: ScenarioConfig):
     return records, scenario_header(cfg, "simulate")
 
 
-def _sweep_point(point: tuple) -> list:
-    """One sweep row from (index, axis value, config); module-level for process pools."""
+def _sweep_point(point: tuple, field: spin_model.RotatingField | None = None) -> list:
+    """One sweep row from (index, axis value, config), on `field`'s grid and
+    table if given; module-level for process pools."""
     index, value, cfg = point
-    sc = build_scenario(cfg)
+    sc = build_scenario(cfg, field)
     p = sc.params
     obs = observables(sc)
     row = [index, value, p.mu_b, p.omega, p.theta, p.big_theta, p.alpha, p.period]
@@ -517,7 +525,12 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, points))
     else:
-        rows = [_sweep_point(p) for p in points]
+        # unless omega moves, every point has the same grid and rotating field
+        field = None
+        if axis != "omega" and points:
+            field = spin_model.RotatingField(
+                cfg.omega, TimeGrid(0.0, _horizon(cfg), cfg.steps))
+        rows = [_sweep_point(p, field) for p in points]
     header = scenario_header(cfg, "sweep")
     header["axis"] = axis
     header["points"] = len(points)

@@ -6,28 +6,34 @@ is the exponential of a skew-Hermitian matrix, so unitarity is preserved by
 construction and the global error is second order in dt.
 
 `propagate` reads: sample H at the midpoints (validated finite and
-Hermitian), the running products of the step exponentials
-(`linalg.ordered_exponentials`: a recursively blocked prefix product, which
-keeps two-level steps and products in Cayley-Klein form, pairs (a, b) and a
-real phase, and forms U once), and the `PropagatorPath` check that every
-U(t_j) is unitary to `UNITARITY_TOL`.  `ordered_exponentials` lets go of the
-samples once the step factors exist, so the midpoint stack, `propagate`'s
-temporary argument, is freed before the scan (on CPython 3.11 and later).
-U(t_0) = I exactly, and the output is byte-deterministic.  The package's state
-trajectories are the member paths psi_k = U|k> (`member_paths`), which every
-phase functional reads as one `phases.PathStack`.  At d = 2, U and the member paths are stored with each
-component one contiguous row over the nodes; their shapes are as documented.
+Hermitian), the running products of the step exponentials (a recursively
+blocked prefix product: `linalg.ordered_exponentials`, or at d = 2
+`linalg.ordered_pairs`, which keeps them as Cayley-Klein pairs and phases),
+and the `PropagatorPath` check that every U(t_j) is unitary to
+`UNITARITY_TOL`.  At d = 2 the path holds the pairs, and U is formed as a
+stack only when `matrices` is read.  The samples are let go once the step
+factors exist, so the midpoint stack, `propagate`'s temporary argument, is
+freed before the scan (on CPython 3.11 and later).  U(t_0) = I exactly, and
+the output is byte-deterministic.  The package's state trajectories are the
+member paths psi_k = U|k> (`member_paths`), which every phase functional
+reads as one `phases.PathStack`.  At d = 2, the pairs, U and the member
+paths are stored with each component one contiguous row over the nodes;
+their shapes are as documented.  A grid's `nodes` and `midpoints` are
+read-only.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
+from . import linalg
 from .exceptions import ContractError, DimensionError, NumericError
-from .linalg import ordered_exponentials, require_hermitian, unitarity_defect
+from .linalg import (ordered_exponentials, ordered_pairs, pair_norm_defect, require_hermitian,
+                     unitarity_defect)
 
 UNITARITY_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
@@ -53,14 +59,20 @@ class TimeGrid:
     def dt(self) -> float:
         return (self.t_end - self.t_start) / self.steps
 
+    # the time arrays are read-only: `spin_model.RotatingField` knows them by identity
+
     @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.steps + 1)
+        nodes = np.linspace(self.t_start, self.t_end, self.steps + 1)
+        nodes.flags.writeable = False
+        return nodes
 
     @cached_property
     def midpoints(self) -> np.ndarray:
         nodes = self.nodes
-        return 0.5 * (nodes[:-1] + nodes[1:])
+        midpoints = 0.5 * (nodes[:-1] + nodes[1:])
+        midpoints.flags.writeable = False
+        return midpoints
 
     @property
     def span(self) -> float:
@@ -100,49 +112,99 @@ class HamiltonianTrajectory:
 @dataclass(frozen=True)
 class PropagatorPath:
     """Unitaries U(t_j) on a grid, checked for shape and unitarity; in the
-    package only `propagate` builds one, from U(t_0) = I exactly."""
+    package only `propagate` builds one, from U(t_0) = I exactly.
+
+    `stack` holds them as matrices, (steps + 1, dim, dim), or at dim 2 with
+    `phases` as the Cayley-Klein pairs of
+    U(t_j) = e^{i phi_j} [[a_j, -conj(b_j)], [b_j, conj(a_j)]], an
+    (steps + 1, 2) stack of (a_j, b_j) and the real phi_j, (steps + 1,).
+    Pairs are gated by |a_j|^2 + |b_j|^2 = 1: ||U^dagger U - I||_F is
+    sqrt(2) | |a|^2 + |b|^2 - 1 | for such a matrix, whose off-diagonal Gram
+    entry cancels, provided phi_j is finite.  `matrices` forms U from pairs on
+    first read; `final` and `member_paths` read the pairs themselves.
+    """
 
     grid: TimeGrid
-    matrices: np.ndarray  # (steps + 1, dim, dim)
+    stack: np.ndarray
+    phases: np.ndarray | None = None
 
     def __post_init__(self):
-        U = np.asarray(self.matrices)
-        if U.ndim != 3 or U.shape[0] != self.grid.steps + 1 or U.shape[1] != U.shape[2]:
-            raise DimensionError(f"propagator stack has shape {U.shape}")
-        defect = unitarity_defect(U)
+        U = np.asarray(self.stack)
+        n = self.grid.steps + 1
+        if self.phases is None:
+            if U.ndim != 3 or U.shape[0] != n or U.shape[1] != U.shape[2]:
+                raise DimensionError(f"propagator stack has shape {U.shape}")
+            defect = unitarity_defect(U)
+        else:
+            phases = np.asarray(self.phases, dtype=float)
+            if U.shape != (n, 2) or phases.shape != (n,):
+                raise DimensionError(
+                    f"Cayley-Klein pairs have shape {U.shape}, phases {phases.shape}"
+                )
+            defect = math.sqrt(2.0) * pair_norm_defect(U)
+            if not np.all(np.isfinite(phases)):
+                defect = math.nan  # e^{i phi} is not a number
+            object.__setattr__(self, "phases", phases)
         if not defect <= UNITARITY_TOL:  # a NaN defect fails too
             raise ContractError(f"propagator not unitary: defect {defect:.3e}")
-        object.__setattr__(self, "matrices", U)
+        object.__setattr__(self, "stack", U)
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """U as a (steps + 1, dim, dim) stack, formed from pairs on first read."""
+        if self.phases is None:
+            return self.stack
+        return linalg._two_level_matrices(self.stack, self.phases)
 
     @property
     def dim(self) -> int:
-        return self.matrices.shape[-1]
+        return 2 if self.phases is not None else self.stack.shape[-1]
 
     @property
     def final(self) -> np.ndarray:
-        return self.matrices[-1]
+        if self.phases is None:
+            return self.stack[-1]
+        a, b = self.stack[-1].tolist()
+        U = np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+        if np.any(self.phases):  # as `matrices` decides, over every phi
+            U *= linalg._phase_factors(self.phases[-1:])
+        return U
 
 
 def propagate(H: HamiltonianTrajectory, grid: TimeGrid) -> PropagatorPath:
-    """Integrate the time-ordered exponential of -i H(t) over the grid."""
+    """Integrate the time-ordered exponential of -i H(t) over the grid.  At
+    dim 2 the path keeps the Cayley-Klein pairs and phases of the scan."""
+    if H.dim == 2:
+        return PropagatorPath(grid, *ordered_pairs(H.sample(grid.midpoints), grid.dt))
     return PropagatorPath(grid, ordered_exponentials(H.sample(grid.midpoints), grid.dt))
 
 
 def member_paths(U: PropagatorPath, states: np.ndarray) -> np.ndarray:
     """psi_k(t_j) = U(t_j)|k> for the rows |k> of a (k, dim) array, as one
-    (nodes, dim, k) stack: the package's one U|k> kernel.  At dim 2 it views a
-    path-major (k, 2, nodes) buffer, filled by row multiply-adds over U's
-    component rows; other dimensions take one GEMM."""
+    (nodes, dim, k) stack: the package's one U|k> kernel.  On Cayley-Klein
+    pairs it views a path-major (k, 2, nodes) buffer, filled by row
+    multiply-adds over the pairs' component rows,
+    (a s0 - conj(b) s1, b s0 + conj(a) s1), times e^{i phi} unless every phi
+    is zero.  A stack of matrices takes one GEMM."""
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2 or states.shape[1] != U.dim:
         raise DimensionError(f"states have shape {states.shape}, expected (k, {U.dim})")
-    d, u = U.dim, U.matrices
-    if d != 2:
-        return (u.reshape(-1, d) @ states.T).reshape(-1, d, states.shape[0])
-    out = np.empty((len(states), 2, len(u)), dtype=complex)
+    if U.phases is None:
+        d = U.dim
+        return (U.stack.reshape(-1, d) @ states.T).reshape(-1, d, states.shape[0])
+    out = np.empty((len(states), 2, U.grid.steps + 1), dtype=complex)
+    a, b = U.stack[:, 0], U.stack[:, 1]
+    scratch = np.empty_like(out[0, 0])  # one row, reused: no temporaries per path
     for row, (s0, s1) in zip(out, states.tolist()):
-        for c in range(2):
-            np.multiply(u[:, c, 0], s0, out=row[c])
-            row[c] += u[:, c, 1] * s1
+        # -conj(b) s1 as conj(b) (-s1): the same real products, so the bits of U's rows
+        np.conj(b, out=scratch)
+        scratch *= -s1
+        np.multiply(a, s0, out=row[0])
+        row[0] += scratch
+        np.conj(a, out=scratch)
+        scratch *= s1
+        np.multiply(b, s0, out=row[1])
+        row[1] += scratch
+    if np.any(U.phases):
+        out *= linalg._phase_factors(U.phases)
     return out.transpose(2, 1, 0)
-

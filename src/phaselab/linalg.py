@@ -11,21 +11,28 @@ turns N generators into the running products U(t_j) of their step
 exponentials with a recursively blocked prefix product: a scan inside blocks
 of 16 steps, the same scan over the block totals for the carries, and one
 broadcast product that applies them.  Two-level systems stay in Cayley-Klein
-form end to end: every step and every running product is
+form end to end (`ordered_pairs`): every step and every running product is
 e^{i phi} [[a, -conj(b)], [b, conj(a)]], the steps come from their closed
 form, the scan multiplies the pairs (a, b) (4 complex products where a 2x2
-matrix product takes 8, on half the memory), the real phases phi add by one
-cumulative sum, and U is formed once, component-major: its (N+1, 2, 2)
-shape is a view of four contiguous rows.  Other dimensions take their steps
-from `hermitian_step_exp` and multiply matrices with `np.matmul`, the
-carries with one GEMM per block.  `ordered_exponentials` lets go of its
-samples once the step factors exist, and of the two-level steps once they are
-scanned, so a temporary sample stack is freed before the scan.  The
-propagator's checks (`require_hermitian`, `unitarity_defect`) are entrywise
-for stacks of 2x2 matrices: they read the squared Frobenius norms off the real
-and imaginary parts of the entries, with no conjugate-transposed copy and no
-Gram stack; a single matrix and other dimensions keep the general forms, as
-does `hermiticity_defect` always.
+matrix product takes 8, on half the memory), and the real phases phi add by
+one cumulative sum.  The propagator keeps those pairs and phases
+(`evolution.PropagatorPath`); `ordered_exponentials` forms U from them
+(`_two_level_matrices`), component-major: its (N+1, 2, 2) shape is a view of
+four contiguous rows.  Other dimensions take their steps from
+`hermitian_step_exp` and multiply matrices with `np.matmul`, the carries
+with one GEMM per block.  Both let go of their samples once the step factors
+exist, and `ordered_pairs` of the steps once they are scanned, so a
+temporary sample stack is freed before the scan.  The propagator's checks
+(`require_hermitian`, `unitarity_defect`, `pair_norm_defect`) are entrywise:
+for stacks of 2x2 matrices and for Cayley-Klein pairs they read the squared
+Frobenius norms off the real and imaginary parts of the entries, with no
+conjugate-transposed copy and no Gram stack; larger matrices keep the
+general forms up to one piece of 2^14 entries (`_pieces`), and longer stacks
+run piece by piece, so that no temporary is stack-sized: `require_hermitian`
+forms one piece of M - M^dagger at a time, and `unitarity_defect` sums the
+Gram entries on and above the diagonal by row multiply-adds over a
+component-major copy of one piece, where `np.matmul` pays its per-matrix
+cost on every U(t_j).
 Everything batches over leading axes and reproduces bit-identical results
 run to run, which the golden tests rely on.
 """
@@ -59,9 +66,12 @@ def frobenius_norm(M: np.ndarray) -> float:
 
 
 def hermiticity_defect(M) -> float:
-    """||M - M^dagger||_F, maximized over batch axes."""
+    """||M - M^dagger||_F, maximized over batch axes, in one C-ordered buffer."""
     M = _as_square(M)
-    return frobenius_norm(M - np.conj(np.swapaxes(M, -2, -1)))
+    difference = np.empty(M.shape, dtype=complex)
+    np.conj(np.swapaxes(M, -2, -1), out=difference)
+    np.subtract(M, difference, out=difference)
+    return frobenius_norm(difference)
 
 
 def _two_level_squares(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,8 +111,12 @@ def unitarity_defect(U) -> float:
     For a stack of 2x2 matrices the Gram entries are read column by column:
     g00 = |u00|^2 + |u10|^2 - 1, g11 = |u01|^2 + |u11|^2 - 1 and
     g01 = conj(u00) u01 + conj(u10) u11, so the squared norm is
-    g00^2 + g11^2 + 2 |g01|^2, with no Gram stack.  A single matrix and other
-    dimensions form U^dagger U.
+    g00^2 + g11^2 + 2 |g01|^2, with no Gram stack.  Other dimensions, and a
+    single matrix, form U^dagger U when U fits in one piece (`_pieces`);
+    a longer stack sums the same squares over the Gram entries on and above
+    the diagonal, g_ij = sum_k conj(u_ki) u_kj, by row multiply-adds over a
+    component-major copy of one piece at a time, where `np.matmul` would pay
+    its per-matrix cost on every matrix.
     """
     U = _as_square(U)
     d = U.shape[-1]
@@ -115,9 +129,49 @@ def unitarity_defect(U) -> float:
         g11 -= 1.0
         squared = g00 * g00 + g11 * g11 + 2.0 * (g01.real * g01.real + g01.imag * g01.imag)
         return float(np.sqrt(np.max(squared)))
-    gram = np.conj(np.swapaxes(U, -2, -1)) @ U  # a fresh contiguous stack
-    gram.reshape(-1, d * d)[:, :: d + 1] -= 1.0  # its diagonal, in place
-    return frobenius_norm(gram)
+    if U.size <= _CHUNK:  # one piece at most, where a Gram stack costs less than the loop
+        gram = np.conj(np.swapaxes(U, -2, -1)) @ U  # a fresh contiguous stack
+        gram.reshape(-1, d * d)[:, :: d + 1] -= 1.0  # its diagonal, in place
+        return frobenius_norm(gram)
+    largest = []
+    for piece in _pieces(U):
+        columns = piece.transpose(2, 1, 0).copy()  # columns[j, k] = u_kj, each one row
+        conj = np.conj(columns)
+        squared = np.zeros(len(piece))
+        for i in range(d):
+            for j in range(i, d):
+                g = conj[i, 0] * columns[j, 0]
+                for k in range(1, d):
+                    g += conj[i, k] * columns[j, k]
+                if i == j:
+                    g.real -= 1.0
+                    squared += g.real * g.real
+                else:
+                    squared += 2.0 * (g.real * g.real + g.imag * g.imag)
+        largest.append(np.max(squared))
+    return float(np.sqrt(np.max(largest)))
+
+
+def _pieces(M: np.ndarray):
+    """Successive pieces (m, d, d) of a stack of d x d matrices, `_CHUNK`
+    entries each, as `hermitian_step_exp` cuts them, so that what is computed
+    on a piece stays in cache and nothing is stack-sized."""
+    d = M.shape[-1]
+    stack = M.reshape(-1, d, d)
+    step = max(_CHUNK // (d * d), 1)
+    return (stack[start : start + step] for start in range(0, len(stack), step))
+
+
+def pair_norm_defect(pairs: np.ndarray) -> float:
+    """max_j | |a_j|^2 + |b_j|^2 - 1 | over a stack (..., 2) of Cayley-Klein
+    pairs, summed on the real and imaginary parts."""
+    a, b = pairs[..., 0], pairs[..., 1]
+    norm = a.real * a.real
+    norm += a.imag * a.imag
+    norm += b.real * b.real
+    norm += b.imag * b.imag
+    norm -= 1.0
+    return float(np.max(np.abs(norm, out=norm)))
 
 
 def require_hermitian(M, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
@@ -132,8 +186,12 @@ def require_hermitian(M, tol: float = 1e-12, name: str = "matrix") -> np.ndarray
     if M.shape[-1] == 2 and M.ndim > 2:
         defect, scale = np.sqrt([np.max(squares) for squares in _two_level_squares(M)])
     else:
-        with np.errstate(invalid="ignore"):  # inf - inf in M - M^H: the norm is not finite
-            defect, scale = hermiticity_defect(M), frobenius_norm(M)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, or an overflow: not finite
+            if M.size <= _CHUNK:
+                defect, scale = hermiticity_defect(M), frobenius_norm(M)
+            else:  # piece by piece, so that M - M^H is never stack-sized; a NaN propagates
+                pieces = [(hermiticity_defect(piece), frobenius_norm(piece)) for piece in _pieces(M)]
+                defect, scale = np.max(pieces, axis=0)
     if not scale < math.inf:
         raise ContractError(f"{name} has a non-finite Frobenius norm ({scale})")
     if not defect <= tol * max(scale, 1.0):  # a NaN defect fails too
@@ -235,35 +293,47 @@ def ordered_exponentials(H, dt: float) -> np.ndarray:
     S_j = exp(-i dt H_j) of a stack (N, d, d) of Hermitian H_j.
 
     A recursively blocked prefix product (Blelloch's blocked scan, `_scan`).
-    For d = 2 it runs on Cayley-Klein pairs: every step and every product is
-    e^{i phi} [[a, -conj(b)], [b, conj(a)]], the pairs (a, b) multiply as
-    SU(2) elements and the real phases phi add by one cumulative sum, so U is
+    For d = 2 it runs on Cayley-Klein pairs (`ordered_pairs`), and U is
     formed once, at the end.  For d >= 3 the steps come from
     `hermitian_step_exp` and multiply as matrices.  The blocking depends on N
-    alone, so the output is byte-deterministic.  The samples are let go once
-    the step factors exist, and the two-level steps once scanned: a temporary
-    stack passed in, as `propagate` passes its midpoint samples, is freed
-    before the scan on CPython 3.11 and later, and U is formed without the
-    steps alive.
+    alone, so the output is byte-deterministic.  At d >= 3 the samples are
+    let go once the step factors exist: a temporary stack passed in, as
+    `propagate` passes its midpoint samples, is freed before the scan on
+    CPython 3.11 and later.
     """
     H = _as_square(H)
     n, dim = H.shape[0], H.shape[-1]
     if dim == 2:
-        steps, step_phases = _two_level_steps(H, dt)
-        del H  # the samples are no longer read
-        pairs = np.empty_like(steps, shape=(1 + _scan_length(n), 2))  # component-major, as steps
-        pairs[0] = (1.0, 0.0)
-        _scan(steps, pairs[1:], _pair_product)
-        del steps
-        phases = np.zeros(n + 1)
-        np.cumsum(step_phases, out=phases[1:])
-        return _two_level_matrices(pairs[: n + 1], phases)
+        return _two_level_matrices(*ordered_pairs(H, dt))
     steps = hermitian_step_exp(H, dt)
     del H  # the samples are no longer read
     U = np.empty((1 + _scan_length(n), dim, dim), dtype=complex)
     U[0] = np.eye(dim)
     _scan(steps, U[1:], _matrix_product)
     return U[: n + 1]  # the padded tail is cut off
+
+
+def ordered_pairs(H, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """`ordered_exponentials` of a stack (N, 2, 2) of Hermitian H_j in
+    Cayley-Klein form: the running products
+    U(t_j) = e^{i phi_j} [[a_j, -conj(b_j)], [b_j, conj(a_j)]] as the pairs
+    (a_j, b_j), an (N+1, 2) stack stored component-major (a and b each one
+    contiguous row), and the real phases phi_j, shape (N+1,): the pairs
+    multiply as SU(2) elements, the phases add by one cumulative sum.  The
+    samples are let go once the steps exist, and the steps once scanned, so
+    `propagate`'s temporary midpoint stack is freed before the scan.
+    """
+    H = _as_square(H)
+    n = H.shape[0]
+    steps, step_phases = _two_level_steps(H, dt)
+    del H  # the samples are no longer read
+    pairs = np.empty_like(steps, shape=(1 + _scan_length(n), 2))  # component-major, as steps
+    pairs[0] = (1.0, 0.0)
+    _scan(steps, pairs[1:], _pair_product)
+    del steps
+    phases = np.zeros(n + 1)
+    np.cumsum(step_phases, out=phases[1:])
+    return pairs[: n + 1], phases
 
 
 def _two_level_steps(H: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -316,14 +386,20 @@ def _two_level_matrices(pairs: np.ndarray, phases: np.ndarray) -> np.ndarray:
         np.conj(a, out=out[..., 1, 1])
         np.negative(np.conj(b), out=out[..., 0, 1])
         return out
-    e = np.empty(phases.shape, dtype=complex)
-    np.cos(phases, out=e.real)
-    np.sin(phases, out=e.imag)
+    e = _phase_factors(phases)
     np.multiply(e, a, out=out[..., 0, 0])
     np.multiply(e, b, out=out[..., 1, 0])
     np.multiply(e, np.conj(a), out=out[..., 1, 1])
     np.multiply(-e, np.conj(b), out=out[..., 0, 1])
     return out
+
+
+def _phase_factors(phases: np.ndarray) -> np.ndarray:
+    """e^{i phi} = cos phi + i sin phi for real phases phi."""
+    e = np.empty(np.shape(phases), dtype=complex)
+    np.cos(phases, out=e.real)
+    np.sin(phases, out=e.imag)
+    return e
 
 
 _SCAN_BLOCK = 16  # steps per block of the scan

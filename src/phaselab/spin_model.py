@@ -7,7 +7,10 @@ diagonalizes the effective Hamiltonian, after which the amplitudes, phases,
 solid angles and interference values are all elementary expressions.  Every
 numerical module in the package is tested against these formulas.  The
 sampled H is stored component-major, each entry one contiguous row over the
-times, behind the usual (n, 2, 2) shape.
+times, behind the usual (n, 2, 2) shape.  Its rows are written in place, from
+cos(omega t) and sin(omega t) taken into the output itself, or read from a
+`RotatingField`: one table on a grid's nodes and midpoints that the points
+of a sweep share while omega and the grid stay fixed.
 """
 from __future__ import annotations
 
@@ -64,24 +67,72 @@ def alpha_of(p: SpinParams) -> float:
     return float(np.arctan2(p.omega * np.sin(p.theta), 2.0 * p.mu_b + p.omega * np.cos(p.theta)))
 
 
-def hamiltonian(p: SpinParams) -> HamiltonianTrajectory:
+def field_rows(omega: float, times: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
+    """cos(omega t) and sin(omega t) at the given times, into `cos` and `sin`
+    (rows of the times' shape, or views): the rotating field's one use of
+    np.cos and np.sin, with the phase omega t its one temporary."""
+    phase = omega * times
+    np.cos(phase, out=cos)
+    np.sin(phase, out=sin)
+
+
+class RotatingField:
+    """cos(omega t) and sin(omega t) on a grid's nodes and on its midpoints,
+    taken once for every scenario that shares omega and the grid, as the
+    points of a sweep over theta, mu_B or big_theta do.
+
+    `rows` finds a table by the identity of the time array it was computed
+    for, and holds those arrays, so no other array (the grid's are
+    read-only) can hit it.
+    """
+
+    def __init__(self, omega: float, grid: TimeGrid):
+        self.omega, self.grid = omega, grid
+        self._tables = []
+        for times in (grid.nodes, grid.midpoints):
+            table = np.empty((2, len(times)))
+            field_rows(omega, times, table[0], table[1])
+            self._tables.append((times, table))
+
+    def rows(self, omega: float, times: np.ndarray):
+        """The (cos, sin) rows of exactly these times at this omega, or None."""
+        if omega == self.omega:
+            for key, table in self._tables:
+                if times is key:
+                    return table
+        return None
+
+
+def hamiltonian(p: SpinParams, field: RotatingField | None = None) -> HamiltonianTrajectory:
     """H(t) = -mu_B B_hat(t) . sigma with B_hat on the theta-cone.
 
     The four entries are written directly: -/+ mu_B cos(theta) on the
     diagonal, -mu_B sin(theta) e^{i omega t} below it and its conjugate above,
     so every sample is exactly Hermitian.  A scalar t gives one 2x2 matrix.
+    cos(omega t) and sin(omega t) come from `field`'s table when it holds the
+    times sampled, and are otherwise taken into the output row itself; the
+    entries are then scaled in place, by the same operations either way.
     """
     sin_t, cos_t = np.sin(p.theta), np.cos(p.theta)
 
     def batch(times: np.ndarray) -> np.ndarray:
-        phi = p.omega * np.asarray(times, dtype=float)
-        out = np.moveaxis(np.empty((2, 2) + phi.shape, dtype=complex), (0, 1), (-2, -1))
+        times = np.asarray(times, dtype=float)
+        out = np.moveaxis(np.empty((2, 2) + times.shape, dtype=complex), (0, 1), (-2, -1))
         out[..., 0, 0] = -p.mu_b * cos_t
         out[..., 1, 1] = p.mu_b * cos_t
         lower, upper = out[..., 1, 0], out[..., 0, 1]
-        lower.real = upper.real = -p.mu_b * (sin_t * np.cos(phi))
-        lower.imag = -p.mu_b * (sin_t * np.sin(phi))
-        upper.imag = -lower.imag
+        re, im = lower.real, lower.imag
+        table = None if field is None else field.rows(p.omega, times)
+        if table is None:
+            field_rows(p.omega, times, re, im)
+            table = re, im
+        # -mu_B (sin(theta) cos(omega t)) and -mu_B (sin(theta) sin(omega t))
+        np.multiply(table[0], sin_t, out=re)
+        np.multiply(re, -p.mu_b, out=re)
+        np.multiply(table[1], sin_t, out=im)
+        np.multiply(im, -p.mu_b, out=im)
+        upper.real = re
+        np.negative(im, out=upper.imag)
         return out
 
     return HamiltonianTrajectory(dim=2, evaluate=batch)

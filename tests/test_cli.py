@@ -9,12 +9,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phaselab import cli, mixed, phases, spin_model
+from phaselab import cli, linalg, mixed, phases, spin_model
 from phaselab.evolution import member_paths, propagate
 from phaselab.numerics import wrap_angle
 
@@ -630,6 +631,65 @@ def test_observables_working_set_at_the_default_steps():
     finally:
         tracemalloc.stop()
     assert peak <= 5.0e6
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-gauge"])
+def test_two_level_runs_never_form_the_propagator_stack(command, monkeypatch, capsys):
+    # at d = 2 every observable, and the gauge campaign, reads the member paths
+    # off the scan's Cayley-Klein pairs: U is never formed as matrices
+    def never(*args):
+        raise AssertionError("the (N+1, 2, 2) propagator stack was formed")
+
+    monkeypatch.setattr(linalg, "_two_level_matrices", never)
+    assert run([command, "--steps", "300", "--trials", "2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def counted_field_rows(monkeypatch):
+    """Count the rotating field's cos/sin evaluations, `spin_model.field_rows`."""
+    calls = []
+    field_rows = spin_model.field_rows
+
+    def counted(omega, times, cos, sin):
+        calls.append(len(times))
+        field_rows(omega, times, cos, sin)
+
+    monkeypatch.setattr(spin_model, "field_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("theta", [0.3, 1.1, 2.9]), ("mu_b", [0.1, 10.0]), ("big_theta", [0.3, 2.9]),
+    ("omega", [0.1, 10.0]),
+])
+def test_sweep_points_share_one_rotating_field_unless_omega_moves(axis, values, monkeypatch):
+    # the rows of a sweep equal each point run alone, byte for byte; cos and
+    # sin are taken once on the shared grid's nodes and once on its midpoints,
+    # and for an omega sweep twice per point
+    cfg = cli.validate_config(cli.ScenarioConfig(steps=300, mu_b=2.0))
+    alone = [cli._sweep_point((index, value, cli.validate_config(dataclasses.replace(
+        cfg, states=spin_model.BRANCHES, **{axis: value})))) for index, value in enumerate(values)]
+    calls = counted_field_rows(monkeypatch)
+    rows, _ = cli.run_sweep(cfg, axis, values)
+    assert repr(rows) == repr(alone)
+    assert calls == ([300, 301] * len(values) if axis == "omega" else [301, 300])
+
+
+def test_no_rotating_field_outlives_its_sweep(monkeypatch):
+    # the table lives for one `run_sweep` call: no cache holds it afterwards
+    fields, arrays = [], []
+
+    class Recorded(spin_model.RotatingField):
+        def __init__(self, omega, grid):
+            super().__init__(omega, grid)
+            fields.append(weakref.ref(self))
+            arrays.extend(weakref.ref(self.rows(omega, times)) for times in (grid.nodes, grid.midpoints))
+
+    monkeypatch.setattr(spin_model, "RotatingField", Recorded)
+    cfg = cli.validate_config(cli.ScenarioConfig(steps=200))
+    rows, _ = cli.run_sweep(cfg, "theta", [0.5, 1.5])
+    assert len(rows) == 2 and len(fields) == 1 and len(arrays) == 2
+    assert fields[0]() is None and all(ref() is None for ref in arrays)
 
 
 def test_reused_parser_keeps_no_state(capsys):

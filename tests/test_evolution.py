@@ -8,7 +8,7 @@ from phaselab import HamiltonianTrajectory, SpinParams, TimeGrid, propagate, spi
 from phaselab.cli import build_scenario, parse_config_file
 from phaselab.evolution import PropagatorPath, member_paths
 from phaselab.exceptions import ContractError, DimensionError, NumericError
-from phaselab.linalg import hermitian_step_exp, unitarity_defect
+from phaselab.linalg import hermitian_step_exp, ordered_exponentials, unitarity_defect
 
 from conftest import mat_exp, random_hermitian
 
@@ -223,8 +223,9 @@ def test_amplitude_path_matches_member_paths_dim3_custom(monkeypatch):
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_member_paths_are_the_products_with_each_state(dim):
-    # psi_k(t_j) = U(t_j) s_k against matmul, on U as `propagate` stores it and
-    # on its C-ordered copy, which give the same bits
+    # psi_k(t_j) = U(t_j) s_k against matmul, on the path `propagate` returns
+    # (at dim 2 its Cayley-Klein pairs), and on U's matrices as `matrices`
+    # lays them out and in C order, which give the same bits
     rng = np.random.default_rng(30 + dim)
     grid = TimeGrid(0.0, 1.0, 300)
     A, B = random_hermitian(rng, dim), random_hermitian(rng, dim)
@@ -235,8 +236,10 @@ def test_member_paths_are_the_products_with_each_state(dim):
     stack = member_paths(U, states)
     assert stack.shape == (grid.steps + 1, dim, 3)
     assert np.max(np.abs(stack - U.matrices @ states.T)) <= 1e-15
+    as_formed = member_paths(PropagatorPath(grid, U.matrices), states)
+    assert np.max(np.abs(as_formed - U.matrices @ states.T)) <= 1e-15
     C_order = PropagatorPath(grid, np.ascontiguousarray(U.matrices))
-    assert np.array_equal(member_paths(C_order, states), stack)
+    assert np.array_equal(member_paths(C_order, states), as_formed)
 
 
 def test_unitarity_gate_reads_any_layout():
@@ -258,3 +261,72 @@ def test_member_paths_rejects_wrong_width(generic_case):
         member_paths(generic_case.U, np.eye(3, dtype=complex))
     with pytest.raises(DimensionError):
         member_paths(generic_case.U, np.array([1.0, 0.0]))
+
+
+def trace_carrying_trajectory(seed: int) -> HamiltonianTrajectory:
+    rng = np.random.default_rng(seed)
+    A, B = random_hermitian(rng, 2), random_hermitian(rng, 2)
+    return HamiltonianTrajectory(2, lambda t: A + np.cos(3.0 * t)[..., None, None] * B)
+
+
+@pytest.mark.parametrize("model", ["spin", "trace-carrying"])
+def test_two_level_path_forms_the_ordered_exponentials_bitwise(model):
+    # at d = 2 `propagate` keeps the scan's Cayley-Klein pairs; `matrices`
+    # forms U from them on read, as `ordered_exponentials` does, and `final`
+    # and `member_paths` read the pairs to the same U
+    if model == "spin":
+        H = spin_model.hamiltonian(SpinParams(1.3, 0.7, 1.1))
+        grid = TimeGrid(0.0, 2.0, 1041)
+    else:
+        H = trace_carrying_trajectory(91)
+        grid = TimeGrid(0.0, 1.0, 1041)
+    path = propagate(H, grid)
+    assert path.stack.shape == (grid.steps + 1, 2) and path.phases.shape == (grid.steps + 1,)
+    assert path.dim == 2 and "matrices" not in vars(path)  # not formed yet
+    expected = ordered_exponentials(H.sample(grid.midpoints), grid.dt)
+    assert path.matrices.tobytes() == expected.tobytes()
+    if model == "spin":  # every phase is zero: U's entries are the pairs' own
+        assert not np.any(path.phases)
+        assert path.final.tobytes() == expected[-1].tobytes()
+    else:
+        assert np.any(path.phases)
+        assert np.max(np.abs(path.final - expected[-1])) <= 1e-15
+    states = np.array([[0.6, 0.8j], [0.8, -0.6j], [1.0, 0.0]])
+    paths = member_paths(path, states)
+    assert np.max(np.abs(paths - expected @ states.T)) <= 1e-15
+    if model == "spin":  # the bits of U's row multiply-adds, U(t_j)_c0 s0 + U(t_j)_c1 s1
+        rows = np.empty((len(states), 2, grid.steps + 1), dtype=complex)
+        for row, (s0, s1) in zip(rows, states.tolist()):
+            for c in range(2):
+                np.multiply(expected[:, c, 0], s0, out=row[c])
+                row[c] += expected[:, c, 1] * s1
+        assert paths.tobytes() == rows.transpose(2, 1, 0).tobytes()
+
+
+def test_pair_gate_rejects_a_non_unit_pair_and_a_nan_phase():
+    # the gate on pairs is sqrt(2) max | |a|^2 + |b|^2 - 1 |, the matrices'
+    # ||U^dagger U - I||_F, and every phase must be finite
+    grid = TimeGrid(0.0, 1.0, 200)
+    path = propagate(trace_carrying_trajectory(92), grid)
+    for j in (0, 100, 200):
+        pairs = path.stack.copy()
+        pairs[j] /= np.linalg.norm(pairs[j])
+        pairs[j] *= np.sqrt(1.0 + 1e-8)  # |a|^2 + |b|^2 = 1 + 1e-8
+        with pytest.raises(ContractError, match="propagator not unitary: defect 1.414e-08"):
+            PropagatorPath(grid, pairs, path.phases)
+    phases = path.phases.copy()
+    phases[57] = np.nan
+    with pytest.raises(ContractError, match="propagator not unitary: defect nan"):
+        PropagatorPath(grid, path.stack, phases)
+    with pytest.raises(DimensionError):
+        PropagatorPath(grid, path.stack, path.phases[:-1])
+
+
+def test_grid_time_arrays_are_read_only():
+    # `spin_model.RotatingField` finds its tables by the identity of these
+    # arrays, so nothing may write into them
+    grid = TimeGrid(0.0, 2.0, 8)
+    for times in (grid.nodes, grid.midpoints):
+        assert times is (grid.nodes if len(times) == 9 else grid.midpoints)
+        with pytest.raises(ValueError, match="read-only"):
+            times[0] = 1.0

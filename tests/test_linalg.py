@@ -17,6 +17,8 @@ from phaselab.linalg import (
     hermitian_step_exp,
     hermiticity_defect,
     ordered_exponentials,
+    ordered_pairs,
+    pair_norm_defect,
     require_hermitian,
     unitarity_defect,
 )
@@ -444,3 +446,47 @@ def test_two_level_stacks_with_a_bad_entry_fail_the_hermiticity_check(entry):
     stack[3, 1, 0] = entry  # Hermitian, but not finite
     with pytest.raises(ContractError, match="non-finite"):
         require_hermitian(stack)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_gates_read_every_piece_of_a_long_stack(dim):
+    # the checks run piece by piece, 2^14 entries each: on a stack of several
+    # pieces and a partial last one they match the general forms formed in
+    # full, wherever the worst matrix sits, and a NaN in a middle piece fails
+    rng = np.random.default_rng(80 + dim)
+    n = 3 * (2**14 // dim**2) + 5
+    A = random_stack(rng, (n, dim, dim))
+    hermitian = A + np.conj(np.swapaxes(A, -2, -1))
+    unitary = np.stack([random_unitary(rng, dim) for _ in range(n)])
+    for worst in (0, n // 2, n - 1):
+        M, U = hermitian.copy(), unitary.copy()
+        M[worst, 0, dim - 1] += 1e-9
+        U[worst] *= 1.0 + 1e-7
+        gram = np.matmul(np.conj(np.swapaxes(U, -2, -1)), U) - np.eye(dim)
+        expected = frobenius_norm(gram)
+        assert abs(unitarity_defect(U) - expected) <= 1e-15 + 1e-12 * expected
+        with pytest.raises(ContractError, match="not Hermitian") as info:
+            require_hermitian(M)
+        expected = hermiticity_defect(M)
+        assert f"= {expected:.3e}" in str(info.value)
+    require_hermitian(hermitian)
+    for stack in (hermitian.copy(), unitary.copy()):
+        stack[n // 2, 0, 0] = np.nan
+        with pytest.raises(ContractError, match="non-finite"):
+            require_hermitian(stack)
+        assert np.isnan(unitarity_defect(stack))
+
+
+def test_ordered_pairs_are_the_two_level_products():
+    # `ordered_exponentials` at d = 2 is the pairs and phases formed into U
+    rng = np.random.default_rng(83)
+    H = np.stack([random_hermitian(rng, 2, scale=2.0) for _ in range(1041)])
+    pairs, phases = ordered_pairs(H, 0.05)
+    assert pairs.shape == (1042, 2) and phases.shape == (1042,)
+    assert pairs[:, 0].flags.c_contiguous and pairs[:, 1].flags.c_contiguous
+    assert ordered_exponentials(H, 0.05).tobytes() == _two_level_matrices(pairs, phases).tobytes()
+    assert pair_norm_defect(pairs) < 1e-12
+    pairs[7] *= 1.0 + 1e-8
+    expected = np.max(np.abs(np.sum(np.abs(pairs) ** 2, axis=1) - 1.0))
+    assert 1.9e-8 < expected < 2.1e-8
+    assert abs(pair_norm_defect(pairs) - expected) <= 1e-15

@@ -321,3 +321,31 @@ def test_mixed_trace_special_case_golden():
         -1j * np.pi * (1 - c)
     )
     assert abs(trace - eq_327) < 1e-12
+
+
+def test_samples_from_a_rotating_field_table_are_the_same_bits():
+    # cos and sin read from the shared table, or taken into the output rows
+    # in place: the same operations, so the same samples, at nodes and midpoints
+    grid = TimeGrid(0.0, GENERIC.period, 400)
+    field = spin_model.RotatingField(GENERIC.omega, grid)
+    own, shared = spin_model.hamiltonian(GENERIC), spin_model.hamiltonian(GENERIC, field)
+    for times in (grid.nodes, grid.midpoints):
+        assert shared.sample(times).tobytes() == own.sample(times).tobytes()
+    assert shared.evaluate(0.37).tobytes() == own.evaluate(0.37).tobytes()
+
+
+def test_rotating_field_serves_only_the_arrays_it_was_computed_for():
+    # looked up by identity, and by omega: an equal copy of the nodes, another
+    # grid's nodes or another omega get no table, so they take their own
+    grid = TimeGrid(0.0, 2.0, 64)
+    field = spin_model.RotatingField(1.5, grid)
+    nodes = field.rows(1.5, grid.nodes)
+    assert nodes.shape == (2, 65)
+    assert nodes.tobytes() == np.stack([np.cos(1.5 * grid.nodes), np.sin(1.5 * grid.nodes)]).tobytes()
+    assert field.rows(1.5, grid.midpoints).shape == (2, 64)
+    for omega, times in ((1.5, grid.nodes.copy()), (1.5, TimeGrid(0.0, 2.0, 64).nodes),
+                         (2.0, grid.nodes)):
+        assert field.rows(omega, times) is None
+    p = SpinParams(0.8, 2.0, 0.9)  # another omega: the sampler takes its own rows
+    own = spin_model.hamiltonian(p).sample(grid.nodes)
+    assert spin_model.hamiltonian(p, field).sample(grid.nodes).tobytes() == own.tobytes()
