@@ -440,14 +440,14 @@ def observables(sc: Scenario) -> Observables:
     """Propagate the scenario once and evaluate every phase observable on it.
 
     The member paths psi_k = U|k> are formed once, as one `PathStack`, so their
-    step phases arg<psi_k(t_j), psi_k(t_{j+1})> are too; every phase is read off it.
-    U is released once U(T) and the member paths are read, before H is
-    sampled on the nodes.
+    step phases arg<psi_k(t_j), psi_k(t_{j+1})> are too; every phase is read off
+    it, Tr[U(T) rho0] as the trace of sum_k psi_k(T)<k| with rho0, as in
+    `gauge_campaign`.  U is released once the member paths are formed, before
+    H is sampled on the nodes.
     """
-    U = _propagate(sc)
-    gamma_total, visibility = mixed_total_phase(density_from_ensemble(sc.ensemble), U.final)
-    members = PathStack(sc.grid, member_paths(U, sc.ensemble.states))
-    del U
+    members = PathStack(sc.grid, member_paths(_propagate(sc), sc.ensemble.states))
+    gamma_total, visibility = mixed_total_phase(
+        density_from_ensemble(sc.ensemble), members.states[-1] @ np.conj(sc.ensemble.states))
     weak, strong, gamma_d = transport_conditions(sc.ensemble.weights, members)
     reports = dict(zip(sc.labels, members.reports(sc.H.sample(sc.grid.nodes))))
     phi_g = dict(zip(sc.labels, np.angle(members.holonomies).tolist()))
@@ -624,39 +624,22 @@ def build_parser() -> argparse.ArgumentParser:
         "sweeps and gauge-invariance verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    simulate = sub.add_parser(
-        "simulate", help="run one scenario and report phase observables"
-    )
-    _add_common_flags(simulate)
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="sweep one spin parameter; CSV columns, in order: "
-        + ",".join(SWEEP_COLUMNS),
-    )
-    _add_common_flags(sweep)
+    for command, text in (
+        ("simulate", "run one scenario and report phase observables"),
+        ("sweep", "sweep one spin parameter; CSV columns, in order: " + ",".join(SWEEP_COLUMNS)),
+        ("verify-gauge", "random-gauge invariance and non-invariance campaign"),
+        ("spin-report", "closed-form spin-model report"),
+        ("purify-demo", "purification round-trip demo"),
+    ):
+        _add_common_flags(sub.add_parser(command, help=text))
+    sweep = sub.choices["sweep"]
     sweep.add_argument("--axis", required=True, help=f"one of {SWEEP_AXES}")
     group = sweep.add_mutually_exclusive_group(required=True)
     group.add_argument("--values", help="comma-separated axis values (may be empty)")
-    group.add_argument(
-        "--linspace",
-        nargs=3,
-        metavar=("START", "STOP", "COUNT"),
-        help="uniformly spaced axis values",
-    )
-
-    verify = sub.add_parser(
-        "verify-gauge", help="random-gauge invariance and non-invariance campaign"
-    )
-    _add_common_flags(verify)
-
-    report = sub.add_parser("spin-report", help="closed-form spin-model report")
-    _add_common_flags(report)
-
-    demo = sub.add_parser("purify-demo", help="purification round-trip demo")
-    _add_common_flags(demo)
-    demo.add_argument("--dim", type=int, default=2, help="density-matrix dimension")
+    group.add_argument("--linspace", nargs=3, metavar=("START", "STOP", "COUNT"),
+                       help="uniformly spaced axis values")
+    sub.choices["purify-demo"].add_argument(
+        "--dim", type=int, default=2, help="density-matrix dimension")
 
     return parser
 

@@ -16,10 +16,10 @@ factors exist, so the midpoint stack, `propagate`'s temporary argument, is
 freed before the scan (on CPython 3.11 and later).  U(t_0) = I exactly, and
 the output is byte-deterministic.  The package's state trajectories are the
 member paths psi_k = U|k> (`member_paths`), which every phase functional
-reads as one `phases.PathStack`.  At d = 2, the pairs, U and the member
-paths are stored with each component one contiguous row over the nodes;
-their shapes are as documented.  A grid's `nodes` and `midpoints` are
-read-only.
+and the mixed trace Tr[U(T) rho0] read as one `phases.PathStack`.  At d = 2,
+the pairs, U and the member paths are stored with each component one
+contiguous row over the nodes; their shapes are as documented.  A grid's
+`nodes` and `midpoints` are read-only.
 """
 from __future__ import annotations
 
@@ -121,7 +121,7 @@ class PropagatorPath:
     Pairs are gated by |a_j|^2 + |b_j|^2 = 1: ||U^dagger U - I||_F is
     sqrt(2) | |a|^2 + |b|^2 - 1 | for such a matrix, whose off-diagonal Gram
     entry cancels, provided phi_j is finite.  `matrices` forms U from pairs on
-    first read; `final` and `member_paths` read the pairs themselves.
+    first read; `member_paths` reads the pairs themselves.
     """
 
     grid: TimeGrid
@@ -159,16 +159,6 @@ class PropagatorPath:
     @property
     def dim(self) -> int:
         return 2 if self.phases is not None else self.stack.shape[-1]
-
-    @property
-    def final(self) -> np.ndarray:
-        if self.phases is None:
-            return self.stack[-1]
-        a, b = self.stack[-1].tolist()
-        U = np.array([[a, -b.conjugate()], [b, a.conjugate()]])
-        if np.any(self.phases):  # as `matrices` decides, over every phi
-            U *= linalg._phase_factors(self.phases[-1:])
-        return U
 
 
 def propagate(H: HamiltonianTrajectory, grid: TimeGrid) -> PropagatorPath:

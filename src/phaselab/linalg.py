@@ -10,29 +10,26 @@ the whole stack sets the squarings and the degree.  `ordered_exponentials`
 turns N generators into the running products U(t_j) of their step
 exponentials with a recursively blocked prefix product: a scan inside blocks
 of 16 steps, the same scan over the block totals for the carries, and one
-broadcast product that applies them.  Two-level systems stay in Cayley-Klein
+broadcast product that applies them; the steps multiply with `np.matmul`,
+the carries with one GEMM per block.  Two-level systems stay in Cayley-Klein
 form end to end (`ordered_pairs`): every step and every running product is
 e^{i phi} [[a, -conj(b)], [b, conj(a)]], the steps come from their closed
 form, the scan multiplies the pairs (a, b) (4 complex products where a 2x2
 matrix product takes 8, on half the memory), and the real phases phi add by
 one cumulative sum.  The propagator keeps those pairs and phases
-(`evolution.PropagatorPath`); `ordered_exponentials` forms U from them
-(`_two_level_matrices`), component-major: its (N+1, 2, 2) shape is a view of
-four contiguous rows.  Other dimensions take their steps from
-`hermitian_step_exp` and multiply matrices with `np.matmul`, the carries
-with one GEMM per block.  Both let go of their samples once the step factors
-exist, and `ordered_pairs` of the steps once they are scanned, so a
-temporary sample stack is freed before the scan.  The propagator's checks
-(`require_hermitian`, `unitarity_defect`, `pair_norm_defect`) are entrywise:
-for stacks of 2x2 matrices and for Cayley-Klein pairs they read the squared
-Frobenius norms off the real and imaginary parts of the entries, with no
-conjugate-transposed copy and no Gram stack; larger matrices keep the
-general forms up to one piece of 2^14 entries (`_pieces`), and longer stacks
-run piece by piece, so that no temporary is stack-sized: `require_hermitian`
-forms one piece of M - M^dagger at a time, and `unitarity_defect` sums the
-Gram entries on and above the diagonal by row multiply-adds over a
-component-major copy of one piece, where `np.matmul` pays its per-matrix
-cost on every U(t_j).
+(`evolution.PropagatorPath`), and U is formed from them
+(`_two_level_matrices`) only when read, component-major: its (N+1, 2, 2)
+shape is a view of four contiguous rows.  Both kernels let go of their
+samples once the step factors exist, and `ordered_pairs` of the steps once
+they are scanned, so a temporary sample stack is freed before the scan.
+Of the propagator's checks, `require_hermitian` reads a stack of 2x2
+matrices and `pair_norm_defect` the Cayley-Klein pairs by squared norms off
+the real and imaginary parts of the entries, with no conjugate-transposed
+copy; larger matrices form M - M^dagger.  `unitarity_defect` forms
+U^dagger U for a stack of one piece of 2^14 entries at most (`_pieces`); a
+longer stack sums the Gram entries on and above the diagonal by row
+multiply-adds over a component-major copy of one piece at a time, where
+`np.matmul` pays its per-matrix cost on every U(t_j).
 Everything batches over leading axes and reproduces bit-identical results
 run to run, which the golden tests rely on.
 """
@@ -108,27 +105,14 @@ def _two_level_squares(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def unitarity_defect(U) -> float:
     """||U^dagger U - I||_F, maximized over batch axes.
 
-    For a stack of 2x2 matrices the Gram entries are read column by column:
-    g00 = |u00|^2 + |u10|^2 - 1, g11 = |u01|^2 + |u11|^2 - 1 and
-    g01 = conj(u00) u01 + conj(u10) u11, so the squared norm is
-    g00^2 + g11^2 + 2 |g01|^2, with no Gram stack.  Other dimensions, and a
-    single matrix, form U^dagger U when U fits in one piece (`_pieces`);
-    a longer stack sums the same squares over the Gram entries on and above
-    the diagonal, g_ij = sum_k conj(u_ki) u_kj, by row multiply-adds over a
-    component-major copy of one piece at a time, where `np.matmul` would pay
-    its per-matrix cost on every matrix.
+    A single matrix, or a stack that fits in one piece (`_pieces`), forms
+    U^dagger U.  A longer stack sums the same squares over the Gram entries
+    on and above the diagonal, g_ij = sum_k conj(u_ki) u_kj, by row
+    multiply-adds over a component-major copy of one piece at a time, where
+    `np.matmul` would pay its per-matrix cost on every matrix.
     """
     U = _as_square(U)
     d = U.shape[-1]
-    if d == 2 and U.ndim > 2:
-        u00, u01, u10, u11 = U[..., 0, 0], U[..., 0, 1], U[..., 1, 0], U[..., 1, 1]
-        g00 = u00.real * u00.real + u00.imag * u00.imag + u10.real * u10.real + u10.imag * u10.imag
-        g11 = u01.real * u01.real + u01.imag * u01.imag + u11.real * u11.real + u11.imag * u11.imag
-        g01 = np.conj(u00) * u01 + np.conj(u10) * u11
-        g00 -= 1.0
-        g11 -= 1.0
-        squared = g00 * g00 + g11 * g11 + 2.0 * (g01.real * g01.real + g01.imag * g01.imag)
-        return float(np.sqrt(np.max(squared)))
     if U.size <= _CHUNK:  # one piece at most, where a Gram stack costs less than the loop
         gram = np.conj(np.swapaxes(U, -2, -1)) @ U  # a fresh contiguous stack
         gram.reshape(-1, d * d)[:, :: d + 1] -= 1.0  # its diagonal, in place
@@ -187,11 +171,7 @@ def require_hermitian(M, tol: float = 1e-12, name: str = "matrix") -> np.ndarray
         defect, scale = np.sqrt([np.max(squares) for squares in _two_level_squares(M)])
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, or an overflow: not finite
-            if M.size <= _CHUNK:
-                defect, scale = hermiticity_defect(M), frobenius_norm(M)
-            else:  # piece by piece, so that M - M^H is never stack-sized; a NaN propagates
-                pieces = [(hermiticity_defect(piece), frobenius_norm(piece)) for piece in _pieces(M)]
-                defect, scale = np.max(pieces, axis=0)
+            defect, scale = hermiticity_defect(M), frobenius_norm(M)
     if not scale < math.inf:
         raise ContractError(f"{name} has a non-finite Frobenius norm ({scale})")
     if not defect <= tol * max(scale, 1.0):  # a NaN defect fails too
@@ -292,19 +272,15 @@ def ordered_exponentials(H, dt: float) -> np.ndarray:
     """Running products I, S_0, S_1 S_0, ..., S_{N-1} ... S_0 of the steps
     S_j = exp(-i dt H_j) of a stack (N, d, d) of Hermitian H_j.
 
-    A recursively blocked prefix product (Blelloch's blocked scan, `_scan`).
-    For d = 2 it runs on Cayley-Klein pairs (`ordered_pairs`), and U is
-    formed once, at the end.  For d >= 3 the steps come from
-    `hermitian_step_exp` and multiply as matrices.  The blocking depends on N
-    alone, so the output is byte-deterministic.  At d >= 3 the samples are
-    let go once the step factors exist: a temporary stack passed in, as
-    `propagate` passes its midpoint samples, is freed before the scan on
-    CPython 3.11 and later.
+    A recursively blocked prefix product (Blelloch's blocked scan, `_scan`)
+    of the steps of `hermitian_step_exp`, multiplied as matrices; `propagate`
+    sends d = 2 to `ordered_pairs` instead.  The blocking depends on N alone,
+    so the output is byte-deterministic.  The samples are let go once the
+    step factors exist: a temporary stack passed in, as `propagate` passes
+    its midpoint samples, is freed before the scan on CPython 3.11 and later.
     """
     H = _as_square(H)
     n, dim = H.shape[0], H.shape[-1]
-    if dim == 2:
-        return _two_level_matrices(*ordered_pairs(H, dt))
     steps = hermitian_step_exp(H, dt)
     del H  # the samples are no longer read
     U = np.empty((1 + _scan_length(n), dim, dim), dtype=complex)
@@ -373,19 +349,9 @@ def _two_level_steps(H: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _two_level_matrices(pairs: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """e^{i phi} [[a, -conj(b)], [b, conj(a)]] for pairs (..., 2) and real
-    phases phi (...), as a stack (..., 2, 2).
-
-    When every phi is zero, as for a traceless H, the entries are copied
-    instead of multiplied by e^{i phi} = 1; only the sign of a zero differs.
-    """
+    phases phi (...), as a stack (..., 2, 2)."""
     a, b = pairs[..., 0], pairs[..., 1]
     out = np.moveaxis(np.empty((2, 2, *phases.shape), dtype=complex), (0, 1), (-2, -1))
-    if not np.any(phases):
-        out[..., 0, 0] = a
-        out[..., 1, 0] = b
-        np.conj(a, out=out[..., 1, 1])
-        np.negative(np.conj(b), out=out[..., 0, 1])
-        return out
     e = _phase_factors(phases)
     np.multiply(e, a, out=out[..., 0, 0])
     np.multiply(e, b, out=out[..., 1, 0])

@@ -78,8 +78,8 @@ def sweep():
         )
         fine = propagate(H, TimeGrid(0.0, p.period, 2 * BASE_STEPS))
         err_half = max(
-            float(np.linalg.norm(fine.final @ w_plus - exact_plus)),
-            float(np.linalg.norm(fine.final @ w_minus - exact_minus)),
+            float(np.linalg.norm(fine.matrices[-1] @ w_plus - exact_plus)),
+            float(np.linalg.norm(fine.matrices[-1] @ w_minus - exact_minus)),
         )
         criterion1_runtime = time.perf_counter() - start
         geometric = dict(zip("+-", np.angle(paths.holonomies)))
@@ -154,9 +154,9 @@ def test_criterion_4_hidden_gauge_invariance():
 
     base_trace = frame_trace(frame, samples, weights)
     base_singh = singh_phase(weights, case.members)
-    base_gamma, _ = mixed_total_phase(rho0, case.U.final)
+    base_gamma, _ = mixed_total_phase(rho0, case.U.matrices[-1])
     base_dyn = transport_conditions(weights, case.members)[2]
-    diag_UT = np.array([np.vdot(s, case.U.final @ s) for s in case.ensemble.states])
+    diag_UT = np.array([np.vdot(s, case.U.matrices[-1] @ s) for s in case.ensemble.states])
 
     worst_invariant = 0.0
     worst_gamma_mismatch = 0.0
@@ -210,7 +210,7 @@ def test_criterion_5_special_case():
     case = build_spin_case(1.0, 4.0, 2.0 * np.pi / 3, big_theta=np.pi / 2, steps=BASE_STEPS)
     _, strong, dyn = transport_conditions(case.weights, case.members)
     rho0 = density_from_ensemble(case.ensemble)
-    gamma, vis = mixed_total_phase(rho0, case.U.final)
+    gamma, vis = mixed_total_phase(rho0, case.U.matrices[-1])
     singh = singh_phase(case.weights, case.members)
     c = np.cos(case.p.theta - case.p.alpha)
     expected_trace = np.cos(case.p.big_theta / 2) ** 2 * np.exp(

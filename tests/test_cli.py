@@ -281,9 +281,31 @@ def test_observables_match_the_per_path_functions(case, monkeypatch):
     assert np.max(np.abs(obs.transport_strong - strong)) <= 1e-13
     assert abs(obs.mixed_dynamical - gamma_d) <= 1e-13
     gamma_total, visibility = mixed.mixed_total_phase(mixed.density_from_ensemble(sc.ensemble),
-                                                      U.final)
+                                                      U.matrices[-1])
     assert abs(obs.gamma_total - gamma_total) <= 1e-13
     assert abs(obs.visibility - visibility) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["spin", "spin-incomplete", "custom", "custom-incomplete"])
+def test_mixed_trace_is_the_partial_map_of_the_member_paths(case, monkeypatch):
+    # gamma_T and the visibility come from Tr[U(T) rho0] = sum_k w_k <k|psi_k(T)>,
+    # the trace of sum_k psi_k(T)<k| with rho0, for complete and incomplete
+    # orthonormal ensembles alike: they match the trace with U(T) itself
+    if case.startswith("custom"):
+        monkeypatch.chdir(Path(__file__).parent / "golden")
+        cfg = cli.parse_config_file("custom.cfg")
+    else:
+        cfg = cli.ScenarioConfig()
+    if case == "spin-incomplete":
+        cfg = dataclasses.replace(cfg, states=("+",), weights=(1.0,))
+    elif case == "custom-incomplete":
+        cfg = dataclasses.replace(cfg, states=("0", "2"), weights=(0.6, 0.4))
+    sc = cli.build_scenario(cli.validate_config(cfg))
+    obs = cli.observables(sc)
+    rho0 = mixed.density_from_ensemble(sc.ensemble)
+    gamma_total, visibility = mixed.mixed_total_phase(rho0, propagate(sc.H, sc.grid).matrices[-1])
+    assert abs(obs.gamma_total - gamma_total) <= 1e-14
+    assert abs(obs.visibility - visibility) <= 1e-14
 
 
 BOX_CORNERS = [(0.1, 0.1), (0.1, 10.0), (10.0, 0.1), (10.0, 10.0)]
@@ -619,9 +641,9 @@ def test_importing_the_cli_loads_no_process_pool():
 
 
 def test_observables_working_set_at_the_default_steps():
-    # U is released once U(T) and the member paths are read, and the midpoint
-    # samples once the step factors exist: at 20000 steps and d = 2 the peak
-    # is about 200 bytes per step (4.0 MB), where holding both read 6.25 MB
+    # U is released once the member paths are formed, and the midpoint samples
+    # once the step factors exist: at 20000 steps and d = 2 the peak is about
+    # 200 bytes per step (4.0 MB), where holding both read 6.25 MB
     sc = cli.build_scenario(cli.validate_config(cli.ScenarioConfig()))
     sc.grid.nodes, sc.grid.midpoints  # cached on the grid, so they outlive the call
     tracemalloc.start()

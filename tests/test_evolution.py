@@ -8,7 +8,8 @@ from phaselab import HamiltonianTrajectory, SpinParams, TimeGrid, propagate, spi
 from phaselab.cli import build_scenario, parse_config_file
 from phaselab.evolution import PropagatorPath, member_paths
 from phaselab.exceptions import ContractError, DimensionError, NumericError
-from phaselab.linalg import hermitian_step_exp, ordered_exponentials, unitarity_defect
+from phaselab.linalg import (_two_level_matrices, hermitian_step_exp, ordered_pairs,
+                             unitarity_defect)
 
 from conftest import mat_exp, random_hermitian
 
@@ -30,8 +31,8 @@ def spin_state_error(p: SpinParams, steps: int) -> float:
     w_plus, w_minus = spin_model.w_basis(p, 0.0)
     exact_plus, exact_minus = spin_model.exact_amplitudes(p, p.period)
     return max(
-        float(np.linalg.norm(U.final @ w_plus - exact_plus)),
-        float(np.linalg.norm(U.final @ w_minus - exact_minus)),
+        float(np.linalg.norm(U.matrices[-1] @ w_plus - exact_plus)),
+        float(np.linalg.norm(U.matrices[-1] @ w_minus - exact_minus)),
     )
 
 
@@ -51,7 +52,7 @@ def test_constant_hamiltonian_exact():
     mu_b, T = 0.8, 3.0
     H = constant_trajectory(-mu_b * SZ)
     U = propagate(H, TimeGrid(0.0, T, 400))
-    assert np.max(np.abs(U.final - mat_exp(1j * mu_b * T * SZ))) < 1e-12
+    assert np.max(np.abs(U.matrices[-1] - mat_exp(1j * mu_b * T * SZ))) < 1e-12
 
 
 def test_spin_oracle_at_acceptance_resolution():
@@ -88,7 +89,7 @@ def test_composition_over_subintervals():
     full = propagate(H, TimeGrid(0.0, T, 2000))
     first = propagate(H, TimeGrid(0.0, T / 2, 1000))
     second = propagate(H, TimeGrid(T / 2, T, 1000))
-    assert np.max(np.abs(second.final @ first.final - full.final)) < 1e-8
+    assert np.max(np.abs(second.matrices[-1] @ first.matrices[-1] - full.matrices[-1])) < 1e-8
 
 
 def test_piecewise_constant_is_exact_per_segment():
@@ -104,7 +105,7 @@ def test_piecewise_constant_is_exact_per_segment():
     H = HamiltonianTrajectory(3, evaluate=batch)
     U = propagate(H, TimeGrid(0.0, T, 64))
     expected = mat_exp(-1j * (T / 2) * H2) @ mat_exp(-1j * (T / 2) * H1)
-    assert np.max(np.abs(U.final - expected)) < 1e-12
+    assert np.max(np.abs(U.matrices[-1] - expected)) < 1e-12
 
 
 SCAN_SIZES = (1, 2, 3, 37, 64, 65, 1040, 1041, 20000, 40000)
@@ -272,8 +273,7 @@ def trace_carrying_trajectory(seed: int) -> HamiltonianTrajectory:
 @pytest.mark.parametrize("model", ["spin", "trace-carrying"])
 def test_two_level_path_forms_the_ordered_exponentials_bitwise(model):
     # at d = 2 `propagate` keeps the scan's Cayley-Klein pairs; `matrices`
-    # forms U from them on read, as `ordered_exponentials` does, and `final`
-    # and `member_paths` read the pairs to the same U
+    # forms U from them on read, and `member_paths` reads the pairs to the same U
     if model == "spin":
         H = spin_model.hamiltonian(SpinParams(1.3, 0.7, 1.1))
         grid = TimeGrid(0.0, 2.0, 1041)
@@ -283,14 +283,9 @@ def test_two_level_path_forms_the_ordered_exponentials_bitwise(model):
     path = propagate(H, grid)
     assert path.stack.shape == (grid.steps + 1, 2) and path.phases.shape == (grid.steps + 1,)
     assert path.dim == 2 and "matrices" not in vars(path)  # not formed yet
-    expected = ordered_exponentials(H.sample(grid.midpoints), grid.dt)
+    expected = _two_level_matrices(*ordered_pairs(H.sample(grid.midpoints), grid.dt))
     assert path.matrices.tobytes() == expected.tobytes()
-    if model == "spin":  # every phase is zero: U's entries are the pairs' own
-        assert not np.any(path.phases)
-        assert path.final.tobytes() == expected[-1].tobytes()
-    else:
-        assert np.any(path.phases)
-        assert np.max(np.abs(path.final - expected[-1])) <= 1e-15
+    assert np.any(path.phases) == (model == "trace-carrying")  # a traceless H has none
     states = np.array([[0.6, 0.8j], [0.8, -0.6j], [1.0, 0.0]])
     paths = member_paths(path, states)
     assert np.max(np.abs(paths - expected @ states.T)) <= 1e-15

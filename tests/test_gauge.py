@@ -379,7 +379,7 @@ def test_frame_trace_matches_direct_trace(generic_case):
         raw = rng.uniform(0.1, 1.0, size=2)
         weights = raw / raw.sum()
         rho0 = np.einsum("k,ka,kb->ab", weights, direct_basis, np.conj(direct_basis))
-        direct = np.trace(generic_case.U.final @ rho0)
+        direct = np.trace(generic_case.U.matrices[-1] @ rho0)
         via_frame = frame_trace(frame, samples, weights)
         assert abs(via_frame - direct) < 1e-6
 

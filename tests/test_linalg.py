@@ -327,7 +327,8 @@ def test_two_level_matrices_are_the_phased_pair_matrices():
     assert np.array_equal(U[:, 0, 1], -e * np.conj(b))
     assert np.array_equal(U[:, 1, 1], e * np.conj(a))
     assert np.array_equal(_two_level_matrices(pairs[4], phases[4]), U[4])
-    # all phases zero, as for a traceless H: the entries are the pair's own
+    # all phases zero, as for a traceless H: the entries are the pair's own,
+    # e^{i 0} = 1 changing at most the sign of a zero
     U = _two_level_matrices(pairs, np.zeros(9))
     assert np.array_equal(U[:, 0, 0], a) and np.array_equal(U[:, 1, 0], b)
     assert np.array_equal(U[:, 0, 1], -np.conj(b)) and np.array_equal(U[:, 1, 1], np.conj(a))
@@ -449,10 +450,11 @@ def test_two_level_stacks_with_a_bad_entry_fail_the_hermiticity_check(entry):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
-def test_gates_read_every_piece_of_a_long_stack(dim):
-    # the checks run piece by piece, 2^14 entries each: on a stack of several
-    # pieces and a partial last one they match the general forms formed in
-    # full, wherever the worst matrix sits, and a NaN in a middle piece fails
+def test_gates_read_every_matrix_of_a_long_stack(dim):
+    # the unitarity check runs piece by piece, 2^14 entries each, and the
+    # Hermiticity check over the whole stack: on a stack of several pieces and
+    # a partial last one both match the general forms formed in full, wherever
+    # the worst matrix sits, and a NaN in a middle piece fails both
     rng = np.random.default_rng(80 + dim)
     n = 3 * (2**14 // dim**2) + 5
     A = random_stack(rng, (n, dim, dim))
@@ -478,13 +480,18 @@ def test_gates_read_every_piece_of_a_long_stack(dim):
 
 
 def test_ordered_pairs_are_the_two_level_products():
-    # `ordered_exponentials` at d = 2 is the pairs and phases formed into U
+    # the pairs and phases formed into U, whatever the layout of H: a
+    # Fortran-ordered stack gives the same bits; the Taylor kernel and the
+    # matrix scan of `ordered_exponentials` agree with the closed-form pair
+    # scan to 1e-13 (the gap is about 4e-15)
     rng = np.random.default_rng(83)
     H = np.stack([random_hermitian(rng, 2, scale=2.0) for _ in range(1041)])
     pairs, phases = ordered_pairs(H, 0.05)
     assert pairs.shape == (1042, 2) and phases.shape == (1042,)
     assert pairs[:, 0].flags.c_contiguous and pairs[:, 1].flags.c_contiguous
-    assert ordered_exponentials(H, 0.05).tobytes() == _two_level_matrices(pairs, phases).tobytes()
+    U = _two_level_matrices(pairs, phases)
+    assert _two_level_matrices(*ordered_pairs(np.asfortranarray(H), 0.05)).tobytes() == U.tobytes()
+    assert np.max(np.abs(ordered_exponentials(H, 0.05) - U)) <= 1e-13
     assert pair_norm_defect(pairs) < 1e-12
     pairs[7] *= 1.0 + 1e-8
     expected = np.max(np.abs(np.sum(np.abs(pairs) ** 2, axis=1) - 1.0))

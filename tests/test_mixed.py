@@ -96,14 +96,14 @@ def test_mixed_total_phase_global_phase():
 def test_mixed_total_phase_pure_reduction(generic_case):
     initial, final = generic_case.paths["+"].states[[0, -1], :, 0]
     rho = DensityMatrix(np.outer(initial, np.conj(initial)))
-    gamma, vis = mixed_total_phase(rho, generic_case.U.final)
+    gamma, vis = mixed_total_phase(rho, generic_case.U.matrices[-1])
     assert gamma == pytest.approx(np.angle(np.vdot(initial, final)), abs=1e-12)
     assert vis == pytest.approx(abs(np.vdot(initial, final)), abs=1e-12)
 
 
 def test_mixed_total_phase_special_case(special_case):
     rho = density_from_ensemble(special_case.ensemble)
-    gamma, vis = mixed_total_phase(rho, special_case.U.final)
+    gamma, vis = mixed_total_phase(rho, special_case.U.matrices[-1])
     expected = spin_model.mixed_trace(special_case.p)
     assert abs(vis * np.exp(1j * gamma) - expected) < 1e-6
 
@@ -134,7 +134,7 @@ LIST_RECORDS = {
     "PathStack": (lambda: PathStack(GRID, [[[1], [0]]] * 5), "states",
                   lambda r: r.size == 1 and list(r.endpoint_overlaps) == [1]),
     "PropagatorPath": (lambda: PropagatorPath(GRID, [[[1, 0], [0, 1]]] * 5), "matrices",
-                       lambda r: r.dim == 2 and r.final.shape == (2, 2)),
+                       lambda r: r.dim == 2 and r.matrices[-1].shape == (2, 2)),
     "BasisFrame": (lambda: BasisFrame(GRID, [[[1], [0]]] * 5, ("a",)), "states",
                    lambda r: r.dim == 2 and r.component("a").shape == (5, 2)),
 }
@@ -197,7 +197,7 @@ def test_interference_curve_reproduces_spin_formula(generic_case):
     p = generic_case.p
     initial = generic_case.paths["+"].states[0, :, 0]
     rho = DensityMatrix(np.outer(initial, np.conj(initial)))
-    gamma_total, visibility = mixed_total_phase(rho, generic_case.U.final)
+    gamma_total, visibility = mixed_total_phase(rho, generic_case.U.matrices[-1])
     value = 1.0 + visibility * np.cos(-gamma_total)  # the fringe 1 + v cos(chi - gamma_T) at chi = 0
     assert value == pytest.approx(spin_model.interference_value(p), abs=1e-6)
 
@@ -296,7 +296,7 @@ def test_singh_phase_invariant_under_path_phases(generic_case):
 
 def test_singh_phase_equals_total_phase_at_special_point(special_case):
     rho0 = density_from_ensemble(special_case.ensemble)
-    gamma, _ = mixed_total_phase(rho0, special_case.U.final)
+    gamma, _ = mixed_total_phase(rho0, special_case.U.matrices[-1])
     assert abs(wrap_angle(singh_phase(special_case.weights, special_case.members) - gamma)) < 1e-6
 
 
@@ -386,9 +386,9 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
     ensemble = Ensemble(np.array([0.5, 0.3, 0.2]), random_unitary(rng, 3).T.copy())
     labels, trials, scale = ("a", "b", "c"), 6, 0.3
     rho0 = density_from_ensemble(ensemble)
-    base_gamma, _ = mixed_total_phase(rho0, U.final)
+    base_gamma, _ = mixed_total_phase(rho0, U.matrices[-1])
     base_dyn = gamma_d(eigen_ensemble(rho0), U)
-    diag_UT = np.array([np.vdot(s, U.final @ s) for s in ensemble.states])
+    diag_UT = np.array([np.vdot(s, U.matrices[-1] @ s) for s in ensemble.states])
     draws = np.random.default_rng(5)
     mismatch_gamma = mismatch_dyn = naive_gamma = naive_dyn = 0.0
     for _ in range(trials):
@@ -399,7 +399,7 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
                               np.exp(1j * ramped.value(U.grid.nodes)), np.conj(ensemble.states))
         U_prime = PropagatorPath(U.grid, np.einsum("jab,jbc->jac", U.matrices, rephasing))
         theta_0, theta_T = ramped.value(0.0), ramped.value(U.grid.t_end)
-        gamma, _ = mixed_total_phase(rho0, U_prime.final)
+        gamma, _ = mixed_total_phase(rho0, U_prime.matrices[-1])
         predicted = np.angle(np.sum(ensemble.weights * diag_UT * np.exp(1j * theta_T)))
         mismatch_gamma = max(mismatch_gamma, abs(wrap_angle(gamma - predicted)))
         naive_gamma = max(naive_gamma, abs(wrap_angle(gamma - base_gamma)))

@@ -96,6 +96,6 @@ def test_cyclic_states_carry_the_closed_form_phases(name):
     weights = np.arange(d, 0, -1) / (d * (d + 1) / 2)
     rho0 = density_from_ensemble(Ensemble(weights, family.chi.T))
     trace = np.exp(1j * family.kappa) * np.sum(weights * np.exp(-1j * family.lam * family.period))
-    gamma_total, visibility = mixed_total_phase(rho0, U.final)
+    gamma_total, visibility = mixed_total_phase(rho0, U.matrices[-1])
     assert abs(wrap_angle(gamma_total - np.angle(trace))) <= 1e-5
     assert abs(visibility - abs(trace)) <= 1e-5
