@@ -21,7 +21,7 @@ from .exceptions import (
 )
 from .gauge import BasisFrame, GaugeFunction
 from .mixed import DensityMatrix, Ensemble, PurifiedState
-from .phases import PathStack, PhaseReport
+from .phases import PathStack
 from .spin_model import SpinParams
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ __all__ = [
     "OrthogonalityCrossingError",
     "PathStack",
     "PhaseLabError",
-    "PhaseReport",
     "PropagatorPath",
     "PurifiedState",
     "SpinParams",

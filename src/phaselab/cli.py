@@ -263,13 +263,13 @@ def load_sampled_hamiltonian(path: str, t_end: float) -> HamiltonianTrajectory:
 
 @dataclass
 class Scenario:
-    """Everything a run needs: Hamiltonian, grid, ensemble and labels."""
+    """Everything a run needs: Hamiltonian, grid and ensemble, whose states are
+    `cfg.states` in order."""
 
     cfg: ScenarioConfig
     H: HamiltonianTrajectory
     grid: TimeGrid
     ensemble: Ensemble
-    labels: tuple
     params: spin_model.SpinParams | None
 
 
@@ -314,8 +314,7 @@ def build_scenario(cfg: ScenarioConfig,
         raise ConfigError(f"field 'states': selectors must differ, got {','.join(cfg.states)}")
     ensemble = Ensemble(weights=cfg.resolved_weights(), states=basis[index])
     grid = field.grid if field is not None else TimeGrid(0.0, _horizon(cfg), cfg.steps)
-    return Scenario(cfg=cfg, H=H, grid=grid, ensemble=ensemble, labels=tuple(cfg.states),
-                    params=params)
+    return Scenario(cfg=cfg, H=H, grid=grid, ensemble=ensemble, params=params)
 
 
 def _json_value(value):
@@ -411,16 +410,19 @@ def scenario_header(cfg: ScenarioConfig, command: str) -> dict:
 
 @dataclass(frozen=True)
 class Observables:
-    """Everything `simulate` reports and a `sweep` row carries, for one scenario."""
+    """Everything `simulate` reports and a `sweep` row carries, for one scenario:
+    the per-path arrays are in ensemble order."""
 
     gamma_total: float
     visibility: float
-    reports: dict  # label -> PhaseReport
-    phi_g: dict  # label -> arg of the member path's holonomy
     singh_phase: float
     mixed_dynamical: float
     transport_weak: float
-    transport_strong: np.ndarray  # one residual per label
+    phi_t: np.ndarray  # arg<psi_k(0), psi_k(T)>
+    overlap: np.ndarray  # |<psi_k(0), psi_k(T)>|
+    phi_d: np.ndarray
+    phi_g: np.ndarray  # arg of the member path's holonomy
+    transport_strong: np.ndarray
 
 
 def _propagate(sc: Scenario) -> PropagatorPath:
@@ -449,11 +451,11 @@ def observables(sc: Scenario) -> Observables:
     gamma_total, visibility = mixed_total_phase(
         density_from_ensemble(sc.ensemble), members.states[-1] @ np.conj(sc.ensemble.states))
     weak, strong, gamma_d = transport_conditions(sc.ensemble.weights, members)
-    reports = dict(zip(sc.labels, members.reports(sc.H.sample(sc.grid.nodes))))
-    phi_g = dict(zip(sc.labels, np.angle(members.holonomies).tolist()))
-    singh = singh_phase(sc.ensemble.weights, members)
-    return Observables(gamma_total, visibility, reports, phi_g, singh,
-                       gamma_d, weak, strong)
+    phi_t, overlap = members.totals()
+    phi_d = members.dynamical(sc.H.sample(sc.grid.nodes))
+    phi_g = np.angle(members.holonomies)
+    return Observables(gamma_total, visibility, singh_phase(sc.ensemble.weights, members),
+                       gamma_d, weak, phi_t, overlap, phi_d, phi_g, strong)
 
 
 def run_scenario(cfg: ScenarioConfig):
@@ -462,15 +464,12 @@ def run_scenario(cfg: ScenarioConfig):
     obs = observables(sc)
     strong = obs.transport_strong
     records = [("gamma_total", "", obs.gamma_total), ("visibility", "", obs.visibility)]
-    for label, report in obs.reports.items():
-        records.append(("phi_g", label, obs.phi_g[label]))
-        records.append(("phi_t", label, report.total))
-        records.append(("phi_d", label, report.dynamical))
+    for label, phi_g, phi_t, phi_d in zip(cfg.states, obs.phi_g, obs.phi_t, obs.phi_d):
+        records += [("phi_g", label, phi_g), ("phi_t", label, phi_t), ("phi_d", label, phi_d)]
     records.append(("singh_phase", "", obs.singh_phase))
     records.append(("mixed_dynamical", "", obs.mixed_dynamical))
     records.append(("transport_weak", "", obs.transport_weak))
-    for label, value in zip(sc.labels, strong):
-        records.append(("transport_strong", label, float(value)))
+    records += [("transport_strong", label, value) for label, value in zip(cfg.states, strong)]
     records.append(("strong_transport_satisfied", "", bool(np.max(strong) <= 1e-6)))
     return records, scenario_header(cfg, "simulate")
 
@@ -483,10 +482,9 @@ def _sweep_point(point: tuple, field: spin_model.RotatingField | None = None) ->
     p = sc.params
     obs = observables(sc)
     row = [index, value, p.mu_b, p.omega, p.theta, p.big_theta, p.alpha, p.period]
-    for label in spin_model.BRANCHES:
-        r = obs.reports[label]
-        row += [r.total, r.dynamical, obs.phi_g[label], r.overlap_magnitude,
-                r.transport_residual]
+    # one block per branch, in `run_sweep`'s ensemble order spin_model.BRANCHES
+    for per_path in zip(obs.phi_t, obs.phi_d, obs.phi_g, obs.overlap, obs.transport_strong):
+        row += per_path
     row += [
         obs.gamma_total,
         obs.visibility,
@@ -541,10 +539,10 @@ def run_verify_gauge(cfg: ScenarioConfig):
     """Invariance campaign: hidden-gauge invariants stay fixed, equivalence-class
     transforms shift gamma_T / gamma_D by exactly the predicted amounts."""
     sc = build_scenario(cfg)
-    if len(sc.labels) != sc.H.dim:
+    if sc.ensemble.size != sc.H.dim:
         raise ConfigError(f"field 'states': verify-gauge needs a complete state basis, one "
-                          f"state per dimension: got {len(sc.labels)} for dimension {sc.H.dim}")
-    values = gauge_campaign(sc.H, _propagate(sc), sc.ensemble, sc.labels,
+                          f"state per dimension: got {sc.ensemble.size} for dimension {sc.H.dim}")
+    values = gauge_campaign(sc.H, _propagate(sc), sc.ensemble,
                             np.random.default_rng(cfg.seed), cfg.trials, cfg.gauge_scale)
     records = [(name, "", value) for name, value in values.items()]
     header = scenario_header(cfg, "verify-gauge")

@@ -6,7 +6,7 @@ class PhaseLabError(Exception):
 
 
 class DimensionError(PhaseLabError, ValueError):
-    """Shapes, labels or grids do not match."""
+    """Shapes or grids do not match."""
 
 
 class NumericError(PhaseLabError, ValueError):

@@ -6,23 +6,24 @@ symmetry of the physics: amplitudes rebuilt from a transformed frame change
 only by the constant e^{i alpha_k(0)}, and the trace formula (prefactor times
 exponential of connection-minus-energy integral) is invariant.  The geometric
 phase is the holonomy left over after parallel transporting the frame.  A
-BasisFrame is a `phases.PathStack` whose members carry labels, in the
-package's one (steps + 1, dim, L) layout, so the connection, holonomies, trace
-formula and rebuilt amplitudes read its own step phases arg<v_j, v_{j+1}>, and
-parallel transport is one `phases.parallel_transport` call on its states.
-`effective_hamiltonian`, whose off-diagonal <v_n| i d/dt v_m> is no step phase,
-reads the step-overlap matrices V_j^dagger V_{j+1} instead; nothing here
-differentiates states.  A `GaugeFunction` evaluates the phases of
-every label at once.  H comes in as its samples on the frame's grid nodes.
+BasisFrame is a `phases.PathStack` checked orthonormal at every node, in the
+package's one (steps + 1, dim, L) layout, whose members are named by their
+position, so the connection, holonomies, trace formula and rebuilt amplitudes
+read its own step phases arg<v_j, v_{j+1}>, and parallel transport is one
+`phases.parallel_transport` call on its states.  The gauge transform is
+`mixed.transform_evolution`, the one rephasing of any PathStack, member paths
+and frames alike; it keeps every Gram entry to rounding, so its output is not
+checked again.  `effective_hamiltonian`, whose off-diagonal <v_n| i d/dt v_m>
+is no step phase, reads the step-overlap matrices V_j^dagger V_{j+1} instead;
+nothing here differentiates states.  A `GaugeFunction` evaluates the phases of
+every member at once.  H comes in as its samples on the frame's grid nodes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .evolution import TimeGrid
 from .exceptions import (
     ContractError,
     DimensionError,
@@ -37,20 +38,19 @@ OVERLAP_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class GaugeFunction:
-    """Per-label smooth real gauge functions alpha_k(t).
+    """Per-member smooth real gauge functions alpha_k(t), one row per member.
 
-    Each label carries a trigonometric polynomial of the stated period plus an
+    Each row carries a trigonometric polynomial of the stated period plus an
     optional linear ramp:  alpha(t) = c0 + slope * t
     + sum_m a_m cos(2 pi m t / T) + b_m sin(2 pi m t / T).
     Slope zero keeps the gauge periodic, which preserves frame closure
     v(T) = v(0); nonzero slopes produce the endpoint offsets that the
     equivalence-class (non-)invariance laws predict.
 
-    `value(t)` and `derivative(t)` evaluate every label from one cos/sin table
-    of the times and return shape (L, *t.shape), rows in label order.
+    `value(t)` and `derivative(t)` evaluate every row from one cos/sin table
+    of the times and return shape (L, *t.shape), rows in member order.
     """
 
-    labels: tuple
     period: float
     const: np.ndarray  # (L,)
     cos_coeffs: np.ndarray  # (L, degree)
@@ -58,11 +58,14 @@ class GaugeFunction:
     slope: np.ndarray  # (L,)
 
     def __post_init__(self):
-        L = len(self.labels)
-        if self.const.shape != (L,) or self.slope.shape != (L,):
-            raise DimensionError("gauge coefficient shapes do not match labels")
-        if self.cos_coeffs.shape != self.sin_coeffs.shape or self.cos_coeffs.shape[0] != L:
-            raise DimensionError("gauge coefficient shapes do not match labels")
+        L = (np.size(self.const),)
+        cos, sin = self.cos_coeffs.shape, self.sin_coeffs.shape
+        if self.const.shape != L or self.slope.shape != L or cos[:1] != L or sin != cos:
+            raise DimensionError("gauge coefficient shapes do not match")
+
+    @property
+    def size(self) -> int:
+        return len(self.const)
 
     @property
     def degree(self) -> int:
@@ -95,112 +98,63 @@ class GaugeFunction:
         return np.moveaxis(out, -1, 0)
 
     def negated(self) -> "GaugeFunction":
-        return GaugeFunction(
-            labels=self.labels,
-            period=self.period,
-            const=-self.const,
-            cos_coeffs=-self.cos_coeffs,
-            sin_coeffs=-self.sin_coeffs,
-            slope=-self.slope,
-        )
+        return GaugeFunction(self.period, -self.const, -self.cos_coeffs, -self.sin_coeffs,
+                             -self.slope)
 
     @classmethod
-    def zero(cls, labels: Sequence, period: float, degree: int = 6) -> "GaugeFunction":
-        L = len(tuple(labels))
-        return cls(
-            labels=tuple(labels),
-            period=period,
-            const=np.zeros(L),
-            cos_coeffs=np.zeros((L, degree)),
-            sin_coeffs=np.zeros((L, degree)),
-            slope=np.zeros(L),
-        )
+    def zero(cls, size: int, period: float, degree: int = 6) -> "GaugeFunction":
+        return cls(period, np.zeros(size), np.zeros((size, degree)), np.zeros((size, degree)),
+                   np.zeros(size))
 
     @classmethod
-    def constants(cls, labels: Sequence, period: float, values, degree: int = 6) -> "GaugeFunction":
-        g = cls.zero(labels, period, degree)
-        const = np.asarray(values, dtype=float)
-        if const.shape != (len(g.labels),):
-            raise DimensionError("one constant per label required")
-        return cls(g.labels, period, const, g.cos_coeffs, g.sin_coeffs, g.slope)
+    def constants(cls, period: float, values, degree: int = 6) -> "GaugeFunction":
+        g = cls.zero(np.size(values), period, degree)
+        return cls(period, np.asarray(values, dtype=float), g.cos_coeffs, g.sin_coeffs, g.slope)
 
     @classmethod
     def random(
         cls,
-        labels: Sequence,
+        size: int,
         period: float,
         rng: np.random.Generator,
         degree: int = 6,
         scale: float = 0.1,
         slope_scale: float = 0.0,
     ) -> "GaugeFunction":
-        """Draw smooth gauges; harmonic m coefficients are damped by 1/m^2."""
-        labels = tuple(labels)
-        L = len(labels)
+        """Draw smooth gauges for `size` members; harmonic m coefficients are
+        damped by 1/m^2."""
         damp = 1.0 / np.arange(1, degree + 1) ** 2
         return cls(
-            labels=labels,
             period=period,
-            const=rng.uniform(-np.pi, np.pi, size=L),
-            cos_coeffs=rng.uniform(-scale, scale, size=(L, degree)) * damp,
-            sin_coeffs=rng.uniform(-scale, scale, size=(L, degree)) * damp,
-            slope=rng.uniform(-slope_scale, slope_scale, size=L) if slope_scale else np.zeros(L),
+            const=rng.uniform(-np.pi, np.pi, size=size),
+            cos_coeffs=rng.uniform(-scale, scale, size=(size, degree)) * damp,
+            sin_coeffs=rng.uniform(-scale, scale, size=(size, degree)) * damp,
+            slope=rng.uniform(-slope_scale, slope_scale, size) if slope_scale else np.zeros(size),
         )
 
 
 @dataclass(frozen=True)
 class BasisFrame(PathStack):
-    """Orthonormal vectors v_k(t_j) as a path stack (steps + 1, dim, L), member
-    k carrying labels[k]."""
-
-    labels: tuple
+    """Orthonormal vectors v_k(t_j) as a path stack (steps + 1, dim, L)."""
 
     def __post_init__(self):
         super().__post_init__()
         v = self.states
-        L = len(self.labels)
-        if v.shape[-1] != L:
-            raise DimensionError(f"frame stack has shape {v.shape} for {L} labels")
         conj = np.conj(v)  # one einsum per Gram entry k <= l: twice as fast as the whole stack
         deviations = [np.max(np.abs(np.einsum("ja,ja->j", conj[:, :, k], v[:, :, l]) - (k == l)))
-                      for k in range(L) for l in range(k, L)]
+                      for k in range(self.size) for l in range(k, self.size)]
         worst = float(np.max(deviations))
         if not worst <= FRAME_ORTHO_TOL:
             raise ContractError(f"frame not orthonormal: deviation {worst:.3e}")
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
 
-    def _index(self, label) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise DimensionError(f"unknown frame label {label!r}") from None
-
-    def component(self, label) -> np.ndarray:
-        return self.states[:, :, self._index(label)]
-
-
-@dataclass(frozen=True)
-class EffectiveHamiltonianPath:
-    """Matrices <v_n|H|v_m> - <v_n| i d/dt |v_m> at the step midpoints."""
-
-    grid: TimeGrid
-    labels: tuple
-    matrices: np.ndarray  # (steps, L, L)
-
-
-def frame_from_amplitudes(stack: PathStack, labels=None) -> BasisFrame:
+def frame_from_amplitudes(stack: PathStack) -> BasisFrame:
     """Strip each amplitude's accumulated total phase: v_k = e^{-i phi_k(t)} psi_k(t).
 
     phi_k(t_j) = arg<psi_k(0), psi_k(t_j)>, so <v_k(0), v_k(t_j)> is real and
     positive at every node.  Raises OrthogonalityCrossingError when an overlap
     magnitude falls below 1e-10, where that phase stops being meaningful.
     """
-    labels = tuple(range(stack.size)) if labels is None else tuple(labels)
-    if len(labels) != stack.size:
-        raise DimensionError("one label per path required")
     stack.require_orthonormal_start()
     psi = stack.states
     overlaps = np.einsum("ak,jak->jk", np.conj(psi[0]), psi)  # <psi_k(0), psi_k(t_j)>
@@ -212,34 +166,25 @@ def frame_from_amplitudes(stack: PathStack, labels=None) -> BasisFrame:
             "phase-stripping is undefined across an orthogonality crossing"
         )
     stripped = psi * np.conj(overlaps / mags)[:, None]  # (nodes, dim, L)
-    return BasisFrame(stack.grid, stripped, labels)
+    return BasisFrame(stack.grid, stripped)
 
 
-def apply_gauge(frame: BasisFrame, g: GaugeFunction) -> BasisFrame:
-    """v_k(t_j) -> e^{i alpha_k(t_j)} v_k(t_j); orthonormality is exact."""
-    if tuple(g.labels) != tuple(frame.labels):
-        raise DimensionError(
-            f"gauge labels {g.labels} do not match frame labels {frame.labels}"
-        )
-    phases = np.exp(1j * g.value(frame.grid.nodes))  # (L, nodes)
-    return BasisFrame(frame.grid, frame.states * phases.T[:, None, :], frame.labels)
-
-
-def frame_trace(frame: BasisFrame, samples: np.ndarray, weights) -> complex:
+def frame_trace(frame: PathStack, samples: np.ndarray, weights) -> complex:
     """Gauge-invariant form of Tr U(T) rho(0) built purely from frame data and
-    `samples`, the Hamiltonian on the frame's grid nodes.
+    `samples`, the Hamiltonian on the frame's grid nodes: `frame` is any path
+    stack, a BasisFrame or one rephased by `mixed.transform_evolution`.
 
     sum_k w_k <v_k(0), v_k(T)> exp{ i int (<v_k|i d/dt v_k> - <v_k|H|v_k>) dt },
     i.e. each member's holonomy factor times its dynamical phase factor.
     """
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(frame.labels),):
-        raise DimensionError("one weight per frame label required")
+    if weights.shape != (frame.size,):
+        raise DimensionError("one weight per frame member required")
     return complex(np.sum(weights * frame.holonomies * np.exp(1j * frame.dynamical(samples))))
 
 
-def amplitudes_from_frame(frame: BasisFrame, samples: np.ndarray) -> PathStack:
-    """Rebuild Schroedinger amplitudes, one stack in label order, from a frame
+def amplitudes_from_frame(frame: PathStack, samples: np.ndarray) -> PathStack:
+    """Rebuild Schroedinger amplitudes, one stack in member order, from a frame
     whose effective Hamiltonian is diagonal:
     psi_k(t) = v_k(t) exp{-i int (<v_k|H|v_k> - <v_k|i d/dt v_k>) dt}, with
     `samples` the Hamiltonian on the frame's grid nodes: the energies by the
@@ -255,9 +200,9 @@ def amplitudes_from_frame(frame: BasisFrame, samples: np.ndarray) -> PathStack:
     return PathStack(frame.grid, frame.states * np.exp(-1j * accumulated)[:, None])
 
 
-def effective_hamiltonian(frame: BasisFrame, samples: np.ndarray) -> EffectiveHamiltonianPath:
-    """Matrix elements <v_n|H|v_m> - <v_n| i d/dt v_m> at every step midpoint, with
-    `samples` the Hamiltonian on the frame's grid nodes.
+def effective_hamiltonian(frame: PathStack, samples: np.ndarray) -> np.ndarray:
+    """Matrix elements <v_n|H|v_m> - <v_n| i d/dt v_m> at every step midpoint,
+    shape (steps, L, L), with `samples` the Hamiltonian on the frame's grid nodes.
 
     With M_j = V_j^dagger V_{j+1} the step-overlap matrix of the frame, the
     connection block is (i / 2 dt)(M_j - M_j^dagger), Hermitian by construction,
@@ -269,11 +214,11 @@ def effective_hamiltonian(frame: BasisFrame, samples: np.ndarray) -> EffectiveHa
     M = np.einsum("jan,jam->jnm", np.conj(v[:-1]), v[1:])
     conn_part = (0.5j / frame.grid.dt) * (M - np.conj(np.swapaxes(M, -2, -1)))
     ham_part = 0.5 * (ham_nodes[:-1] + ham_nodes[1:])
-    return EffectiveHamiltonianPath(frame.grid, frame.labels, ham_part - conn_part)
+    return ham_part - conn_part
 
 
 def check_universal_hamiltonian_constraint(g: GaugeFunction) -> bool:
-    """True iff all labels share one derivative function, to 1e-10 at 1025
+    """True iff all members share one derivative function, to 1e-10 at 1025
     uniform times over one period.
 
     Equal derivatives are exactly the gauges under which the per-path phase

@@ -10,11 +10,13 @@ Transport conditions, the mixed dynamical phase, the Singh phase and
 `gauge_campaign` read the member paths psi_k = U|k> (`evolution.member_paths`)
 as one `phases.PathStack`, which a per-path transform maps to e^{i theta_k} psi_k
 (`transform_evolution`): over a complete basis U = sum_k psi_k <k|, so the
-rephased stack is the whole transformed evolution.  `transport_conditions`
-and `singh_phase` take that stack and the ensemble weights, so a caller that
-holds it pays for its step overlaps once; one `transport_conditions` call
-gives both residuals and gamma_D from its step phases, which that transform
-shifts by theta_k(t_{j+1}) - theta_k(t_j).
+rephased stack is the whole transformed evolution.  The same call is the
+hidden gauge transform v_k -> e^{i alpha_k} v_k of a `gauge.BasisFrame`: it is
+the one rephasing of any PathStack, member paths and frames alike.
+`transport_conditions` and `singh_phase` take that stack and the ensemble
+weights, so a caller that holds it pays for its step overlaps once; one
+`transport_conditions` call gives both residuals and gamma_D from its step
+phases, which that transform shifts by theta_k(t_{j+1}) - theta_k(t_j).
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .exceptions import (
     DimensionError,
     UndefinedPhaseError,
 )
-from .gauge import GaugeFunction, apply_gauge, frame_from_amplitudes, frame_trace
+from .gauge import GaugeFunction, frame_from_amplitudes, frame_trace
 from .linalg import hermitian_eigen, hermiticity_defect, unitarity_defect
 from .numerics import wrap_angle
 from .phases import PathStack
@@ -140,10 +142,12 @@ def mixed_total_phase(rho0: DensityMatrix, U_T: np.ndarray):
 
 
 def transform_evolution(members: PathStack, theta: GaugeFunction) -> PathStack:
-    """The per-path transform U(t) -> U(t) sum_k e^{i theta_k(t)} |k><k| on the
-    member paths psi_k = U|k> of a basis: psi_k -> e^{i theta_k} psi_k."""
-    if len(theta.labels) != members.size:
-        raise DimensionError("one gauge label per member path required")
+    """psi_k -> e^{i theta_k(t)} psi_k on every path of a stack: on the member
+    paths psi_k = U|k> of a basis the per-path transform U -> U sum_k
+    e^{i theta_k} |k><k|, on a frame the hidden gauge transform, which keeps
+    every Gram entry to rounding and so is not checked again."""
+    if theta.size != members.size:
+        raise DimensionError("one gauge row per path required")
     phases = np.exp(1j * theta.value(members.grid.nodes))  # (k, nodes)
     return PathStack(members.grid, members.states * phases.T[:, None, :])
 
@@ -166,20 +170,20 @@ def singh_phase(weights, paths: PathStack) -> float:
 
 
 def gauge_campaign(
-    H: HamiltonianTrajectory, U: PropagatorPath, ensemble: Ensemble, labels: tuple,
+    H: HamiltonianTrajectory, U: PropagatorPath, ensemble: Ensemble,
     rng: np.random.Generator, trials: int, gauge_scale: float,
 ) -> dict:
     """Base observables and worst deviations over `trials` random gauges, by name.
 
-    Per trial: a periodic frame gauge must leave the frame trace and the
-    holonomies fixed; a ramped gauge theta_k(t) must leave the Singh phase
-    fixed and shift gamma_T, gamma_D of U' = U sum_k e^{i theta_k} |k><k| as
-    predicted from theta(0), theta(T).  Every ramped-gauge observable is read
-    off the rephased member paths psi'_k = U'|k> (`transform_evolution`), gamma_T
-    from U'(T) = sum_k psi'_k(T)<k| over the complete basis, and the base gamma_T
-    by the same form, so a zero gauge shifts nothing.  H is sampled once, after
-    U is released: nothing reads U but its member paths.
-    Scale 0: zero gauges, no draws.
+    Per trial, both gauges applied by `transform_evolution`: a periodic frame
+    gauge must leave the frame trace and the holonomies fixed; a ramped gauge
+    theta_k(t) must leave the Singh phase fixed and shift gamma_T, gamma_D of
+    U' = U sum_k e^{i theta_k} |k><k| as predicted from theta(0), theta(T).
+    Every ramped-gauge observable is read off the rephased member paths
+    psi'_k = U'|k>, gamma_T from U'(T) = sum_k psi'_k(T)<k| over the complete
+    basis, and the base gamma_T by the same form, so a zero gauge shifts
+    nothing.  H is sampled once, after U is released: nothing reads U but its
+    member paths.  Scale 0: zero gauges, no draws.
     """
     if ensemble.size != U.dim:
         raise DimensionError(f"basis with {ensemble.size} states cannot span dimension {U.dim}")
@@ -190,7 +194,7 @@ def gauge_campaign(
     del U
     rho0 = density_from_ensemble(ensemble)
     samples = H.sample(grid.nodes)
-    frame = frame_from_amplitudes(members, labels=labels)
+    frame = frame_from_amplitudes(members)
     base_trace = frame_trace(frame, samples, weights)
     base_singh = singh_phase(weights, members)
     base_gamma, base_vis = mixed_total_phase(rho0, members.states[-1] @ bras)
@@ -199,15 +203,15 @@ def gauge_campaign(
 
     def draw(slope_scale):
         if gauge_scale == 0.0:
-            return GaugeFunction.zero(labels, grid.span)
+            return GaugeFunction.zero(ensemble.size, grid.span)
         return GaugeFunction.random(
-            labels, grid.span, rng, scale=gauge_scale, slope_scale=slope_scale
+            ensemble.size, grid.span, rng, scale=gauge_scale, slope_scale=slope_scale
         )
 
     dev_gamma = dev_vis = dev_hol = dev_singh = 0.0
     mismatch_gamma = mismatch_dyn = naive_gamma = naive_dyn = 0.0
     for _ in range(trials):
-        gauged = apply_gauge(frame, draw(0.0))
+        gauged = transform_evolution(frame, draw(0.0))
         tr = frame_trace(gauged, samples, weights)
         dev_gamma = max(dev_gamma, abs(wrap_angle(np.angle(tr) - np.angle(base_trace))))
         dev_vis = max(dev_vis, abs(abs(tr) - abs(base_trace)))

@@ -17,14 +17,15 @@ shifts by alpha_{j+1} - alpha_j modulo 2 pi and the sum telescopes.
 `PathStack` holds k paths on one grid as one (nodes, dim, k) stack, the layout
 of `evolution.member_paths`, and gives every functional above as an array over
 k from one set of step phases.  It is the one path argument of every phase
-functional; a single path is the stack with k = 1.  `gauge.BasisFrame` is a
-labelled PathStack, and every time-dependent mixed-state functional of `mixed`
-reads the record too.  The kernels on raw state stacks (step overlaps, energy
-expectation, parallel transport) serve all three modules; for two-level states
-the step overlaps and energies are written entry by entry, one row per path
-and component, contiguous in the path-major stacks of `evolution.member_paths`.
-`adiabatic_phase` reads the holonomy of an instantaneous level's eigenvectors
-as `eigh` returns them.
+functional; a single path is the stack with k = 1, and a path is named by its
+position k in the stack.  `gauge.BasisFrame` is a PathStack checked
+orthonormal at every node, and every time-dependent mixed-state functional of
+`mixed` reads the record too.  The kernels on raw state stacks (step overlaps,
+energy expectation, parallel transport) serve all three modules; for two-level
+states the step overlaps and energies are written entry by entry, one row per
+path and component, contiguous in the path-major stacks of
+`evolution.member_paths`.  `adiabatic_phase` reads the holonomy of an
+instantaneous level's eigenvectors as `eigh` returns them.
 """
 from __future__ import annotations
 
@@ -35,25 +36,9 @@ import numpy as np
 
 from .evolution import HamiltonianTrajectory, TimeGrid
 from .exceptions import ContractError, DegeneracyError, DimensionError, UndefinedPhaseError
-from .numerics import trapezoid, wrap_angle
+from .numerics import trapezoid
 
 OVERLAP_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class PhaseReport:
-    """Phase summary for one scenario constituent.
-
-    `geometric` is wrap(total - dynamical) by construction; the transport
-    residual is the largest step phase |arg<psi_j, psi_{j+1}>| / dt, i.e. how
-    far the raw evolution is from satisfying the parallel transport condition.
-    """
-
-    total: float
-    dynamical: float
-    geometric: float
-    overlap_magnitude: float
-    transport_residual: float
 
 
 def step_overlaps(states: np.ndarray) -> np.ndarray:
@@ -158,6 +143,10 @@ class PathStack:
     def size(self) -> int:
         return self.states.shape[-1]
 
+    @property
+    def dim(self) -> int:
+        return self.states.shape[1]
+
     def require_orthonormal_start(self) -> None:
         """Raise ContractError unless the paths are orthonormal at t = 0 to 1e-10."""
         first = self.states[0]  # (dim, k)
@@ -199,17 +188,9 @@ class PathStack:
     def dynamical(self, samples: np.ndarray) -> np.ndarray:
         """phi_D = -int <psi_k|H|psi_k> dt per path by the trapezoidal rule
         (unwrapped), from `samples`, H on the grid nodes (shape (steps + 1, dim, dim))."""
-        check_node_samples(samples, self.grid, self.states.shape[1])
+        check_node_samples(samples, self.grid, self.dim)
         energies = np.ascontiguousarray(state_energies(self.states, samples).T)  # (k, nodes)
         return np.array([-trapezoid(row, self.grid.dt) for row in energies])
-
-    def reports(self, samples: np.ndarray) -> list[PhaseReport]:
-        """Total, dynamical and geometric phase of every path; `samples` as in
-        `dynamical`."""
-        angles, magnitudes = self.totals()
-        dyn = self.dynamical(samples)
-        return [PhaseReport(*map(float, row)) for row in zip(
-            angles, dyn, wrap_angle(angles - dyn), magnitudes, self.residuals)]
 
 
 def adiabatic_phase(H: HamiltonianTrajectory, grid: TimeGrid, level: int):

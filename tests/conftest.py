@@ -126,7 +126,7 @@ def build_spin_case(
 def w_frame(p: SpinParams, grid: TimeGrid) -> BasisFrame:
     """BasisFrame of the closed-form w vectors sampled on the grid."""
     w_plus, w_minus = spin_model.w_basis(p, grid.nodes)
-    return BasisFrame(grid, np.stack([w_plus, w_minus], axis=-1), ("+", "-"))
+    return BasisFrame(grid, np.stack([w_plus, w_minus], axis=-1))
 
 
 @pytest.fixture(scope="session")

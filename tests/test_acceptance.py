@@ -13,7 +13,6 @@ from phaselab import SpinParams, TimeGrid, propagate, spin_model
 from phaselab.evolution import member_paths
 from phaselab.gauge import (
     GaugeFunction,
-    apply_gauge,
     frame_from_amplitudes,
     frame_trace,
 )
@@ -144,9 +143,8 @@ def test_criterion_3_interference_formula(sweep):
 
 def test_criterion_4_hidden_gauge_invariance():
     case = build_spin_case(1.0, 1.0, np.pi / 3, big_theta=np.pi / 4, steps=BASE_STEPS)
-    labels = ("+", "-")
     rng = np.random.default_rng(SWEEP_SEED)
-    frame = frame_from_amplitudes(case.members, labels=labels)
+    frame = frame_from_amplitudes(case.members)
     weights = case.weights
     rho0 = density_from_ensemble(case.ensemble)
     nodes = case.grid.nodes
@@ -163,8 +161,8 @@ def test_criterion_4_hidden_gauge_invariance():
     worst_dyn_mismatch = 0.0
     naive_moved = 0.0
     for _ in range(50):
-        periodic = GaugeFunction.random(labels, case.grid.span, rng, scale=0.1)
-        gauged = apply_gauge(frame, periodic)
+        periodic = GaugeFunction.random(2, case.grid.span, rng, scale=0.1)
+        gauged = transform_evolution(frame, periodic)
         tr = frame_trace(gauged, samples, weights)
         worst_invariant = max(
             worst_invariant,
@@ -172,7 +170,7 @@ def test_criterion_4_hidden_gauge_invariance():
             abs(abs(tr) - abs(base_trace)),
             float(np.max(np.abs(gauged.holonomies - frame.holonomies))),
         )
-        ramped = GaugeFunction.random(labels, case.grid.span, rng, scale=0.1, slope_scale=0.2)
+        ramped = GaugeFunction.random(2, case.grid.span, rng, scale=0.1, slope_scale=0.2)
         shifted = transform_evolution(case.members, ramped)  # psi_k -> e^{i theta_k} psi_k
         worst_invariant = max(
             worst_invariant, abs(wrap_angle(singh_phase(weights, shifted) - base_singh))
@@ -269,7 +267,6 @@ def test_criterion_7_universal_hamiltonian_constraint():
     paths = spin_model.amplitude_paths(p, grid)
     H_samples = spin_model.hamiltonian(p).sample(grid.nodes)
     nodes = grid.nodes
-    labels = ("+", "-")
     rng = np.random.default_rng(SWEEP_SEED)
 
     def residual(paths, shift):
@@ -280,12 +277,11 @@ def test_criterion_7_universal_hamiltonian_constraint():
 
     passed = True
     for _ in range(20):
-        theta = GaugeFunction.random(labels, grid.span, rng, scale=0.5, slope_scale=1.0)
+        theta = GaugeFunction.random(2, grid.span, rng, scale=0.5, slope_scale=1.0)
         shift = theta.derivative(nodes)[0]
         spread = float(np.max(np.abs(theta.derivative(nodes)[1] - theta.derivative(nodes)[0])))
         broken = residual(rephased(paths, theta.value(nodes)), shift)
         equal = GaugeFunction(
-            labels,
             grid.span,
             const=rng.uniform(-np.pi, np.pi, size=2),
             cos_coeffs=np.tile(theta.cos_coeffs[0], (2, 1)),

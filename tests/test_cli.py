@@ -267,14 +267,14 @@ def test_observables_match_the_per_path_functions(case, monkeypatch):
     U = propagate(sc.H, sc.grid)
     stack = phases.PathStack(sc.grid, member_paths(U, sc.ensemble.states))
     samples = sc.H.sample(sc.grid.nodes)
-    for k, label in enumerate(sc.labels):
+    for k in range(sc.ensemble.size):
         alone = phases.PathStack(sc.grid, stack.states[..., k:k + 1])
-        (expected,) = alone.reports(samples)
-        for field in dataclasses.fields(expected):
-            got, want = getattr(obs.reports[label], field.name), getattr(expected, field.name)
-            assert abs(got - want) <= 1e-13, (label, field.name)
-        assert abs(obs.phi_g[label] - np.angle(alone.holonomies[0])) <= 1e-13
-        assert abs(obs.reports[label].transport_residual - alone.residuals[0]) <= 1e-13
+        (total,), (overlap,) = alone.totals()
+        for name, got, want in (("phi_t", obs.phi_t, total), ("overlap", obs.overlap, overlap),
+                                ("phi_d", obs.phi_d, alone.dynamical(samples)[0])):
+            assert abs(got[k] - want) <= 1e-13, (k, name)
+        assert abs(obs.phi_g[k] - np.angle(alone.holonomies[0])) <= 1e-13
+        assert abs(obs.transport_strong[k] - alone.residuals[0]) <= 1e-13
     assert abs(obs.singh_phase - mixed.singh_phase(sc.ensemble.weights, stack)) <= 1e-13
     weak, strong, gamma_d = mixed.transport_conditions(sc.ensemble.weights, stack)
     assert abs(obs.transport_weak - weak) <= 1e-13
@@ -319,11 +319,9 @@ def test_box_corner_phases_match_the_closed_forms(mu_b, omega, theta):
     # estimator would turn into an O((E dt)^2) bias of the geometric phase
     sc = cli.build_scenario(cli.ScenarioConfig(mu_b=mu_b, omega=omega, theta=theta))
     obs = cli.observables(sc)
-    exact = {label: spin_model.geometric_phase(sc.params, label) for label in sc.labels}
-    for label in sc.labels:
-        assert abs(wrap_angle(obs.phi_g[label] - exact[label])) <= 1e-5, label
-    singh = np.angle(sum(w * np.exp(1j * exact[label])
-                         for w, label in zip(sc.ensemble.weights, sc.labels)))
+    exact = np.array([spin_model.geometric_phase(sc.params, label) for label in sc.cfg.states])
+    assert np.max(np.abs(wrap_angle(obs.phi_g - exact))) <= 1e-5
+    singh = np.angle(np.sum(sc.ensemble.weights * np.exp(1j * exact)))
     assert abs(wrap_angle(obs.singh_phase - singh)) <= 1e-5
 
 

@@ -135,8 +135,8 @@ LIST_RECORDS = {
                   lambda r: r.size == 1 and list(r.endpoint_overlaps) == [1]),
     "PropagatorPath": (lambda: PropagatorPath(GRID, [[[1, 0], [0, 1]]] * 5), "matrices",
                        lambda r: r.dim == 2 and r.matrices[-1].shape == (2, 2)),
-    "BasisFrame": (lambda: BasisFrame(GRID, [[[1], [0]]] * 5, ("a",)), "states",
-                   lambda r: r.dim == 2 and r.component("a").shape == (5, 2)),
+    "BasisFrame": (lambda: BasisFrame(GRID, [[[1], [0]]] * 5), "states",
+                   lambda r: r.dim == 2 and r.states[:, :, 0].shape == (5, 2)),
 }
 
 
@@ -167,7 +167,7 @@ def _nan_at_start(stack):
 NAN_INPUTS = {
     "BasisFrame-orthonormality": (
         "frame not orthonormal",
-        lambda c: BasisFrame(c.grid, np.full((c.grid.steps + 1, 2, 1), np.nan), ("a",))),
+        lambda c: BasisFrame(c.grid, np.full((c.grid.steps + 1, 2, 1), np.nan))),
     "frame_from_amplitudes-t0": (
         "orthonormal at t = 0",
         lambda c: frame_from_amplitudes(_nan_at_start(c.members))),
@@ -228,18 +228,16 @@ def test_mixed_dynamical_phase_linearity(generic_case):
 
 
 def test_transform_evolution_identity(generic_case):
-    theta = GaugeFunction.zero(("+", "-"), generic_case.grid.span)
+    theta = GaugeFunction.zero(2, generic_case.grid.span)
     transformed = transform_evolution(generic_case.members, theta)
     assert np.array_equal(transformed.states, generic_case.members.states)
-    with pytest.raises(DimensionError, match="one gauge label per member path"):
-        transform_evolution(generic_case.members, GaugeFunction.zero(("+",), theta.period))
+    with pytest.raises(DimensionError, match="one gauge row per path"):
+        transform_evolution(generic_case.members, GaugeFunction.zero(1, theta.period))
 
 
 def test_transform_evolution_preserves_orbit(generic_case):
     rng = np.random.default_rng(7)
-    theta = GaugeFunction.random(
-        ("+", "-"), generic_case.grid.span, rng, scale=0.3, slope_scale=0.3
-    )
+    theta = GaugeFunction.random(2, generic_case.grid.span, rng, scale=0.3, slope_scale=0.3)
     rho0 = density_from_ensemble(generic_case.ensemble)
     transformed = transform_evolution(generic_case.members, theta)
     bras = np.conj(generic_case.ensemble.states)
@@ -254,9 +252,7 @@ def test_transform_evolution_shifts_dynamical_phase(generic_case):
     rng = np.random.default_rng(11)
     base = gamma_d(generic_case.ensemble, generic_case.U)
     for _ in range(3):
-        theta = GaugeFunction.random(
-            ("+", "-"), generic_case.grid.span, rng, scale=0.1, slope_scale=0.3
-        )
+        theta = GaugeFunction.random(2, generic_case.grid.span, rng, scale=0.1, slope_scale=0.3)
         transformed = transform_evolution(generic_case.members, theta)
         shifted = transport_conditions(generic_case.weights, transformed)[2]
         jump = sum(
@@ -271,8 +267,7 @@ def test_transform_evolution_shifts_dynamical_phase(generic_case):
 def test_gauge_campaign_requires_complete_basis(generic_case):
     half = Ensemble(np.array([1.0]), generic_case.ensemble.states[:1])
     with pytest.raises(DimensionError, match="1 states cannot span dimension 2"):
-        gauge_campaign(generic_case.H, generic_case.U, half, ("+",),
-                       np.random.default_rng(0), 1, 0.1)
+        gauge_campaign(generic_case.H, generic_case.U, half, np.random.default_rng(0), 1, 0.1)
 
 
 def test_singh_phase_single_state_reduces_to_geometric(generic_case):
@@ -287,9 +282,7 @@ def test_singh_phase_invariant_under_path_phases(generic_case):
     base = singh_phase(generic_case.weights, generic_case.members)
     nodes = generic_case.grid.nodes
     for _ in range(10):
-        theta = GaugeFunction.random(
-            ("+", "-"), generic_case.grid.span, rng, scale=0.1, slope_scale=0.2
-        )
+        theta = GaugeFunction.random(2, generic_case.grid.span, rng, scale=0.1, slope_scale=0.2)
         shifted = rephased(generic_case.members, theta.value(nodes))
         assert abs(wrap_angle(singh_phase(generic_case.weights, shifted) - base)) < 1e-7
 
@@ -384,7 +377,7 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
     H = HamiltonianTrajectory(3, evaluate=batch)
     U = propagate(H, TimeGrid(0.0, 2.0, 400))
     ensemble = Ensemble(np.array([0.5, 0.3, 0.2]), random_unitary(rng, 3).T.copy())
-    labels, trials, scale = ("a", "b", "c"), 6, 0.3
+    trials, scale = 6, 0.3
     rho0 = density_from_ensemble(ensemble)
     base_gamma, _ = mixed_total_phase(rho0, U.matrices[-1])
     base_dyn = gamma_d(eigen_ensemble(rho0), U)
@@ -392,8 +385,8 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
     draws = np.random.default_rng(5)
     mismatch_gamma = mismatch_dyn = naive_gamma = naive_dyn = 0.0
     for _ in range(trials):
-        GaugeFunction.random(labels, U.grid.span, draws, scale=scale)
-        ramped = GaugeFunction.random(labels, U.grid.span, draws, scale=scale,
+        GaugeFunction.random(3, U.grid.span, draws, scale=scale)
+        ramped = GaugeFunction.random(3, U.grid.span, draws, scale=scale,
                                       slope_scale=2.0 * scale)
         rephasing = np.einsum("ka,kj,kb->jab", ensemble.states,
                               np.exp(1j * ramped.value(U.grid.nodes)), np.conj(ensemble.states))
@@ -414,7 +407,7 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
                         lambda self, times: samplings.append(1) or sample(self, times))
     monkeypatch.setattr(PropagatorPath, "__post_init__",
                         lambda self: propagators.append(1) or check(self))
-    values = gauge_campaign(H, U, ensemble, labels, np.random.default_rng(5), trials, scale)
+    values = gauge_campaign(H, U, ensemble, np.random.default_rng(5), trials, scale)
     assert len(samplings) == 1
     assert not propagators
     assert naive_gamma > 1e-3 and naive_dyn > 1e-3
@@ -538,7 +531,7 @@ def test_unequal_gauge_derivatives_break_schroedinger():
     nodes = grid.nodes
     rng = np.random.default_rng(37)
     for _ in range(5):
-        theta = GaugeFunction.random(("+", "-"), grid.span, rng, scale=0.5, slope_scale=1.0)
+        theta = GaugeFunction.random(2, grid.span, rng, scale=0.5, slope_scale=1.0)
         shift = theta.derivative(nodes)[0]  # absorb branch '+' into H'
         spread = np.max(
             np.abs(theta.derivative(nodes)[1] - theta.derivative(nodes)[0])
@@ -547,7 +540,6 @@ def test_unequal_gauge_derivatives_break_schroedinger():
         assert residual >= spread * (1.0 - 1e-3)
         # equal-derivative transform: same trig part, different constants
         equal = GaugeFunction(
-            ("+", "-"),
             grid.span,
             const=np.array([0.2, -1.0]),
             cos_coeffs=np.tile(theta.cos_coeffs[0], (2, 1)),

@@ -16,7 +16,7 @@ import pytest
 
 from phaselab import HamiltonianTrajectory, TimeGrid, propagate
 from phaselab.evolution import member_paths
-from phaselab.mixed import Ensemble, density_from_ensemble, mixed_total_phase
+from phaselab.mixed import Ensemble, density_from_ensemble, gauge_campaign, mixed_total_phase
 from phaselab.numerics import wrap_angle
 from phaselab.phases import PathStack
 
@@ -99,3 +99,25 @@ def test_cyclic_states_carry_the_closed_form_phases(name):
     gamma_total, visibility = mixed_total_phase(rho0, U.matrices[-1])
     assert abs(wrap_angle(gamma_total - np.angle(trace))) <= 1e-5
     assert abs(visibility - abs(trace)) <= 1e-5
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_gauge_campaign_holds_on_the_cyclic_basis(name):
+    # the verify-gauge campaign at d = 3 and 4: its invariants and predicted
+    # shifts to rounding, and its base observables against the closed forms
+    family = CASES[name]()
+    grid = TimeGrid(0.0, family.period, 4000)
+    d = len(family.lam)
+    weights = np.arange(d, 0, -1) / (d * (d + 1) / 2)
+    values = gauge_campaign(family.H, propagate(family.H, grid), Ensemble(weights, family.chi.T),
+                            np.random.default_rng(9), 10, 0.1)
+    for key in ("max_gamma_total_deviation", "max_visibility_deviation", "max_holonomy_deviation",
+                "max_singh_deviation", "max_total_phase_prediction_mismatch",
+                "max_dynamical_phase_prediction_mismatch"):
+        assert values[key] <= 1e-12, key
+    assert values["max_naive_total_phase_shift"] > 1e-3  # the ramped gauges do move gamma_T
+    trace = np.exp(1j * family.kappa) * np.sum(weights * np.exp(-1j * family.lam * family.period))
+    singh = np.angle(np.sum(weights * np.exp(1j * family.geometric)))
+    assert abs(wrap_angle(values["gamma_total"] - np.angle(trace))) <= 1e-5
+    assert abs(values["visibility"] - abs(trace)) <= 1e-5
+    assert abs(wrap_angle(values["singh_phase"] - singh)) <= 1e-5
