@@ -170,10 +170,14 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError("field 'hamiltonian_file': required for custom-sampled model")
         if cfg.horizon != "explicit":
             raise ConfigError("field 'horizon': custom-sampled model needs an explicit t_end")
+    if cfg.t_end is not None and cfg.horizon != "explicit":
+        raise ConfigError("field 't_end': a one-period horizon ignores it; set horizon = explicit")
     if cfg.model == "spin" and cfg.horizon == "one-period" and cfg.omega <= 0.0:
         raise ConfigError(
             f"field 'omega': a one-period horizon needs omega > 0, got {cfg.omega}"
         )
+    if cfg.horizon == "one-period" and not math.isfinite(_horizon(cfg)):
+        raise ConfigError(f"field 'omega': the one-period horizon 2 pi / {cfg.omega} overflows")
     weights = cfg.resolved_weights()
     if len(weights) != len(cfg.states):
         raise ConfigError(
@@ -201,39 +205,36 @@ def _sample_row(path: str, j: int, line: str, width: int) -> list:
 def load_sampled_hamiltonian(path: str, t_end: float) -> HamiltonianTrajectory:
     """Parse the sampled-matrix text format and wrap it as a linear interpolant."""
     try:
-        lines = [
-            stripped
-            for raw in Path(path).read_text().splitlines()
-            if (stripped := raw.split("#", 1)[0].strip())
-        ]
+        text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read Hamiltonian file {path}: {exc}") from exc
+    lines = [(lineno, stripped) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (stripped := raw.split("#", 1)[0].strip())]
     if not lines:
         raise ConfigError(f"{path}: empty Hamiltonian file")
-    header = lines[0].split()
+    (at, first), *lines = lines
+    header = first.split()
     if len(header) != 4 or header[0] != "dim" or header[2] != "steps":
-        raise ConfigError(f"{path}:1: header must read 'dim <d> steps <n>'")
+        raise ConfigError(f"{path}:{at}: header must read 'dim <d> steps <n>'")
     try:
         dim, steps = int(header[1]), int(header[3])
     except ValueError as exc:
-        raise ConfigError(f"{path}:1: {exc}") from exc
+        raise ConfigError(f"{path}:{at}: {exc}") from exc
     if dim < 1 or steps < 1:
-        raise ConfigError(f"{path}:1: dim and steps must be positive")
-    if len(lines) - 1 != steps + 1:
-        raise ConfigError(
-            f"{path}: expected {steps + 1} sample rows, found {len(lines) - 1}"
-        )
+        raise ConfigError(f"{path}:{at}: dim and steps must be positive")
+    if len(lines) != steps + 1:
+        raise ConfigError(f"{path}: expected {steps + 1} sample rows, found {len(lines)}")
     width = 2 * dim * dim
     try:
         # one call converts every token, and its tokenizer rejects rows of
         # unequal width; the header's width is compared only afterwards, so
         # that a bad dim allocates nothing
-        rows = np.loadtxt(lines[1:], dtype=float, ndmin=2)
+        rows = np.loadtxt([line for _, line in lines], dtype=float, ndmin=2)
         parsed = rows.shape[1] == width
     except ValueError:
         parsed = False
     if not parsed:  # row by row, to name the first bad line
-        rows = np.array([_sample_row(path, j, line, width) for j, line in enumerate(lines[1:], start=2)])
+        rows = np.array([_sample_row(path, j, line, width) for j, line in lines])
     samples = (rows[:, 0::2] + 1j * rows[:, 1::2]).reshape(steps + 1, dim, dim)
     if not (np.all(np.isfinite(samples.real)) and np.all(np.isfinite(samples.imag))):
         raise ConfigError(f"{path}: non-finite entries")
@@ -438,21 +439,26 @@ def _propagate(sc: Scenario) -> PropagatorPath:
         ) from exc
 
 
+def _paths_and_samples(sc: Scenario) -> tuple[PathStack, np.ndarray]:
+    """The member paths psi_k = U|k> of the scenario's ensemble as one
+    `PathStack`, then H on the grid nodes, sampled once U is released."""
+    members = PathStack(sc.grid, member_paths(_propagate(sc), sc.ensemble.states))
+    return members, sc.H.sample(sc.grid.nodes)
+
+
 def observables(sc: Scenario) -> Observables:
     """Propagate the scenario once and evaluate every phase observable on it.
 
-    The member paths psi_k = U|k> are formed once, as one `PathStack`, so their
-    step phases arg<psi_k(t_j), psi_k(t_{j+1})> are too; every phase is read off
-    it, Tr[U(T) rho0] as the trace of sum_k psi_k(T)<k| with rho0, as in
-    `gauge_campaign`.  U is released once the member paths are formed, before
-    H is sampled on the nodes.
+    The member paths are formed once, so their step phases are too; every
+    phase is read off them, Tr[U(T) rho0] as the trace of sum_k psi_k(T)<k|
+    with rho0, as in `gauge_campaign`.
     """
-    members = PathStack(sc.grid, member_paths(_propagate(sc), sc.ensemble.states))
+    members, samples = _paths_and_samples(sc)
     gamma_total, visibility = mixed_total_phase(
         density_from_ensemble(sc.ensemble), members.states[-1] @ np.conj(sc.ensemble.states))
     weak, strong, gamma_d = transport_conditions(sc.ensemble.weights, members)
     phi_t, overlap = members.totals()
-    phi_d = members.dynamical(sc.H.sample(sc.grid.nodes))
+    phi_d = members.dynamical(samples)
     phi_g = np.angle(members.holonomies)
     return Observables(gamma_total, visibility, singh_phase(sc.ensemble.weights, members),
                        gamma_d, weak, phi_t, overlap, phi_d, phi_g, strong)
@@ -542,7 +548,7 @@ def run_verify_gauge(cfg: ScenarioConfig):
     if sc.ensemble.size != sc.H.dim:
         raise ConfigError(f"field 'states': verify-gauge needs a complete state basis, one "
                           f"state per dimension: got {sc.ensemble.size} for dimension {sc.H.dim}")
-    values = gauge_campaign(sc.H, _propagate(sc), sc.ensemble,
+    values = gauge_campaign(sc.ensemble.weights, *_paths_and_samples(sc),
                             np.random.default_rng(cfg.seed), cfg.trials, cfg.gauge_scale)
     records = [(name, "", value) for name, value in values.items()]
     header = scenario_header(cfg, "verify-gauge")
@@ -554,16 +560,12 @@ def run_spin_report(cfg: ScenarioConfig):
     """Closed-form values of the rotating-field model for the given parameters."""
     p = spin_model.SpinParams(cfg.mu_b, cfg.omega, cfg.theta, cfg.big_theta)
     trace = spin_model.mixed_trace(p)
-    records = [
-        ("alpha", "", p.alpha),
-        ("period", "", p.period),
-        ("beta_rate", "", p.beta_rate),
-        ("energy", "+", spin_model.energy_expectation(p, "+")),
-        ("energy", "-", spin_model.energy_expectation(p, "-")),
-        ("connection", "+", spin_model.connection_value(p, "+")),
-        ("connection", "-", spin_model.connection_value(p, "-")),
-        ("geometric_phase", "+", spin_model.geometric_phase(p, "+")),
-        ("geometric_phase", "-", spin_model.geometric_phase(p, "-")),
+    records = [("alpha", "", p.alpha), ("period", "", p.period), ("beta_rate", "", p.beta_rate)]
+    for name, per_branch in (("energy", spin_model.energy_expectation),
+                             ("connection", spin_model.connection_value),
+                             ("geometric_phase", spin_model.geometric_phase)):
+        records += [(name, branch, per_branch(p, branch)) for branch in spin_model.BRANCHES]
+    records += [
         ("solid_angle", "", spin_model.solid_angle(p)),
         ("interference", "", spin_model.interference_value(p)),
         ("mixed_trace_re", "", trace.real),

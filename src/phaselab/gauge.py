@@ -5,12 +5,11 @@ member by an arbitrary time-dependent phase e^{i alpha_k(t)} is an exact
 symmetry of the physics: amplitudes rebuilt from a transformed frame change
 only by the constant e^{i alpha_k(0)}, and the trace formula (prefactor times
 exponential of connection-minus-energy integral) is invariant.  The geometric
-phase is the holonomy left over after parallel transporting the frame.  A
-BasisFrame is a `phases.PathStack` checked orthonormal at every node, in the
-package's one (steps + 1, dim, L) layout, whose members are named by their
-position, so the connection, holonomies, trace formula and rebuilt amplitudes
-read its own step phases arg<v_j, v_{j+1}>, and parallel transport is one
-`phases.parallel_transport` call on its states.  The gauge transform is
+phase is the frame's holonomy, the Bargmann invariant `PathStack.holonomies`,
+so no member's phase is ever fixed.  A BasisFrame is a `phases.PathStack`
+checked orthonormal at every node, whose members are named by their position,
+so the connection, holonomies, trace formula and rebuilt amplitudes read its
+own step phases arg<v_j, v_{j+1}>.  The gauge transform is
 `mixed.transform_evolution`, the one rephasing of any PathStack, member paths
 and frames alike; it keeps every Gram entry to rounding, so its output is not
 checked again.  `effective_hamiltonian`, whose off-diagonal <v_n| i d/dt v_m>

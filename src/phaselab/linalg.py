@@ -1,6 +1,7 @@
 """Small dense complex linear algebra: the propagator's kernels (the step
-exponential and the ordered product), Hermitian eigendecomposition with a
-deterministic phase convention, and structure diagnostics.
+exponential and the ordered product) and structure diagnostics.  No basis
+gauge is fixed here: an eigendecomposition is `np.linalg.eigh`'s, called where
+it is read, and no output depends on its eigenvector phases.
 
 `hermitian_step_exp` computes exp(-i dt H) for a batch of Hermitian
 generators of any dimension, by scaling and squaring around one truncated
@@ -456,19 +457,3 @@ def _pair_product(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
     a -= np.conj(b1) * b2
     np.multiply(b1, a2, out=b)
     b += np.conj(a1) * b2
-
-
-def hermitian_eigen(H, tol: float = 1e-12):
-    """Eigendecomposition of a Hermitian matrix with a fixed gauge.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  Each column is
-    rescaled so that its largest-magnitude entry is real and positive, ties
-    broken by the lowest index; this removes the U(1) ambiguity that would
-    otherwise break golden tests.
-    """
-    H = require_hermitian(H, tol=tol, name="eigen input")
-    if H.ndim != 2:
-        raise DimensionError("hermitian_eigen expects a single matrix, not a batch")
-    vals, vecs = np.linalg.eigh(H)
-    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vecs))]
-    return vals, vecs * np.conj(pivots / np.abs(pivots))

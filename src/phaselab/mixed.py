@@ -7,8 +7,9 @@ U -> U sum_k e^{i theta_k} |k><k| leave the density-matrix orbit fixed but
 shift both observables in a way computed here exactly; the Singh combination
 of endpoint overlaps and step-phase sums is the invariant alternative.
 Transport conditions, the mixed dynamical phase, the Singh phase and
-`gauge_campaign` read the member paths psi_k = U|k> (`evolution.member_paths`)
-as one `phases.PathStack`, which a per-path transform maps to e^{i theta_k} psi_k
+`gauge_campaign` read the member paths psi_k = U|k> as one `phases.PathStack`,
+and H, where needed, as its node samples: nothing here propagates or samples
+H.  A per-path transform maps the stack to e^{i theta_k} psi_k
 (`transform_evolution`): over a complete basis U = sum_k psi_k <k|, so the
 rephased stack is the whole transformed evolution.  The same call is the
 hidden gauge transform v_k -> e^{i alpha_k} v_k of a `gauge.BasisFrame`: it is
@@ -17,6 +18,7 @@ the one rephasing of any PathStack, member paths and frames alike.
 weights, so a caller that holds it pays for its step overlaps once; one
 `transport_conditions` call gives both residuals and gamma_D from its step
 phases, which that transform shifts by theta_k(t_{j+1}) - theta_k(t_j).
+`purify` takes rho's eigenvectors as `eigh` returns them.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import HamiltonianTrajectory, PropagatorPath, member_paths
 from .exceptions import (
     CapacityError,
     ContractError,
@@ -32,7 +33,7 @@ from .exceptions import (
     UndefinedPhaseError,
 )
 from .gauge import GaugeFunction, frame_from_amplitudes, frame_trace
-from .linalg import hermitian_eigen, hermiticity_defect, unitarity_defect
+from .linalg import hermiticity_defect, unitarity_defect
 from .numerics import wrap_angle
 from .phases import PathStack
 
@@ -169,31 +170,30 @@ def singh_phase(weights, paths: PathStack) -> float:
     return float(np.angle(total))
 
 
-def gauge_campaign(
-    H: HamiltonianTrajectory, U: PropagatorPath, ensemble: Ensemble,
-    rng: np.random.Generator, trials: int, gauge_scale: float,
-) -> dict:
+def gauge_campaign(weights, members: PathStack, samples: np.ndarray, rng: np.random.Generator,
+                   trials: int, gauge_scale: float) -> dict:
     """Base observables and worst deviations over `trials` random gauges, by name.
 
-    Per trial, both gauges applied by `transform_evolution`: a periodic frame
-    gauge must leave the frame trace and the holonomies fixed; a ramped gauge
-    theta_k(t) must leave the Singh phase fixed and shift gamma_T, gamma_D of
-    U' = U sum_k e^{i theta_k} |k><k| as predicted from theta(0), theta(T).
+    `members` holds the member paths psi_k = U|k> of any complete basis,
+    propagated or closed-form, whose kets |k> are read as psi_k(0), and
+    `samples` H on the grid nodes.  Per trial, both gauges applied by
+    `transform_evolution`: a periodic frame gauge must leave the frame trace
+    and the holonomies fixed; a ramped gauge theta_k(t) must leave the Singh
+    phase fixed and shift gamma_T, gamma_D of U' = U sum_k e^{i theta_k} |k><k|
+    as predicted from theta(0), theta(T).
     Every ramped-gauge observable is read off the rephased member paths
     psi'_k = U'|k>, gamma_T from U'(T) = sum_k psi'_k(T)<k| over the complete
     basis, and the base gamma_T by the same form, so a zero gauge shifts
-    nothing.  H is sampled once, after U is released: nothing reads U but its
-    member paths.  Scale 0: zero gauges, no draws.
+    nothing.  Scale 0: zero gauges, no draws.
     """
-    if ensemble.size != U.dim:
-        raise DimensionError(f"basis with {ensemble.size} states cannot span dimension {U.dim}")
-    grid = U.grid
+    if members.size != members.dim:
+        raise DimensionError(
+            f"basis with {members.size} states cannot span dimension {members.dim}")
+    ensemble = Ensemble(weights, members.states[0].T)  # the kets |k> = psi_k(0)
+    grid = members.grid
     weights = ensemble.weights
     bras = np.conj(ensemble.states)  # rows <k|
-    members = PathStack(grid, member_paths(U, ensemble.states))  # psi_k = U|k>
-    del U
     rho0 = density_from_ensemble(ensemble)
-    samples = H.sample(grid.nodes)
     frame = frame_from_amplitudes(members)
     base_trace = frame_trace(frame, samples, weights)
     base_singh = singh_phase(weights, members)
@@ -282,10 +282,8 @@ def purify(
     Schmidt coefficients come out sorted.  Any other purification is reachable
     by the optional right-unitary on the ancilla index.
     """
-    vals, vecs = hermitian_eigen(rho.matrix, tol=1e-8)
-    order = np.argsort(vals)[::-1]
-    vals = np.clip(vals[order], 0.0, None)
-    vecs = vecs[:, order]
+    vals, vecs = np.linalg.eigh(rho.matrix)  # ascending
+    vals, vecs = np.clip(vals[::-1], 0.0, None), vecs[:, ::-1]
     rank = int(np.sum(vals > 1e-12))
     if ancilla_dim < rank:
         raise CapacityError(

@@ -5,14 +5,15 @@ the dynamical phase is phi_D = -int <psi|H|psi> dt, and the geometric phase
 is their difference, equivalently the argument of the holonomy
 <psi(0), psi(T)> exp[i int <psi| i d/dt psi> dt].  Reported angles are
 wrapped to (-pi, pi]; accumulated integrals (the dynamical phase) are not.
-Except in `adiabatic_phase`, H comes in as its node samples `H.sample(grid.nodes)`,
-whose shape `check_node_samples` checks.
+H comes in as its node samples `H.sample(grid.nodes)`, whose shape
+`check_node_samples` checks: nothing here samples or propagates H.
 
 The one connection estimator is the step phases phi_j = arg<psi_j, psi_{j+1}>
-(`step_overlaps`): the connection integral is -sum_j phi_j and the holonomy the
-Bargmann invariant <psi_0, psi_N> exp(-i sum_j phi_j), which any rephasing
-psi_j -> e^{i alpha_j} psi_j leaves exactly fixed on the grid, since each phi_j
-shifts by alpha_{j+1} - alpha_j modulo 2 pi and the sum telescopes.
+(`step_overlaps`): the connection integral is -sum_j phi_j, and the holonomy,
+the one route to a geometric phase, is the Bargmann invariant <psi_0, psi_N>
+exp(-i sum_j phi_j), which any rephasing psi_j -> e^{i alpha_j} psi_j leaves
+exactly fixed on the grid, since each phi_j shifts by alpha_{j+1} - alpha_j
+modulo 2 pi and the sum telescopes: no basis gauge is ever fixed.
 
 `PathStack` holds k paths on one grid as one (nodes, dim, k) stack, the layout
 of `evolution.member_paths`, and gives every functional above as an array over
@@ -20,12 +21,11 @@ k from one set of step phases.  It is the one path argument of every phase
 functional; a single path is the stack with k = 1, and a path is named by its
 position k in the stack.  `gauge.BasisFrame` is a PathStack checked
 orthonormal at every node, and every time-dependent mixed-state functional of
-`mixed` reads the record too.  The kernels on raw state stacks (step overlaps,
-energy expectation, parallel transport) serve all three modules; for two-level
-states the step overlaps and energies are written entry by entry, one row per
-path and component, contiguous in the path-major stacks of
-`evolution.member_paths`.  `adiabatic_phase` reads the holonomy of an
-instantaneous level's eigenvectors as `eigh` returns them.
+`mixed` reads the record too.  The kernels on raw state stacks (step overlaps
+and energy expectation) serve all three modules; for two-level states they are
+written entry by entry, one row per path and component, contiguous in the
+path-major stacks of `evolution.member_paths`.  `adiabatic_phase` reads the
+holonomy of an instantaneous level's eigenvectors as `eigh` returns them.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .evolution import HamiltonianTrajectory, TimeGrid
+from .evolution import TimeGrid
 from .exceptions import ContractError, DegeneracyError, DimensionError, UndefinedPhaseError
 from .numerics import trapezoid
 
@@ -111,16 +111,6 @@ def state_energies(states: np.ndarray, samples: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, -1, 0)
 
 
-def parallel_transport(states: np.ndarray) -> np.ndarray:
-    """Rephase a (nodes, dim, ...) state stack by the cumulative sum of its step
-    phases, so every step overlap is real and positive; the endpoints then
-    carry the holonomy."""
-    phases = np.angle(step_overlaps(states))
-    accumulated = np.zeros((len(states),) + phases.shape[1:])
-    np.cumsum(phases, axis=0, out=accumulated[1:])
-    return states * np.exp(-1j * accumulated)[:, None]
-
-
 @dataclass(frozen=True)
 class PathStack:
     """k paths psi_k(t_j) on one grid as one (steps + 1, dim, k) stack, with
@@ -193,8 +183,9 @@ class PathStack:
         return np.array([-trapezoid(row, self.grid.dt) for row in energies])
 
 
-def adiabatic_phase(H: HamiltonianTrajectory, grid: TimeGrid, level: int):
-    """Adiabatic geometric and dynamical phases of one instantaneous level.
+def adiabatic_phase(samples: np.ndarray, grid: TimeGrid, level: int):
+    """Adiabatic geometric and dynamical phases of one instantaneous level of
+    H, from its samples on the grid nodes.
 
     The geometric phase is the argument of the holonomy (the Bargmann
     invariant) of the level's eigenvectors as `eigh` returns them: it is
@@ -203,14 +194,15 @@ def adiabatic_phase(H: HamiltonianTrajectory, grid: TimeGrid, level: int):
     from its neighbors by at least 1e-6 at every node, and every step
     overlap of its eigenvectors to keep a magnitude of at least 1e-8.
     """
-    samples = H.sample(grid.nodes)
+    dim = np.shape(samples)[-1] if np.ndim(samples) else 0
+    check_node_samples(samples, grid, dim)
     vals, vecs = np.linalg.eigh(samples)  # batched, ascending eigenvalues
-    if not 0 <= level < H.dim:
-        raise DimensionError(f"level {level} outside 0..{H.dim - 1}")
+    if not 0 <= level < dim:
+        raise DimensionError(f"level {level} outside 0..{dim - 1}")
     gaps = np.diff(vals, axis=1)
     if level > 0 and np.min(gaps[:, level - 1]) < 1e-6:
         raise DegeneracyError(f"level {level} closes on level {level - 1}")
-    if level < H.dim - 1 and np.min(gaps[:, level]) < 1e-6:
+    if level < dim - 1 and np.min(gaps[:, level]) < 1e-6:
         raise DegeneracyError(f"level {level} closes on level {level + 1}")
 
     level_path = PathStack(grid, vecs[:, :, level:level + 1])

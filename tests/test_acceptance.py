@@ -305,7 +305,7 @@ def test_criterion_8_adiabatic_limit():
     for mu_b in (50.0, 500.0, 5000.0):  # omega/mu_B spans three decades
         p = SpinParams(mu_b, omega, theta)
         grid = TimeGrid(0.0, p.period, BASE_STEPS)
-        geo, _ = adiabatic_phase(spin_model.hamiltonian(p), grid, level=0)
+        geo, _ = adiabatic_phase(spin_model.hamiltonian(p).sample(grid.nodes), grid, level=0)
         exact = spin_model.geometric_phase(p, "+")
         gaps.append(abs(float(wrap_angle(geo - exact))))
     exact_ref = abs(spin_model.geometric_phase(SpinParams(50.0, omega, theta), "+"))

@@ -165,6 +165,14 @@ def test_steps_floor_exit_2():
          "weights"),
         # a sum 1e-10 off 1: the config check and the ensemble share one tolerance
         (["simulate"], "weights = 0.5,0.4999999999\n", "weights"),
+        # a one-period horizon of 2 pi / omega = inf would never end
+        (["simulate", "--omega", "1e-310"], None, "omega"),
+        (["sweep", "--axis", "omega", "--values", "1,1e-310"], None, "omega"),
+        (["verify-gauge", "--omega", "1e-310"], None, "omega"),
+        (["spin-report", "--omega", "1e-310"], None, "omega"),  # it printed period = inf
+        # and one would ignore t_end
+        (["simulate"], "t_end = 3\n", "t_end"),
+        (["simulate"], "horizon = one-period\nt_end = 3\n", "t_end"),
     ],
 )
 def test_out_of_range_input_exit_2(tmp_path, capsys, argv, config, name):
@@ -480,8 +488,11 @@ GOOD_ROW = "1 0 0.5 0 0.5 0 -1 0"
     ([GOOD_ROW, GOOD_ROW, "0x1p3 0 0 0 0 0 0 0"], "4: could not convert string to float: '0x1p3'"),
     ([GOOD_ROW + " 0"] * 3, "2: expected 8 numbers, found 9"),  # one width, not the header's
     ([GOOD_ROW, GOOD_ROW, GOOD_ROW.replace("-1", "-1_0")], None),  # float() reads 1_0
+    # lines are numbered as in the file, comment and blank lines included
+    (["# rows at t = 0, 0.5, 1", "", GOOD_ROW, "1 0 0.5 0 x 0 -1 0", GOOD_ROW],
+     "5: could not convert string to float: 'x'"),
 ], ids=["token", "width-first", "token-before-width", "width-before-token", "hex", "consistent",
-        "underscore"])
+        "underscore", "commented"])
 def test_sampled_file_rows_are_read_as_float_reads_them(tmp_path, capsys, rows, message):
     # the one-call conversion and the per-row loop that names a bad line
     # agree with float() token by token, and the first bad line is named
@@ -498,6 +509,22 @@ def test_sampled_file_rows_are_read_as_float_reads_them(tmp_path, capsys, rows, 
         assert code == 0 and err == ""
     else:
         assert code == 2 and err == f"config error: {hfile}:{message}\n"
+
+
+@pytest.mark.parametrize("header, message", [
+    ("dim 2 step 2", "header must read 'dim <d> steps <n>'"),
+    ("dim 2 steps 0", "dim and steps must be positive"),
+])
+def test_sampled_file_header_is_named_by_its_line(tmp_path, capsys, header, message):
+    hfile = tmp_path / "h.txt"
+    hfile.write_text(f"# a sampled H\n\n{header}\n" + f"{GOOD_ROW}\n" * 3)
+    config = tmp_path / "c.cfg"
+    config.write_text(
+        f"model = custom-sampled\nhamiltonian_file = {hfile}\nhorizon = explicit\n"
+        "t_end = 1.0\nweights = 0.5,0.5\nstates = 0,1\n"
+    )
+    assert run(["simulate", "--config", str(config), "--steps", "10"]) == 2
+    assert capsys.readouterr().err == f"config error: {hfile}:3: {message}\n"
 
 
 def test_sampled_file_that_loads_runs(tmp_path):

@@ -24,7 +24,7 @@ from phaselab.gauge import (
 from phaselab.linalg import hermiticity_defect
 from phaselab.mixed import transform_evolution
 from phaselab.numerics import wrap_angle
-from phaselab.phases import PathStack, parallel_transport
+from phaselab.phases import PathStack
 
 from conftest import random_unitary, w_frame
 
@@ -253,39 +253,16 @@ def test_connection_v_frame_golden(generic_case):
     assert np.max(np.abs(values - expected)) < 1e-6
 
 
-# ----------------------------------------------------- transport and holonomy
-
-
-def test_parallel_transport_frame_flat_is_fixed():
-    grid = TimeGrid(0.0, 1.0, 128)
-    angles = 0.4 * np.pi * grid.nodes
-    real_path = np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(complex)
-    other = np.stack([-np.sin(angles), np.cos(angles)], axis=1).astype(complex)
-    frame = BasisFrame(grid, np.stack([real_path, other], axis=-1))
-    transported = parallel_transport(frame.states)
-    assert np.max(np.abs(transported - frame.states)) == 0.0
-
-
-def test_parallel_transport_frame_idempotent():
-    p = SpinParams(1.0, 1.0, np.pi / 3)
-    grid = TimeGrid(0.0, p.period, 100000)
-    frame = w_frame(p, grid)
-    once = parallel_transport(frame.states)
-    twice = parallel_transport(once)
-    assert np.max(np.abs(twice - once)) < 1e-8
-    for values in connection(PathStack(grid, once)):
-        assert np.max(np.abs(values[1:-1])) < 1e-6
+# ------------------------------------------------------------------- holonomy
 
 
 def test_w_frame_holonomy_matches_geometric_phase(generic_case):
     p = generic_case.p
     frame = w_frame(p, generic_case.grid)
-    transported = parallel_transport(frame.states)
     for k, branch in enumerate("+-"):
-        angle = np.angle(np.vdot(transported[0, :, k], transported[-1, :, k]))
-        assert abs(wrap_angle(angle - spin_model.geometric_phase(p, branch))) < 1e-6
-        # direct holonomy agrees with the transported-endpoint overlap
-        assert abs(frame.holonomies[k] - np.exp(1j * angle)) < 1e-6
+        exact = spin_model.geometric_phase(p, branch)
+        assert abs(wrap_angle(np.angle(frame.holonomies[k]) - exact)) < 1e-6
+        assert abs(frame.holonomies[k] - np.exp(1j * exact)) < 1e-6
 
 
 def test_holonomy_trivial_and_quarter_turn():

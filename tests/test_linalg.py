@@ -1,4 +1,4 @@
-"""linalg contracts: exponentials, eigendecomposition gauge, diagnostics."""
+"""linalg contracts: exponentials, ordered products, diagnostics."""
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +13,6 @@ from phaselab.linalg import (
     _two_level_squares,
     _two_level_steps,
     frobenius_norm,
-    hermitian_eigen,
     hermitian_step_exp,
     hermiticity_defect,
     ordered_exponentials,
@@ -207,66 +206,6 @@ def test_two_level_steps_take_numpy_sinc_bitwise():
         for got, expected in ((a.real, np.cos(x)), (a.imag, -s * hz), (b.real, s * hy),
                               (b.imag, -s * hx), (phases, -dt * (0.5 * (h00 + h11)))):
             assert got.tobytes() == expected.tobytes()
-
-
-def test_eigen_sigma_z():
-    vals, vecs = hermitian_eigen(SZ)
-    assert np.allclose(vals, [-1.0, 1.0])
-    assert np.allclose(vecs[:, 0], [0.0, 1.0])
-    assert np.allclose(vecs[:, 1], [1.0, 0.0])
-
-
-def test_eigen_transverse_field():
-    # -mu B (B_hat . sigma) at theta = pi/2, phi = 0 is -mu B sigma_x
-    mu_b = 0.7
-    H = -mu_b * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    vals, vecs = hermitian_eigen(H)
-    assert np.allclose(vals, [-mu_b, mu_b])
-    assert np.allclose(vecs[:, 0], np.array([1.0, 1.0]) / np.sqrt(2))
-    assert np.allclose(vecs[:, 1], np.array([1.0, -1.0]) / np.sqrt(2))
-
-
-def test_eigen_reconstruction():
-    rng = np.random.default_rng(23)
-    H = random_hermitian(rng, 5)
-    vals, vecs = hermitian_eigen(H)
-    rebuilt = (vecs * vals[None, :]) @ np.conj(vecs.T)
-    assert np.max(np.abs(rebuilt - H)) < 1e-10
-
-
-def test_eigen_residual_and_orthonormality():
-    rng = np.random.default_rng(29)
-    H = random_hermitian(rng, 6, scale=4.0)
-    vals, vecs = hermitian_eigen(H)
-    assert np.all(np.diff(vals) >= 0)
-    residual = np.max(np.abs(H @ vecs - vecs * vals[None, :]))
-    assert residual < 1e-10
-    assert np.max(np.abs(np.conj(vecs.T) @ vecs - np.eye(6))) < 1e-10
-
-
-def test_eigen_phase_convention():
-    rng = np.random.default_rng(31)
-    H = random_hermitian(rng, 5)
-    _, vecs = hermitian_eigen(H)
-    for k in range(5):
-        pivot = vecs[np.argmax(np.abs(vecs[:, k])), k]
-        assert abs(pivot.imag) < 1e-14
-        assert pivot.real > 0
-
-
-def test_eigenvalues_invariant_under_conjugation():
-    rng = np.random.default_rng(37)
-    H = random_hermitian(rng, 4)
-    V = random_unitary(rng, 4)
-    vals, _ = hermitian_eigen(H)
-    vals_conj, _ = hermitian_eigen(V @ H @ np.conj(V.T), tol=1e-10)
-    assert np.max(np.abs(vals - vals_conj)) < 1e-10
-
-
-def test_eigen_rejects_non_hermitian():
-    M = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(ContractError):
-        hermitian_eigen(M)
 
 
 def test_unitarity_defect_values():

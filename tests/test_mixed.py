@@ -265,9 +265,10 @@ def test_transform_evolution_shifts_dynamical_phase(generic_case):
 
 
 def test_gauge_campaign_requires_complete_basis(generic_case):
-    half = Ensemble(np.array([1.0]), generic_case.ensemble.states[:1])
+    samples = generic_case.H.sample(generic_case.grid.nodes)
     with pytest.raises(DimensionError, match="1 states cannot span dimension 2"):
-        gauge_campaign(generic_case.H, generic_case.U, half, np.random.default_rng(0), 1, 0.1)
+        gauge_campaign(np.array([1.0]), generic_case.paths["+"], samples,
+                       np.random.default_rng(0), 1, 0.1)
 
 
 def test_singh_phase_single_state_reduces_to_geometric(generic_case):
@@ -362,11 +363,12 @@ def test_transport_and_mixed_dynamical_phase_dim3():
 
 def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
     # the campaign reads the equivalence-class shifts off the rephased member
-    # paths of U' = U sum_k e^{i theta_k}|k><k| with H sampled once and no
-    # propagator built; here U' is formed matrix by matrix and read through the
-    # public functions on U' and the density matrix (gamma_D in its own
-    # eigenbasis from np.linalg.eigh), drawing the gauges in the campaign's
-    # order (periodic, then ramped)
+    # paths of U' = U sum_k e^{i theta_k}|k><k|, given the member paths and H's
+    # node samples, and neither samples H nor builds a propagator itself; here
+    # U' is formed matrix by matrix and read through the public functions on U'
+    # and the density matrix (gamma_D in its own eigenbasis from
+    # np.linalg.eigh), drawing the gauges in the campaign's order (periodic,
+    # then ramped)
     rng = np.random.default_rng(43)
     A, B, C = (random_hermitian(rng, 3) for _ in range(3))
 
@@ -401,14 +403,16 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
         mismatch_dyn = max(mismatch_dyn, abs(dyn - predicted))
         naive_dyn = max(naive_dyn, abs(dyn - base_dyn))
 
+    paths, samples = members(U, ensemble), H.sample(U.grid.nodes)
     samplings, propagators = [], []
     sample, check = HamiltonianTrajectory.sample, PropagatorPath.__post_init__
     monkeypatch.setattr(HamiltonianTrajectory, "sample",
                         lambda self, times: samplings.append(1) or sample(self, times))
     monkeypatch.setattr(PropagatorPath, "__post_init__",
                         lambda self: propagators.append(1) or check(self))
-    values = gauge_campaign(H, U, ensemble, np.random.default_rng(5), trials, scale)
-    assert len(samplings) == 1
+    values = gauge_campaign(ensemble.weights, paths, samples, np.random.default_rng(5),
+                            trials, scale)
+    assert not samplings
     assert not propagators
     assert naive_gamma > 1e-3 and naive_dyn > 1e-3
     for name, reference in (
@@ -418,6 +422,38 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
         ("max_naive_dynamical_phase_shift", naive_dyn),
     ):
         assert abs(values[name] - reference) < 1e-12, name
+
+
+CAMPAIGN_INVARIANTS = (
+    "max_gamma_total_deviation", "max_visibility_deviation", "max_holonomy_deviation",
+    "max_singh_deviation", "max_total_phase_prediction_mismatch",
+    "max_dynamical_phase_prediction_mismatch",
+)
+
+
+@pytest.mark.parametrize("mu_b, omega, theta", [
+    (1.0, 1.0, np.pi / 3), (3.0, 0.7, 1.1), (10.0, 0.1, 2.0), (0.1, 10.0, 0.3),
+])
+def test_gauge_campaign_on_the_closed_form_paths(mu_b, omega, theta):
+    # the campaign takes any member stack of a complete basis: here the exact
+    # amplitudes, with no propagator.  Its invariants hold to rounding, its
+    # gamma_T and visibility are the closed form's on the same endpoints, and
+    # its Singh phase is arg sum_k w_k e^{i phi_g,k} to the step error
+    p = SpinParams(mu_b, omega, theta, np.pi / 4)
+    grid = TimeGrid(0.0, p.period, 4000)
+    weights = np.array([np.cos(p.big_theta / 2) ** 2, np.sin(p.big_theta / 2) ** 2])
+    values = gauge_campaign(weights, spin_model.amplitude_paths(p, grid),
+                            spin_model.hamiltonian(p).sample(grid.nodes),
+                            np.random.default_rng(7), 10, 0.1)
+    for key in CAMPAIGN_INVARIANTS:
+        assert values[key] <= 1e-12, key
+    assert values["max_naive_total_phase_shift"] > 1e-3  # the ramped gauges do move gamma_T
+    trace = spin_model.mixed_trace(p)
+    assert abs(wrap_angle(values["gamma_total"] - np.angle(trace))) <= 1e-14
+    assert abs(values["visibility"] - abs(trace)) <= 1e-14
+    geometric = np.array([spin_model.geometric_phase(p, branch) for branch in "+-"])
+    singh = np.angle(np.sum(weights * np.exp(1j * geometric)))
+    assert abs(wrap_angle(values["singh_phase"] - singh)) <= 1e-6
 
 
 @pytest.mark.parametrize("argv, passes", [

@@ -7,12 +7,11 @@ from hypothesis import given, strategies as st
 
 from phaselab import SpinParams, TimeGrid, cli, propagate, spin_model
 from phaselab.evolution import HamiltonianTrajectory, member_paths
-from phaselab.exceptions import DegeneracyError, UndefinedPhaseError
+from phaselab.exceptions import DegeneracyError, DimensionError, UndefinedPhaseError
 from phaselab.numerics import trapezoid, wrap_angle
 from phaselab.phases import (
     PathStack,
     adiabatic_phase,
-    parallel_transport,
     state_energies,
     step_overlaps,
 )
@@ -167,49 +166,6 @@ def test_identity_on_propagated_paths(generic_case, special_case):
             assert abs(wrap_angle(geometric(path) - identity)) < 2e-6
 
 
-def transported_path(path: PathStack) -> PathStack:
-    """The paths rephased so their step phases vanish; endpoints carry the holonomy."""
-    return PathStack(path.grid, parallel_transport(path.states))
-
-
-def test_parallel_transport_fixed_point_exact():
-    # a path with purely real states is already parallel transported: every
-    # step phase vanishes identically, so transport returns it intact
-    grid = TimeGrid(0.0, 1.0, 512)
-    angles = 0.4 * np.pi * grid.nodes
-    states = np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(complex)
-    path = PathStack(grid, states[..., None])
-    transported = transported_path(path)
-    assert np.max(np.abs(transported.states - path.states)) == 0.0
-
-
-def test_parallel_transport_idempotent():
-    p = SpinParams(1.0, 1.0, np.pi / 3)
-    grid = TimeGrid(0.0, p.period, 200000)
-    transported = transported_path(spin_model.amplitude_paths(p, grid))
-    again = transported_path(transported)
-    assert np.max(np.abs(again.states - transported.states)) < 1e-8
-
-
-def test_parallel_transport_undoes_eigenstate_phase():
-    E, T = 1.1, 6.0
-    transported = transported_path(eigenstate_path(E, T, steps=100000))
-    assert np.max(np.abs(transported.states - transported.states[0][None, :])) < 1e-8
-
-
-def test_parallel_transport_holonomy_is_geometric_phase(generic_case):
-    path = generic_case.paths["+"]
-    transported = transported_path(path)
-    holonomy_angle = np.angle(np.vdot(transported.states[0], transported.states[-1]))
-    assert abs(wrap_angle(holonomy_angle - geometric(path))) < 1e-8
-
-
-def test_parallel_transport_residual_small(generic_case):
-    transported = transported_path(generic_case.paths["+"])
-    h_norm = generic_case.p.mu_b * np.sqrt(2.0)  # Frobenius norm of the spin H
-    assert transported.residuals[0] <= 1e-6 * h_norm
-
-
 def test_raw_path_transport_residual_matches_energy(generic_case):
     # |<psi, d psi/dt>| = |<H>| = mu_B |cos alpha| along the exact evolution
     p = generic_case.p
@@ -226,7 +182,8 @@ def test_phase_report_identity(generic_case):
 
 def test_adiabatic_phase_constant_hamiltonian():
     H = constant_trajectory(np.diag([-2.0, 1.0]).astype(complex))
-    geometric, dynamical = adiabatic_phase(H, TimeGrid(0.0, 3.0, 600), level=0)
+    grid = TimeGrid(0.0, 3.0, 600)
+    geometric, dynamical = adiabatic_phase(H.sample(grid.nodes), grid, level=0)
     assert abs(geometric) < 1e-10
     assert dynamical == pytest.approx(6.0, abs=1e-10)
 
@@ -237,10 +194,11 @@ def test_adiabatic_phase_spin_limit():
     p = SpinParams(50.0, 1.0, np.pi / 3)
     H = spin_model.hamiltonian(p)
     grid = TimeGrid(0.0, p.period, 20000)
-    geo0, dyn0 = adiabatic_phase(H, grid, level=0)
+    samples = H.sample(grid.nodes)
+    geo0, dyn0 = adiabatic_phase(samples, grid, level=0)
     assert abs(wrap_angle(geo0 - wrap_angle(-np.pi * (1 - np.cos(p.theta))))) < 0.02 * np.pi
     assert dyn0 == pytest.approx(50.0 * p.period, rel=1e-10)
-    geo1, dyn1 = adiabatic_phase(H, grid, level=1)
+    geo1, dyn1 = adiabatic_phase(samples, grid, level=1)
     assert abs(wrap_angle(geo1 - wrap_angle(-np.pi * (1 + np.cos(p.theta))))) < 0.02 * np.pi
     assert dyn1 == pytest.approx(-50.0 * p.period, rel=1e-10)
 
@@ -251,7 +209,7 @@ def test_adiabatic_phase_converges_to_exact():
     for mu_b in (5.0, 50.0, 500.0):
         p = SpinParams(mu_b, 1.0, theta)
         case = build_spin_case(mu_b, 1.0, theta, steps=20000)
-        geo, _ = adiabatic_phase(case.H, case.grid, level=0)
+        geo, _ = adiabatic_phase(case.H.sample(case.grid.nodes), case.grid, level=0)
         exact = spin_model.geometric_phase(p, "+")
         gaps.append(abs(wrap_angle(geo - exact)))
     assert gaps[0] > gaps[1] > gaps[2]
@@ -264,8 +222,17 @@ def test_adiabatic_phase_rejects_degeneracy():
         return (1.0 - times)[:, None, None] * np.diag([1.0, -1.0])[None].astype(complex)
 
     H = HamiltonianTrajectory(2, evaluate=batch)
+    grid = TimeGrid(0.0, 2.0, 200)
     with pytest.raises(DegeneracyError):
-        adiabatic_phase(H, TimeGrid(0.0, 2.0, 200), level=0)
+        adiabatic_phase(H.sample(grid.nodes), grid, level=0)
+
+
+def test_adiabatic_phase_checks_the_node_samples():
+    H = constant_trajectory(np.diag([-2.0, 1.0]).astype(complex))
+    grid = TimeGrid(0.0, 3.0, 600)
+    for samples in (H.sample(grid.nodes[:-1]), H.sample(grid.nodes)[:, :1], np.zeros(3)):
+        with pytest.raises(DimensionError, match="H samples have shape"):
+            adiabatic_phase(samples, grid, level=0)
 
 
 @pytest.mark.parametrize("case", ["spin", "custom"])
@@ -366,18 +333,13 @@ PROPERTY_STEPS = 24
 def test_holonomy_is_invariant_under_any_rephasing(dim, seed, alpha):
     # v_j -> e^{i alpha_j} v_j shifts each step phase by alpha_{j+1} - alpha_j
     # modulo 2 pi, and the 2 pi wraps vanish inside exp(-i sum arg), so the
-    # Bargmann holonomy is invariant on the grid itself, for any real alpha_j;
-    # parallel transport is idempotent and maps the rephased path to the
-    # transported one times the constant e^{i alpha_0}
+    # Bargmann holonomy is invariant on the grid itself, for any real alpha_j
     grid = TimeGrid(0.0, 1.3, PROPERTY_STEPS)
     v = turning_paths(np.random.default_rng(seed), grid, dim, 2)
     alpha = np.reshape(alpha, (PROPERTY_STEPS + 1, 2))
     rephased = v * np.exp(1j * alpha)[:, None]
     holonomies = PathStack(grid, v).holonomies
     assert np.max(np.abs(PathStack(grid, rephased).holonomies - holonomies)) <= 1e-12
-    once = parallel_transport(rephased)
-    assert np.max(np.abs(parallel_transport(once) - once)) <= 1e-12
-    assert np.max(np.abs(once - parallel_transport(v) * np.exp(1j * alpha[0]))) <= 1e-12
 
 
 def test_two_level_energies_match_the_full_form():

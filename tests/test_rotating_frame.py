@@ -109,7 +109,8 @@ def test_gauge_campaign_holds_on_the_cyclic_basis(name):
     grid = TimeGrid(0.0, family.period, 4000)
     d = len(family.lam)
     weights = np.arange(d, 0, -1) / (d * (d + 1) / 2)
-    values = gauge_campaign(family.H, propagate(family.H, grid), Ensemble(weights, family.chi.T),
+    members = PathStack(grid, member_paths(propagate(family.H, grid), family.chi.T))
+    values = gauge_campaign(weights, members, family.H.sample(grid.nodes),
                             np.random.default_rng(9), 10, 0.1)
     for key in ("max_gamma_total_deviation", "max_visibility_deviation", "max_holonomy_deviation",
                 "max_singh_deviation", "max_total_phase_prediction_mismatch",
