@@ -176,8 +176,10 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(
             f"field 'omega': a one-period horizon needs omega > 0, got {cfg.omega}"
         )
-    if cfg.horizon == "one-period" and not math.isfinite(_horizon(cfg)):
-        raise ConfigError(f"field 'omega': the one-period horizon 2 pi / {cfg.omega} overflows")
+    if not math.isfinite(2.0 * _horizon(cfg)):  # the grid's midpoints add two nodes
+        if cfg.horizon == "one-period":
+            raise ConfigError(f"field 'omega': the one-period horizon 2 pi / {cfg.omega} overflows")
+        raise ConfigError(f"field 't_end': {cfg.t_end} overflows the grid's midpoints")
     weights = cfg.resolved_weights()
     if len(weights) != len(cfg.states):
         raise ConfigError(

@@ -9,13 +9,14 @@ phase is the frame's holonomy, the Bargmann invariant `PathStack.holonomies`,
 so no member's phase is ever fixed.  A BasisFrame is a `phases.PathStack`
 checked orthonormal at every node, whose members are named by their position,
 so the connection, holonomies, trace formula and rebuilt amplitudes read its
-own step phases arg<v_j, v_{j+1}>.  The gauge transform is
-`mixed.transform_evolution`, the one rephasing of any PathStack, member paths
-and frames alike; it keeps every Gram entry to rounding, so its output is not
-checked again.  `effective_hamiltonian`, whose off-diagonal <v_n| i d/dt v_m>
-is no step phase, reads the step-overlap matrices V_j^dagger V_{j+1} instead;
-nothing here differentiates states.  A `GaugeFunction` evaluates the phases of
-every member at once.  H comes in as its samples on the frame's grid nodes.
+own step phases arg<v_j, v_{j+1}>.  On the grid a gauge is its angles
+alpha_k(t_j): the transform is `mixed.transform_evolution(paths, angles)`, the
+one rephasing of any PathStack, smooth or not; it keeps every Gram entry to
+rounding, so its output is not checked again.  `effective_hamiltonian`, whose
+off-diagonal <v_n| i d/dt v_m> is no step phase, reads the step-overlap
+matrices V_j^dagger V_{j+1} instead; nothing here differentiates states.  A
+`GaugeFunction` draws smooth gauges and gives their angles.  H comes in as its
+samples on the frame's grid nodes.
 """
 from __future__ import annotations
 
@@ -37,7 +38,8 @@ OVERLAP_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class GaugeFunction:
-    """Per-member smooth real gauge functions alpha_k(t), one row per member.
+    """Per-member smooth real gauge functions alpha_k(t), one row per member,
+    drawn by `random`.
 
     Each row carries a trigonometric polynomial of the stated period plus an
     optional linear ramp:  alpha(t) = c0 + slope * t
@@ -61,10 +63,6 @@ class GaugeFunction:
         cos, sin = self.cos_coeffs.shape, self.sin_coeffs.shape
         if self.const.shape != L or self.slope.shape != L or cos[:1] != L or sin != cos:
             raise DimensionError("gauge coefficient shapes do not match")
-
-    @property
-    def size(self) -> int:
-        return len(self.const)
 
     @property
     def degree(self) -> int:
@@ -95,20 +93,6 @@ class GaugeFunction:
         t, w, cos, sin = self._table(t)
         out = self.slope - sin @ (w * self.cos_coeffs).T + cos @ (w * self.sin_coeffs).T
         return np.moveaxis(out, -1, 0)
-
-    def negated(self) -> "GaugeFunction":
-        return GaugeFunction(self.period, -self.const, -self.cos_coeffs, -self.sin_coeffs,
-                             -self.slope)
-
-    @classmethod
-    def zero(cls, size: int, period: float, degree: int = 6) -> "GaugeFunction":
-        return cls(period, np.zeros(size), np.zeros((size, degree)), np.zeros((size, degree)),
-                   np.zeros(size))
-
-    @classmethod
-    def constants(cls, period: float, values, degree: int = 6) -> "GaugeFunction":
-        g = cls.zero(np.size(values), period, degree)
-        return cls(period, np.asarray(values, dtype=float), g.cos_coeffs, g.sin_coeffs, g.slope)
 
     @classmethod
     def random(

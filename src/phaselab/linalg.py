@@ -26,11 +26,10 @@ they are scanned, so a temporary sample stack is freed before the scan.
 Of the propagator's checks, `require_hermitian` reads a stack of 2x2
 matrices and `pair_norm_defect` the Cayley-Klein pairs by squared norms off
 the real and imaginary parts of the entries, with no conjugate-transposed
-copy; larger matrices form M - M^dagger.  `unitarity_defect` forms
-U^dagger U for a stack of one piece of 2^14 entries at most (`_pieces`); a
-longer stack sums the Gram entries on and above the diagonal by row
-multiply-adds over a component-major copy of one piece at a time, where
-`np.matmul` pays its per-matrix cost on every U(t_j).
+copy; larger matrices form M - M^dagger.  `unitarity_defect` sums the Gram
+entries of U^dagger U on and above the diagonal by row multiply-adds over a
+component-major copy of one piece (`_pieces`) at a time, a single matrix
+included, where `np.matmul` pays its per-matrix cost on every U(t_j).
 Everything batches over leading axes and reproduces bit-identical results
 run to run, which the golden tests rely on.
 """
@@ -106,18 +105,13 @@ def _two_level_squares(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def unitarity_defect(U) -> float:
     """||U^dagger U - I||_F, maximized over batch axes.
 
-    A single matrix, or a stack that fits in one piece (`_pieces`), forms
-    U^dagger U.  A longer stack sums the same squares over the Gram entries
-    on and above the diagonal, g_ij = sum_k conj(u_ki) u_kj, by row
-    multiply-adds over a component-major copy of one piece at a time, where
-    `np.matmul` would pay its per-matrix cost on every matrix.
+    Sums the squares over the Gram entries on and above the diagonal,
+    g_ij = sum_k conj(u_ki) u_kj, by row multiply-adds over a component-major
+    copy of one piece (`_pieces`) at a time, where `np.matmul` would pay its
+    per-matrix cost on every matrix.
     """
     U = _as_square(U)
     d = U.shape[-1]
-    if U.size <= _CHUNK:  # one piece at most, where a Gram stack costs less than the loop
-        gram = np.conj(np.swapaxes(U, -2, -1)) @ U  # a fresh contiguous stack
-        gram.reshape(-1, d * d)[:, :: d + 1] -= 1.0  # its diagonal, in place
-        return frobenius_norm(gram)
     largest = []
     for piece in _pieces(U):
         columns = piece.transpose(2, 1, 0).copy()  # columns[j, k] = u_kj, each one row
@@ -138,9 +132,10 @@ def unitarity_defect(U) -> float:
 
 
 def _pieces(M: np.ndarray):
-    """Successive pieces (m, d, d) of a stack of d x d matrices, `_CHUNK`
-    entries each, as `hermitian_step_exp` cuts them, so that what is computed
-    on a piece stays in cache and nothing is stack-sized."""
+    """Successive pieces (m, d, d) of a stack of d x d matrices, or of a single
+    matrix, `_CHUNK` entries each (one matrix at least), as `hermitian_step_exp`
+    cuts them, so that what `unitarity_defect` computes on a piece stays in
+    cache and nothing is stack-sized."""
     d = M.shape[-1]
     stack = M.reshape(-1, d, d)
     step = max(_CHUNK // (d * d), 1)

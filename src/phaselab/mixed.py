@@ -10,10 +10,11 @@ Transport conditions, the mixed dynamical phase, the Singh phase and
 `gauge_campaign` read the member paths psi_k = U|k> as one `phases.PathStack`,
 and H, where needed, as its node samples: nothing here propagates or samples
 H.  A per-path transform maps the stack to e^{i theta_k} psi_k
-(`transform_evolution`): over a complete basis U = sum_k psi_k <k|, so the
-rephased stack is the whole transformed evolution.  The same call is the
-hidden gauge transform v_k -> e^{i alpha_k} v_k of a `gauge.BasisFrame`: it is
-the one rephasing of any PathStack, member paths and frames alike.
+(`transform_evolution`, on the angles theta_k(t_j) at the grid nodes): over a
+complete basis U = sum_k psi_k <k|, so the rephased stack is the whole
+transformed evolution.  The same call is the hidden gauge transform
+v_k -> e^{i alpha_k} v_k of a `gauge.BasisFrame`: it is the one rephasing of
+any PathStack, member paths and frames alike, smooth or not.
 `transport_conditions` and `singh_phase` take that stack and the ensemble
 weights, so a caller that holds it pays for its step overlaps once; one
 `transport_conditions` call gives both residuals and gamma_D from its step
@@ -142,15 +143,15 @@ def mixed_total_phase(rho0: DensityMatrix, U_T: np.ndarray):
     return float(np.angle(tr)), float(visibility)
 
 
-def transform_evolution(members: PathStack, theta: GaugeFunction) -> PathStack:
-    """psi_k -> e^{i theta_k(t)} psi_k on every path of a stack: on the member
-    paths psi_k = U|k> of a basis the per-path transform U -> U sum_k
-    e^{i theta_k} |k><k|, on a frame the hidden gauge transform, which keeps
-    every Gram entry to rounding and so is not checked again."""
-    if theta.size != members.size:
-        raise DimensionError("one gauge row per path required")
-    phases = np.exp(1j * theta.value(members.grid.nodes))  # (k, nodes)
-    return PathStack(members.grid, members.states * phases.T[:, None, :])
+def transform_evolution(paths: PathStack, angles) -> PathStack:
+    """psi_k(t_j) -> e^{i angles[k, j]} psi_k(t_j), one row of node angles per
+    path: on the member paths psi_k = U|k> of a basis the per-path transform
+    U -> U sum_k e^{i theta_k} |k><k|, on a frame the hidden gauge transform,
+    which keeps every Gram entry to rounding and so is not checked again."""
+    angles, shape = np.asarray(angles, dtype=float), (paths.size, paths.grid.steps + 1)
+    if angles.shape != shape:
+        raise DimensionError(f"need one angle per path and node, {shape}, got {angles.shape}")
+    return PathStack(paths.grid, paths.states * np.exp(1j * angles).T[:, None, :])
 
 
 def singh_phase(weights, paths: PathStack) -> float:
@@ -180,11 +181,12 @@ def gauge_campaign(weights, members: PathStack, samples: np.ndarray, rng: np.ran
     `transform_evolution`: a periodic frame gauge must leave the frame trace
     and the holonomies fixed; a ramped gauge theta_k(t) must leave the Singh
     phase fixed and shift gamma_T, gamma_D of U' = U sum_k e^{i theta_k} |k><k|
-    as predicted from theta(0), theta(T).
+    as predicted from theta(0), theta(T).  Each drawn gauge is evaluated once,
+    on the grid nodes, so theta(0), theta(T) are its first and last angles.
     Every ramped-gauge observable is read off the rephased member paths
     psi'_k = U'|k>, gamma_T from U'(T) = sum_k psi'_k(T)<k| over the complete
     basis, and the base gamma_T by the same form, so a zero gauge shifts
-    nothing.  Scale 0: zero gauges, no draws.
+    nothing.  Scale 0: zero angles, no draws.
     """
     if members.size != members.dim:
         raise DimensionError(
@@ -199,54 +201,45 @@ def gauge_campaign(weights, members: PathStack, samples: np.ndarray, rng: np.ran
     base_singh = singh_phase(weights, members)
     base_gamma, base_vis = mixed_total_phase(rho0, members.states[-1] @ bras)
     base_dyn = transport_conditions(weights, members)[2]
-    diag_UT = np.einsum("ka,ak->k", bras, members.states[-1])  # <k|U(T)|k>
+    diag_UT = members.endpoint_overlaps  # <k|U(T)|k>, as psi_k(0) = |k>
 
     def draw(slope_scale):
+        """A drawn gauge's angles on the grid nodes; zeros, drawing nothing, at scale 0."""
         if gauge_scale == 0.0:
-            return GaugeFunction.zero(ensemble.size, grid.span)
-        return GaugeFunction.random(
-            ensemble.size, grid.span, rng, scale=gauge_scale, slope_scale=slope_scale
-        )
+            return np.zeros((members.size, grid.steps + 1))
+        return GaugeFunction.random(members.size, grid.span, rng, scale=gauge_scale,
+                                    slope_scale=slope_scale).value(grid.nodes)
 
-    dev_gamma = dev_vis = dev_hol = dev_singh = 0.0
-    mismatch_gamma = mismatch_dyn = naive_gamma = naive_dyn = 0.0
+    worst = np.zeros(8)  # the running maxima, in output order
     for _ in range(trials):
         gauged = transform_evolution(frame, draw(0.0))
         tr = frame_trace(gauged, samples, weights)
-        dev_gamma = max(dev_gamma, abs(wrap_angle(np.angle(tr) - np.angle(base_trace))))
-        dev_vis = max(dev_vis, abs(abs(tr) - abs(base_trace)))
-        hol_shift = gauged.holonomies - frame.holonomies
-        dev_hol = max(dev_hol, float(np.max(np.abs(hol_shift))))
 
         ramped = draw(2.0 * gauge_scale)
         shifted = transform_evolution(members, ramped)  # e^{i theta_k} psi_k
-        singh = singh_phase(weights, shifted)
-        dev_singh = max(dev_singh, abs(wrap_angle(singh - base_singh)))
-
-        theta_0, theta_T = ramped.value([0.0, grid.t_end]).T
+        theta_0, theta_T = ramped[:, 0], ramped[:, -1]
         predicted_gamma = float(np.angle(np.sum(weights * diag_UT * np.exp(1j * theta_T))))
         observed_gamma, _ = mixed_total_phase(rho0, shifted.states[-1] @ bras)
-        mismatch_gamma = max(mismatch_gamma, abs(wrap_angle(observed_gamma - predicted_gamma)))
-        naive_gamma = max(naive_gamma, abs(wrap_angle(observed_gamma - base_gamma)))
-
         observed_dyn = transport_conditions(weights, shifted)[2]
         predicted_dyn = base_dyn + float(np.sum(weights * (theta_T - theta_0)))
-        mismatch_dyn = max(mismatch_dyn, abs(observed_dyn - predicted_dyn))
-        naive_dyn = max(naive_dyn, abs(observed_dyn - base_dyn))
 
-    return {
-        "gamma_total": base_gamma,
-        "visibility": base_vis,
-        "singh_phase": base_singh,
-        "max_gamma_total_deviation": dev_gamma,
-        "max_visibility_deviation": dev_vis,
-        "max_holonomy_deviation": dev_hol,
-        "max_singh_deviation": dev_singh,
-        "max_total_phase_prediction_mismatch": mismatch_gamma,
-        "max_dynamical_phase_prediction_mismatch": mismatch_dyn,
-        "max_naive_total_phase_shift": naive_gamma,
-        "max_naive_dynamical_phase_shift": naive_dyn,
-    }
+        np.maximum(worst, [
+            abs(wrap_angle(np.angle(tr) - np.angle(base_trace))),
+            abs(abs(tr) - abs(base_trace)),
+            np.max(np.abs(gauged.holonomies - frame.holonomies)),
+            abs(wrap_angle(singh_phase(weights, shifted) - base_singh)),
+            abs(wrap_angle(observed_gamma - predicted_gamma)),
+            abs(observed_dyn - predicted_dyn),
+            abs(wrap_angle(observed_gamma - base_gamma)),
+            abs(observed_dyn - base_dyn),
+        ], out=worst)
+
+    names = ("max_gamma_total_deviation", "max_visibility_deviation",
+             "max_holonomy_deviation", "max_singh_deviation",
+             "max_total_phase_prediction_mismatch", "max_dynamical_phase_prediction_mismatch",
+             "max_naive_total_phase_shift", "max_naive_dynamical_phase_shift")
+    return {"gamma_total": base_gamma, "visibility": base_vis, "singh_phase": base_singh,
+            **dict(zip(names, worst.tolist()))}
 
 
 def transport_conditions(weights, members: PathStack):

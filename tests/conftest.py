@@ -73,11 +73,6 @@ def central_diff(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def rephased(stack: PathStack, angles) -> PathStack:
-    """psi_k(t_j) -> e^{i angles[k, j]} psi_k(t_j), one row of angles per path."""
-    return PathStack(stack.grid, stack.states * np.exp(1j * np.asarray(angles)).T[:, None, :])
-
-
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * 0.5 * (A + np.conj(A.T))

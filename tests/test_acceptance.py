@@ -29,7 +29,7 @@ from phaselab.mixed import (
 from phaselab.numerics import wrap_angle
 from phaselab.phases import PathStack, adiabatic_phase
 
-from conftest import build_spin_case, central_diff, random_density, rephased
+from conftest import build_spin_case, central_diff, random_density
 
 SWEEP_SEED = 0
 SWEEP_SIZE = 100
@@ -162,7 +162,7 @@ def test_criterion_4_hidden_gauge_invariance():
     naive_moved = 0.0
     for _ in range(50):
         periodic = GaugeFunction.random(2, case.grid.span, rng, scale=0.1)
-        gauged = transform_evolution(frame, periodic)
+        gauged = transform_evolution(frame, periodic.value(nodes))
         tr = frame_trace(gauged, samples, weights)
         worst_invariant = max(
             worst_invariant,
@@ -171,7 +171,8 @@ def test_criterion_4_hidden_gauge_invariance():
             float(np.max(np.abs(gauged.holonomies - frame.holonomies))),
         )
         ramped = GaugeFunction.random(2, case.grid.span, rng, scale=0.1, slope_scale=0.2)
-        shifted = transform_evolution(case.members, ramped)  # psi_k -> e^{i theta_k} psi_k
+        # psi_k -> e^{i theta_k} psi_k
+        shifted = transform_evolution(case.members, ramped.value(nodes))
         worst_invariant = max(
             worst_invariant, abs(wrap_angle(singh_phase(weights, shifted) - base_singh))
         )
@@ -280,7 +281,7 @@ def test_criterion_7_universal_hamiltonian_constraint():
         theta = GaugeFunction.random(2, grid.span, rng, scale=0.5, slope_scale=1.0)
         shift = theta.derivative(nodes)[0]
         spread = float(np.max(np.abs(theta.derivative(nodes)[1] - theta.derivative(nodes)[0])))
-        broken = residual(rephased(paths, theta.value(nodes)), shift)
+        broken = residual(transform_evolution(paths, theta.value(nodes)), shift)
         equal = GaugeFunction(
             grid.span,
             const=rng.uniform(-np.pi, np.pi, size=2),
@@ -288,7 +289,7 @@ def test_criterion_7_universal_hamiltonian_constraint():
             sin_coeffs=np.tile(theta.sin_coeffs[0], (2, 1)),
             slope=np.array([theta.slope[0], theta.slope[0]]),
         )
-        kept = residual(rephased(paths, equal.value(nodes)), equal.derivative(nodes)[0])
+        kept = residual(transform_evolution(paths, equal.value(nodes)), equal.derivative(nodes)[0])
         passed = passed and broken >= spread * (1.0 - 1e-3) and kept < 1e-2 * max(spread, 1.0)
     report(
         7,

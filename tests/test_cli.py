@@ -173,6 +173,12 @@ def test_steps_floor_exit_2():
         # and one would ignore t_end
         (["simulate"], "t_end = 3\n", "t_end"),
         (["simulate"], "horizon = one-period\nt_end = 3\n", "t_end"),
+        # a finite horizon whose midpoints overflow: t_j + t_{j+1} passes 2 t_end
+        (["simulate", "--omega", "5e-308"], None, "omega"),
+        (["sweep", "--axis", "theta", "--values", "0.5", "--omega", "5e-308"], None, "omega"),
+        (["sweep", "--axis", "omega", "--values", "1,5e-308"], None, "omega"),
+        (["verify-gauge", "--omega", "5e-308"], None, "omega"),
+        (["simulate"], "horizon = explicit\nt_end = 1e308\n", "t_end"),
     ],
 )
 def test_out_of_range_input_exit_2(tmp_path, capsys, argv, config, name):
@@ -525,6 +531,61 @@ def test_sampled_file_header_is_named_by_its_line(tmp_path, capsys, header, mess
     )
     assert run(["simulate", "--config", str(config), "--steps", "10"]) == 2
     assert capsys.readouterr().err == f"config error: {hfile}:3: {message}\n"
+
+
+def custom_config(hfile: str, states: str = "0,1") -> str:
+    return (f"model = custom-sampled\nhamiltonian_file = {hfile}\nhorizon = explicit\n"
+            f"t_end = 1\nweights = 0.5,0.5\nstates = {states}\n")
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["simulate", "--config", "missing.cfg"], None,
+     "cannot read config file missing.cfg: [Errno 2] No such file or directory: 'missing.cfg'"),
+    (["simulate"], "mu_b 1\n", "c.cfg:1: expected 'key = value', got 'mu_b 1'"),
+    (["simulate"], "\nmu_b = x\n", "c.cfg:2: field 'mu_b': could not convert string to float: 'x'"),
+    (["simulate"], "model = foo\n", "field 'model': unknown model 'foo'"),
+    (["simulate"], "horizon = explicit\n", "field 't_end': required for an explicit horizon"),
+    (["simulate"], "model = custom-sampled\nhorizon = explicit\nt_end = 1\n",
+     "field 'hamiltonian_file': required for custom-sampled model"),
+    (["simulate"], "model = custom-sampled\nhamiltonian_file = h.txt\n",
+     "field 'horizon': custom-sampled model needs an explicit t_end"),
+    (["simulate"], "weights = 0.5,0.3,0.2\n", "field 'weights': 3 weights for 2 states"),
+    (["simulate"], custom_config("missing.txt"),
+     "cannot read Hamiltonian file missing.txt: [Errno 2] No such file or directory: "
+     "'missing.txt'"),
+    (["simulate"], custom_config("empty.txt"), "empty.txt: empty Hamiltonian file"),
+    (["simulate"], custom_config("header.txt"),
+     "header.txt:1: invalid literal for int() with base 10: 'two'"),
+    (["simulate"], custom_config("nan.txt"), "nan.txt: non-finite entries"),
+    (["simulate"], "states = +,x\n", "field 'states': spin selectors are '+'/'-', got 'x'"),
+    (["simulate"], custom_config("h.txt", "0,a"),
+     "field 'states': custom selectors are basis indices, got 'a'"),
+    (["simulate"], custom_config("h.txt", "0,5"), "field 'states': index 5 outside 0..1"),
+    (["sweep", "--axis", "theta", "--values", "0.5"], custom_config("h.txt"),
+     "sweep supports the spin model only"),
+    (["simulate", "--out", "file.txt/x.csv"], None,
+     "field 'out': cannot write: [Errno 20] Not a directory: 'file.txt/x.csv'"),
+    (["simulate"], "horizon = explicit\nt_end = 1e308\n",
+     "field 't_end': 1e+308 overflows the grid's midpoints"),
+], ids=["config-unreadable", "no-equals", "unconvertible", "model", "t_end-missing",
+        "hamiltonian_file-missing", "custom-one-period", "weight-count", "hamiltonian-unreadable",
+        "hamiltonian-empty", "header-not-integer", "non-finite", "spin-selector",
+        "custom-selector", "custom-index", "sweep-custom", "out-under-a-file", "t_end-overflow"])
+def test_exit_2_messages_word_for_word(tmp_path, monkeypatch, capsys, argv, config, message):
+    # every message names what to mend; the files are named relative to the
+    # working directory, so each stderr line is pinned whole
+    monkeypatch.chdir(tmp_path)
+    rows = f"{GOOD_ROW}\n" * 2
+    Path("h.txt").write_text("dim 2 steps 1\n" + rows)
+    Path("empty.txt").write_text("# no samples\n\n")
+    Path("header.txt").write_text("dim two steps 1\n" + rows)
+    Path("nan.txt").write_text(f"dim 2 steps 1\nnan{GOOD_ROW[1:]}\n{GOOD_ROW}\n")
+    Path("file.txt").write_text("")
+    if config is not None:
+        Path("c.cfg").write_text(config)
+        argv = [*argv, "--config", "c.cfg"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_sampled_file_that_loads_runs(tmp_path):

@@ -1,4 +1,6 @@
 """Mixed-state operations: observables, transforms, transport, purification."""
+import re
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from phaselab.mixed import (
 from phaselab.numerics import wrap_angle
 from phaselab.phases import PathStack
 
-from conftest import central_diff, mat_exp, random_density, random_hermitian, random_unitary, rephased
+from conftest import central_diff, mat_exp, random_density, random_hermitian, random_unitary
 
 
 def members(U: PropagatorPath, ensemble: Ensemble) -> PathStack:
@@ -228,18 +230,21 @@ def test_mixed_dynamical_phase_linearity(generic_case):
 
 
 def test_transform_evolution_identity(generic_case):
-    theta = GaugeFunction.zero(2, generic_case.grid.span)
-    transformed = transform_evolution(generic_case.members, theta)
+    nodes = generic_case.grid.steps + 1
+    transformed = transform_evolution(generic_case.members, np.zeros((2, nodes)))
     assert np.array_equal(transformed.states, generic_case.members.states)
-    with pytest.raises(DimensionError, match="one gauge row per path"):
-        transform_evolution(generic_case.members, GaugeFunction.zero(1, theta.period))
+    # one angle per path and node: a missing path, a missing node or a flat row are refused
+    for shape in [(1, nodes), (2, nodes - 1), (2 * nodes,), (2, nodes, 1)]:
+        with pytest.raises(DimensionError, match=re.escape(
+                f"need one angle per path and node, (2, {nodes}), got {shape}")):
+            transform_evolution(generic_case.members, np.zeros(shape))
 
 
 def test_transform_evolution_preserves_orbit(generic_case):
     rng = np.random.default_rng(7)
     theta = GaugeFunction.random(2, generic_case.grid.span, rng, scale=0.3, slope_scale=0.3)
     rho0 = density_from_ensemble(generic_case.ensemble)
-    transformed = transform_evolution(generic_case.members, theta)
+    transformed = transform_evolution(generic_case.members, theta.value(generic_case.grid.nodes))
     bras = np.conj(generic_case.ensemble.states)
     for j in (0, 1, 777, generic_case.grid.steps):
         before = generic_case.U.matrices[j] @ rho0.matrix @ np.conj(generic_case.U.matrices[j].T)
@@ -253,7 +258,8 @@ def test_transform_evolution_shifts_dynamical_phase(generic_case):
     base = gamma_d(generic_case.ensemble, generic_case.U)
     for _ in range(3):
         theta = GaugeFunction.random(2, generic_case.grid.span, rng, scale=0.1, slope_scale=0.3)
-        transformed = transform_evolution(generic_case.members, theta)
+        transformed = transform_evolution(generic_case.members,
+                                          theta.value(generic_case.grid.nodes))
         shifted = transport_conditions(generic_case.weights, transformed)[2]
         jump = sum(
             w * (end - start)
@@ -284,7 +290,7 @@ def test_singh_phase_invariant_under_path_phases(generic_case):
     nodes = generic_case.grid.nodes
     for _ in range(10):
         theta = GaugeFunction.random(2, generic_case.grid.span, rng, scale=0.1, slope_scale=0.2)
-        shifted = rephased(generic_case.members, theta.value(nodes))
+        shifted = transform_evolution(generic_case.members, theta.value(nodes))
         assert abs(wrap_angle(singh_phase(generic_case.weights, shifted) - base)) < 1e-7
 
 
@@ -572,7 +578,8 @@ def test_unequal_gauge_derivatives_break_schroedinger():
         spread = np.max(
             np.abs(theta.derivative(nodes)[1] - theta.derivative(nodes)[0])
         )
-        residual = schroedinger_residual(rephased(paths, theta.value(nodes)), H_samples, shift)
+        residual = schroedinger_residual(
+            transform_evolution(paths, theta.value(nodes)), H_samples, shift)
         assert residual >= spread * (1.0 - 1e-3)
         # equal-derivative transform: same trig part, different constants
         equal = GaugeFunction(
@@ -584,5 +591,5 @@ def test_unequal_gauge_derivatives_break_schroedinger():
         )
         shift_eq = equal.derivative(nodes)[0]
         residual_eq = schroedinger_residual(
-            rephased(paths, equal.value(nodes)), H_samples, shift_eq)
+            transform_evolution(paths, equal.value(nodes)), H_samples, shift_eq)
         assert residual_eq < 1e-2 * max(spread, 1.0)

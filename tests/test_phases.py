@@ -1,4 +1,5 @@
 """Phase functionals: goldens, gauge behavior, transport, adiabatic limit."""
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from phaselab import SpinParams, TimeGrid, cli, propagate, spin_model
 from phaselab.evolution import HamiltonianTrajectory, member_paths
 from phaselab.exceptions import DegeneracyError, DimensionError, UndefinedPhaseError
+from phaselab.mixed import transform_evolution
 from phaselab.numerics import trapezoid, wrap_angle
 from phaselab.phases import (
     PathStack,
@@ -16,7 +18,7 @@ from phaselab.phases import (
     step_overlaps,
 )
 
-from conftest import build_spin_case, random_hermitian, rephased
+from conftest import build_spin_case, random_hermitian
 
 
 def geometric(path: PathStack) -> float:
@@ -127,7 +129,7 @@ def test_geometric_phase_gauge_invariant(generic_case):
     nodes, T = generic_case.grid.nodes, generic_case.grid.span
     for _ in range(20):
         alpha = periodic_gauge_samples(rng, nodes, T)
-        shifted = rephased(path, alpha[None])
+        shifted = transform_evolution(path, alpha[None])
         assert abs(wrap_angle(geometric(shifted) - base)) < 1e-8
 
 
@@ -137,7 +139,7 @@ def test_total_phase_gauge_covariance(generic_case):
     (base,), _ = path.totals()
     nodes = generic_case.grid.nodes
     alpha = 0.3 * nodes + 0.2 * np.sin(2 * np.pi * nodes / generic_case.grid.span)
-    (angle,), _ = rephased(path, alpha[None]).totals()
+    (angle,), _ = transform_evolution(path, alpha[None]).totals()
     expected = wrap_angle(base + alpha[-1] - alpha[0])
     assert angle == pytest.approx(float(expected), abs=1e-10)
 
@@ -225,6 +227,36 @@ def test_adiabatic_phase_rejects_degeneracy():
     grid = TimeGrid(0.0, 2.0, 200)
     with pytest.raises(DegeneracyError):
         adiabatic_phase(H.sample(grid.nodes), grid, level=0)
+
+
+@pytest.mark.parametrize("level", [-1, 2])
+def test_adiabatic_phase_rejects_a_level_outside_the_spectrum(level):
+    grid = TimeGrid(0.0, 3.0, 60)
+    samples = constant_trajectory(np.diag([-2.0, 1.0]).astype(complex)).sample(grid.nodes)
+    with pytest.raises(DimensionError, match=re.escape(f"level {level} outside 0..1")):
+        adiabatic_phase(samples, grid, level=level)
+
+
+def test_adiabatic_phase_rejects_a_level_closing_on_the_level_below():
+    # levels 1 and 2 of diag(-3, 1 - t, t - 1) cross at t = 1; level 0 stays apart
+    def batch(times):
+        t = np.asarray(times, dtype=float)
+        return np.stack([np.diag([-3.0, 1.0 - s, s - 1.0]) for s in t]).astype(complex)
+
+    grid = TimeGrid(0.0, 2.0, 200)
+    samples = HamiltonianTrajectory(3, evaluate=batch).sample(grid.nodes)
+    adiabatic_phase(samples, grid, level=0)
+    with pytest.raises(DegeneracyError, match="level 2 closes on level 1"):
+        adiabatic_phase(samples, grid, level=2)
+
+
+def test_adiabatic_phase_rejects_eigenvectors_that_turn_between_nodes():
+    # H_j = (-1)^j sigma_z: the gap stays 2, but the lower eigenvector swaps
+    # between |1> and |0> at every step, a turn of pi/2 with zero step overlap
+    grid = TimeGrid(0.0, 1.0, 4)
+    samples = np.array([(-1) ** j * np.diag([1.0, -1.0]) for j in range(5)], dtype=complex)
+    with pytest.raises(DegeneracyError, match="eigenvector continuity lost between grid nodes"):
+        adiabatic_phase(samples, grid, level=0)
 
 
 def test_adiabatic_phase_checks_the_node_samples():
