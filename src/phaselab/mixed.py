@@ -19,11 +19,12 @@ any PathStack, member paths and frames alike, smooth or not.
 weights, so a caller that holds it pays for its step overlaps once; one
 `transport_conditions` call gives both residuals and gamma_D from its step
 phases, which that transform shifts by theta_k(t_{j+1}) - theta_k(t_j).
-`purify` takes rho's eigenvectors as `eigh` returns them.
+A `DensityMatrix` keeps the ascending spectrum and eigenvectors of the one
+`eigh` that checked it; `purify` reads them as `eigh` returned them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .exceptions import (
     UndefinedPhaseError,
 )
 from .gauge import GaugeFunction, frame_from_amplitudes, frame_trace
-from .linalg import hermiticity_defect, unitarity_defect
 from .numerics import wrap_angle
 from .phases import PathStack
 
@@ -42,26 +42,35 @@ TRACE_FLOOR = 1e-12
 WEIGHT_SUM_TOL = 1e-12  # |sum w_k - 1| allowed for the weights of an ensemble
 
 
+def _frobenius(M: np.ndarray) -> float:
+    """||M||_F of one matrix; NaN if an entry is."""
+    return float(np.sqrt(np.vdot(M, M).real))
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, positive semidefinite, unit-trace matrix."""
+    """Hermitian, positive semidefinite, unit-trace matrix, with the ascending
+    spectrum and eigenvectors of the one `np.linalg.eigh` that checked it."""
 
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rho = np.asarray(self.matrix, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise DimensionError(f"density matrix must be square, got {rho.shape}")
-        if not hermiticity_defect(rho) <= 1e-10:
+        if not _frobenius(rho - np.conj(rho.T)) <= 1e-10:
             raise ContractError("density matrix not Hermitian to 1e-10")
-        if not (abs(np.trace(rho).real - 1.0) <= 1e-10 and abs(np.trace(rho).imag) <= 1e-10):
-            raise ContractError(f"density matrix trace {np.trace(rho):.12g} != 1")
-        eigenvalues = np.linalg.eigvalsh(rho)
-        if not np.min(eigenvalues) >= -1e-10:
-            raise ContractError(
-                f"density matrix has negative eigenvalue {np.min(eigenvalues):.3e}"
-            )
+        trace = np.trace(rho)
+        if not (abs(trace.real - 1.0) <= 1e-10 and abs(trace.imag) <= 1e-10):
+            raise ContractError(f"density matrix trace {trace:.12g} != 1")
+        eigenvalues, eigenvectors = np.linalg.eigh(rho)
+        if not eigenvalues[0] >= -1e-10:
+            raise ContractError(f"density matrix has negative eigenvalue {eigenvalues[0]:.3e}")
         object.__setattr__(self, "matrix", rho)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "eigenvectors", eigenvectors)
 
     @property
     def dim(self) -> int:
@@ -109,7 +118,7 @@ class PurifiedState:
         a = np.asarray(self.coefficients, dtype=complex)
         if a.ndim != 2:
             raise DimensionError("purified state coefficients must be a 2-D array")
-        total = float(np.sum(np.abs(a) ** 2))
+        total = float(np.vdot(a, a).real)
         if not abs(total - 1.0) <= 1e-12:
             raise ContractError(f"purified state norm^2 = {total:.15g}, not 1")
         object.__setattr__(self, "coefficients", a)
@@ -275,8 +284,7 @@ def purify(
     Schmidt coefficients come out sorted.  Any other purification is reachable
     by the optional right-unitary on the ancilla index.
     """
-    vals, vecs = np.linalg.eigh(rho.matrix)  # ascending
-    vals, vecs = np.clip(vals[::-1], 0.0, None), vecs[:, ::-1]
+    vals, vecs = np.clip(rho.eigenvalues[::-1], 0.0, None), rho.eigenvectors[:, ::-1]
     rank = int(np.sum(vals > 1e-12))
     if ancilla_dim < rank:
         raise CapacityError(
@@ -290,7 +298,7 @@ def purify(
         W = np.asarray(ancilla_unitary, dtype=complex)
         if W.shape != (ancilla_dim, ancilla_dim):
             raise DimensionError("ancilla unitary has the wrong shape")
-        if not unitarity_defect(W) <= 1e-10:
+        if not _frobenius(np.conj(W.T) @ W - np.eye(ancilla_dim)) <= 1e-10:
             raise ContractError("ancilla transform must be unitary")
         a = a @ W
     return PurifiedState(a)

@@ -567,10 +567,17 @@ def custom_config(hfile: str, states: str = "0,1") -> str:
      "field 'out': cannot write: [Errno 20] Not a directory: 'file.txt/x.csv'"),
     (["simulate"], "horizon = explicit\nt_end = 1e308\n",
      "field 't_end': 1e+308 overflows the grid's midpoints"),
+    (["simulate", "--steps", "10000000000000"], None,
+     "field 'steps': at most 6710886 steps fit the 2 GiB working-set limit at dimension 2, "
+     "got 10000000000000"),
+    (["simulate", "--steps", "10000000000000"], custom_config("h3.txt", "0,2"),
+     "field 'steps': at most 2982616 steps fit the 2 GiB working-set limit at dimension 3, "
+     "got 10000000000000"),
 ], ids=["config-unreadable", "no-equals", "unconvertible", "model", "t_end-missing",
         "hamiltonian_file-missing", "custom-one-period", "weight-count", "hamiltonian-unreadable",
         "hamiltonian-empty", "header-not-integer", "non-finite", "spin-selector",
-        "custom-selector", "custom-index", "sweep-custom", "out-under-a-file", "t_end-overflow"])
+        "custom-selector", "custom-index", "sweep-custom", "out-under-a-file", "t_end-overflow",
+        "steps-working-set", "steps-working-set-custom"])
 def test_exit_2_messages_word_for_word(tmp_path, monkeypatch, capsys, argv, config, message):
     # every message names what to mend; the files are named relative to the
     # working directory, so each stderr line is pinned whole
@@ -581,11 +588,30 @@ def test_exit_2_messages_word_for_word(tmp_path, monkeypatch, capsys, argv, conf
     Path("header.txt").write_text("dim two steps 1\n" + rows)
     Path("nan.txt").write_text(f"dim 2 steps 1\nnan{GOOD_ROW[1:]}\n{GOOD_ROW}\n")
     Path("file.txt").write_text("")
+    Path("h3.txt").write_text("dim 3 steps 1\n" + f"{' '.join(['0'] * 18)}\n" * 2)
     if config is not None:
         Path("c.cfg").write_text(config)
         argv = [*argv, "--config", "c.cfg"]
     assert run(argv) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_steps_ceiling_is_checked_before_any_grid_exists(capsys):
+    most = cli.WORKING_SET_BYTES // (cli.STEP_BYTES * 2 * 2)
+    assert most >= 100 * 40000  # criterion 1's grids sit far inside the ceiling
+    assert cli.validate_config(cli.ScenarioConfig(steps=most)).steps == most
+    with pytest.raises(cli.ConfigError, match="field 'steps'"):
+        cli.validate_config(cli.ScenarioConfig(steps=most + 1))
+    # a sweep is refused before its rotating-field table is built
+    tracemalloc.start()
+    try:
+        for command in (["simulate"], ["sweep", "--axis", "theta", "--values", "1"]):
+            assert run([*command, "--steps", "10000000000000"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert capsys.readouterr().err.count("field 'steps': at most 6710886 steps") == 2
 
 
 def test_sampled_file_that_loads_runs(tmp_path):
@@ -920,6 +946,73 @@ def test_spin_report_values(tmp_path):
         0.9127241981021779, abs=1e-10
     )
     assert float(records[("mixed_trace_im", "")]) == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("value, text, stored", [
+    (0.1 + 0.2, "0.3", 0.30000000000000004),
+    (-1.0 / 3.0e7, "-3.33333333333e-08", -3.3333333333333334e-08),
+    (1e300, "1e+300", 1e300),
+    (2.0, "2", 2.0),
+    (np.float64(2.0) / 3.0, "0.666666666667", 0.6666666666666666),
+    (3, "3", 3),
+    (np.int64(-7), "-7", -7),
+    (True, "true", True),
+    (False, "false", False),
+    ("+", "+", "+"),
+    ("", "", ""),
+    ("numpy PCG64 seed=0", "numpy PCG64 seed=0", "numpy PCG64 seed=0"),
+], ids=["float", "float-exponent", "float-large", "float-integral", "np.float64", "int",
+        "np.int64", "true", "false", "str", "str-empty", "str-spaces"])
+def test_record_values_keep_their_text(value, text, stored):
+    # every type the commands emit, through both writers, in header and record
+    table = cli.write_table(cli.RECORD_COLUMNS, [("x", "", value)], {"key": value},
+                            cli.ScenarioConfig())
+    assert table == f"# key = {text}\nobservable,label,value\nx,,{text}\n"
+    payload = {"header": {"key": stored},
+               "records": [{"observable": "x", "label": "", "value": stored}]}
+    assert cli.write_table(cli.RECORD_COLUMNS, [("x", "", value)], {"key": value},
+                           cli.ScenarioConfig(format="json")) == json.dumps(payload, indent=2) + "\n"
+    assert type(cli._json_value(value)) is type(stored)
+
+
+def _purify_demo_reference(seed: int, dim: int) -> dict:
+    """purify-demo's numbers from plain numpy: rho's spectrum and hidden-gauge
+    basis from an eigh of its own, with purify's and hidden_gauge_transform's
+    arithmetic, so the CLI's may not depend on which decomposition it reads."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = (A @ np.conj(A.T)) / np.trace(A @ np.conj(A.T)).real
+    vals, vecs = np.linalg.eigh(rho)
+    a = vecs[:, ::-1] * np.sqrt(np.clip(vals[::-1], 0.0, None))[None, :]
+    a /= np.sqrt(np.sum(np.abs(a) ** 2))
+    phases = rng.uniform(-np.pi, np.pi, size=dim)
+    shifted = vecs @ np.diag(np.exp(1j * phases)) @ np.conj(vecs.T) @ a
+    return {"round_trip_error": float(np.max(np.abs(a @ np.conj(a.T) - rho))),
+            "hidden_gauge_shift": float(np.max(np.abs(shifted @ np.conj(shifted.T) - rho))),
+            **{f"schmidt_coefficient{k}": float(c)
+               for k, c in enumerate(np.sqrt(np.clip(vals[::-1], 0.0, None)))}}
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_purify_demo_decomposes_each_density_matrix_once(dim, monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    records, _ = cli.run_purify_demo(cli.ScenarioConfig(seed=dim), dim)
+    # rho, the round-trip state and the gauge-shifted one, one eigh each
+    assert calls == {"eigh": 3, "eigvalsh": 0}
+    values = {name + label: value for name, label, value in records}
+    reference = _purify_demo_reference(dim, dim)
+    assert {key: values[key] for key in reference} == reference  # bit for bit
 
 
 def test_purify_demo(tmp_path):

@@ -83,6 +83,15 @@ def test_density_invariants_enforced():
         DensityMatrix(bad)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 5, 8])
+def test_density_matrix_keeps_the_eigh_that_checked_it(dim):
+    m = random_density(np.random.default_rng(dim), dim).matrix
+    rho = DensityMatrix(m)
+    vals, vecs = np.linalg.eigh(m)
+    assert np.array_equal(rho.eigenvalues, vals) and np.array_equal(rho.eigenvectors, vecs)
+    assert rho.eigenvalues[0] == np.min(rho.eigenvalues)  # ascending, as eigh returns them
+
+
 def test_ensemble_weight_validation():
     with pytest.raises(ContractError):
         Ensemble(np.array([0.5, 0.4]), np.eye(2, dtype=complex))
@@ -541,6 +550,16 @@ def test_purify_ancilla_freedom_preserves_reduction():
     W = random_unitary(rng, 3)
     twisted = purify(rho, 3, ancilla_unitary=W)
     assert np.max(np.abs(reduce(twisted).matrix - rho.matrix)) < 1e-10
+
+
+def test_purify_checks_the_ancilla_unitary_by_its_gram_matrix():
+    rng = np.random.default_rng(41)
+    rho = random_density(rng, 4)
+    W = random_unitary(rng, 16)
+    assert np.max(np.abs(reduce(purify(rho, 16, W)).matrix - rho.matrix)) < 1e-10
+    W[3, 5] += 1e-8
+    with pytest.raises(ContractError, match="ancilla transform must be unitary"):
+        purify(rho, 16, W)
 
 
 def test_hidden_gauge_transform_keeps_reduction():
