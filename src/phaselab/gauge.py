@@ -16,7 +16,10 @@ rounding, so its output is not checked again.  `effective_hamiltonian`, whose
 off-diagonal <v_n| i d/dt v_m> is no step phase, reads the step-overlap
 matrices V_j^dagger V_{j+1} instead; nothing here differentiates states.  A
 `GaugeFunction` draws smooth gauges and gives their angles.  H comes in as its
-samples on the frame's grid nodes.
+samples on the frame's grid nodes.  `mixed.gauge_campaign` rephases the
+member paths psi_k = U|k>, a frame on the gauge orbit of the phase-stripped
+one that `frame_from_amplitudes` builds as a reference; only that stripping
+raises OrthogonalityCrossingError, where an amplitude leaves it undefined.
 """
 from __future__ import annotations
 

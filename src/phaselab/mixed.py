@@ -10,11 +10,11 @@ Transport conditions, the mixed dynamical phase, the Singh phase and
 `gauge_campaign` read the member paths psi_k = U|k> as one `phases.PathStack`,
 and H, where needed, as its node samples: nothing here propagates or samples
 H.  A per-path transform maps the stack to e^{i theta_k} psi_k
-(`transform_evolution`, on the angles theta_k(t_j) at the grid nodes): over a
-complete basis U = sum_k psi_k <k|, so the rephased stack is the whole
-transformed evolution.  The same call is the hidden gauge transform
-v_k -> e^{i alpha_k} v_k of a `gauge.BasisFrame`: it is the one rephasing of
-any PathStack, member paths and frames alike, smooth or not.
+(`transform_evolution`, on the angles theta_k(t_j) at the grid nodes): the
+member paths of U' = U sum_k e^{i theta_k} |k><k|, with Tr[U'(T) rho0] =
+sum_k w_k <k|psi'_k(T)> for any ensemble.  The same call is the hidden gauge
+transform of the frame psi_k, or of any PathStack, smooth or not, so
+`gauge_campaign` reads each trial's one rephasing both ways.
 `transport_conditions` and `singh_phase` take that stack and the ensemble
 weights, so a caller that holds it pays for its step overlaps once; one
 `transport_conditions` call gives both residuals and gamma_D from its step
@@ -34,7 +34,7 @@ from .exceptions import (
     DimensionError,
     UndefinedPhaseError,
 )
-from .gauge import GaugeFunction, frame_from_amplitudes, frame_trace
+from .gauge import GaugeFunction, frame_trace
 from .numerics import wrap_angle
 from .phases import PathStack
 
@@ -147,7 +147,8 @@ def mixed_total_phase(rho0: DensityMatrix, U_T: np.ndarray):
     visibility = abs(tr)
     if visibility < TRACE_FLOOR:
         raise UndefinedPhaseError(
-            f"visibility {visibility:.2e} is zero: the mixed total phase is undefined"
+            f"visibility {visibility:.2e} is zero: the mixed total phase is undefined "
+            "(zero visibility: the interference pattern is flat and carries no fringe shift)"
         )
     return float(np.angle(tr)), float(visibility)
 
@@ -184,49 +185,38 @@ def gauge_campaign(weights, members: PathStack, samples: np.ndarray, rng: np.ran
                    trials: int, gauge_scale: float) -> dict:
     """Base observables and worst deviations over `trials` random gauges, by name.
 
-    `members` holds the member paths psi_k = U|k> of any complete basis,
-    propagated or closed-form, whose kets |k> are read as psi_k(0), and
-    `samples` H on the grid nodes.  Per trial, both gauges applied by
-    `transform_evolution`: a periodic frame gauge must leave the frame trace
-    and the holonomies fixed; a ramped gauge theta_k(t) must leave the Singh
-    phase fixed and shift gamma_T, gamma_D of U' = U sum_k e^{i theta_k} |k><k|
-    as predicted from theta(0), theta(T).  Each drawn gauge is evaluated once,
-    on the grid nodes, so theta(0), theta(T) are its first and last angles.
-    Every ramped-gauge observable is read off the rephased member paths
-    psi'_k = U'|k>, gamma_T from U'(T) = sum_k psi'_k(T)<k| over the complete
-    basis, and the base gamma_T by the same form, so a zero gauge shifts
-    nothing.  Scale 0: zero angles, no draws.
+    `members` holds the member paths psi_k = U|k> of any ensemble, propagated
+    or closed-form, whose kets |k> are read as psi_k(0), and `samples` H on the
+    grid nodes.  Per trial one ramped gauge theta_k(t) is drawn, evaluated once
+    on the grid nodes (theta(0), theta(T) are its first and last angles), and
+    applied once by `transform_evolution`.  The rephased stack psi'_k is read
+    two ways: as a hidden gauge of the frame psi_k, it must leave the frame
+    trace, the holonomies and the Singh phase fixed; as the member paths of
+    U' = U sum_k e^{i theta_k} |k><k|, it must shift gamma_T, gamma_D as
+    predicted from theta(0), theta(T).  Both are read off psi'_k, gamma_T from
+    sum_k psi'_k(T)<k| and rho0 and the base gamma_T by the same form, so a
+    zero gauge shifts nothing.  Scale 0: zero angles, no draws.
     """
-    if members.size != members.dim:
-        raise DimensionError(
-            f"basis with {members.size} states cannot span dimension {members.dim}")
     ensemble = Ensemble(weights, members.states[0].T)  # the kets |k> = psi_k(0)
-    grid = members.grid
-    weights = ensemble.weights
+    grid, weights = members.grid, ensemble.weights
     bras = np.conj(ensemble.states)  # rows <k|
     rho0 = density_from_ensemble(ensemble)
-    frame = frame_from_amplitudes(members)
-    base_trace = frame_trace(frame, samples, weights)
+    base_trace = frame_trace(members, samples, weights)
     base_singh = singh_phase(weights, members)
     base_gamma, base_vis = mixed_total_phase(rho0, members.states[-1] @ bras)
     base_dyn = transport_conditions(weights, members)[2]
     diag_UT = members.endpoint_overlaps  # <k|U(T)|k>, as psi_k(0) = |k>
 
-    def draw(slope_scale):
-        """A drawn gauge's angles on the grid nodes; zeros, drawing nothing, at scale 0."""
-        if gauge_scale == 0.0:
-            return np.zeros((members.size, grid.steps + 1))
-        return GaugeFunction.random(members.size, grid.span, rng, scale=gauge_scale,
-                                    slope_scale=slope_scale).value(grid.nodes)
-
     worst = np.zeros(8)  # the running maxima, in output order
     for _ in range(trials):
-        gauged = transform_evolution(frame, draw(0.0))
-        tr = frame_trace(gauged, samples, weights)
-
-        ramped = draw(2.0 * gauge_scale)
-        shifted = transform_evolution(members, ramped)  # e^{i theta_k} psi_k
-        theta_0, theta_T = ramped[:, 0], ramped[:, -1]
+        if gauge_scale == 0.0:
+            theta = np.zeros((members.size, grid.steps + 1))
+        else:
+            theta = GaugeFunction.random(members.size, grid.span, rng, scale=gauge_scale,
+                                         slope_scale=2.0 * gauge_scale).value(grid.nodes)
+        shifted = transform_evolution(members, theta)  # e^{i theta_k} psi_k
+        tr = frame_trace(shifted, samples, weights)
+        theta_0, theta_T = theta[:, 0], theta[:, -1]
         predicted_gamma = float(np.angle(np.sum(weights * diag_UT * np.exp(1j * theta_T))))
         observed_gamma, _ = mixed_total_phase(rho0, shifted.states[-1] @ bras)
         observed_dyn = transport_conditions(weights, shifted)[2]
@@ -235,7 +225,7 @@ def gauge_campaign(weights, members: PathStack, samples: np.ndarray, rng: np.ran
         np.maximum(worst, [
             abs(wrap_angle(np.angle(tr) - np.angle(base_trace))),
             abs(abs(tr) - abs(base_trace)),
-            np.max(np.abs(gauged.holonomies - frame.holonomies)),
+            np.max(np.abs(shifted.holonomies - members.holonomies)),
             abs(wrap_angle(singh_phase(weights, shifted) - base_singh)),
             abs(wrap_angle(observed_gamma - predicted_gamma)),
             abs(observed_dyn - predicted_dyn),

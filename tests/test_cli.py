@@ -455,6 +455,26 @@ def test_zero_visibility_exit_3(tmp_path, capsys):
     assert "zero visibility" in capsys.readouterr().err
 
 
+def test_undefined_total_phase_exit_3_names_its_cause(tmp_path, capsys):
+    # H = sigma_x on |0>, |1> with |2> at rest, for t_end = pi/2: U(T)|0> = -i|1>,
+    # so phi_t of state 0 is undefined while the visibility is its weight-0.2
+    # share of |2>; the message names the endpoint overlap, not a flat fringe
+    H = np.zeros((3, 3), dtype=complex)
+    H[0, 1] = H[1, 0] = 1.0
+    hfile = sampled_file(tmp_path, 3, 2, lambda s: H)
+    config = tmp_path / "half.cfg"
+    config.write_text(f"model = custom-sampled\nhamiltonian_file = {hfile}\n"
+                      f"horizon = explicit\nt_end = {np.pi / 2!r}\nsteps = 400\n"
+                      "weights = 0.5,0.3,0.2\nstates = 0,1,2\n")
+    assert run(["simulate", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("undefined phase: endpoint overlap magnitude ")
+    assert "zero visibility" not in err
+    out = tmp_path / "verify.csv"
+    assert run(["verify-gauge", "--config", str(config), "--trials", "1", "--out", str(out)]) == 0
+    assert float(read_records(out)[("visibility", "")]) == pytest.approx(0.2, abs=1e-12)
+
+
 def test_sampled_file_validation(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("dim 2 steps 2\n1 0 0 0 0 0 1 0\n")  # missing rows
@@ -573,11 +593,13 @@ def custom_config(hfile: str, states: str = "0,1") -> str:
     (["simulate", "--steps", "10000000000000"], custom_config("h3.txt", "0,2"),
      "field 'steps': at most 2982616 steps fit the 2 GiB working-set limit at dimension 3, "
      "got 10000000000000"),
+    (["purify-demo", "--dim", "100000000"], None,
+     "flag '--dim': at most 3276 fits the 2 GiB working-set limit, got 100000000"),
 ], ids=["config-unreadable", "no-equals", "unconvertible", "model", "t_end-missing",
         "hamiltonian_file-missing", "custom-one-period", "weight-count", "hamiltonian-unreadable",
         "hamiltonian-empty", "header-not-integer", "non-finite", "spin-selector",
         "custom-selector", "custom-index", "sweep-custom", "out-under-a-file", "t_end-overflow",
-        "steps-working-set", "steps-working-set-custom"])
+        "steps-working-set", "steps-working-set-custom", "dim-working-set"])
 def test_exit_2_messages_word_for_word(tmp_path, monkeypatch, capsys, argv, config, message):
     # every message names what to mend; the files are named relative to the
     # working directory, so each stderr line is pinned whole
@@ -612,6 +634,20 @@ def test_steps_ceiling_is_checked_before_any_grid_exists(capsys):
         tracemalloc.stop()
     assert peak < 1e6
     assert capsys.readouterr().err.count("field 'steps': at most 6710886 steps") == 2
+
+
+def test_dim_ceiling_is_checked_before_any_allocation(capsys):
+    assert cli.MAX_PURIFY_DIM >= 8  # every benchmark density matrix fits
+    with pytest.raises(cli.ConfigError, match="flag '--dim'"):
+        cli.run_purify_demo(cli.ScenarioConfig(), cli.MAX_PURIFY_DIM + 1)
+    tracemalloc.start()
+    try:
+        assert run(["purify-demo", "--dim", "100000000"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert capsys.readouterr().err.startswith("config error: flag '--dim': at most")
 
 
 def test_sampled_file_that_loads_runs(tmp_path):
@@ -904,18 +940,49 @@ def test_verify_gauge_on_random_sampled_models(dim, tmp_path):
         assert float(records[(name, "")]) > 0.0, name
 
 
-@pytest.mark.parametrize("config_text, dim", [
-    ("states = +\nweights = 1\n", 2),
-    ("model = custom-sampled\nhamiltonian_file = {golden}/hamiltonian_dim3.txt\n"
-     "horizon = explicit\nt_end = 2.5\nweights = 0.5,0.5\nstates = 0,1\n", 3),
-], ids=["spin", "custom"])
-def test_verify_gauge_incomplete_basis_exits_2(config_text, dim, tmp_path, capsys):
+DIM3_FILE = "model = custom-sampled\nhamiltonian_file = {golden}/hamiltonian_dim3.txt\n" \
+    "horizon = explicit\nt_end = 2.5\n"
+
+
+def assert_campaign_reads_simulate(config, *argv):
+    """verify-gauge runs on `config` with exit 0, its six invariants hold to
+    1e-12, and its base values are simulate's, in every printed digit."""
+    verify, simulate = config.parent / "verify.csv", config.parent / "simulate.csv"
+    assert run(["verify-gauge", "--config", str(config), *argv, "--out", str(verify)]) == 0
+    assert run(["simulate", "--config", str(config), "--out", str(simulate)]) == 0
+    campaign, records = read_records(verify), read_records(simulate)
+    for name in INVARIANTS:
+        assert float(campaign[(name, "")]) <= 1e-12, name
+    for name in ("gamma_total", "visibility", "singh_phase"):
+        assert campaign[(name, "")] == records[(name, "")], name
+    return campaign
+
+
+@pytest.mark.parametrize("config_text", [
+    "states = +\nweights = 1\n",
+    DIM3_FILE + "weights = 0.5,0.5\nstates = 0,1\n",
+    DIM3_FILE + "steps = 800\nweights = 0.6,0.4\nstates = 0,2\n",
+], ids=["spin", "custom", "custom-0-2"])
+def test_verify_gauge_runs_on_an_incomplete_ensemble(config_text, tmp_path):
+    # one spin branch, and two of the golden dim-3 file's three basis states:
+    # Tr[U(T) rho0] reads sum_k psi_k(T)<k| whether or not the kets span
     config = tmp_path / "incomplete.cfg"
     config.write_text(config_text.format(golden=Path(__file__).parent / "golden"))
-    assert run(["verify-gauge", "--config", str(config), "--trials", "1"]) == 2
-    assert capsys.readouterr() == ("", "config error: field 'states': verify-gauge needs a "
-                                   "complete state basis, one state per dimension: got "
-                                   f"{dim - 1} for dimension {dim}\n")
+    assert_campaign_reads_simulate(config, "--trials", "2")
+
+
+def test_verify_gauge_through_an_orthogonality_crossing(tmp_path):
+    # H = sigma_x for t_end = pi: psi_0 = U|0> is orthogonal to |0> at t = pi/2
+    # (node 1000), where no phase-stripped frame exists, yet U(T) = -I and
+    # every campaign observable is defined
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    hfile = sampled_file(tmp_path, 2, 2, lambda s: sigma_x)
+    config = tmp_path / "crossing.cfg"
+    config.write_text(f"model = custom-sampled\nhamiltonian_file = {hfile}\n"
+                      f"horizon = explicit\nt_end = {np.pi!r}\nsteps = 2000\nstates = 0,1\n")
+    campaign = assert_campaign_reads_simulate(config, "--trials", "3")
+    assert float(campaign[("visibility", "")]) == pytest.approx(1.0, abs=1e-12)
+    assert float(campaign[("max_naive_total_phase_shift", "")]) > 1e-3
 
 
 def test_simulate_byte_determinism(tmp_path):

@@ -279,11 +279,20 @@ def test_transform_evolution_shifts_dynamical_phase(generic_case):
         assert shifted - base == pytest.approx(jump, abs=1e-7)
 
 
-def test_gauge_campaign_requires_complete_basis(generic_case):
-    samples = generic_case.H.sample(generic_case.grid.nodes)
-    with pytest.raises(DimensionError, match="1 states cannot span dimension 2"):
-        gauge_campaign(np.array([1.0]), generic_case.paths["+"], samples,
-                       np.random.default_rng(0), 1, 0.1)
+def test_gauge_campaign_runs_on_an_incomplete_ensemble(generic_case):
+    # one branch of the two-level basis: the campaign needs no complete basis,
+    # its invariants hold to rounding while the ramped gauges move gamma_T, and
+    # its base values are the branch's own <psi(0), psi(T)> and holonomy
+    path = generic_case.paths["+"]
+    values = gauge_campaign(np.array([1.0]), path, generic_case.H.sample(generic_case.grid.nodes),
+                            np.random.default_rng(0), 3, 0.1)
+    for key in CAMPAIGN_INVARIANTS:
+        assert values[key] <= 1e-12, key
+    assert values["max_naive_total_phase_shift"] > 1e-3
+    overlap = path.endpoint_overlaps[0]
+    assert abs(wrap_angle(values["gamma_total"] - np.angle(overlap))) <= 1e-14
+    assert abs(values["visibility"] - abs(overlap)) <= 1e-14
+    assert values["singh_phase"] == float(np.angle(path.holonomies[0]))
 
 
 def test_singh_phase_single_state_reduces_to_geometric(generic_case):
@@ -382,8 +391,8 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
     # node samples, and neither samples H nor builds a propagator itself; here
     # U' is formed matrix by matrix and read through the public functions on U'
     # and the density matrix (gamma_D in its own eigenbasis from
-    # np.linalg.eigh), drawing the gauges in the campaign's order (periodic,
-    # then ramped)
+    # np.linalg.eigh), drawing the gauges in the campaign's order (one ramped
+    # gauge per trial)
     rng = np.random.default_rng(43)
     A, B, C = (random_hermitian(rng, 3) for _ in range(3))
 
@@ -402,7 +411,6 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
     draws = np.random.default_rng(5)
     mismatch_gamma = mismatch_dyn = naive_gamma = naive_dyn = 0.0
     for _ in range(trials):
-        GaugeFunction.random(3, U.grid.span, draws, scale=scale)
         ramped = GaugeFunction.random(3, U.grid.span, draws, scale=scale,
                                       slope_scale=2.0 * scale)
         rephasing = np.einsum("ka,kj,kb->jab", ensemble.states,
@@ -474,10 +482,9 @@ def test_gauge_campaign_on_the_closed_form_paths(mu_b, omega, theta):
 @pytest.mark.parametrize("argv, passes", [
     (["simulate"], 1),  # one per scenario
     (["sweep", "--axis", "theta", "--values", "0.5,1.5"], 2),  # one per point
-    # the member paths and the frame, then per trial the gauged frame and the
-    # rephased member paths
-    (["verify-gauge", "--trials", "1"], 2 + 2 * 1),
-    (["verify-gauge", "--trials", "3"], 2 + 2 * 3),
+    # the member paths, then per trial their one rephasing
+    (["verify-gauge", "--trials", "1"], 1 + 1),
+    (["verify-gauge", "--trials", "3"], 1 + 3),
 ])
 def test_overlap_passes_per_command(argv, passes, monkeypatch, capsys):
     calls, estimator = [], phases.step_overlaps
