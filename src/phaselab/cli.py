@@ -43,7 +43,6 @@ from .mixed import (
     WEIGHT_SUM_TOL,
     DensityMatrix,
     Ensemble,
-    density_from_ensemble,
     gauge_campaign,
     hidden_gauge_transform,
     mixed_total_phase,
@@ -65,6 +64,10 @@ WORKING_SET_BYTES = 2 << 30
 # `run_purify_demo` read 176-198 d^2 at d = 32..1024): a larger --dim is refused.
 PURIFY_ENTRY_BYTES = 200
 MAX_PURIFY_DIM = math.isqrt(WORKING_SET_BYTES // PURIFY_ENTRY_BYTES)
+# a sweep keeps about SWEEP_POINT_BYTES per point for its whole run (tracemalloc
+# peaks of `main` at 10 steps read 1.9-2.1 kB per point as CSV, 7.7 kB as JSON)
+SWEEP_POINT_BYTES = 8000
+MAX_SWEEP_POINTS = WORKING_SET_BYTES // SWEEP_POINT_BYTES
 
 SWEEP_AXES = ("mu_b", "omega", "theta", "big_theta")
 
@@ -131,19 +134,23 @@ _FIELDS = {f.name: f for f in fields(ScenarioConfig)}
 _FLAG_FIELDS = [f for f in _FIELDS.values() if f.metadata["flag"] is not None]
 
 
+def _read_lines(path: str, kind: str) -> list:
+    """(line number, text) of each line of a UTF-8 file not blank once its `#`
+    comment is cut; an unreadable or undecodable file is a ConfigError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
+    return [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.split("#", 1)[0].strip())]
+
+
 def parse_config_file(path: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     set_on = {}  # field name -> line that set it
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _read_lines(path, "config"):
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = {"gauge_seed": "seed"}.get(key, key)  # accepted alias for the RNG seed
         if key not in _FIELDS:
@@ -225,12 +232,7 @@ def _sample_row(path: str, j: int, line: str, width: int) -> list:
 
 def load_sampled_hamiltonian(path: str, t_end: float) -> HamiltonianTrajectory:
     """Parse the sampled-matrix text format and wrap it as a linear interpolant."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read Hamiltonian file {path}: {exc}") from exc
-    lines = [(lineno, stripped) for lineno, raw in enumerate(text.splitlines(), start=1)
-             if (stripped := raw.split("#", 1)[0].strip())]
+    lines = _read_lines(path, "Hamiltonian")
     if not lines:
         raise ConfigError(f"{path}: empty Hamiltonian file")
     (at, first), *lines = lines
@@ -479,12 +481,11 @@ def observables(sc: Scenario) -> Observables:
     """Propagate the scenario once and evaluate every phase observable on it.
 
     The member paths are formed once, so their step phases are too; every
-    phase is read off them, Tr[U(T) rho0] as the trace of sum_k psi_k(T)<k|
-    with rho0, as in `gauge_campaign`.
+    phase is read off them, Tr[U(T) rho0] as the ensemble average
+    sum_k w_k <k|psi_k(T)>, as in `gauge_campaign`.
     """
     members, samples = _paths_and_samples(sc)
-    gamma_total, visibility = mixed_total_phase(
-        density_from_ensemble(sc.ensemble), members.states[-1] @ np.conj(sc.ensemble.states))
+    gamma_total, visibility = mixed_total_phase(sc.ensemble.weights, sc.ensemble.states, members)
     weak, strong, gamma_d = transport_conditions(sc.ensemble.weights, members)
     phi_t, overlap = members.totals()
     phi_d = members.dynamical(samples)
@@ -678,10 +679,13 @@ def _sweep_values(args: argparse.Namespace) -> list:
     try:
         if args.values is not None:
             return [float(v) for v in args.values.split(",") if v.strip()]
-        start, stop, count = args.linspace
-        return np.linspace(float(start), float(stop), int(count)).tolist()
+        start, stop, count = float(args.linspace[0]), float(args.linspace[1]), int(args.linspace[2])
+        if count <= MAX_SWEEP_POINTS:
+            return np.linspace(start, stop, count).tolist()
     except ValueError as exc:
         raise ConfigError(f"flag '{flag}': {exc}") from exc
+    raise ConfigError(f"flag '--linspace': at most {MAX_SWEEP_POINTS} points fit the "
+                      f"{WORKING_SET_BYTES >> 30} GiB working-set limit, got {count}")
 
 
 @functools.cache

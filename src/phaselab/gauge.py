@@ -163,10 +163,7 @@ def frame_trace(frame: PathStack, samples: np.ndarray, weights) -> complex:
     sum_k w_k <v_k(0), v_k(T)> exp{ i int (<v_k|i d/dt v_k> - <v_k|H|v_k>) dt },
     i.e. each member's holonomy factor times its dynamical phase factor.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (frame.size,):
-        raise DimensionError("one weight per frame member required")
-    return complex(np.sum(weights * frame.holonomies * np.exp(1j * frame.dynamical(samples))))
+    return complex(frame.average(weights, frame.holonomies * np.exp(1j * frame.dynamical(samples))))
 
 
 def amplitudes_from_frame(frame: PathStack, samples: np.ndarray) -> PathStack:

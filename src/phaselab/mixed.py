@@ -1,26 +1,27 @@
-"""Mixed-state machinery: density matrices, interference observables,
-transport conditions, equivalence-class transforms, and purification.
+"""Mixed-state machinery: ensembles, interference observables, transport
+conditions, equivalence-class transforms, and purification.
 
-The directly observable quantities are the total phase arg Tr[U(T) rho(0)]
-and the visibility |Tr[U(T) rho(0)]|.  Per-path phase transforms
+The directly observable quantities are the total phase and the visibility of
+Tr[U(T) rho0], for rho0 = sum_k w_k |k><k| the ensemble average
+sum_k w_k <k|psi_k(T)> over the member paths psi_k = U|k> (`mixed_total_phase`),
+with no density matrix formed.  Per-path phase transforms
 U -> U sum_k e^{i theta_k} |k><k| leave the density-matrix orbit fixed but
 shift both observables in a way computed here exactly; the Singh combination
 of endpoint overlaps and step-phase sums is the invariant alternative.
-Transport conditions, the mixed dynamical phase, the Singh phase and
-`gauge_campaign` read the member paths psi_k = U|k> as one `phases.PathStack`,
-and H, where needed, as its node samples: nothing here propagates or samples
-H.  A per-path transform maps the stack to e^{i theta_k} psi_k
-(`transform_evolution`, on the angles theta_k(t_j) at the grid nodes): the
-member paths of U' = U sum_k e^{i theta_k} |k><k|, with Tr[U'(T) rho0] =
-sum_k w_k <k|psi'_k(T)> for any ensemble.  The same call is the hidden gauge
-transform of the frame psi_k, or of any PathStack, smooth or not, so
-`gauge_campaign` reads each trial's one rephasing both ways.
-`transport_conditions` and `singh_phase` take that stack and the ensemble
-weights, so a caller that holds it pays for its step overlaps once; one
-`transport_conditions` call gives both residuals and gamma_D from its step
-phases, which that transform shifts by theta_k(t_{j+1}) - theta_k(t_j).
-A `DensityMatrix` keeps the ascending spectrum and eigenvectors of the one
-`eigh` that checked it; `purify` reads them as `eigh` returned them.
+Every time-dependent functional here reads the member paths as one
+`phases.PathStack`, each weighted sum over them as its one `average`, and H,
+where needed, as its node samples: nothing here propagates or samples H.  A
+per-path transform maps the stack to e^{i theta_k} psi_k (`transform_evolution`,
+on the angles theta_k(t_j) at the grid nodes), the member paths of U', read
+the same way for any ensemble.  The same call is the hidden gauge transform
+of the frame psi_k, or of any PathStack, smooth or not, so `gauge_campaign`
+reads each trial's one rephasing both ways.  `transport_conditions` and
+`singh_phase` take that stack and the ensemble weights, so a caller that
+holds it pays for its step overlaps once; one `transport_conditions` call
+gives both residuals and gamma_D from its step phases, which that transform
+shifts by theta_k(t_{j+1}) - theta_k(t_j).
+A `DensityMatrix`, which serves purification only, keeps the ascending
+spectrum and eigenvectors of the one `eigh` that checked it.
 """
 from __future__ import annotations
 
@@ -132,18 +133,13 @@ class PurifiedState:
         return self.coefficients.shape[1]
 
 
-def density_from_ensemble(e: Ensemble) -> DensityMatrix:
-    """rho = sum_k omega_k |k><k|."""
-    rho = np.einsum("k,ka,kb->ab", e.weights, e.states, np.conj(e.states))
-    return DensityMatrix(rho)
-
-
-def mixed_total_phase(rho0: DensityMatrix, U_T: np.ndarray):
-    """(arg Tr[U_T rho0], |Tr[U_T rho0]|): fringe shift and visibility."""
-    U_T = np.asarray(U_T, dtype=complex)
-    if U_T.shape != (rho0.dim, rho0.dim):
-        raise DimensionError(f"unitary shape {U_T.shape} != density dim {rho0.dim}")
-    tr = complex(np.trace(U_T @ rho0.matrix))
+def mixed_total_phase(weights, kets, paths: PathStack):
+    """Fringe shift and visibility, arg and |.| of Tr[U(T) rho0] = sum_k w_k <k|psi_k(T)>
+    for rho0 = sum_k w_k |k><k|, from the kets |k> (rows) and the member paths psi_k."""
+    if np.shape(kets) != (paths.size, paths.dim):
+        raise DimensionError(f"need one ket per path, {(paths.size, paths.dim)}, "
+                             f"got {np.shape(kets)}")
+    tr = complex(paths.average(weights, np.einsum("ka,ak->k", np.conj(kets), paths.states[-1])))
     visibility = abs(tr)
     if visibility < TRACE_FLOOR:
         raise UndefinedPhaseError(
@@ -169,13 +165,10 @@ def singh_phase(weights, paths: PathStack) -> float:
 
     Invariant under independent time-dependent phase transforms of each path.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (paths.size,):
-        raise DimensionError("one weight per path required")
-    if not abs(weights.sum() - 1.0) <= WEIGHT_SUM_TOL:
+    total = paths.average(weights, paths.holonomies)
+    if not abs(np.sum(weights) - 1.0) <= WEIGHT_SUM_TOL:
         raise ContractError("weights must be normalized")
     paths.require_orthonormal_start()
-    total = np.sum(weights * paths.holonomies)
     if abs(total) < TRACE_FLOOR:
         raise UndefinedPhaseError("Singh-phase sum has vanishing magnitude")
     return float(np.angle(total))
@@ -193,17 +186,16 @@ def gauge_campaign(weights, members: PathStack, samples: np.ndarray, rng: np.ran
     two ways: as a hidden gauge of the frame psi_k, it must leave the frame
     trace, the holonomies and the Singh phase fixed; as the member paths of
     U' = U sum_k e^{i theta_k} |k><k|, it must shift gamma_T, gamma_D as
-    predicted from theta(0), theta(T).  Both are read off psi'_k, gamma_T from
-    sum_k psi'_k(T)<k| and rho0 and the base gamma_T by the same form, so a
-    zero gauge shifts nothing.  Scale 0: zero angles, no draws.
+    predicted from theta(0), theta(T).  Both are read off psi'_k, gamma_T as
+    `mixed_total_phase` of the base kets |k> against psi'_k(T), the base
+    gamma_T by the same call, so a zero gauge shifts nothing.  Scale 0: zero
+    angles, no draws.
     """
     ensemble = Ensemble(weights, members.states[0].T)  # the kets |k> = psi_k(0)
-    grid, weights = members.grid, ensemble.weights
-    bras = np.conj(ensemble.states)  # rows <k|
-    rho0 = density_from_ensemble(ensemble)
+    grid, weights, kets = members.grid, ensemble.weights, ensemble.states
     base_trace = frame_trace(members, samples, weights)
     base_singh = singh_phase(weights, members)
-    base_gamma, base_vis = mixed_total_phase(rho0, members.states[-1] @ bras)
+    base_gamma, base_vis = mixed_total_phase(weights, kets, members)
     base_dyn = transport_conditions(weights, members)[2]
     diag_UT = members.endpoint_overlaps  # <k|U(T)|k>, as psi_k(0) = |k>
 
@@ -217,10 +209,10 @@ def gauge_campaign(weights, members: PathStack, samples: np.ndarray, rng: np.ran
         shifted = transform_evolution(members, theta)  # e^{i theta_k} psi_k
         tr = frame_trace(shifted, samples, weights)
         theta_0, theta_T = theta[:, 0], theta[:, -1]
-        predicted_gamma = float(np.angle(np.sum(weights * diag_UT * np.exp(1j * theta_T))))
-        observed_gamma, _ = mixed_total_phase(rho0, shifted.states[-1] @ bras)
+        predicted_gamma = np.angle(members.average(weights, diag_UT * np.exp(1j * theta_T)))
+        observed_gamma, _ = mixed_total_phase(weights, kets, shifted)
         observed_dyn = transport_conditions(weights, shifted)[2]
-        predicted_dyn = base_dyn + float(np.sum(weights * (theta_T - theta_0)))
+        predicted_dyn = base_dyn + float(members.average(weights, theta_T - theta_0))
 
         np.maximum(worst, [
             abs(wrap_angle(np.angle(tr) - np.angle(base_trace))),
@@ -251,12 +243,9 @@ def transport_conditions(weights, members: PathStack):
     to the energy expectation along psi_k); gamma_D = sum_k w_k sum_j phi_kj, the
     step form of -i int Tr[rho0 U^dagger dU/dt] dt.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (members.size,):
-        raise DimensionError("one weight per member path required")
     phases = members.step_phases
-    weak = float(np.max(np.abs(weights @ phases))) / members.grid.dt
-    return weak, members.residuals, float(weights @ phases.sum(axis=1))
+    weak = float(np.max(np.abs(members.average(weights, phases)))) / members.grid.dt
+    return weak, members.residuals, float(members.average(weights, phases.sum(axis=1)))
 
 
 def reduce(pure: PurifiedState) -> DensityMatrix:

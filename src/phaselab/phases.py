@@ -20,12 +20,13 @@ of `evolution.member_paths`, and gives every functional above as an array over
 k from one set of step phases.  It is the one path argument of every phase
 functional; a single path is the stack with k = 1, and a path is named by its
 position k in the stack.  `gauge.BasisFrame` is a PathStack checked
-orthonormal at every node, and every time-dependent mixed-state functional of
-`mixed` reads the record too.  The kernels on raw state stacks (step overlaps
-and energy expectation) serve all three modules; for two-level states they are
-written entry by entry, one row per path and component, contiguous in the
-path-major stacks of `evolution.member_paths`.  `adiabatic_phase` reads the
-holonomy of an instantaneous level's eigenvectors as `eigh` returns them.
+orthonormal at every node, and `mixed` reads the record too, each ensemble
+average sum_k w_k x_k through `average`.  The kernels on raw state stacks
+(step overlaps and energy expectation) serve all three modules; for two-level
+states they are written entry by entry, one row per path and component,
+contiguous in the path-major stacks of `evolution.member_paths`.
+`adiabatic_phase` reads the holonomy of an instantaneous level's eigenvectors
+as `eigh` returns them.
 """
 from __future__ import annotations
 
@@ -136,6 +137,14 @@ class PathStack:
     @property
     def dim(self) -> int:
         return self.states.shape[1]
+
+    def average(self, weights, values):
+        """The ensemble average sum_k w_k x_k of per-path values x_k = values[k];
+        raises DimensionError unless there is one weight per path."""
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (self.size,):
+            raise DimensionError(f"need one weight per path, {(self.size,)}, got {weights.shape}")
+        return weights @ values
 
     def require_orthonormal_start(self) -> None:
         """Raise ContractError unless the paths are orthonormal at t = 0 to 1e-10."""

@@ -90,6 +90,19 @@ def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
     return DensityMatrix(rho / np.trace(rho).real)
 
 
+def density_of(ensemble: Ensemble) -> np.ndarray:
+    """rho0 = sum_k w_k |k><k| as a matrix: the initial state of the paper's
+    formula, which the library never forms."""
+    return np.einsum("k,ka,kb->ab", ensemble.weights, ensemble.states, np.conj(ensemble.states))
+
+
+def trace_phase(U_T: np.ndarray, rho0: np.ndarray) -> tuple[float, float]:
+    """(arg, |.|) of Tr[U(T) rho0], the paper's fringe shift and visibility:
+    the independent reference for `mixed.mixed_total_phase`."""
+    trace = np.trace(U_T @ rho0)
+    return float(np.angle(trace)), float(abs(trace))
+
+
 def build_spin_case(
     mu_b: float,
     omega: float,

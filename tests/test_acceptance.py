@@ -17,7 +17,6 @@ from phaselab.gauge import (
     frame_trace,
 )
 from phaselab.mixed import (
-    density_from_ensemble,
     hidden_gauge_transform,
     mixed_total_phase,
     purify,
@@ -29,7 +28,7 @@ from phaselab.mixed import (
 from phaselab.numerics import wrap_angle
 from phaselab.phases import PathStack, adiabatic_phase
 
-from conftest import build_spin_case, central_diff, random_density
+from conftest import build_spin_case, central_diff, density_of, random_density, trace_phase
 
 SWEEP_SEED = 0
 SWEEP_SIZE = 100
@@ -146,13 +145,13 @@ def test_criterion_4_hidden_gauge_invariance():
     rng = np.random.default_rng(SWEEP_SEED)
     frame = frame_from_amplitudes(case.members)
     weights = case.weights
-    rho0 = density_from_ensemble(case.ensemble)
+    rho0 = density_of(case.ensemble)
     nodes = case.grid.nodes
     samples = case.H.sample(nodes)
 
     base_trace = frame_trace(frame, samples, weights)
     base_singh = singh_phase(weights, case.members)
-    base_gamma, _ = mixed_total_phase(rho0, case.U.matrices[-1])
+    base_gamma, _ = trace_phase(case.U.matrices[-1], rho0)
     base_dyn = transport_conditions(weights, case.members)[2]
     diag_UT = np.array([np.vdot(s, case.U.matrices[-1] @ s) for s in case.ensemble.states])
 
@@ -181,7 +180,7 @@ def test_criterion_4_hidden_gauge_invariance():
         theta_0 = ramped.value(0.0)
         predicted = float(np.angle(np.sum(weights * diag_UT * np.exp(1j * theta_T))))
         # U'(T) = sum_k psi'_k(T) <k| over the complete basis
-        observed, _ = mixed_total_phase(rho0, shifted.states[-1] @ np.conj(case.ensemble.states))
+        observed, _ = trace_phase(shifted.states[-1] @ np.conj(case.ensemble.states), rho0)
         worst_gamma_mismatch = max(
             worst_gamma_mismatch, abs(wrap_angle(observed - predicted))
         )
@@ -208,8 +207,7 @@ def test_criterion_4_hidden_gauge_invariance():
 def test_criterion_5_special_case():
     case = build_spin_case(1.0, 4.0, 2.0 * np.pi / 3, big_theta=np.pi / 2, steps=BASE_STEPS)
     _, strong, dyn = transport_conditions(case.weights, case.members)
-    rho0 = density_from_ensemble(case.ensemble)
-    gamma, vis = mixed_total_phase(rho0, case.U.matrices[-1])
+    gamma, vis = mixed_total_phase(case.weights, case.ensemble.states, case.members)
     singh = singh_phase(case.weights, case.members)
     c = np.cos(case.p.theta - case.p.alpha)
     expected_trace = np.cos(case.p.big_theta / 2) ** 2 * np.exp(

@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: commands, config grammar, exit codes, determinism."""
+import argparse
 import concurrent.futures
 import ctypes
 import ctypes.util
@@ -18,6 +19,8 @@ import pytest
 from phaselab import cli, linalg, mixed, phases, spin_model
 from phaselab.evolution import member_paths, propagate
 from phaselab.numerics import wrap_angle
+
+from conftest import density_of, trace_phase
 
 
 def run(argv):
@@ -294,8 +297,7 @@ def test_observables_match_the_per_path_functions(case, monkeypatch):
     assert abs(obs.transport_weak - weak) <= 1e-13
     assert np.max(np.abs(obs.transport_strong - strong)) <= 1e-13
     assert abs(obs.mixed_dynamical - gamma_d) <= 1e-13
-    gamma_total, visibility = mixed.mixed_total_phase(mixed.density_from_ensemble(sc.ensemble),
-                                                      U.matrices[-1])
+    gamma_total, visibility = trace_phase(U.matrices[-1], density_of(sc.ensemble))
     assert abs(obs.gamma_total - gamma_total) <= 1e-13
     assert abs(obs.visibility - visibility) <= 1e-13
 
@@ -303,8 +305,8 @@ def test_observables_match_the_per_path_functions(case, monkeypatch):
 @pytest.mark.parametrize("case", ["spin", "spin-incomplete", "custom", "custom-incomplete"])
 def test_mixed_trace_is_the_partial_map_of_the_member_paths(case, monkeypatch):
     # gamma_T and the visibility come from Tr[U(T) rho0] = sum_k w_k <k|psi_k(T)>,
-    # the trace of sum_k psi_k(T)<k| with rho0, for complete and incomplete
-    # orthonormal ensembles alike: they match the trace with U(T) itself
+    # the ensemble average over the member paths, for complete and incomplete
+    # orthonormal ensembles alike: they match the trace of U(T) itself with rho0
     if case.startswith("custom"):
         monkeypatch.chdir(Path(__file__).parent / "golden")
         cfg = cli.parse_config_file("custom.cfg")
@@ -316,10 +318,26 @@ def test_mixed_trace_is_the_partial_map_of_the_member_paths(case, monkeypatch):
         cfg = dataclasses.replace(cfg, states=("0", "2"), weights=(0.6, 0.4))
     sc = cli.build_scenario(cli.validate_config(cfg))
     obs = cli.observables(sc)
-    rho0 = mixed.density_from_ensemble(sc.ensemble)
-    gamma_total, visibility = mixed.mixed_total_phase(rho0, propagate(sc.H, sc.grid).matrices[-1])
+    gamma_total, visibility = trace_phase(propagate(sc.H, sc.grid).matrices[-1],
+                                          density_of(sc.ensemble))
     assert abs(obs.gamma_total - gamma_total) <= 1e-14
     assert abs(obs.visibility - visibility) <= 1e-14
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["sweep", "--axis", "theta", "--values", "0.5,1.5"],
+    ["verify-gauge", "--trials", "2"],
+])
+def test_scenario_commands_build_no_density_matrix(argv, monkeypatch, capsys):
+    # gamma_T and the visibility are the ensemble average over the member
+    # paths: no scenario forms rho0, nor checks or decomposes it
+    built, check = [], mixed.DensityMatrix.__post_init__
+    monkeypatch.setattr(mixed.DensityMatrix, "__post_init__",
+                        lambda self: built.append(1) or check(self))
+    assert run([*argv, "--steps", "200"]) == 0
+    assert "gamma_total" in capsys.readouterr().out
+    assert not built
 
 
 BOX_CORNERS = [(0.1, 0.1), (0.1, 10.0), (10.0, 0.1), (10.0, 10.0)]
@@ -595,11 +613,15 @@ def custom_config(hfile: str, states: str = "0,1") -> str:
      "got 10000000000000"),
     (["purify-demo", "--dim", "100000000"], None,
      "flag '--dim': at most 3276 fits the 2 GiB working-set limit, got 100000000"),
+    (["sweep", "--axis", "theta", "--linspace", "0", "1", "1000000000000000"], None,
+     "flag '--linspace': at most 268435 points fit the 2 GiB working-set limit, "
+     "got 1000000000000000"),
 ], ids=["config-unreadable", "no-equals", "unconvertible", "model", "t_end-missing",
         "hamiltonian_file-missing", "custom-one-period", "weight-count", "hamiltonian-unreadable",
         "hamiltonian-empty", "header-not-integer", "non-finite", "spin-selector",
         "custom-selector", "custom-index", "sweep-custom", "out-under-a-file", "t_end-overflow",
-        "steps-working-set", "steps-working-set-custom", "dim-working-set"])
+        "steps-working-set", "steps-working-set-custom", "dim-working-set",
+        "linspace-working-set"])
 def test_exit_2_messages_word_for_word(tmp_path, monkeypatch, capsys, argv, config, message):
     # every message names what to mend; the files are named relative to the
     # working directory, so each stderr line is pinned whole
@@ -648,6 +670,38 @@ def test_dim_ceiling_is_checked_before_any_allocation(capsys):
         tracemalloc.stop()
     assert peak < 1e6
     assert capsys.readouterr().err.startswith("config error: flag '--dim': at most")
+
+
+def test_linspace_ceiling_is_checked_before_any_allocation(capsys):
+    assert cli.MAX_SWEEP_POINTS >= 100  # criterion 1's sweep fits
+    with pytest.raises(cli.ConfigError, match="flag '--linspace'"):
+        cli._sweep_values(argparse.Namespace(
+            values=None, linspace=["0", "1", str(cli.MAX_SWEEP_POINTS + 1)]))
+    tracemalloc.start()
+    try:
+        assert run(["sweep", "--axis", "theta", "--linspace", "0", "1", "1000000000000000"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert capsys.readouterr().err.startswith("config error: flag '--linspace': at most")
+
+
+@pytest.mark.parametrize("kind, name, position", [("config", "c.cfg", 9),
+                                                  ("Hamiltonian", "h.txt", 0)])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, monkeypatch, capsys, kind, name, position):
+    # both text formats are read as UTF-8, whatever the locale, and a byte that
+    # does not decode makes the file unreadable input, not a traceback
+    monkeypatch.chdir(tmp_path)
+    Path("h.txt").write_bytes(b"\xff" + f"dim 2 steps 1\n{GOOD_ROW}\n{GOOD_ROW}\n".encode())
+    if kind == "config":
+        Path("c.cfg").write_bytes(b"mu_b = 1\n\xff\xfe\n")
+    else:
+        Path("c.cfg").write_text(custom_config("h.txt"))
+    assert run(["simulate", "--config", "c.cfg"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot read {kind} file {name}: 'utf-8' codec can't decode byte 0xff "
+        f"in position {position}: invalid start byte\n")
 
 
 def test_sampled_file_that_loads_runs(tmp_path):

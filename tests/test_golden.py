@@ -2,15 +2,18 @@
 
 The byte-determinism criterion compares two runs of the same code; these files
 pin the numbers across code changes.  Headers, columns, keys and labels must
-match exactly and every number to 1e-12 absolute or 1e-10 relative.  Rewrite
-the files only for a deliberate change of the numbers, from the repository
-root:
+match exactly and every number to 1e-12 absolute or 1e-10 relative.  After a
+deliberate change of the numbers, regenerate from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It rewrites only the files that are missing or fail that comparison, and
+prints the name of each file it writes.
 """
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -88,5 +91,13 @@ def test_output_matches_golden(name, tmp_path, monkeypatch):
 
 if __name__ == "__main__":
     os.chdir(GOLDEN)
-    for name, argv in CASES.items():
-        assert cli.main([*argv, "--out", name]) == 0, name
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in CASES.items():
+            fresh = Path(tmp, name)
+            assert cli.main([*argv, "--out", str(fresh)]) == 0, name
+            text = fresh.read_text()
+            try:
+                assert_close(_parse(name, text), _parse(name, (GOLDEN / name).read_text()), name)
+            except (OSError, ValueError, AssertionError):  # missing, unparsable or moved
+                (GOLDEN / name).write_text(text)
+                print(name)

@@ -17,7 +17,6 @@ from phaselab.mixed import (
     DensityMatrix,
     Ensemble,
     PurifiedState,
-    density_from_ensemble,
     gauge_campaign,
     hidden_gauge_transform,
     mixed_total_phase,
@@ -30,7 +29,15 @@ from phaselab.mixed import (
 from phaselab.numerics import wrap_angle
 from phaselab.phases import PathStack
 
-from conftest import central_diff, mat_exp, random_density, random_hermitian, random_unitary
+from conftest import (
+    central_diff,
+    density_of,
+    mat_exp,
+    random_density,
+    random_hermitian,
+    random_unitary,
+    trace_phase,
+)
 
 
 def members(U: PropagatorPath, ensemble: Ensemble) -> PathStack:
@@ -43,6 +50,12 @@ def gamma_d(ensemble: Ensemble, U: PropagatorPath) -> float:
     return transport_conditions(ensemble.weights, members(U, ensemble))[2]
 
 
+def endpoint_paths(U_T: np.ndarray, kets: np.ndarray) -> PathStack:
+    """The paths psi_k = |k> at t = 0 and U_T|k> at t = 1 of the kets (rows)."""
+    kets = np.asarray(kets, dtype=complex)
+    return PathStack(TimeGrid(0.0, 1.0, 1), np.stack([kets.T, U_T @ kets.T]))
+
+
 def eigen_ensemble(rho: DensityMatrix) -> Ensemble:
     """rho's eigenvalues over its eigenvectors, from np.linalg.eigh; a rank
     deficit's eigenvalues, zero to rounding, are clipped to zero."""
@@ -52,19 +65,19 @@ def eigen_ensemble(rho: DensityMatrix) -> Ensemble:
 
 def test_density_from_single_state():
     state = np.array([0.6, 0.8j])
-    rho = density_from_ensemble(Ensemble(np.array([1.0]), state[None, :]))
+    rho = DensityMatrix(density_of(Ensemble(np.array([1.0]), state[None, :])))
     assert np.allclose(rho.matrix, np.outer(state, np.conj(state)))
     vals = np.linalg.eigvalsh(rho.matrix)
     assert np.allclose(sorted(vals), [0.0, 1.0], atol=1e-12)
 
 
 def test_density_equal_weights_is_maximally_mixed():
-    rho = density_from_ensemble(Ensemble(np.full(3, 1 / 3), np.eye(3, dtype=complex)))
+    rho = DensityMatrix(density_of(Ensemble(np.full(3, 1 / 3), np.eye(3, dtype=complex))))
     assert np.allclose(rho.matrix, np.eye(3) / 3)
 
 
 def test_density_spin_mixture(special_case):
-    rho = density_from_ensemble(special_case.ensemble)
+    rho = DensityMatrix(density_of(special_case.ensemble))
     c2, s2 = special_case.weights
     w_plus, w_minus = spin_model.w_basis(special_case.p, 0.0)
     expected = c2 * np.outer(w_plus, np.conj(w_plus)) + s2 * np.outer(
@@ -98,39 +111,39 @@ def test_ensemble_weight_validation():
 
 
 def test_mixed_total_phase_global_phase():
-    rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
-    gamma, vis = mixed_total_phase(rho, np.exp(1.2j) * np.eye(2))
+    kets = np.eye(2, dtype=complex)
+    gamma, vis = mixed_total_phase([0.5, 0.5], kets, endpoint_paths(np.exp(1.2j) * kets, kets))
     assert gamma == pytest.approx(1.2, abs=1e-12)
     assert vis == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mixed_total_phase_pure_reduction(generic_case):
-    initial, final = generic_case.paths["+"].states[[0, -1], :, 0]
-    rho = DensityMatrix(np.outer(initial, np.conj(initial)))
-    gamma, vis = mixed_total_phase(rho, generic_case.U.matrices[-1])
+    path = generic_case.paths["+"]
+    initial, final = path.states[[0, -1], :, 0]
+    gamma, vis = mixed_total_phase([1.0], initial[None], path)
     assert gamma == pytest.approx(np.angle(np.vdot(initial, final)), abs=1e-12)
     assert vis == pytest.approx(abs(np.vdot(initial, final)), abs=1e-12)
 
 
 def test_mixed_total_phase_special_case(special_case):
-    rho = density_from_ensemble(special_case.ensemble)
-    gamma, vis = mixed_total_phase(rho, special_case.U.matrices[-1])
+    gamma, vis = mixed_total_phase(special_case.weights, special_case.ensemble.states,
+                                   special_case.members)
     expected = spin_model.mixed_trace(special_case.p)
     assert abs(vis * np.exp(1j * gamma) - expected) < 1e-6
 
 
 def test_mixed_total_phase_undefined():
-    rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
+    kets = np.eye(2, dtype=complex)
     U = np.diag([1.0, -1.0]).astype(complex)  # trace of U rho vanishes
     with pytest.raises(UndefinedPhaseError):
-        mixed_total_phase(rho, U)
+        mixed_total_phase([0.5, 0.5], kets, endpoint_paths(U, kets))
 
 
 def test_mixed_total_phase_rejects_wrong_shape():
-    rho = DensityMatrix(np.eye(3, dtype=complex) / 3)
-    for U_T in (np.eye(2, dtype=complex), np.eye(3, dtype=complex)[None]):
-        with pytest.raises(DimensionError):
-            mixed_total_phase(rho, U_T)
+    paths = endpoint_paths(np.eye(3), np.eye(3))
+    for kets in (np.eye(2, dtype=complex), np.eye(3, dtype=complex)[None], np.eye(3)[:2]):
+        with pytest.raises(DimensionError, match="need one ket per path"):
+            mixed_total_phase(np.full(3, 1 / 3), kets, paths)
 
 
 # each record stores the array it validated, so nested lists work like arrays
@@ -206,9 +219,8 @@ def test_tolerance_checks_reject_nan(site, generic_case):
 
 def test_interference_curve_reproduces_spin_formula(generic_case):
     p = generic_case.p
-    initial = generic_case.paths["+"].states[0, :, 0]
-    rho = DensityMatrix(np.outer(initial, np.conj(initial)))
-    gamma_total, visibility = mixed_total_phase(rho, generic_case.U.matrices[-1])
+    path = generic_case.paths["+"]
+    gamma_total, visibility = mixed_total_phase([1.0], path.states[0].T, path)
     value = 1.0 + visibility * np.cos(-gamma_total)  # the fringe 1 + v cos(chi - gamma_T) at chi = 0
     assert value == pytest.approx(spin_model.interference_value(p), abs=1e-6)
 
@@ -252,13 +264,13 @@ def test_transform_evolution_identity(generic_case):
 def test_transform_evolution_preserves_orbit(generic_case):
     rng = np.random.default_rng(7)
     theta = GaugeFunction.random(2, generic_case.grid.span, rng, scale=0.3, slope_scale=0.3)
-    rho0 = density_from_ensemble(generic_case.ensemble)
+    rho0 = density_of(generic_case.ensemble)
     transformed = transform_evolution(generic_case.members, theta.value(generic_case.grid.nodes))
     bras = np.conj(generic_case.ensemble.states)
     for j in (0, 1, 777, generic_case.grid.steps):
-        before = generic_case.U.matrices[j] @ rho0.matrix @ np.conj(generic_case.U.matrices[j].T)
+        before = generic_case.U.matrices[j] @ rho0 @ np.conj(generic_case.U.matrices[j].T)
         U_prime = transformed.states[j] @ bras  # U'(t_j) = sum_k psi'_k(t_j) <k|
-        after = U_prime @ rho0.matrix @ np.conj(U_prime.T)
+        after = U_prime @ rho0 @ np.conj(U_prime.T)
         assert np.max(np.abs(after - before)) < 1e-10
 
 
@@ -295,6 +307,20 @@ def test_gauge_campaign_runs_on_an_incomplete_ensemble(generic_case):
     assert values["singh_phase"] == float(np.angle(path.holonomies[0]))
 
 
+@pytest.mark.parametrize("weights", [[1.0], [0.5, 0.25, 0.25], [[0.5], [0.5]]])
+def test_a_wrong_weight_count_is_one_dimension_error(weights, generic_case):
+    # every weighted sum over the member paths is one PathStack.average, whose
+    # one check names the weights' shape against one weight per path
+    paths, samples = generic_case.members, generic_case.H.sample(generic_case.grid.nodes)
+    message = re.escape(f"need one weight per path, (2,), got {np.shape(weights)}")
+    for call in (lambda: singh_phase(weights, paths),
+                 lambda: transport_conditions(weights, paths),
+                 lambda: gauge.frame_trace(paths, samples, weights),
+                 lambda: mixed_total_phase(weights, generic_case.ensemble.states, paths)):
+        with pytest.raises(DimensionError, match=message):
+            call()
+
+
 def test_singh_phase_single_state_reduces_to_geometric(generic_case):
     path = generic_case.paths["+"]
     assert singh_phase(np.array([1.0]), path) == pytest.approx(
@@ -313,8 +339,7 @@ def test_singh_phase_invariant_under_path_phases(generic_case):
 
 
 def test_singh_phase_equals_total_phase_at_special_point(special_case):
-    rho0 = density_from_ensemble(special_case.ensemble)
-    gamma, _ = mixed_total_phase(rho0, special_case.U.matrices[-1])
+    gamma, _ = trace_phase(special_case.U.matrices[-1], density_of(special_case.ensemble))
     assert abs(wrap_angle(singh_phase(special_case.weights, special_case.members) - gamma)) < 1e-6
 
 
@@ -348,7 +373,7 @@ def test_transport_and_mixed_dynamical_phase_dim3():
     U = propagate(H, TimeGrid(0.0, 2.0, 400))
     Q = random_unitary(rng, 3)
     ensemble = Ensemble(np.array([0.7, 0.3]), Q[:, :2].T.copy())
-    rho0 = density_from_ensemble(ensemble)
+    rho0 = DensityMatrix(density_of(ensemble))
 
     def step_phases(U, states):
         """arg<psi_k(t_j), psi_k(t_{j+1})> per state k (rows) and step j."""
@@ -389,9 +414,9 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
     # the campaign reads the equivalence-class shifts off the rephased member
     # paths of U' = U sum_k e^{i theta_k}|k><k|, given the member paths and H's
     # node samples, and neither samples H nor builds a propagator itself; here
-    # U' is formed matrix by matrix and read through the public functions on U'
-    # and the density matrix (gamma_D in its own eigenbasis from
-    # np.linalg.eigh), drawing the gauges in the campaign's order (one ramped
+    # U' is formed matrix by matrix and read with the density matrix: gamma_T
+    # as arg Tr[U'(T) rho0], gamma_D in rho0's own eigenbasis from
+    # np.linalg.eigh, drawing the gauges in the campaign's order (one ramped
     # gauge per trial)
     rng = np.random.default_rng(43)
     A, B, C = (random_hermitian(rng, 3) for _ in range(3))
@@ -404,8 +429,8 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
     U = propagate(H, TimeGrid(0.0, 2.0, 400))
     ensemble = Ensemble(np.array([0.5, 0.3, 0.2]), random_unitary(rng, 3).T.copy())
     trials, scale = 6, 0.3
-    rho0 = density_from_ensemble(ensemble)
-    base_gamma, _ = mixed_total_phase(rho0, U.matrices[-1])
+    rho0 = DensityMatrix(density_of(ensemble))
+    base_gamma, _ = trace_phase(U.matrices[-1], rho0.matrix)
     base_dyn = gamma_d(eigen_ensemble(rho0), U)
     diag_UT = np.array([np.vdot(s, U.matrices[-1] @ s) for s in ensemble.states])
     draws = np.random.default_rng(5)
@@ -417,7 +442,7 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
                               np.exp(1j * ramped.value(U.grid.nodes)), np.conj(ensemble.states))
         U_prime = PropagatorPath(U.grid, np.einsum("jab,jbc->jac", U.matrices, rephasing))
         theta_0, theta_T = ramped.value(0.0), ramped.value(U.grid.t_end)
-        gamma, _ = mixed_total_phase(rho0, U_prime.matrices[-1])
+        gamma, _ = trace_phase(U_prime.matrices[-1], rho0.matrix)
         predicted = np.angle(np.sum(ensemble.weights * diag_UT * np.exp(1j * theta_T)))
         mismatch_gamma = max(mismatch_gamma, abs(wrap_angle(gamma - predicted)))
         naive_gamma = max(naive_gamma, abs(wrap_angle(gamma - base_gamma)))

@@ -16,11 +16,11 @@ import pytest
 
 from phaselab import HamiltonianTrajectory, TimeGrid, propagate
 from phaselab.evolution import member_paths
-from phaselab.mixed import Ensemble, density_from_ensemble, gauge_campaign, mixed_total_phase
+from phaselab.mixed import Ensemble, gauge_campaign, mixed_total_phase
 from phaselab.numerics import wrap_angle
 from phaselab.phases import PathStack
 
-from conftest import random_hermitian
+from conftest import density_of, random_hermitian, trace_phase
 
 
 def spin_matrices(d: int):
@@ -94,11 +94,15 @@ def test_cyclic_states_carry_the_closed_form_phases(name):
     assert np.max(np.abs(wrap_angle(geometric - family.geometric))) <= 1e-5
     d = len(family.lam)
     weights = np.arange(d, 0, -1) / (d * (d + 1) / 2)
-    rho0 = density_from_ensemble(Ensemble(weights, family.chi.T))
     trace = np.exp(1j * family.kappa) * np.sum(weights * np.exp(-1j * family.lam * family.period))
-    gamma_total, visibility = mixed_total_phase(rho0, U.matrices[-1])
+    gamma_total, visibility = mixed_total_phase(weights, family.chi.T, members)
     assert abs(wrap_angle(gamma_total - np.angle(trace))) <= 1e-5
     assert abs(visibility - abs(trace)) <= 1e-5
+    # the same numbers as the paper's Tr[U(T) rho0] on the propagator itself
+    rho0 = density_of(Ensemble(weights, family.chi.T))
+    gamma_ref, visibility_ref = trace_phase(U.matrices[-1], rho0)
+    assert abs(wrap_angle(gamma_total - gamma_ref)) <= 1e-12
+    assert abs(visibility - visibility_ref) <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
