@@ -24,6 +24,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -135,10 +136,11 @@ _FLAG_FIELDS = [f for f in _FIELDS.values() if f.metadata["flag"] is not None]
 
 
 def _read_lines(path: str, kind: str) -> list:
-    """(line number, text) of each line of a UTF-8 file not blank once its `#`
-    comment is cut; an unreadable or undecodable file is a ConfigError."""
+    """(line number, text) of each line of a UTF-8 file (a leading byte-order
+    mark dropped) not blank once its `#` comment is cut; an unreadable or
+    undecodable file is a ConfigError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
     return [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
@@ -344,9 +346,11 @@ def build_scenario(cfg: ScenarioConfig,
 
 def _json_value(value):
     """A record or header value as JSON holds it: NumPy scalars as the Python
-    int or float they equal.  Python values, the common case, come first."""
+    bool, int or float they equal.  Python values, the common case, come first."""
     if type(value) in (float, str, int, bool):
         return value
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
@@ -368,18 +372,49 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_text(value) -> str:
+    """A scalar record or header value as `json.dumps` writes it: finite floats
+    (np.float64 is one) and strings by the encoder's own C-level scalar
+    encoders, anything else by `json.dumps` itself."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    return json.dumps(_json_value(value))
+
+
+def _json_block(items: list, pad: str, brackets: str = "{}") -> str:
+    """A JSON object or array of already-encoded items, as `indent=2` lays
+    it out when it opens at indent `pad`."""
+    if not items:
+        return brackets
+    inner = "\n" + pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
+
+
+def _json_table(columns, rows, header: dict) -> str:
+    """The text of `json.dumps(payload, indent=2)` for `write_table`'s JSON
+    payload, written from one row template: the column names are encoded
+    once, and each row fills the template with its encoded values."""
+    names = [encode_basestring_ascii(col) for col in columns]
+    template = _json_block([name.replace("%", "%%") + ": %s" for name in names], "    ")
+    table = [template % tuple([_json_text(v) for v in row]) for row in rows]
+    head = [f"{encode_basestring_ascii(key)}: {_json_text(val)}" for key, val in header.items()]
+    body = [f'"header": {_json_block(head, "  ")}']
+    if tuple(columns) == RECORD_COLUMNS:
+        body.append(f'"records": {_json_block(table, "  ", "[]")}')
+    else:
+        body.append(f'"columns": {_json_block(names, "  ", "[]")}')
+        body.append(f'"rows": {_json_block(table, "  ", "[]")}')
+    return _json_block(body, "") + "\n"
+
+
 def write_table(columns, rows, header: dict, cfg: ScenarioConfig) -> str:
     """Serialize rows under `columns` as CSV or JSON text.  In JSON, records
     (the RECORD_COLUMNS table) go under "records"; any other table goes under
-    "columns" and "rows"."""
+    "columns" and "rows", each row an object keyed by the columns."""
     if cfg.format == "json":
-        table = [{col: _json_value(val) for col, val in zip(columns, row)} for row in rows]
-        payload = {"header": {key: _json_value(val) for key, val in header.items()}}
-        if tuple(columns) == RECORD_COLUMNS:
-            payload["records"] = table
-        else:
-            payload.update(columns=list(columns), rows=table)
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_table(columns, rows, header)
     lines = [f"# {key} = {_fmt(val)}" for key, val in header.items()]
     lines.append(",".join(columns))
     for row in rows:
@@ -670,8 +705,28 @@ def build_parser() -> argparse.ArgumentParser:
                        help="uniformly spaced axis values")
     sub.choices["purify-demo"].add_argument(
         "--dim", type=int, default=2, help="density-matrix dimension")
-
+    parser.commands = sub.choices  # command name -> its parser, for `_parse_args`
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, in one parser pass where it can be.
+
+    A command line that starts with a command name is parsed by that
+    command's parser alone, into a fresh namespace that then gets `command`,
+    as the subparsers action does.  Help, a missing or unknown command and
+    any leftover argument go through the top-level parser, so its messages
+    ("unrecognized arguments: ...") and exit status stay its own.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace())
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def _sweep_values(args: argparse.Namespace) -> list:
@@ -716,8 +771,7 @@ def _retain_heap() -> None:
 
 def main(argv=None) -> int:
     _retain_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         cfg = parse_config_file(args.config) if getattr(args, "config", None) else ScenarioConfig()
         cfg = validate_config(replace(cfg, **{f.name: value for f in _FLAG_FIELDS

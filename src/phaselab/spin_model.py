@@ -14,6 +14,8 @@ of a sweep share while omega and the grid stay fixed.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -264,12 +266,18 @@ def tilde_connection(p: SpinParams, branch: str, t):
 
 
 def mixed_trace(p: SpinParams) -> complex:
-    """Tr[U(T) rho_mix(0)] for the big_theta mixture of psi_+/-, closed form."""
+    """Tr[U(T) rho_mix(0)] for the big_theta mixture of psi_+/-, closed form.
+
+    With h = (theta - alpha)/2, <w_+(0)|w_+(T)> = cos^2 h e^{-i omega T} + sin^2 h
+    (the minus branch swaps cos^2 and sin^2), and psi_+/- carry the phases
+    e^{-i (E - A) T} of `exact_amplitudes`; every factor is a scalar.
+    """
     T = p.period
-    psi0_plus, psi0_minus = exact_amplitudes(p, 0.0)
-    psiT_plus, psiT_minus = exact_amplitudes(p, T)
-    c2 = np.cos(0.5 * p.big_theta) ** 2
-    s2 = np.sin(0.5 * p.big_theta) ** 2
-    return complex(
-        c2 * np.vdot(psi0_plus, psiT_plus) + s2 * np.vdot(psi0_minus, psiT_minus)
-    )
+    half = 0.5 * (p.theta - p.alpha)
+    cos2, sin2 = math.cos(half) ** 2, math.sin(half) ** 2
+    rot = cmath.exp(-1j * p.omega * T)
+    energy = p.mu_b * math.cos(p.alpha)  # E_+/- = -/+ energy
+    tilt = math.cos(p.theta - p.alpha)  # A_+/- = (omega/2)(1 +/- tilt)
+    plus = (cos2 * rot + sin2) * cmath.exp(1j * (energy + 0.5 * p.omega * (1.0 + tilt)) * T)
+    minus = (sin2 * rot + cos2) * cmath.exp(-1j * (energy - 0.5 * p.omega * (1.0 - tilt)) * T)
+    return math.cos(0.5 * p.big_theta) ** 2 * plus + math.sin(0.5 * p.big_theta) ** 2 * minus

@@ -6,6 +6,7 @@ import ctypes.util
 import dataclasses
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phaselab import cli, linalg, mixed, phases, spin_model
 from phaselab.evolution import member_paths, propagate
@@ -704,6 +706,23 @@ def test_a_file_that_is_not_utf8_exits_2(tmp_path, monkeypatch, capsys, kind, na
         f"in position {position}: invalid start byte\n")
 
 
+@pytest.mark.parametrize("kind", ["config", "Hamiltonian"])
+def test_a_byte_order_mark_is_not_part_of_the_first_line(tmp_path, monkeypatch, capsys, kind):
+    # an editor's UTF-8 byte-order mark is dropped, so the first key or the
+    # header reads as it does without one, and the output is the same
+    monkeypatch.chdir(tmp_path)
+    model = f"dim 2 steps 1\n{GOOD_ROW}\n{GOOD_ROW}\n"
+    config = custom_config("h.txt") + "steps = 40\n"
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        Path(f"{name}.txt").write_bytes((bom if kind == "Hamiltonian" else b"") + model.encode())
+        text = config.replace("h.txt", f"{name}.txt")
+        Path(f"{name}.cfg").write_bytes((bom if kind == "config" else b"") + text.encode())
+    assert run(["simulate", "--config", "plain.cfg"]) == 0
+    plain = capsys.readouterr().out
+    assert run(["simulate", "--config", "bom.cfg"]) == 0
+    assert capsys.readouterr().out == plain.replace("plain.txt", "bom.txt")
+
+
 def test_sampled_file_that_loads_runs(tmp_path):
     # every row is Hermitian only to 1e-11, which passes the loader's test
     # because of the spike's norm at node 3; the 10-step grid never samples
@@ -927,6 +946,43 @@ def test_reused_parser_keeps_no_state(capsys):
     assert cli.build_parser.cache_info().misses == 1
 
 
+def _parsed(parse, argv, capsys):
+    """What a parse leaves: its namespace, or its exit status and output."""
+    try:
+        return parse(argv)
+    except SystemExit as exc:
+        return exc.code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--steps", "300", "--format", "json"], None),
+    (["sweep", "--axis", "theta", "--linspace", "0", "1", "3", "--seed", "4"], None),
+    (["purify-demo", "--dim=3"], None),
+    (["spin-report"], None),
+    (["-h"], 0),
+    (["simulate", "-h"], 0),
+    ([], 2),
+    (["bogus"], 2),
+    (["simulate", "--bogus", "1"], 2),
+    (["spin-report", "--bogus", "--steps", "x"], 2),
+    (["simulate", "extra"], 2),
+    (["simulate", "--steps", "x"], 2),
+    (["sweep", "--values", "1"], 2),
+    (["--steps", "5", "simulate"], 2),
+], ids=["valid", "valid-sweep", "valid-equals", "valid-bare", "help", "command-help", "no-args",
+        "unknown-command", "unknown-option", "unknown-option-then-bad-type", "extra-positional",
+        "bad-type", "missing-axis", "option-before-command"])
+def test_direct_command_parse_is_the_top_level_parse(argv, code, capsys):
+    # one parser pass where the command line allows it, with the namespace,
+    # or the output and exit status, of the full parse in every case
+    direct = _parsed(cli._parse_args, argv, capsys)
+    assert direct == _parsed(cli.build_parser().parse_args, argv, capsys)
+    if code is None:
+        assert isinstance(direct, argparse.Namespace) and direct.command == argv[0]
+    else:
+        assert direct[0] == code
+
+
 def test_verify_gauge_deterministic_and_invariant(tmp_path):
     out1, out2 = tmp_path / "v1.csv", tmp_path / "v2.csv"
     args = ["verify-gauge", "--steps", "4000", "--trials", "5", "--seed", "7",
@@ -1079,11 +1135,12 @@ def test_spin_report_values(tmp_path):
     (np.int64(-7), "-7", -7),
     (True, "true", True),
     (False, "false", False),
+    (np.bool_(True), "true", True),
     ("+", "+", "+"),
     ("", "", ""),
     ("numpy PCG64 seed=0", "numpy PCG64 seed=0", "numpy PCG64 seed=0"),
 ], ids=["float", "float-exponent", "float-large", "float-integral", "np.float64", "int",
-        "np.int64", "true", "false", "str", "str-empty", "str-spaces"])
+        "np.int64", "true", "false", "np.bool_", "str", "str-empty", "str-spaces"])
 def test_record_values_keep_their_text(value, text, stored):
     # every type the commands emit, through both writers, in header and record
     table = cli.write_table(cli.RECORD_COLUMNS, [("x", "", value)], {"key": value},
@@ -1094,6 +1151,57 @@ def test_record_values_keep_their_text(value, text, stored):
     assert cli.write_table(cli.RECORD_COLUMNS, [("x", "", value)], {"key": value},
                            cli.ScenarioConfig(format="json")) == json.dumps(payload, indent=2) + "\n"
     assert type(cli._json_value(value)) is type(stored)
+
+
+# text that the encoder escapes or the templates could misread, besides any text
+JSON_TEXT = st.one_of(st.text(), st.text(st.sampled_from(
+    ['a', '"', "\\", "%", "s", "(", ")", "{", "}", "\n", "\x7f", "\u00e9", "\u03c6", "\U0001f600"])))
+JSON_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310,
+                     2.2250738585072014e-308, 1e308, 0.1 + 0.2]),
+    st.integers(), st.booleans(), JSON_TEXT,
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.sampled_from([math.nan, -math.inf, -0.0]).map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+@settings(max_examples=300)
+@given(columns=st.one_of(st.just(cli.RECORD_COLUMNS), st.lists(JSON_TEXT, unique=True, max_size=4)),
+       data=st.data(), header=st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=4))
+def test_json_table_is_the_stdlib_text(columns, data, header):
+    # the row templates write json.dumps(payload, indent=2) to the byte, for
+    # every value kind the writers accept, under any column and key names
+    rows = data.draw(st.lists(st.lists(JSON_VALUES, min_size=len(columns), max_size=len(columns)),
+                              min_size=1, max_size=3))
+    table = [{col: cli._json_value(v) for col, v in zip(columns, row)} for row in rows]
+    payload = {"header": {key: cli._json_value(v) for key, v in header.items()}}
+    if tuple(columns) == cli.RECORD_COLUMNS:
+        payload["records"] = table
+    else:
+        payload.update(columns=list(columns), rows=table)
+    assert cli.write_table(columns, rows, header, cli.ScenarioConfig(format="json")) == (
+        json.dumps(payload, indent=2) + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--steps", "200"],
+    ["simulate", "--config", "custom.cfg"],
+    ["sweep", "--axis", "theta", "--values", "0.5,1.5", "--steps", "100"],
+    ["sweep", "--axis", "theta", "--values", ""],
+    ["verify-gauge", "--steps", "200", "--trials", "2"],
+    ["spin-report"],
+    ["purify-demo", "--dim", "8"],
+], ids=["simulate", "simulate-custom", "sweep", "sweep-empty", "verify-gauge", "spin-report",
+        "purify-demo"])
+def test_json_output_is_its_stdlib_reserialization(argv, monkeypatch, capsys):
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    assert run([*argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def _purify_demo_reference(seed: int, dim: int) -> dict:

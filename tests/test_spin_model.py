@@ -308,6 +308,23 @@ def test_mixed_trace_reductions():
     assert spin_model.mixed_trace(pure) == pytest.approx(np.vdot(psi0, psiT), abs=1e-12)
 
 
+@pytest.mark.parametrize("mu_b", [0.1, 0.3, 1.0, 3.0, 10.0])
+@pytest.mark.parametrize("omega", [0.1, 0.3, 1.0, 3.0, 10.0])
+def test_mixed_trace_is_the_amplitude_form(mu_b, omega):
+    # the scalar closed form against sum_k w_k <psi_k(0)|psi_k(T)> of the
+    # exact amplitudes, over theta in the box and big_theta in [0, pi]
+    for theta in np.linspace(1e-3, np.pi - 1e-3, 6):
+        for big_theta in np.linspace(0.0, np.pi, 5):
+            p = SpinParams(mu_b, omega, float(theta), float(big_theta))
+            (plus0, minus0), (plusT, minusT) = (spin_model.exact_amplitudes(p, t)
+                                                for t in (0.0, p.period))
+            amplitude_form = (np.cos(0.5 * big_theta) ** 2 * np.vdot(plus0, plusT)
+                              + np.sin(0.5 * big_theta) ** 2 * np.vdot(minus0, minusT))
+            trace = spin_model.mixed_trace(p)
+            assert type(trace) is complex
+            assert abs(trace - amplitude_form) <= 1e-14
+
+
 def test_mixed_trace_special_case_golden():
     # special point: alpha = pi/2, equal weights, c = sqrt(3)/2:
     # trace = -cos(pi c); frozen after confirming against the propagator.
