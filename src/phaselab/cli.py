@@ -74,7 +74,7 @@ SWEEP_AXES = ("mu_b", "omega", "theta", "big_theta")
 
 SWEEP_COLUMNS = (
     "index", "axis_value", "mu_b", "omega", "theta", "big_theta", "alpha", "period",
-    # per branch, in the order of `_sweep_point`'s row
+    # per branch, '+' then '-', in the order of a `_sweep_rows` row
     *(f"{name}_{branch}" for branch in ("plus", "minus")
       for name in ("total", "dynamical", "geometric", "overlap", "residual")),
     "gamma_total", "visibility", "singh_phase", "mixed_dynamical", "weak_residual",
@@ -306,6 +306,30 @@ def _horizon(cfg: ScenarioConfig) -> float:
     return float(cfg.t_end)
 
 
+def _state_index(cfg: ScenarioConfig, dim: int) -> list:
+    """The basis index of each of `cfg.states`, which must differ: spin branch
+    selectors '+'/'-', or custom basis indices below `dim`."""
+    index = []
+    for sel in cfg.states:
+        if cfg.model == "spin":
+            if sel not in spin_model.BRANCHES:
+                raise ConfigError(f"field 'states': spin selectors are '+'/'-', got {sel!r}")
+            index.append(spin_model.BRANCHES.index(sel))
+            continue
+        try:
+            idx = int(sel)
+        except ValueError:
+            raise ConfigError(
+                f"field 'states': custom selectors are basis indices, got {sel!r}"
+            ) from None
+        if not 0 <= idx < dim:
+            raise ConfigError(f"field 'states': index {idx} outside 0..{dim - 1}")
+        index.append(idx)
+    if len(set(index)) != len(index):
+        raise ConfigError(f"field 'states': selectors must differ, got {','.join(cfg.states)}")
+    return index
+
+
 def build_scenario(cfg: ScenarioConfig,
                    field: spin_model.RotatingField | None = None) -> Scenario:
     """The scenario of a config that `validate_config` has accepted; callers
@@ -316,30 +340,12 @@ def build_scenario(cfg: ScenarioConfig,
         params = spin_model.SpinParams(cfg.mu_b, cfg.omega, cfg.theta, cfg.big_theta)
         H = spin_model.hamiltonian(params, field)
         basis = np.array(spin_model.w_basis(params, 0.0))  # rows: branches '+', '-'
-        index = []
-        for sel in cfg.states:
-            if sel not in spin_model.BRANCHES:
-                raise ConfigError(f"field 'states': spin selectors are '+'/'-', got {sel!r}")
-            index.append(spin_model.BRANCHES.index(sel))
     else:
         params = None
         H = load_sampled_hamiltonian(cfg.hamiltonian_file, float(cfg.t_end))
         _require_working_set(cfg.steps, H.dim)
         basis = np.eye(H.dim, dtype=complex)
-        index = []
-        for sel in cfg.states:
-            try:
-                idx = int(sel)
-            except ValueError:
-                raise ConfigError(
-                    f"field 'states': custom selectors are basis indices, got {sel!r}"
-                ) from None
-            if not 0 <= idx < H.dim:
-                raise ConfigError(f"field 'states': index {idx} outside 0..{H.dim - 1}")
-            index.append(idx)
-    if len(set(index)) != len(index):
-        raise ConfigError(f"field 'states': selectors must differ, got {','.join(cfg.states)}")
-    ensemble = Ensemble(weights=cfg.resolved_weights(), states=basis[index])
+    ensemble = Ensemble(weights=cfg.resolved_weights(), states=basis[_state_index(cfg, H.dim)])
     grid = field.grid if field is not None else TimeGrid(0.0, _horizon(cfg), cfg.steps)
     return Scenario(cfg=cfg, H=H, grid=grid, ensemble=ensemble, params=params)
 
@@ -545,32 +551,35 @@ def run_scenario(cfg: ScenarioConfig):
     return records, scenario_header(cfg, "simulate")
 
 
-def _sweep_point(point: tuple, field: spin_model.RotatingField | None = None) -> list:
-    """One sweep row from (index, axis value, config), on `field`'s grid and
-    table if given; module-level for process pools."""
-    index, value, cfg = point
-    sc = build_scenario(cfg, field)
-    p = sc.params
-    obs = observables(sc)
-    row = [index, value, p.mu_b, p.omega, p.theta, p.big_theta, p.alpha, p.period]
-    # one block per branch, in `run_sweep`'s ensemble order spin_model.BRANCHES
-    for per_path in zip(obs.phi_t, obs.phi_d, obs.phi_g, obs.overlap, obs.transport_strong):
-        row += per_path
-    row += [
-        obs.gamma_total,
-        obs.visibility,
-        obs.singh_phase,
-        obs.mixed_dynamical,
-        obs.transport_weak,
-        spin_model.geometric_phase(p, "+"),
-        spin_model.geometric_phase(p, "-"),
-        spin_model.solid_angle(p),
-        spin_model.interference_value(p),
-    ]
-    return row
+def _sweep_rows(points: list) -> list:
+    """The rows of one sweep's (index, axis value, config) points, in order,
+    each branch's columns by label, '+' then '-'.  The points differ only in
+    the axis, so consecutive points with equal omega share one grid and one
+    rotating-field table, built when omega moves; a process pool gives each
+    worker one contiguous run of points."""
+    rows, field = [], None
+    for index, value, cfg in points:
+        if field is None or field.omega != cfg.omega:
+            field = spin_model.RotatingField(cfg.omega, TimeGrid(0.0, _horizon(cfg), cfg.steps))
+        sc = build_scenario(cfg, field)
+        p, obs = sc.params, observables(sc)
+        row = [index, value, p.mu_b, p.omega, p.theta, p.big_theta, p.alpha, p.period]
+        for k in map(cfg.states.index, spin_model.BRANCHES):
+            row += [obs.phi_t[k], obs.phi_d[k], obs.phi_g[k], obs.overlap[k],
+                    obs.transport_strong[k]]
+        rows.append(row + [
+            obs.gamma_total, obs.visibility, obs.singh_phase, obs.mixed_dynamical,
+            obs.transport_weak, spin_model.geometric_phase(p, "+"),
+            spin_model.geometric_phase(p, "-"), spin_model.solid_angle(p),
+            spin_model.interference_value(p),
+        ])
+    return rows
 
 
 def run_sweep(cfg: ScenarioConfig, axis: str, values):
+    """sweep: the scenario `simulate` runs for `cfg`, with `axis` set to each
+    value in turn.  The config must name both spin branches, in either order,
+    and every point is validated before any runs."""
     if cfg.model != "spin":
         raise ConfigError("sweep supports the spin model only")
     if axis not in SWEEP_AXES:
@@ -578,28 +587,25 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values):
     if axis == "big_theta" and cfg.weights is not None:
         # the default weights follow big_theta; explicit ones would pin every row
         raise ConfigError("field 'weights': a big_theta sweep needs the default weights")
+    if sorted(cfg.states) != list(spin_model.BRANCHES):  # '+' sorts before '-'
+        raise ConfigError("field 'states': a sweep needs both branches '+' and '-', "
+                          f"got {','.join(cfg.states)}")
     cfg = validate_config(cfg)
-    # every row carries both branches, whichever states the config names; each
-    # point is validated here, so a bad value fails before any point runs
-    points = [
-        (index, float(value),
-         validate_config(replace(cfg, states=spin_model.BRANCHES, **{axis: float(value)})))
-        for index, value in enumerate(values)
-    ]
-    # fork starts every worker at the first submit, so never more than rows or cores
-    workers = min(cfg.workers, len(points), os.cpu_count() or 1)
+    points = [(index, float(value), validate_config(replace(cfg, **{axis: float(value)})))
+              for index, value in enumerate(values)]
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    # fork starts every worker at the first submit, so never more than rows or usable cores
+    workers = min(cfg.workers, len(points), cores)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported only for a pool
 
+        bounds = [len(points) * k // workers for k in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, points))
+            runs = pool.map(_sweep_rows, [points[a:b] for a, b in zip(bounds, bounds[1:])])
+            rows = [row for run in runs for row in run]
     else:
-        # unless omega moves, every point has the same grid and rotating field
-        field = None
-        if axis != "omega" and points:
-            field = spin_model.RotatingField(
-                cfg.omega, TimeGrid(0.0, _horizon(cfg), cfg.steps))
-        rows = [_sweep_point(p, field) for p in points]
+        rows = _sweep_rows(points)
     header = scenario_header(cfg, "sweep")
     header["axis"] = axis
     header["points"] = len(points)
@@ -619,9 +625,15 @@ def run_verify_gauge(cfg: ScenarioConfig):
 
 
 def run_spin_report(cfg: ScenarioConfig):
-    """Closed-form values of the rotating-field model for the given parameters."""
+    """Closed-form values of the rotating-field model for the given parameters;
+    the mixed trace is the config's own ensemble's, sum_k w_k of the selected
+    branches' traces, as `simulate` reads it off the member paths."""
+    if cfg.model != "spin":
+        raise ConfigError("spin-report supports the spin model only")
     p = spin_model.SpinParams(cfg.mu_b, cfg.omega, cfg.theta, cfg.big_theta)
-    trace = spin_model.mixed_trace(p)
+    traces = spin_model.branch_traces(p)
+    weights = cfg.resolved_weights().tolist()
+    trace = sum(w * traces[k] for w, k in zip(weights, _state_index(cfg, 2)))
     records = [("alpha", "", p.alpha), ("period", "", p.period), ("beta_rate", "", p.beta_rate)]
     for name, per_branch in (("energy", spin_model.energy_expectation),
                              ("connection", spin_model.connection_value),

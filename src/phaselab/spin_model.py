@@ -265,8 +265,8 @@ def tilde_connection(p: SpinParams, branch: str, t):
     return term + 0.5 * p.omega * (1.0 + sign * np.cos(p.theta - p.alpha))
 
 
-def mixed_trace(p: SpinParams) -> complex:
-    """Tr[U(T) rho_mix(0)] for the big_theta mixture of psi_+/-, closed form.
+def branch_traces(p: SpinParams) -> tuple[complex, complex]:
+    """<psi_+(0)|psi_+(T)> and <psi_-(0)|psi_-(T)> over one period, closed form.
 
     With h = (theta - alpha)/2, <w_+(0)|w_+(T)> = cos^2 h e^{-i omega T} + sin^2 h
     (the minus branch swaps cos^2 and sin^2), and psi_+/- carry the phases
@@ -280,4 +280,11 @@ def mixed_trace(p: SpinParams) -> complex:
     tilt = math.cos(p.theta - p.alpha)  # A_+/- = (omega/2)(1 +/- tilt)
     plus = (cos2 * rot + sin2) * cmath.exp(1j * (energy + 0.5 * p.omega * (1.0 + tilt)) * T)
     minus = (sin2 * rot + cos2) * cmath.exp(-1j * (energy - 0.5 * p.omega * (1.0 - tilt)) * T)
+    return plus, minus
+
+
+def mixed_trace(p: SpinParams) -> complex:
+    """Tr[U(T) rho_mix(0)] for the big_theta mixture of psi_+/-, closed form:
+    the `branch_traces` weighted by cos^2 and sin^2 of big_theta / 2."""
+    plus, minus = branch_traces(p)
     return math.cos(0.5 * p.big_theta) ** 2 * plus + math.sin(0.5 * p.big_theta) ** 2 * minus

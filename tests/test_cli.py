@@ -603,6 +603,10 @@ def custom_config(hfile: str, states: str = "0,1") -> str:
     (["simulate"], custom_config("h.txt", "0,5"), "field 'states': index 5 outside 0..1"),
     (["sweep", "--axis", "theta", "--values", "0.5"], custom_config("h.txt"),
      "sweep supports the spin model only"),
+    (["sweep", "--axis", "theta", "--values", "0.5"], "states = +\nweights = 1\n",
+     "field 'states': a sweep needs both branches '+' and '-', got +"),
+    (["spin-report"], custom_config("h.txt"), "spin-report supports the spin model only"),
+    (["spin-report"], "states = +,x\n", "field 'states': spin selectors are '+'/'-', got 'x'"),
     (["simulate", "--out", "file.txt/x.csv"], None,
      "field 'out': cannot write: [Errno 20] Not a directory: 'file.txt/x.csv'"),
     (["simulate"], "horizon = explicit\nt_end = 1e308\n",
@@ -621,7 +625,8 @@ def custom_config(hfile: str, states: str = "0,1") -> str:
 ], ids=["config-unreadable", "no-equals", "unconvertible", "model", "t_end-missing",
         "hamiltonian_file-missing", "custom-one-period", "weight-count", "hamiltonian-unreadable",
         "hamiltonian-empty", "header-not-integer", "non-finite", "spin-selector",
-        "custom-selector", "custom-index", "sweep-custom", "out-under-a-file", "t_end-overflow",
+        "custom-selector", "custom-index", "sweep-custom", "sweep-one-branch",
+        "spin-report-custom", "spin-report-selector", "out-under-a-file", "t_end-overflow",
         "steps-working-set", "steps-working-set-custom", "dim-working-set",
         "linspace-working-set"])
 def test_exit_2_messages_word_for_word(tmp_path, monkeypatch, capsys, argv, config, message):
@@ -823,17 +828,40 @@ class SerialPool:
         return map(fn, items)
 
 
-@pytest.mark.parametrize("values, cores, expected", [("1,2", 8, 2), ("1,2,3", 2, 2), ("1,2", 1, None)])
+def usable_cpus(monkeypatch, cores: int, counted: int = 8) -> None:
+    """`cores` CPUs this process may run on, of `counted` on the host."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: counted)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+@pytest.mark.parametrize("values, cores, expected", [
+    ("1,2", 8, 2), ("1,2,3", 2, 2), ("1,2", 1, None), ("1,2,3,4", 3, 3),
+])
 def test_sweep_pool_bounded_by_rows_and_cores(values, cores, expected, monkeypatch, capsys):
+    # `cores` are the CPUs the process may run on, of 8 counted on the host:
+    # under a one-CPU affinity mask no pool starts
     args = ["sweep", "--axis", "theta", "--values", values, "--steps", "50"]
     assert run(args) == 0
     serial = capsys.readouterr().out
     sizes = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(SerialPool, sizes))
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    usable_cpus(monkeypatch, cores)
     assert run([*args, "--workers", "10000"]) == 0
     assert capsys.readouterr().out == serial
     assert sizes == ([expected] if expected else [])
+
+
+@pytest.mark.parametrize("counted, expected", [(2, [2]), (None, [])])
+def test_sweep_pool_counts_the_cpus_where_no_affinity_is_known(counted, expected, monkeypatch,
+                                                             capsys):
+    # without os.sched_getaffinity the pool is bounded by os.cpu_count(), and
+    # by one CPU when that count is unknown
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(SerialPool, sizes))
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: counted)
+    assert run(["sweep", "--axis", "theta", "--values", "1,2", "--steps", "50", "--workers", "4"]) == 0
+    assert capsys.readouterr().err == "" and sizes == expected
 
 
 @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
@@ -844,7 +872,7 @@ def test_sweep_validates_every_point_before_any_runs(workers, monkeypatch, capsy
     observables = cli.observables
     monkeypatch.setattr(cli, "observables", lambda sc: calls.append(sc) or observables(sc))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(SerialPool, sizes))
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    usable_cpus(monkeypatch, 2)
     args = ["sweep", "--axis", "omega", "--values", "1,0", "--steps", "100", *workers]
     assert run(args) == 2
     assert "'omega'" in capsys.readouterr().err
@@ -908,14 +936,14 @@ def counted_field_rows(monkeypatch):
 def test_sweep_points_share_one_rotating_field_unless_omega_moves(axis, values, monkeypatch):
     # the rows of a sweep equal each point run alone, byte for byte; cos and
     # sin are taken once on the shared grid's nodes and once on its midpoints,
-    # and for an omega sweep twice per point
+    # and for an omega sweep once per point
     cfg = cli.validate_config(cli.ScenarioConfig(steps=300, mu_b=2.0))
-    alone = [cli._sweep_point((index, value, cli.validate_config(dataclasses.replace(
-        cfg, states=spin_model.BRANCHES, **{axis: value})))) for index, value in enumerate(values)]
+    alone = [cli._sweep_rows([(index, value, cli.validate_config(dataclasses.replace(
+        cfg, **{axis: value})))])[0] for index, value in enumerate(values)]
     calls = counted_field_rows(monkeypatch)
     rows, _ = cli.run_sweep(cfg, axis, values)
     assert repr(rows) == repr(alone)
-    assert calls == ([300, 301] * len(values) if axis == "omega" else [301, 300])
+    assert calls == [301, 300] * (len(values) if axis == "omega" else 1)
 
 
 def test_no_rotating_field_outlives_its_sweep(monkeypatch):
@@ -933,6 +961,68 @@ def test_no_rotating_field_outlives_its_sweep(monkeypatch):
     rows, _ = cli.run_sweep(cfg, "theta", [0.5, 1.5])
     assert len(rows) == 2 and len(fields) == 1 and len(arrays) == 2
     assert fields[0]() is None and all(ref() is None for ref in arrays)
+
+
+SWEEP_PER_BRANCH = {"total": "phi_t", "dynamical": "phi_d", "geometric": "phi_g",
+                    "residual": "transport_strong"}
+SWEEP_MIXED = {"gamma_total": "gamma_total", "visibility": "visibility",
+               "singh_phase": "singh_phase", "mixed_dynamical": "mixed_dynamical",
+               "weak_residual": "transport_weak"}
+
+
+@pytest.mark.parametrize("weights", [None, (0.7, 0.3)])
+@pytest.mark.parametrize("states", [("-", "+"), ("+", "-")])
+@pytest.mark.parametrize("axis, value", [("theta", 1.0), ("omega", 2.5)])
+def test_sweep_rows_are_simulate_label_by_label(axis, value, states, weights):
+    # a sweep point is the scenario simulate runs for the same config: the
+    # weights stay with their states, and each branch's columns are read by
+    # its label, so every value equals simulate's to the bit
+    cfg = cli.validate_config(cli.ScenarioConfig(steps=100, states=states, weights=weights))
+    rows, _ = cli.run_sweep(cfg, axis, [value])
+    row = dict(zip(cli.SWEEP_COLUMNS, rows[0]))
+    records, _ = cli.run_scenario(cli.validate_config(dataclasses.replace(cfg, **{axis: value})))
+    records = {(name, label): v for name, label, v in records}
+    for column, name in SWEEP_MIXED.items():
+        assert row[column] == records[(name, "")], column
+    for branch, label in (("plus", "+"), ("minus", "-")):
+        for column, name in SWEEP_PER_BRANCH.items():
+            assert row[f"{column}_{branch}"] == records[(name, label)], (column, branch)
+
+
+@pytest.mark.parametrize("states", ["+,-", "-,+"])
+@pytest.mark.parametrize("axis, values", [
+    ("theta", "0.5,1.5,2.5"), ("mu_b", "0.5,2"), ("omega", "0.5,1.5,2.5"), ("big_theta", "0.3,2.9"),
+])
+def test_pooled_sweep_rows_equal_serial(axis, values, states, tmp_path, monkeypatch, capsys):
+    config = tmp_path / "states.cfg"
+    config.write_text(f"states = {states}\n")
+    args = ["sweep", "--config", str(config), "--axis", axis, "--values", values, "--steps", "100"]
+    assert run(args) == 0
+    serial = capsys.readouterr().out
+    usable_cpus(monkeypatch, 2)  # a real pool, whatever this host's CPUs
+    assert run([*args, "--workers", "2"]) == 0
+    assert capsys.readouterr().out == serial
+
+
+@pytest.mark.parametrize("workers, tables", [(1, 1), (2, 2), (3, 3)])
+def test_pooled_theta_sweep_builds_one_rotating_field_per_worker(workers, tables, monkeypatch):
+    # each worker runs one contiguous run of points on its own table
+    built = []
+
+    class Counted(spin_model.RotatingField):
+        def __init__(self, omega, grid):
+            super().__init__(omega, grid)
+            built.append(omega)
+
+    monkeypatch.setattr(spin_model, "RotatingField", Counted)
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(SerialPool, sizes))
+    usable_cpus(monkeypatch, 8)
+    cfg = cli.validate_config(cli.ScenarioConfig(steps=100, workers=workers))
+    values = [0.3, 0.9, 1.5, 2.1, 2.7]
+    rows, _ = cli.run_sweep(cfg, "theta", values)
+    assert [tuple(row[:2]) for row in rows] == list(enumerate(values))
+    assert len(built) == tables and sizes == ([workers] if workers > 1 else [])
 
 
 def test_reused_parser_keeps_no_state(capsys):
@@ -1123,6 +1213,23 @@ def test_spin_report_values(tmp_path):
         0.9127241981021779, abs=1e-10
     )
     assert float(records[("mixed_trace_im", "")]) == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("config", ["weights = 0.7,0.3\n", "states = -,+\n",
+                                    "states = +\nweights = 1\n"],
+                         ids=["weights", "minus-first", "one-branch"])
+def test_spin_report_trace_is_the_configs_own_ensemble(config, tmp_path):
+    # mixed_trace_arg and mixed_trace_abs are simulate's gamma_T and visibility
+    # for the same ensemble, to criterion 2's 1e-5 at the default steps
+    path = tmp_path / "ensemble.cfg"
+    path.write_text(config)
+    report, simulated = tmp_path / "report.csv", tmp_path / "simulate.csv"
+    assert run(["spin-report", "--config", str(path), "--out", str(report)]) == 0
+    assert run(["simulate", "--config", str(path), "--out", str(simulated)]) == 0
+    report, simulated = read_records(report), read_records(simulated)
+    gamma, visibility = (float(simulated[(name, "")]) for name in ("gamma_total", "visibility"))
+    assert abs(wrap_angle(float(report[("mixed_trace_arg", "")]) - gamma)) <= 1e-5
+    assert abs(float(report[("mixed_trace_abs", "")]) - visibility) <= 1e-5
 
 
 @pytest.mark.parametrize("value, text, stored", [
