@@ -122,7 +122,6 @@ class ScenarioConfig:
     )
     format: str = _option("csv", str, ("csv", "json"), "output format")
     out: str | None = _option(None, str, flag="output path (default stdout)")
-    workers: int = _option(1, int, 1, "bounded worker count for sweeps")
 
     def resolved_weights(self) -> np.ndarray:
         if self.weights is not None:
@@ -555,8 +554,7 @@ def _sweep_rows(points: list) -> list:
     """The rows of one sweep's (index, axis value, config) points, in order,
     each branch's columns by label, '+' then '-'.  The points differ only in
     the axis, so consecutive points with equal omega share one grid and one
-    rotating-field table, built when omega moves; a process pool gives each
-    worker one contiguous run of points."""
+    rotating-field table, built when omega moves."""
     rows, field = [], None
     for index, value, cfg in points:
         if field is None or field.omega != cfg.omega:
@@ -593,19 +591,7 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values):
     cfg = validate_config(cfg)
     points = [(index, float(value), validate_config(replace(cfg, **{axis: float(value)})))
               for index, value in enumerate(values)]
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    # fork starts every worker at the first submit, so never more than rows or usable cores
-    workers = min(cfg.workers, len(points), cores)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # imported only for a pool
-
-        bounds = [len(points) * k // workers for k in range(workers + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = pool.map(_sweep_rows, [points[a:b] for a, b in zip(bounds, bounds[1:])])
-            rows = [row for run in runs for row in run]
-    else:
-        rows = _sweep_rows(points)
+    rows = _sweep_rows(points)
     header = scenario_header(cfg, "sweep")
     header["axis"] = axis
     header["points"] = len(points)

@@ -1,10 +1,8 @@
 """End-to-end CLI behavior: commands, config grammar, exit codes, determinism."""
 import argparse
-import concurrent.futures
 import ctypes
 import ctypes.util
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -647,6 +645,41 @@ def test_exit_2_messages_word_for_word(tmp_path, monkeypatch, capsys, argv, conf
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def test_relative_hamiltonian_file_opens_against_the_working_directory(tmp_path, monkeypatch,
+                                                                     capsys):
+    # not against the config's directory: the config sits in one directory
+    # and the samples in another
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "samples").mkdir()
+    (tmp_path / "configs" / "c.cfg").write_text(custom_config("h.txt"))
+    (tmp_path / "samples" / "h.txt").write_text("dim 2 steps 1\n" + f"{GOOD_ROW}\n" * 2)
+    argv = ["simulate", "--config", str(tmp_path / "configs" / "c.cfg"), "--steps", "20"]
+    monkeypatch.chdir(tmp_path / "samples")
+    assert run(argv) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path / "configs")
+    assert run(argv) == 2
+    assert capsys.readouterr().err == ("config error: cannot read Hamiltonian file h.txt: "
+                                       "[Errno 2] No such file or directory: 'h.txt'\n")
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--workers", "2"], "phaselab: error: unrecognized arguments: --workers 2"),
+    (["--config", "c.cfg"], "config error: c.cfg:1: unknown field 'workers'"),
+], ids=["workers-flag", "workers-field"])
+def test_sweep_worker_count_exits_2(tmp_path, monkeypatch, capsys, option, message):
+    # a sweep runs its points in one process: a worker count is an unknown
+    # option or field like any other, and the last stderr line is pinned whole
+    monkeypatch.chdir(tmp_path)
+    Path("c.cfg").write_text("workers = 2\n")
+    try:
+        code = run(["sweep", "--axis", "theta", "--values", "0.5", "--steps", "50", *option])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == message
+
+
 def test_steps_ceiling_is_checked_before_any_grid_exists(capsys):
     most = cli.WORKING_SET_BYTES // (cli.STEP_BYTES * 2 * 2)
     assert most >= 100 * 40000  # criterion 1's grids sit far inside the ceiling
@@ -802,91 +835,28 @@ def test_sweep_unknown_axis_exit_2(capsys):
     assert "axis" in capsys.readouterr().err
 
 
-def test_sweep_workers_match_serial(tmp_path):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    args = ["sweep", "--axis", "theta", "--values", "0.5,1.0,1.5,2.0",
-            "--steps", "300", "--mu-b", "2", "--omega", "1.3"]
-    assert run([*args, "--out", str(serial)]) == 0
-    assert run([*args, "--workers", "3", "--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
-class SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-    def __init__(self, sizes, max_workers):
-        sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def usable_cpus(monkeypatch, cores: int, counted: int = 8) -> None:
-    """`cores` CPUs this process may run on, of `counted` on the host."""
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: counted)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-
-
-@pytest.mark.parametrize("values, cores, expected", [
-    ("1,2", 8, 2), ("1,2,3", 2, 2), ("1,2", 1, None), ("1,2,3,4", 3, 3),
-])
-def test_sweep_pool_bounded_by_rows_and_cores(values, cores, expected, monkeypatch, capsys):
-    # `cores` are the CPUs the process may run on, of 8 counted on the host:
-    # under a one-CPU affinity mask no pool starts
-    args = ["sweep", "--axis", "theta", "--values", values, "--steps", "50"]
-    assert run(args) == 0
-    serial = capsys.readouterr().out
-    sizes = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(SerialPool, sizes))
-    usable_cpus(monkeypatch, cores)
-    assert run([*args, "--workers", "10000"]) == 0
-    assert capsys.readouterr().out == serial
-    assert sizes == ([expected] if expected else [])
-
-
-@pytest.mark.parametrize("counted, expected", [(2, [2]), (None, [])])
-def test_sweep_pool_counts_the_cpus_where_no_affinity_is_known(counted, expected, monkeypatch,
-                                                             capsys):
-    # without os.sched_getaffinity the pool is bounded by os.cpu_count(), and
-    # by one CPU when that count is unknown
-    sizes = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(SerialPool, sizes))
-    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: counted)
-    assert run(["sweep", "--axis", "theta", "--values", "1,2", "--steps", "50", "--workers", "4"]) == 0
-    assert capsys.readouterr().err == "" and sizes == expected
-
-
-@pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
-def test_sweep_validates_every_point_before_any_runs(workers, monkeypatch, capsys):
+def test_sweep_validates_every_point_before_any_runs(monkeypatch, capsys):
     # omega = 0 leaves the one-period horizon undefined; the point list is
-    # validated as it is built, so no point runs and no pool is started
-    calls, sizes = [], []
+    # validated as it is built, so no point runs
+    calls = []
     observables = cli.observables
     monkeypatch.setattr(cli, "observables", lambda sc: calls.append(sc) or observables(sc))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(SerialPool, sizes))
-    usable_cpus(monkeypatch, 2)
-    args = ["sweep", "--axis", "omega", "--values", "1,0", "--steps", "100", *workers]
-    assert run(args) == 2
+    assert run(["sweep", "--axis", "omega", "--values", "1,0", "--steps", "100"]) == 2
     assert "'omega'" in capsys.readouterr().err
-    assert calls == [] and sizes == []
+    assert calls == []
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # the pool's module is imported inside `run_sweep`, and only for --workers > 1
+    # a sweep runs its points in this process: neither the import nor a run
+    # loads the standard library's process pool
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, phaselab.cli; print('concurrent.futures.process' in sys.modules)"
+    code = ("import sys, phaselab.cli as cli; "
+            "cli.main(['sweep', '--axis', 'theta', '--values', '0.5,1.5', '--steps', '50']); "
+            "print('concurrent.futures' in sys.modules, file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert (proc.returncode, proc.stderr) == (0, "False\n")
 
 
 def test_observables_working_set_at_the_default_steps():
@@ -993,36 +963,20 @@ def test_sweep_rows_are_simulate_label_by_label(axis, value, states, weights):
 @pytest.mark.parametrize("axis, values", [
     ("theta", "0.5,1.5,2.5"), ("mu_b", "0.5,2"), ("omega", "0.5,1.5,2.5"), ("big_theta", "0.3,2.9"),
 ])
-def test_pooled_sweep_rows_equal_serial(axis, values, states, tmp_path, monkeypatch, capsys):
+def test_sweep_rows_equal_each_point_swept_alone(axis, values, states, tmp_path, capsys):
+    # the points of a sweep share one rotating-field table per run of equal
+    # omega; past the index column, its CSV rows are those of each point swept
+    # alone, byte for byte, with the branches in either order
     config = tmp_path / "states.cfg"
     config.write_text(f"states = {states}\n")
-    args = ["sweep", "--config", str(config), "--axis", axis, "--values", values, "--steps", "100"]
-    assert run(args) == 0
-    serial = capsys.readouterr().out
-    usable_cpus(monkeypatch, 2)  # a real pool, whatever this host's CPUs
-    assert run([*args, "--workers", "2"]) == 0
-    assert capsys.readouterr().out == serial
 
+    def rows(values):
+        assert run(["sweep", "--config", str(config), "--axis", axis, "--values", values,
+                    "--steps", "100"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line[0] != "#"]
+        return [line.split(",", 1)[1] for line in lines[1:]]
 
-@pytest.mark.parametrize("workers, tables", [(1, 1), (2, 2), (3, 3)])
-def test_pooled_theta_sweep_builds_one_rotating_field_per_worker(workers, tables, monkeypatch):
-    # each worker runs one contiguous run of points on its own table
-    built = []
-
-    class Counted(spin_model.RotatingField):
-        def __init__(self, omega, grid):
-            super().__init__(omega, grid)
-            built.append(omega)
-
-    monkeypatch.setattr(spin_model, "RotatingField", Counted)
-    sizes = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(SerialPool, sizes))
-    usable_cpus(monkeypatch, 8)
-    cfg = cli.validate_config(cli.ScenarioConfig(steps=100, workers=workers))
-    values = [0.3, 0.9, 1.5, 2.1, 2.7]
-    rows, _ = cli.run_sweep(cfg, "theta", values)
-    assert [tuple(row[:2]) for row in rows] == list(enumerate(values))
-    assert len(built) == tables and sizes == ([workers] if workers > 1 else [])
+    assert rows(values) == [row for value in values.split(",") for row in rows(value)]
 
 
 def test_reused_parser_keeps_no_state(capsys):

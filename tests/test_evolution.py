@@ -3,13 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from phaselab import HamiltonianTrajectory, SpinParams, TimeGrid, propagate, spin_model
 from phaselab.cli import build_scenario, parse_config_file
 from phaselab.evolution import PropagatorPath, member_paths
 from phaselab.exceptions import ContractError, DimensionError, NumericError
 from phaselab.linalg import (_two_level_matrices, hermitian_step_exp, ordered_pairs,
-                             unitarity_defect)
+                             pair_norm_defect, unitarity_defect)
 
 from conftest import mat_exp, random_hermitian
 
@@ -325,3 +326,28 @@ def test_grid_time_arrays_are_read_only():
         assert times is (grid.nodes if len(times) == 9 else grid.midpoints)
         with pytest.raises(ValueError, match="read-only"):
             times[0] = 1.0
+
+
+@given(dim=st.sampled_from([2, 3, 4]), steps=st.integers(10, 300), seed=st.integers(0, 2**16),
+       reach=st.floats(0.01, 1.0))
+def test_propagate_stays_unitary(dim, steps, seed, reach):
+    # H(t) = A + cos(2 pi t / T) B + sin(2 pi t / T) C from random Hermitian
+    # A, B, C, scaled so that dt ||H||_1 <= reach <= 1 at every t
+    rng = np.random.default_rng(seed)
+    A, B, C = (random_hermitian(rng, dim) for _ in range(3))
+    grid = TimeGrid(0.0, 1.0, steps)
+    scale = reach / (grid.dt * sum(np.linalg.norm(M, 1) for M in (A, B, C)))
+
+    def batch(times):
+        angle = 2.0 * np.pi * np.asarray(times)[:, None, None]
+        return scale * (A + np.cos(angle) * B + np.sin(angle) * C)
+
+    path = propagate(HamiltonianTrajectory(dim, evaluate=batch), grid)
+    assert np.array_equal(path.matrices[0], np.eye(dim))
+    if path.phases is None:
+        assert unitarity_defect(path.stack) <= 1e-12
+    else:
+        assert np.sqrt(2.0) * pair_norm_defect(path.stack) <= 1e-12
+    psi = member_paths(path, np.eye(dim, dtype=complex))  # (nodes, dim, k)
+    gram = np.einsum("jak,jal->jkl", np.conj(psi), psi)
+    assert np.max(np.abs(gram - np.eye(dim))) <= 1e-12

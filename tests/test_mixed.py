@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from phaselab import SpinParams, TimeGrid, cli, gauge, mixed, phases, spin_model
 from phaselab.evolution import HamiltonianTrajectory, PropagatorPath, member_paths, propagate
@@ -602,6 +603,37 @@ def test_hidden_gauge_transform_keeps_reduction():
     phases = rng.uniform(-np.pi, np.pi, size=3)
     shifted = hidden_gauge_transform(pure, phases, vecs)
     assert np.max(np.abs(reduce(shifted).matrix - rho.matrix)) < 1e-12
+
+
+@st.composite
+def ranked_densities(draw):
+    """(rho, its rank, an ancilla dimension from the rank to d + 1, the generator):
+    rho of any rank 1..d at d <= 6, its nonzero eigenvalues drawn from [0.05, 1]
+    before the trace is normalized."""
+    dim = draw(st.integers(1, 6))
+    rank = draw(st.integers(1, dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    V = random_unitary(rng, dim)[:, :rank]
+    spectrum = rng.uniform(0.05, 1.0, rank)
+    rho = DensityMatrix((V * (spectrum / spectrum.sum())) @ np.conj(V.T))
+    return rho, rank, draw(st.integers(rank, dim + 1)), rng
+
+
+@given(ranked_densities())
+def test_purification_round_trip_holds_at_every_rank(drawn):
+    rho, rank, ancilla, rng = drawn
+    pure = purify(rho, ancilla)
+    gauged = hidden_gauge_transform(pure, rng.uniform(-np.pi, np.pi, rho.dim), rho.eigenvectors)
+    for state in (pure, purify(rho, ancilla, random_unitary(rng, ancilla)), gauged):
+        assert np.max(np.abs(reduce(state).matrix - rho.matrix)) <= 1e-12
+    # the canonical columns are orthogonal, their norms the Schmidt coefficients
+    a = pure.coefficients
+    schmidt = np.linalg.norm(a, axis=0)
+    assert np.all(schmidt >= 0.0) and np.all(schmidt[:-1] >= schmidt[1:])
+    assert abs(np.sum(schmidt**2) - 1.0) <= 1e-12
+    assert np.max(np.abs(np.conj(a.T) @ a - np.diag(schmidt**2))) <= 1e-12
+    with pytest.raises(CapacityError):
+        purify(rho, rank - 1)
 
 
 def schroedinger_residual(paths: PathStack, H_samples: np.ndarray, shift: np.ndarray):
