@@ -127,6 +127,8 @@ class ScenarioConfig:
         if self.weights is not None:
             return np.asarray(self.weights, dtype=float)
         c = np.cos(0.5 * self.big_theta) ** 2
+        if self.model == "spin" and self.states == spin_model.BRANCHES[::-1]:
+            return np.array([1.0 - c, c])  # the branches take their weights by label
         return np.array([c, 1.0 - c])
 
 
@@ -189,6 +191,9 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError("field 'horizon': custom-sampled model needs an explicit t_end")
     if cfg.t_end is not None and cfg.horizon != "explicit":
         raise ConfigError("field 't_end': a one-period horizon ignores it; set horizon = explicit")
+    if cfg.model == "spin" and cfg.hamiltonian_file is not None:
+        raise ConfigError("field 'hamiltonian_file': the spin model ignores it; "
+                          "set model = custom-sampled")
     if cfg.model == "spin" and cfg.horizon == "one-period" and cfg.omega <= 0.0:
         raise ConfigError(
             f"field 'omega': a one-period horizon needs omega > 0, got {cfg.omega}"
@@ -349,31 +354,15 @@ def build_scenario(cfg: ScenarioConfig,
     return Scenario(cfg=cfg, H=H, grid=grid, ensemble=ensemble, params=params)
 
 
-def _json_value(value):
-    """A record or header value as JSON holds it: NumPy scalars as the Python
-    bool, int or float they equal.  Python values, the common case, come first."""
-    if type(value) in (float, str, int, bool):
-        return value
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
-
-
 def _fmt(value) -> str:
-    kind = type(value)  # a Python float or str in most fields
-    if kind is float:
-        return f"{value:.12g}"
-    if kind is str:
-        return value
-    value = _json_value(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    """A record or header value as CSV text: floats (np.float64 is one) to 12
+    significant digits, bools as true/false, anything else by `str`."""
     if isinstance(value, float):
         return f"{value:.12g}"
+    if type(value) is str:
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
     return str(value)
 
 
@@ -385,7 +374,7 @@ def _json_text(value) -> str:
         return float.__repr__(value)
     if type(value) is str:
         return encode_basestring_ascii(value)
-    return json.dumps(_json_value(value))
+    return json.dumps(value)
 
 
 def _json_block(items: list, pad: str, brackets: str = "{}") -> str:

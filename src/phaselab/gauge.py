@@ -37,6 +37,7 @@ from .phases import PathStack, check_node_samples, state_energies
 
 FRAME_ORTHO_TOL = 1e-8
 OVERLAP_FLOOR = 1e-10
+GAUGE_DEGREE = 6  # harmonics of each `GaugeFunction.random` draw
 
 
 @dataclass(frozen=True)
@@ -103,18 +104,17 @@ class GaugeFunction:
         size: int,
         period: float,
         rng: np.random.Generator,
-        degree: int = 6,
         scale: float = 0.1,
         slope_scale: float = 0.0,
     ) -> "GaugeFunction":
-        """Draw smooth gauges for `size` members; harmonic m coefficients are
-        damped by 1/m^2."""
-        damp = 1.0 / np.arange(1, degree + 1) ** 2
+        """Draw smooth gauges for `size` members, GAUGE_DEGREE harmonics each;
+        harmonic m coefficients are damped by 1/m^2."""
+        damp = 1.0 / np.arange(1, GAUGE_DEGREE + 1) ** 2
         return cls(
             period=period,
             const=rng.uniform(-np.pi, np.pi, size=size),
-            cos_coeffs=rng.uniform(-scale, scale, size=(size, degree)) * damp,
-            sin_coeffs=rng.uniform(-scale, scale, size=(size, degree)) * damp,
+            cos_coeffs=rng.uniform(-scale, scale, size=(size, GAUGE_DEGREE)) * damp,
+            sin_coeffs=rng.uniform(-scale, scale, size=(size, GAUGE_DEGREE)) * damp,
             slope=rng.uniform(-slope_scale, slope_scale, size) if slope_scale else np.zeros(size),
         )
 
