@@ -5,7 +5,9 @@ Scenarios are described by a flat key = value config file or entirely by
 flags; flags override file values.  Each field is declared once, in
 `ScenarioConfig`; the README's "Config file grammar" table lists them.  All
 randomness comes from a single seeded generator named in the output header,
-and identical config plus seed produces byte-identical output files.
+and identical config plus seed produces byte-identical output files.  Each
+scenario samples H once, on its grid midpoints: the propagator and every
+phase that `simulate`, `sweep` and `verify-gauge` print read those samples.
 
 Sampled-Hamiltonian file: a header line `dim <d> steps <n>`, then n+1 rows of
 2*d*d floats (real/imag pairs, row-major); samples are uniform over the
@@ -33,7 +35,6 @@ from . import spin_model
 from .evolution import (
     HERMITICITY_TOL,
     HamiltonianTrajectory,
-    PropagatorPath,
     TimeGrid,
     member_paths,
     propagate,
@@ -50,7 +51,6 @@ from .mixed import (
     purify,
     reduce as reduce_purified,
     singh_phase,
-    transport_conditions,
 )
 from .phases import PathStack
 
@@ -134,6 +134,9 @@ class ScenarioConfig:
 
 _FIELDS = {f.name: f for f in fields(ScenarioConfig)}
 _FLAG_FIELDS = [f for f in _FIELDS.values() if f.metadata["flag"] is not None]
+# the rotating field's own parameters, which a custom-sampled H would ignore
+# (big_theta is not one: it sets a two-state ensemble's default weights)
+SPIN_FIELDS = ("mu_b", "omega", "theta")
 
 
 def _read_lines(path: str, kind: str) -> list:
@@ -166,6 +169,11 @@ def parse_config_file(path: str) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: field {key!r}: {exc}") from exc
         setattr(cfg, key, parsed)
+    if cfg.model == "custom-sampled":
+        for key, lineno in set_on.items():
+            if key in SPIN_FIELDS:
+                raise ConfigError(f"{path}:{lineno}: field {key!r}: "
+                                  "the custom-sampled model ignores it")
     return cfg
 
 
@@ -482,45 +490,51 @@ class Observables:
     phi_t: np.ndarray  # arg<psi_k(0), psi_k(T)>
     overlap: np.ndarray  # |<psi_k(0), psi_k(T)>|
     phi_d: np.ndarray
-    phi_g: np.ndarray  # arg of the member path's holonomy
+    phi_g: np.ndarray  # wrap(phi_t - phi_d), of the propagated curve's connection
     transport_strong: np.ndarray
 
 
-def _propagate(sc: Scenario) -> PropagatorPath:
-    """`propagate`, with a failed check on H or on U reported as bad input:
-    a grid too coarse for the field, or parameters that overflow it."""
+def _propagate(sc: Scenario) -> tuple[PathStack, np.ndarray]:
+    """The member paths psi_k = U|k> of the scenario's ensemble as one
+    `PathStack`, and H on the grid midpoints, the samples U was propagated
+    on; U itself is let go.  A failed check on H or on U is reported as bad
+    input: a grid too coarse for the field, or parameters that overflow it."""
     try:
-        return propagate(sc.H, sc.grid)
+        samples = sc.H.sample(sc.grid.midpoints)
+        path = propagate(samples, sc.grid)
     except ContractError as exc:
         raise ConfigError(
             f"field 'steps': the scenario cannot be propagated at {sc.cfg.steps} steps "
             f"({exc}); use more steps or stay in the documented box "
             "mu_b, omega in [0.1, 10], theta in (0, pi)"
         ) from exc
-
-
-def _paths_and_samples(sc: Scenario) -> tuple[PathStack, np.ndarray]:
-    """The member paths psi_k = U|k> of the scenario's ensemble as one
-    `PathStack`, then H on the grid nodes, sampled once U is released."""
-    members = PathStack(sc.grid, member_paths(_propagate(sc), sc.ensemble.states))
-    return members, sc.H.sample(sc.grid.nodes)
+    return PathStack(sc.grid, member_paths(path, sc.ensemble.states)), samples
 
 
 def observables(sc: Scenario) -> Observables:
     """Propagate the scenario once and evaluate every phase observable on it.
 
-    The member paths are formed once, so their step phases are too; every
-    phase is read off them, Tr[U(T) rho0] as the ensemble average
-    sum_k w_k <k|psi_k(T)>, as in `gauge_campaign`.
+    H is sampled once, on the grid midpoints; the propagator reads those
+    samples, and so do the step energies of the member paths psi_k = U|k>,
+    e_kj = <psi_k(t_j)| H(t_{j+1/2}) |psi_k(t_j)>, whose e_kj dt is the exact
+    connection of the curve the propagator made (`PathStack.step_energies`).
+    From that one (k, steps) array come phi_d = -dt sum_j e_kj,
+    phi_g = wrap(phi_t - phi_d), gamma_D = sum_k w_k phi_d,k, the Singh phase
+    of those phi_g, and the residuals max_j |e_kj| (strong, per path) and
+    max_j |sum_k w_k e_kj| (weak).  Tr[U(T) rho0] is the ensemble average
+    sum_k w_k <k|psi_k(T)>, as in `gauge_campaign`.  No step overlaps are
+    formed.
     """
-    members, samples = _paths_and_samples(sc)
-    gamma_total, visibility = mixed_total_phase(sc.ensemble.weights, sc.ensemble.states, members)
-    weak, strong, gamma_d = transport_conditions(sc.ensemble.weights, members)
+    weights = sc.ensemble.weights
+    members, samples = _propagate(sc)
+    energies = members.step_energies(samples)
+    gamma_total, visibility = mixed_total_phase(weights, sc.ensemble.states, members)
     phi_t, overlap = members.totals()
-    phi_d = members.dynamical(samples)
-    phi_g = np.angle(members.holonomies)
-    return Observables(gamma_total, visibility, singh_phase(sc.ensemble.weights, members),
-                       gamma_d, weak, phi_t, overlap, phi_d, phi_g, strong)
+    phi_d, phi_g = members.curve_phases(energies)
+    weak = float(np.max(np.abs(members.average(weights, energies))))
+    return Observables(gamma_total, visibility, singh_phase(weights, members, phi_g),
+                       float(members.average(weights, phi_d)), weak, phi_t, overlap, phi_d, phi_g,
+                       np.max(np.abs(energies), axis=1))
 
 
 def run_scenario(cfg: ScenarioConfig):
@@ -591,7 +605,7 @@ def run_verify_gauge(cfg: ScenarioConfig):
     """Invariance campaign: hidden-gauge invariants stay fixed, equivalence-class
     transforms shift gamma_T / gamma_D by exactly the predicted amounts."""
     sc = build_scenario(cfg)
-    values = gauge_campaign(sc.ensemble.weights, *_paths_and_samples(sc),
+    values = gauge_campaign(sc.ensemble.weights, *_propagate(sc),
                             np.random.default_rng(cfg.seed), cfg.trials, cfg.gauge_scale)
     records = [(name, "", value) for name, value in values.items()]
     header = scenario_header(cfg, "verify-gauge")
@@ -761,8 +775,14 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         cfg = parse_config_file(args.config) if getattr(args, "config", None) else ScenarioConfig()
-        cfg = validate_config(replace(cfg, **{f.name: value for f in _FLAG_FIELDS
-                                              if (value := getattr(args, f.name)) is not None}))
+        flags = {f.name: value for f in _FLAG_FIELDS
+                 if (value := getattr(args, f.name)) is not None}
+        if cfg.model == "custom-sampled":
+            for name in SPIN_FIELDS:
+                if name in flags:
+                    raise ConfigError(f"flag '--{name.replace('_', '-')}': "
+                                      f"the custom-sampled model ignores field {name!r}")
+        cfg = validate_config(replace(cfg, **flags))
         _require_writable(cfg.out)
         if args.command == "sweep":
             columns = SWEEP_COLUMNS

@@ -5,21 +5,23 @@ U(t_j): the midpoint-exponential product (lowest-order Magnus).  Every factor
 is the exponential of a skew-Hermitian matrix, so unitarity is preserved by
 construction and the global error is second order in dt.
 
-`propagate` reads: sample H at the midpoints (validated finite and
-Hermitian), the running products of the step exponentials (a recursively
-blocked prefix product: `linalg.ordered_exponentials`, or at d = 2
-`linalg.ordered_pairs`, which keeps them as Cayley-Klein pairs and phases),
-and the `PropagatorPath` check that every U(t_j) is unitary to
+`propagate` reads the midpoint samples of H that its caller took with
+`HamiltonianTrajectory.sample(grid.midpoints)` (validated finite and
+Hermitian there), the running products of the step exponentials (a
+recursively blocked prefix product: `linalg.ordered_exponentials`, or at
+d = 2 `linalg.ordered_pairs`, which keeps them as Cayley-Klein pairs and
+phases), and the `PropagatorPath` check that every U(t_j) is unitary to
 `UNITARITY_TOL`.  At d = 2 the path holds the pairs, and U is formed as a
-stack only when `matrices` is read.  The samples are let go once the step
-factors exist, so the midpoint stack, `propagate`'s temporary argument, is
-freed before the scan (on CPython 3.11 and later).  U(t_0) = I exactly, and
-the output is byte-deterministic.  The package's state trajectories are the
-member paths psi_k = U|k> (`member_paths`), which every phase functional
-and the mixed trace Tr[U(T) rho0] read as one `phases.PathStack`.  At d = 2,
-the pairs, U and the member paths are stored with each component one
-contiguous row over the nodes; their shapes are as documented.  A grid's
-`nodes` and `midpoints` are read-only.
+stack only when `matrices` is read.  The caller keeps the samples: along
+step j the propagated state moves by exp(-i H(t_{j+1/2}) s), so
+<psi(t_j)| H(t_{j+1/2}) |psi(t_j)> dt is that step's exact connection
+(`phases.PathStack.step_energies`), and H is sampled once per scenario.
+U(t_0) = I exactly, and the output is byte-deterministic.  The package's
+state trajectories are the member paths psi_k = U|k> (`member_paths`), which
+every phase functional and the mixed trace Tr[U(T) rho0] read as one
+`phases.PathStack`.  At d = 2, the pairs, U and the member paths are stored
+with each component one contiguous row over the nodes; their shapes are as
+documented.  A grid's `nodes` and `midpoints` are read-only.
 """
 from __future__ import annotations
 
@@ -84,7 +86,7 @@ class HamiltonianTrajectory:
     """Deterministic map t -> Hermitian matrix (natural units, hbar = 1).
 
     `evaluate` is batched: it maps an array of n times to an (n, dim, dim)
-    stack, so the propagator samples a whole grid in one call.  Models built
+    stack, so a scenario samples its grid's midpoints in one call.  Models built
     from broadcasting expressions also map a scalar time to one matrix.
     """
 
@@ -161,12 +163,18 @@ class PropagatorPath:
         return 2 if self.phases is not None else self.stack.shape[-1]
 
 
-def propagate(H: HamiltonianTrajectory, grid: TimeGrid) -> PropagatorPath:
-    """Integrate the time-ordered exponential of -i H(t) over the grid.  At
-    dim 2 the path keeps the Cayley-Klein pairs and phases of the scan."""
-    if H.dim == 2:
-        return PropagatorPath(grid, *ordered_pairs(H.sample(grid.midpoints), grid.dt))
-    return PropagatorPath(grid, ordered_exponentials(H.sample(grid.midpoints), grid.dt))
+def propagate(samples: np.ndarray, grid: TimeGrid) -> PropagatorPath:
+    """Integrate the time-ordered exponential of -i H(t) over the grid from
+    `samples`, H on the grid midpoints as `HamiltonianTrajectory.sample`
+    returns them (validated there, so not here).  At dim 2 the path keeps
+    the Cayley-Klein pairs and phases of the scan."""
+    shape = np.shape(samples)
+    if len(shape) != 3 or shape[0] != grid.steps or shape[1] != shape[2]:
+        raise DimensionError(f"midpoint samples have shape {shape}, "
+                             f"expected ({grid.steps}, dim, dim)")
+    if shape[1] == 2:
+        return PropagatorPath(grid, *ordered_pairs(samples, grid.dt))
+    return PropagatorPath(grid, ordered_exponentials(samples, grid.dt))
 
 
 def member_paths(U: PropagatorPath, states: np.ndarray) -> np.ndarray:

@@ -77,25 +77,30 @@ def _two_level_squares(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Both are summed on the real and imaginary parts of the entries, in one
     pass: ||M - M^dagger||^2 = 4 (Im m00)^2 + 4 (Im m11)^2 + 2 d, where
     d = |m01 - conj(m10)|^2, and ||M||^2 = (Re m00)^2 + (Re m11)^2 +
-    (Im m00)^2 + (Im m11)^2 + (d + |m01 + conj(m10)|^2) / 2.
+    (Im m00)^2 + (Im m11)^2 + (d + |m01 + conj(m10)|^2) / 2.  Four rows of the
+    stack's batch shape are allocated: the two results, the diagonal sum and
+    one scratch row that every other product is written into.
     """
     m00, m01, m10, m11 = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an inf norm
-        diagonal = m00.imag * m00.imag
-        diagonal += m11.imag * m11.imag
-        difference, part = m01.real - m10.real, m01.imag + m10.imag
+        diagonal = np.multiply(m00.imag, m00.imag)
+        part = np.multiply(m11.imag, m11.imag)
+        diagonal += part
+        difference = np.subtract(m01.real, m10.real)
         difference *= difference
+        np.add(m01.imag, m10.imag, out=part)
         part *= part
         difference += part
-        norm, part = m01.real + m10.real, m01.imag - m10.imag
+        norm = np.add(m01.real, m10.real)
         norm *= norm
+        np.subtract(m01.imag, m10.imag, out=part)
         part *= part
         norm += part
         norm += difference
         norm *= 0.5
         norm += diagonal
-        norm += m00.real * m00.real
-        norm += m11.real * m11.real
+        norm += np.multiply(m00.real, m00.real, out=part)
+        norm += np.multiply(m11.real, m11.real, out=part)
         difference *= 2.0
         diagonal *= 4.0
         difference += diagonal
@@ -272,8 +277,8 @@ def ordered_exponentials(H, dt: float) -> np.ndarray:
     of the steps of `hermitian_step_exp`, multiplied as matrices; `propagate`
     sends d = 2 to `ordered_pairs` instead.  The blocking depends on N alone,
     so the output is byte-deterministic.  The samples are let go once the
-    step factors exist: a temporary stack passed in, as `propagate` passes
-    its midpoint samples, is freed before the scan on CPython 3.11 and later.
+    step factors exist: a temporary stack passed in is freed before the scan
+    on CPython 3.11 and later.
     """
     H = _as_square(H)
     n, dim = H.shape[0], H.shape[-1]
@@ -293,7 +298,7 @@ def ordered_pairs(H, dt: float) -> tuple[np.ndarray, np.ndarray]:
     contiguous row), and the real phases phi_j, shape (N+1,): the pairs
     multiply as SU(2) elements, the phases add by one cumulative sum.  The
     samples are let go once the steps exist, and the steps once scanned, so
-    `propagate`'s temporary midpoint stack is freed before the scan.
+    a temporary sample stack is freed before the scan.
     """
     H = _as_square(H)
     n = H.shape[0]

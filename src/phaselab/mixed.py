@@ -7,19 +7,20 @@ sum_k w_k <k|psi_k(T)> over the member paths psi_k = U|k> (`mixed_total_phase`),
 with no density matrix formed.  Per-path phase transforms
 U -> U sum_k e^{i theta_k} |k><k| leave the density-matrix orbit fixed but
 shift both observables in a way computed here exactly; the Singh combination
-of endpoint overlaps and step-phase sums is the invariant alternative.
+sum_k w_k |<psi_k(0), psi_k(T)>| e^{i phi_g,k} is the invariant alternative,
+from the Bargmann holonomies or from geometric phases the caller read off
+the step energies (`phases.PathStack.curve_phases`).
 Every time-dependent functional here reads the member paths as one
 `phases.PathStack`, each weighted sum over them as its one `average`, and H,
-where needed, as its node samples: nothing here propagates or samples H.  A
+where needed, as its samples: nothing here propagates or samples H.  A
 per-path transform maps the stack to e^{i theta_k} psi_k (`transform_evolution`,
 on the angles theta_k(t_j) at the grid nodes), the member paths of U', read
 the same way for any ensemble.  The same call is the hidden gauge transform
 of the frame psi_k, or of any PathStack, smooth or not, so `gauge_campaign`
-reads each trial's one rephasing both ways.  `transport_conditions` and
-`singh_phase` take that stack and the ensemble weights, so a caller that
-holds it pays for its step overlaps once; one `transport_conditions` call
-gives both residuals and gamma_D from its step phases, which that transform
-shifts by theta_k(t_{j+1}) - theta_k(t_j).
+reads each trial's one rephasing both ways, its connection off the rephased
+states and the propagator's midpoint samples.  `transport_conditions` gives
+both residuals and gamma_D from the Bargmann step phases, which that
+transform shifts by theta_k(t_{j+1}) - theta_k(t_j).
 A `DensityMatrix`, which serves purification only, keeps the ascending
 spectrum and eigenvectors of the one `eigh` that checked it.
 """
@@ -35,7 +36,7 @@ from .exceptions import (
     DimensionError,
     UndefinedPhaseError,
 )
-from .gauge import GaugeFunction, frame_trace
+from .gauge import GaugeFunction
 from .numerics import wrap_angle
 from .phases import PathStack
 
@@ -160,12 +161,19 @@ def transform_evolution(paths: PathStack, angles) -> PathStack:
     return PathStack(paths.grid, paths.states * np.exp(1j * angles).T[:, None, :])
 
 
-def singh_phase(weights, paths: PathStack) -> float:
-    """arg sum_k w_k <psi_k(0), psi_k(T)> exp(-i sum_j arg<psi_k(t_j), psi_k(t_{j+1})>).
+def singh_phase(weights, paths: PathStack, geometric=None) -> float:
+    """arg sum_k w_k |<psi_k(0), psi_k(T)>| e^{i phi_g,k}: with `geometric`
+    None the terms are the Bargmann holonomies
+    <psi_k(0), psi_k(T)> exp(-i sum_j arg<psi_k(t_j), psi_k(t_{j+1})>), else
+    phi_g,k = geometric[k], as `PathStack.curve_phases` reads them.
 
     Invariant under independent time-dependent phase transforms of each path.
     """
-    total = paths.average(weights, paths.holonomies)
+    if geometric is None:
+        terms = paths.holonomies
+    else:
+        terms = np.abs(paths.endpoint_overlaps) * np.exp(1j * np.asarray(geometric))
+    total = paths.average(weights, terms)
     if not abs(np.sum(weights) - 1.0) <= WEIGHT_SUM_TOL:
         raise ContractError("weights must be normalized")
     paths.require_orthonormal_start()
@@ -178,25 +186,37 @@ def gauge_campaign(weights, members: PathStack, samples: np.ndarray, rng: np.ran
                    trials: int, gauge_scale: float) -> dict:
     """Base observables and worst deviations over `trials` random gauges, by name.
 
-    `members` holds the member paths psi_k = U|k> of any ensemble, propagated
-    or closed-form, whose kets |k> are read as psi_k(0), and `samples` H on the
-    grid nodes.  Per trial one ramped gauge theta_k(t) is drawn, evaluated once
-    on the grid nodes (theta(0), theta(T) are its first and last angles), and
-    applied once by `transform_evolution`.  The rephased stack psi'_k is read
-    two ways: as a hidden gauge of the frame psi_k, it must leave the frame
-    trace, the holonomies and the Singh phase fixed; as the member paths of
+    `members` holds the member paths psi_k = U|k> of any ensemble, whose kets
+    |k> are read as psi_k(0), and `samples` H on the grid midpoints, from
+    which the propagator made them.  Every phase is read off the step
+    energies e_kj = <psi_k(t_j)| H(t_{j+1/2}) |psi_k(t_j)>, the base Singh
+    phase as `simulate` reads it.  Per trial one ramped gauge theta_k(t) is
+    drawn, evaluated once on the grid nodes (theta(0), theta(T) are its first
+    and last angles), and applied once by `transform_evolution`.  Taken as
+    linear within each step, it makes the rephased stack psi'_k the curve of
+    H - d theta_k / dt, so its step energies are read off psi'_k itself as
+    <psi'_k(t_j)| H(t_{j+1/2}) |psi'_k(t_j)> - (theta_k(t_{j+1}) - theta_k(t_j)) / dt,
+    never as the base ones plus a predicted shift.  psi'_k is read two ways:
+    as a hidden gauge of the frame psi_k, it must leave the frame trace (the
+    Bargmann holonomies times exp(i phi_d) of the energies under H), the
+    Bargmann holonomies and the Singh phase fixed; as the member paths of
     U' = U sum_k e^{i theta_k} |k><k|, it must shift gamma_T, gamma_D as
-    predicted from theta(0), theta(T).  Both are read off psi'_k, gamma_T as
+    predicted from theta(0), theta(T).  gamma_T is read as
     `mixed_total_phase` of the base kets |k> against psi'_k(T), the base
     gamma_T by the same call, so a zero gauge shifts nothing.  Scale 0: zero
     angles, no draws.
     """
     ensemble = Ensemble(weights, members.states[0].T)  # the kets |k> = psi_k(0)
     grid, weights, kets = members.grid, ensemble.weights, ensemble.states
-    base_trace = frame_trace(members, samples, weights)
-    base_singh = singh_phase(weights, members)
+
+    def frame_trace(paths: PathStack, phi_d: np.ndarray) -> complex:
+        return complex(paths.average(weights, paths.holonomies * np.exp(1j * phi_d)))
+
+    base_d, base_g = members.curve_phases(members.step_energies(samples))
+    base_trace = frame_trace(members, base_d)
+    base_singh = singh_phase(weights, members, base_g)
     base_gamma, base_vis = mixed_total_phase(weights, kets, members)
-    base_dyn = transport_conditions(weights, members)[2]
+    base_dyn = float(members.average(weights, base_d))
     diag_UT = members.endpoint_overlaps  # <k|U(T)|k>, as psi_k(0) = |k>
 
     worst = np.zeros(8)  # the running maxima, in output order
@@ -207,18 +227,21 @@ def gauge_campaign(weights, members: PathStack, samples: np.ndarray, rng: np.ran
             theta = GaugeFunction.random(members.size, grid.span, rng, scale=gauge_scale,
                                          slope_scale=2.0 * gauge_scale).value(grid.nodes)
         shifted = transform_evolution(members, theta)  # e^{i theta_k} psi_k
-        tr = frame_trace(shifted, samples, weights)
+        energies = shifted.step_energies(samples)
+        tr = frame_trace(shifted, shifted.curve_phases(energies)[0])
+        energies -= np.diff(theta, axis=1) / grid.dt  # the curve of H - d theta / dt
+        shifted_d, shifted_g = shifted.curve_phases(energies)
         theta_0, theta_T = theta[:, 0], theta[:, -1]
         predicted_gamma = np.angle(members.average(weights, diag_UT * np.exp(1j * theta_T)))
         observed_gamma, _ = mixed_total_phase(weights, kets, shifted)
-        observed_dyn = transport_conditions(weights, shifted)[2]
+        observed_dyn = float(members.average(weights, shifted_d))
         predicted_dyn = base_dyn + float(members.average(weights, theta_T - theta_0))
 
         np.maximum(worst, [
             abs(wrap_angle(np.angle(tr) - np.angle(base_trace))),
             abs(abs(tr) - abs(base_trace)),
             np.max(np.abs(shifted.holonomies - members.holonomies)),
-            abs(wrap_angle(singh_phase(weights, shifted) - base_singh)),
+            abs(wrap_angle(singh_phase(weights, shifted, shifted_g) - base_singh)),
             abs(wrap_angle(observed_gamma - predicted_gamma)),
             abs(observed_dyn - predicted_dyn),
             abs(wrap_angle(observed_gamma - base_gamma)),

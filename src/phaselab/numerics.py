@@ -1,10 +1,12 @@
 """Shared discretization helpers: angle wrapping and quadrature.
 
 All trajectory-valued quantities in this package live on a uniform time grid.
-Energy integrals (dynamical phases) use the trapezoidal rule on that grid.
+Energy integrals over H's node samples (the library's dynamical phases) use
+the trapezoidal rule on that grid; the propagated curve's own dynamical phase
+is a plain sum of its step energies (`phases.PathStack.curve_phases`).
 Nothing in the package differentiates states: connections are step phases
-(`phases.PathStack.step_phases`) or step-overlap matrices, exact functionals
-of the grid states.
+(`phases.PathStack.step_phases`), step energies or step-overlap matrices,
+exact functionals of the grid states.
 """
 from __future__ import annotations
 

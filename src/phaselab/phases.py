@@ -5,23 +5,30 @@ the dynamical phase is phi_D = -int <psi|H|psi> dt, and the geometric phase
 is their difference, equivalently the argument of the holonomy
 <psi(0), psi(T)> exp[i int <psi| i d/dt psi> dt].  Reported angles are
 wrapped to (-pi, pi]; accumulated integrals (the dynamical phase) are not.
-H comes in as its node samples `H.sample(grid.nodes)`, whose shape
-`check_node_samples` checks: nothing here samples or propagates H.
+Nothing here samples or propagates H; it comes in as samples on the grid.
 
-The one connection estimator is the step phases phi_j = arg<psi_j, psi_{j+1}>
-(`step_overlaps`): the connection integral is -sum_j phi_j, and the holonomy,
-the one route to a geometric phase, is the Bargmann invariant <psi_0, psi_N>
-exp(-i sum_j phi_j), which any rephasing psi_j -> e^{i alpha_j} psi_j leaves
-exactly fixed on the grid, since each phi_j shifts by alpha_{j+1} - alpha_j
-modulo 2 pi and the sum telescopes: no basis gauge is ever fixed.
+Two connections are read off grid states.  For any path, the step phases
+phi_j = arg<psi_j, psi_{j+1}> (`step_overlaps`) give the Bargmann invariant
+<psi_0, psi_N> exp(-i sum_j phi_j), the holonomy of the geodesic polygon
+through the node rays, which any rephasing psi_j -> e^{i alpha_j} psi_j
+leaves exactly fixed on the grid, since each phi_j shifts by
+alpha_{j+1} - alpha_j modulo 2 pi and the sum telescopes: no basis gauge is
+ever fixed; with H on the grid nodes (`check_node_samples`) the energies
+integrate by the trapezoidal rule (`dynamical`).  For the paths the
+propagator made, whose step j is psi(t_j + s) = exp(-i H(t_{j+1/2}) s)
+psi(t_j), the step energies e_j = <psi_j| H(t_{j+1/2}) |psi_j> read off the
+propagator's own midpoint samples (`step_energies`) are that curve's exact
+connection (Aharonov and Anandan, PRL 58, 1593 (1987), in the kinematic form
+of Mukunda and Simon, Ann. Phys. 228, 205 (1993)): phi_d = -dt sum_j e_j and
+phi_g = wrap(phi_t - phi_d) (`curve_phases`) carry no polygon term.
 
 `PathStack` holds k paths on one grid as one (nodes, dim, k) stack, the layout
 of `evolution.member_paths`, and gives every functional above as an array over
-k from one set of step phases.  It is the one path argument of every phase
-functional; a single path is the stack with k = 1, and a path is named by its
-position k in the stack.  `gauge.BasisFrame` is a PathStack checked
-orthonormal at every node, and `mixed` reads the record too, each ensemble
-average sum_k w_k x_k through `average`.  The kernels on raw state stacks
+k from one set of step phases or step energies.  It is the one path argument
+of every phase functional; a single path is the stack with k = 1, and a path
+is named by its position k in the stack.  `gauge.BasisFrame` is a PathStack
+checked orthonormal at every node, and `mixed` reads the record too, each
+ensemble average sum_k w_k x_k through `average`.  The kernels on raw state stacks
 (step overlaps and energy expectation) serve all three modules; for two-level
 states they are written entry by entry, one row per path and component,
 contiguous in the path-major stacks of `evolution.member_paths`.
@@ -37,7 +44,7 @@ import numpy as np
 
 from .evolution import TimeGrid
 from .exceptions import ContractError, DegeneracyError, DimensionError, UndefinedPhaseError
-from .numerics import trapezoid
+from .numerics import trapezoid, wrap_angle
 
 OVERLAP_FLOOR = 1e-12
 
@@ -58,17 +65,20 @@ def step_overlaps(states: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, -1, 0)
 
 
-def check_node_samples(samples: np.ndarray, grid: TimeGrid, dim: int) -> None:
-    """Raise DimensionError unless `samples` has the shape of H on the grid nodes."""
-    expected = (grid.steps + 1, dim, dim)
+def check_node_samples(samples: np.ndarray, grid: TimeGrid, dim: int,
+                       where: str = "nodes") -> None:
+    """Raise DimensionError unless `samples` has the shape of H on the grid
+    nodes, or with `where = "midpoints"` on its midpoints."""
+    expected = (grid.steps + (where == "nodes"), dim, dim)
     if np.shape(samples) != expected:
         raise DimensionError(f"H samples have shape {np.shape(samples)}, expected {expected}")
 
 
 def state_energies(states: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """<v(t_j)| H(t_j) |v(t_j)>, real part, on a (nodes, dim, ...) state stack
-    and the H samples (nodes, dim, dim): k paths stacked as (nodes, dim, k)
-    give (nodes, k).
+    """<v_j| H_j |v_j>, real part, on a (n, dim, ...) state stack and n H
+    samples (n, dim, dim), at the states' nodes or, as `PathStack.step_energies`
+    pairs them, at the midpoints after them: k paths stacked as (n, dim, k)
+    give (n, k).
 
     For dim 2, with v = (a, b) and z = conj(a) b, it is written entry by entry
     as |a|^2 Re h00 + |b|^2 Re h11
@@ -183,6 +193,21 @@ class PathStack:
         """max over steps of |arg<psi_k(t_j), psi_k(t_{j+1})>| / dt (zero iff parallel
         transported)."""
         return np.max(np.abs(self.step_phases), axis=1) / self.grid.dt
+
+    def step_energies(self, samples: np.ndarray) -> np.ndarray:
+        """e_kj = <psi_k(t_j)| H(t_{j+1/2}) |psi_k(t_j)> for j < steps, shape
+        (k, steps), from `samples`, H on the grid midpoints: on the paths the
+        propagator made from those samples, e_kj dt is the exact connection of
+        step j, and on any other path a second-order estimate of it."""
+        check_node_samples(samples, self.grid, self.dim, "midpoints")
+        return np.ascontiguousarray(state_energies(self.states[:-1], samples).T)
+
+    def curve_phases(self, energies: np.ndarray):
+        """(phi_d, phi_g) per path from its step energies (`step_energies`):
+        phi_d = -dt sum_j e_kj (unwrapped) and phi_g = wrap(phi_t - phi_d),
+        with phi_t = arg<psi_k(0), psi_k(T)>."""
+        phi_d = -self.grid.dt * energies.sum(axis=1)
+        return phi_d, wrap_angle(np.angle(self.endpoint_overlaps) - phi_d)
 
     def dynamical(self, samples: np.ndarray) -> np.ndarray:
         """phi_D = -int <psi_k|H|psi_k> dt per path by the trapezoidal rule

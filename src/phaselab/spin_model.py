@@ -9,8 +9,9 @@ numerical module in the package is tested against these formulas.  The
 sampled H is stored component-major, each entry one contiguous row over the
 times, behind the usual (n, 2, 2) shape.  Its rows are written in place, from
 cos(omega t) and sin(omega t) taken into the output itself, or read from a
-`RotatingField`: one table on a grid's nodes and midpoints that the points
-of a sweep share while omega and the grid stay fixed.
+`RotatingField`: one table on a grid's midpoints, the one set of times the
+propagator and the phase functionals sample, that the points of a sweep
+share while omega and the grid stay fixed.
 """
 from __future__ import annotations
 
@@ -79,29 +80,24 @@ def field_rows(omega: float, times: np.ndarray, cos: np.ndarray, sin: np.ndarray
 
 
 class RotatingField:
-    """cos(omega t) and sin(omega t) on a grid's nodes and on its midpoints,
-    taken once for every scenario that shares omega and the grid, as the
-    points of a sweep over theta, mu_B or big_theta do.
+    """cos(omega t) and sin(omega t) on a grid's midpoints, taken once for
+    every scenario that shares omega and the grid, as the points of a sweep
+    over theta, mu_B or big_theta do.
 
-    `rows` finds a table by the identity of the time array it was computed
-    for, and holds those arrays, so no other array (the grid's are
+    `rows` finds the table by the identity of the midpoint array it was
+    computed for, which the grid holds, so no other array (the grid's are
     read-only) can hit it.
     """
 
     def __init__(self, omega: float, grid: TimeGrid):
         self.omega, self.grid = omega, grid
-        self._tables = []
-        for times in (grid.nodes, grid.midpoints):
-            table = np.empty((2, len(times)))
-            field_rows(omega, times, table[0], table[1])
-            self._tables.append((times, table))
+        self._table = np.empty((2, grid.steps))
+        field_rows(omega, grid.midpoints, self._table[0], self._table[1])
 
     def rows(self, omega: float, times: np.ndarray):
-        """The (cos, sin) rows of exactly these times at this omega, or None."""
-        if omega == self.omega:
-            for key, table in self._tables:
-                if times is key:
-                    return table
+        """The (cos, sin) rows of exactly the grid's midpoints at this omega, or None."""
+        if omega == self.omega and times is self.grid.midpoints:
+            return self._table
         return None
 
 

@@ -66,7 +66,7 @@ def sweep():
         start = time.perf_counter()
         grid = TimeGrid(0.0, p.period, BASE_STEPS)
         H = spin_model.hamiltonian(p)
-        U = propagate(H, grid)
+        U = propagate(H.sample(grid.midpoints), grid)
         w_plus, w_minus = spin_model.w_basis(p, 0.0)
         exact_plus, exact_minus = spin_model.exact_amplitudes(p, p.period)
         paths = PathStack(grid, member_paths(U, np.array([w_plus, w_minus])))
@@ -74,7 +74,8 @@ def sweep():
             float(np.linalg.norm(paths.states[-1, :, 0] - exact_plus)),
             float(np.linalg.norm(paths.states[-1, :, 1] - exact_minus)),
         )
-        fine = propagate(H, TimeGrid(0.0, p.period, 2 * BASE_STEPS))
+        fine_grid = TimeGrid(0.0, p.period, 2 * BASE_STEPS)
+        fine = propagate(H.sample(fine_grid.midpoints), fine_grid)
         err_half = max(
             float(np.linalg.norm(fine.matrices[-1] @ w_plus - exact_plus)),
             float(np.linalg.norm(fine.matrices[-1] @ w_minus - exact_minus)),

@@ -3,6 +3,7 @@ import argparse
 import ctypes
 import ctypes.util
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phaselab import cli, linalg, mixed, phases, spin_model
-from phaselab.evolution import member_paths, propagate
+from phaselab import cli, gauge, linalg, mixed, phases, spin_model
+from phaselab.evolution import HamiltonianTrajectory, TimeGrid, member_paths, propagate
 from phaselab.numerics import wrap_angle
 
 from conftest import density_of, trace_phase
@@ -262,42 +263,37 @@ def test_sampled_grid_beyond_the_squaring_cap_exits_2(tmp_path, capsys, t_end, c
 @pytest.mark.parametrize("case", [(0.1, 0.1), (0.1, 10.0), (10.0, 0.1), (10.0, 10.0), "custom"])
 def test_observables_match_the_per_path_functions(case, monkeypatch):
     # the one member pass against each member path psi_k = U|k> stacked alone
-    # (k = 1) and a fresh stack of them all: the four box corners at the default
-    # steps and the golden dim-3 custom-sampled scenario
+    # (k = 1) and a fresh stack of them all, every phase read off the step
+    # energies on the propagator's own midpoint samples: the four box corners
+    # at the default steps and the golden dim-3 custom-sampled scenario
     if case == "custom":
         monkeypatch.chdir(Path(__file__).parent / "golden")
         cfg = cli.parse_config_file("custom.cfg")
     else:
         cfg = cli.ScenarioConfig(mu_b=case[0], omega=case[1])
     sc = cli.build_scenario(cfg)
-    calls, estimator = [], phases.step_overlaps
-
-    def counted(states):
-        calls.append(states.shape)
-        return estimator(states)
-
-    for module in (cli, phases, mixed):
-        monkeypatch.setattr(module, "step_overlaps", counted, raising=False)
     obs = cli.observables(sc)
-    assert calls == [(sc.grid.steps + 1, sc.H.dim, sc.ensemble.size)]  # one call, on the stack
-    monkeypatch.undo()
 
-    U = propagate(sc.H, sc.grid)
+    samples = sc.H.sample(sc.grid.midpoints)
+    U = propagate(samples, sc.grid)
     stack = phases.PathStack(sc.grid, member_paths(U, sc.ensemble.states))
-    samples = sc.H.sample(sc.grid.nodes)
+    weights = sc.ensemble.weights
     for k in range(sc.ensemble.size):
         alone = phases.PathStack(sc.grid, stack.states[..., k:k + 1])
         (total,), (overlap,) = alone.totals()
+        energies = alone.step_energies(samples)
+        (dynamical,), (geometric,) = alone.curve_phases(energies)
         for name, got, want in (("phi_t", obs.phi_t, total), ("overlap", obs.overlap, overlap),
-                                ("phi_d", obs.phi_d, alone.dynamical(samples)[0])):
+                                ("phi_d", obs.phi_d, dynamical),
+                                ("phi_g", obs.phi_g, geometric),
+                                ("transport_strong", obs.transport_strong,
+                                 np.max(np.abs(energies)))):
             assert abs(got[k] - want) <= 1e-13, (k, name)
-        assert abs(obs.phi_g[k] - np.angle(alone.holonomies[0])) <= 1e-13
-        assert abs(obs.transport_strong[k] - alone.residuals[0]) <= 1e-13
-    assert abs(obs.singh_phase - mixed.singh_phase(sc.ensemble.weights, stack)) <= 1e-13
-    weak, strong, gamma_d = mixed.transport_conditions(sc.ensemble.weights, stack)
-    assert abs(obs.transport_weak - weak) <= 1e-13
-    assert np.max(np.abs(obs.transport_strong - strong)) <= 1e-13
-    assert abs(obs.mixed_dynamical - gamma_d) <= 1e-13
+    energies = stack.step_energies(samples)
+    phi_d, phi_g = stack.curve_phases(energies)
+    assert abs(obs.singh_phase - mixed.singh_phase(weights, stack, phi_g)) <= 1e-13
+    assert abs(obs.transport_weak - np.max(np.abs(weights @ energies))) <= 1e-13
+    assert abs(obs.mixed_dynamical - weights @ phi_d) <= 1e-13
     gamma_total, visibility = trace_phase(U.matrices[-1], density_of(sc.ensemble))
     assert abs(obs.gamma_total - gamma_total) <= 1e-13
     assert abs(obs.visibility - visibility) <= 1e-13
@@ -319,8 +315,8 @@ def test_mixed_trace_is_the_partial_map_of_the_member_paths(case, monkeypatch):
         cfg = dataclasses.replace(cfg, states=("0", "2"), weights=(0.6, 0.4))
     sc = cli.build_scenario(cli.validate_config(cfg))
     obs = cli.observables(sc)
-    gamma_total, visibility = trace_phase(propagate(sc.H, sc.grid).matrices[-1],
-                                          density_of(sc.ensemble))
+    U = propagate(sc.H.sample(sc.grid.midpoints), sc.grid)
+    gamma_total, visibility = trace_phase(U.matrices[-1], density_of(sc.ensemble))
     assert abs(obs.gamma_total - gamma_total) <= 1e-14
     assert abs(obs.visibility - visibility) <= 1e-14
 
@@ -367,6 +363,115 @@ def test_box_corner_gauge_invariants_hold(mu_b, omega, tmp_path):
     for name in ("max_gamma_total_deviation", "max_visibility_deviation",
                  "max_holonomy_deviation", "max_singh_deviation"):
         assert float(records[(name, "")]) <= 1e-7, name
+
+
+BOX_AXIS = (0.1, 0.3, 1.0, 3.0, 10.0)
+
+
+def test_box_grid_geometric_phases_at_the_default_steps():
+    # the 5 x 5 x 6 grid of the documented box at the default steps: every
+    # phi_g and the Singh phase, read off the propagated curve's own step
+    # connection, match the closed forms to 1e-7 (worst 7.5e-9 and 9.3e-9 rad,
+    # at mu_B = 10, omega = 0.1; the Bargmann polygon read 4.7e-6)
+    worst = 0.0
+    for mu_b, omega, theta in itertools.product(BOX_AXIS, BOX_AXIS,
+                                                np.linspace(1e-3, np.pi - 1e-3, 6)):
+        sc = cli.build_scenario(cli.validate_config(
+            cli.ScenarioConfig(mu_b=mu_b, omega=omega, theta=float(theta))))
+        obs = cli.observables(sc)
+        exact = np.array([spin_model.geometric_phase(sc.params, label) for label in sc.cfg.states])
+        singh = np.angle(np.sum(sc.ensemble.weights * np.exp(1j * exact)))
+        worst = max(worst, np.max(np.abs(wrap_angle(obs.phi_g - exact))),
+                    abs(wrap_angle(obs.singh_phase - singh)))
+    assert worst <= 1e-7
+
+
+def recorded_samplings(monkeypatch) -> list:
+    """The times of every `HamiltonianTrajectory.sample` call, and a
+    `phases.step_overlaps` that must not be called."""
+    times, sample = [], HamiltonianTrajectory.sample
+    monkeypatch.setattr(HamiltonianTrajectory, "sample",
+                        lambda self, t: times.append(t) or sample(self, t))
+    return times
+
+
+def forbid_step_overlaps(monkeypatch) -> None:
+    def never(states):
+        raise AssertionError("a step-overlap pass was formed")
+
+    for module in (cli, phases, mixed, gauge):
+        monkeypatch.setattr(module, "step_overlaps", never, raising=False)
+
+
+@pytest.mark.parametrize("model", ["spin", "custom"])
+def test_each_scenario_samples_h_once_on_the_propagators_midpoints(model, monkeypatch, capsys):
+    # d = 2 and the golden dim-3 file: simulate, and every point of a sweep
+    # (spin only), sample H once, on the grid midpoints that the propagator
+    # and the step energies read, and form no step overlaps; verify-gauge
+    # samples H once too (its Bargmann holonomy checks form step overlaps)
+    if model == "custom":
+        monkeypatch.chdir(Path(__file__).parent / "golden")
+        argv, grid = ["--config", "custom.cfg"], TimeGrid(0.0, 2.5, 800)
+    else:
+        argv, grid = ["--steps", "300"], TimeGrid(0.0, 2.0 * np.pi, 300)
+    commands = [["simulate"], ["verify-gauge", "--trials", "2"]]
+    if model == "spin":
+        commands.append(["sweep", "--axis", "theta", "--values", "0.5,1.5,2.5"])
+    for command in commands:
+        with monkeypatch.context() as patch:
+            times = recorded_samplings(patch)
+            if command[0] != "verify-gauge":
+                forbid_step_overlaps(patch)
+            assert run([*command, *argv]) == 0, command
+        capsys.readouterr()
+        assert len(times) == (3 if command[0] == "sweep" else 1), command
+        for t in times:
+            assert t.tobytes() == grid.midpoints.tobytes(), command
+
+
+SPIN_FIELD_CASES = [
+    (["--omega", "3"], None, "flag '--omega': the custom-sampled model ignores field 'omega'"),
+    (["--mu-b", "5"], None, "flag '--mu-b': the custom-sampled model ignores field 'mu_b'"),
+    (["--theta", "2"], None, "flag '--theta': the custom-sampled model ignores field 'theta'"),
+    (["--omega", "3", "--theta", "2", "--mu-b", "5"], None,
+     "flag '--mu-b': the custom-sampled model ignores field 'mu_b'"),
+    ([], "omega = 3", "{config}:8: field 'omega': the custom-sampled model ignores it"),
+    ([], "mu_b = 1", "{config}:8: field 'mu_b': the custom-sampled model ignores it"),
+    ([], "theta = 0.5", "{config}:8: field 'theta': the custom-sampled model ignores it"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-gauge"])
+@pytest.mark.parametrize("flags, line, message", SPIN_FIELD_CASES)
+def test_a_custom_sampled_model_refuses_the_spin_fields(command, flags, line, message, tmp_path,
+                                                        monkeypatch, capsys):
+    # mu_b, omega and theta shape the rotating field only: set for a
+    # custom-sampled model, by a flag or by a config line, they exit 2 and name
+    # the field (and the line); big_theta sets a two-state ensemble's default
+    # weights, so it is still taken
+    golden = Path(__file__).parent / "golden"
+    monkeypatch.chdir(golden)
+    config = tmp_path / "custom.cfg"
+    text = (golden / "custom.cfg").read_text()
+    config.write_text(text + (line + "\n" if line else ""))
+    assert len(text.splitlines()) == 7
+    assert run([command, "--config", str(config), "--steps", "200", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message.format(config=config)}\n"
+
+
+def test_a_custom_sampled_model_takes_big_theta(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    config = tmp_path / "two.cfg"
+    config.write_text("model = custom-sampled\nhamiltonian_file = hamiltonian_dim3.txt\n"
+                      "horizon = explicit\nt_end = 2.5\nstates = 0,1\n")
+    outputs = []
+    for value in ("0.5", "2.0"):
+        assert run(["simulate", "--config", str(config), "--steps", "200",
+                    "--big-theta", value]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] != outputs[1]  # the default weights follow big_theta
 
 
 @pytest.mark.parametrize("libc", ["not-found", "no-mallopt"])
@@ -864,9 +969,12 @@ def test_importing_the_cli_loads_no_process_pool():
 
 
 def test_observables_working_set_at_the_default_steps():
-    # U is released once the member paths are formed, and the midpoint samples
-    # once the step factors exist: at 20000 steps and d = 2 the peak is about
-    # 200 bytes per step (4.0 MB), where holding both read 6.25 MB
+    # U is released once the member paths are formed, and the midpoint samples,
+    # which the propagator and then the step energies read, once the energies
+    # exist: at 20000 steps and d = 2 the peak is about 210 bytes per step
+    # (4.18 MB; 4.0 MB when the propagator freed its own samples before the
+    # scan and the node samples came after U), where holding U and the
+    # samples together read 6.25 MB
     sc = cli.build_scenario(cli.validate_config(cli.ScenarioConfig()))
     sc.grid.nodes, sc.grid.midpoints  # cached on the grid, so they outlive the call
     tracemalloc.start()
@@ -909,15 +1017,15 @@ def counted_field_rows(monkeypatch):
 ])
 def test_sweep_points_share_one_rotating_field_unless_omega_moves(axis, values, monkeypatch):
     # the rows of a sweep equal each point run alone, byte for byte; cos and
-    # sin are taken once on the shared grid's nodes and once on its midpoints,
-    # and for an omega sweep once per point
+    # sin are taken once on the shared grid's midpoints, the only times a
+    # scenario samples, and for an omega sweep once per point
     cfg = cli.validate_config(cli.ScenarioConfig(steps=300, mu_b=2.0))
     alone = [cli._sweep_rows([(index, value, cli.validate_config(dataclasses.replace(
         cfg, **{axis: value})))])[0] for index, value in enumerate(values)]
     calls = counted_field_rows(monkeypatch)
     rows, _ = cli.run_sweep(cfg, axis, values)
     assert repr(rows) == repr(alone)
-    assert calls == [301, 300] * (len(values) if axis == "omega" else 1)
+    assert calls == [300] * (len(values) if axis == "omega" else 1)
 
 
 def test_no_rotating_field_outlives_its_sweep(monkeypatch):
@@ -928,12 +1036,12 @@ def test_no_rotating_field_outlives_its_sweep(monkeypatch):
         def __init__(self, omega, grid):
             super().__init__(omega, grid)
             fields.append(weakref.ref(self))
-            arrays.extend(weakref.ref(self.rows(omega, times)) for times in (grid.nodes, grid.midpoints))
+            arrays.append(weakref.ref(self.rows(omega, grid.midpoints)))
 
     monkeypatch.setattr(spin_model, "RotatingField", Recorded)
     cfg = cli.validate_config(cli.ScenarioConfig(steps=200))
     rows, _ = cli.run_sweep(cfg, "theta", [0.5, 1.5])
-    assert len(rows) == 2 and len(fields) == 1 and len(arrays) == 2
+    assert len(rows) == 2 and len(fields) == 1 and len(arrays) == 1
     assert fields[0]() is None and all(ref() is None for ref in arrays)
 
 

@@ -295,9 +295,11 @@ def test_transform_evolution_shifts_dynamical_phase(generic_case):
 def test_gauge_campaign_runs_on_an_incomplete_ensemble(generic_case):
     # one branch of the two-level basis: the campaign needs no complete basis,
     # its invariants hold to rounding while the ramped gauges move gamma_T, and
-    # its base values are the branch's own <psi(0), psi(T)> and holonomy
+    # its base values are the branch's own <psi(0), psi(T)> and the geometric
+    # phase of its step energies
     path = generic_case.paths["+"]
-    values = gauge_campaign(np.array([1.0]), path, generic_case.H.sample(generic_case.grid.nodes),
+    samples = generic_case.H.sample(generic_case.grid.midpoints)
+    values = gauge_campaign(np.array([1.0]), path, samples,
                             np.random.default_rng(0), 3, 0.1)
     for key in CAMPAIGN_INVARIANTS:
         assert values[key] <= 1e-12, key
@@ -305,7 +307,9 @@ def test_gauge_campaign_runs_on_an_incomplete_ensemble(generic_case):
     overlap = path.endpoint_overlaps[0]
     assert abs(wrap_angle(values["gamma_total"] - np.angle(overlap))) <= 1e-14
     assert abs(values["visibility"] - abs(overlap)) <= 1e-14
-    assert values["singh_phase"] == float(np.angle(path.holonomies[0]))
+    _, geometric = path.curve_phases(path.step_energies(samples))
+    assert values["singh_phase"] == singh_phase(np.array([1.0]), path, geometric)
+    assert abs(wrap_angle(values["singh_phase"] - geometric[0])) <= 1e-14
 
 
 @pytest.mark.parametrize("weights", [[1.0], [0.5, 0.25, 0.25], [[0.5], [0.5]]])
@@ -371,7 +375,8 @@ def test_transport_and_mixed_dynamical_phase_dim3():
         return A + np.cos(t) * B + np.sin(2.0 * t) * C
 
     H = HamiltonianTrajectory(3, evaluate=batch)
-    U = propagate(H, TimeGrid(0.0, 2.0, 400))
+    grid = TimeGrid(0.0, 2.0, 400)
+    U = propagate(H.sample(grid.midpoints), grid)
     Q = random_unitary(rng, 3)
     ensemble = Ensemble(np.array([0.7, 0.3]), Q[:, :2].T.copy())
     rho0 = DensityMatrix(density_of(ensemble))
@@ -405,7 +410,8 @@ def test_transport_and_mixed_dynamical_phase_dim3():
 
     gaps = []
     for steps in (400, 800, 1600, 3200):
-        refined = propagate(H, TimeGrid(0.0, 2.0, steps))
+        grid = TimeGrid(0.0, 2.0, steps)
+        refined = propagate(H.sample(grid.midpoints), grid)
         gaps.append(abs(gamma_d(eigen_ensemble(other), refined)
                         - central_difference_gamma_d(refined, other)))
     assert all(3.5 < coarse / fine < 4.5 for coarse, fine in zip(gaps, gaps[1:])), gaps
@@ -427,7 +433,8 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
         return A + np.cos(t) * B + np.sin(2.0 * t) * C
 
     H = HamiltonianTrajectory(3, evaluate=batch)
-    U = propagate(H, TimeGrid(0.0, 2.0, 400))
+    grid = TimeGrid(0.0, 2.0, 400)
+    U = propagate(H.sample(grid.midpoints), grid)
     ensemble = Ensemble(np.array([0.5, 0.3, 0.2]), random_unitary(rng, 3).T.copy())
     trials, scale = 6, 0.3
     rho0 = DensityMatrix(density_of(ensemble))
@@ -452,7 +459,7 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
         mismatch_dyn = max(mismatch_dyn, abs(dyn - predicted))
         naive_dyn = max(naive_dyn, abs(dyn - base_dyn))
 
-    paths, samples = members(U, ensemble), H.sample(U.grid.nodes)
+    paths, samples = members(U, ensemble), H.sample(U.grid.midpoints)
     samplings, propagators = [], []
     sample, check = HamiltonianTrajectory.sample, PropagatorPath.__post_init__
     monkeypatch.setattr(HamiltonianTrajectory, "sample",
@@ -487,12 +494,15 @@ def test_gauge_campaign_on_the_closed_form_paths(mu_b, omega, theta):
     # the campaign takes any member stack of a complete basis: here the exact
     # amplitudes, with no propagator.  Its invariants hold to rounding, its
     # gamma_T and visibility are the closed form's on the same endpoints, and
-    # its Singh phase is arg sum_k w_k e^{i phi_g,k} to the step error
+    # its Singh phase reads the step energies <psi(t_j)| H(t_j + dt/2) |psi(t_j)>,
+    # which on these paths are the constant <w(0)| H(dt/2) |w(0)> of each branch
+    # (the field turns by omega dt / 2 against the state; only on the curve the
+    # propagator made are they that curve's exact connection)
     p = SpinParams(mu_b, omega, theta, np.pi / 4)
     grid = TimeGrid(0.0, p.period, 4000)
     weights = np.array([np.cos(p.big_theta / 2) ** 2, np.sin(p.big_theta / 2) ** 2])
     values = gauge_campaign(weights, spin_model.amplitude_paths(p, grid),
-                            spin_model.hamiltonian(p).sample(grid.nodes),
+                            spin_model.hamiltonian(p).sample(grid.midpoints),
                             np.random.default_rng(7), 10, 0.1)
     for key in CAMPAIGN_INVARIANTS:
         assert values[key] <= 1e-12, key
@@ -500,15 +510,18 @@ def test_gauge_campaign_on_the_closed_form_paths(mu_b, omega, theta):
     trace = spin_model.mixed_trace(p)
     assert abs(wrap_angle(values["gamma_total"] - np.angle(trace))) <= 1e-14
     assert abs(values["visibility"] - abs(trace)) <= 1e-14
-    geometric = np.array([spin_model.geometric_phase(p, branch) for branch in "+-"])
-    singh = np.angle(np.sum(weights * np.exp(1j * geometric)))
-    assert abs(wrap_angle(values["singh_phase"] - singh)) <= 1e-6
+    H, w = spin_model.hamiltonian(p), spin_model.w_basis(p, 0.0)
+    energies = np.array([np.vdot(v, H.evaluate(0.5 * grid.dt) @ v).real for v in w])
+    traces = np.array(spin_model.branch_traces(p))
+    geometric = wrap_angle(np.angle(traces) + p.period * energies)  # phi_t - phi_d
+    singh = np.angle(np.sum(weights * np.abs(traces) * np.exp(1j * geometric)))
+    assert abs(wrap_angle(values["singh_phase"] - singh)) <= 1e-12
 
 
 @pytest.mark.parametrize("argv, passes", [
-    (["simulate"], 1),  # one per scenario
-    (["sweep", "--axis", "theta", "--values", "0.5,1.5"], 2),  # one per point
-    # the member paths, then per trial their one rephasing
+    (["simulate"], 0),  # every phase reads the step energies
+    (["sweep", "--axis", "theta", "--values", "0.5,1.5"], 0),
+    # the Bargmann holonomies of the member paths, then per trial of their one rephasing
     (["verify-gauge", "--trials", "1"], 1 + 1),
     (["verify-gauge", "--trials", "3"], 1 + 3),
 ])

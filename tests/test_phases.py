@@ -275,7 +275,8 @@ def test_path_stack_rows_equal_the_paths_stacked_alone(case, generic_case, monke
     if case == "custom":
         monkeypatch.chdir(Path(__file__).parent / "golden")
         sc = cli.build_scenario(cli.parse_config_file("custom.cfg"))
-        grid, H, U, ensemble = sc.grid, sc.H, propagate(sc.H, sc.grid), sc.ensemble
+        grid, H, ensemble = sc.grid, sc.H, sc.ensemble
+        U = propagate(H.sample(grid.midpoints), grid)
     else:
         grid, H, U, ensemble = (generic_case.grid, generic_case.H, generic_case.U,
                                 generic_case.ensemble)
@@ -283,12 +284,18 @@ def test_path_stack_rows_equal_the_paths_stacked_alone(case, generic_case, monke
     samples = H.sample(grid.nodes)
     assert stack.size == {"spin": 2, "custom": 3}[case]
     totals, dynamical = stack.totals()[0], stack.dynamical(samples)
+    midpoints = H.sample(grid.midpoints)
+    energies = stack.step_energies(midpoints)
+    curve = stack.curve_phases(energies)
     for k in range(stack.size):
         alone = PathStack(grid, stack.states[..., k:k + 1])
         assert alone.holonomies[0] == stack.holonomies[k]
         assert alone.dynamical(samples)[0] == dynamical[k]
         assert alone.totals()[0][0] == totals[k]
         assert alone.residuals[0] == stack.residuals[k]
+        assert alone.step_energies(midpoints).tobytes() == energies[k].tobytes()
+        alone_curve = alone.curve_phases(alone.step_energies(midpoints))
+        assert [phase[0] for phase in alone_curve] == [phase[k] for phase in curve]
 
 
 def random_stack(rng, shape):

@@ -14,13 +14,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from phaselab import HamiltonianTrajectory, TimeGrid, propagate
+from phaselab import HamiltonianTrajectory, TimeGrid, cli, propagate
 from phaselab.evolution import member_paths
 from phaselab.mixed import Ensemble, gauge_campaign, mixed_total_phase
 from phaselab.numerics import wrap_angle
 from phaselab.phases import PathStack
 
-from conftest import density_of, random_hermitian, trace_phase
+from conftest import density_of, random_hermitian, random_unitary, trace_phase
 
 
 def spin_matrices(d: int):
@@ -76,7 +76,7 @@ def test_propagator_converges_at_second_order_to_the_exact_solution(name):
     errors = []
     for steps in (10000, 20000):
         grid = TimeGrid(0.0, family.period, steps)
-        U = propagate(family.H, grid)
+        U = propagate(family.H.sample(grid.midpoints), grid)
         errors.append(float(np.max(np.abs(U.matrices - family.exact(grid.nodes)))))
     assert errors[1] <= 1e-6
     assert 3.2 < errors[0] / errors[1] < 4.8, errors
@@ -88,7 +88,7 @@ def test_cyclic_states_carry_the_closed_form_phases(name):
     # them, against the closed forms to criterion 2's 1e-5
     family = CASES[name]()
     grid = TimeGrid(0.0, family.period, 20000)
-    U = propagate(family.H, grid)
+    U = propagate(family.H.sample(grid.midpoints), grid)
     members = PathStack(grid, member_paths(U, family.chi.T))
     geometric = np.angle(members.holonomies)
     assert np.max(np.abs(wrap_angle(geometric - family.geometric))) <= 1e-5
@@ -113,8 +113,9 @@ def test_gauge_campaign_holds_on_the_cyclic_basis(name):
     grid = TimeGrid(0.0, family.period, 4000)
     d = len(family.lam)
     weights = np.arange(d, 0, -1) / (d * (d + 1) / 2)
-    members = PathStack(grid, member_paths(propagate(family.H, grid), family.chi.T))
-    values = gauge_campaign(weights, members, family.H.sample(grid.nodes),
+    U = propagate(family.H.sample(grid.midpoints), grid)
+    members = PathStack(grid, member_paths(U, family.chi.T))
+    values = gauge_campaign(weights, members, family.H.sample(grid.midpoints),
                             np.random.default_rng(9), 10, 0.1)
     for key in ("max_gamma_total_deviation", "max_visibility_deviation", "max_holonomy_deviation",
                 "max_singh_deviation", "max_total_phase_prediction_mismatch",
@@ -126,3 +127,50 @@ def test_gauge_campaign_holds_on_the_cyclic_basis(name):
     assert abs(wrap_angle(values["gamma_total"] - np.angle(trace))) <= 1e-5
     assert abs(values["visibility"] - abs(trace)) <= 1e-5
     assert abs(wrap_angle(values["singh_phase"] - singh)) <= 1e-5
+
+
+def closed_member_phases(family, t_end: float, kets: np.ndarray) -> np.ndarray:
+    """(phi_t, |<k|U(T)|k>|, phi_d) of each ket's path psi_k = U|k> over [0, t_end].
+
+    In the rotating frame psi_k = e^{-iKt} phi_k with phi_k = e^{-i(H0 - K)t}|k>,
+    and <psi_k|H(t)|psi_k> = <phi_k|H0|phi_k>: with c = chi^dagger |k> and
+    G = chi^dagger H0 chi, phi_d = -int_0^T sum_nm conj(c_n) c_m G_nm
+    e^{i (lam_n - lam_m) t} dt, each exponential integrated exactly."""
+    H0 = family.H.evaluate(np.zeros(1))[0]
+    G = np.conj(family.chi.T) @ H0 @ family.chi
+    delta = family.lam[:, None] - family.lam[None, :]
+    off = delta != 0.0
+    integral = np.full(delta.shape, t_end, dtype=complex)
+    integral[off] = (np.exp(1j * delta[off] * t_end) - 1.0) / (1j * delta[off])
+    U_T = family.exact(np.array([t_end]))[0]
+    rows = []
+    for ket in kets:
+        c = np.conj(family.chi.T) @ ket
+        overlap = np.vdot(ket, U_T @ ket)
+        phi_d = -np.sum(np.conj(c)[:, None] * c[None, :] * G * integral).real
+        rows.append((np.angle(overlap), abs(overlap), phi_d))
+    return np.array(rows)
+
+
+def test_simulate_reads_the_closed_phases_of_non_cyclic_members_over_100_periods():
+    # H0 = D + 0.05 h at d = 3: a static spread D that commutes with K = omega J_z,
+    # and a weak random h, so the propagator's own error stays small while the
+    # members, random superpositions of D's eigenstates, have a large third
+    # energy cumulant.  Over 100 periods (T = 157) at 80000 steps the phases
+    # read off the step energies match the closed forms to 1e-5 (2.5e-6 for
+    # phi_g); the Bargmann polygon through the nodes adds T dt^2 kappa_3 / 6,
+    # and read that way phi_g is off by 4e-4
+    family = rotating_family(np.diag([2.0, -0.5, -1.5]) + 0.05 * random_h0(3), omega=4.0)
+    t_end, steps = 100 * family.period, 80000
+    kets = random_unitary(np.random.default_rng(3), 3).T.copy()
+    weights = np.array([0.5, 0.3, 0.2])
+    grid = TimeGrid(0.0, t_end, steps)
+    sc = cli.Scenario(cli.ScenarioConfig(steps=steps), family.H, grid, Ensemble(weights, kets),
+                      None)
+    obs = cli.observables(sc)
+    phi_t, overlap, phi_d = closed_member_phases(family, t_end, kets).T
+    geometric = wrap_angle(phi_t - phi_d)
+    assert np.max(np.abs(wrap_angle(obs.phi_g - geometric))) <= 1e-5
+    assert abs(obs.mixed_dynamical - weights @ phi_d) <= 1e-5
+    singh = np.angle(np.sum(weights * overlap * np.exp(1j * geometric)))
+    assert abs(wrap_angle(obs.singh_phase - singh)) <= 1e-5

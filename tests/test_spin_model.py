@@ -352,17 +352,18 @@ def test_samples_from_a_rotating_field_table_are_the_same_bits():
 
 
 def test_rotating_field_serves_only_the_arrays_it_was_computed_for():
-    # looked up by identity, and by omega: an equal copy of the nodes, another
-    # grid's nodes or another omega get no table, so they take their own
+    # looked up by identity, and by omega: an equal copy of the midpoints, the
+    # grid's nodes, another grid's midpoints or another omega get no table, so
+    # they take their own
     grid = TimeGrid(0.0, 2.0, 64)
     field = spin_model.RotatingField(1.5, grid)
-    nodes = field.rows(1.5, grid.nodes)
-    assert nodes.shape == (2, 65)
-    assert nodes.tobytes() == np.stack([np.cos(1.5 * grid.nodes), np.sin(1.5 * grid.nodes)]).tobytes()
-    assert field.rows(1.5, grid.midpoints).shape == (2, 64)
-    for omega, times in ((1.5, grid.nodes.copy()), (1.5, TimeGrid(0.0, 2.0, 64).nodes),
-                         (2.0, grid.nodes)):
+    table = field.rows(1.5, grid.midpoints)
+    assert table.shape == (2, 64)
+    assert table.tobytes() == np.stack([np.cos(1.5 * grid.midpoints),
+                                        np.sin(1.5 * grid.midpoints)]).tobytes()
+    for omega, times in ((1.5, grid.midpoints.copy()), (1.5, grid.nodes),
+                         (1.5, TimeGrid(0.0, 2.0, 64).midpoints), (2.0, grid.midpoints)):
         assert field.rows(omega, times) is None
     p = SpinParams(0.8, 2.0, 0.9)  # another omega: the sampler takes its own rows
-    own = spin_model.hamiltonian(p).sample(grid.nodes)
-    assert spin_model.hamiltonian(p, field).sample(grid.nodes).tobytes() == own.tobytes()
+    own = spin_model.hamiltonian(p).sample(grid.midpoints)
+    assert spin_model.hamiltonian(p, field).sample(grid.midpoints).tobytes() == own.tobytes()
