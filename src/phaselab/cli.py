@@ -497,18 +497,18 @@ class Observables:
 def _propagate(sc: Scenario) -> tuple[PathStack, np.ndarray]:
     """The member paths psi_k = U|k> of the scenario's ensemble as one
     `PathStack`, and H on the grid midpoints, the samples U was propagated
-    on; U itself is let go.  A failed check on H or on U is reported as bad
-    input: a grid too coarse for the field, or parameters that overflow it."""
+    on (`PropagatorPath.samples`); U itself is let go.  A failed check on H
+    or on U is reported as bad input: a grid too coarse for the field, or
+    parameters that overflow it."""
     try:
-        samples = sc.H.sample(sc.grid.midpoints)
-        path = propagate(samples, sc.grid)
+        path = propagate(sc.H, sc.grid)
     except ContractError as exc:
         raise ConfigError(
             f"field 'steps': the scenario cannot be propagated at {sc.cfg.steps} steps "
             f"({exc}); use more steps or stay in the documented box "
             "mu_b, omega in [0.1, 10], theta in (0, pi)"
         ) from exc
-    return PathStack(sc.grid, member_paths(path, sc.ensemble.states)), samples
+    return PathStack(sc.grid, member_paths(path, sc.ensemble.states)), path.samples
 
 
 def observables(sc: Scenario) -> Observables:

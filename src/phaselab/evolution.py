@@ -5,15 +5,15 @@ U(t_j): the midpoint-exponential product (lowest-order Magnus).  Every factor
 is the exponential of a skew-Hermitian matrix, so unitarity is preserved by
 construction and the global error is second order in dt.
 
-`propagate` reads the midpoint samples of H that its caller took with
-`HamiltonianTrajectory.sample(grid.midpoints)` (validated finite and
-Hermitian there), the running products of the step exponentials (a
-recursively blocked prefix product: `linalg.ordered_exponentials`, or at
-d = 2 `linalg.ordered_pairs`, which keeps them as Cayley-Klein pairs and
-phases), and the `PropagatorPath` check that every U(t_j) is unitary to
+`propagate` reads: sample H at the midpoints (validated finite and
+Hermitian), the running products of the step exponentials (a recursively
+blocked prefix product: `linalg.ordered_exponentials`, or at d = 2
+`linalg.ordered_pairs`, which keeps them as Cayley-Klein pairs and phases),
+and the `PropagatorPath` check that every U(t_j) is unitary to
 `UNITARITY_TOL`.  At d = 2 the path holds the pairs, and U is formed as a
-stack only when `matrices` is read.  The caller keeps the samples: along
-step j the propagated state moves by exp(-i H(t_{j+1/2}) s), so
+stack only when `matrices` is read.  The path hands its caller the midpoint
+samples it was made from (`PropagatorPath.samples`): along step j the
+propagated state moves by exp(-i H(t_{j+1/2}) s), so
 <psi(t_j)| H(t_{j+1/2}) |psi(t_j)> dt is that step's exact connection
 (`phases.PathStack.step_energies`), and H is sampled once per scenario.
 U(t_0) = I exactly, and the output is byte-deterministic.  The package's
@@ -26,7 +26,7 @@ documented.  A grid's `nodes` and `midpoints` are read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -86,7 +86,7 @@ class HamiltonianTrajectory:
     """Deterministic map t -> Hermitian matrix (natural units, hbar = 1).
 
     `evaluate` is batched: it maps an array of n times to an (n, dim, dim)
-    stack, so a scenario samples its grid's midpoints in one call.  Models built
+    stack, so the propagator samples a whole grid in one call.  Models built
     from broadcasting expressions also map a scalar time to one matrix.
     """
 
@@ -123,12 +123,15 @@ class PropagatorPath:
     Pairs are gated by |a_j|^2 + |b_j|^2 = 1: ||U^dagger U - I||_F is
     sqrt(2) | |a|^2 + |b|^2 - 1 | for such a matrix, whose off-diagonal Gram
     entry cancels, provided phi_j is finite.  `matrices` forms U from pairs on
-    first read; `member_paths` reads the pairs themselves.
+    first read; `member_paths` reads the pairs themselves.  `samples` is H on
+    the grid midpoints as `propagate` sampled and checked it, the one stack
+    the path was made from (None on a path built from a given stack).
     """
 
     grid: TimeGrid
     stack: np.ndarray
     phases: np.ndarray | None = None
+    samples: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         U = np.asarray(self.stack)
@@ -163,18 +166,14 @@ class PropagatorPath:
         return 2 if self.phases is not None else self.stack.shape[-1]
 
 
-def propagate(samples: np.ndarray, grid: TimeGrid) -> PropagatorPath:
-    """Integrate the time-ordered exponential of -i H(t) over the grid from
-    `samples`, H on the grid midpoints as `HamiltonianTrajectory.sample`
-    returns them (validated there, so not here).  At dim 2 the path keeps
-    the Cayley-Klein pairs and phases of the scan."""
-    shape = np.shape(samples)
-    if len(shape) != 3 or shape[0] != grid.steps or shape[1] != shape[2]:
-        raise DimensionError(f"midpoint samples have shape {shape}, "
-                             f"expected ({grid.steps}, dim, dim)")
-    if shape[1] == 2:
-        return PropagatorPath(grid, *ordered_pairs(samples, grid.dt))
-    return PropagatorPath(grid, ordered_exponentials(samples, grid.dt))
+def propagate(H: HamiltonianTrajectory, grid: TimeGrid) -> PropagatorPath:
+    """Integrate the time-ordered exponential of -i H(t) over the grid, from
+    H sampled once at the midpoints; the path keeps those samples.  At dim 2
+    it keeps the Cayley-Klein pairs and phases of the scan."""
+    samples = H.sample(grid.midpoints)
+    if H.dim == 2:
+        return PropagatorPath(grid, *ordered_pairs(samples, grid.dt), samples)
+    return PropagatorPath(grid, ordered_exponentials(samples, grid.dt), samples=samples)
 
 
 def member_paths(U: PropagatorPath, states: np.ndarray) -> np.ndarray:

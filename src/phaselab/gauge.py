@@ -16,10 +16,11 @@ rounding, so its output is not checked again.  `effective_hamiltonian`, whose
 off-diagonal <v_n| i d/dt v_m> is no step phase, reads the step-overlap
 matrices V_j^dagger V_{j+1} instead; nothing here differentiates states.  A
 `GaugeFunction` draws smooth gauges and gives their angles.  H comes in as its
-samples on the frame's grid nodes.  `mixed.gauge_campaign` rephases the
-member paths psi_k = U|k>, a frame on the gauge orbit of the phase-stripped
-one that `frame_from_amplitudes` builds as a reference; only that stripping
-raises OrthogonalityCrossingError, where an amplitude leaves it undefined.
+samples on the frame's grid nodes, and into `frame_trace` as the members'
+dynamical phases.  `mixed.gauge_campaign` rephases the member paths
+psi_k = U|k>, a frame on the gauge orbit of the phase-stripped one that
+`frame_from_amplitudes` builds as a reference; only that stripping raises
+OrthogonalityCrossingError, where an amplitude leaves it undefined.
 """
 from __future__ import annotations
 
@@ -155,15 +156,17 @@ def frame_from_amplitudes(stack: PathStack) -> BasisFrame:
     return BasisFrame(stack.grid, stripped)
 
 
-def frame_trace(frame: PathStack, samples: np.ndarray, weights) -> complex:
-    """Gauge-invariant form of Tr U(T) rho(0) built purely from frame data and
-    `samples`, the Hamiltonian on the frame's grid nodes: `frame` is any path
-    stack, a BasisFrame or one rephased by `mixed.transform_evolution`.
+def frame_trace(frame: PathStack, dynamical: np.ndarray, weights) -> complex:
+    """Gauge-invariant form of Tr U(T) rho(0) built purely from frame data:
+    `frame` is any path stack, a BasisFrame or one rephased by
+    `mixed.transform_evolution`, and `dynamical` its members' dynamical
+    phases phi_d,k = -int <v_k|H|v_k> dt, read off the step energies
+    (`PathStack.curve_phases`) or the node samples (`PathStack.dynamical`).
 
     sum_k w_k <v_k(0), v_k(T)> exp{ i int (<v_k|i d/dt v_k> - <v_k|H|v_k>) dt },
     i.e. each member's holonomy factor times its dynamical phase factor.
     """
-    return complex(frame.average(weights, frame.holonomies * np.exp(1j * frame.dynamical(samples))))
+    return complex(frame.average(weights, frame.holonomies * np.exp(1j * np.asarray(dynamical))))
 
 
 def amplitudes_from_frame(frame: PathStack, samples: np.ndarray) -> PathStack:

@@ -36,7 +36,7 @@ from .exceptions import (
     DimensionError,
     UndefinedPhaseError,
 )
-from .gauge import GaugeFunction
+from .gauge import GaugeFunction, frame_trace
 from .numerics import wrap_angle
 from .phases import PathStack
 
@@ -161,18 +161,20 @@ def transform_evolution(paths: PathStack, angles) -> PathStack:
     return PathStack(paths.grid, paths.states * np.exp(1j * angles).T[:, None, :])
 
 
-def singh_phase(weights, paths: PathStack, geometric=None) -> float:
-    """arg sum_k w_k |<psi_k(0), psi_k(T)>| e^{i phi_g,k}: with `geometric`
-    None the terms are the Bargmann holonomies
-    <psi_k(0), psi_k(T)> exp(-i sum_j arg<psi_k(t_j), psi_k(t_{j+1})>), else
-    phi_g,k = geometric[k], as `PathStack.curve_phases` reads them.
+def singh_phase(weights, paths: PathStack, geometric) -> float:
+    """arg sum_k w_k |<psi_k(0), psi_k(T)>| e^{i phi_g,k}, with phi_g,k =
+    geometric[k]: as `PathStack.curve_phases` reads them off the step
+    energies, or the arguments of the Bargmann `PathStack.holonomies`, whose
+    moduli are the same |<psi_k(0), psi_k(T)>|.
 
-    Invariant under independent time-dependent phase transforms of each path.
+    Invariant under independent time-dependent phase transforms of each path
+    when `geometric` is.
     """
-    if geometric is None:
-        terms = paths.holonomies
-    else:
-        terms = np.abs(paths.endpoint_overlaps) * np.exp(1j * np.asarray(geometric))
+    geometric = np.asarray(geometric, dtype=float)
+    if geometric.shape != (paths.size,):
+        raise DimensionError(f"need one geometric phase per path, {(paths.size,)}, "
+                             f"got {geometric.shape}")
+    terms = np.abs(paths.endpoint_overlaps) * np.exp(1j * geometric)
     total = paths.average(weights, terms)
     if not abs(np.sum(weights) - 1.0) <= WEIGHT_SUM_TOL:
         raise ContractError("weights must be normalized")
@@ -186,20 +188,23 @@ def gauge_campaign(weights, members: PathStack, samples: np.ndarray, rng: np.ran
                    trials: int, gauge_scale: float) -> dict:
     """Base observables and worst deviations over `trials` random gauges, by name.
 
-    `members` holds the member paths psi_k = U|k> of any ensemble, whose kets
-    |k> are read as psi_k(0), and `samples` H on the grid midpoints, from
-    which the propagator made them.  Every phase is read off the step
-    energies e_kj = <psi_k(t_j)| H(t_{j+1/2}) |psi_k(t_j)>, the base Singh
-    phase as `simulate` reads it.  Per trial one ramped gauge theta_k(t) is
-    drawn, evaluated once on the grid nodes (theta(0), theta(T) are its first
-    and last angles), and applied once by `transform_evolution`.  Taken as
-    linear within each step, it makes the rephased stack psi'_k the curve of
-    H - d theta_k / dt, so its step energies are read off psi'_k itself as
+    `members` holds the member paths psi_k = U|k> that `evolution.propagate`
+    made from `samples`, H on the grid midpoints (`PropagatorPath.samples`),
+    for any ensemble, whose kets |k> are read as psi_k(0).  Every phase is
+    read off the step energies e_kj = <psi_k(t_j)| H(t_{j+1/2}) |psi_k(t_j)>,
+    the exact connection of that curve, the base Singh phase as `simulate`
+    reads it; on a stack the propagator did not make from `samples` they are
+    only a second-order estimate of it.  Per trial one ramped gauge
+    theta_k(t) is drawn, evaluated once on the grid nodes (theta(0), theta(T)
+    are its first and last angles), and applied once by
+    `transform_evolution`.  Taken as linear within each step, it makes the
+    rephased stack psi'_k the curve of H - d theta_k / dt, so its step
+    energies are read off psi'_k itself as
     <psi'_k(t_j)| H(t_{j+1/2}) |psi'_k(t_j)> - (theta_k(t_{j+1}) - theta_k(t_j)) / dt,
     never as the base ones plus a predicted shift.  psi'_k is read two ways:
-    as a hidden gauge of the frame psi_k, it must leave the frame trace (the
-    Bargmann holonomies times exp(i phi_d) of the energies under H), the
-    Bargmann holonomies and the Singh phase fixed; as the member paths of
+    as a hidden gauge of the frame psi_k, it must leave `gauge.frame_trace`
+    (the Bargmann holonomies times exp(i phi_d) of the energies under H),
+    the Bargmann holonomies and the Singh phase fixed; as the member paths of
     U' = U sum_k e^{i theta_k} |k><k|, it must shift gamma_T, gamma_D as
     predicted from theta(0), theta(T).  gamma_T is read as
     `mixed_total_phase` of the base kets |k> against psi'_k(T), the base
@@ -209,11 +214,8 @@ def gauge_campaign(weights, members: PathStack, samples: np.ndarray, rng: np.ran
     ensemble = Ensemble(weights, members.states[0].T)  # the kets |k> = psi_k(0)
     grid, weights, kets = members.grid, ensemble.weights, ensemble.states
 
-    def frame_trace(paths: PathStack, phi_d: np.ndarray) -> complex:
-        return complex(paths.average(weights, paths.holonomies * np.exp(1j * phi_d)))
-
     base_d, base_g = members.curve_phases(members.step_energies(samples))
-    base_trace = frame_trace(members, base_d)
+    base_trace = frame_trace(members, base_d, weights)
     base_singh = singh_phase(weights, members, base_g)
     base_gamma, base_vis = mixed_total_phase(weights, kets, members)
     base_dyn = float(members.average(weights, base_d))
@@ -228,7 +230,7 @@ def gauge_campaign(weights, members: PathStack, samples: np.ndarray, rng: np.ran
                                          slope_scale=2.0 * gauge_scale).value(grid.nodes)
         shifted = transform_evolution(members, theta)  # e^{i theta_k} psi_k
         energies = shifted.step_energies(samples)
-        tr = frame_trace(shifted, shifted.curve_phases(energies)[0])
+        tr = frame_trace(shifted, shifted.curve_phases(energies)[0], weights)
         energies -= np.diff(theta, axis=1) / grid.dt  # the curve of H - d theta / dt
         shifted_d, shifted_g = shifted.curve_phases(energies)
         theta_0, theta_T = theta[:, 0], theta[:, -1]

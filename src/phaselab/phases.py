@@ -65,11 +65,9 @@ def step_overlaps(states: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, -1, 0)
 
 
-def check_node_samples(samples: np.ndarray, grid: TimeGrid, dim: int,
-                       where: str = "nodes") -> None:
-    """Raise DimensionError unless `samples` has the shape of H on the grid
-    nodes, or with `where = "midpoints"` on its midpoints."""
-    expected = (grid.steps + (where == "nodes"), dim, dim)
+def check_node_samples(samples: np.ndarray, grid: TimeGrid, dim: int) -> None:
+    """Raise DimensionError unless `samples` has the shape of H on the grid nodes."""
+    expected = (grid.steps + 1, dim, dim)
     if np.shape(samples) != expected:
         raise DimensionError(f"H samples have shape {np.shape(samples)}, expected {expected}")
 
@@ -199,7 +197,10 @@ class PathStack:
         (k, steps), from `samples`, H on the grid midpoints: on the paths the
         propagator made from those samples, e_kj dt is the exact connection of
         step j, and on any other path a second-order estimate of it."""
-        check_node_samples(samples, self.grid, self.dim, "midpoints")
+        expected = (self.grid.steps, self.dim, self.dim)
+        if np.shape(samples) != expected:
+            raise DimensionError(f"midpoint samples have shape {np.shape(samples)}, "
+                                 f"expected {expected}")
         return np.ascontiguousarray(state_energies(self.states[:-1], samples).T)
 
     def curve_phases(self, energies: np.ndarray):

@@ -114,7 +114,7 @@ def build_spin_case(
     p = SpinParams(mu_b, omega, theta, big_theta)
     grid = TimeGrid(0.0, p.period, steps)
     H = spin_model.hamiltonian(p)
-    U = propagate(H.sample(grid.midpoints), grid)
+    U = propagate(H, grid)
     weights = np.array([np.cos(big_theta / 2) ** 2, np.sin(big_theta / 2) ** 2])
     ensemble = Ensemble(weights=weights, states=np.array(spin_model.w_basis(p, 0.0)))
     members = PathStack(grid, member_paths(U, ensemble.states))  # psi_k = U|k>, "+" then "-"

@@ -66,7 +66,7 @@ def sweep():
         start = time.perf_counter()
         grid = TimeGrid(0.0, p.period, BASE_STEPS)
         H = spin_model.hamiltonian(p)
-        U = propagate(H.sample(grid.midpoints), grid)
+        U = propagate(H, grid)
         w_plus, w_minus = spin_model.w_basis(p, 0.0)
         exact_plus, exact_minus = spin_model.exact_amplitudes(p, p.period)
         paths = PathStack(grid, member_paths(U, np.array([w_plus, w_minus])))
@@ -74,8 +74,7 @@ def sweep():
             float(np.linalg.norm(paths.states[-1, :, 0] - exact_plus)),
             float(np.linalg.norm(paths.states[-1, :, 1] - exact_minus)),
         )
-        fine_grid = TimeGrid(0.0, p.period, 2 * BASE_STEPS)
-        fine = propagate(H.sample(fine_grid.midpoints), fine_grid)
+        fine = propagate(H, TimeGrid(0.0, p.period, 2 * BASE_STEPS))
         err_half = max(
             float(np.linalg.norm(fine.matrices[-1] @ w_plus - exact_plus)),
             float(np.linalg.norm(fine.matrices[-1] @ w_minus - exact_minus)),
@@ -150,8 +149,8 @@ def test_criterion_4_hidden_gauge_invariance():
     nodes = case.grid.nodes
     samples = case.H.sample(nodes)
 
-    base_trace = frame_trace(frame, samples, weights)
-    base_singh = singh_phase(weights, case.members)
+    base_trace = frame_trace(frame, frame.dynamical(samples), weights)
+    base_singh = singh_phase(weights, case.members, np.angle(case.members.holonomies))
     base_gamma, _ = trace_phase(case.U.matrices[-1], rho0)
     base_dyn = transport_conditions(weights, case.members)[2]
     diag_UT = np.array([np.vdot(s, case.U.matrices[-1] @ s) for s in case.ensemble.states])
@@ -163,7 +162,7 @@ def test_criterion_4_hidden_gauge_invariance():
     for _ in range(50):
         periodic = GaugeFunction.random(2, case.grid.span, rng, scale=0.1)
         gauged = transform_evolution(frame, periodic.value(nodes))
-        tr = frame_trace(gauged, samples, weights)
+        tr = frame_trace(gauged, gauged.dynamical(samples), weights)
         worst_invariant = max(
             worst_invariant,
             abs(wrap_angle(np.angle(tr) - np.angle(base_trace))),
@@ -173,9 +172,8 @@ def test_criterion_4_hidden_gauge_invariance():
         ramped = GaugeFunction.random(2, case.grid.span, rng, scale=0.1, slope_scale=0.2)
         # psi_k -> e^{i theta_k} psi_k
         shifted = transform_evolution(case.members, ramped.value(nodes))
-        worst_invariant = max(
-            worst_invariant, abs(wrap_angle(singh_phase(weights, shifted) - base_singh))
-        )
+        singh = singh_phase(weights, shifted, np.angle(shifted.holonomies))
+        worst_invariant = max(worst_invariant, abs(wrap_angle(singh - base_singh)))
 
         theta_T = ramped.value(case.grid.t_end)
         theta_0 = ramped.value(0.0)
@@ -209,7 +207,7 @@ def test_criterion_5_special_case():
     case = build_spin_case(1.0, 4.0, 2.0 * np.pi / 3, big_theta=np.pi / 2, steps=BASE_STEPS)
     _, strong, dyn = transport_conditions(case.weights, case.members)
     gamma, vis = mixed_total_phase(case.weights, case.ensemble.states, case.members)
-    singh = singh_phase(case.weights, case.members)
+    singh = singh_phase(case.weights, case.members, np.angle(case.members.holonomies))
     c = np.cos(case.p.theta - case.p.alpha)
     expected_trace = np.cos(case.p.big_theta / 2) ** 2 * np.exp(
         -1j * np.pi * (1 + c)

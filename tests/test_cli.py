@@ -274,8 +274,8 @@ def test_observables_match_the_per_path_functions(case, monkeypatch):
     sc = cli.build_scenario(cfg)
     obs = cli.observables(sc)
 
-    samples = sc.H.sample(sc.grid.midpoints)
-    U = propagate(samples, sc.grid)
+    U = propagate(sc.H, sc.grid)
+    samples = U.samples
     stack = phases.PathStack(sc.grid, member_paths(U, sc.ensemble.states))
     weights = sc.ensemble.weights
     for k in range(sc.ensemble.size):
@@ -315,7 +315,7 @@ def test_mixed_trace_is_the_partial_map_of_the_member_paths(case, monkeypatch):
         cfg = dataclasses.replace(cfg, states=("0", "2"), weights=(0.6, 0.4))
     sc = cli.build_scenario(cli.validate_config(cfg))
     obs = cli.observables(sc)
-    U = propagate(sc.H.sample(sc.grid.midpoints), sc.grid)
+    U = propagate(sc.H, sc.grid)
     gamma_total, visibility = trace_phase(U.matrices[-1], density_of(sc.ensemble))
     assert abs(obs.gamma_total - gamma_total) <= 1e-14
     assert abs(obs.visibility - visibility) <= 1e-14

@@ -29,7 +29,7 @@ def constant_trajectory(H: np.ndarray) -> HamiltonianTrajectory:
 
 def spin_state_error(p: SpinParams, steps: int) -> float:
     grid = TimeGrid(0.0, p.period, steps)
-    U = propagate(spin_model.hamiltonian(p).sample(grid.midpoints), grid)
+    U = propagate(spin_model.hamiltonian(p), grid)
     w_plus, w_minus = spin_model.w_basis(p, 0.0)
     exact_plus, exact_minus = spin_model.exact_amplitudes(p, p.period)
     return max(
@@ -53,8 +53,7 @@ def test_constant_hamiltonian_exact():
     # theta = 0 limit: H = -mu B sigma_z, U(T) = exp(+i mu B T sigma_z)
     mu_b, T = 0.8, 3.0
     H = constant_trajectory(-mu_b * SZ)
-    grid = TimeGrid(0.0, T, 400)
-    U = propagate(H.sample(grid.midpoints), grid)
+    U = propagate(H, TimeGrid(0.0, T, 400))
     assert np.max(np.abs(U.matrices[-1] - mat_exp(1j * mu_b * T * SZ))) < 1e-12
 
 
@@ -89,8 +88,9 @@ def test_composition_over_subintervals():
     p = SpinParams(1.0, 1.0, np.pi / 3)
     H = spin_model.hamiltonian(p)
     T = p.period
-    full, first, second = (propagate(H.sample(grid.midpoints), grid) for grid in (
-        TimeGrid(0.0, T, 2000), TimeGrid(0.0, T / 2, 1000), TimeGrid(T / 2, T, 1000)))
+    full = propagate(H, TimeGrid(0.0, T, 2000))
+    first = propagate(H, TimeGrid(0.0, T / 2, 1000))
+    second = propagate(H, TimeGrid(T / 2, T, 1000))
     assert np.max(np.abs(second.matrices[-1] @ first.matrices[-1] - full.matrices[-1])) < 1e-8
 
 
@@ -105,8 +105,7 @@ def test_piecewise_constant_is_exact_per_segment():
         return out
 
     H = HamiltonianTrajectory(3, evaluate=batch)
-    grid = TimeGrid(0.0, T, 64)
-    U = propagate(H.sample(grid.midpoints), grid)
+    U = propagate(H, TimeGrid(0.0, T, 64))
     expected = mat_exp(-1j * (T / 2) * H2) @ mat_exp(-1j * (T / 2) * H1)
     assert np.max(np.abs(U.matrices[-1] - expected)) < 1e-12
 
@@ -135,7 +134,7 @@ def test_blocked_product_matches_sequential_loop(steps, dim):
 
     H = HamiltonianTrajectory(dim, evaluate=batch)
     grid = TimeGrid(0.0, 2.0, steps)
-    U = propagate(H.sample(grid.midpoints), grid).matrices
+    U = propagate(H, grid).matrices
     factors = hermitian_step_exp(H.sample(grid.midpoints), grid.dt)
     expected = np.empty_like(U)
     expected[0] = np.eye(dim)
@@ -143,24 +142,27 @@ def test_blocked_product_matches_sequential_loop(steps, dim):
         expected[j + 1] = factors[j] @ expected[j]
     assert np.array_equal(U[0], np.eye(dim, dtype=complex))
     assert np.max(np.abs(U - expected)) < 1e-10
-    assert propagate(H.sample(grid.midpoints), grid).matrices.tobytes() == U.tobytes()
+    assert propagate(H, grid).matrices.tobytes() == U.tobytes()
 
 
-def test_propagate_takes_the_midpoint_samples_only():
-    # the propagator reads H at t_j + dt/2: node samples, or a stack of the
-    # wrong shape, are refused before any step exists
-    grid = TimeGrid(0.0, 1.0, 16)
-    H = spin_model.hamiltonian(SpinParams(1.0, 2.0, 0.7))
-    for samples in (H.sample(grid.nodes), H.sample(grid.midpoints)[:, :1], np.zeros((16, 2))):
-        with pytest.raises(DimensionError, match="midpoint samples have shape"):
-            propagate(samples, grid)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_propagate_keeps_the_midpoint_samples_it_was_made_from(dim):
+    # H is sampled once, on the midpoints, and the path hands those very
+    # samples on: the step energies read the stack the propagator read
+    rng = np.random.default_rng(dim)
+    A, B = random_hermitian(rng, dim), random_hermitian(rng, dim)
+    H = HamiltonianTrajectory(dim, lambda t: A + np.cos(3.0 * t)[:, None, None] * B)
+    grid = TimeGrid(0.0, 1.0, 300)
+    path = propagate(H, grid)
+    assert path.samples.tobytes() == H.sample(grid.midpoints).tobytes()
+    assert PropagatorPath(grid, path.stack, path.phases).samples is None
 
 
 def test_rejects_non_hermitian_evaluation():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     H = HamiltonianTrajectory(2, evaluate=lambda times: np.broadcast_to(bad, (len(times), 2, 2)))
     with pytest.raises(ContractError):
-        H.sample(TimeGrid(0.0, 1.0, 16).midpoints)
+        propagate(H, TimeGrid(0.0, 1.0, 16))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -212,7 +214,7 @@ def test_amplitude_path_eigenstate():
     vals = np.array([-0.5, 1.5])
     H = constant_trajectory(np.diag(vals).astype(complex))
     grid = TimeGrid(0.0, 2.0, 200)
-    U = propagate(H.sample(grid.midpoints), grid)
+    U = propagate(H, grid)
     e0 = np.array([1.0, 0.0], dtype=complex)
     psi = member_paths(U, e0[None])[..., 0]
     expected = np.exp(-1j * vals[0] * grid.nodes)[:, None] * e0[None, :]
@@ -246,7 +248,7 @@ def test_amplitude_path_matches_member_paths_dim3_custom(monkeypatch):
     # the golden dim-3 custom-sampled scenario, whose states are basis vectors
     monkeypatch.chdir(Path(__file__).parent / "golden")
     sc = build_scenario(parse_config_file("custom.cfg"))
-    U = propagate(sc.H.sample(sc.grid.midpoints), sc.grid)
+    U = propagate(sc.H, sc.grid)
     stack = member_paths(U, sc.ensemble.states)
     assert stack.shape == (801, 3, 3)
     for k, state in enumerate(sc.ensemble.states):
@@ -262,7 +264,7 @@ def test_member_paths_are_the_products_with_each_state(dim):
     grid = TimeGrid(0.0, 1.0, 300)
     A, B = random_hermitian(rng, dim), random_hermitian(rng, dim)
     H = HamiltonianTrajectory(dim, lambda t: A + np.cos(3.0 * t)[:, None, None] * B)
-    U = propagate(H.sample(grid.midpoints), grid)
+    U = propagate(H, grid)
     states = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
     states /= np.linalg.norm(states, axis=1)[:, None]
     stack = member_paths(U, states)
@@ -278,8 +280,7 @@ def test_unitarity_gate_reads_any_layout():
     # the two-level propagator is stored component-major; perturbed by 1e-8 it
     # fails the gate with the message of the same stack in C order
     grid = TimeGrid(0.0, 1.0, 200)
-    H = spin_model.hamiltonian(SpinParams(1.0, 2.0, 0.7))
-    U = propagate(H.sample(grid.midpoints), grid).matrices
+    U = propagate(spin_model.hamiltonian(SpinParams(1.0, 2.0, 0.7)), grid).matrices
     bad = U * (1.0 + 1e-8)  # in U's memory order
     messages = []
     for stack in (bad, np.ascontiguousarray(bad)):
@@ -312,7 +313,7 @@ def test_two_level_path_forms_the_ordered_exponentials_bitwise(model):
     else:
         H = trace_carrying_trajectory(91)
         grid = TimeGrid(0.0, 1.0, 1041)
-    path = propagate(H.sample(grid.midpoints), grid)
+    path = propagate(H, grid)
     assert path.stack.shape == (grid.steps + 1, 2) and path.phases.shape == (grid.steps + 1,)
     assert path.dim == 2 and "matrices" not in vars(path)  # not formed yet
     expected = _two_level_matrices(*ordered_pairs(H.sample(grid.midpoints), grid.dt))
@@ -334,7 +335,7 @@ def test_pair_gate_rejects_a_non_unit_pair_and_a_nan_phase():
     # the gate on pairs is sqrt(2) max | |a|^2 + |b|^2 - 1 |, the matrices'
     # ||U^dagger U - I||_F, and every phase must be finite
     grid = TimeGrid(0.0, 1.0, 200)
-    path = propagate(trace_carrying_trajectory(92).sample(grid.midpoints), grid)
+    path = propagate(trace_carrying_trajectory(92), grid)
     for j in (0, 100, 200):
         pairs = path.stack.copy()
         pairs[j] /= np.linalg.norm(pairs[j])
@@ -373,7 +374,7 @@ def test_propagate_stays_unitary(dim, steps, seed, reach):
         angle = 2.0 * np.pi * np.asarray(times)[:, None, None]
         return scale * (A + np.cos(angle) * B + np.sin(angle) * C)
 
-    path = propagate(HamiltonianTrajectory(dim, evaluate=batch).sample(grid.midpoints), grid)
+    path = propagate(HamiltonianTrajectory(dim, evaluate=batch), grid)
     assert np.array_equal(path.matrices[0], np.eye(dim))
     if path.phases is None:
         assert unitarity_defect(path.stack) <= 1e-12

@@ -345,7 +345,8 @@ SAMPLE_CALLS = {
         case.members.totals(), case.members.dynamical(samples), case.members.residuals),
     "amplitudes_from_frame": lambda case, frame, samples: amplitudes_from_frame(frame, samples),
     "effective_hamiltonian": lambda case, frame, samples: effective_hamiltonian(frame, samples),
-    "frame_trace": lambda case, frame, samples: frame_trace(frame, samples, case.weights),
+    "frame_trace": lambda case, frame, samples: frame_trace(frame, frame.dynamical(samples),
+                                                            case.weights),
 }
 WRONG_SAMPLES = {
     "one node short": lambda samples: samples[:-1],
@@ -377,7 +378,7 @@ def test_frame_trace_matches_direct_trace(generic_case):
         weights = raw / raw.sum()
         rho0 = np.einsum("k,ka,kb->ab", weights, direct_basis, np.conj(direct_basis))
         direct = np.trace(generic_case.U.matrices[-1] @ rho0)
-        via_frame = frame_trace(frame, samples, weights)
+        via_frame = frame_trace(frame, frame.dynamical(samples), weights)
         assert abs(via_frame - direct) < 1e-6
 
 
@@ -386,12 +387,12 @@ def test_frame_trace_gauge_invariant(generic_case):
     frame = frame_from_amplitudes(generic_case.members)
     weights = generic_case.weights
     samples = generic_case.H.sample(generic_case.grid.nodes)
-    base = frame_trace(frame, samples, weights)
+    base = frame_trace(frame, frame.dynamical(samples), weights)
     worst = 0.0
     for _ in range(50):
         g = GaugeFunction.random(2, generic_case.grid.span, rng, scale=0.1)
-        value = frame_trace(transform_evolution(frame, g.value(generic_case.grid.nodes)),
-                            samples, weights)
+        gauged = transform_evolution(frame, g.value(generic_case.grid.nodes))
+        value = frame_trace(gauged, gauged.dynamical(samples), weights)
         worst = max(worst, abs(value - base))
     assert worst < 1e-8
 

@@ -201,10 +201,10 @@ NAN_INPUTS = {
         lambda c: PurifiedState(np.full((2, 2), np.nan, dtype=complex))),
     "singh_phase-weights": (
         "weights must be normalized",
-        lambda c: singh_phase([np.nan, np.nan], c.members)),
+        lambda c: singh_phase([np.nan, np.nan], c.members, np.angle(c.members.holonomies))),
     "singh_phase-t0": (
         "orthonormal at t = 0",
-        lambda c: singh_phase(c.weights, _nan_at_start(c.members))),
+        lambda c: singh_phase(c.weights, _nan_at_start(c.members), np.zeros(2))),
     "purify-ancilla-unitarity": (
         "ancilla transform must be unitary",
         lambda c: purify(DensityMatrix(np.eye(2) / 2), 2, np.full((2, 2), np.nan))),
@@ -297,8 +297,7 @@ def test_gauge_campaign_runs_on_an_incomplete_ensemble(generic_case):
     # its invariants hold to rounding while the ramped gauges move gamma_T, and
     # its base values are the branch's own <psi(0), psi(T)> and the geometric
     # phase of its step energies
-    path = generic_case.paths["+"]
-    samples = generic_case.H.sample(generic_case.grid.midpoints)
+    path, samples = generic_case.paths["+"], generic_case.U.samples
     values = gauge_campaign(np.array([1.0]), path, samples,
                             np.random.default_rng(0), 3, 0.1)
     for key in CAMPAIGN_INVARIANTS:
@@ -318,9 +317,9 @@ def test_a_wrong_weight_count_is_one_dimension_error(weights, generic_case):
     # one check names the weights' shape against one weight per path
     paths, samples = generic_case.members, generic_case.H.sample(generic_case.grid.nodes)
     message = re.escape(f"need one weight per path, (2,), got {np.shape(weights)}")
-    for call in (lambda: singh_phase(weights, paths),
+    for call in (lambda: singh_phase(weights, paths, np.angle(paths.holonomies)),
                  lambda: transport_conditions(weights, paths),
-                 lambda: gauge.frame_trace(paths, samples, weights),
+                 lambda: gauge.frame_trace(paths, paths.dynamical(samples), weights),
                  lambda: mixed_total_phase(weights, generic_case.ensemble.states, paths)):
         with pytest.raises(DimensionError, match=message):
             call()
@@ -328,24 +327,28 @@ def test_a_wrong_weight_count_is_one_dimension_error(weights, generic_case):
 
 def test_singh_phase_single_state_reduces_to_geometric(generic_case):
     path = generic_case.paths["+"]
-    assert singh_phase(np.array([1.0]), path) == pytest.approx(
+    assert singh_phase(np.array([1.0]), path, np.angle(path.holonomies)) == pytest.approx(
         float(np.angle(path.holonomies[0])), abs=1e-12
     )
 
 
 def test_singh_phase_invariant_under_path_phases(generic_case):
     rng = np.random.default_rng(13)
-    base = singh_phase(generic_case.weights, generic_case.members)
+    members = generic_case.members
+    base = singh_phase(generic_case.weights, members, np.angle(members.holonomies))
     nodes = generic_case.grid.nodes
     for _ in range(10):
         theta = GaugeFunction.random(2, generic_case.grid.span, rng, scale=0.1, slope_scale=0.2)
-        shifted = transform_evolution(generic_case.members, theta.value(nodes))
-        assert abs(wrap_angle(singh_phase(generic_case.weights, shifted) - base)) < 1e-7
+        shifted = transform_evolution(members, theta.value(nodes))
+        singh = singh_phase(generic_case.weights, shifted, np.angle(shifted.holonomies))
+        assert abs(wrap_angle(singh - base)) < 1e-7
 
 
 def test_singh_phase_equals_total_phase_at_special_point(special_case):
     gamma, _ = trace_phase(special_case.U.matrices[-1], density_of(special_case.ensemble))
-    assert abs(wrap_angle(singh_phase(special_case.weights, special_case.members) - gamma)) < 1e-6
+    members = special_case.members
+    singh = singh_phase(special_case.weights, members, np.angle(members.holonomies))
+    assert abs(wrap_angle(singh - gamma)) < 1e-6
 
 
 def test_transport_conditions_special_case(special_case):
@@ -375,8 +378,7 @@ def test_transport_and_mixed_dynamical_phase_dim3():
         return A + np.cos(t) * B + np.sin(2.0 * t) * C
 
     H = HamiltonianTrajectory(3, evaluate=batch)
-    grid = TimeGrid(0.0, 2.0, 400)
-    U = propagate(H.sample(grid.midpoints), grid)
+    U = propagate(H, TimeGrid(0.0, 2.0, 400))
     Q = random_unitary(rng, 3)
     ensemble = Ensemble(np.array([0.7, 0.3]), Q[:, :2].T.copy())
     rho0 = DensityMatrix(density_of(ensemble))
@@ -410,8 +412,7 @@ def test_transport_and_mixed_dynamical_phase_dim3():
 
     gaps = []
     for steps in (400, 800, 1600, 3200):
-        grid = TimeGrid(0.0, 2.0, steps)
-        refined = propagate(H.sample(grid.midpoints), grid)
+        refined = propagate(H, TimeGrid(0.0, 2.0, steps))
         gaps.append(abs(gamma_d(eigen_ensemble(other), refined)
                         - central_difference_gamma_d(refined, other)))
     assert all(3.5 < coarse / fine < 4.5 for coarse, fine in zip(gaps, gaps[1:])), gaps
@@ -419,8 +420,8 @@ def test_transport_and_mixed_dynamical_phase_dim3():
 
 def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
     # the campaign reads the equivalence-class shifts off the rephased member
-    # paths of U' = U sum_k e^{i theta_k}|k><k|, given the member paths and H's
-    # node samples, and neither samples H nor builds a propagator itself; here
+    # paths of U' = U sum_k e^{i theta_k}|k><k|, given the member paths and the
+    # midpoint samples U kept, and neither samples H nor builds a propagator itself; here
     # U' is formed matrix by matrix and read with the density matrix: gamma_T
     # as arg Tr[U'(T) rho0], gamma_D in rho0's own eigenbasis from
     # np.linalg.eigh, drawing the gauges in the campaign's order (one ramped
@@ -433,8 +434,7 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
         return A + np.cos(t) * B + np.sin(2.0 * t) * C
 
     H = HamiltonianTrajectory(3, evaluate=batch)
-    grid = TimeGrid(0.0, 2.0, 400)
-    U = propagate(H.sample(grid.midpoints), grid)
+    U = propagate(H, TimeGrid(0.0, 2.0, 400))
     ensemble = Ensemble(np.array([0.5, 0.3, 0.2]), random_unitary(rng, 3).T.copy())
     trials, scale = 6, 0.3
     rho0 = DensityMatrix(density_of(ensemble))
@@ -459,7 +459,7 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
         mismatch_dyn = max(mismatch_dyn, abs(dyn - predicted))
         naive_dyn = max(naive_dyn, abs(dyn - base_dyn))
 
-    paths, samples = members(U, ensemble), H.sample(U.grid.midpoints)
+    paths, samples = members(U, ensemble), U.samples
     samplings, propagators = [], []
     sample, check = HamiltonianTrajectory.sample, PropagatorPath.__post_init__
     monkeypatch.setattr(HamiltonianTrajectory, "sample",
@@ -491,31 +491,28 @@ CAMPAIGN_INVARIANTS = (
     (1.0, 1.0, np.pi / 3), (3.0, 0.7, 1.1), (10.0, 0.1, 2.0), (0.1, 10.0, 0.3),
 ])
 def test_gauge_campaign_on_the_closed_form_paths(mu_b, omega, theta):
-    # the campaign takes any member stack of a complete basis: here the exact
-    # amplitudes, with no propagator.  Its invariants hold to rounding, its
-    # gamma_T and visibility are the closed form's on the same endpoints, and
-    # its Singh phase reads the step energies <psi(t_j)| H(t_j + dt/2) |psi(t_j)>,
-    # which on these paths are the constant <w(0)| H(dt/2) |w(0)> of each branch
-    # (the field turns by omega dt / 2 against the state; only on the curve the
-    # propagator made are they that curve's exact connection)
+    # the campaign on the member paths the propagator made, its contract,
+    # against the closed forms of the same scenario: its invariants hold to
+    # rounding, its gamma_T and visibility are Tr[U(T) rho0] on the same
+    # endpoints, and its Singh phase, read off the step energies, is
+    # arg sum_k w_k e^{i phi_g,k} of the closed-form geometric phases to the
+    # step error
     p = SpinParams(mu_b, omega, theta, np.pi / 4)
     grid = TimeGrid(0.0, p.period, 4000)
     weights = np.array([np.cos(p.big_theta / 2) ** 2, np.sin(p.big_theta / 2) ** 2])
-    values = gauge_campaign(weights, spin_model.amplitude_paths(p, grid),
-                            spin_model.hamiltonian(p).sample(grid.midpoints),
+    U = propagate(spin_model.hamiltonian(p), grid)
+    ensemble = Ensemble(weights, np.array(spin_model.w_basis(p, 0.0)))
+    values = gauge_campaign(weights, members(U, ensemble), U.samples,
                             np.random.default_rng(7), 10, 0.1)
     for key in CAMPAIGN_INVARIANTS:
         assert values[key] <= 1e-12, key
     assert values["max_naive_total_phase_shift"] > 1e-3  # the ramped gauges do move gamma_T
-    trace = spin_model.mixed_trace(p)
-    assert abs(wrap_angle(values["gamma_total"] - np.angle(trace))) <= 1e-14
-    assert abs(values["visibility"] - abs(trace)) <= 1e-14
-    H, w = spin_model.hamiltonian(p), spin_model.w_basis(p, 0.0)
-    energies = np.array([np.vdot(v, H.evaluate(0.5 * grid.dt) @ v).real for v in w])
-    traces = np.array(spin_model.branch_traces(p))
-    geometric = wrap_angle(np.angle(traces) + p.period * energies)  # phi_t - phi_d
-    singh = np.angle(np.sum(weights * np.abs(traces) * np.exp(1j * geometric)))
-    assert abs(wrap_angle(values["singh_phase"] - singh)) <= 1e-12
+    gamma, visibility = trace_phase(U.matrices[-1], density_of(ensemble))
+    assert abs(wrap_angle(values["gamma_total"] - gamma)) <= 1e-14
+    assert abs(values["visibility"] - visibility) <= 1e-14
+    geometric = np.array([spin_model.geometric_phase(p, branch) for branch in "+-"])
+    singh = np.angle(np.sum(weights * np.exp(1j * geometric)))
+    assert abs(wrap_angle(values["singh_phase"] - singh)) <= 1e-6
 
 
 @pytest.mark.parametrize("argv, passes", [

@@ -267,6 +267,15 @@ def test_adiabatic_phase_checks_the_node_samples():
             adiabatic_phase(samples, grid, level=0)
 
 
+def test_step_energies_take_the_midpoint_samples_only(generic_case):
+    # the step energies pair psi_k(t_j) with H(t_{j+1/2}): node samples, or a
+    # stack of the wrong shape, are refused
+    stack, samples = generic_case.members, generic_case.U.samples
+    for wrong in (generic_case.H.sample(generic_case.grid.nodes), samples[:, :1], samples[0]):
+        with pytest.raises(DimensionError, match="midpoint samples have shape"):
+            stack.step_energies(wrong)
+
+
 @pytest.mark.parametrize("case", ["spin", "custom"])
 def test_path_stack_rows_equal_the_paths_stacked_alone(case, generic_case, monkeypatch):
     # each path's sums run over its own contiguous row, so stacking k paths
@@ -275,8 +284,7 @@ def test_path_stack_rows_equal_the_paths_stacked_alone(case, generic_case, monke
     if case == "custom":
         monkeypatch.chdir(Path(__file__).parent / "golden")
         sc = cli.build_scenario(cli.parse_config_file("custom.cfg"))
-        grid, H, ensemble = sc.grid, sc.H, sc.ensemble
-        U = propagate(H.sample(grid.midpoints), grid)
+        grid, H, U, ensemble = sc.grid, sc.H, propagate(sc.H, sc.grid), sc.ensemble
     else:
         grid, H, U, ensemble = (generic_case.grid, generic_case.H, generic_case.U,
                                 generic_case.ensemble)
@@ -284,7 +292,7 @@ def test_path_stack_rows_equal_the_paths_stacked_alone(case, generic_case, monke
     samples = H.sample(grid.nodes)
     assert stack.size == {"spin": 2, "custom": 3}[case]
     totals, dynamical = stack.totals()[0], stack.dynamical(samples)
-    midpoints = H.sample(grid.midpoints)
+    midpoints = U.samples
     energies = stack.step_energies(midpoints)
     curve = stack.curve_phases(energies)
     for k in range(stack.size):

@@ -76,7 +76,7 @@ def test_propagator_converges_at_second_order_to_the_exact_solution(name):
     errors = []
     for steps in (10000, 20000):
         grid = TimeGrid(0.0, family.period, steps)
-        U = propagate(family.H.sample(grid.midpoints), grid)
+        U = propagate(family.H, grid)
         errors.append(float(np.max(np.abs(U.matrices - family.exact(grid.nodes)))))
     assert errors[1] <= 1e-6
     assert 3.2 < errors[0] / errors[1] < 4.8, errors
@@ -88,7 +88,7 @@ def test_cyclic_states_carry_the_closed_form_phases(name):
     # them, against the closed forms to criterion 2's 1e-5
     family = CASES[name]()
     grid = TimeGrid(0.0, family.period, 20000)
-    U = propagate(family.H.sample(grid.midpoints), grid)
+    U = propagate(family.H, grid)
     members = PathStack(grid, member_paths(U, family.chi.T))
     geometric = np.angle(members.holonomies)
     assert np.max(np.abs(wrap_angle(geometric - family.geometric))) <= 1e-5
@@ -113,9 +113,9 @@ def test_gauge_campaign_holds_on_the_cyclic_basis(name):
     grid = TimeGrid(0.0, family.period, 4000)
     d = len(family.lam)
     weights = np.arange(d, 0, -1) / (d * (d + 1) / 2)
-    U = propagate(family.H.sample(grid.midpoints), grid)
+    U = propagate(family.H, grid)
     members = PathStack(grid, member_paths(U, family.chi.T))
-    values = gauge_campaign(weights, members, family.H.sample(grid.midpoints),
+    values = gauge_campaign(weights, members, U.samples,
                             np.random.default_rng(9), 10, 0.1)
     for key in ("max_gamma_total_deviation", "max_visibility_deviation", "max_holonomy_deviation",
                 "max_singh_deviation", "max_total_phase_prediction_mismatch",
