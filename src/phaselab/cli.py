@@ -51,6 +51,7 @@ from .mixed import (
     purify,
     reduce as reduce_purified,
     singh_phase,
+    transport_conditions,
 )
 from .phases import PathStack
 
@@ -521,9 +522,9 @@ def observables(sc: Scenario) -> Observables:
     From that one (k, steps) array come phi_d = -dt sum_j e_kj,
     phi_g = wrap(phi_t - phi_d), gamma_D = sum_k w_k phi_d,k, the Singh phase
     of those phi_g, and the residuals max_j |e_kj| (strong, per path) and
-    max_j |sum_k w_k e_kj| (weak).  Tr[U(T) rho0] is the ensemble average
-    sum_k w_k <k|psi_k(T)>, as in `gauge_campaign`.  No step overlaps are
-    formed.
+    max_j |sum_k w_k e_kj| (weak) of `transport_conditions`.  Tr[U(T) rho0] is
+    the ensemble average sum_k w_k <k|psi_k(T)>, as in `gauge_campaign`.  No
+    step overlaps are formed.
     """
     weights = sc.ensemble.weights
     members, samples = _propagate(sc)
@@ -531,10 +532,10 @@ def observables(sc: Scenario) -> Observables:
     gamma_total, visibility = mixed_total_phase(weights, sc.ensemble.states, members)
     phi_t, overlap = members.totals()
     phi_d, phi_g = members.curve_phases(energies)
-    weak = float(np.max(np.abs(members.average(weights, energies))))
+    weak, strong = transport_conditions(weights, members, energies)
     return Observables(gamma_total, visibility, singh_phase(weights, members, phi_g),
                        float(members.average(weights, phi_d)), weak, phi_t, overlap, phi_d, phi_g,
-                       np.max(np.abs(energies), axis=1))
+                       strong)
 
 
 def run_scenario(cfg: ScenarioConfig):

@@ -14,13 +14,14 @@ alpha_k(t_j): the transform is `mixed.transform_evolution(paths, angles)`, the
 one rephasing of any PathStack, smooth or not; it keeps every Gram entry to
 rounding, so its output is not checked again.  `effective_hamiltonian`, whose
 off-diagonal <v_n| i d/dt v_m> is no step phase, reads the step-overlap
-matrices V_j^dagger V_{j+1} instead; nothing here differentiates states.  A
-`GaugeFunction` draws smooth gauges and gives their angles.  H comes in as its
-samples on the frame's grid nodes, and into `frame_trace` as the members'
-dynamical phases.  `mixed.gauge_campaign` rephases the member paths
-psi_k = U|k>, a frame on the gauge orbit of the phase-stripped one that
-`frame_from_amplitudes` builds as a reference; only that stripping raises
-OrthogonalityCrossingError, where an amplitude leaves it undefined.
+matrices V_j^dagger V_{j+1} instead, and H on the frame's grid nodes; nothing
+here differentiates states.  A `GaugeFunction` draws smooth gauges and gives
+their angles.  `amplitudes_from_frame` reads H on the grid midpoints, as
+every dynamical phase is read (`PathStack.step_energies`), and `frame_trace`
+takes the members' dynamical phases.  `mixed.gauge_campaign` rephases the
+member paths psi_k = U|k>, a frame on the gauge orbit of the phase-stripped
+one that `frame_from_amplitudes` builds as a reference; only that stripping
+raises OrthogonalityCrossingError, where an amplitude leaves it undefined.
 """
 from __future__ import annotations
 
@@ -33,8 +34,7 @@ from .exceptions import (
     DimensionError,
     OrthogonalityCrossingError,
 )
-from .numerics import cum_trapezoid
-from .phases import PathStack, check_node_samples, state_energies
+from .phases import PathStack, check_node_samples
 
 FRAME_ORTHO_TOL = 1e-8
 OVERLAP_FLOOR = 1e-10
@@ -161,7 +161,7 @@ def frame_trace(frame: PathStack, dynamical: np.ndarray, weights) -> complex:
     `frame` is any path stack, a BasisFrame or one rephased by
     `mixed.transform_evolution`, and `dynamical` its members' dynamical
     phases phi_d,k = -int <v_k|H|v_k> dt, read off the step energies
-    (`PathStack.curve_phases`) or the node samples (`PathStack.dynamical`).
+    (`PathStack.curve_phases`).
 
     sum_k w_k <v_k(0), v_k(T)> exp{ i int (<v_k|i d/dt v_k> - <v_k|H|v_k>) dt },
     i.e. each member's holonomy factor times its dynamical phase factor.
@@ -173,16 +173,17 @@ def amplitudes_from_frame(frame: PathStack, samples: np.ndarray) -> PathStack:
     """Rebuild Schroedinger amplitudes, one stack in member order, from a frame
     whose effective Hamiltonian is diagonal:
     psi_k(t) = v_k(t) exp{-i int (<v_k|H|v_k> - <v_k|i d/dt v_k>) dt}, with
-    `samples` the Hamiltonian on the frame's grid nodes: the energies by the
-    cumulative trapezoid, the connection integral as minus the cumulative step
-    phases.
+    `samples` the Hamiltonian on the frame's grid midpoints: step j adds its
+    step energy times dt (`PathStack.step_energies`) and its step phase
+    arg<v_k(t_j), v_k(t_{j+1})> to the integral.
 
     Under a frame gauge transform the output changes only by the constant
-    phase e^{i alpha_k(0)} per member.
+    phase e^{i alpha_k(0)} per member, to rounding: the step energies do not
+    move, and the step phases telescope.
     """
-    check_node_samples(samples, frame.grid, frame.dim)
-    accumulated = cum_trapezoid(state_energies(frame.states, samples), frame.grid.dt)
-    accumulated[1:] += np.cumsum(frame.step_phases.T, axis=0)  # (nodes, L)
+    accumulated = np.zeros((frame.grid.steps + 1, frame.size))
+    increments = frame.grid.dt * frame.step_energies(samples) + frame.step_phases  # (L, steps)
+    np.cumsum(increments.T, axis=0, out=accumulated[1:])
     return PathStack(frame.grid, frame.states * np.exp(-1j * accumulated)[:, None])
 
 

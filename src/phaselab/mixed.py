@@ -19,8 +19,7 @@ the same way for any ensemble.  The same call is the hidden gauge transform
 of the frame psi_k, or of any PathStack, smooth or not, so `gauge_campaign`
 reads each trial's one rephasing both ways, its connection off the rephased
 states and the propagator's midpoint samples.  `transport_conditions` gives
-both residuals and gamma_D from the Bargmann step phases, which that
-transform shifts by theta_k(t_{j+1}) - theta_k(t_j).
+both residuals from the member paths' step energies, as `simulate` prints them.
 A `DensityMatrix`, which serves purification only, keeps the ascending
 spectrum and eigenvectors of the one `eigh` that checked it.
 """
@@ -191,10 +190,8 @@ def gauge_campaign(weights, members: PathStack, samples: np.ndarray, rng: np.ran
     `members` holds the member paths psi_k = U|k> that `evolution.propagate`
     made from `samples`, H on the grid midpoints (`PropagatorPath.samples`),
     for any ensemble, whose kets |k> are read as psi_k(0).  Every phase is
-    read off the step energies e_kj = <psi_k(t_j)| H(t_{j+1/2}) |psi_k(t_j)>,
-    the exact connection of that curve, the base Singh phase as `simulate`
-    reads it; on a stack the propagator did not make from `samples` they are
-    only a second-order estimate of it.  Per trial one ramped gauge
+    read off the step energies (`PathStack.step_energies`), the base Singh
+    phase as `simulate` reads it.  Per trial one ramped gauge
     theta_k(t) is drawn, evaluated once on the grid nodes (theta(0), theta(T)
     are its first and last angles), and applied once by
     `transform_evolution`.  Taken as linear within each step, it makes the
@@ -258,19 +255,16 @@ def gauge_campaign(weights, members: PathStack, samples: np.ndarray, rng: np.ran
             **dict(zip(names, worst.tolist()))}
 
 
-def transport_conditions(weights, members: PathStack):
-    """(weak, per-state strong residuals, gamma_D) from one set of step phases
-    phi_kj = arg<psi_k(t_j), psi_k(t_{j+1})> of the member paths psi_k = U|k>,
-    with weight w_k each.
+def transport_conditions(weights, members: PathStack, energies: np.ndarray):
+    """(weak, per-state strong residuals) from the step energies
+    e_kj = <psi_k(t_j)| H(t_{j+1/2}) |psi_k(t_j)> of the member paths
+    psi_k = U|k> (`PathStack.step_energies`), with weight w_k each.
 
-    weak: max_j |sum_k w_k phi_kj| / dt, the step form of max |Tr rho0 U^dagger dU/dt|;
-    strong: per k, max_j |phi_kj| / dt, that of max |<k| U^dagger dU/dt |k>| (equal
-    to the energy expectation along psi_k); gamma_D = sum_k w_k sum_j phi_kj, the
-    step form of -i int Tr[rho0 U^dagger dU/dt] dt.
+    weak: max_j |sum_k w_k e_kj|, the step form of max |Tr rho0 U^dagger dU/dt|;
+    strong: per k, max_j |e_kj|, that of max |<k| U^dagger dU/dt |k>|.
     """
-    phases = members.step_phases
-    weak = float(np.max(np.abs(members.average(weights, phases)))) / members.grid.dt
-    return weak, members.residuals, float(members.average(weights, phases.sum(axis=1)))
+    weak = float(np.max(np.abs(members.average(weights, energies))))
+    return weak, np.max(np.abs(energies), axis=1)
 
 
 def reduce(pure: PurifiedState) -> DensityMatrix:

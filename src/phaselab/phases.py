@@ -13,13 +13,13 @@ phi_j = arg<psi_j, psi_{j+1}> (`step_overlaps`) give the Bargmann invariant
 through the node rays, which any rephasing psi_j -> e^{i alpha_j} psi_j
 leaves exactly fixed on the grid, since each phi_j shifts by
 alpha_{j+1} - alpha_j modulo 2 pi and the sum telescopes: no basis gauge is
-ever fixed; with H on the grid nodes (`check_node_samples`) the energies
-integrate by the trapezoidal rule (`dynamical`).  For the paths the
-propagator made, whose step j is psi(t_j + s) = exp(-i H(t_{j+1/2}) s)
-psi(t_j), the step energies e_j = <psi_j| H(t_{j+1/2}) |psi_j> read off the
-propagator's own midpoint samples (`step_energies`) are that curve's exact
+ever fixed.  Every dynamical phase is read off the step energies
+e_j = <psi_j| H(t_{j+1/2}) |psi_j> on H's midpoint samples (`step_energies`).
+For the paths the propagator made from those samples, whose step j is
+psi(t_j + s) = exp(-i H(t_{j+1/2}) s) psi(t_j), e_j dt is that curve's exact
 connection (Aharonov and Anandan, PRL 58, 1593 (1987), in the kinematic form
-of Mukunda and Simon, Ann. Phys. 228, 205 (1993)): phi_d = -dt sum_j e_j and
+of Mukunda and Simon, Ann. Phys. 228, 205 (1993)), and on any other path a
+second-order estimate of it: phi_d = -dt sum_j e_j and
 phi_g = wrap(phi_t - phi_d) (`curve_phases`) carry no polygon term.
 
 `PathStack` holds k paths on one grid as one (nodes, dim, k) stack, the layout
@@ -33,7 +33,8 @@ ensemble average sum_k w_k x_k through `average`.  The kernels on raw state stac
 states they are written entry by entry, one row per path and component,
 contiguous in the path-major stacks of `evolution.member_paths`.
 `adiabatic_phase` reads the holonomy of an instantaneous level's eigenvectors
-as `eigh` returns them.
+as `eigh` returns them, and integrates its energy over H's node samples
+(`check_node_samples`) by the trapezoidal rule.
 """
 from __future__ import annotations
 
@@ -74,9 +75,8 @@ def check_node_samples(samples: np.ndarray, grid: TimeGrid, dim: int) -> None:
 
 def state_energies(states: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """<v_j| H_j |v_j>, real part, on a (n, dim, ...) state stack and n H
-    samples (n, dim, dim), at the states' nodes or, as `PathStack.step_energies`
-    pairs them, at the midpoints after them: k paths stacked as (n, dim, k)
-    give (n, k).
+    samples (n, dim, dim), as `PathStack.step_energies` pairs each node with
+    the midpoint after it: k paths stacked as (n, dim, k) give (n, k).
 
     For dim 2, with v = (a, b) and z = conj(a) b, it is written entry by entry
     as |a|^2 Re h00 + |b|^2 Re h11
@@ -186,12 +186,6 @@ class PathStack:
         psi_k -> e^{i alpha_k(t)} psi_k."""
         return self.endpoint_overlaps * np.exp(-1j * self.step_phases.sum(axis=1))
 
-    @property
-    def residuals(self) -> np.ndarray:
-        """max over steps of |arg<psi_k(t_j), psi_k(t_{j+1})>| / dt (zero iff parallel
-        transported)."""
-        return np.max(np.abs(self.step_phases), axis=1) / self.grid.dt
-
     def step_energies(self, samples: np.ndarray) -> np.ndarray:
         """e_kj = <psi_k(t_j)| H(t_{j+1/2}) |psi_k(t_j)> for j < steps, shape
         (k, steps), from `samples`, H on the grid midpoints: on the paths the
@@ -209,13 +203,6 @@ class PathStack:
         with phi_t = arg<psi_k(0), psi_k(T)>."""
         phi_d = -self.grid.dt * energies.sum(axis=1)
         return phi_d, wrap_angle(np.angle(self.endpoint_overlaps) - phi_d)
-
-    def dynamical(self, samples: np.ndarray) -> np.ndarray:
-        """phi_D = -int <psi_k|H|psi_k> dt per path by the trapezoidal rule
-        (unwrapped), from `samples`, H on the grid nodes (shape (steps + 1, dim, dim))."""
-        check_node_samples(samples, self.grid, self.dim)
-        energies = np.ascontiguousarray(state_energies(self.states, samples).T)  # (k, nodes)
-        return np.array([-trapezoid(row, self.grid.dt) for row in energies])
 
 
 def adiabatic_phase(samples: np.ndarray, grid: TimeGrid, level: int):

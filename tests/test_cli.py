@@ -294,6 +294,10 @@ def test_observables_match_the_per_path_functions(case, monkeypatch):
     assert abs(obs.singh_phase - mixed.singh_phase(weights, stack, phi_g)) <= 1e-13
     assert abs(obs.transport_weak - np.max(np.abs(weights @ energies))) <= 1e-13
     assert abs(obs.mixed_dynamical - weights @ phi_d) <= 1e-13
+    # the library's transport conditions are the printed residuals, bit for bit
+    weak, strong = mixed.transport_conditions(weights, stack, energies)
+    assert weak == obs.transport_weak
+    assert strong.tobytes() == obs.transport_strong.tobytes()
     gamma_total, visibility = trace_phase(U.matrices[-1], density_of(sc.ensemble))
     assert abs(obs.gamma_total - gamma_total) <= 1e-13
     assert abs(obs.visibility - visibility) <= 1e-13

@@ -22,7 +22,7 @@ from phaselab.gauge import (
     frame_trace,
 )
 from phaselab.linalg import hermiticity_defect
-from phaselab.mixed import transform_evolution
+from phaselab.mixed import transform_evolution, transport_conditions
 from phaselab.numerics import wrap_angle
 from phaselab.phases import PathStack
 
@@ -338,16 +338,25 @@ def test_effective_hamiltonian_constant_eigenframe():
     assert np.max(np.abs(eff - np.diag([-1.5, 1.5])[None])) < 1e-10
 
 
-# the functionals that take H as its node samples check their shape
+def dynamical(paths: PathStack, samples: np.ndarray) -> np.ndarray:
+    """phi_d per path, read off the step energies on H's midpoint samples."""
+    return paths.curve_phases(paths.step_energies(samples))[0]
+
+
+# the functionals that take H as samples check their shape: every dynamical
+# phase and residual, and the rebuilt amplitudes, read H on the grid midpoints
+# (`PropagatorPath.samples`), the effective Hamiltonian on the grid nodes
 SAMPLE_CALLS = {
-    "dynamical_phase": lambda case, frame, samples: case.members.dynamical(samples),
+    "dynamical_phase": lambda case, frame, samples: dynamical(case.members, samples),
     "phase_report": lambda case, frame, samples: (
-        case.members.totals(), case.members.dynamical(samples), case.members.residuals),
+        case.members.totals(), dynamical(case.members, samples),
+        transport_conditions(case.weights, case.members, case.members.step_energies(samples))),
     "amplitudes_from_frame": lambda case, frame, samples: amplitudes_from_frame(frame, samples),
     "effective_hamiltonian": lambda case, frame, samples: effective_hamiltonian(frame, samples),
-    "frame_trace": lambda case, frame, samples: frame_trace(frame, frame.dynamical(samples),
+    "frame_trace": lambda case, frame, samples: frame_trace(frame, dynamical(frame, samples),
                                                             case.weights),
 }
+NODE_SAMPLED = {"effective_hamiltonian"}
 WRONG_SAMPLES = {
     "one node short": lambda samples: samples[:-1],
     "wrong dim": lambda samples: np.zeros((samples.shape[0], 3, 3), dtype=complex),
@@ -358,8 +367,12 @@ WRONG_SAMPLES = {
 @pytest.mark.parametrize("wrong", sorted(WRONG_SAMPLES))
 @pytest.mark.parametrize("name", sorted(SAMPLE_CALLS))
 def test_node_sample_shape_is_checked(generic_case, name, wrong):
+    # "one node short" drops the last sample, of either shape
     frame = w_frame(generic_case.p, generic_case.grid)
-    samples = generic_case.H.sample(generic_case.grid.nodes)
+    if name in NODE_SAMPLED:
+        samples = generic_case.H.sample(generic_case.grid.nodes)
+    else:
+        samples = generic_case.U.samples
     SAMPLE_CALLS[name](generic_case, frame, samples)  # the right shape passes
     with pytest.raises(DimensionError):
         SAMPLE_CALLS[name](generic_case, frame, WRONG_SAMPLES[wrong](samples))
@@ -372,13 +385,13 @@ def test_frame_trace_matches_direct_trace(generic_case):
     rng = np.random.default_rng(19)
     frame = frame_from_amplitudes(generic_case.members)
     direct_basis = generic_case.members.states[0].T
-    samples = generic_case.H.sample(generic_case.grid.nodes)
+    samples = generic_case.U.samples
     for _ in range(5):
         raw = rng.uniform(0.1, 1.0, size=2)
         weights = raw / raw.sum()
         rho0 = np.einsum("k,ka,kb->ab", weights, direct_basis, np.conj(direct_basis))
         direct = np.trace(generic_case.U.matrices[-1] @ rho0)
-        via_frame = frame_trace(frame, frame.dynamical(samples), weights)
+        via_frame = frame_trace(frame, dynamical(frame, samples), weights)
         assert abs(via_frame - direct) < 1e-6
 
 
@@ -386,36 +399,34 @@ def test_frame_trace_gauge_invariant(generic_case):
     rng = np.random.default_rng(23)
     frame = frame_from_amplitudes(generic_case.members)
     weights = generic_case.weights
-    samples = generic_case.H.sample(generic_case.grid.nodes)
-    base = frame_trace(frame, frame.dynamical(samples), weights)
+    samples = generic_case.U.samples
+    base = frame_trace(frame, dynamical(frame, samples), weights)
     worst = 0.0
     for _ in range(50):
         g = GaugeFunction.random(2, generic_case.grid.span, rng, scale=0.1)
         gauged = transform_evolution(frame, g.value(generic_case.grid.nodes))
-        value = frame_trace(gauged, gauged.dynamical(samples), weights)
+        value = frame_trace(gauged, dynamical(gauged, samples), weights)
         worst = max(worst, abs(value - base))
     assert worst < 1e-8
 
 
-def test_amplitudes_from_frame_hidden_gauge_invariance():
-    # mid-path integrals carry an O(dt^2) bias that does not telescope away,
-    # so the 1e-8 constancy check runs on closed-form paths on a fine grid
+def test_amplitudes_from_frame_hidden_gauge_invariance(generic_case):
+    # a rephasing moves no step energy and shifts each step phase by
+    # alpha_{j+1} - alpha_j, which telescopes: the rebuilt amplitudes change
+    # by the constant e^{i alpha_k(0)} to rounding, at any step count
     rng = np.random.default_rng(29)
-    p = SpinParams(1.0, 1.0, np.pi / 3)
-    grid = TimeGrid(0.0, p.period, 100000)
-    samples = spin_model.hamiltonian(p).sample(grid.nodes)
-    frame = frame_from_amplitudes(spin_model.amplitude_paths(p, grid))
+    frame, grid, samples = generic_case.members, generic_case.grid, generic_case.U.samples
     base = amplitudes_from_frame(frame, samples)
     g = GaugeFunction.random(2, grid.span, rng, scale=0.1, slope_scale=0.2)
     shifted = amplitudes_from_frame(transform_evolution(frame, g.value(grid.nodes)), samples)
     overlaps = np.einsum("jak,jak->kj", np.conj(shifted.states), base.states)
-    assert np.max(np.abs(np.abs(overlaps) - 1.0)) < 1e-8
+    assert np.max(np.abs(np.abs(overlaps) - 1.0)) < 1e-10
     # the relative phase is constant in time and equals -alpha_k(0)
     expected = -g.value(0.0)[:, None]
-    assert np.max(np.abs(wrap_angle(np.angle(overlaps) - expected))) < 1e-8
+    assert np.max(np.abs(wrap_angle(np.angle(overlaps) - expected))) < 1e-10
 
 
 def test_amplitudes_from_frame_recovers_paths(generic_case):
     frame = frame_from_amplitudes(generic_case.members)
-    rebuilt = amplitudes_from_frame(frame, generic_case.H.sample(generic_case.grid.nodes))
+    rebuilt = amplitudes_from_frame(frame, generic_case.U.samples)
     assert np.max(np.abs(rebuilt.states - generic_case.members.states)) < 1e-6

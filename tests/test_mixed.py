@@ -47,8 +47,11 @@ def members(U: PropagatorPath, ensemble: Ensemble) -> PathStack:
 
 
 def gamma_d(ensemble: Ensemble, U: PropagatorPath) -> float:
-    """The mixed dynamical phase of U's member paths with the ensemble's weights."""
-    return transport_conditions(ensemble.weights, members(U, ensemble))[2]
+    """The mixed dynamical phase sum_k w_k phi_d,k of U's member paths with the
+    ensemble's weights, read off their step energies on U's midpoint samples."""
+    stack = members(U, ensemble)
+    return float(stack.average(ensemble.weights,
+                               stack.curve_phases(stack.step_energies(U.samples))[0]))
 
 
 def endpoint_paths(U_T: np.ndarray, kets: np.ndarray) -> PathStack:
@@ -233,7 +236,7 @@ def test_mixed_dynamical_phase_constant_hamiltonian():
     T, steps = 3.0, 6000
     grid = TimeGrid(0.0, T, steps)
     U = np.stack([mat_exp(-1j * E * t) for t in grid.nodes])
-    path = PropagatorPath(grid, U)
+    path = PropagatorPath(grid, U, samples=np.broadcast_to(E, (steps, 2, 2)))
     expected = -np.trace(rho.matrix @ E).real * T
     value = gamma_d(eigen_ensemble(rho), path)
     assert value == pytest.approx(expected, abs=1e-7)
@@ -245,8 +248,8 @@ def test_mixed_dynamical_phase_special_case(special_case):
 
 def test_mixed_dynamical_phase_linearity(generic_case):
     value = gamma_d(generic_case.ensemble, generic_case.U)
-    samples = generic_case.H.sample(generic_case.grid.nodes)
-    parts = [generic_case.paths[b].dynamical(samples)[0] for b in "+-"]
+    paths, samples = generic_case.paths, generic_case.U.samples
+    parts = [paths[b].curve_phases(paths[b].step_energies(samples))[0][0] for b in "+-"]
     expected = generic_case.weights[0] * parts[0] + generic_case.weights[1] * parts[1]
     assert value == pytest.approx(expected, abs=1e-6)
 
@@ -280,9 +283,12 @@ def test_transform_evolution_shifts_dynamical_phase(generic_case):
     base = gamma_d(generic_case.ensemble, generic_case.U)
     for _ in range(3):
         theta = GaugeFunction.random(2, generic_case.grid.span, rng, scale=0.1, slope_scale=0.3)
-        transformed = transform_evolution(generic_case.members,
-                                          theta.value(generic_case.grid.nodes))
-        shifted = transport_conditions(generic_case.weights, transformed)[2]
+        angles = theta.value(generic_case.grid.nodes)
+        transformed = transform_evolution(generic_case.members, angles)
+        # the curve of H - d theta / dt, theta linear within each step
+        energies = (transformed.step_energies(generic_case.U.samples)
+                    - np.diff(angles, axis=1) / generic_case.grid.dt)
+        shifted = transformed.average(generic_case.weights, transformed.curve_phases(energies)[0])
         jump = sum(
             w * (end - start)
             for w, end, start in zip(
@@ -315,11 +321,12 @@ def test_gauge_campaign_runs_on_an_incomplete_ensemble(generic_case):
 def test_a_wrong_weight_count_is_one_dimension_error(weights, generic_case):
     # every weighted sum over the member paths is one PathStack.average, whose
     # one check names the weights' shape against one weight per path
-    paths, samples = generic_case.members, generic_case.H.sample(generic_case.grid.nodes)
+    paths = generic_case.members
+    energies = paths.step_energies(generic_case.U.samples)
     message = re.escape(f"need one weight per path, (2,), got {np.shape(weights)}")
     for call in (lambda: singh_phase(weights, paths, np.angle(paths.holonomies)),
-                 lambda: transport_conditions(weights, paths),
-                 lambda: gauge.frame_trace(paths, paths.dynamical(samples), weights),
+                 lambda: transport_conditions(weights, paths, energies),
+                 lambda: gauge.frame_trace(paths, paths.curve_phases(energies)[0], weights),
                  lambda: mixed_total_phase(weights, generic_case.ensemble.states, paths)):
         with pytest.raises(DimensionError, match=message):
             call()
@@ -352,14 +359,18 @@ def test_singh_phase_equals_total_phase_at_special_point(special_case):
 
 
 def test_transport_conditions_special_case(special_case):
-    weak, strong, _ = transport_conditions(special_case.weights, special_case.members)
+    members = special_case.members
+    weak, strong = transport_conditions(special_case.weights, members,
+                                        members.step_energies(special_case.U.samples))
     assert np.max(strong) < 1e-6
     assert weak < 1e-6
 
 
 def test_transport_conditions_generic(generic_case):
     p = generic_case.p
-    weak, strong, _ = transport_conditions(generic_case.weights, generic_case.members)
+    members = generic_case.members
+    weak, strong = transport_conditions(generic_case.weights, members,
+                                        members.step_energies(generic_case.U.samples))
     expected = p.mu_b * abs(np.cos(p.alpha))
     assert np.max(strong) == pytest.approx(expected, rel=1e-4)
     assert weak <= float(np.dot(generic_case.weights, strong)) + 1e-10
@@ -367,9 +378,9 @@ def test_transport_conditions_generic(generic_case):
 
 def test_transport_and_mixed_dynamical_phase_dim3():
     # non-commuting dim-3 generators and a 2-state ensemble (k < d), against
-    # per-state sums of arg<psi_k(t_j), psi_k(t_{j+1})> written out with np.vdot,
-    # and gamma_D against the central-difference -i int Tr[rho0 U^dagger dU] dt,
-    # which it approaches as the grid is refined
+    # the step energies <psi_k(t_j)| H(t_{j+1/2}) |psi_k(t_j)> written out with
+    # np.vdot, and gamma_D against the central-difference
+    # -i int Tr[rho0 U^dagger dU] dt, which it approaches as the grid is refined
     rng = np.random.default_rng(41)
     A, B, C = (random_hermitian(rng, 3) for _ in range(3))
 
@@ -383,19 +394,20 @@ def test_transport_and_mixed_dynamical_phase_dim3():
     ensemble = Ensemble(np.array([0.7, 0.3]), Q[:, :2].T.copy())
     rho0 = DensityMatrix(density_of(ensemble))
 
-    def step_phases(U, states):
-        """arg<psi_k(t_j), psi_k(t_{j+1})> per state k (rows) and step j."""
-        return np.array([[np.angle(np.vdot(U.matrices[j] @ s, U.matrices[j + 1] @ s))
+    def step_energies(U, states):
+        """<psi_k(t_j)| H(t_{j+1/2}) |psi_k(t_j)> per state k (rows) and step j."""
+        return np.array([[np.vdot(U.matrices[j] @ s, U.samples[j] @ U.matrices[j] @ s).real
                           for j in range(U.grid.steps)] for s in states])
 
     def references(ensemble):
-        phases = step_phases(U, ensemble.states)
-        weak = np.max(np.abs(ensemble.weights @ phases)) / U.grid.dt
-        strong = np.max(np.abs(phases), axis=1) / U.grid.dt
-        return weak, strong, ensemble.weights @ phases.sum(axis=1)
+        energies = step_energies(U, ensemble.states)
+        weak = np.max(np.abs(ensemble.weights @ energies))
+        strong = np.max(np.abs(energies), axis=1)
+        return weak, strong, -U.grid.dt * ensemble.weights @ energies.sum(axis=1)
 
     weak_reference, strong_reference, _ = references(ensemble)
-    weak, strong, _ = transport_conditions(ensemble.weights, members(U, ensemble))
+    stack = members(U, ensemble)
+    weak, strong = transport_conditions(ensemble.weights, stack, stack.step_energies(U.samples))
     assert strong.shape == (2,)
     assert np.max(np.abs(strong - strong_reference)) < 1e-12
     assert abs(weak - weak_reference) < 1e-12
@@ -423,9 +435,11 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
     # paths of U' = U sum_k e^{i theta_k}|k><k|, given the member paths and the
     # midpoint samples U kept, and neither samples H nor builds a propagator itself; here
     # U' is formed matrix by matrix and read with the density matrix: gamma_T
-    # as arg Tr[U'(T) rho0], gamma_D in rho0's own eigenbasis from
-    # np.linalg.eigh, drawing the gauges in the campaign's order (one ramped
-    # gauge per trial)
+    # as arg Tr[U'(T) rho0], gamma_D as
+    # -dt sum_j Tr[rho0 (U'_j^dagger H(t_{j+1/2}) U'_j - Theta_j)], where
+    # Theta_j = sum_k (theta_k(t_{j+1}) - theta_k(t_j)) / dt |k><k| is the
+    # rephasing's generator over step j (i U'^dagger dU'/dt = U'^dagger H U' - Theta),
+    # drawing the gauges in the campaign's order (one ramped gauge per trial)
     rng = np.random.default_rng(43)
     A, B, C = (random_hermitian(rng, 3) for _ in range(3))
 
@@ -438,23 +452,33 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
     ensemble = Ensemble(np.array([0.5, 0.3, 0.2]), random_unitary(rng, 3).T.copy())
     trials, scale = 6, 0.3
     rho0 = DensityMatrix(density_of(ensemble))
+
+    def trace_gamma_d(matrices, angles):
+        energies = np.einsum("ab,jcb,jcd,jda->j", rho0.matrix, np.conj(matrices[:-1]),
+                             U.samples, matrices[:-1]).real
+        generators = np.einsum("ka,kj,kb->jab", ensemble.states,
+                               np.diff(angles, axis=1) / U.grid.dt, np.conj(ensemble.states))
+        return -U.grid.dt * float(np.sum(energies - np.einsum("ab,jba->j", rho0.matrix,
+                                                               generators).real))
+
     base_gamma, _ = trace_phase(U.matrices[-1], rho0.matrix)
-    base_dyn = gamma_d(eigen_ensemble(rho0), U)
+    base_dyn = trace_gamma_d(U.matrices, np.zeros((3, U.grid.steps + 1)))
     diag_UT = np.array([np.vdot(s, U.matrices[-1] @ s) for s in ensemble.states])
     draws = np.random.default_rng(5)
     mismatch_gamma = mismatch_dyn = naive_gamma = naive_dyn = 0.0
     for _ in range(trials):
         ramped = GaugeFunction.random(3, U.grid.span, draws, scale=scale,
                                       slope_scale=2.0 * scale)
-        rephasing = np.einsum("ka,kj,kb->jab", ensemble.states,
-                              np.exp(1j * ramped.value(U.grid.nodes)), np.conj(ensemble.states))
+        angles = ramped.value(U.grid.nodes)
+        rephasing = np.einsum("ka,kj,kb->jab", ensemble.states, np.exp(1j * angles),
+                              np.conj(ensemble.states))
         U_prime = PropagatorPath(U.grid, np.einsum("jab,jbc->jac", U.matrices, rephasing))
         theta_0, theta_T = ramped.value(0.0), ramped.value(U.grid.t_end)
         gamma, _ = trace_phase(U_prime.matrices[-1], rho0.matrix)
         predicted = np.angle(np.sum(ensemble.weights * diag_UT * np.exp(1j * theta_T)))
         mismatch_gamma = max(mismatch_gamma, abs(wrap_angle(gamma - predicted)))
         naive_gamma = max(naive_gamma, abs(wrap_angle(gamma - base_gamma)))
-        dyn = gamma_d(eigen_ensemble(rho0), U_prime)
+        dyn = trace_gamma_d(U_prime.matrices, angles)
         predicted = base_dyn + np.sum(ensemble.weights * (theta_T - theta_0))
         mismatch_dyn = max(mismatch_dyn, abs(dyn - predicted))
         naive_dyn = max(naive_dyn, abs(dyn - base_dyn))

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 from phaselab import SpinParams, TimeGrid, cli, propagate, spin_model
 from phaselab.evolution import HamiltonianTrajectory, member_paths
 from phaselab.exceptions import DegeneracyError, DimensionError, UndefinedPhaseError
-from phaselab.mixed import transform_evolution
-from phaselab.numerics import trapezoid, wrap_angle
+from phaselab.mixed import transform_evolution, transport_conditions
+from phaselab.numerics import wrap_angle
 from phaselab.phases import (
     PathStack,
     adiabatic_phase,
@@ -23,6 +23,11 @@ from conftest import build_spin_case, random_hermitian
 
 def geometric(path: PathStack) -> float:
     return float(np.angle(path.holonomies[0]))
+
+
+def dynamical(paths: PathStack, samples: np.ndarray) -> np.ndarray:
+    """phi_d per path, read off the step energies on H's midpoint samples."""
+    return paths.curve_phases(paths.step_energies(samples))[0]
 
 
 def constant_trajectory(H: np.ndarray) -> HamiltonianTrajectory:
@@ -86,19 +91,17 @@ def test_dynamical_phase_eigenstate():
     E, T = 1.3, 4.0
     H = constant_trajectory(np.diag([E, -E]).astype(complex))
     path = eigenstate_path(E, T)
-    assert path.dynamical(H.sample(path.grid.nodes))[0] == pytest.approx(-E * T, abs=1e-10)
+    assert dynamical(path, H.sample(path.grid.midpoints))[0] == pytest.approx(-E * T, abs=1e-10)
 
 
 def test_dynamical_phase_vanishes_at_special_point(special_case):
-    samples = special_case.H.sample(special_case.grid.nodes)
-    assert abs(special_case.paths["+"].dynamical(samples)[0]) < 1e-8
+    assert abs(dynamical(special_case.paths["+"], special_case.U.samples)[0]) < 1e-8
 
 
 def test_dynamical_phase_generic_golden(generic_case):
     p = generic_case.p
     expected = p.mu_b * np.cos(p.alpha) * p.period
-    samples = generic_case.H.sample(generic_case.grid.nodes)
-    assert generic_case.paths["+"].dynamical(samples)[0] == pytest.approx(
+    assert dynamical(generic_case.paths["+"], generic_case.U.samples)[0] == pytest.approx(
         expected, abs=1e-7
     )
     # second form: -i int <psi, d/dt psi> as the step-phase sum
@@ -153,7 +156,7 @@ def test_identity_geometric_equals_total_minus_dynamical():
         H = spin_model.hamiltonian(p)
         paths = spin_model.amplitude_paths(p, grid)
         angles, _ = paths.totals()
-        identity = wrap_angle(angles - paths.dynamical(H.sample(grid.nodes)))
+        identity = wrap_angle(angles - dynamical(paths, H.sample(grid.midpoints)))
         assert np.max(np.abs(wrap_angle(np.angle(paths.holonomies) - identity))) < 1e-8
 
 
@@ -163,23 +166,30 @@ def test_identity_on_propagated_paths(generic_case, special_case):
         for branch in "+-":
             path = case.paths[branch]
             (angle,), _ = path.totals()
-            (dyn,) = path.dynamical(case.H.sample(case.grid.nodes))
+            (dyn,) = dynamical(path, case.U.samples)
             identity = wrap_angle(angle - dyn)
             assert abs(wrap_angle(geometric(path) - identity)) < 2e-6
+
+
+def strong_residual(path: PathStack, samples: np.ndarray) -> float:
+    """The one path's strong transport residual max_j |e_j|."""
+    _, (strong,) = transport_conditions(np.array([1.0]), path, path.step_energies(samples))
+    return strong
 
 
 def test_raw_path_transport_residual_matches_energy(generic_case):
     # |<psi, d psi/dt>| = |<H>| = mu_B |cos alpha| along the exact evolution
     p = generic_case.p
     expected = p.mu_b * abs(np.cos(p.alpha))
-    assert generic_case.paths["+"].residuals[0] == pytest.approx(expected, rel=1e-4)
+    residual = strong_residual(generic_case.paths["+"], generic_case.U.samples)
+    assert residual == pytest.approx(expected, rel=1e-4)
 
 
 def test_phase_report_identity(generic_case):
     path = generic_case.paths["+"]
     _, (overlap_magnitude,) = path.totals()
     assert 0.0 <= overlap_magnitude <= 1.0 + 1e-12
-    assert path.residuals[0] >= 0.0
+    assert strong_residual(path, generic_case.U.samples) >= 0.0
 
 
 def test_adiabatic_phase_constant_hamiltonian():
@@ -284,23 +294,19 @@ def test_path_stack_rows_equal_the_paths_stacked_alone(case, generic_case, monke
     if case == "custom":
         monkeypatch.chdir(Path(__file__).parent / "golden")
         sc = cli.build_scenario(cli.parse_config_file("custom.cfg"))
-        grid, H, U, ensemble = sc.grid, sc.H, propagate(sc.H, sc.grid), sc.ensemble
+        grid, U, ensemble = sc.grid, propagate(sc.H, sc.grid), sc.ensemble
     else:
-        grid, H, U, ensemble = (generic_case.grid, generic_case.H, generic_case.U,
-                                generic_case.ensemble)
+        grid, U, ensemble = generic_case.grid, generic_case.U, generic_case.ensemble
     stack = PathStack(grid, member_paths(U, ensemble.states))
-    samples = H.sample(grid.nodes)
     assert stack.size == {"spin": 2, "custom": 3}[case]
-    totals, dynamical = stack.totals()[0], stack.dynamical(samples)
+    totals = stack.totals()[0]
     midpoints = U.samples
     energies = stack.step_energies(midpoints)
     curve = stack.curve_phases(energies)
     for k in range(stack.size):
         alone = PathStack(grid, stack.states[..., k:k + 1])
         assert alone.holonomies[0] == stack.holonomies[k]
-        assert alone.dynamical(samples)[0] == dynamical[k]
         assert alone.totals()[0][0] == totals[k]
-        assert alone.residuals[0] == stack.residuals[k]
         assert alone.step_energies(midpoints).tobytes() == energies[k].tobytes()
         alone_curve = alone.curve_phases(alone.step_energies(midpoints))
         assert [phase[0] for phase in alone_curve] == [phase[k] for phase in curve]
@@ -354,7 +360,7 @@ def test_path_stack_functionals_are_the_same_in_any_layout(dim):
     rng = np.random.default_rng(20 + dim)
     grid = TimeGrid(0.0, 1.3, 500)
     states = turning_paths(rng, grid, dim, 3)
-    A = random_stack(rng, (grid.steps + 1, dim, dim))
+    A = random_stack(rng, (grid.steps, dim, dim))  # H on the midpoints
     samples = A + np.conj(np.swapaxes(A, -2, -1))
     path_major = np.ascontiguousarray(states.transpose(2, 1, 0)).transpose(2, 1, 0)
     component_major = np.ascontiguousarray(samples.transpose(1, 2, 0)).transpose(2, 0, 1)
@@ -364,8 +370,8 @@ def test_path_stack_functionals_are_the_same_in_any_layout(dim):
         assert stack.step_phases.flags.c_contiguous
         for got, expected in ((stack.step_phases, ref.step_phases),
                               (stack.holonomies, ref.holonomies),
-                              (stack.residuals, ref.residuals),
-                              (stack.dynamical(H), ref.dynamical(samples))):
+                              (stack.step_energies(H), ref.step_energies(samples)),
+                              (dynamical(stack, H), dynamical(ref, samples))):
             assert got.tobytes() == expected.tobytes()
         for got, expected in zip(stack.totals(), ref.totals()):
             assert got.tobytes() == expected.tobytes()
@@ -405,5 +411,6 @@ def test_two_level_energies_match_the_full_form():
     assert energies.shape == (nodes, 3)
     assert np.max(np.abs(energies - np.stack(per_path, axis=-1))) <= 1e-13
     assert np.max(np.abs(state_energies(stack.states[..., 1], samples) - per_path[1])) <= 1e-13
-    expected = [-trapezoid(e, grid.dt) for e in per_path]
-    assert np.max(np.abs(stack.dynamical(samples) - expected)) <= 1e-13
+    # the step energies pair node j with the sample after it
+    expected = [-grid.dt * e[:-1].sum() for e in per_path]
+    assert np.max(np.abs(dynamical(stack, samples[:-1]) - expected)) <= 1e-13
