@@ -10,9 +10,9 @@ scenario samples H once, on its grid midpoints: the propagator and every
 phase that `simulate`, `sweep` and `verify-gauge` print read those samples.
 
 Sampled-Hamiltonian file: a header line `dim <d> steps <n>`, then n+1 rows of
-2*d*d floats (real/imag pairs, row-major); samples are uniform over the
-scenario horizon, made exactly Hermitian once accepted, and interpolated
-linearly in between.
+2*d*d floats (real/imag pairs, row-major), uniform over the scenario horizon,
+made exactly Hermitian once accepted and interpolated linearly in between.  It
+is read on every call; a process keeps its latest SAMPLED_PARSES parses, not errors.
 """
 from __future__ import annotations
 
@@ -70,6 +70,8 @@ MAX_PURIFY_DIM = math.isqrt(WORKING_SET_BYTES // PURIFY_ENTRY_BYTES)
 # peaks of `main` at 10 steps read 1.9-2.1 kB per point as CSV, 7.7 kB as JSON)
 SWEEP_POINT_BYTES = 8000
 MAX_SWEEP_POINTS = WORKING_SET_BYTES // SWEEP_POINT_BYTES
+# sampled-Hamiltonian parses kept: more than the files a process cycles through (cli-small: 4)
+SAMPLED_PARSES = 8
 
 SWEEP_AXES = ("mu_b", "omega", "theta", "big_theta")
 
@@ -140,14 +142,16 @@ _FLAG_FIELDS = [f for f in _FIELDS.values() if f.metadata["flag"] is not None]
 SPIN_FIELDS = ("mu_b", "omega", "theta")
 
 
-def _read_lines(path: str, kind: str) -> list:
-    """(line number, text) of each line of a UTF-8 file (a leading byte-order
-    mark dropped) not blank once its `#` comment is cut; an unreadable or
-    undecodable file is a ConfigError."""
+def _read_text(path: str, kind: str) -> str:
+    """A UTF-8 file's text, a leading byte-order mark dropped, or a ConfigError."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def _lines(text: str) -> list:
+    """(line number, line) of each line not blank once its `#` comment is cut."""
     return [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
             if (line := raw.split("#", 1)[0].strip())]
 
@@ -155,7 +159,7 @@ def _read_lines(path: str, kind: str) -> list:
 def parse_config_file(path: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
     set_on = {}  # field name -> line that set it
-    for lineno, line in _read_lines(path, "config"):
+    for lineno, line in _lines(_read_text(path, "config")):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
@@ -246,8 +250,13 @@ def _sample_row(path: str, j: int, line: str, width: int) -> list:
 
 
 def load_sampled_hamiltonian(path: str, t_end: float) -> HamiltonianTrajectory:
-    """Parse the sampled-matrix text format and wrap it as a linear interpolant."""
-    lines = _read_lines(path, "Hamiltonian")
+    """Read the file on every call; parse it (memoized on path, text, t_end) to an interpolant."""
+    return _parse_sampled(path, _read_text(path, "Hamiltonian"), t_end)
+
+
+@functools.lru_cache(maxsize=SAMPLED_PARSES)
+def _parse_sampled(path: str, text: str, t_end: float) -> HamiltonianTrajectory:
+    lines = _lines(text)
     if not lines:
         raise ConfigError(f"{path}: empty Hamiltonian file")
     (at, first), *lines = lines
@@ -284,6 +293,7 @@ def load_sampled_hamiltonian(path: str, t_end: float) -> HamiltonianTrajectory:
     # exactly Hermitian from here on, so every interpolant passes that test
     # too; a no-op on exactly Hermitian files
     samples = 0.5 * (samples + np.conj(np.swapaxes(samples, -2, -1)))
+    samples.flags.writeable = False  # shared by every call the parse serves
 
     def batch(times: np.ndarray) -> np.ndarray:
         t = np.clip(np.asarray(times, dtype=float), 0.0, t_end)

@@ -191,6 +191,8 @@ class PathStack:
         (k, steps), from `samples`, H on the grid midpoints: on the paths the
         propagator made from those samples, e_kj dt is the exact connection of
         step j, and on any other path a second-order estimate of it."""
+        if samples is None:  # PropagatorPath.samples, of a path `propagate` did not make
+            raise DimensionError("the path has no midpoint samples: `propagate` did not make it")
         expected = (self.grid.steps, self.dim, self.dim)
         if np.shape(samples) != expected:
             raise DimensionError(f"midpoint samples have shape {np.shape(samples)}, "

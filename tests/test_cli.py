@@ -758,22 +758,91 @@ def test_exit_2_messages_word_for_word(tmp_path, monkeypatch, capsys, argv, conf
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+TWO_LEVEL_FILE = "dim 2 steps 1\n" + f"{GOOD_ROW}\n" * 2
+# the same file with one digit rewritten: h00 = 2 at t = 0, still Hermitian
+EDITED_TWO_LEVEL_FILE = TWO_LEVEL_FILE.replace("\n1 ", "\n2 ", 1)
+
+
 def test_relative_hamiltonian_file_opens_against_the_working_directory(tmp_path, monkeypatch,
                                                                      capsys):
     # not against the config's directory: the config sits in one directory
-    # and the samples in another
-    (tmp_path / "configs").mkdir()
-    (tmp_path / "samples").mkdir()
+    # and the samples in another; a second directory holds another h.txt, and
+    # each call reads the file of its own working directory, memo or not
+    for name in ("configs", "samples", "other"):
+        (tmp_path / name).mkdir()
     (tmp_path / "configs" / "c.cfg").write_text(custom_config("h.txt"))
-    (tmp_path / "samples" / "h.txt").write_text("dim 2 steps 1\n" + f"{GOOD_ROW}\n" * 2)
+    (tmp_path / "samples" / "h.txt").write_text(TWO_LEVEL_FILE)
+    (tmp_path / "other" / "h.txt").write_text(EDITED_TWO_LEVEL_FILE)
     argv = ["simulate", "--config", str(tmp_path / "configs" / "c.cfg"), "--steps", "20"]
-    monkeypatch.chdir(tmp_path / "samples")
-    assert run(argv) == 0
-    capsys.readouterr()
+    outputs = []
+    for name in ("samples", "other", "samples", "other"):
+        monkeypatch.chdir(tmp_path / name)
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] != outputs[1]
+    assert outputs[2:] == outputs[:2]
     monkeypatch.chdir(tmp_path / "configs")
     assert run(argv) == 2
     assert capsys.readouterr().err == ("config error: cannot read Hamiltonian file h.txt: "
                                        "[Errno 2] No such file or directory: 'h.txt'\n")
+
+
+@pytest.fixture
+def counted_loadtxt(monkeypatch):
+    """An empty loader memo, and the list of np.loadtxt calls made from then on."""
+    cli._parse_sampled.cache_clear()
+    calls, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+    return calls
+
+
+def two_level_run(tmp_path, text):
+    """simulate on a two-level sampled file holding `text`: (argv, its path)."""
+    hfile = tmp_path / "h.txt"
+    hfile.write_text(text)
+    (tmp_path / "c.cfg").write_text(custom_config(str(hfile)))
+    return ["simulate", "--config", str(tmp_path / "c.cfg"), "--steps", "20"], hfile
+
+
+def test_an_unchanged_sampled_file_is_parsed_once(tmp_path, capsys, counted_loadtxt):
+    # the file is read on every call, and its parse kept on (path, text, t_end)
+    argv, _ = two_level_run(tmp_path, TWO_LEVEL_FILE)
+    outputs = []
+    for _ in range(2):
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(counted_loadtxt) == 1
+    assert outputs[0] == outputs[1]
+
+
+def test_an_edited_sampled_file_is_parsed_again(tmp_path, capsys, counted_loadtxt):
+    # the memo is keyed on the text, so an edit that keeps the file's size
+    # and mtime is still seen
+    argv, hfile = two_level_run(tmp_path, TWO_LEVEL_FILE)
+    assert run(argv) == 0
+    before, stat = capsys.readouterr().out, hfile.stat()
+    hfile.write_text(EDITED_TWO_LEVEL_FILE)
+    os.utime(hfile, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (hfile.stat().st_size, hfile.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    assert run(argv) == 0
+    edited = capsys.readouterr().out
+    assert len(counted_loadtxt) == 2
+    cli._parse_sampled.cache_clear()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == edited != before
+
+
+def test_a_failing_sampled_file_fails_on_every_call(tmp_path, capsys):
+    # errors are not kept: each call parses the file again, exits 2 with the
+    # same message, and the fixed file runs
+    argv, hfile = two_level_run(tmp_path, TWO_LEVEL_FILE.replace("-1", "x", 1))
+    errors = []
+    for _ in range(2):
+        assert run(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == [f"config error: {hfile}:2: could not convert string to float: 'x'\n"] * 2
+    hfile.write_text(TWO_LEVEL_FILE)
+    assert run(argv) == 0
 
 
 @pytest.mark.parametrize("option, message", [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from phaselab import SpinParams, TimeGrid, cli, propagate, spin_model
-from phaselab.evolution import HamiltonianTrajectory, member_paths
+from phaselab.evolution import HamiltonianTrajectory, PropagatorPath, member_paths
 from phaselab.exceptions import DegeneracyError, DimensionError, UndefinedPhaseError
 from phaselab.mixed import transform_evolution, transport_conditions
 from phaselab.numerics import wrap_angle
@@ -284,6 +284,17 @@ def test_step_energies_take_the_midpoint_samples_only(generic_case):
     for wrong in (generic_case.H.sample(generic_case.grid.nodes), samples[:, :1], samples[0]):
         with pytest.raises(DimensionError, match="midpoint samples have shape"):
             stack.step_energies(wrong)
+
+
+def test_step_energies_name_a_path_without_midpoint_samples():
+    # a PropagatorPath built from a given stack keeps no samples (None): that
+    # is said, not reported as a stack of shape ()
+    grid = TimeGrid(0.0, 1.0, 40)
+    U = PropagatorPath(grid, np.broadcast_to(np.eye(3, dtype=complex), (41, 3, 3)))
+    stack = PathStack(grid, member_paths(U, np.eye(3)))
+    message = "the path has no midpoint samples: `propagate` did not make it"
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        stack.step_energies(U.samples)
 
 
 @pytest.mark.parametrize("case", ["spin", "custom"])
