@@ -10,9 +10,10 @@ scenario samples H once, on its grid midpoints: the propagator and every
 phase that `simulate`, `sweep` and `verify-gauge` print read those samples.
 
 Sampled-Hamiltonian file: a header line `dim <d> steps <n>`, then n+1 rows of
-2*d*d floats (real/imag pairs, row-major), uniform over the scenario horizon,
-made exactly Hermitian once accepted and interpolated linearly in between.  It
-is read on every call; a process keeps its latest SAMPLED_PARSES parses, not errors.
+2*d*d floats (real/imag pairs, row-major, each token read by `float()`),
+uniform over the scenario horizon, made exactly Hermitian once accepted and
+interpolated linearly in between.  It is read on every call; a process keeps
+its latest SAMPLED_PARSES parses, not errors.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ from .evolution import (
     propagate,
 )
 from .exceptions import ContractError, PhaseLabError, UndefinedPhaseError
+from .gauge import GAUGE_DEGREE
 from .linalg import require_hermitian
 from .mixed import (
     WEIGHT_SUM_TOL,
@@ -215,6 +217,9 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         if cfg.horizon == "one-period":
             raise ConfigError(f"field 'omega': the one-period horizon 2 pi / {cfg.omega} overflows")
         raise ConfigError(f"field 't_end': {cfg.t_end} overflows the grid's midpoints")
+    T = max(_horizon(cfg), 2.0 * math.pi / abs(cfg.omega) if cfg.omega else 0.0)  # or the period
+    if cfg.model == "spin" and math.isinf(2.0 * abs(cfg.mu_b) * T):
+        raise ConfigError(f"field 'mu_b': 2 |mu_b| T overflows at T = {T:.12g}")
     if cfg.model == "spin":
         _require_working_set(cfg.steps, 2)
     weights = cfg.resolved_weights()
@@ -241,7 +246,7 @@ def _sample_row(path: str, j: int, line: str, width: int) -> list:
     """The numbers of line j of a sampled-matrix file, or the exit-2 error
     that names the line."""
     try:
-        values = [float(v) for v in line.split()]
+        values = list(map(float, line.split()))
     except ValueError as exc:
         raise ConfigError(f"{path}:{j}: {exc}") from exc
     if len(values) != width:
@@ -271,17 +276,8 @@ def _parse_sampled(path: str, text: str, t_end: float) -> HamiltonianTrajectory:
         raise ConfigError(f"{path}:{at}: dim and steps must be positive")
     if len(lines) != steps + 1:
         raise ConfigError(f"{path}: expected {steps + 1} sample rows, found {len(lines)}")
-    width = 2 * dim * dim
-    try:
-        # one call converts every token, and its tokenizer rejects rows of
-        # unequal width; the header's width is compared only afterwards, so
-        # that a bad dim allocates nothing
-        rows = np.loadtxt([line for _, line in lines], dtype=float, ndmin=2)
-        parsed = rows.shape[1] == width
-    except ValueError:
-        parsed = False
-    if not parsed:  # row by row, to name the first bad line
-        rows = np.array([_sample_row(path, j, line, width) for j, line in lines])
+    # float() reads each row, as it reads config values; a bad dim allocates nothing
+    rows = np.array([_sample_row(path, j, line, 2 * dim * dim) for j, line in lines])
     samples = (rows[:, 0::2] + 1j * rows[:, 1::2]).reshape(steps + 1, dim, dim)
     if not (np.all(np.isfinite(samples.real)) and np.all(np.isfinite(samples.imag))):
         raise ConfigError(f"{path}: non-finite entries")
@@ -588,6 +584,12 @@ def _sweep_rows(points: list) -> list:
     return rows
 
 
+def _one_period(cfg: ScenarioConfig, command: str) -> ScenarioConfig:
+    if cfg.omega <= 0.0:  # `command` prints one-period closed forms, whatever the horizon
+        raise ConfigError(f"field 'omega': {command} needs omega > 0, got {cfg.omega}")
+    return cfg
+
+
 def run_sweep(cfg: ScenarioConfig, axis: str, values):
     """sweep: the scenario `simulate` runs for `cfg`, with `axis` set to each
     value in turn.  The config must name both spin branches, in either order,
@@ -603,7 +605,8 @@ def run_sweep(cfg: ScenarioConfig, axis: str, values):
         raise ConfigError("field 'states': a sweep needs both branches '+' and '-', "
                           f"got {','.join(cfg.states)}")
     cfg = validate_config(cfg)
-    points = [(index, float(value), validate_config(replace(cfg, **{axis: float(value)})))
+    points = [(index, float(value),
+               _one_period(validate_config(replace(cfg, **{axis: float(value)})), "sweep"))
               for index, value in enumerate(values)]
     rows = _sweep_rows(points)
     header = scenario_header(cfg, "sweep")
@@ -616,6 +619,9 @@ def run_verify_gauge(cfg: ScenarioConfig):
     """Invariance campaign: hidden-gauge invariants stay fixed, equivalence-class
     transforms shift gamma_T / gamma_D by exactly the predicted amounts."""
     sc = build_scenario(cfg)
+    s, T = cfg.gauge_scale, sc.grid.span  # a drawn |theta| <= pi + 2 s sum_m 1/m^2 + 2 s T
+    if math.pi + 2.0 * s * (sum(m ** -2.0 for m in range(1, GAUGE_DEGREE + 1)) + T) > 2.0 ** 26:
+        raise ConfigError(f"field 'gauge_scale': {s} draws angles beyond 2^26 rad at T = {T:.12g}")
     values = gauge_campaign(sc.ensemble.weights, *_propagate(sc),
                             np.random.default_rng(cfg.seed), cfg.trials, cfg.gauge_scale)
     records = [(name, "", value) for name, value in values.items()]
@@ -630,6 +636,7 @@ def run_spin_report(cfg: ScenarioConfig):
     branches' traces, as `simulate` reads it off the member paths."""
     if cfg.model != "spin":
         raise ConfigError("spin-report supports the spin model only")
+    _one_period(cfg, "spin-report")
     p = spin_model.SpinParams(cfg.mu_b, cfg.omega, cfg.theta, cfg.big_theta)
     traces = spin_model.branch_traces(p)
     weights = cfg.resolved_weights().tolist()

@@ -648,8 +648,8 @@ GOOD_ROW = "1 0 0.5 0 0.5 0 -1 0"
 ], ids=["token", "width-first", "token-before-width", "width-before-token", "hex", "consistent",
         "underscore", "commented"])
 def test_sampled_file_rows_are_read_as_float_reads_them(tmp_path, capsys, rows, message):
-    # the one-call conversion and the per-row loop that names a bad line
-    # agree with float() token by token, and the first bad line is named
+    # every row is read token by token with float(), the syntax of config
+    # values, and the first bad line is named
     hfile = tmp_path / "rows.txt"
     hfile.write_text("dim 2 steps 2\n" + "\n".join(rows) + "\n")
     config = tmp_path / "c.cfg"
@@ -679,6 +679,9 @@ def test_sampled_file_header_is_named_by_its_line(tmp_path, capsys, header, mess
     )
     assert run(["simulate", "--config", str(config), "--steps", "10"]) == 2
     assert capsys.readouterr().err == f"config error: {hfile}:3: {message}\n"
+
+
+EXPLICIT_SPIN = "horizon = explicit\nt_end = 1\n"
 
 
 def custom_config(hfile: str, states: str = "0,1") -> str:
@@ -732,6 +735,33 @@ def custom_config(hfile: str, states: str = "0,1") -> str:
     (["sweep", "--axis", "theta", "--linspace", "0", "1", "1000000000000000"], None,
      "flag '--linspace': at most 268435 points fit the 2 GiB working-set limit, "
      "got 1000000000000000"),
+    # spin-report and sweep print one-period closed forms, whatever the horizon
+    (["spin-report", "--omega", "0"], EXPLICIT_SPIN,
+     "field 'omega': spin-report needs omega > 0, got 0.0"),
+    (["spin-report", "--omega", "-1"], EXPLICIT_SPIN,
+     "field 'omega': spin-report needs omega > 0, got -1.0"),
+    (["sweep", "--omega", "0", "--axis", "theta", "--values", "1", "--steps", "100"],
+     EXPLICIT_SPIN, "field 'omega': sweep needs omega > 0, got 0.0"),
+    (["sweep", "--axis", "omega", "--values", "0,1", "--steps", "100"], EXPLICIT_SPIN,
+     "field 'omega': sweep needs omega > 0, got 0.0"),
+    # 2 |mu_b| T overflows, T the horizon or the period 2 pi / omega
+    (["spin-report", "--mu-b", "1e300", "--omega", "1e-8"], None,
+     "field 'mu_b': 2 |mu_b| T overflows at T = 628318530.718"),
+    (["spin-report", "--mu-b", "1e308"], None,
+     "field 'mu_b': 2 |mu_b| T overflows at T = 6.28318530718"),
+    (["spin-report", "--mu-b", "1e308", "--omega", "1000"], None,
+     "field 'mu_b': 2 |mu_b| T overflows at T = 0.00628318530718"),
+    (["simulate", "--omega", "1e-300", "--mu-b", "1e10", "--steps", "20"], None,
+     "field 'mu_b': 2 |mu_b| T overflows at T = 6.28318530718e+300"),
+    (["simulate", "--mu-b", "1e308"], None,
+     "field 'mu_b': 2 |mu_b| T overflows at T = 6.28318530718"),
+    # a drawn angle beyond 2^26 rad, where e^{i theta} keeps its phase to about 1e-8
+    (["verify-gauge", "--gauge-scale", "5e307", "--steps", "100", "--trials", "1"], None,
+     "field 'gauge_scale': 5e+307 draws angles beyond 2^26 rad at T = 6.28318530718"),
+    (["verify-gauge", "--gauge-scale", "1e307", "--steps", "100", "--trials", "1"], None,
+     "field 'gauge_scale': 1e+307 draws angles beyond 2^26 rad at T = 6.28318530718"),
+    (["verify-gauge", "--gauge-scale", "1e8", "--steps", "2000", "--trials", "3"], None,
+     "field 'gauge_scale': 100000000.0 draws angles beyond 2^26 rad at T = 6.28318530718"),
 ], ids=["config-unreadable", "no-equals", "unconvertible", "model", "t_end-missing",
         "hamiltonian_file-missing", "custom-one-period", "weight-count", "hamiltonian-unreadable",
         "hamiltonian-empty", "header-not-integer", "non-finite", "spin-selector",
@@ -739,7 +769,12 @@ def custom_config(hfile: str, states: str = "0,1") -> str:
         "spin-report-custom", "spin-report-selector", "out-under-a-file", "spin-hamiltonian_file",
         "t_end-overflow",
         "steps-working-set", "steps-working-set-custom", "dim-working-set",
-        "linspace-working-set"])
+        "linspace-working-set", "spin-report-explicit-omega-0",
+        "spin-report-explicit-omega-negative", "sweep-explicit-omega-0",
+        "sweep-explicit-omega-axis", "spin-report-mu_b-T-overflow", "spin-report-mu_b-overflow",
+        "spin-report-mu_b-overflow-short-period", "simulate-mu_b-T-overflow",
+        "simulate-mu_b-overflow", "gauge_scale-uniform-overflow", "gauge_scale-nan",
+        "gauge_scale-unresolved"])
 def test_exit_2_messages_word_for_word(tmp_path, monkeypatch, capsys, argv, config, message):
     # every message names what to mend; the files are named relative to the
     # working directory, so each stderr line is pinned whole
@@ -756,6 +791,29 @@ def test_exit_2_messages_word_for_word(tmp_path, monkeypatch, capsys, argv, conf
         argv = [*argv, "--config", "c.cfg"]
     assert run(argv) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-gauge"])
+def test_a_static_field_runs_on_an_explicit_horizon(tmp_path, monkeypatch, capsys, command):
+    # omega = 0 has no period, which only spin-report and sweep need
+    monkeypatch.chdir(tmp_path)
+    Path("c.cfg").write_text(EXPLICIT_SPIN)
+    argv = [command, "--config", "c.cfg", "--omega", "0", "--steps", "100", "--trials", "1"]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_gauge_scale_inside_the_angle_bound_still_runs(tmp_path):
+    # scale 1e6 over one period draws angles below 1.6e7 rad, inside 2^26, and
+    # every invariant and prediction holds to criterion 4's 1e-7
+    out = tmp_path / "verify.csv"
+    assert run(["verify-gauge", "--gauge-scale", "1e6", "--steps", "2000", "--trials", "3",
+                "--out", str(out)]) == 0
+    records = read_records(out)
+    for name in ("gamma_total_deviation", "visibility_deviation", "holonomy_deviation",
+                 "singh_deviation", "total_phase_prediction_mismatch",
+                 "dynamical_phase_prediction_mismatch"):
+        assert float(records[(f"max_{name}", "")]) <= 1e-7, name
 
 
 TWO_LEVEL_FILE = "dim 2 steps 1\n" + f"{GOOD_ROW}\n" * 2
@@ -788,12 +846,10 @@ def test_relative_hamiltonian_file_opens_against_the_working_directory(tmp_path,
 
 
 @pytest.fixture
-def counted_loadtxt(monkeypatch):
-    """An empty loader memo, and the list of np.loadtxt calls made from then on."""
+def counted_parses():
+    """An empty loader memo, and a count of the parses made from then on."""
     cli._parse_sampled.cache_clear()
-    calls, loadtxt = [], np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
-    return calls
+    return lambda: cli._parse_sampled.cache_info().misses
 
 
 def two_level_run(tmp_path, text):
@@ -804,18 +860,18 @@ def two_level_run(tmp_path, text):
     return ["simulate", "--config", str(tmp_path / "c.cfg"), "--steps", "20"], hfile
 
 
-def test_an_unchanged_sampled_file_is_parsed_once(tmp_path, capsys, counted_loadtxt):
+def test_an_unchanged_sampled_file_is_parsed_once(tmp_path, capsys, counted_parses):
     # the file is read on every call, and its parse kept on (path, text, t_end)
     argv, _ = two_level_run(tmp_path, TWO_LEVEL_FILE)
     outputs = []
     for _ in range(2):
         assert run(argv) == 0
         outputs.append(capsys.readouterr().out)
-    assert len(counted_loadtxt) == 1
+    assert counted_parses() == 1
     assert outputs[0] == outputs[1]
 
 
-def test_an_edited_sampled_file_is_parsed_again(tmp_path, capsys, counted_loadtxt):
+def test_an_edited_sampled_file_is_parsed_again(tmp_path, capsys, counted_parses):
     # the memo is keyed on the text, so an edit that keeps the file's size
     # and mtime is still seen
     argv, hfile = two_level_run(tmp_path, TWO_LEVEL_FILE)
@@ -826,10 +882,24 @@ def test_an_edited_sampled_file_is_parsed_again(tmp_path, capsys, counted_loadtx
     assert (hfile.stat().st_size, hfile.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
     assert run(argv) == 0
     edited = capsys.readouterr().out
-    assert len(counted_loadtxt) == 2
+    assert counted_parses() == 2
     cli._parse_sampled.cache_clear()
     assert run(argv) == 0
     assert capsys.readouterr().out == edited != before
+
+
+def test_sampled_rows_are_read_without_np_loadtxt(monkeypatch, capsys):
+    # every row is read with float(): with np.loadtxt refused, a fresh parse
+    # of the golden dim-3 file still prints custom.csv byte for byte
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    cli._parse_sampled.cache_clear()
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    monkeypatch.chdir(GOLDEN)
+    assert run(GOLDEN_CASES["custom.csv"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "custom.csv").read_text()
+    assert cli._parse_sampled.cache_info().misses == 1
 
 
 def test_a_failing_sampled_file_fails_on_every_call(tmp_path, capsys):
