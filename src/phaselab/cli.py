@@ -55,7 +55,7 @@ from .mixed import (
     singh_phase,
     transport_conditions,
 )
-from .phases import PathStack
+from .phases import PathStack, frame_energies
 
 DEFAULT_STEPS = 20000
 MIN_STEPS = 10
@@ -501,21 +501,34 @@ class Observables:
     transport_strong: np.ndarray
 
 
-def _propagate(sc: Scenario) -> tuple[PathStack, np.ndarray]:
+def _propagate(sc: Scenario) -> tuple[PathStack, np.ndarray, np.ndarray]:
     """The member paths psi_k = U|k> of the scenario's ensemble as one
-    `PathStack`, and H on the grid midpoints, the samples U was propagated
-    on (`PropagatorPath.samples`); U itself is let go.  A failed check on H
-    or on U is reported as bad input: a grid too coarse for the field, or
-    parameters that overflow it."""
+    `PathStack`, H on the grid midpoints, the samples U was propagated on
+    (`PropagatorPath.samples`), and the members' step energies on them,
+    e_kj = <psi_k(t_j)| H(t_{j+1/2}) |psi_k(t_j)>; U itself is let go.  A
+    two-level U is propagated in the frame of the ensemble's canonical ket,
+    the lowest selector ('+' before '-', or the lowest basis index), so its
+    pairs are that member's path and the energies of every member come from
+    them (`phases.frame_energies`), whatever the order of the states.  A
+    failed check on H or on U is reported as bad input: a grid too coarse
+    for the field, or parameters that overflow it."""
+    kets, start = sc.ensemble.states, None
+    if sc.H.dim == 2:
+        index = _state_index(sc.cfg, 2)
+        start = kets[index.index(min(index))]
     try:
-        path = propagate(sc.H, sc.grid)
+        path = propagate(sc.H, sc.grid, start)
     except ContractError as exc:
         raise ConfigError(
             f"field 'steps': the scenario cannot be propagated at {sc.cfg.steps} steps "
             f"({exc}); use more steps or stay in the documented box "
             "mu_b, omega in [0.1, 10], theta in (0, pi)"
         ) from exc
-    return PathStack(sc.grid, member_paths(path, sc.ensemble.states)), path.samples
+    if start is None:
+        members = PathStack(sc.grid, member_paths(path, kets))
+        return members, path.samples, members.step_energies(path.samples)
+    energies = frame_energies(path, kets)  # its rows are freed before the members exist
+    return PathStack(sc.grid, member_paths(path, kets)), path.samples, energies
 
 
 def observables(sc: Scenario) -> Observables:
@@ -524,7 +537,7 @@ def observables(sc: Scenario) -> Observables:
     H is sampled once, on the grid midpoints; the propagator reads those
     samples, and so do the step energies of the member paths psi_k = U|k>,
     e_kj = <psi_k(t_j)| H(t_{j+1/2}) |psi_k(t_j)>, whose e_kj dt is the exact
-    connection of the curve the propagator made (`PathStack.step_energies`).
+    connection of the curve the propagator made (`_propagate`).
     From that one (k, steps) array come phi_d = -dt sum_j e_kj,
     phi_g = wrap(phi_t - phi_d), gamma_D = sum_k w_k phi_d,k, the Singh phase
     of those phi_g, and the residuals max_j |e_kj| (strong, per path) and
@@ -533,8 +546,7 @@ def observables(sc: Scenario) -> Observables:
     step overlaps are formed.
     """
     weights = sc.ensemble.weights
-    members, samples = _propagate(sc)
-    energies = members.step_energies(samples)
+    members, energies = _propagate(sc)[::2]
     gamma_total, visibility = mixed_total_phase(weights, sc.ensemble.states, members)
     phi_t, overlap = members.totals()
     phi_d, phi_g = members.curve_phases(energies)

@@ -16,12 +16,14 @@ samples it was made from (`PropagatorPath.samples`): along step j the
 propagated state moves by exp(-i H(t_{j+1/2}) s), so
 <psi(t_j)| H(t_{j+1/2}) |psi(t_j)> dt is that step's exact connection
 (`phases.PathStack.step_energies`), and H is sampled once per scenario.
-U(t_0) = I exactly, and the output is byte-deterministic.  The package's
-state trajectories are the member paths psi_k = U|k> (`member_paths`), which
-every phase functional and the mixed trace Tr[U(T) rho0] read as one
-`phases.PathStack`.  At d = 2, the pairs, U and the member paths are stored
-with each component one contiguous row over the nodes; their shapes are as
-documented.  A grid's `nodes` and `midpoints` are read-only.
+U(t_0) = I exactly, or at d = 2 the SU(2) frame W of a given unit ket s,
+whose columns U W carries to the paths of s and of a ket orthonormal to it;
+the output is byte-deterministic.  The package's state trajectories are the
+member paths psi_k = U|k> (`member_paths`), which every phase functional
+and the mixed trace Tr[U(T) rho0] read as one `phases.PathStack`.  At
+d = 2, the pairs, U W and the member paths are stored with each component
+one contiguous row over the nodes; their shapes are as documented.  A
+grid's `nodes` and `midpoints` are read-only.
 """
 from __future__ import annotations
 
@@ -114,24 +116,31 @@ class HamiltonianTrajectory:
 @dataclass(frozen=True)
 class PropagatorPath:
     """Unitaries U(t_j) on a grid, checked for shape and unitarity; in the
-    package only `propagate` builds one, from U(t_0) = I exactly.
+    package only `propagate` builds one, from U(t_0) = I exactly, or at dim 2
+    from the frame W of a start ket.
 
     `stack` holds them as matrices, (steps + 1, dim, dim), or at dim 2 with
     `phases` as the Cayley-Klein pairs of
-    U(t_j) = e^{i phi_j} [[a_j, -conj(b_j)], [b_j, conj(a_j)]], an
-    (steps + 1, 2) stack of (a_j, b_j) and the real phi_j, (steps + 1,).
-    Pairs are gated by |a_j|^2 + |b_j|^2 = 1: ||U^dagger U - I||_F is
-    sqrt(2) | |a|^2 + |b|^2 - 1 | for such a matrix, whose off-diagonal Gram
-    entry cancels, provided phi_j is finite.  `matrices` forms U from pairs on
-    first read; `member_paths` reads the pairs themselves.  `samples` is H on
-    the grid midpoints as `propagate` sampled and checked it, the one stack
-    the path was made from (None on a path built from a given stack).
+    U(t_j) W = e^{i phi_j} [[a_j, -conj(b_j)], [b_j, conj(a_j)]], an
+    (steps + 1, 2) stack of (a_j, b_j) and the real phi_j, (steps + 1,).  W
+    is the SU(2) frame [[s0, -conj(s1)], [s1, conj(s0)]] of the unit ket
+    `frame` s, or I when `frame` is None, so e^{i phi_j} (a_j, b_j) is
+    U(t_j)|s>.  Pairs are gated by |a_j|^2 + |b_j|^2 = 1:
+    ||(UW)^dagger UW - I||_F is sqrt(2) | |a|^2 + |b|^2 - 1 | for such a
+    matrix, whose off-diagonal Gram entry cancels, provided phi_j is finite;
+    `norms` keeps those |a_j|^2 + |b_j|^2 (`phases.frame_energies` reads them).
+    `matrices` forms U W from pairs on first read; `member_paths` reads the
+    pairs themselves.  `samples` is H on the grid midpoints as `propagate`
+    sampled and checked it, the one stack the path was made from (None on a
+    path built from a given stack).
     """
 
     grid: TimeGrid
     stack: np.ndarray
     phases: np.ndarray | None = None
     samples: np.ndarray | None = field(default=None, repr=False, compare=False)
+    frame: np.ndarray | None = None
+    norms: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         U = np.asarray(self.stack)
@@ -146,7 +155,8 @@ class PropagatorPath:
                 raise DimensionError(
                     f"Cayley-Klein pairs have shape {U.shape}, phases {phases.shape}"
                 )
-            defect = math.sqrt(2.0) * pair_norm_defect(U)
+            object.__setattr__(self, "norms", linalg._pair_norms(U))
+            defect = math.sqrt(2.0) * pair_norm_defect(U, self.norms)
             if not np.all(np.isfinite(phases)):
                 defect = math.nan  # e^{i phi} is not a number
             object.__setattr__(self, "phases", phases)
@@ -156,7 +166,7 @@ class PropagatorPath:
 
     @cached_property
     def matrices(self) -> np.ndarray:
-        """U as a (steps + 1, dim, dim) stack, formed from pairs on first read."""
+        """U, or U W, as a (steps + 1, dim, dim) stack, formed from pairs on first read."""
         if self.phases is None:
             return self.stack
         return linalg._two_level_matrices(self.stack, self.phases)
@@ -166,23 +176,54 @@ class PropagatorPath:
         return 2 if self.phases is not None else self.stack.shape[-1]
 
 
-def propagate(H: HamiltonianTrajectory, grid: TimeGrid) -> PropagatorPath:
+def propagate(H: HamiltonianTrajectory, grid: TimeGrid, start=None) -> PropagatorPath:
     """Integrate the time-ordered exponential of -i H(t) over the grid, from
     H sampled once at the midpoints; the path keeps those samples.  At dim 2
-    it keeps the Cayley-Klein pairs and phases of the scan."""
+    it keeps the Cayley-Klein pairs and phases of the scan, started from the
+    frame of the unit ket `start` when one is given (at dim 2 only)."""
+    if start is not None and (H.dim != 2 or np.shape(start) != (2,)):
+        raise DimensionError(f"a start ket frames a two-level path only: shape "
+                             f"{np.shape(start)} at dim {H.dim}")
     samples = H.sample(grid.midpoints)
     if H.dim == 2:
-        return PropagatorPath(grid, *ordered_pairs(samples, grid.dt), samples)
+        frame = None if start is None else np.asarray(start, dtype=complex)
+        pairs, phases = ordered_pairs(samples, grid.dt, (1.0, 0.0) if frame is None else frame)
+        return PropagatorPath(grid, pairs, phases, samples, frame)
     return PropagatorPath(grid, ordered_exponentials(samples, grid.dt), samples=samples)
+
+
+_PARTNER_TOL = 1e-15  # |<s, k>| below which k is read as the frame's second column
+
+
+def _frame_columns(U: PropagatorPath, states) -> list:
+    """(column, t0, t1) for each ket k, a row of `states`, on a two-level path:
+    t = W^dagger k = (conj(s0) k0 + conj(s1) k1, s0 k1 - s1 k0), its
+    coordinates in the path's frame W, and the column of U W that is U(t_j)|k>
+    up to the factor t1: 0 for the start ket s itself (t = (1, 0)), 1 for a
+    ket orthonormal to it (|t0| <= 1e-15, and it then differs from t1 times
+    that column by |t0| at most), None for any other ket."""
+    s0, s1 = (1.0, 0.0) if U.frame is None else U.frame.tolist()
+    out = []
+    for k0, k1 in np.asarray(states, dtype=complex).tolist():
+        if (k0, k1) == (s0, s1):
+            out.append((0, 1.0, 0.0))
+            continue
+        t0, t1 = (k0, k1) if U.frame is None else (s0.conjugate() * k0 + s1.conjugate() * k1,
+                                                   s0 * k1 - s1 * k0)
+        out.append((1 if abs(t0) <= _PARTNER_TOL else None, t0, t1))
+    return out
 
 
 def member_paths(U: PropagatorPath, states: np.ndarray) -> np.ndarray:
     """psi_k(t_j) = U(t_j)|k> for the rows |k> of a (k, dim) array, as one
-    (nodes, dim, k) stack: the package's one U|k> kernel.  On Cayley-Klein
-    pairs it views a path-major (k, 2, nodes) buffer, filled by row
-    multiply-adds over the pairs' component rows,
-    (a s0 - conj(b) s1, b s0 + conj(a) s1), times e^{i phi} unless every phi
-    is zero.  A stack of matrices takes one GEMM."""
+    (nodes, dim, k) stack: the package's one U|k> kernel, whose two-level
+    paths `phases.frame_energies` reads off the same pairs.  On Cayley-Klein
+    pairs it views a path-major (k, 2, nodes) buffer, filled from the columns
+    of U W (`_frame_columns`): the start ket's path is the pairs (a, b)
+    themselves, copied, an orthonormal ket's is t1 (-conj(b), conj(a)), and
+    any other's takes the row multiply-adds (a t0 - conj(b) t1,
+    b t0 + conj(a) t1) on its frame coordinates; all are times e^{i phi}
+    unless every phi is zero.  A stack of matrices takes one GEMM."""
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2 or states.shape[1] != U.dim:
         raise DimensionError(f"states have shape {states.shape}, expected (k, {U.dim})")
@@ -191,17 +232,18 @@ def member_paths(U: PropagatorPath, states: np.ndarray) -> np.ndarray:
         return (U.stack.reshape(-1, d) @ states.T).reshape(-1, d, states.shape[0])
     out = np.empty((len(states), 2, U.grid.steps + 1), dtype=complex)
     a, b = U.stack[:, 0], U.stack[:, 1]
-    scratch = np.empty_like(out[0, 0])  # one row, reused: no temporaries per path
-    for row, (s0, s1) in zip(out, states.tolist()):
-        # -conj(b) s1 as conj(b) (-s1): the same real products, so the bits of U's rows
-        np.conj(b, out=scratch)
-        scratch *= -s1
-        np.multiply(a, s0, out=row[0])
-        row[0] += scratch
-        np.conj(a, out=scratch)
-        scratch *= s1
-        np.multiply(b, s0, out=row[1])
-        row[1] += scratch
+    for row, (column, t0, t1) in zip(out, _frame_columns(U, states)):
+        if column == 0:
+            row[...] = U.stack.T
+            continue
+        # -conj(b) t1 as conj(b) (-t1): the same real products, so the bits of U's rows
+        np.conj(b, out=row[0])
+        row[0] *= -t1
+        np.conj(a, out=row[1])
+        row[1] *= t1
+        if column is None:
+            row[0] += a * t0
+            row[1] += b * t0
     if np.any(U.phases):
         out *= linalg._phase_factors(U.phases)
     return out.transpose(2, 1, 0)

@@ -17,8 +17,10 @@ form end to end (`ordered_pairs`): every step and every running product is
 e^{i phi} [[a, -conj(b)], [b, conj(a)]], the steps come from their closed
 form, the scan multiplies the pairs (a, b) (4 complex products where a 2x2
 matrix product takes 8, on half the memory), and the real phases phi add by
-one cumulative sum.  The propagator keeps those pairs and phases
-(`evolution.PropagatorPath`), and U is formed from them
+one cumulative sum.  That scan starts from the SU(2) frame W of a unit ket
+s, whose pair is (s0, s1), so the pairs are those of U(t_j) W and, up to
+e^{i phi_j}, U(t_j)|s> itself.  The propagator keeps those pairs and phases
+(`evolution.PropagatorPath`), and U W is formed from them
 (`_two_level_matrices`) only when read, component-major: its (N+1, 2, 2)
 shape is a view of four contiguous rows.  Both kernels let go of their
 samples once the step factors exist, and `ordered_pairs` of the steps once
@@ -147,16 +149,23 @@ def _pieces(M: np.ndarray):
     return (stack[start : start + step] for start in range(0, len(stack), step))
 
 
-def pair_norm_defect(pairs: np.ndarray) -> float:
-    """max_j | |a_j|^2 + |b_j|^2 - 1 | over a stack (..., 2) of Cayley-Klein
-    pairs, summed on the real and imaginary parts."""
+def _pair_norms(pairs: np.ndarray) -> np.ndarray:
+    """|a_j|^2 + |b_j|^2 over a stack (..., 2) of Cayley-Klein pairs, summed
+    on the real and imaginary parts."""
     a, b = pairs[..., 0], pairs[..., 1]
     norm = a.real * a.real
     norm += a.imag * a.imag
     norm += b.real * b.real
     norm += b.imag * b.imag
-    norm -= 1.0
-    return float(np.max(np.abs(norm, out=norm)))
+    return norm
+
+
+def pair_norm_defect(pairs: np.ndarray, norms: np.ndarray | None = None) -> float:
+    """max_j | |a_j|^2 + |b_j|^2 - 1 | over a stack (..., 2) of Cayley-Klein
+    pairs, from their `_pair_norms` unless those are given: the larger of
+    max_j n_j - 1 and 1 - min_j n_j, with no row formed (both NaN if an n_j is)."""
+    norms = _pair_norms(pairs) if norms is None else norms
+    return float(max(np.max(norms) - 1.0, 1.0 - np.min(norms)))
 
 
 def require_hermitian(M, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
@@ -290,37 +299,45 @@ def ordered_exponentials(H, dt: float) -> np.ndarray:
     return U[: n + 1]  # the padded tail is cut off
 
 
-def ordered_pairs(H, dt: float) -> tuple[np.ndarray, np.ndarray]:
+def ordered_pairs(H, dt: float, start=(1.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
     """`ordered_exponentials` of a stack (N, 2, 2) of Hermitian H_j in
-    Cayley-Klein form: the running products
-    U(t_j) = e^{i phi_j} [[a_j, -conj(b_j)], [b_j, conj(a_j)]] as the pairs
+    Cayley-Klein form, times the SU(2) frame W = [[s0, -conj(s1)], [s1, conj(s0)]]
+    of the unit ket `start` s: the running products
+    U(t_j) W = e^{i phi_j} [[a_j, -conj(b_j)], [b_j, conj(a_j)]] as the pairs
     (a_j, b_j), an (N+1, 2) stack stored component-major (a and b each one
-    contiguous row), and the real phases phi_j, shape (N+1,): the pairs
-    multiply as SU(2) elements, the phases add by one cumulative sum.  The
+    contiguous row), and the real phases phi_j, shape (N+1,).  The pairs are
+    the scan of [W, S_0, ..., S_{N-1}], the steps written straight after W,
+    multiplied as SU(2) elements, so (a_j, b_j) is U(t_j)|s> up to e^{i phi_j};
+    the phases add by one cumulative sum, skipped when every step phase is
+    zero.  s = (1, 0) gives U itself.  The
     samples are let go once the steps exist, and the steps once scanned, so
     a temporary sample stack is freed before the scan.
     """
     H = _as_square(H)
     n = H.shape[0]
-    steps, step_phases = _two_level_steps(H, dt)
+    steps = np.empty((2, n + 1), dtype=complex)  # component-major: W, then the steps
+    steps[:, 0] = start
+    step_phases = _two_level_steps(H, dt, steps[:, 1:])[1]
     del H  # the samples are no longer read
-    pairs = np.empty_like(steps, shape=(1 + _scan_length(n), 2))  # component-major, as steps
-    pairs[0] = (1.0, 0.0)
-    _scan(steps, pairs[1:], _pair_product)
+    pairs = np.empty_like(steps.T, shape=(_scan_length(n + 1), 2))  # component-major too
+    _scan(steps.T, pairs, _pair_product)
     del steps
     phases = np.zeros(n + 1)
-    np.cumsum(step_phases, out=phases[1:])
+    if np.any(step_phases):  # a traceless H, such as the spin model's, has none
+        np.cumsum(step_phases, out=phases[1:])
     return pairs[: n + 1], phases
 
 
-def _two_level_steps(H: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+def _two_level_steps(H: np.ndarray, dt: float,
+                     out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """exp(-i dt H) = e^{i phi} [[a, -conj(b)], [b, conj(a)]] for a stack
     (..., 2, 2) of Hermitian H, as Cayley-Klein pairs (..., 2) and phases.
 
     With H = h0 I + h.sigma and r = |h|, a = cos(dt r) - i s hz,
     b = -i s (hx + i hy) and phi = -dt h0, where s = sin(dt r)/r, all in real
     arithmetic.  The pairs are stored component-major, so that a and b are
-    each contiguous.  s is dt * np.sinc(dt r / pi), its operations done in
+    each contiguous: a and b are written into out[0] and out[1] when a
+    (2, ...) buffer `out` is given.  s is dt * np.sinc(dt r / pi), its operations done in
     place, not sin(dt r) / r: it is exact at r = 0, and it keeps an absurdly
     coarse grid visible.  np.sinc rounds its scaled argument apart from the
     cos(dt r) beside it, so once dt r is huge a and b no longer make a
@@ -338,7 +355,7 @@ def _two_level_steps(H: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     s = np.sin(y)
     s /= y
     s *= dt
-    pairs = np.empty((2, *hz.shape), dtype=complex)
+    pairs = np.empty((2, *hz.shape), dtype=complex) if out is None else out
     a, b = pairs[0, ...], pairs[1, ...]  # views, also for a single matrix
     np.cos(x, out=a.real)
     np.multiply(s, hy, out=b.real)

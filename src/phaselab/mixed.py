@@ -183,15 +183,17 @@ def singh_phase(weights, paths: PathStack, geometric) -> float:
     return float(np.angle(total))
 
 
-def gauge_campaign(weights, members: PathStack, samples: np.ndarray, rng: np.random.Generator,
-                   trials: int, gauge_scale: float) -> dict:
+def gauge_campaign(weights, members: PathStack, samples: np.ndarray, energies: np.ndarray,
+                   rng: np.random.Generator, trials: int, gauge_scale: float) -> dict:
     """Base observables and worst deviations over `trials` random gauges, by name.
 
     `members` holds the member paths psi_k = U|k> that `evolution.propagate`
     made from `samples`, H on the grid midpoints (`PropagatorPath.samples`),
-    for any ensemble, whose kets |k> are read as psi_k(0).  Every phase is
-    read off the step energies (`PathStack.step_energies`), the base Singh
-    phase as `simulate` reads it.  Per trial one ramped gauge
+    for any ensemble, whose kets |k> are read as psi_k(0), and `energies`
+    their step energies on those samples, as `simulate` reads them
+    (`PathStack.step_energies`, or `phases.frame_energies`).  Every phase is
+    read off step energies, the base ones off `energies`, so the base Singh
+    phase is `simulate`'s.  Per trial one ramped gauge
     theta_k(t) is drawn, evaluated once on the grid nodes (theta(0), theta(T)
     are its first and last angles), and applied once by
     `transform_evolution`.  Taken as linear within each step, it makes the
@@ -211,7 +213,7 @@ def gauge_campaign(weights, members: PathStack, samples: np.ndarray, rng: np.ran
     ensemble = Ensemble(weights, members.states[0].T)  # the kets |k> = psi_k(0)
     grid, weights, kets = members.grid, ensemble.weights, ensemble.states
 
-    base_d, base_g = members.curve_phases(members.step_energies(samples))
+    base_d, base_g = members.curve_phases(energies)
     base_trace = frame_trace(members, base_d, weights)
     base_singh = singh_phase(weights, members, base_g)
     base_gamma, base_vis = mixed_total_phase(weights, kets, members)

@@ -31,7 +31,10 @@ checked orthonormal at every node, and `mixed` reads the record too, each
 ensemble average sum_k w_k x_k through `average`.  The kernels on raw state stacks
 (step overlaps and energy expectation) serve all three modules; for two-level
 states they are written entry by entry, one row per path and component,
-contiguous in the path-major stacks of `evolution.member_paths`.
+contiguous in the path-major stacks of `evolution.member_paths`.  A
+two-level propagator's member paths have their step energies read off its
+Cayley-Klein pairs instead, both columns of its frame in one pass
+(`frame_energies`).
 `adiabatic_phase` reads the holonomy of an instantaneous level's eigenvectors
 as `eigh` returns them, and integrates its energy over H's node samples
 (`check_node_samples`) by the trapezoidal rule.
@@ -43,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .evolution import TimeGrid
+from .evolution import PropagatorPath, TimeGrid, _frame_columns
 from .exceptions import ContractError, DegeneracyError, DimensionError, UndefinedPhaseError
 from .numerics import trapezoid, wrap_angle
 
@@ -205,6 +208,45 @@ class PathStack:
         with phi_t = arg<psi_k(0), psi_k(T)>."""
         phi_d = -self.grid.dt * energies.sum(axis=1)
         return phi_d, wrap_angle(np.angle(self.endpoint_overlaps) - phi_d)
+
+
+def frame_energies(U: PropagatorPath, kets) -> np.ndarray:
+    """The step energies e_kj = <psi_k(t_j)| H(t_{j+1/2}) |psi_k(t_j)>, shape
+    (k, steps), of the member paths `evolution.member_paths(U, kets)` of a
+    two-level path that `propagate` made, whose kets are its start ket or
+    orthonormal to it (`evolution._frame_columns`): the first column (a, b)
+    of U W and, times a unit factor, the second, (-conj(b), conj(a)).  One
+    pass over the pairs gives both, with A = |a|^2, z = conj(a) b and
+    t = A (h00 - h11) + Re z (Re h01 + Re h10) + Im z (Im h10 - Im h01):
+    e = (A + B) h11 + t and (A + B) h00 - t, on the A + B = |a|^2 + |b|^2
+    the unitarity gate formed (`PropagatorPath.norms`).  e^{i phi_j} cancels;
+    `PathStack.step_energies` of those paths agrees to rounding.
+    """
+    if U.phases is None or U.samples is None:
+        raise DimensionError("frame energies need the pairs and samples of `propagate` at dim 2")
+    columns = [column for column, _, _ in _frame_columns(U, kets)]
+    if None in columns:
+        raise ContractError("frame energies need the start ket or kets orthonormal to it")
+    n, samples = U.grid.steps, U.samples
+    a, b, norms = U.stack[:n, 0], U.stack[:n, 1], U.norms[:n]
+    h00, h01, h10, h11 = samples[:, 0, 0].real, samples[:, 0, 1], samples[:, 1, 0], samples[:, 1, 1].real
+    part = np.empty(n)
+    t = np.multiply(a.real, a.real)  # t = A (h00 - h11) + X
+    t += np.multiply(a.imag, a.imag, out=part)
+    t *= np.subtract(h00, h11, out=part)
+    z = np.conj(a)
+    z *= b
+    t += np.multiply(z.real, np.add(h01.real, h10.real, out=part), out=part)
+    t += np.multiply(z.imag, np.subtract(h10.imag, h01.imag, out=part), out=part)
+    del z
+    out = np.empty((len(columns), n))
+    for row, column in zip(out, columns):  # e = (A + B) h11 + t, or (A + B) h00 - t
+        np.multiply(norms, h00 if column else h11, out=row)
+        if column:
+            row -= t
+        else:
+            row += t
+    return out
 
 
 def adiabatic_phase(samples: np.ndarray, grid: TimeGrid, level: int):

@@ -12,6 +12,7 @@ from phaselab.evolution import PropagatorPath, member_paths
 from phaselab.exceptions import ContractError, DimensionError, NumericError
 from phaselab.linalg import (_two_level_matrices, hermitian_step_exp, ordered_pairs,
                              pair_norm_defect, unitarity_defect)
+from phaselab.phases import frame_energies, state_energies
 
 from conftest import mat_exp, random_hermitian
 
@@ -383,3 +384,36 @@ def test_propagate_stays_unitary(dim, steps, seed, reach):
     psi = member_paths(path, np.eye(dim, dtype=complex))  # (nodes, dim, k)
     gram = np.einsum("jak,jal->jkl", np.conj(psi), psi)
     assert np.max(np.abs(gram - np.eye(dim))) <= 1e-12
+
+
+@given(steps=st.sampled_from([1, 2, 3, 62, 63, 64, 65]), seed=st.integers(0, 2**16),
+       reach=st.floats(0.01, 2.0))
+def test_the_framed_scan_is_the_identity_scan_times_the_frame(steps, seed, reach):
+    # random midpoint samples with a trace part, dt ||H|| about `reach`, on grids
+    # of 1-3 steps and around the scan's 64-element loop limit; s a random unit
+    # ket, its partner e^{i chi} (-conj(s1), conj(s0)) and a generic ket: the
+    # scan from the frame W of s gives the identity scan's pairs times W, the
+    # member paths off either path agree, and the one-pass frame energies are
+    # those of the member paths
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(0.0, 1.0, steps)
+    samples = np.stack([random_hermitian(rng, 2, scale=reach / grid.dt) for _ in range(steps)])
+    H = HamiltonianTrajectory(2, lambda times: samples)
+    s, generic = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    partner = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * np.array([-np.conj(s[1]), np.conj(s[0])])
+    kets = np.array([s, partner])
+    framed, plain = propagate(H, grid, s), propagate(H, grid)
+    a, b = plain.stack[:, 0], plain.stack[:, 1]
+    times_W = np.stack([a * s[0] - np.conj(b) * s[1], b * s[0] + np.conj(a) * s[1]], axis=-1)
+    assert np.max(np.abs(framed.stack - times_W)) <= 1e-13
+    assert framed.phases.tobytes() == plain.phases.tobytes()
+    states = np.array([s, partner, generic])
+    paths = member_paths(framed, states)
+    assert np.max(np.abs(paths - member_paths(plain, states))) <= 1e-13
+    energies = frame_energies(framed, kets)
+    expected = state_energies(paths[:-1, :, :2], samples).T
+    scale = np.max(np.linalg.norm(samples, axis=(1, 2)))
+    assert np.max(np.abs(energies - expected)) <= 1e-13 * scale
+    assert frame_energies(framed, kets[::-1]).tobytes() == energies[::-1].tobytes()
+    with pytest.raises(ContractError, match="orthonormal"):
+        frame_energies(framed, states)

@@ -304,7 +304,7 @@ def test_gauge_campaign_runs_on_an_incomplete_ensemble(generic_case):
     # its base values are the branch's own <psi(0), psi(T)> and the geometric
     # phase of its step energies
     path, samples = generic_case.paths["+"], generic_case.U.samples
-    values = gauge_campaign(np.array([1.0]), path, samples,
+    values = gauge_campaign(np.array([1.0]), path, samples, path.step_energies(samples),
                             np.random.default_rng(0), 3, 0.1)
     for key in CAMPAIGN_INVARIANTS:
         assert values[key] <= 1e-12, key
@@ -490,8 +490,9 @@ def test_gauge_campaign_matches_transformed_propagator_dim3(monkeypatch):
                         lambda self, times: samplings.append(1) or sample(self, times))
     monkeypatch.setattr(PropagatorPath, "__post_init__",
                         lambda self: propagators.append(1) or check(self))
-    values = gauge_campaign(ensemble.weights, paths, samples, np.random.default_rng(5),
-                            trials, scale)
+    energies = paths.step_energies(samples)
+    values = gauge_campaign(ensemble.weights, paths, samples, energies,
+                            np.random.default_rng(5), trials, scale)
     assert not samplings
     assert not propagators
     assert naive_gamma > 1e-3 and naive_dyn > 1e-3
@@ -526,7 +527,8 @@ def test_gauge_campaign_on_the_closed_form_paths(mu_b, omega, theta):
     weights = np.array([np.cos(p.big_theta / 2) ** 2, np.sin(p.big_theta / 2) ** 2])
     U = propagate(spin_model.hamiltonian(p), grid)
     ensemble = Ensemble(weights, np.array(spin_model.w_basis(p, 0.0)))
-    values = gauge_campaign(weights, members(U, ensemble), U.samples,
+    paths = members(U, ensemble)
+    values = gauge_campaign(weights, paths, U.samples, paths.step_energies(U.samples),
                             np.random.default_rng(7), 10, 0.1)
     for key in CAMPAIGN_INVARIANTS:
         assert values[key] <= 1e-12, key

@@ -115,7 +115,7 @@ def test_gauge_campaign_holds_on_the_cyclic_basis(name):
     weights = np.arange(d, 0, -1) / (d * (d + 1) / 2)
     U = propagate(family.H, grid)
     members = PathStack(grid, member_paths(U, family.chi.T))
-    values = gauge_campaign(weights, members, U.samples,
+    values = gauge_campaign(weights, members, U.samples, members.step_energies(U.samples),
                             np.random.default_rng(9), 10, 0.1)
     for key in ("max_gamma_total_deviation", "max_visibility_deviation", "max_holonomy_deviation",
                 "max_singh_deviation", "max_total_phase_prediction_mismatch",
