@@ -1,10 +1,14 @@
 """phaselab: a deterministic numerical laboratory for geometric phases.
 
 Computes and cross-checks total, dynamical and geometric phases of pure and
-mixed quantum states: time-ordered propagators on uniform grids, basis-frame
-holonomies and their hidden local gauge invariance, mixed-state interference
-observables, purification/partial trace, and the exactly solvable spin-1/2
-rotating-field model that serves as the analytic oracle throughout.
+mixed quantum states: time-ordered propagators on uniform grids, the
+holonomies of the member paths and their hidden local gauge invariance,
+mixed-state interference observables, purification/partial trace, and the
+exactly solvable spin-1/2 rotating-field model that serves as the analytic
+oracle throughout.  The paper's other reference constructions (the
+phase-stripped frame, rebuilt amplitudes, the effective Hamiltonian, the
+Bloch-path solid angle, the superposition basis) are test oracles, in
+`tests/oracles.py`, and no command runs them.
 """
 
 from . import cli, evolution, gauge, linalg, mixed, numerics, phases, spin_model
@@ -15,11 +19,10 @@ from .exceptions import (
     DegeneracyError,
     DimensionError,
     NumericError,
-    OrthogonalityCrossingError,
     PhaseLabError,
     UndefinedPhaseError,
 )
-from .gauge import BasisFrame, GaugeFunction
+from .gauge import GaugeFunction
 from .mixed import DensityMatrix, Ensemble, PurifiedState
 from .phases import PathStack
 from .spin_model import SpinParams
@@ -27,7 +30,6 @@ from .spin_model import SpinParams
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisFrame",
     "CapacityError",
     "ContractError",
     "DegeneracyError",
@@ -37,7 +39,6 @@ __all__ = [
     "GaugeFunction",
     "HamiltonianTrajectory",
     "NumericError",
-    "OrthogonalityCrossingError",
     "PathStack",
     "PhaseLabError",
     "PropagatorPath",

@@ -217,9 +217,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         if cfg.horizon == "one-period":
             raise ConfigError(f"field 'omega': the one-period horizon 2 pi / {cfg.omega} overflows")
         raise ConfigError(f"field 't_end': {cfg.t_end} overflows the grid's midpoints")
-    T = max(_horizon(cfg), 2.0 * math.pi / abs(cfg.omega) if cfg.omega else 0.0)  # or the period
-    if cfg.model == "spin" and math.isinf(2.0 * abs(cfg.mu_b) * T):
-        raise ConfigError(f"field 'mu_b': 2 |mu_b| T overflows at T = {T:.12g}")
+    if cfg.model == "spin":
+        _require_phase_range(cfg, _horizon(cfg))
     if cfg.model == "spin":
         _require_working_set(cfg.steps, 2)
     weights = cfg.resolved_weights()
@@ -596,9 +595,16 @@ def _sweep_rows(points: list) -> list:
     return rows
 
 
+def _require_phase_range(cfg: ScenarioConfig, T: float) -> None:
+    """Refuse a spin config whose phase 2 |mu_b| T over the time T overflows."""
+    if math.isinf(2.0 * abs(cfg.mu_b) * T):
+        raise ConfigError(f"field 'mu_b': 2 |mu_b| T overflows at T = {T:.12g}")
+
+
 def _one_period(cfg: ScenarioConfig, command: str) -> ScenarioConfig:
     if cfg.omega <= 0.0:  # `command` prints one-period closed forms, whatever the horizon
         raise ConfigError(f"field 'omega': {command} needs omega > 0, got {cfg.omega}")
+    _require_phase_range(cfg, 2.0 * math.pi / cfg.omega)
     return cfg
 
 

@@ -156,7 +156,7 @@ class PropagatorPath:
                     f"Cayley-Klein pairs have shape {U.shape}, phases {phases.shape}"
                 )
             object.__setattr__(self, "norms", linalg._pair_norms(U))
-            defect = math.sqrt(2.0) * pair_norm_defect(U, self.norms)
+            defect = math.sqrt(2.0) * pair_norm_defect(self.norms)
             if not np.all(np.isfinite(phases)):
                 defect = math.nan  # e^{i phi} is not a number
             object.__setattr__(self, "phases", phases)

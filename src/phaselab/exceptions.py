@@ -25,9 +25,5 @@ class UndefinedPhaseError(PhaseLabError, ValueError):
     """The phase of a (near-)zero complex number was requested."""
 
 
-class OrthogonalityCrossingError(UndefinedPhaseError):
-    """An amplitude became orthogonal to its initial state, so its phase is undefined."""
-
-
 class CapacityError(PhaseLabError, ValueError):
     """The ancilla space is too small to purify the given state."""

@@ -26,9 +26,9 @@ shape is a view of four contiguous rows.  Both kernels let go of their
 samples once the step factors exist, and `ordered_pairs` of the steps once
 they are scanned, so a temporary sample stack is freed before the scan.
 Of the propagator's checks, `require_hermitian` reads a stack of 2x2
-matrices and `pair_norm_defect` the Cayley-Klein pairs by squared norms off
-the real and imaginary parts of the entries, with no conjugate-transposed
-copy; larger matrices form M - M^dagger.  `unitarity_defect` sums the Gram
+matrices, and `pair_norm_defect` the squared norms of the Cayley-Klein pairs
+(`_pair_norms`), both off the real and imaginary parts of the entries, with no
+conjugate-transposed copy; larger matrices form M - M^dagger.  `unitarity_defect` sums the Gram
 entries of U^dagger U on and above the diagonal by row multiply-adds over a
 component-major copy of one piece (`_pieces`) at a time, a single matrix
 included, where `np.matmul` pays its per-matrix cost on every U(t_j).
@@ -160,11 +160,10 @@ def _pair_norms(pairs: np.ndarray) -> np.ndarray:
     return norm
 
 
-def pair_norm_defect(pairs: np.ndarray, norms: np.ndarray | None = None) -> float:
-    """max_j | |a_j|^2 + |b_j|^2 - 1 | over a stack (..., 2) of Cayley-Klein
-    pairs, from their `_pair_norms` unless those are given: the larger of
+def pair_norm_defect(norms: np.ndarray) -> float:
+    """max_j | n_j - 1 | over the squared norms n_j = |a_j|^2 + |b_j|^2 of a
+    stack of Cayley-Klein pairs (their `_pair_norms`): the larger of
     max_j n_j - 1 and 1 - min_j n_j, with no row formed (both NaN if an n_j is)."""
-    norms = _pair_norms(pairs) if norms is None else norms
     return float(max(np.max(norms) - 1.0, 1.0 - np.min(norms)))
 
 
@@ -299,7 +298,7 @@ def ordered_exponentials(H, dt: float) -> np.ndarray:
     return U[: n + 1]  # the padded tail is cut off
 
 
-def ordered_pairs(H, dt: float, start=(1.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
+def ordered_pairs(H, dt: float, start) -> tuple[np.ndarray, np.ndarray]:
     """`ordered_exponentials` of a stack (N, 2, 2) of Hermitian H_j in
     Cayley-Klein form, times the SU(2) frame W = [[s0, -conj(s1)], [s1, conj(s0)]]
     of the unit ket `start` s: the running products
@@ -328,16 +327,15 @@ def ordered_pairs(H, dt: float, start=(1.0, 0.0)) -> tuple[np.ndarray, np.ndarra
     return pairs[: n + 1], phases
 
 
-def _two_level_steps(H: np.ndarray, dt: float,
-                     out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _two_level_steps(H: np.ndarray, dt: float, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(-i dt H) = e^{i phi} [[a, -conj(b)], [b, conj(a)]] for a stack
     (..., 2, 2) of Hermitian H, as Cayley-Klein pairs (..., 2) and phases.
 
     With H = h0 I + h.sigma and r = |h|, a = cos(dt r) - i s hz,
     b = -i s (hx + i hy) and phi = -dt h0, where s = sin(dt r)/r, all in real
     arithmetic.  The pairs are stored component-major, so that a and b are
-    each contiguous: a and b are written into out[0] and out[1] when a
-    (2, ...) buffer `out` is given.  s is dt * np.sinc(dt r / pi), its operations done in
+    each contiguous: a and b are written into out[0] and out[1] of the
+    caller's (2, ...) buffer `out`.  s is dt * np.sinc(dt r / pi), its operations done in
     place, not sin(dt r) / r: it is exact at r = 0, and it keeps an absurdly
     coarse grid visible.  np.sinc rounds its scaled argument apart from the
     cos(dt r) beside it, so once dt r is huge a and b no longer make a
@@ -355,14 +353,13 @@ def _two_level_steps(H: np.ndarray, dt: float,
     s = np.sin(y)
     s /= y
     s *= dt
-    pairs = np.empty((2, *hz.shape), dtype=complex) if out is None else out
-    a, b = pairs[0, ...], pairs[1, ...]  # views, also for a single matrix
+    a, b = out[0, ...], out[1, ...]  # views, also for a single matrix
     np.cos(x, out=a.real)
     np.multiply(s, hy, out=b.real)
     s = -s
     np.multiply(s, hz, out=a.imag)
     np.multiply(s, hx, out=b.imag)
-    return np.moveaxis(pairs, 0, -1), -dt * (0.5 * (h00 + h11))
+    return np.moveaxis(out, 0, -1), -dt * (0.5 * (h00 + h11))
 
 
 def _two_level_matrices(pairs: np.ndarray, phases: np.ndarray) -> np.ndarray:

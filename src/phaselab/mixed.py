@@ -18,8 +18,10 @@ on the angles theta_k(t_j) at the grid nodes), the member paths of U', read
 the same way for any ensemble.  The same call is the hidden gauge transform
 of the frame psi_k, or of any PathStack, smooth or not, so `gauge_campaign`
 reads each trial's one rephasing both ways, its connection off the rephased
-states and the propagator's midpoint samples.  `transport_conditions` gives
-both residuals from the member paths' step energies, as `simulate` prints them.
+states and the propagator's midpoint samples; the member paths are its frame,
+and the paper's phase-stripped frame is a test oracle (`tests/oracles.py`).
+`transport_conditions` gives both residuals from the member paths' step
+energies, as `simulate` prints them.
 A `DensityMatrix`, which serves purification only, keeps the ascending
 spectrum and eigenvectors of the one `eigh` that checked it.
 """

@@ -26,9 +26,9 @@ phi_g = wrap(phi_t - phi_d) (`curve_phases`) carry no polygon term.
 of `evolution.member_paths`, and gives every functional above as an array over
 k from one set of step phases or step energies.  It is the one path argument
 of every phase functional; a single path is the stack with k = 1, and a path
-is named by its position k in the stack.  `gauge.BasisFrame` is a PathStack
-checked orthonormal at every node, and `mixed` reads the record too, each
-ensemble average sum_k w_k x_k through `average`.  The kernels on raw state stacks
+is named by its position k in the stack.  `gauge` reads a frame as a
+PathStack, and `mixed` reads the record too, each ensemble average
+sum_k w_k x_k through `average`.  The kernels on raw state stacks
 (step overlaps and energy expectation) serve all three modules; for two-level
 states they are written entry by entry, one row per path and component,
 contiguous in the path-major stacks of `evolution.member_paths`.  A

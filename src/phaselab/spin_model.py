@@ -4,10 +4,12 @@ The field direction traces a cone of opening angle theta at frequency omega;
 the coupling strength is mu_B (angular-frequency units, hbar = 1).  The
 mixing angle alpha = atan2(omega sin(theta), 2 mu_B + omega cos(theta))
 diagonalizes the effective Hamiltonian, after which the amplitudes, phases,
-solid angles and interference values are all elementary expressions.  Every
-numerical module in the package is tested against these formulas.  The
-sampled H is stored component-major, each entry one contiguous row over the
-times, behind the usual (n, 2, 2) shape.  Its rows are written in place, from
+solid angle and interference values are all elementary expressions.  Every
+numerical module in the package is tested against these formulas; the
+Bloch-path solid angle and the superposition basis, which only the tests
+read, are in `tests/oracles.py`.  The sampled H is stored
+component-major, each entry one contiguous row over the times, behind the
+usual (n, 2, 2) shape.  Its rows are written in place, from
 cos(omega t) and sin(omega t) taken into the output itself, or read from a
 `RotatingField`: one table on a grid's midpoints, the one set of times the
 propagator and the phase functionals sample, that the points of a sweep
@@ -25,11 +27,6 @@ import numpy as np
 from .evolution import HamiltonianTrajectory, TimeGrid
 from .exceptions import DimensionError
 from .numerics import wrap_angle
-from .phases import PathStack
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 BRANCHES = ("+", "-")
 
@@ -177,11 +174,6 @@ def exact_amplitudes(p: SpinParams, t):
     return w_plus * phase_plus[..., None], w_minus * phase_minus[..., None]
 
 
-def amplitude_paths(p: SpinParams, grid: TimeGrid) -> PathStack:
-    """Exact amplitudes sampled on a grid as one stack, "+" then "-"."""
-    return PathStack(grid, np.stack(exact_amplitudes(p, grid.nodes), axis=-1))
-
-
 def geometric_phase(p: SpinParams, branch: str) -> float:
     """One-period geometric phase -pi (1 -/+ cos(theta - alpha)), wrapped."""
     s = _branch_sign(branch)
@@ -193,72 +185,10 @@ def solid_angle(p: SpinParams) -> float:
     return 2.0 * np.pi * (1.0 - np.cos(p.theta - p.alpha))
 
 
-def bloch_vector(v) -> np.ndarray:
-    """Expectation values of the Pauli vector for a normalized 2-component state."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape[-1] != 2:
-        raise DimensionError("bloch_vector requires 2-component states")
-    conj = np.conj(v)
-    return np.stack(
-        [
-            np.real(np.einsum("...a,ab,...b->...", conj, sigma, v))
-            for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)
-        ],
-        axis=-1,
-    )
-
-
-def spherical_polygon_area(points: np.ndarray) -> float:
-    """Signed solid angle enclosed by a closed path of unit vectors.
-
-    The path is fanned into triangles from the north pole; each triangle
-    contributes its signed solid angle via the van Oosterom-Strackee formula.
-    Counterclockwise circulation around +z (viewed from outside) is positive.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise DimensionError("expected an (M, 3) array of unit vectors")
-    if not np.allclose(pts[0], pts[-1], atol=1e-9):
-        pts = np.vstack([pts, pts[0]])
-    apex = np.array([0.0, 0.0, 1.0])
-    a, b = pts[:-1], pts[1:]
-    triple = np.einsum("ij,ij->i", a, np.cross(b, apex))
-    denom = 1.0 + a @ apex + b @ apex + np.einsum("ij,ij->i", a, b)
-    return float(np.sum(2.0 * np.arctan2(triple, denom)))
-
-
 def interference_value(p: SpinParams) -> float:
     """One-period interference 1 + cos[(mu_B cos alpha) T - Omega_+/2]."""
     T = p.period
     return 1.0 + np.cos(p.mu_b * np.cos(p.alpha) * T - 0.5 * solid_angle(p))
-
-
-def tilde_basis(p: SpinParams, t):
-    """Mixing-angle superposition basis; periodic only at commensurate rates."""
-    t = np.asarray(t, dtype=float)
-    w_plus, w_minus = w_basis(p, t)
-    c, s = np.cos(0.5 * p.big_theta), np.sin(0.5 * p.big_theta)
-    beta_phase = np.exp(-1j * p.beta_rate * t)[..., None]
-    tilde_plus = c * w_plus + s * w_minus * beta_phase
-    tilde_minus = -s * w_plus / beta_phase + c * w_minus
-    return tilde_plus, tilde_minus
-
-
-def tilde_energy_expectation(p: SpinParams, branch: str, t):
-    """<w~ | H | w~> along the tilde basis (time dependent through beta)."""
-    sign = _branch_sign(branch)
-    beta = p.beta_rate * np.asarray(t, dtype=float)
-    a, big = p.alpha, p.big_theta
-    return -sign * p.mu_b * (np.cos(a) * np.cos(big) - np.sin(a) * np.sin(big) * np.cos(beta))
-
-
-def tilde_connection(p: SpinParams, branch: str, t):
-    """<w~ | i d/dt w~> along the tilde basis."""
-    sign = _branch_sign(branch)
-    beta = p.beta_rate * np.asarray(t, dtype=float)
-    a, big = p.alpha, p.big_theta
-    term = sign * p.mu_b * (np.cos(a) * (1.0 - np.cos(big)) + np.sin(a) * np.sin(big) * np.cos(beta))
-    return term + 0.5 * p.omega * (1.0 + sign * np.cos(p.theta - p.alpha))
 
 
 def branch_traces(p: SpinParams) -> tuple[complex, complex]:

@@ -2,7 +2,10 @@
 `mat_exp`, the Taylor exponential that serves as the independent oracle for
 the library's step exponentials and propagators, and `central_diff`, the
 finite-difference derivative that the tests hold connections and Schroedinger
-residuals against (the library itself differentiates no states)."""
+residuals against (the library itself differentiates no states).  The paper's
+reference constructions, such as the `BasisFrame` that `w_frame` builds, are
+in `oracles.py`; pytest's path holds `src` and `tests`, so both import by
+module name."""
 from __future__ import annotations
 
 from types import SimpleNamespace
@@ -14,10 +17,11 @@ from hypothesis import settings
 from phaselab import SpinParams, TimeGrid, propagate, spin_model
 from phaselab.evolution import member_paths
 from phaselab.exceptions import DimensionError, NumericError
-from phaselab.gauge import BasisFrame
 from phaselab.linalg import frobenius_norm
 from phaselab.mixed import DensityMatrix, Ensemble
 from phaselab.phases import PathStack
+
+from oracles import BasisFrame
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic.

@@ -11,11 +11,7 @@ import pytest
 
 from phaselab import SpinParams, TimeGrid, propagate, spin_model
 from phaselab.evolution import member_paths
-from phaselab.gauge import (
-    GaugeFunction,
-    frame_from_amplitudes,
-    frame_trace,
-)
+from phaselab.gauge import GaugeFunction, frame_trace
 from phaselab.mixed import (
     hidden_gauge_transform,
     mixed_total_phase,
@@ -28,7 +24,9 @@ from phaselab.mixed import (
 from phaselab.numerics import wrap_angle
 from phaselab.phases import PathStack, adiabatic_phase
 
+import oracles
 from conftest import build_spin_case, central_diff, density_of, random_density, trace_phase
+from oracles import frame_from_amplitudes
 
 SWEEP_SEED = 0
 SWEEP_SIZE = 100
@@ -116,7 +114,7 @@ def test_criterion_2_geometric_phase_and_solid_angle(sweep):
         p = point.params
         grid = TimeGrid(0.0, p.period, 4000)
         w_plus, _ = spin_model.w_basis(p, grid.nodes)
-        area = spin_model.spherical_polygon_area(spin_model.bloch_vector(w_plus))
+        area = oracles.spherical_polygon_area(oracles.bloch_vector(w_plus))
         worst_area = max(worst_area, abs(area - spin_model.solid_angle(p)))
     passed = worst_phase <= 1e-5 and worst_area <= 1e-4
     report(
@@ -272,7 +270,7 @@ def test_criterion_6_purification_round_trip():
 def test_criterion_7_universal_hamiltonian_constraint():
     p = SpinParams(1.0, 1.0, np.pi / 3)
     grid = TimeGrid(0.0, p.period, BASE_STEPS)
-    paths = spin_model.amplitude_paths(p, grid)
+    paths = oracles.amplitude_paths(p, grid)
     H_samples = spin_model.hamiltonian(p).sample(grid.nodes)
     nodes = grid.nodes
     rng = np.random.default_rng(SWEEP_SEED)

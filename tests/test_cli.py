@@ -22,7 +22,7 @@ from phaselab.evolution import HamiltonianTrajectory, TimeGrid, member_paths, pr
 from phaselab.numerics import wrap_angle
 
 from conftest import density_of, trace_phase
-from test_golden import CASES as GOLDEN_CASES, GOLDEN
+from test_golden import CASES as GOLDEN_CASES, GOLDEN, assert_close
 
 
 def run(argv):
@@ -1433,6 +1433,50 @@ def test_verify_gauge_through_an_orthogonality_crossing(tmp_path):
     campaign = assert_campaign_reads_simulate(config, "--trials", "3")
     assert float(campaign[("visibility", "")]) == pytest.approx(1.0, abs=1e-12)
     assert float(campaign[("max_naive_total_phase_shift", "")]) > 1e-3
+
+
+@pytest.mark.parametrize("model", ["spin", "trace-carrying"])
+def test_a_one_member_ensemble_of_another_ket_is_that_ket_of_two(model, tmp_path):
+    # a lone member whose ket is not the first of the pair (spin '-', basis
+    # state 1) scans from that ket's own frame: its per-label records are the
+    # two-member run's for that label, to the golden tolerance, and the gauge
+    # campaign reads simulate's values
+    if model == "spin":
+        both, alone, label = "states = +,-\n", "states = -\nweights = 1\n", "-"
+    else:
+        rng = np.random.default_rng(45)
+        A, B = (m + np.conj(m.T) for m in rng.normal(size=(2, 2, 2))
+                + 1j * rng.normal(size=(2, 2, 2)))
+        hfile = sampled_file(tmp_path, 2, 16, lambda s: (0.3 + 1.7 * s) * np.eye(2) + A
+                             + np.cos(2 * np.pi * s) * B)
+        head = (f"model = custom-sampled\nhamiltonian_file = {hfile}\nhorizon = explicit\n"
+                "t_end = 2\nsteps = 400\n")
+        both, alone, label = (head + "weights = 0.7,0.3\nstates = 0,1\n",
+                              head + "weights = 1\nstates = 1\n", "1")
+    records = {}
+    for name, text in (("both", both), ("alone", alone)):
+        (tmp_path / f"{name}.cfg").write_text(text)
+        out = tmp_path / f"{name}.csv"
+        assert run(["simulate", "--config", str(tmp_path / f"{name}.cfg"), "--out", str(out)]) == 0
+        records[name] = {key: value for key, value in read_records(out).items() if key[1] == label}
+    assert len(records["alone"]) == 4  # phi_t, phi_d, phi_g, transport_strong
+    assert_close(records["alone"], records["both"], f"{model} {label}")
+    assert_campaign_reads_simulate(tmp_path / "alone.cfg", "--trials", "2")
+
+
+def test_an_explicit_horizon_bounds_mu_b_by_the_horizon(tmp_path, monkeypatch):
+    # simulate and verify-gauge run over t_end, not the period 2 pi / omega:
+    # mu_b = 1e4 over t_end = 1 (mu_b dt = 0.5) runs at omega = 1e-304, whose
+    # period 6.3e304 would overflow 2 |mu_b| T, and prints the omega = 0 records
+    monkeypatch.chdir(tmp_path)
+    Path("c.cfg").write_text(EXPLICIT_SPIN)
+    args = ["--config", "c.cfg", "--mu-b", "1e4", "--omega"]
+    assert run(["simulate", *args, "1e-304", "--out", "slow.csv"]) == 0
+    assert run(["verify-gauge", *args, "1e-304", "--trials", "2", "--out", "verify.csv"]) == 0
+    assert run(["simulate", *args, "0", "--out", "static.csv"]) == 0
+    slow, static = (Path(name).read_text().splitlines() for name in ("slow.csv", "static.csv"))
+    assert [(a, b) for a, b in zip(slow, static) if a != b] == [("# omega = 1e-304", "# omega = 0")]
+    assert len(slow) == len(static)
 
 
 def test_simulate_byte_determinism(tmp_path):

@@ -10,8 +10,8 @@ from phaselab import HamiltonianTrajectory, SpinParams, TimeGrid, propagate, spi
 from phaselab.cli import build_scenario, parse_config_file
 from phaselab.evolution import PropagatorPath, member_paths
 from phaselab.exceptions import ContractError, DimensionError, NumericError
-from phaselab.linalg import (_two_level_matrices, hermitian_step_exp, ordered_pairs,
-                             pair_norm_defect, unitarity_defect)
+from phaselab.linalg import (_pair_norms, _two_level_matrices, hermitian_step_exp,
+                             ordered_pairs, pair_norm_defect, unitarity_defect)
 from phaselab.phases import frame_energies, state_energies
 
 from conftest import mat_exp, random_hermitian
@@ -317,7 +317,7 @@ def test_two_level_path_forms_the_ordered_exponentials_bitwise(model):
     path = propagate(H, grid)
     assert path.stack.shape == (grid.steps + 1, 2) and path.phases.shape == (grid.steps + 1,)
     assert path.dim == 2 and "matrices" not in vars(path)  # not formed yet
-    expected = _two_level_matrices(*ordered_pairs(H.sample(grid.midpoints), grid.dt))
+    expected = _two_level_matrices(*ordered_pairs(H.sample(grid.midpoints), grid.dt, (1.0, 0.0)))
     assert path.matrices.tobytes() == expected.tobytes()
     assert np.any(path.phases) == (model == "trace-carrying")  # a traceless H has none
     states = np.array([[0.6, 0.8j], [0.8, -0.6j], [1.0, 0.0]])
@@ -380,7 +380,7 @@ def test_propagate_stays_unitary(dim, steps, seed, reach):
     if path.phases is None:
         assert unitarity_defect(path.stack) <= 1e-12
     else:
-        assert np.sqrt(2.0) * pair_norm_defect(path.stack) <= 1e-12
+        assert np.sqrt(2.0) * pair_norm_defect(_pair_norms(path.stack)) <= 1e-12
     psi = member_paths(path, np.eye(dim, dtype=complex))  # (nodes, dim, k)
     gram = np.einsum("jak,jal->jkl", np.conj(psi), psi)
     assert np.max(np.abs(gram - np.eye(dim))) <= 1e-12

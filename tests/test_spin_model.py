@@ -6,6 +6,7 @@ from phaselab import SpinParams, TimeGrid, spin_model
 from phaselab.linalg import hermiticity_defect
 from phaselab.numerics import wrap_angle
 
+import oracles
 from conftest import central_diff
 
 GENERIC = SpinParams(1.0, 1.0, np.pi / 3, big_theta=np.pi / 4)
@@ -40,7 +41,7 @@ def test_hamiltonian_structure():
              np.full_like(phi, np.cos(GENERIC.theta)))
     expected = -GENERIC.mu_b * sum(
         b[:, None, None] * sigma
-        for b, sigma in zip(b_hat, (spin_model.SIGMA_X, spin_model.SIGMA_Y, spin_model.SIGMA_Z))
+        for b, sigma in zip(b_hat, (oracles.SIGMA_X, oracles.SIGMA_Y, oracles.SIGMA_Z))
     )
     assert samples.shape == (57, 2, 2) and H.evaluate(0.37).shape == (2, 2)
     assert np.max(np.abs(samples - expected)) < 1e-15
@@ -201,13 +202,13 @@ def test_solid_angle_matches_bloch_polygon():
     for p in (GENERIC, SPECIAL, SpinParams(2.0, 0.7, 2.6)):
         grid = TimeGrid(0.0, p.period, 4000)
         w_plus, _ = spin_model.w_basis(p, grid.nodes)
-        path = spin_model.bloch_vector(w_plus)
-        area = spin_model.spherical_polygon_area(path)
+        path = oracles.bloch_vector(w_plus)
+        area = oracles.spherical_polygon_area(path)
         assert abs(area - spin_model.solid_angle(p)) < 1e-4
 
 
 def test_bloch_vector_values():
-    assert np.allclose(spin_model.bloch_vector(np.array([1.0, 0.0])), [0, 0, 1])
+    assert np.allclose(oracles.bloch_vector(np.array([1.0, 0.0])), [0, 0, 1])
     p = GENERIC
     t = 0.41
     w_plus, w_minus = spin_model.w_basis(p, t)
@@ -215,9 +216,9 @@ def test_bloch_vector_values():
     expected = np.array(
         [np.sin(d) * np.cos(p.omega * t), np.sin(d) * np.sin(p.omega * t), np.cos(d)]
     )
-    assert np.allclose(spin_model.bloch_vector(w_plus), expected, atol=1e-12)
+    assert np.allclose(oracles.bloch_vector(w_plus), expected, atol=1e-12)
     assert np.allclose(
-        spin_model.bloch_vector(w_minus), -spin_model.bloch_vector(w_plus), atol=1e-12
+        oracles.bloch_vector(w_minus), -oracles.bloch_vector(w_plus), atol=1e-12
     )
 
 
@@ -244,7 +245,7 @@ def test_interference_special_values():
 def test_tilde_basis_reduces_to_w_basis():
     p = SpinParams(1.0, 1.0, np.pi / 3, big_theta=0.0)
     t = 0.9
-    tilde_plus, tilde_minus = spin_model.tilde_basis(p, t)
+    tilde_plus, tilde_minus = oracles.tilde_basis(p, t)
     w_plus, w_minus = spin_model.w_basis(p, t)
     assert np.allclose(tilde_plus, w_plus)
     assert np.allclose(tilde_minus, w_minus)
@@ -253,7 +254,7 @@ def test_tilde_basis_reduces_to_w_basis():
 def test_tilde_basis_orthonormal_and_expectations():
     p = GENERIC
     grid = TimeGrid(0.0, p.period, 80000)
-    tilde_plus, tilde_minus = spin_model.tilde_basis(p, grid.nodes)
+    tilde_plus, tilde_minus = oracles.tilde_basis(p, grid.nodes)
     gram = np.einsum("ja,ja->j", np.conj(tilde_plus), tilde_minus)
     norms = np.linalg.norm(tilde_plus, axis=1)
     assert np.max(np.abs(gram)) < 1e-12
@@ -262,12 +263,12 @@ def test_tilde_basis_orthonormal_and_expectations():
     for tilde, branch in ((tilde_plus, "+"), (tilde_minus, "-")):
         energy = np.einsum("ja,jab,jb->j", np.conj(tilde), H, tilde).real
         assert np.max(
-            np.abs(energy - spin_model.tilde_energy_expectation(p, branch, grid.nodes))
+            np.abs(energy - oracles.tilde_energy_expectation(p, branch, grid.nodes))
         ) < 1e-10
         conn = np.einsum(
             "ja,ja->j", np.conj(tilde), 1j * central_diff(tilde, grid.dt)
         ).real
-        expected = spin_model.tilde_connection(p, branch, grid.nodes)
+        expected = oracles.tilde_connection(p, branch, grid.nodes)
         assert np.max(np.abs(conn[1:-1] - expected[1:-1])) < 1e-8
 
 
@@ -278,7 +279,7 @@ def test_superpositions_factor_through_tilde_basis():
         c, s = np.cos(p.big_theta / 2), np.sin(p.big_theta / 2)
         upper = c * psi_plus + s * psi_minus
         lower = -s * psi_plus + c * psi_minus
-        tilde_plus, tilde_minus = spin_model.tilde_basis(p, t)
+        tilde_plus, tilde_minus = oracles.tilde_basis(p, t)
         e_plus = spin_model.energy_expectation(p, "+") - spin_model.connection_value(p, "+")
         e_minus = spin_model.energy_expectation(p, "-") - spin_model.connection_value(p, "-")
         assert np.max(np.abs(upper - tilde_plus * np.exp(-1j * e_plus * t))) < 1e-10
@@ -290,14 +291,14 @@ def test_tilde_basis_periodicity_is_commensurate():
     # makes that exactly 2 omega, so the tilde basis closes after one period.
     commensurate = SpinParams(np.sqrt(3.0) / 2.0, 1.0, np.pi / 2, big_theta=0.7)
     assert commensurate.beta_rate == pytest.approx(2.0, abs=1e-12)
-    t0_plus, t0_minus = spin_model.tilde_basis(commensurate, 0.0)
-    tT_plus, tT_minus = spin_model.tilde_basis(commensurate, commensurate.period)
+    t0_plus, t0_minus = oracles.tilde_basis(commensurate, 0.0)
+    tT_plus, tT_minus = oracles.tilde_basis(commensurate, commensurate.period)
     assert np.max(np.abs(tT_plus - t0_plus)) < 1e-10
     assert np.max(np.abs(tT_minus - t0_minus)) < 1e-10
 
     generic = SpinParams(1.0, 1.0, np.pi / 2, big_theta=0.7)  # beta_rate = sqrt(5)
-    g0, _ = spin_model.tilde_basis(generic, 0.0)
-    gT, _ = spin_model.tilde_basis(generic, generic.period)
+    g0, _ = oracles.tilde_basis(generic, 0.0)
+    gT, _ = oracles.tilde_basis(generic, generic.period)
     assert np.max(np.abs(gT - g0)) > 1e-2
 
 
